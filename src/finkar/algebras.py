@@ -9,7 +9,6 @@ predicates and law reports, never enumerated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Optional
 
 from .finset import (CheckConfig, FinSetObj, Morphism, ShapeError,
@@ -178,49 +177,53 @@ def construct_coretraction(a: AlgebraStruct,
 
 def search_sections(a: AlgebraStruct, config: CheckConfig | None = None,
                     search_bound: int = 1 << 20) -> list[Morphism]:
-    """All hom-sections of an algebra, by exhaustive fiber-pruned search.
+    """All hom-sections of an algebra, by depth-first fiber-pruned search.
 
-    Candidates pick one structure-preimage per carrier element; each
-    candidate is then checked to be an algebra homomorphism into the free
-    algebra (with early exit).  Deterministic order: fibers ascending.
+    A candidate picks one structure-preimage per carrier element, in
+    carrier order.  It must be an algebra hom into the free algebra:
+    section(alpha t) = mu(T section t) for every t in TA.  The right side
+    reads, for each state s, digit s1 of section(x) where (s1, x) is t's
+    digit at s, so the mu table on TTA is never built.  Each t's square is
+    checked as soon as every carrier element it reads has been chosen.
+    Deterministic order: lexicographic in the fibers, each ascending.
     """
     ctx, al = a.ctx, a.structure
-    n = a.carrier.card
-    ta = t_obj(ctx, a.carrier)
-    fibers = [[t for t in range(ta.card) if al(t) == v] for v in range(n)]
+    n, ns = a.carrier.card, ctx.ns
+    m1 = ns * n  # card(S x A), the digit base of TA
+    fibers = [[] for _ in range(n)]
+    for t, v in enumerate(al.table):
+        fibers[v].append(t)
     space = 1
     for f in fibers:
         space *= len(f)
         if space > search_bound:
             raise SearchBoundExceeded(
                 f"section search space exceeds {search_bound}")
-    mu_tab = mu(ctx, a.carrier).table
-    al_tab = al.table
-    # decode each behavior once: T(section) re-ranks digit (s1, x) to
-    # (s1, section(x)) with the step weights of T(carrier)
-    m1, m2 = ctx.ns * n, ctx.ns * ta.card
-    decoded = []
-    for t in range(ta.card):
-        digs = []
-        tv = t
-        for _ in range(ctx.ns):
-            tv, d = divmod(tv, m1)
-            digs.append(divmod(d, n))
-        decoded.append(digs)
+    ta = t_obj(ctx, a.carrier)
+    # digits[c][s1]: digit s1 of c in TA.  squares[j]: (alpha t, reads)
+    # for each t whose largest read carrier element is j, where reads
+    # lists (s1, x, weight of state s) for t's digit (s1, x) at each s.
+    digits = [[c // m1 ** s1 % m1 for s1 in range(ns)]
+              for c in range(ta.card)]
+    squares = [[] for _ in range(n)]
+    for t, v in enumerate(al.table):
+        reads = [(*divmod(digits[t][s], n), m1 ** s) for s in range(ns)]
+        squares[max([v] + [x for _, x, _ in reads])].append((v, reads))
     out = []
-    for choice in iproduct(*fibers):
-        ok = True
-        for t in range(ta.card):
-            t_rank = 0
-            w = 1
-            for s1, x in decoded[t]:
-                t_rank += (s1 * ta.card + choice[x]) * w
-                w *= m2
-            if choice[al_tab[t]] != mu_tab[t_rank]:
-                ok = False
-                break
-        if ok:
-            out.append(Morphism(a.carrier, ta, table=list(choice)))
+    choice = [0] * n
+
+    def extend(j):
+        if j == n:
+            out.append(Morphism(a.carrier, ta, table=choice))
+            return
+        for c in fibers[j]:
+            choice[j] = c
+            if all(choice[v] == sum(digits[choice[x]][s1] * w
+                                    for s1, x, w in reads)
+                   for v, reads in squares[j]):
+                extend(j + 1)
+
+    extend(0)
     return out
 
 

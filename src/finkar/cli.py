@@ -486,7 +486,12 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = CheckConfig(cap=args.cap, samples=args.samples, seed=args.seed)
+    try:
+        config = CheckConfig(cap=args.cap, samples=args.samples,
+                             seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     ctx = StateContext(Atom(spec.state_set, len(spec.sets[spec.state_set])),
                        config)
     env = Env(spec=spec, ctx=ctx)

@@ -5,16 +5,28 @@ integer range [0, card).  All structure maps elsewhere in the package are
 computed through that bijection, so a morphism is nothing but a total
 function on ranks: either a materialized table or a lazy evaluator for
 domains too large to enumerate.
+
+One rule decides which: a map built by `from_fn`, `compose` or a structure
+map is a table exactly when its domain has at most `EAGER_LIMIT` ranks, and
+a lazy evaluator above that.  Composition and exhaustive equality on small
+domains then run over whole tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ne
 from typing import Callable, Iterator, Optional, Sequence
 
 from .report import VerifyReport
 
 MASK64 = (1 << 64) - 1
+
+# Domains at most this large are built as tables; larger ones stay lazy.
+# It sits above the default CheckConfig.cap, so every exhaustive check on a
+# map built here compares two tables.
+EAGER_LIMIT = 1 << 17
 
 # Domains at most this large may be materialized into tables on demand.
 MATERIALIZE_LIMIT = 1 << 22
@@ -154,9 +166,11 @@ def codec(obj: FinSetObj) -> ElemCodec:
 class Morphism:
     """A total map between finite sets, as a codomain-rank table.
 
-    Holds either a materialized table or a lazy evaluator; lazy morphisms
-    materialize on demand when the domain is small enough.  Values are
-    immutable after construction.
+    Holds either a materialized table or a lazy evaluator.  The package's
+    own constructions hold a table exactly when the domain has at most
+    EAGER_LIMIT ranks; a lazy morphism built directly with `fn` materializes
+    on demand up to MATERIALIZE_LIMIT.  Values are immutable after
+    construction.
     """
 
     __slots__ = ("dom", "cod", "_table", "_fn")
@@ -175,9 +189,10 @@ class Morphism:
                 raise ShapeError(
                     f"table length {len(table)} != card(dom) {dom.card}")
             n = cod.card
-            for k, v in enumerate(table):
-                if not 0 <= v < n:
-                    raise ShapeError(f"table entry {v} at {k} not in [0,{n})")
+            if table and not (0 <= min(table) and max(table) < n):
+                k = next(k for k, v in enumerate(table) if not 0 <= v < n)
+                raise ShapeError(
+                    f"table entry {table[k]} at {k} not in [0,{n})")
         self._table = table
 
     def __call__(self, k: int) -> int:
@@ -201,6 +216,18 @@ class Morphism:
             self._table = [fn(k) for k in range(n)]
         return self._table
 
+    @property
+    def lookup(self) -> Callable[[int], int]:
+        """The cheapest callable for this map's values: the table's item
+        getter (materialized first when the domain is within EAGER_LIMIT),
+        else the lazy evaluator."""
+        table = self._table
+        if table is None:
+            if self.dom.card > EAGER_LIMIT:
+                return self._fn
+            table = self.table
+        return table.__getitem__
+
     def __repr__(self):
         if self._table is not None and len(self._table) <= 16:
             return f"Morphism({self.dom!r}->{self.cod!r}, {self._table})"
@@ -209,24 +236,30 @@ class Morphism:
 
 def identity(obj: FinSetObj) -> Morphism:
     return Morphism(obj, obj, table=range(obj.card)) \
-        if obj.card <= MATERIALIZE_LIMIT else Morphism(obj, obj, fn=lambda k: k)
+        if obj.card <= EAGER_LIMIT else Morphism(obj, obj, fn=lambda k: k)
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
-    """f followed by g (so the classical g after f)."""
+    """f followed by g (so the classical g after f).
+
+    Within EAGER_LIMIT the result is a gather: g read at each entry of f's
+    table (g's own table, or g's lazy evaluator when g's domain is above
+    the limit).  Above it the result is lazy.
+    """
     if f.cod != g.dom:
         raise ShapeError(f"cannot compose: cod {f.cod!r} != dom {g.dom!r}")
-    if not f.is_lazy and not g.is_lazy:
-        gt = g.table
-        return Morphism(f.dom, g.cod, table=[gt[v] for v in f.table])
-    return Morphism(f.dom, g.cod, fn=lambda k: g(f(k)))
+    if f.dom.card <= EAGER_LIMIT:
+        return Morphism(f.dom, g.cod, table=list(map(g.lookup, f.table)))
+    fv, gv = f.lookup, g.lookup
+    return Morphism(f.dom, g.cod, fn=lambda k: gv(fv(k)))
 
 
-def from_fn(dom: FinSetObj, cod: FinSetObj, fn: Callable[[int], int],
-            eager_below: int = 4096) -> Morphism:
-    """Build a morphism from a rank function, materializing small domains."""
-    if dom.card <= eager_below:
-        return Morphism(dom, cod, table=[fn(k) for k in range(dom.card)])
+def from_fn(dom: FinSetObj, cod: FinSetObj,
+            fn: Callable[[int], int]) -> Morphism:
+    """Build a morphism from a rank function: a table within EAGER_LIMIT,
+    the lazy evaluator above it."""
+    if dom.card <= EAGER_LIMIT:
+        return Morphism(dom, cod, table=list(map(fn, range(dom.card))))
     return Morphism(dom, cod, fn=fn)
 
 
@@ -275,12 +308,20 @@ class CheckConfig:
     """Determinism knobs for every verifier.
 
     Equality checks are exhaustive when card(dom) <= cap and otherwise
-    sample `samples` domain ranks from a splitmix64 stream.
+    sample `samples` domain ranks from a splitmix64 stream.  A check must
+    evaluate at least one point, so `samples` must be positive and `cap`
+    nonnegative.
     """
 
     cap: int = 100000
     samples: int = 10000
     seed: int = 0
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        if self.cap < 0:
+            raise ValueError(f"cap must be nonnegative, got {self.cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +338,21 @@ def equal_mor(f: Morphism, g: Morphism,
     witnesses = []
     if n <= config.cap:
         mode = "exhaustive"
-        points: Iterator[int] = iter(range(n))
         details = {"domain": n}
+        if n <= EAGER_LIMIT:
+            # whole tables: only the mismatching ranks, in rank order
+            points: Iterator[int] = compress(count(),
+                                             map(ne, f.table, g.table))
+        else:
+            points = iter(range(n))
     else:
         mode = "sampled"
         rng = splitmix64(config.seed)
         points = (next(rng) % n for _ in range(config.samples))
         details = {"domain": n, "samples": config.samples}
+    fv, gv = f.lookup, g.lookup
     for k in points:
-        a, b = f(k), g(k)
+        a, b = fv(k), gv(k)
         if a != b:
             witnesses.append({"rank": k, "lhs": a, "rhs": b})
             if len(witnesses) >= 3:

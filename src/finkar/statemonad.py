@@ -1,9 +1,11 @@
 """The state monad T X = S=>(S x X), its comonad G X = S x (S=>X), and the
 two resolutions used throughout the package.
 
-All structure maps are computed pointwise through the canonical codecs, so
-a functor application is just digit arithmetic on ranks.  Maps whose
-domains blow up combinatorially (mu at TTX and above) stay lazy and are
+All structure maps are digit arithmetic on the canonical ranks.  They follow
+the finset rule: a structure map is a table exactly when its domain has at
+most EAGER_LIMIT ranks, built whole by a digit kernel, and a lazy evaluator
+above that.  Lazy maps are those whose domains blow up combinatorially (mu
+at TTX once |S x X|^|S| is large, T f on TTX, ...); equalities on them are
 verified by seeded sampling.
 """
 
@@ -12,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .finset import (CheckConfig, Exp, FinSetObj, Morphism, Prod,
-                     ShapeError, SeededRng, compose, equal_mor, from_fn,
+from .finset import (EAGER_LIMIT, CheckConfig, Exp, FinSetObj, Morphism,
+                     Prod, ShapeError, SeededRng, compose, equal_mor, from_fn,
                      identity)
 from .report import VerifyReport, combine
 
@@ -57,29 +59,49 @@ def g_obj(ctx: StateContext, x: FinSetObj) -> FinSetObj:
 def prod_mor(ctx: StateContext, f: Morphism) -> Morphism:
     """S x f on ranks of Prod(S, dom f)."""
     nx, ny = f.dom.card, f.cod.card
+    dom, cod = prod_obj(ctx, f.dom), prod_obj(ctx, f.cod)
+    if dom.card <= EAGER_LIMIT:
+        ft = f.table
+        return Morphism(dom, cod,
+                        table=[s * ny + v for s in range(ctx.ns) for v in ft])
+    fv = f.lookup
 
     def ev(p):
         s, x = divmod(p, nx)
-        return s * ny + f(x)
+        return s * ny + fv(x)
 
-    return from_fn(prod_obj(ctx, f.dom), prod_obj(ctx, f.cod), ev)
+    return Morphism(dom, cod, fn=ev)
 
 
 def exp_mor(ctx: StateContext, f: Morphism) -> Morphism:
-    """S => f (postcomposition) on ranks of Exp(S, dom f)."""
+    """S => f (postcomposition) on ranks of Exp(S, dom f).
+
+    Within EAGER_LIMIT the table is built one state at a time: ranks are
+    little-endian, so the table over k+1 states is the one over k states
+    repeated once per digit d, shifted by f(d) * |cod f|^k.
+    """
     ns = ctx.ns
     nx, ny = f.dom.card, f.cod.card
+    dom, cod = exp_obj(ctx, f.dom), exp_obj(ctx, f.cod)
+    if dom.card <= EAGER_LIMIT:
+        ft = f.table
+        tab, w = [0], 1
+        for _ in range(ns):
+            tab = [r + w * v for v in ft for r in tab]
+            w *= ny
+        return Morphism(dom, cod, table=tab)
+    fv = f.lookup
 
     def ev(t):
         out = 0
         w = 1
         for _ in range(ns):
             t, d = divmod(t, nx)
-            out += f(d) * w
+            out += fv(d) * w
             w *= ny
         return out
 
-    return from_fn(exp_obj(ctx, f.dom), exp_obj(ctx, f.cod), ev)
+    return Morphism(dom, cod, fn=ev)
 
 
 def t_mor(ctx: StateContext, f: Morphism) -> Morphism:
@@ -109,23 +131,12 @@ def eta(ctx: StateContext, x: FinSetObj) -> Morphism:
 
 
 def mu(ctx: StateContext, x: FinSetObj) -> Morphism:
-    """Multiplication TTX -> TX: run the outer step, then the inner one."""
-    ns, nx = ctx.ns, x.card
-    m = ns * nx          # card(S x X)
-    ntx = m ** ns        # card(TX)
-    m2 = ns * ntx        # card(S x TX)
+    """Multiplication TTX -> TX: run the outer step, then the inner one.
 
-    def ev(u):
-        out = 0
-        w = 1
-        for _ in range(ns):
-            u, d = divmod(u, m2)
-            s1, t = divmod(d, ntx)
-            out += ((t // m ** s1) % m) * w
-            w *= m
-        return out
-
-    return from_fn(t_obj(ctx, t_obj(ctx, x)), t_obj(ctx, x), ev)
+    It is S => run, where run: S x TX -> S x X is the counit of the
+    product/exponential adjunction at S x X, (s, t) |-> t(s).
+    """
+    return exp_mor(ctx, eps(ctx, prod_obj(ctx, x)))
 
 
 def eps(ctx: StateContext, x: FinSetObj) -> Morphism:
@@ -327,17 +338,9 @@ class KleisliResolution(Adjunction):
         return eta(self.ctx, x)
 
     def counit(self, b):
-        # The arrow TB -> B in machine form S x TB -> S x B: run the step.
-        ctx = self.ctx
-        ns, nb = ctx.ns, b.card
-        m = ns * nb
-        ntb = m ** ns
-
-        def ev(p):
-            s, t = divmod(p, ntb)
-            return (t // m ** s) % m
-
-        return from_fn(prod_obj(ctx, self.right_obj(b)), prod_obj(ctx, b), ev)
+        # The arrow TB -> B in machine form S x TB -> S x B: run the step,
+        # which is the product/exponential counit at S x B.
+        return eps(self.ctx, prod_obj(self.ctx, b))
 
     def transpose_up(self, f, b=None):
         return transpose_up(self.ctx, f)

@@ -5,9 +5,10 @@ codec) or raw table enumeration, so a bug in the digit arithmetic of the
 main implementation cannot hide behind itself.
 """
 
+from functools import lru_cache
 from itertools import product as iproduct
 
-from finkar.finset import Atom, Morphism, codec
+from finkar.finset import Atom, Exp, Morphism, codec
 from finkar.statemonad import StateContext, g_obj, t_obj
 
 
@@ -23,18 +24,47 @@ def oracle_eta_table(ctx: StateContext, x):
     return out
 
 
-def oracle_mu_table(ctx: StateContext, x):
-    """Multiplication on structural elements: run outer step, then inner."""
+def oracle_mu_at(ctx: StateContext, x, k: int) -> int:
+    """Multiplication at one rank of TTX, on structural elements: run the
+    outer step, then the inner one."""
     tx = t_obj(ctx, x)
-    ttx = t_obj(ctx, tx)
-    c_ttx, c_tx = codec(ttx), codec(tx)
-    out = []
-    for k in range(ttx.card):
-        u = c_ttx.unrank(k)
-        # u[s] = (s1, t) with t a function element of TX
-        res = tuple(u[s][1][u[s][0]] for s in range(ctx.ns))
-        out.append(c_tx.rank(res))
-    return out
+    u = codec(t_obj(ctx, tx)).unrank(k)
+    # u[s] = (s1, t) with t a function element of TX
+    return codec(tx).rank(tuple(u[s][1][u[s][0]] for s in range(ctx.ns)))
+
+
+def oracle_mu_table(ctx: StateContext, x):
+    """Multiplication on structural elements, at every rank of TTX."""
+    return [oracle_mu_at(ctx, x, k)
+            for k in range(t_obj(ctx, t_obj(ctx, x)).card)]
+
+
+@lru_cache(maxsize=None)
+def _oracle_mu_tuple(ctx: StateContext, x):
+    """oracle_mu_table once per (context, carrier); brute_force_sections
+    reads it for every structure on the carrier."""
+    return tuple(oracle_mu_table(ctx, x))
+
+
+def _lift(dom, cod, fn, elem):
+    """Apply a rank function to a structural element of dom."""
+    return codec(cod).unrank(fn(codec(dom).rank(elem)))
+
+
+def oracle_exp_at(ctx: StateContext, dom, cod, fn, k: int) -> int:
+    """(S => f) at one rank of S => dom, on structural elements: apply f
+    (given as a rank function dom -> cod) to each value of the function."""
+    g = codec(Exp(ctx.state_space, dom)).unrank(k)
+    return codec(Exp(ctx.state_space, cod)).rank(
+        tuple(_lift(dom, cod, fn, v) for v in g))
+
+
+def oracle_t_at(ctx: StateContext, dom, cod, fn, k: int) -> int:
+    """(T f) at one rank of T dom, on structural elements: keep each
+    step's state and apply f to its value."""
+    t = codec(t_obj(ctx, dom)).unrank(k)
+    return codec(t_obj(ctx, cod)).rank(
+        tuple((s1, _lift(dom, cod, fn, x)) for s1, x in t))
 
 
 def oracle_eps_table(ctx: StateContext, x):
@@ -194,7 +224,7 @@ def brute_force_sections(ctx: StateContext, alg: Morphism) -> list[list[int]]:
     carrier = alg.cod
     ta = t_obj(ctx, carrier)
     n = carrier.card
-    mut = oracle_mu_table(ctx, carrier)
+    mut = _oracle_mu_tuple(ctx, carrier)
     fibers = [[t for t in range(ta.card) if alg(t) == v] for v in range(n)]
     out = []
     m1, m2 = ctx.ns * n, ctx.ns * ta.card

@@ -113,6 +113,22 @@ def test_section_multiplicity_frozen_counts(ctx2):
     assert sorted(t.table for t in search_sections(a4)) == sorted(oracle4)
 
 
+def test_search_sections_order_matches_oracle(ctx2):
+    """The pruned search returns exactly the oracle's sections, in the
+    oracle's lexicographic fiber order, on the |S| = 2 census (the one
+    structure on one element and the twelve on four; two elements carry
+    none)."""
+    census = [(Atom("A", 1), alg)
+              for alg in brute_force_algebras(ctx2, Atom("A", 1))]
+    census += [(Atom("A", 4), alg)
+               for alg in transported_algebras(ctx2, 2, Atom("A", 4))]
+    assert len(census) == 13
+    for carrier, alg in census:
+        a = AlgebraStruct(ctx=ctx2, carrier=carrier, structure=alg)
+        assert [s.table for s in search_sections(a)] == \
+            brute_force_sections(ctx2, alg)
+
+
 def test_sections_unique_for_singleton_state(ctx1):
     """With one state the monad is trivial and the section is unique."""
     x = Atom("A", 3)

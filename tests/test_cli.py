@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -118,6 +119,48 @@ def test_main_exit_codes(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{")
     assert main(["verify-all", str(broken)]) == 2
+
+
+def test_main_rejects_vacuous_check_knobs(tmp_path, capsys):
+    """A check must evaluate at least one point: --samples 0 or a negative
+    --cap is a usage error (exit 2), not a pass on zero points."""
+    fixture = str(FIXTURES / "machines.json")
+    for knobs in (["--samples", "0", "--cap", "0"], ["--cap", "-1"]):
+        assert main(["check-laws", fixture, *knobs]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+# sha256 of `verify-all <fixture> --seed N --out FILE`, frozen from the
+# rank-by-rank implementation; table evaluation must not move a byte
+GOLDEN_REPORTS = {
+    ("machines.json", 0):
+        "279e0834ee618aa310136b532fbdec80f7c94b62274d1ace37111a395ee8c2e9",
+    ("machines.json", 42):
+        "7dda1d6b7cdda1a560fc2a23c0cb3ea2113540fb07318d41a57ebc23dda7a87a",
+    ("policies.json", 0):
+        "4d30cfe3bedb2bc4e9a10d60cdac457380a2739a18a5a76acadc694156666290",
+    ("policies.json", 42):
+        "fda0621e1f7aafe87a0a89e0af6e08090c73b42a113555e0edc6ad04e5e4e2d0",
+}
+
+
+@pytest.mark.parametrize("fixture,seed", sorted(GOLDEN_REPORTS))
+def test_verify_all_report_bytes_are_golden(tmp_path, fixture, seed):
+    out = tmp_path / "report.json"
+    assert main(["verify-all", str(FIXTURES / fixture), "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_REPORTS[fixture, seed]
+
+
+def test_cli_import_stays_pure_python():
+    """numpy alone would add about 12 MB of resident memory and 0.1 s of
+    start-up to every run; the table kernels do not need it."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, finkar.cli; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_process_and_byte_stability(tmp_path):

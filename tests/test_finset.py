@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finkar.finset import (Atom, CheckConfig, Exp, Morphism, Prod, ShapeError,
-                           SeededRng, codec, compose, equal_mor, identity,
-                           image_factor, splitmix64)
+from finkar.finset import (EAGER_LIMIT, Atom, CheckConfig, Exp, Morphism,
+                           Prod, ShapeError, SeededRng, codec, compose,
+                           equal_mor, from_fn, identity, image_factor,
+                           splitmix64)
 
 
 def small_objects():
@@ -114,6 +115,60 @@ def test_equal_mor_exhaustive_and_witness():
     assert rep.status == "fail"
     assert rep.witnesses[0]["rank"] == 0
     assert rep.mode == "exhaustive"
+
+
+def test_table_validation_names_first_offending_index():
+    a, b = Atom("A", 6), Atom("B", 3)
+    for bad in ([0, 1, 3, 0, -1, 2], [0, 1, -1, 0, 7, 2]):
+        with pytest.raises(ShapeError, match=r" at 2 not in \[0,3\)"):
+            Morphism(a, b, table=bad)
+    # the same check guards tables built by from_fn and by compose
+    with pytest.raises(ShapeError, match=r"entry 3 at 3 "):
+        from_fn(a, b, lambda k: k)
+    lazy_b = Morphism(a, b, fn=lambda k: k)
+    with pytest.raises(ShapeError, match=r"entry 5 at 1 "):
+        compose(Morphism(b, a, table=[0, 5, 1]), lazy_b)
+
+
+def test_eager_limit_decides_table_or_lazy():
+    for n in (EAGER_LIMIT, EAGER_LIMIT + 1):
+        x = Atom("X", n)
+        lazy = n > EAGER_LIMIT
+        f = from_fn(x, x, lambda k: n - 1 - k)
+        assert f.is_lazy == lazy and identity(x).is_lazy == lazy
+        g = compose(f, f)
+        assert g.is_lazy == lazy
+        assert [g(k) for k in (0, 1, n - 1)] == [0, 1, n - 1]
+
+
+def test_equal_mor_reports_same_on_tables_and_lazy_maps():
+    """Exhaustive checks compare whole tables; they report the first three
+    mismatches in rank order, as the rank-by-rank path over lazy maps does,
+    and sampled checks read the same points either way."""
+    x, y = Atom("X", 50), Atom("Y", 4)
+    ft = [k % 4 for k in range(50)]
+    gt = list(ft)
+    for k in (40, 3, 18, 17, 41):
+        gt[k] = (gt[k] + 1) % 4
+    f, g = Morphism(x, y, table=ft), Morphism(x, y, table=gt)
+    lf = Morphism(x, y, fn=ft.__getitem__)
+    lg = Morphism(x, y, fn=gt.__getitem__)
+    for cfg in (CheckConfig(), CheckConfig(cap=10, samples=200, seed=5)):
+        reports = [equal_mor(a, b, cfg).to_dict()
+                   for a, b in ((f, g), (lf, lg), (f, lg), (lf, g))]
+        assert all(r == reports[0] for r in reports)
+        assert reports[0]["status"] == "fail"
+    rep = equal_mor(f, g)
+    assert rep.mode == "exhaustive"
+    assert rep.witnesses == [{"rank": k, "lhs": ft[k], "rhs": gt[k]}
+                             for k in (3, 17, 18)]
+
+
+def test_check_config_rejects_vacuous_knobs():
+    for kw in ({"samples": 0}, {"samples": -3}, {"cap": -1}):
+        with pytest.raises(ValueError):
+            CheckConfig(**kw)
+    assert CheckConfig(cap=0, samples=1).samples == 1
 
 
 def test_equal_mor_sampled_large_domain():

@@ -1,14 +1,18 @@
-from finkar.finset import Atom, Exp, Morphism, SeededRng, compose, identity
+from itertools import islice
+
+from finkar.finset import (EAGER_LIMIT, Atom, Exp, Morphism, SeededRng,
+                           compose, identity, splitmix64)
 from finkar.statemonad import (ProdExpAdjunction, check_adjunction_laws,
                                check_comonad_laws, check_monad_laws, eps, eta,
-                               g_obj, kleisli_compose, kleisli_of_mealy,
-                               kleisli_resolution, mealy_of_kleisli, mu, nu,
-                               prod_exp_adjunction, prod_obj, state_comonad,
-                               state_monad, t_obj, transpose_down,
-                               transpose_up)
+                               exp_mor, g_obj, kleisli_compose,
+                               kleisli_of_mealy, kleisli_resolution,
+                               mealy_of_kleisli, mu, nu, prod_exp_adjunction,
+                               prod_obj, state_comonad, state_monad, t_mor,
+                               t_obj, transpose_down, transpose_up)
 
-from oracles import (oracle_eps_table, oracle_eta_table, oracle_kleisli_table,
-                     oracle_mu_table, oracle_nu_table)
+from oracles import (oracle_eps_table, oracle_eta_table, oracle_exp_at,
+                     oracle_kleisli_table, oracle_mu_at, oracle_mu_table,
+                     oracle_nu_table, oracle_t_at)
 
 
 def test_t_obj_cardinalities(ctx1, ctx2):
@@ -36,6 +40,54 @@ def test_mu_matches_oracle(ctx2):
     for n in (1, 2):
         x = Atom("X", n)
         assert mu(ctx2, x).table == oracle_mu_table(ctx2, x)
+
+
+def _random_table(dom, cod, seed):
+    rng = SeededRng(seed)
+    return Morphism(dom, cod, table=[rng.below(cod.card)
+                                     for _ in range(dom.card)])
+
+
+def _structure_map_cases(ctx2):
+    """(name, map, rank oracle) on both sides of EAGER_LIMIT; the oracles
+    work on structural elements and never call the package's maps."""
+    x9 = Atom("X", 9)
+    cases = []
+    for nx, ny, seed in ((5, 3, 1), (400, 7, 2)):  # S => X: 25, 160000
+        f = _random_table(Atom("X", nx), Atom("Y", ny), seed)
+        cases.append((f"exp_mor {nx}->{ny}", exp_mor(ctx2, f),
+                      lambda k, f=f: oracle_exp_at(ctx2, f.dom, f.cod,
+                                                   f.table.__getitem__, k)))
+    for nx, ny, seed in ((3, 2, 3), (200, 3, 4)):  # TX: 36, 160000
+        f = _random_table(Atom("X", nx), Atom("Y", ny), seed)
+        cases.append((f"t_mor {nx}->{ny}", t_mor(ctx2, f),
+                      lambda k, f=f: oracle_t_at(ctx2, f.dom, f.cod,
+                                                 f.table.__getitem__, k)))
+    for n in (2, 9):  # TTX: 1024, 419904
+        x = Atom("X", n)
+        cases.append((f"mu {n}", mu(ctx2, x),
+                      lambda k, x=x: oracle_mu_at(ctx2, x, k)))
+    # T mu: a lazy map applied to a lazy map
+    ttx, tx = t_obj(ctx2, t_obj(ctx2, x9)), t_obj(ctx2, x9)
+    cases.append(("t_mor mu 9", t_mor(ctx2, mu(ctx2, x9)),
+                  lambda k: oracle_t_at(ctx2, ttx, tx,
+                                        lambda r: oracle_mu_at(ctx2, x9, r),
+                                        k)))
+    return cases
+
+
+def test_structure_maps_match_rank_oracles_on_both_paths(ctx2):
+    """A map is a table exactly when its domain is within EAGER_LIMIT; both
+    the table and the lazy evaluator agree with a structural oracle, at
+    every rank of small domains and at 2000 splitmix64-sampled ranks of
+    large ones."""
+    for name, m, oracle in _structure_map_cases(ctx2):
+        n = m.dom.card
+        assert m.is_lazy == (n > EAGER_LIMIT), name
+        ranks = range(n) if n <= 1024 else \
+            [r % n for r in islice(splitmix64(len(name)), 2000)]
+        bad = [k for k in ranks if m(k) != oracle(k)]
+        assert not bad, f"{name}: differs from the oracle at ranks {bad[:3]}"
 
 
 def test_eps_nu_match_oracle(ctx2):

@@ -92,9 +92,11 @@ def parse_spec(raw: bytes | str) -> SpecFile:
     state_set = data.get("stateSet")
     if state_set not in sets:
         raise SpecError("/stateSet", f"unknown state set {state_set!r}")
+    if not sets[state_set]:
+        raise SpecError(f"/sets/{state_set}", "the state set must be nonempty")
 
     machines = {}
-    for idx, m in enumerate(data.get("machines", [])):
+    for idx, m in enumerate(_objects(data, "machines")):
         ptr = f"/machines/{idx}"
         name = m.get("name")
         if not isinstance(name, str) or name in machines:
@@ -109,7 +111,7 @@ def parse_spec(raw: bytes | str) -> SpecFile:
         machines[name] = m
 
     policies = {}
-    for idx, p in enumerate(data.get("policies", [])):
+    for idx, p in enumerate(_objects(data, "policies")):
         ptr = f"/policies/{idx}"
         name = p.get("name")
         target = p.get("machine")
@@ -123,13 +125,24 @@ def parse_spec(raw: bytes | str) -> SpecFile:
                             "policies need a square mealy machine")
         policies[name] = target
 
-    tasks = data.get("tasks", [])
+    tasks = _objects(data, "tasks")
     for idx, t in enumerate(tasks):
-        if not isinstance(t, dict) or t.get("command") not in COMMANDS:
+        if t.get("command") not in COMMANDS:
             raise SpecError(f"/tasks/{idx}/command",
                             f"command must be one of {COMMANDS}")
     return SpecFile(sets=sets, machines=machines, policies=policies,
                     tasks=tasks, state_set=state_set)
+
+
+def _objects(data: dict, key: str) -> list:
+    """The optional list of objects under `key` (empty when absent)."""
+    items = data.get(key, [])
+    if not isinstance(items, list):
+        raise SpecError(f"/{key}", "must be a list of objects")
+    for idx, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise SpecError(f"/{key}/{idx}", "must be an object")
+    return items
 
 
 def _validate_mealy(ptr, m, sets):
@@ -174,8 +187,11 @@ def _validate_moore(ptr, m, sets):
     for b in states:
         if readout.get(b) not in alpha:
             raise SpecError(f"{ptr}/readout/{b}", "missing or unknown letter")
+    steps = m.get("step", [])
+    if not isinstance(steps, list):
+        raise SpecError(f"{ptr}/step", "step must be a list of entry pairs")
     seen = {}
-    for eidx, entry in enumerate(m.get("step", [])):
+    for eidx, entry in enumerate(steps):
         eptr = f"{ptr}/step/{eidx}"
         try:
             (b, s), b2 = entry

@@ -9,15 +9,18 @@ domains too large to enumerate.
 One rule decides which: a map built by `from_fn`, `compose` or a structure
 map is a table exactly when its domain has at most `EAGER_LIMIT` ranks, and
 a lazy evaluator above that.  Composition and exhaustive equality on small
-domains then run over whole tables.
+domains then run over whole tables.  Every map is read through `at`, a
+block of ranks at a time: a table gathers, a lazy map evaluates the whole
+block at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
+from functools import lru_cache, partial
+from itertools import compress, count, islice
 from operator import ne
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .report import VerifyReport
 
@@ -30,6 +33,14 @@ EAGER_LIMIT = 1 << 17
 
 # Domains at most this large may be materialized into tables on demand.
 MATERIALIZE_LIMIT = 1 << 22
+
+# Lazy maps are evaluated, and sampled or large exhaustive checks compared,
+# this many ranks at a time.
+BLOCK = 2048
+
+# A sampled check keeps its raw draws for the next check with the same
+# (seed, samples) when it draws at most this many.
+KEEP_DRAWS = 1 << 14
 
 
 class ShapeError(ValueError):
@@ -170,10 +181,13 @@ class Morphism:
     own constructions hold a table exactly when the domain has at most
     EAGER_LIMIT ranks; a lazy morphism built directly with `fn` materializes
     on demand up to MATERIALIZE_LIMIT.  Values are immutable after
-    construction.
+    construction, and maps may be shared (the structure maps are cached).
+
+    A lazy map evaluates blocks of ranks: `fn` is applied rank by rank, and
+    `Morphism.lazy` takes an evaluator of whole blocks.
     """
 
-    __slots__ = ("dom", "cod", "_table", "_fn")
+    __slots__ = ("dom", "cod", "_table", "_at")
 
     def __init__(self, dom: FinSetObj, cod: FinSetObj,
                  table: Optional[Sequence[int]] = None,
@@ -182,7 +196,7 @@ class Morphism:
             raise ValueError("pass exactly one of table, fn")
         self.dom = dom
         self.cod = cod
-        self._fn = fn
+        self._at = None if fn is None else partial(_each, fn)
         if table is not None:
             table = list(table)
             if len(table) != dom.card:
@@ -195,10 +209,30 @@ class Morphism:
                     f"table entry {table[k]} at {k} not in [0,{n})")
         self._table = table
 
+    @classmethod
+    def lazy(cls, dom: FinSetObj, cod: FinSetObj,
+             at: Callable[[Sequence[int]], list[int]]) -> "Morphism":
+        """A lazy map from a block evaluator: `at(ranks)` returns the list
+        of values at a sequence of domain ranks."""
+        m = cls.__new__(cls)
+        m.dom, m.cod, m._table, m._at = dom, cod, None, at
+        return m
+
     def __call__(self, k: int) -> int:
         if self._table is not None:
             return self._table[k]
-        return self._fn(k)
+        return self._at((k,))[0]
+
+    def at(self, ranks: Sequence[int]) -> list[int]:
+        """The values at a sequence of domain ranks, as a list: a gather
+        from the table (materialized first when the domain is within
+        EAGER_LIMIT), else one call of the lazy evaluator."""
+        table = self._table
+        if table is None:
+            if self.dom.card > EAGER_LIMIT:
+                return self._at(ranks)
+            table = self.table
+        return list(map(table.__getitem__, ranks))
 
     @property
     def is_lazy(self) -> bool:
@@ -212,21 +246,11 @@ class Morphism:
             if n > MATERIALIZE_LIMIT:
                 raise ShapeError(
                     f"refusing to materialize a table of length {n}")
-            fn = self._fn
-            self._table = [fn(k) for k in range(n)]
+            table = []
+            for lo in range(0, n, BLOCK):
+                table += self._at(range(lo, min(lo + BLOCK, n)))
+            self._table = table
         return self._table
-
-    @property
-    def lookup(self) -> Callable[[int], int]:
-        """The cheapest callable for this map's values: the table's item
-        getter (materialized first when the domain is within EAGER_LIMIT),
-        else the lazy evaluator."""
-        table = self._table
-        if table is None:
-            if self.dom.card > EAGER_LIMIT:
-                return self._fn
-            table = self.table
-        return table.__getitem__
 
     def __repr__(self):
         if self._table is not None and len(self._table) <= 16:
@@ -234,24 +258,27 @@ class Morphism:
         return f"Morphism({self.dom!r}->{self.cod!r}, card {self.dom.card})"
 
 
+def _each(fn: Callable[[int], int], ranks: Sequence[int]) -> list[int]:
+    return list(map(fn, ranks))
+
+
 def identity(obj: FinSetObj) -> Morphism:
     return Morphism(obj, obj, table=range(obj.card)) \
-        if obj.card <= EAGER_LIMIT else Morphism(obj, obj, fn=lambda k: k)
+        if obj.card <= EAGER_LIMIT else Morphism.lazy(obj, obj, list)
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
     """f followed by g (so the classical g after f).
 
-    Within EAGER_LIMIT the result is a gather: g read at each entry of f's
-    table (g's own table, or g's lazy evaluator when g's domain is above
-    the limit).  Above it the result is lazy.
+    Within EAGER_LIMIT the result is a gather: g read at every entry of f's
+    table.  Above it the result is lazy and reads a block as g at f's
+    values on it.
     """
     if f.cod != g.dom:
         raise ShapeError(f"cannot compose: cod {f.cod!r} != dom {g.dom!r}")
     if f.dom.card <= EAGER_LIMIT:
-        return Morphism(f.dom, g.cod, table=list(map(g.lookup, f.table)))
-    fv, gv = f.lookup, g.lookup
-    return Morphism(f.dom, g.cod, fn=lambda k: gv(fv(k)))
+        return Morphism(f.dom, g.cod, table=g.at(f.table))
+    return Morphism.lazy(f.dom, g.cod, lambda ks: g.at(f.at(ks)))
 
 
 def from_fn(dom: FinSetObj, cod: FinSetObj,
@@ -331,36 +358,63 @@ class CheckConfig:
 def equal_mor(f: Morphism, g: Morphism,
               config: CheckConfig = CheckConfig(),
               check: str = "equal") -> VerifyReport:
-    """Compare two parallel morphisms, exhaustively or by seeded sampling."""
+    """Compare two parallel morphisms, exhaustively or by seeded sampling.
+
+    Both sides are read a block of ranks at a time (two whole tables when
+    an exhaustive domain is within EAGER_LIMIT).  The report holds the
+    first three mismatches in rank order, or in draw order when sampled,
+    and no block after the one holding the third is evaluated.
+    """
     if f.dom != g.dom or f.cod != g.cod:
         raise ShapeError("equal_mor needs parallel morphisms")
     n = f.dom.card
-    witnesses = []
-    if n <= config.cap:
-        mode = "exhaustive"
-        details = {"domain": n}
-        if n <= EAGER_LIMIT:
-            # whole tables: only the mismatching ranks, in rank order
-            points: Iterator[int] = compress(count(),
-                                             map(ne, f.table, g.table))
-        else:
-            points = iter(range(n))
+    if n > config.cap:
+        mode, details = "sampled", {"domain": n, "samples": config.samples}
+        blocks: Iterable = _read(f, g, ([r % n for r in raw] for raw in
+                                        _draw_blocks(config.seed,
+                                                     config.samples)))
+    elif n > EAGER_LIMIT:
+        mode, details = "exhaustive", {"domain": n}
+        blocks = _read(f, g, (range(lo, min(lo + BLOCK, n))
+                              for lo in range(0, n, BLOCK)))
     else:
-        mode = "sampled"
-        rng = splitmix64(config.seed)
-        points = (next(rng) % n for _ in range(config.samples))
-        details = {"domain": n, "samples": config.samples}
-    fv, gv = f.lookup, g.lookup
-    for k in points:
-        a, b = fv(k), gv(k)
-        if a != b:
-            witnesses.append({"rank": k, "lhs": a, "rhs": b})
-            if len(witnesses) >= 3:
+        mode, details = "exhaustive", {"domain": n}
+        blocks = ((range(n), f.table, g.table),)
+    witnesses = []
+    for ks, a, b in blocks:
+        for j in compress(count(), map(ne, a, b)):
+            witnesses.append({"rank": ks[j], "lhs": a[j], "rhs": b[j]})
+            if len(witnesses) == 3:
                 break
+        else:
+            continue
+        break
     status = "pass" if not witnesses else "fail"
     return VerifyReport(check=check, status=status, mode=mode,
                         seed=config.seed, cap=config.cap,
                         witnesses=witnesses, details=details)
+
+
+def _read(f: Morphism, g: Morphism, rank_blocks: Iterable[Sequence[int]]):
+    """Each block of ranks with both maps' values on it, one at a time."""
+    return ((ks, f.at(ks), g.at(ks)) for ks in rank_blocks)
+
+
+@lru_cache(maxsize=4)
+def _draws(seed: int, samples: int) -> tuple[int, ...]:
+    """The first `samples` raw splitmix64 outputs for `seed`."""
+    return tuple(islice(splitmix64(seed), samples))
+
+
+def _draw_blocks(seed: int, samples: int) -> Iterator[Sequence[int]]:
+    """The raw draws of a sampled check, BLOCK at a time: kept per (seed,
+    samples) up to KEEP_DRAWS of them, a longer stream drawn afresh."""
+    if samples <= KEEP_DRAWS:
+        raw = _draws(seed, samples)
+        return (raw[lo:lo + BLOCK] for lo in range(0, samples, BLOCK))
+    stream = splitmix64(seed)
+    return (tuple(islice(stream, min(BLOCK, samples - lo)))
+            for lo in range(0, samples, BLOCK))
 
 
 def image_factor(f: Morphism) -> tuple[Morphism, Morphism, FinSetObj]:

@@ -99,7 +99,8 @@ def karoubi_hom_check(f: Morphism, phi: Morphism, psi: Morphism,
     sandwich = equal_mor(compose(compose(phi, f), psi), f, config).passed
     pair = (equal_mor(compose(phi, f), f, config).passed
             and equal_mor(compose(f, psi), f, config).passed)
-    assert sandwich == pair, "envelope hom criteria diverged"
+    if sandwich != pair:
+        raise AssertionError("envelope hom criteria diverged")
     return sandwich
 
 
@@ -112,7 +113,8 @@ def karoubi_compose(f: Morphism, g: Morphism, phi: Morphism, psi: Morphism,
     if not karoubi_hom_check(g, psi, chi, config):
         raise ValueError("g is not an envelope hom from psi to chi")
     gf = compose(f, g)
-    assert karoubi_hom_check(gf, phi, chi, config)
+    if not karoubi_hom_check(gf, phi, chi, config):
+        raise AssertionError("composite is not an envelope hom")
     return gf
 
 

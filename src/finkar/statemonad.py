@@ -6,17 +6,23 @@ the finset rule: a structure map is a table exactly when its domain has at
 most EAGER_LIMIT ranks, built whole by a digit kernel, and a lazy evaluator
 above that.  Lazy maps are those whose domains blow up combinatorially (mu
 at TTX once |S x X|^|S| is large, T f on TTX, ...); equalities on them are
-verified by seeded sampling.
+verified by seeded sampling, and they evaluate a block of ranks at a time.
+The tables of eta, mu, eps and nu depend only on (state space, carrier), so
+each is built once and shared, within a bound on the entries kept.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import wraps
+from threading import Lock
 from typing import Callable
 
 from .finset import (EAGER_LIMIT, CheckConfig, Exp, FinSetObj, Morphism,
                      Prod, ShapeError, SeededRng, compose, equal_mor, from_fn,
                      identity)
+from .idempotents import random_morphism
 from .report import VerifyReport, combine
 
 
@@ -64,21 +70,22 @@ def prod_mor(ctx: StateContext, f: Morphism) -> Morphism:
         ft = f.table
         return Morphism(dom, cod,
                         table=[s * ny + v for s in range(ctx.ns) for v in ft])
-    fv = f.lookup
 
-    def ev(p):
-        s, x = divmod(p, nx)
-        return s * ny + fv(x)
+    def at(ps):
+        return [p // nx * ny + v
+                for p, v in zip(ps, f.at([p % nx for p in ps]))]
 
-    return Morphism(dom, cod, fn=ev)
+    return Morphism.lazy(dom, cod, at)
 
 
 def exp_mor(ctx: StateContext, f: Morphism) -> Morphism:
     """S => f (postcomposition) on ranks of Exp(S, dom f).
 
-    Within EAGER_LIMIT the table is built one state at a time: ranks are
-    little-endian, so the table over k+1 states is the one over k states
-    repeated once per digit d, shifted by f(d) * |cod f|^k.
+    Ranks are little-endian, one base-|dom f| digit per state.  Within
+    EAGER_LIMIT the table is built one state at a time: the table over k+1
+    states is the one over k states repeated once per digit d, shifted by
+    f(d) * |cod f|^k.  Above it a block is read one state at a time: f at
+    that state's digits of the whole block, shifted into place.
     """
     ns = ctx.ns
     nx, ny = f.dom.card, f.cod.card
@@ -90,18 +97,16 @@ def exp_mor(ctx: StateContext, f: Morphism) -> Morphism:
             tab = [r + w * v for v in ft for r in tab]
             w *= ny
         return Morphism(dom, cod, table=tab)
-    fv = f.lookup
 
-    def ev(t):
-        out = 0
-        w = 1
-        for _ in range(ns):
-            t, d = divmod(t, nx)
-            out += fv(d) * w
-            w *= ny
+    def at(ts):
+        out = f.at([t % nx for t in ts])
+        for s in range(1, ns):
+            p, w = nx ** s, ny ** s
+            out = [o + w * v for o, v in
+                   zip(out, f.at([t // p % nx for t in ts]))]
         return out
 
-    return Morphism(dom, cod, fn=ev)
+    return Morphism.lazy(dom, cod, at)
 
 
 def t_mor(ctx: StateContext, f: Morphism) -> Morphism:
@@ -114,6 +119,67 @@ def g_mor(ctx: StateContext, f: Morphism) -> Morphism:
     return prod_mor(ctx, exp_mor(ctx, f))
 
 
+# Structure maps built as tables are kept for reuse, at most this many table
+# entries in all (about 10 MB), least recently used first out.
+STRUCTURE_CACHE_ENTRIES = 1 << 18
+
+
+class _TableCache:
+    """Table-backed morphisms by key, bounded by their total table entries.
+
+    Lazy maps are not kept: they are cheap to rebuild, and materializing one
+    later would grow an entry past what was counted.  A lock keeps the count
+    right when threads share the cache.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.maps: OrderedDict = OrderedDict()
+        self.entries = 0
+        self._lock = Lock()
+
+    def get(self, key):
+        with self._lock:
+            m = self.maps.get(key)
+            if m is not None:
+                self.maps.move_to_end(key)
+            return m
+
+    def put(self, key, m: Morphism):
+        size = m.dom.card
+        if m.is_lazy or size > self.limit:
+            return
+        with self._lock:
+            if key in self.maps:
+                return
+            self.maps[key] = m
+            self.entries += size
+            while self.entries > self.limit:
+                _, old = self.maps.popitem(last=False)
+                self.entries -= old.dom.card
+
+
+_structure_cache = _TableCache(STRUCTURE_CACHE_ENTRIES)
+
+
+def _cached(build):
+    """Build a structure map once per (state space, carrier): the maps
+    depend on nothing else.  The result stays a plain function."""
+    name = build.__name__
+
+    @wraps(build)
+    def structure_map(ctx: StateContext, x: FinSetObj) -> Morphism:
+        key = (name, ctx.state_space, x)
+        m = _structure_cache.get(key)
+        if m is None:
+            m = build(ctx, x)
+            _structure_cache.put(key, m)
+        return m
+
+    return structure_map
+
+
+@_cached
 def eta(ctx: StateContext, x: FinSetObj) -> Morphism:
     """Unit X -> TX, sending x to the computation s |-> (s, x)."""
     ns, nx = ctx.ns, x.card
@@ -130,6 +196,7 @@ def eta(ctx: StateContext, x: FinSetObj) -> Morphism:
     return from_fn(x, t_obj(ctx, x), ev)
 
 
+@_cached
 def mu(ctx: StateContext, x: FinSetObj) -> Morphism:
     """Multiplication TTX -> TX: run the outer step, then the inner one.
 
@@ -139,6 +206,7 @@ def mu(ctx: StateContext, x: FinSetObj) -> Morphism:
     return exp_mor(ctx, eps(ctx, prod_obj(ctx, x)))
 
 
+@_cached
 def eps(ctx: StateContext, x: FinSetObj) -> Morphism:
     """Counit GX -> X: evaluate the function at the carried state."""
     nx = x.card
@@ -151,6 +219,7 @@ def eps(ctx: StateContext, x: FinSetObj) -> Morphism:
     return from_fn(g_obj(ctx, x), x, ev)
 
 
+@_cached
 def nu(ctx: StateContext, x: FinSetObj) -> Morphism:
     """Comultiplication GX -> GGX: (s, g) |-> (s, t |-> (t, g))."""
     ns, nx = ctx.ns, x.card
@@ -392,11 +461,6 @@ def kleisli_of_mealy(ctx: StateContext, f: Morphism) -> Morphism:
 # law verifiers
 
 
-def _random_mor(dom: FinSetObj, cod: FinSetObj, rng: SeededRng) -> Morphism:
-    return Morphism(dom, cod,
-                    table=[rng.below(cod.card) for _ in range(dom.card)])
-
-
 def check_adjunction_laws(adj: Adjunction, test_objs: list[FinSetObj],
                           config: CheckConfig | None = None) -> VerifyReport:
     """Triangle identities plus unit/counit naturality on sampled morphisms."""
@@ -415,12 +479,12 @@ def check_adjunction_laws(adj: Adjunction, test_objs: list[FinSetObj],
                               check=f"triangle-right@{b!r}"))
     for x in test_objs:
         for y in test_objs:
-            f = _random_mor(x, y, rng)
+            f = random_morphism(x, y, rng)
             lhs = compose(f, adj.unit(y))
             rhs = compose(adj.unit(x), adj.right_mor(adj.left_mor(f)))
             subs.append(equal_mor(lhs, rhs, cfg,
                                   check=f"unit-natural@{x!r}->{y!r}"))
-            h = _random_mor(adj.b_pres(x), adj.b_pres(y), rng)
+            h = random_morphism(adj.b_pres(x), adj.b_pres(y), rng)
             lhs = compose(adj.left_mor(adj.right_mor(h)), adj.counit(y))
             rhs = compose(adj.counit(x), h)
             subs.append(equal_mor(lhs, rhs, cfg,
@@ -447,7 +511,7 @@ def check_monad_laws(m: MonadOps, test_objs: list[FinSetObj],
                               check=f"mu-assoc@{x!r}"))
     for x in test_objs:
         for y in test_objs:
-            f = _random_mor(x, y, rng)
+            f = random_morphism(x, y, rng)
             subs.append(equal_mor(compose(f, m.eta(y)),
                                   compose(m.eta(x), m.on_mor(f)), cfg,
                                   check=f"eta-natural@{x!r}->{y!r}"))
@@ -477,7 +541,7 @@ def check_comonad_laws(c: ComonadOps, test_objs: list[FinSetObj],
                               check=f"nu-coassoc@{x!r}"))
     for x in test_objs:
         for y in test_objs:
-            f = _random_mor(x, y, rng)
+            f = random_morphism(x, y, rng)
             gf = c.on_mor(f)
             subs.append(equal_mor(compose(gf, c.eps(y)),
                                   compose(c.eps(x), f), cfg,

@@ -8,7 +8,7 @@ main implementation cannot hide behind itself.
 from functools import lru_cache
 from itertools import product as iproduct
 
-from finkar.finset import Atom, Exp, Morphism, codec
+from finkar.finset import Atom, Exp, Morphism, Prod, codec
 from finkar.statemonad import StateContext, g_obj, t_obj
 
 
@@ -57,6 +57,14 @@ def oracle_exp_at(ctx: StateContext, dom, cod, fn, k: int) -> int:
     g = codec(Exp(ctx.state_space, dom)).unrank(k)
     return codec(Exp(ctx.state_space, cod)).rank(
         tuple(_lift(dom, cod, fn, v) for v in g))
+
+
+def oracle_prod_at(ctx: StateContext, dom, cod, fn, k: int) -> int:
+    """(S x f) at one rank of S x dom, on structural elements: keep the
+    state and apply f to the value."""
+    s, x = codec(Prod(ctx.state_space, dom)).unrank(k)
+    return codec(Prod(ctx.state_space, cod)).rank(
+        (s, _lift(dom, cod, fn, x)))
 
 
 def oracle_t_at(ctx: StateContext, dom, cod, fn, k: int) -> int:

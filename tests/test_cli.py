@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from finkar import statemonad as SM
 from finkar.cli import (Env, SpecError, canonical_json, main, parse_spec,
                         run_command)
 from finkar.finset import Atom, CheckConfig
@@ -121,6 +122,31 @@ def test_main_exit_codes(tmp_path):
     assert main(["verify-all", str(broken)]) == 2
 
 
+@pytest.mark.parametrize("key, value, pointer", [
+    ("machines", [1], "/machines/0"),
+    ("machines", {"x": 1}, "/machines"),
+    ("machines", [{"name": "m", "kind": "moore", "stateSet": "S",
+                   "alphabet": "A", "readout": {"s0": "a0", "s1": "a1"},
+                   "step": 5}], "/machines/0/step"),
+    ("policies", ["id"], "/policies/0"),
+    ("tasks", 5, "/tasks"),
+    ("tasks", [None], "/tasks/0"),
+    ("sets", {"S": [], "A": ["a0", "a1"]}, "/sets/S"),
+])
+def test_malformed_spec_is_a_spec_error(tmp_path, capsys, key, value,
+                                        pointer):
+    """Malformed machines, policies, tasks or an empty state set are input
+    errors with a JSON pointer (exit 2), not a traceback."""
+    bad = dict(MINIMAL, **{key: value})
+    with pytest.raises(SpecError) as exc:
+        parse_spec(json.dumps(bad))
+    assert exc.value.pointer == pointer
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["verify-all", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+
+
 def test_main_rejects_vacuous_check_knobs(tmp_path, capsys):
     """A check must evaluate at least one point: --samples 0 or a negative
     --cap is a usage error (exit 2), not a pass on zero points."""
@@ -151,6 +177,30 @@ def test_verify_all_report_bytes_are_golden(tmp_path, fixture, seed):
                  "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == GOLDEN_REPORTS[fixture, seed]
+
+
+@pytest.mark.parametrize("limit", [SM.STRUCTURE_CACHE_ENTRIES, 3000])
+def test_structure_map_cache_holds_fresh_maps_within_bound(tmp_path,
+                                                           monkeypatch,
+                                                           limit):
+    """After verify-all on both fixtures every cached structure map equals
+    a fresh build, and the cache holds at most `limit` table entries; at
+    3000 entries maps are evicted, and the report bytes do not change."""
+    cache = SM._TableCache(limit)
+    monkeypatch.setattr(SM, "_structure_cache", cache)
+    for fixture in ("machines.json", "policies.json"):
+        out = tmp_path / fixture
+        assert main(["verify-all", str(FIXTURES / fixture), "--out",
+                     str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == GOLDEN_REPORTS[fixture, 0]
+    assert cache.maps
+    assert cache.entries == sum(m.dom.card for m in cache.maps.values())
+    assert cache.entries <= limit
+    monkeypatch.setattr(SM, "_structure_cache", SM._TableCache(0))
+    for (name, state_space, x), m in cache.maps.items():
+        fresh = getattr(SM, name).__wrapped__(StateContext(state_space), x)
+        assert (m.dom, m.cod, m.table) == (fresh.dom, fresh.cod, fresh.table)
 
 
 def test_cli_import_stays_pure_python():

@@ -1,11 +1,13 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finkar.finset import (EAGER_LIMIT, Atom, CheckConfig, Exp, Morphism,
-                           Prod, ShapeError, SeededRng, codec, compose,
-                           equal_mor, from_fn, identity, image_factor,
-                           splitmix64)
+from finkar.finset import (BLOCK, EAGER_LIMIT, KEEP_DRAWS, Atom,
+                           CheckConfig, Exp, Morphism, Prod, ShapeError,
+                           SeededRng, codec, compose, equal_mor, from_fn,
+                           identity, image_factor, splitmix64)
 
 
 def small_objects():
@@ -162,6 +164,47 @@ def test_equal_mor_reports_same_on_tables_and_lazy_maps():
     assert rep.mode == "exhaustive"
     assert rep.witnesses == [{"rank": k, "lhs": ft[k], "rhs": gt[k]}
                              for k in (3, 17, 18)]
+
+
+def test_equal_mor_blocks_report_same_above_limit():
+    """Above EAGER_LIMIT both sides are read BLOCK ranks at a time.  Table
+    pairs, `fn` pairs, mixed pairs and block-evaluated maps give the same
+    report: the first three of five mismatches in rank order (exhaustive,
+    raised cap) or draw order (sampled, from kept draws or a fresh
+    stream), most of them past the first block, and no block after the one
+    holding the third is read."""
+    n = 200000
+    assert n > EAGER_LIMIT
+    x, y = Atom("X", n), Atom("Y", 4)
+    draws = [r % n for r in islice(splitmix64(11), 20000)]
+    assert 10000 <= KEEP_DRAWS < 20000  # kept draws, then a fresh stream
+    ft = [k % 4 for k in range(n)]
+    for cfg, order, bad in (
+            (CheckConfig(cap=n), range(n), {7, 5000, 131500, 131501, n - 1}),
+            (CheckConfig(seed=11), draws[:10000],
+             {draws[j] for j in (100, 2500, 4500, 5000, 9000)}),
+            (CheckConfig(seed=11, samples=20000), draws,
+             {draws[j] for j in (100, 2500, 12000, 15000, 19000)})):
+        gt = [(v + 1) % 4 if k in bad else v for k, v in enumerate(ft)]
+        read = []
+
+        def counted(ks, gt=gt):
+            read.append(len(ks))
+            return [gt[k] for k in ks]
+
+        f, g = Morphism(x, y, table=ft), Morphism(x, y, table=gt)
+        lf = Morphism(x, y, fn=ft.__getitem__)
+        lg = Morphism(x, y, fn=gt.__getitem__)
+        reports = [equal_mor(a, b, cfg).to_dict()
+                   for a, b in ((f, g), (lf, lg), (f, lg), (lf, g),
+                                (f, Morphism.lazy(x, y, counted)))]
+        assert all(r == reports[0] for r in reports)
+        hits = [j for j, k in enumerate(order) if k in bad][:3]
+        assert hits[2] >= 2 * BLOCK
+        assert reports[0]["witnesses"] == [
+            {"rank": order[j], "lhs": ft[order[j]], "rhs": gt[order[j]]}
+            for j in hits]
+        assert read == [BLOCK] * (hits[2] // BLOCK + 1)
 
 
 def test_check_config_rejects_vacuous_knobs():

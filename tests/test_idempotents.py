@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +118,30 @@ def test_karoubi_hom_check_examples():
         g = random_morphism(two, two, rng)
         h = compose(compose(const, g), const)
         assert karoubi_hom_check(h, const, const)
+
+
+def test_karoubi_divergence_raises_under_optimize():
+    """On id against swap the sandwich criterion holds (swap . id . swap =
+    id) and the pair criterion does not (id . swap != id).  That
+    disagreement raises even under `python -O`, which strips asserts."""
+    script = (
+        "from finkar.finset import Atom, Morphism, identity\n"
+        "from finkar.idempotents import karoubi_hom_check\n"
+        "two = Atom('X', 2)\n"
+        "swap = Morphism(two, two, table=[1, 0])\n"
+        "assert False, 'asserts are live'\n"
+        "try:\n"
+        "    karoubi_hom_check(identity(two), swap, swap)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+        "else:\n"
+        "    print('returned')\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    r = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "raised: envelope hom criteria diverged\n"
 
 
 def test_karoubi_unit_law():

@@ -7,12 +7,13 @@ from finkar.statemonad import (ProdExpAdjunction, check_adjunction_laws,
                                exp_mor, g_obj, kleisli_compose,
                                kleisli_of_mealy, kleisli_resolution,
                                mealy_of_kleisli, mu, nu, prod_exp_adjunction,
-                               prod_obj, state_comonad, state_monad, t_mor,
-                               t_obj, transpose_down, transpose_up)
+                               prod_mor, prod_obj, state_comonad,
+                               state_monad, t_mor, t_obj, transpose_down,
+                               transpose_up)
 
 from oracles import (oracle_eps_table, oracle_eta_table, oracle_exp_at,
                      oracle_kleisli_table, oracle_mu_at, oracle_mu_table,
-                     oracle_nu_table, oracle_t_at)
+                     oracle_nu_table, oracle_prod_at, oracle_t_at)
 
 
 def test_t_obj_cardinalities(ctx1, ctx2):
@@ -88,6 +89,39 @@ def test_structure_maps_match_rank_oracles_on_both_paths(ctx2):
             [r % n for r in islice(splitmix64(len(name)), 2000)]
         bad = [k for k in ranks if m(k) != oracle(k)]
         assert not bad, f"{name}: differs from the oracle at ranks {bad[:3]}"
+
+
+def test_block_evaluation_matches_rank_oracles_above_limit(ctx2):
+    """`at` reads a whole block of a lazy map at once: the lazy compose,
+    S x f, S => f, T f and mu (and their composites) agree with the
+    structural oracles on a block of 2000 sampled ranks above EAGER_LIMIT,
+    and with the rank-by-rank reading."""
+    x9 = Atom("X", 9)
+    tx, ttx = t_obj(ctx2, x9), t_obj(ctx2, t_obj(ctx2, x9))
+
+    def mu9(r):
+        return oracle_mu_at(ctx2, x9, r)
+
+    f = _random_table(Atom("X", 70000), Atom("Y", 5), 5)  # S x X: 140000
+    al = _random_table(tx, x9, 6)
+    cases = [case for case in _structure_map_cases(ctx2) if case[1].is_lazy]
+    cases += [
+        ("prod_mor 70000->5", prod_mor(ctx2, f),
+         lambda k: oracle_prod_at(ctx2, f.dom, f.cod, f.table.__getitem__, k)),
+        ("compose mu al", compose(mu(ctx2, x9), al),
+         lambda k: al.table[mu9(k)]),
+        ("compose T mu mu", compose(t_mor(ctx2, mu(ctx2, x9)), mu(ctx2, x9)),
+         lambda k: mu9(oracle_t_at(ctx2, ttx, tx, mu9, k))),
+    ]
+    assert {name.split()[0] for name, _, _ in cases} == {
+        "exp_mor", "t_mor", "mu", "prod_mor", "compose"}
+    for name, m, oracle in cases:
+        n = m.dom.card
+        assert m.is_lazy and n > EAGER_LIMIT, name
+        ranks = [r % n for r in islice(splitmix64(len(name)), 2000)]
+        got = m.at(ranks)
+        assert got == [oracle(k) for k in ranks], name
+        assert got == [m(k) for k in ranks], name
 
 
 def test_eps_nu_match_oracle(ctx2):

@@ -1,5 +1,5 @@
 """Algebras and coalgebras for the state monad, projectivity witnesses,
-compliant vs. consistent hom predicates, and the splitting-based passage
+the consistent hom predicate, and the splitting-based passage
 between projective algebras and machine-form projectors.
 
 The algebra/coalgebra categories stay implicit: structures are verified by
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .finset import (CheckConfig, FinSetObj, Morphism, ShapeError,
-                     compose, equal_mor, identity)
+                     compose, equal_mor, fibers, identity, inverse)
 from .idempotents import Splitting, karoubi_hom_check, split_idempotent
 from .report import VerifyReport, combine, failing, passing
 from .statemonad import (StateContext, eta, exp_mor, g_mor, g_obj, eps,
@@ -190,11 +190,10 @@ def search_sections(a: AlgebraStruct, config: CheckConfig | None = None,
     ctx, al = a.ctx, a.structure
     n, ns = a.carrier.card, ctx.ns
     m1 = ns * n  # card(S x A), the digit base of TA
-    fibers = [[] for _ in range(n)]
-    for t, v in enumerate(al.table):
-        fibers[v].append(t)
+    preimages = fibers(al)
+    choices = [preimages.get(c, []) for c in range(n)]
     space = 1
-    for f in fibers:
+    for f in choices:
         space *= len(f)
         if space > search_bound:
             raise SearchBoundExceeded(
@@ -216,7 +215,7 @@ def search_sections(a: AlgebraStruct, config: CheckConfig | None = None,
         if j == n:
             out.append(Morphism(a.carrier, ta, table=choice))
             return
-        for c in fibers[j]:
+        for c in choices[j]:
             choice[j] = c
             if all(choice[v] == sum(digits[choice[x]][s1] * w
                                     for s1, x, w in reads)
@@ -244,13 +243,7 @@ def is_projective(a: AlgebraStruct, config: CheckConfig | None = None,
 
 
 # ---------------------------------------------------------------------------
-# compliant / consistent homs and the machine-form object condition
-
-
-def compliant_hom_check(h: Morphism, phi: Morphism, psi: Morphism,
-                        config: CheckConfig = CheckConfig()) -> bool:
-    """Machine-form compliance: psi . h . phi = h (envelope hom condition)."""
-    return karoubi_hom_check(h, phi, psi, config)
+# consistent homs and the machine-form object condition
 
 
 def consistent_hom_check(ctx: StateContext, f: Morphism, phi: Morphism,
@@ -302,22 +295,14 @@ def karm_retraction(ctx: StateContext, carrier: FinSetObj, phi: Morphism,
     the structured sense and the equivalence would fail).
     """
     abar = transpose_up(ctx, phi)
-    ta = t_obj(ctx, carrier)
-    inv = {}
-    for x in range(carrier.card):
-        v = abar(x)
-        if v in inv:
-            raise ValueError("transpose of the projector is not injective")
-        inv[v] = x
-    fphi = exp_mor(ctx, phi)
-    table = []
-    for t in range(ta.card):
-        v = fphi(t)
-        if v not in inv:
-            raise ValueError(
-                "image of the exponential projector escapes the transpose")
-        table.append(inv[v])
-    alpha = Morphism(ta, carrier, table=table)
+    inv = inverse(abar)
+    if inv is None:
+        raise ValueError("transpose of the projector is not injective")
+    table = [inv.get(v) for v in exp_mor(ctx, phi).table]
+    if None in table:
+        raise ValueError(
+            "image of the exponential projector escapes the transpose")
+    alpha = Morphism(t_obj(ctx, carrier), carrier, table=table)
     return abar, alpha
 
 
@@ -355,7 +340,7 @@ def functor_h_mor(f: Morphism, w1: ProjectiveWitness, w2: ProjectiveWitness,
         raise AssertionError("section-compatible hom with diverging composites")
     if not compatible and agree:
         raise AssertionError("diverging sections with agreeing composites")
-    if not compliant_hom_check(via_cod, w1.projector, w2.projector, cfg):
+    if not karoubi_hom_check(via_cod, w1.projector, w2.projector, cfg):
         raise AssertionError("arrow part is not compliant")
     return via_cod
 
@@ -439,7 +424,7 @@ def iso_witness_i_prime(ctx: StateContext, carrier: FinSetObj, phi: Morphism,
                   check="idouble.iprime=witness-projector"),
         equal_mor(compose(i_double, i_prime), phi, cfg,
                   check="iprime.idouble=phi"),
-        passing("iprime-compliant") if compliant_hom_check(
+        passing("iprime-compliant") if karoubi_hom_check(
             i_prime, w.projector, phi, cfg)
         else failing("iprime-compliant", [{"compliant": False}]),
     ]

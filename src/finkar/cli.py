@@ -30,18 +30,27 @@ from .statemonad import (StateContext, check_adjunction_laws,
                          kleisli_resolution, prod_exp_adjunction, prod_obj,
                          state_comonad, state_monad)
 
-COMMANDS = ("check-laws", "split", "policy-check", "mealy-to-moore",
-            "equiv-roundtrip", "karoubi-check", "split-equalizer",
-            "verify-all")
+# Task fields with a fixed type or range, as in docs/specfile-schema.json.
+_TASK_STRINGS = ("name", "machine", "policy", "inPolicy", "outPolicy",
+                 "moore", "freeAlgebraOn", "expectMoore")
+_TASK_ENUMS = {"expect": ("pass", "fail"),
+               "mode": ("compliance", "consistency", "both")}
+_TASK_MINIMUMS = {"trials": 1, "maxSize": 2}
 
 
 class SpecError(ValueError):
-    """Parse/validation failure, with a JSON-pointer-style location."""
+    """Parse/validation failure, with a JSON-pointer location."""
 
     def __init__(self, pointer: str, message: str):
         super().__init__(f"{pointer}: {message}")
         self.pointer = pointer
         self.message = message
+
+
+def _pointer(*tokens) -> str:
+    """The RFC 6901 JSON pointer to the location named by `tokens`."""
+    return "".join("/" + str(t).replace("~", "~0").replace("/", "~1")
+                   for t in tokens)
 
 
 @dataclass
@@ -74,62 +83,61 @@ def parse_spec(raw: bytes | str) -> SpecFile:
     """Parse and validate a problem file; errors carry JSON pointers."""
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SpecError("", f"malformed JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise SpecError(_pointer(), f"malformed JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise SpecError("", "top level must be an object")
+        raise SpecError(_pointer(), "top level must be an object")
 
     sets = data.get("sets")
     if not isinstance(sets, dict) or not sets:
-        raise SpecError("/sets", "need a nonempty object of labeled sets")
+        raise SpecError(_pointer("sets"),
+                        "need a nonempty object of labeled sets")
     for name, elems in sets.items():
         if not isinstance(elems, list) or not all(
                 isinstance(e, str) for e in elems):
-            raise SpecError(f"/sets/{name}", "elements must be a string list")
+            raise SpecError(_pointer("sets", name),
+                            "elements must be a string list")
         if len(set(elems)) != len(elems):
-            raise SpecError(f"/sets/{name}", "element labels must be unique")
+            raise SpecError(_pointer("sets", name),
+                            "element labels must be unique")
 
-    state_set = data.get("stateSet")
-    if state_set not in sets:
-        raise SpecError("/stateSet", f"unknown state set {state_set!r}")
+    state_set = _known(data, "stateSet", sets, (), "state set")
     if not sets[state_set]:
-        raise SpecError(f"/sets/{state_set}", "the state set must be nonempty")
+        raise SpecError(_pointer("sets", state_set),
+                        "the state set must be nonempty")
 
     machines = {}
     for idx, m in enumerate(_objects(data, "machines")):
-        ptr = f"/machines/{idx}"
+        ptr = ("machines", idx)
         name = m.get("name")
         if not isinstance(name, str) or name in machines:
-            raise SpecError(f"{ptr}/name", "missing or duplicate machine name")
+            raise SpecError(_pointer(*ptr, "name"),
+                            "missing or duplicate machine name")
         kind = m.get("kind", "mealy")
         if kind == "mealy":
             _validate_mealy(ptr, m, sets)
         elif kind == "moore":
             _validate_moore(ptr, m, sets)
         else:
-            raise SpecError(f"{ptr}/kind", f"unknown kind {kind!r}")
+            raise SpecError(_pointer(*ptr, "kind"), f"unknown kind {kind!r}")
         machines[name] = m
 
     policies = {}
     for idx, p in enumerate(_objects(data, "policies")):
-        ptr = f"/policies/{idx}"
         name = p.get("name")
-        target = p.get("machine")
         if not isinstance(name, str) or name in policies:
-            raise SpecError(f"{ptr}/name", "missing or duplicate policy name")
-        if target not in machines:
-            raise SpecError(f"{ptr}/machine", f"unknown machine {target!r}")
+            raise SpecError(_pointer("policies", idx, "name"),
+                            "missing or duplicate policy name")
+        target = _known(p, "machine", machines, ("policies", idx), "machine")
         m = machines[target]
         if m.get("kind", "mealy") != "mealy" or m["inSet"] != m["outSet"]:
-            raise SpecError(f"{ptr}/machine",
+            raise SpecError(_pointer("policies", idx, "machine"),
                             "policies need a square mealy machine")
         policies[name] = target
 
     tasks = _objects(data, "tasks")
     for idx, t in enumerate(tasks):
-        if t.get("command") not in COMMANDS:
-            raise SpecError(f"/tasks/{idx}/command",
-                            f"command must be one of {COMMANDS}")
+        _validate_task(idx, t)
     return SpecFile(sets=sets, machines=machines, policies=policies,
                     tasks=tasks, state_set=state_set)
 
@@ -138,29 +146,62 @@ def _objects(data: dict, key: str) -> list:
     """The optional list of objects under `key` (empty when absent)."""
     items = data.get(key, [])
     if not isinstance(items, list):
-        raise SpecError(f"/{key}", "must be a list of objects")
+        raise SpecError(_pointer(key), "must be a list of objects")
     for idx, item in enumerate(items):
         if not isinstance(item, dict):
-            raise SpecError(f"/{key}/{idx}", "must be an object")
+            raise SpecError(_pointer(key, idx), "must be an object")
     return items
+
+
+def _known(obj: dict, key: str, known: dict, ptr: tuple, what: str) -> str:
+    """The name under `key`, which must be a key of `known`."""
+    name = obj.get(key)
+    if not isinstance(name, str) or name not in known:
+        raise SpecError(_pointer(*ptr, key), f"unknown {what} {name!r}")
+    return name
+
+
+def _is_pair(x) -> bool:
+    return isinstance(x, list) and len(x) == 2
+
+
+def _validate_task(idx: int, t: dict):
+    """The command and the typed fields of one task."""
+    if t.get("command") not in COMMANDS:
+        raise SpecError(_pointer("tasks", idx, "command"),
+                        f"command must be one of {COMMANDS}")
+    for key, value in t.items():
+        where = _pointer("tasks", idx, key)
+        if key in _TASK_STRINGS and not isinstance(value, str):
+            raise SpecError(where, "must be a string")
+        if key in _TASK_ENUMS and value not in _TASK_ENUMS[key]:
+            raise SpecError(where, f"must be one of {_TASK_ENUMS[key]}")
+        # `type` and not `isinstance`: a boolean is not an integer here
+        if key in _TASK_MINIMUMS and (type(value) is not int
+                                     or value < _TASK_MINIMUMS[key]):
+            raise SpecError(where, f"must be an integer of at least "
+                                   f"{_TASK_MINIMUMS[key]}")
+        if key == "objects" and not (isinstance(value, list) and all(
+                isinstance(o, str) for o in value)):
+            raise SpecError(where, "must be a list of set names")
 
 
 def _validate_mealy(ptr, m, sets):
     for key in ("stateSet", "inSet", "outSet"):
-        if m.get(key) not in sets:
-            raise SpecError(f"{ptr}/{key}", f"unknown set {m.get(key)!r}")
+        _known(m, key, sets, ptr, "set")
     state, inset = sets[m["stateSet"]], sets[m["inSet"]]
     outset = sets[m["outSet"]]
     seen = {}
     entries = m.get("map")
     if not isinstance(entries, list):
-        raise SpecError(f"{ptr}/map", "map must be a list of entry pairs")
+        raise SpecError(_pointer(*ptr, "map"),
+                        "map must be a list of entry pairs")
     for eidx, entry in enumerate(entries):
-        eptr = f"{ptr}/map/{eidx}"
-        try:
-            (s, a), (s2, b) = entry
-        except (TypeError, ValueError):
-            raise SpecError(eptr, "entry must be [[s,a],[s',b]]") from None
+        eptr = _pointer(*ptr, "map", eidx)
+        if not (_is_pair(entry) and _is_pair(entry[0])
+                and _is_pair(entry[1])):
+            raise SpecError(eptr, "entry must be [[s,a],[s',b]]")
+        (s, a), (s2, b) = entry
         for lbl, pool, which in ((s, state, "state"), (a, inset, "input"),
                                  (s2, state, "next state"),
                                  (b, outset, "output")):
@@ -172,31 +213,36 @@ def _validate_mealy(ptr, m, sets):
     for s in state:
         for a in inset:
             if (s, a) not in seen:
-                raise SpecError(f"{ptr}/map",
+                raise SpecError(_pointer(*ptr, "map"),
                                 f"map is missing the input pair [{s!r},{a!r}]")
 
 
 def _validate_moore(ptr, m, sets):
     for key in ("stateSet", "alphabet"):
-        if m.get(key) not in sets:
-            raise SpecError(f"{ptr}/{key}", f"unknown set {m.get(key)!r}")
+        _known(m, key, sets, ptr, "set")
     states, alpha = sets[m["stateSet"]], sets[m["alphabet"]]
     readout = m.get("readout")
     if not isinstance(readout, dict):
-        raise SpecError(f"{ptr}/readout", "readout must map state to letter")
+        raise SpecError(_pointer(*ptr, "readout"),
+                        "readout must map state to letter")
+    for b, letter in readout.items():
+        if not isinstance(letter, str):
+            raise SpecError(_pointer(*ptr, "readout", b),
+                            "letter must be a string")
     for b in states:
         if readout.get(b) not in alpha:
-            raise SpecError(f"{ptr}/readout/{b}", "missing or unknown letter")
-    steps = m.get("step", [])
+            raise SpecError(_pointer(*ptr, "readout", b),
+                            "missing or unknown letter")
+    steps = m.get("step")
     if not isinstance(steps, list):
-        raise SpecError(f"{ptr}/step", "step must be a list of entry pairs")
+        raise SpecError(_pointer(*ptr, "step"),
+                        "step must be a list of entry pairs")
     seen = {}
     for eidx, entry in enumerate(steps):
-        eptr = f"{ptr}/step/{eidx}"
-        try:
-            (b, s), b2 = entry
-        except (TypeError, ValueError):
-            raise SpecError(eptr, "entry must be [[b,s],b']") from None
+        eptr = _pointer(*ptr, "step", eidx)
+        if not (_is_pair(entry) and _is_pair(entry[0])):
+            raise SpecError(eptr, "entry must be [[b,s],b']")
+        (b, s), b2 = entry
         if b not in states or s not in alpha or b2 not in states:
             raise SpecError(eptr, "unknown label in step entry")
         if (b, s) in seen:
@@ -205,7 +251,7 @@ def _validate_moore(ptr, m, sets):
     for b in states:
         for s in alpha:
             if (b, s) not in seen:
-                raise SpecError(f"{ptr}/step",
+                raise SpecError(_pointer(*ptr, "step"),
                                 f"step is missing the pair [{b!r},{s!r}]")
 
 
@@ -226,10 +272,20 @@ class Env:
             self.atoms[name] = Atom(name, len(self.spec.sets[name]))
         return self.atoms[name]
 
-    def mealy(self, name: str) -> MealyMachine:
+    def _machine(self, name: str, kind: str, over: str) -> dict:
+        """Machine `name`, which must be of `kind` and have the spec's
+        state set under `over`."""
         m = self.spec.machines[name]
-        if m.get("kind", "mealy") != "mealy":
-            raise SpecError(f"/machines/{name}", "expected a mealy machine")
+        if m.get("kind", "mealy") != kind:
+            raise SpecError(_pointer("machines", name),
+                            f"expected a {kind} machine")
+        if m[over] != self.spec.state_set:
+            raise SpecError(_pointer("machines", name, over),
+                            f"must be the state set {self.spec.state_set!r}")
+        return m
+
+    def mealy(self, name: str) -> MealyMachine:
+        m = self._machine(name, "mealy", "stateSet")
         inset, outset = self.atom(m["inSet"]), self.atom(m["outSet"])
         na, nb = inset.size, outset.size
         table = [0] * (self.ctx.ns * na)
@@ -241,9 +297,7 @@ class Env:
                             mapping=mapping)
 
     def moore(self, name: str) -> MooreMachine:
-        m = self.spec.machines[name]
-        if m.get("kind") != "moore":
-            raise SpecError(f"/machines/{name}", "expected a moore machine")
+        m = self._machine(name, "moore", "alphabet")
         states = self.atom(m["stateSet"])
         labels = self.spec.sets[m["stateSet"]]
         alpha = self.spec.sets[m["alphabet"]]
@@ -261,7 +315,7 @@ class Env:
 
     def policy(self, name: str) -> Policy:
         if name not in self.spec.policies:
-            raise SpecError(f"/policies/{name}", "unknown policy")
+            raise SpecError(_pointer("policies", name), "unknown policy")
         return Policy(machine=self.mealy(self.spec.policies[name]))
 
 
@@ -280,27 +334,11 @@ def _mealy_entries(spec: SpecFile, m: dict):
 def run_command(task: dict, env: Env) -> VerifyReport:
     """Dispatch one task descriptor to the verification modules."""
     cmd = task.get("command")
+    handler = HANDLERS.get(cmd) if isinstance(cmd, str) else None
+    if handler is None:
+        return erroring(str(cmd), f"unknown command {cmd!r}")
     try:
-        if cmd == "check-laws":
-            inner = _cmd_check_laws(task, env)
-        elif cmd == "split":
-            inner = _cmd_split(task, env)
-        elif cmd == "policy-check":
-            inner = _cmd_policy_check(task, env)
-        elif cmd == "mealy-to-moore":
-            inner = _cmd_mealy_to_moore(task, env)
-        elif cmd == "equiv-roundtrip":
-            inner = _cmd_equiv_roundtrip(task, env)
-        elif cmd == "karoubi-check":
-            inner = _cmd_karoubi_check(task, env)
-        elif cmd == "split-equalizer":
-            inner = _cmd_split_equalizer(task, env)
-        elif cmd == "verify-all":
-            inner = combine("verify-all",
-                            [run_command(t, env) for t in env.spec.tasks
-                             if t.get("command") != "verify-all"])
-        else:
-            return erroring(str(cmd), f"unknown command {cmd!r}")
+        inner = handler(task, env)
     except ObjectConditionError as exc:
         inner = VerifyReport(check=cmd, status="fail",
                              witnesses=[{"error": str(exc),
@@ -452,8 +490,8 @@ def _cmd_karoubi_check(task, env):
 
 
 def _cmd_split_equalizer(task, env):
-    trials = int(task.get("trials", 100))
-    max_size = int(task.get("maxSize", 8))
+    trials = task.get("trials", 100)
+    max_size = task.get("maxSize", 8)
     rng = SeededRng(env.ctx.config.seed)
     bad = []
     for n in range(trials):
@@ -466,6 +504,24 @@ def _cmd_split_equalizer(task, env):
     if bad:
         return failing("split-equalizer", bad, trials=trials)
     return passing("split-equalizer", trials=trials, max_size=max_size)
+
+
+def _cmd_verify_all(task, env):
+    return combine("verify-all", [run_command(t, env) for t in env.spec.tasks
+                                  if t.get("command") != "verify-all"])
+
+
+HANDLERS = {
+    "check-laws": _cmd_check_laws,
+    "split": _cmd_split,
+    "policy-check": _cmd_policy_check,
+    "mealy-to-moore": _cmd_mealy_to_moore,
+    "equiv-roundtrip": _cmd_equiv_roundtrip,
+    "karoubi-check": _cmd_karoubi_check,
+    "split-equalizer": _cmd_split_equalizer,
+    "verify-all": _cmd_verify_all,
+}
+COMMANDS = tuple(HANDLERS)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from .algebras import (AlgebraStruct, CoalgebraStruct, check_algebra,
                        check_coalgebra, consistent_hom_check,
                        karm_object_condition, karm_retraction)
 from .finset import (CheckConfig, FinSetObj, Morphism, ShapeError, compose,
-                     equal_mor, from_fn, identity)
+                     equal_mor, from_fn, identity, inverse, pack)
 from .idempotents import Splitting, fixed_ranks, split_idempotent
 from .report import VerifyReport, combine, failing, passing
 from .statemonad import (StateContext, eps, eta, exp_mor, exp_obj, g_mor,
@@ -134,17 +134,6 @@ def moore_law_violations(ns: int, nb: int, readout, step) -> list[dict]:
     return out
 
 
-def _naive_moore_tables(k: KarmObject) -> tuple[int, int, list[int], list[list[int]]]:
-    """Readout/step tables of the fixed-point machine, condition or not."""
-    nx = k.carrier.card
-    fixes = fixed_ranks(k.projector)
-    index = {p: j for j, p in enumerate(fixes)}
-    readout = [p // nx for p in fixes]
-    step = [[index[k.projector(t * nx + (p % nx))] for t in range(k.ctx.ns)]
-            for p in fixes]
-    return k.ctx.ns, len(fixes), readout, step
-
-
 # ---------------------------------------------------------------------------
 # coalgebras <-> machine-form projectors
 
@@ -192,37 +181,32 @@ def functor_l(k: KarmObject, config: CheckConfig | None = None,
               force: bool = False) -> LResult:
     """Split a machine-form projector into its public-pair coalgebra.
 
-    Refuses projectors failing the object condition (that is exactly when
-    the construction stops being a lawful coalgebra or the round trip
-    breaks); `force` overrides for diagnostic experiments.
+    Refuses projectors failing the object condition, without which the
+    round trip breaks, and reports which public-state equations the
+    readout and step of the would-be structure map break (the condition
+    alone does not make the coalgebra lawful); `force` overrides for
+    diagnostic experiments.
     """
     ctx = k.ctx
-    cfg = config or ctx.config
-    if not k.condition.passed and not force:
-        ns, nb, readout, step = _naive_moore_tables(k)
-        violations = moore_law_violations(
-            ns, nb, lambda b: readout[b], lambda b, s: step[b][s])
-        details = dict(k.condition.details)
-        details["moore_violations"] = violations[:3]
-        raise ObjectConditionError(
-            "projector does not split back through its carrier", details)
     s = split_idempotent(k.projector)
     nx = k.carrier.card
     fixes = s.i.table
     nb = s.mid.card
     ne = nb ** ctx.ns
     qt = s.q.table
-    beta_tab = []
-    for p in fixes:
-        st, x = divmod(p, nx)
-        g = 0
-        w = 1
-        for t in range(ctx.ns):
-            g += qt[t * nx + x] * w
-            w *= nb
-        beta_tab.append(st * ne + g)
-    beta = Morphism(s.mid, g_obj(ctx, s.mid), table=beta_tab)
-    co = CoalgebraStruct(ctx=ctx, carrier=s.mid, structure=beta)
+    beta = [st * ne + pack((qt[t * nx + x] for t in range(ctx.ns)), nb)
+            for st, x in (divmod(p, nx) for p in fixes)]
+    if not k.condition.passed and not force:
+        violations = moore_law_violations(
+            ctx.ns, nb, lambda b: beta[b] // ne,
+            lambda b, t: beta[b] % ne // nb ** t % nb)
+        details = dict(k.condition.details)
+        details["moore_violations"] = violations[:3]
+        raise ObjectConditionError(
+            "projector does not split back through its carrier", details)
+    co = CoalgebraStruct(ctx=ctx, carrier=s.mid,
+                         structure=Morphism(s.mid, g_obj(ctx, s.mid),
+                                            table=beta))
     return LResult(coalgebra=co, splitting=s, fixed=list(fixes))
 
 
@@ -300,14 +284,9 @@ def lr_identity_report(c: CoalgebraStruct,
     else:
         subs.append(passing("public-pairs-are-structure-values"))
     sigma = compose(lres.splitting.i, eps(ctx, c.carrier))
-    inv = {}
-    ok = True
-    for j in range(sigma.dom.card):
-        v = sigma(j)
-        if v in inv:
-            ok = False
-        inv[v] = j
-    subs.append(passing("bijection") if ok and len(inv) == c.carrier.card
+    inv = inverse(sigma)
+    subs.append(passing("bijection")
+                if inv is not None and len(inv) == c.carrier.card
                 else failing("bijection", [{"table": sigma.table}]))
     transported = compose(sigma, c.structure)
     back = compose(lres.coalgebra.structure, g_mor(ctx, sigma))
@@ -404,16 +383,10 @@ def dual_lr_identity_report(a: AlgebraStruct,
     k = dual_r(a, cfg)
     lres = dual_l(k, cfg)
     sigma = compose(lres.splitting.i, a.structure)
-    subs = []
-    inv = {}
-    ok = True
-    for j in range(sigma.dom.card):
-        v = sigma(j)
-        if v in inv:
-            ok = False
-        inv[v] = j
-    subs.append(passing("bijection") if ok and len(inv) == a.carrier.card
-                else failing("bijection", [{"table": sigma.table}]))
+    inv = inverse(sigma)
+    subs = [passing("bijection")
+            if inv is not None and len(inv) == a.carrier.card
+            else failing("bijection", [{"table": sigma.table}])]
     subs.append(equal_mor(compose(t_mor(ctx, sigma), a.structure),
                           compose(lres.algebra.structure, sigma), cfg,
                           check="structure-transport"))
@@ -441,17 +414,15 @@ def dual_roundtrip(k: KarcObject,
     subs.append(equal_mor(compose(rl.projector, lifted),
                           compose(lifted, k.projector), cfg,
                           check="forward-intertwines"))
-    tab = i_prime.table
-    inv = [None] * i_prime.cod.card
-    bij = len(set(tab)) == len(tab) == i_prime.cod.card
-    if not bij:
-        subs.append(failing("forward-bijective", [{"table": tab}]))
+    n = i_prime.cod.card
+    inv = inverse(i_prime)
+    if inv is None or len(inv) != n:
+        subs.append(failing("forward-bijective", [{"table": i_prime.table}]))
         return EquivWitness(obj=rl, forward=i_prime, backward=i_prime,
                             report=combine("dual-roundtrip", subs))
     subs.append(passing("forward-bijective"))
-    for j, v in enumerate(tab):
-        inv[v] = j
-    i_dbl = Morphism(i_prime.cod, i_prime.dom, table=inv)
+    i_dbl = Morphism(i_prime.cod, i_prime.dom,
+                     table=[inv[v] for v in range(n)])
     lifted_inv = exp_mor(ctx, i_dbl)
     subs.append(equal_mor(compose(k.projector, lifted_inv),
                           compose(lifted_inv, rl.projector), cfg,

@@ -22,7 +22,7 @@ from itertools import compress, count, islice
 from operator import ne
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .report import VerifyReport
+from .report import VerifyReport, combine, failing, passing
 
 MASK64 = (1 << 64) - 1
 
@@ -290,6 +290,32 @@ def from_fn(dom: FinSetObj, cod: FinSetObj,
     return Morphism(dom, cod, fn=fn)
 
 
+def pack(digits: Iterable[int], base: int) -> int:
+    """The number with these little-endian digits: digit k weighs base**k,
+    as in the rank of an Exp element."""
+    total, w = 0, 1
+    for d in digits:
+        total += d * w
+        w *= base
+    return total
+
+
+def inverse(m: Morphism) -> Optional[dict[int, int]]:
+    """The value -> rank dict of an injective map, or None when two ranks
+    share a value."""
+    inv = {v: k for k, v in enumerate(m.table)}
+    return inv if len(inv) == m.dom.card else None
+
+
+def fibers(m: Morphism) -> dict[int, list[int]]:
+    """The preimage of each value hit, as ascending ranks, with the values
+    in the order they are first hit."""
+    out: dict[int, list[int]] = {}
+    for k, v in enumerate(m.table):
+        out.setdefault(v, []).append(k)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # seeded sampling (splitmix64)
 
@@ -425,8 +451,28 @@ def image_factor(f: Morphism) -> tuple[Morphism, Morphism, FinSetObj]:
     """
     ft = f.table
     image = sorted(set(ft))
-    index = {v: j for j, v in enumerate(image)}
     mid = Atom(f"im({len(image)})", len(image))
-    q = Morphism(f.dom, mid, table=[index[v] for v in ft])
     i = Morphism(mid, f.cod, table=image)
+    index = inverse(i)
+    q = Morphism(f.dom, mid, table=[index[v] for v in ft])
     return q, i, mid
+
+
+def envelope_hom_report(f: Morphism, phi: Morphism, psi: Morphism,
+                        config: CheckConfig = CheckConfig()) -> VerifyReport:
+    """Is f in the envelope hom-set from the projector phi to psi?
+
+    The sandwich psi . f . phi = f is checked alongside the pair
+    psi . f = f and f . phi = f, which it is equivalent to; a divergence
+    between the two routes is reported as its own failure."""
+    if phi.dom != f.dom or psi.dom != f.cod:
+        raise ShapeError("projectors must sit on dom(f) and cod(f)")
+    sandwich = equal_mor(compose(compose(phi, f), psi), f, config,
+                         check="sandwich")
+    post = equal_mor(compose(f, psi), f, config, check="post-policy-absorbed")
+    pre = equal_mor(compose(phi, f), f, config, check="pre-policy-absorbed")
+    pair = post.passed and pre.passed
+    agreement = (passing("sandwich-iff-pair") if sandwich.passed == pair else
+                 failing("sandwich-iff-pair",
+                         [{"sandwich": sandwich.passed, "pair": pair}]))
+    return combine("compliance", [sandwich, post, pre, agreement])

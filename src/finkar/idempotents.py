@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finset import (Atom, CheckConfig, FinSetObj, Morphism, SeededRng,
-                     ShapeError, compose, equal_mor, identity, image_factor)
+                     ShapeError, compose, envelope_hom_report, equal_mor,
+                     fibers, identity, image_factor, inverse)
 from .report import VerifyReport, combine, failing, passing
 
 
@@ -63,11 +64,8 @@ def verify_split_equalizer(e: Morphism, s: Splitting,
     subs.append(equal_mor(compose(s.i, e), s.i, config, check="e.i=i"))
 
     fixed = [k for k in range(e.dom.card) if e(k) == k]
-    itab = s.i.table
-    preimages = {}
+    preimages = fibers(s.i)
     wit = []
-    for j, v in enumerate(itab):
-        preimages.setdefault(v, []).append(j)
     for x in fixed:
         hits = preimages.get(x, [])
         if len(hits) != 1:
@@ -94,14 +92,10 @@ def karoubi_hom_check(f: Morphism, phi: Morphism, psi: Morphism,
     The square condition psi . f . phi = f is equivalent to the pair
     f . phi = f and psi . f = f; both routes are evaluated and must agree.
     """
-    if phi.dom != f.dom or psi.dom != f.cod:
-        raise ShapeError("projectors must sit on dom(f) and cod(f)")
-    sandwich = equal_mor(compose(compose(phi, f), psi), f, config).passed
-    pair = (equal_mor(compose(phi, f), f, config).passed
-            and equal_mor(compose(f, psi), f, config).passed)
-    if sandwich != pair:
+    rep = envelope_hom_report(f, phi, psi, config)
+    if not rep.sub[-1].passed:
         raise AssertionError("envelope hom criteria diverged")
-    return sandwich
+    return rep.passed
 
 
 def karoubi_compose(f: Morphism, g: Morphism, phi: Morphism, psi: Morphism,
@@ -147,9 +141,7 @@ def check_split_equalizer_diagram(i: Morphism, q: Morphism, f: Morphism,
     # equalizing element of B through i.
     cone = equal_mor(compose(i, f), compose(i, j), config, check="f.i=j.i")
     eq_set = [x for x in range(b.card) if f(x) == j(x)]
-    preimages = {}
-    for k, v in enumerate(i.table):
-        preimages.setdefault(v, []).append(k)
+    preimages = fibers(i)
     wit = []
     for x in eq_set:
         if len(preimages.get(x, [])) != 1:
@@ -208,7 +200,7 @@ def random_section_retraction(small: FinSetObj, big: FinSetObj,
         raise ValueError("need card(small) <= card(big)")
     image = sorted(rng.shuffled(range(big.card))[:small.card])
     sec = Morphism(small, big, table=image)
-    index = {v: k for k, v in enumerate(image)}
+    index = inverse(sec)
     ret = Morphism(big, small,
                    table=[index.get(x, rng.below(small.card))
                           for x in range(big.card)])

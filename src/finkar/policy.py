@@ -8,11 +8,12 @@ carry a Moore machine satisfying the three public-state equations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .equivalence import functor_l, make_karm_object, moore_law_violations
+from .equivalence import (ObjectConditionError, functor_l, make_karm_object,
+                          moore_law_violations)
 from .finset import (CheckConfig, FinSetObj, Morphism, Prod, ShapeError,
-                     compose, equal_mor)
+                     compose, envelope_hom_report, equal_mor, pack)
 from .report import VerifyReport, combine, failing, passing
 from .statemonad import (StateContext, exp_mor, g_obj, prod_mor, prod_obj,
                          t_obj)
@@ -131,16 +132,10 @@ def check_moore(m: MooreMachine) -> VerifyReport:
 def moore_to_coalgebra(m: MooreMachine):
     """Bundle readout and step into a structure map B -> GB."""
     from .algebras import CoalgebraStruct
-    nb = m.state_set.card
-    ne = nb ** m.ctx.ns
-    tab = []
-    for b in range(nb):
-        g = 0
-        w = 1
-        for t in range(m.ctx.ns):
-            g += m.step_at(b, t) * w
-            w *= nb
-        tab.append(m.readout(b) * ne + g)
+    ns, nb = m.ctx.ns, m.state_set.card
+    step = m.step.table  # indexed (b, t) with t minor
+    tab = [m.readout(b) * nb ** ns + pack(step[b * ns:b * ns + ns], nb)
+           for b in range(nb)]
     beta = Morphism(m.state_set, g_obj(m.ctx, m.state_set), table=tab)
     return CoalgebraStruct(ctx=m.ctx, carrier=m.state_set, structure=beta)
 
@@ -181,26 +176,12 @@ def check_policy(p, config: CheckConfig | None = None) -> VerifyReport:
 
 def check_compliance(f: MealyMachine, phi: Policy, psi: Policy,
                      config: CheckConfig | None = None) -> VerifyReport:
-    """Sandwich equation and its split form, which must agree.
-
-    The sandwich psi . f . phi = f is checked alongside the pair
-    psi . f = f and f . phi = f; a divergence between the two routes would
-    be reported as its own failure."""
-    cfg = config or f.ctx.config
+    """Sandwich equation and its split form, which must agree: the
+    envelope hom report of the machine map between the policy maps."""
     if phi.alphabet != f.in_set or psi.alphabet != f.out_set:
         raise ShapeError("policies must sit on the machine's alphabets")
-    sandwich = equal_mor(compose(compose(phi.mapping, f.mapping), psi.mapping),
-                         f.mapping, cfg, check="sandwich")
-    left = equal_mor(compose(f.mapping, psi.mapping), f.mapping, cfg,
-                     check="post-policy-absorbed")
-    right = equal_mor(compose(phi.mapping, f.mapping), f.mapping, cfg,
-                      check="pre-policy-absorbed")
-    agree = sandwich.passed == (left.passed and right.passed)
-    agreement = (passing("sandwich-iff-pair") if agree else
-                 failing("sandwich-iff-pair",
-                         [{"sandwich": sandwich.passed,
-                           "pair": left.passed and right.passed}]))
-    return combine("compliance", [sandwich, left, right, agreement])
+    return envelope_hom_report(f.mapping, phi.mapping, psi.mapping,
+                               config or f.ctx.config)
 
 
 def check_consistency(f: MealyMachine, phi: Policy, psi: Policy,
@@ -271,38 +252,23 @@ def mealy_to_moore(phi: Policy,
 
     States are the fixed pairs of the policy map; the readout returns the
     frozen state component and the step re-filters the held input at the
-    new state.  Requires the splitting-through-carrier condition; the
-    rejection diagnostic carries the cardinalities and any violated
-    public-state equation of the naive construction."""
+    new state: the Moore form of the coalgebra the policy splits into.
+    Requires the splitting-through-carrier condition and the public-state
+    equations, which that condition does not imply; the rejection
+    diagnostic carries the cardinalities and any public-state equation the
+    would-be machine breaks."""
     ctx = phi.machine.ctx
     cfg = config or ctx.config
     k = make_karm_object(ctx, phi.alphabet, phi.mapping, cfg)
     lres = functor_l(k, cfg)  # raises ObjectConditionError with diagnostics
     na = phi.alphabet.card
-    fixes = lres.fixed
-    nb = len(fixes)
-    state_set = lres.coalgebra.carrier
-    index = {p: j for j, p in enumerate(fixes)}
-    readout = Morphism(state_set, ctx.state_space,
-                       table=[p // na for p in fixes])
-    step_tab = []
-    for p in fixes:
-        a = p % na
-        for t in range(ctx.ns):
-            step_tab.append(index[phi.mapping(t * na + a)])
-    # step is indexed (b, t) with t minor, matching Prod(B, S) ranks
-    step = Morphism(Prod(state_set, ctx.state_space), state_set,
-                    table=step_tab)
-    m = MooreMachine(ctx=ctx, state_set=state_set, readout=readout, step=step,
-                     pair_labels=tuple((p // na, p % na) for p in fixes))
+    m = replace(coalgebra_to_moore(lres.coalgebra),
+                pair_labels=tuple(divmod(p, na) for p in lres.fixed))
     rep = check_moore(m)
     if not rep.passed:
-        raise AssertionError(f"public-pair machine broke its laws: "
-                             f"{rep.to_dict()}")
-    mismatch = equal_mor(moore_to_coalgebra(m).structure,
-                         lres.coalgebra.structure, cfg)
-    if not mismatch.passed:
-        raise AssertionError("component form diverged from the splitting form")
+        raise ObjectConditionError(
+            "public pairs break the public-state equations",
+            {**k.condition.details, "moore_violations": rep.witnesses[:3]})
     return m
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 
 from .finset import (EAGER_LIMIT, CheckConfig, Exp, FinSetObj, Morphism,
                      Prod, ShapeError, SeededRng, compose, equal_mor, from_fn,
-                     identity)
+                     identity, pack)
 from .idempotents import random_morphism
 from .report import VerifyReport, combine
 
@@ -183,17 +183,8 @@ def _cached(build):
 def eta(ctx: StateContext, x: FinSetObj) -> Morphism:
     """Unit X -> TX, sending x to the computation s |-> (s, x)."""
     ns, nx = ctx.ns, x.card
-    m = ns * nx
-
-    def ev(k):
-        out = 0
-        w = 1
-        for s in range(ns):
-            out += (s * nx + k) * w
-            w *= m
-        return out
-
-    return from_fn(x, t_obj(ctx, x), ev)
+    return from_fn(x, t_obj(ctx, x),
+                   lambda k: pack((s * nx + k for s in range(ns)), ns * nx))
 
 
 @_cached
@@ -228,12 +219,7 @@ def nu(ctx: StateContext, x: FinSetObj) -> Morphism:
 
     def ev(p):
         s, g = divmod(p, ne)
-        h = 0
-        w = 1
-        for t in range(ns):
-            h += (t * ne + g) * w
-            w *= ngx
-        return s * ngx ** ns + h
+        return s * ngx ** ns + pack((t * ne + g for t in range(ns)), ngx)
 
     return from_fn(g_obj(ctx, x), g_obj(ctx, g_obj(ctx, x)), ev)
 
@@ -244,16 +230,8 @@ def transpose_up(ctx: StateContext, f: Morphism) -> Morphism:
         raise ShapeError("transpose_up wants a morphism out of S x A")
     a = f.dom.right
     na, nb = a.card, f.cod.card
-
-    def ev(k):
-        out = 0
-        w = 1
-        for s in range(ctx.ns):
-            out += f(s * na + k) * w
-            w *= nb
-        return out
-
-    return from_fn(a, exp_obj(ctx, f.cod), ev)
+    return from_fn(a, exp_obj(ctx, f.cod),
+                   lambda k: pack((f(s * na + k) for s in range(ctx.ns)), nb))
 
 
 def transpose_down(ctx: StateContext, f: Morphism, cod: FinSetObj) -> Morphism:

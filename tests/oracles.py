@@ -226,6 +226,21 @@ def brute_force_moore_machines(ns: int, nb: int):
     return found
 
 
+def naive_moore_tables(k) -> tuple[int, int, list[int], list[list[int]]]:
+    """Readout/step tables of the fixed-point machine of a machine-form
+    projector k, condition or not, read off the projector's table: states
+    are the fixed pairs p ascending, readout(p) is p's state, and step(p, t)
+    is the fixed pair the projector sends (t, p's input) to.  Returns
+    (|S|, number of states, readout, step) with step[b][t]."""
+    nx, e = k.carrier.card, k.projector.table
+    fixes = [p for p, v in enumerate(e) if v == p]
+    index = {p: j for j, p in enumerate(fixes)}
+    readout = [p // nx for p in fixes]
+    step = [[index[e[t * nx + p % nx]] for t in range(k.ctx.ns)]
+            for p in fixes]
+    return k.ctx.ns, len(fixes), readout, step
+
+
 def brute_force_sections(ctx: StateContext, alg: Morphism) -> list[list[int]]:
     """All sections of a structure map that are algebra homs into the free
     algebra, by raw fiber enumeration (independent of search_sections)."""

@@ -3,7 +3,7 @@ import pytest
 from finkar.algebras import (AlgebraStruct, CoalgebraStruct,
                              SearchBoundExceeded, algebra_hom_check,
                              check_algebra, check_coalgebra,
-                             compliant_hom_check, consistent_hom_check,
+                             consistent_hom_check,
                              construct_coretraction, free_algebra, functor_h,
                              functor_h_mor, functor_k, functor_k_mor,
                              is_projective, iso_witness_i_prime,
@@ -11,7 +11,7 @@ from finkar.algebras import (AlgebraStruct, CoalgebraStruct,
                              make_witness, search_sections)
 from finkar.finset import (Atom, Morphism, SeededRng, compose, equal_mor,
                            identity)
-from finkar.idempotents import random_idempotent
+from finkar.idempotents import karoubi_hom_check, random_idempotent
 from finkar.statemonad import (eps, eta, exp_mor, exp_obj, g_obj, mu,
                                prod_mor, prod_obj, t_mor, t_obj)
 
@@ -209,14 +209,14 @@ def test_compliant_vs_consistent_strictness(ctx2):
     drop = Morphism(sa, sa, table=[0, 0, 2, 2])  # (s, x) |-> (s, 0)
     ident = identity(sa)
     assert consistent_hom_check(ctx2, identity(a), drop, drop)
-    assert not compliant_hom_check(ident, drop, drop)
+    assert not karoubi_hom_check(ident, drop, drop)
     # compliant implies consistent on sandwiched stateless maps
     rng = SeededRng(13)
     for _ in range(50):
         f0 = Morphism(a, a, table=[rng.below(2), rng.below(2)])
         h = compose(compose(drop, prod_mor(ctx2, f0)), drop)
-        assert compliant_hom_check(h, drop, drop)
-    assert compliant_hom_check(compose(compose(drop, prod_mor(
+        assert karoubi_hom_check(h, drop, drop)
+    assert karoubi_hom_check(compose(compose(drop, prod_mor(
         ctx2, identity(a))), drop), drop, drop)
 
 

@@ -147,6 +147,94 @@ def test_malformed_spec_is_a_spec_error(tmp_path, capsys, key, value,
     assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
 
 
+@pytest.mark.parametrize("task, field", [
+    ({"command": "split-equalizer", "trials": [1]}, "trials"),
+    ({"command": "check-laws", "objects": 5}, "objects"),
+    ({"command": "check-laws", "objects": ["S", 1]}, "objects"),
+    ({"command": "mealy-to-moore", "policy": ["e2"]}, "policy"),
+    ({"command": "split", "machine": ["e2"]}, "machine"),
+    ({"command": "equiv-roundtrip", "freeAlgebraOn": ["B"]}, "freeAlgebraOn"),
+    ({"command": "policy-check", "machine": "id", "inPolicy": {"a": 1},
+      "outPolicy": "id"}, "inPolicy"),
+    ({"command": "policy-check", "name": 3}, "name"),
+    ({"command": "karoubi-check", "expect": "maybe"}, "expect"),
+    ({"command": "split-equalizer", "trials": 0}, "trials"),
+    ({"command": "split-equalizer", "trials": -1}, "trials"),
+    ({"command": "split-equalizer", "trials": True}, "trials"),
+    ({"command": "split-equalizer", "trials": 2.5}, "trials"),
+    ({"command": "split-equalizer", "maxSize": 1}, "maxSize"),
+    ({"command": "split-equalizer", "maxSize": 0}, "maxSize"),
+    ({"command": "split-equalizer", "maxSize": False}, "maxSize"),
+    ({"command": "policy-check", "machine": "id", "inPolicy": "id",
+      "outPolicy": "id", "mode": "sideways"}, "mode"),
+])
+def test_malformed_task_field_is_a_spec_error(tmp_path, capsys, task, field):
+    """A task field of the wrong type, outside its enum or below its
+    minimum is an input error at /tasks/<i>/<field> (exit 2), not a
+    traceback, a vacuous pass or a silently different check."""
+    bad = dict(MINIMAL, tasks=[MINIMAL["tasks"][0], task])
+    with pytest.raises(SpecError) as exc:
+        parse_spec(json.dumps(bad))
+    assert exc.value.pointer == f"/tasks/1/{field}"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main(["verify-all", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: /tasks/1/{field}: ")
+
+
+@pytest.mark.parametrize("change, pointer", [
+    ({"sets": {"a/b": [], "A": ["a0", "a1"]}, "stateSet": "a/b"},
+     "/sets/a~1b"),
+    ({"sets": {"S": ["s0", "s1"], "x~y": [1]}}, "/sets/x~0y"),
+    ({"sets": {"S": ["s0", "s1"], "~/": ["a", "a"]}}, "/sets/~0~1"),
+    ({"machines": [{"name": "m/~", "kind": "moore", "stateSet": "S",
+                    "alphabet": "S", "readout": {"s0": "s0", "s1/~": 1},
+                    "step": []}]}, "/machines/0/readout/s1~1~0"),
+])
+def test_spec_error_pointers_are_escaped(change, pointer):
+    """Pointers follow RFC 6901: '~' is written '~0' and '/' is '~1'."""
+    with pytest.raises(SpecError) as exc:
+        parse_spec(json.dumps(dict(MINIMAL, **change)))
+    assert exc.value.pointer == pointer
+
+
+def test_task_errors_name_escaped_machine_and_policy_names():
+    spec = parse_spec(json.dumps(dict(MINIMAL, machines=[
+        {"name": "m/~", "kind": "moore", "stateSet": "S", "alphabet": "S",
+         "readout": {"s0": "s0", "s1": "s1"},
+         "step": [[[b, s], b] for b in ("s0", "s1") for s in ("s0", "s1")]},
+        MINIMAL["machines"][0]])))
+    rep = run_command({"command": "split", "machine": "m/~"}, _env(spec))
+    assert rep.status == "error"
+    assert rep.sub[0].details["reason"].startswith("/machines/m~1~0: ")
+    rep = run_command({"command": "mealy-to-moore", "policy": "p/q"},
+                      _env(spec))
+    assert rep.sub[0].details["reason"].startswith("/policies/p~1q: ")
+
+
+def test_machines_must_run_over_the_state_set(tmp_path):
+    """A mealy machine over another state set, or a moore machine over
+    another alphabet, is an error report (exit 1), not an IndexError."""
+    three = ["t0", "t1", "t2"]
+    mealy = {"name": "m", "stateSet": "T", "inSet": "A", "outSet": "A",
+             "map": [[[t, a], [t, a]] for t in three for a in ("a0", "a1")]}
+    moore = {"name": "e", "kind": "moore", "stateSet": "B", "alphabet": "T",
+             "readout": {"b0": "t0"},
+             "step": [[["b0", t], "b0"] for t in three]}
+    doc = dict(MINIMAL, sets=dict(MINIMAL["sets"], T=three, B=["b0"]),
+               machines=[mealy, moore], policies=[{"name": "m",
+                                                   "machine": "m"}],
+               tasks=[{"command": "split", "machine": "m"},
+                      {"command": "equiv-roundtrip", "moore": "e"}])
+    path, out = tmp_path / "spec.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-all", str(path), "--out", str(out)]) == 1
+    reasons = [t["sub"][0]["details"]["reason"]
+               for t in json.loads(out.read_text())["sub"]]
+    assert reasons == ["/machines/m/stateSet: must be the state set 'S'",
+                       "/machines/e/alphabet: must be the state set 'S'"]
+
+
 def test_main_rejects_vacuous_check_knobs(tmp_path, capsys):
     """A check must evaluate at least one point: --samples 0 or a negative
     --cap is a usage error (exit 2), not a pass on zero points."""

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from finkar.finset import (BLOCK, EAGER_LIMIT, KEEP_DRAWS, Atom,
                            CheckConfig, Exp, Morphism, Prod, ShapeError,
-                           SeededRng, codec, compose, equal_mor, from_fn,
-                           identity, image_factor, splitmix64)
+                           SeededRng, codec, compose, envelope_hom_report,
+                           equal_mor, fibers, from_fn, identity, image_factor,
+                           inverse, pack, splitmix64)
 
 
 def small_objects():
@@ -274,3 +275,76 @@ def test_splitmix64_reference_stream_is_stable():
         got.append(next(gen))
     assert got == [16294208416658607535, 7960286522194355700,
                    487617019471545679]
+
+
+@pytest.mark.parametrize("base, target", [
+    (Atom("S", 1), Atom("X", 5)), (Atom("S", 2), Atom("X", 3)),
+    (Atom("S", 3), Atom("X", 2)), (Atom("S", 4), Atom("X", 1)),
+    (Atom("S", 2), Prod(Atom("S", 2), Atom("X", 2)))])
+def test_pack_is_the_exp_rank(base, target):
+    """pack of the value ranks is the codec's rank of the function element,
+    at every element of the exponential."""
+    exp = Exp(base, target)
+    c, ct = codec(exp), codec(target)
+    for k in range(exp.card):
+        elem = c.unrank(k)
+        assert pack([ct.rank(v) for v in elem], target.card) == k
+        assert pack((ct.rank(v) for v in elem), target.card) == k
+    assert pack([], 7) == 0
+
+
+def test_inverse_and_fibers_on_an_injective_map():
+    m = Morphism(Atom("A", 3), Atom("B", 5), table=[4, 0, 2])
+    assert inverse(m) == {4: 0, 0: 1, 2: 2}
+    assert fibers(m) == {4: [0], 0: [1], 2: [2]}
+    assert list(fibers(m)) == [4, 0, 2]  # first-hit order
+
+
+def test_inverse_and_fibers_on_a_non_injective_map():
+    m = Morphism(Atom("A", 6), Atom("B", 4), table=[3, 1, 3, 0, 1, 3])
+    assert inverse(m) is None
+    assert fibers(m) == {3: [0, 2, 5], 1: [1, 4], 0: [3]}
+    assert list(fibers(m)) == [3, 1, 0]
+    assert sorted(k for ks in fibers(m).values() for k in ks) == list(range(6))
+
+
+def test_inverse_and_fibers_on_an_empty_domain():
+    m = Morphism(Atom("E", 0), Atom("B", 2), table=[])
+    assert inverse(m) == {}
+    assert fibers(m) == {}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 6), st.integers(1, 6), st.integers(0, 10 ** 6))
+def test_inverse_and_fibers_agree_with_the_table(n, m, seed):
+    rng = SeededRng(seed)
+    f = Morphism(Atom("A", n), Atom("B", m),
+                 table=[rng.below(m) for _ in range(n)])
+    fib = fibers(f)
+    assert all(f.table[k] == v for v, ks in fib.items() for k in ks)
+    assert all(ks == sorted(ks) for ks in fib.values())
+    inv = inverse(f)
+    if len(set(f.table)) == n:
+        assert {v: k for k, v in enumerate(f.table)} == inv
+        assert all(len(ks) == 1 for ks in fib.values())
+    else:
+        assert inv is None
+
+
+def test_envelope_hom_report_names_both_routes():
+    two = Atom("T", 2)
+    const = Morphism(two, two, table=[0, 0])
+    swap = Morphism(two, two, table=[1, 0])
+    rep = envelope_hom_report(const, const, const)
+    assert rep.check == "compliance" and rep.passed
+    assert [r.check for r in rep.sub] == [
+        "sandwich", "post-policy-absorbed", "pre-policy-absorbed",
+        "sandwich-iff-pair"]
+    rep = envelope_hom_report(identity(two), const, const)
+    assert not rep.passed and rep.sub[-1].passed
+    # the sandwich holds, the pair does not: the agreement check fails
+    rep = envelope_hom_report(identity(two), swap, swap)
+    assert rep.sub[0].passed and not rep.sub[1].passed
+    assert rep.sub[-1].witnesses == [{"sandwich": True, "pair": False}]
+    with pytest.raises(ShapeError):
+        envelope_hom_report(identity(two), identity(Atom("U", 3)), const)

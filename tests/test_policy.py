@@ -1,6 +1,11 @@
+import json
+from itertools import product
+
 import pytest
 
-from finkar.equivalence import ObjectConditionError, functor_r
+from finkar.cli import main
+from finkar.equivalence import (ObjectConditionError, functor_l, functor_r,
+                                make_karm_object, moore_law_violations)
 from finkar.finset import (Atom, Morphism, Prod, SeededRng, ShapeError,
                            compose, identity)
 from finkar.idempotents import random_idempotent, random_morphism
@@ -12,7 +17,7 @@ from finkar.policy import (MealyMachine, MooreMachine, Policy,
                            stateless_consistency)
 from finkar.statemonad import exp_mor, prod_mor, prod_obj, t_obj
 
-from oracles import brute_force_moore_machines
+from oracles import brute_force_moore_machines, naive_moore_tables
 
 
 def _mealy(ctx, na, nb, table, labels=("A", "A")):
@@ -269,3 +274,76 @@ def test_stateful_policy_check_shapes(ctx2):
     ta = t_obj(ctx2, Atom("A", 2))
     with pytest.raises(ShapeError):
         stateful_policy_check(g, identity(ta), identity(ta))
+
+
+def _idempotents(ctx, n, draws, seed):
+    """Every idempotent on S x A for |A| = n when there are few, else
+    `draws` seeded ones."""
+    sa = prod_obj(ctx, Atom("A", n))
+    if draws is None:
+        return [Morphism(sa, sa, table=list(t))
+                for t in product(range(sa.card), repeat=sa.card)
+                if all(t[v] == v for v in t)]
+    rng = SeededRng(seed)
+    return [random_idempotent(sa, rng) for _ in range(draws)]
+
+
+@pytest.mark.parametrize("n, draws, seen", [
+    (1, None, {(False, True), (True, False)}),
+    (2, None, {(False, False), (False, True)}),
+    (4, 300, {(False, False), (False, True), (True, False), (True, True)})])
+def test_public_pair_machine_matches_naive_construction(ctx2, n, draws,
+                                                        seen):
+    """mealy_to_moore, its rejection diagnostic and that of functor_l agree
+    with the fixed-point readout/step tables read off the projector."""
+    a = Atom("A", n)
+    outcomes = set()
+    for e in _idempotents(ctx2, n, draws, seed=n):
+        k = make_karm_object(ctx2, a, e)
+        ns, nb, readout, step = naive_moore_tables(k)
+        flat_step = [v for row in step for v in row]
+        forced = coalgebra_to_moore(functor_l(k, force=True).coalgebra)
+        assert forced.readout.table == readout
+        assert forced.step.table == flat_step
+        expected = moore_law_violations(ns, nb, lambda b: readout[b],
+                                        lambda b, t: step[b][t])[:3]
+        if not k.condition.passed:
+            with pytest.raises(ObjectConditionError) as exc:
+                functor_l(k)
+            assert exc.value.details["moore_violations"] == expected
+        policy = Policy(machine=MealyMachine(ctx=ctx2, in_set=a, out_set=a,
+                                             mapping=e))
+        if k.condition.passed and not expected:
+            m = mealy_to_moore(policy)
+            assert m.readout.table == readout
+            assert m.step.table == flat_step
+            fixes = [p for p in range(e.dom.card) if e(p) == p]
+            assert m.pair_labels == tuple((p // n, p % n) for p in fixes)
+        else:
+            # the object condition does not imply the public-state laws
+            with pytest.raises(ObjectConditionError) as exc:
+                mealy_to_moore(policy)
+            assert exc.value.details["moore_violations"] == expected
+        outcomes.add((k.condition.passed, not expected))
+    # (object condition, public-state laws) over the projectors tried
+    assert outcomes == seen
+
+
+def test_mealy_to_moore_cli_reports_unlawful_public_pairs(tmp_path):
+    """A policy meeting the object condition whose public pairs break the
+    laws is a failed task, not a traceback."""
+    spec = {"sets": {"S": ["s0", "s1"], "A": ["a0"]}, "stateSet": "S",
+            "machines": [{"name": "p", "stateSet": "S", "inSet": "A",
+                          "outSet": "A",
+                          "map": [[["s0", "a0"], ["s0", "a0"]],
+                                  [["s1", "a0"], ["s0", "a0"]]]}],
+            "policies": [{"name": "p", "machine": "p"}],
+            "tasks": [{"command": "mealy-to-moore", "policy": "p"}]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out.json"
+    assert main(["verify-all", str(path), "--out", str(out)]) == 1
+    task = json.loads(out.read_text())["sub"][0]["sub"][0]
+    assert task["status"] == "fail"
+    assert task["details"]["moore_violations"][0]["law"] == \
+        "readout-after-step"

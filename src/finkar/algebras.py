@@ -8,16 +8,19 @@ predicates and law reports, never enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .finset import (CheckConfig, FinSetObj, Morphism, ShapeError,
-                     compose, equal_mor, fibers, identity, inverse)
+                     compose, digits, equal_mor, fibers, from_fn, identity,
+                     inverse, pack)
 from .idempotents import Splitting, karoubi_hom_check, split_idempotent
-from .report import VerifyReport, combine, failing, passing
-from .statemonad import (StateContext, eta, exp_mor, g_mor, g_obj, eps,
-                         mealy_of_kleisli, mu, nu, prod_mor, prod_obj, t_mor,
-                         t_obj, transpose_up)
+from .report import (LawViolation, VerifyReport, combine, failing,
+                     passing)
+from .statemonad import (StateContext, eta, exp_mor, exp_obj, g_mor, g_obj,
+                         eps, mealy_of_kleisli, mu, nu, prod_mor, prod_obj,
+                         t_mor, t_obj, transpose_up)
 
 
 class SearchBoundExceeded(RuntimeError):
@@ -26,11 +29,16 @@ class SearchBoundExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class AlgebraStruct:
-    """A carrier A with a structure map TA -> A (laws checked, not assumed)."""
+    """A carrier A with a structure map TA -> A (laws checked, not assumed).
+
+    `check_algebra` records the operations (update, lookup) here once it
+    has proved, exhaustively, that the structure is determined by them."""
 
     ctx: StateContext
     carrier: FinSetObj
     structure: Morphism
+    _operations: Optional[tuple[Morphism, Morphism]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.structure.dom != t_obj(self.ctx, self.carrier) \
@@ -69,15 +77,84 @@ class ProjectiveWitness:
 
 def check_algebra(a: AlgebraStruct,
                   config: CheckConfig | None = None) -> VerifyReport:
-    """Unit and multiplication laws for one algebra."""
+    """The algebra laws, from the presentation of state by its operations.
+
+    State is presented by lookup (S-ary) and update_u (unary, one per
+    state u) (Plotkin and Power, Notions of computation determine monads,
+    2002).  Read both off alpha: lookup(g) = alpha(s |-> (s, g s)) and
+    update_u(a) = alpha(s |-> (u, a)).  Then alpha is an algebra (unit and
+    multiplication laws on A and TTA) exactly when these four hold:
+
+    (i)   alpha = lookup . (S => update), on TA: alpha(t) is lookup of
+          s |-> update_{s'}(a) where t(s) = (s', a);
+    (ii)  alpha . eta = id, on A: lookup(s |-> update_s(a)) = a;
+    (iii) update_u(update_v(a)) = update_v(a), on S x S x A;
+    (iv)  update_u(lookup g) = update_u(g u), on S x (S => A).
+
+    The fourth equation of the theory, lookup(s |-> lookup(t |-> g(s,t)))
+    = lookup(s |-> g(s,s)), follows: by (ii), x = lookup(u |-> update_u
+    x) for every x, and by (iv) twice, update_u applied to either side is
+    update_u(g(u,u)), so both sides are lookup(u |-> update_u(g(u,u))).
+
+    Every domain has at most |TA| ranks, so each entry of alpha is read
+    about once and TTA is never built; above the cap the checks sample TA.
+    When (i) passes exhaustively the operations are recorded on `a`, and
+    algebra_hom_check then compares homs on them.  The coalgebra side has
+    the same component form: equivalence.moore_law_violations checks the
+    three public-state equations, the laws of very well-behaved lenses
+    (Gibbons and Johnson, Relating algebraic and coalgebraic descriptions
+    of lenses, 2012).
+    """
     cfg = config or a.ctx.config
-    al = a.structure
-    unit = equal_mor(compose(eta(a.ctx, a.carrier), al), identity(a.carrier),
-                     cfg, check="structure.eta=id")
-    assoc = equal_mor(compose(t_mor(a.ctx, al), al),
-                      compose(mu(a.ctx, a.carrier), al),
-                      cfg, check="structure.Tstructure=structure.mu")
-    return combine("algebra-laws", [unit, assoc])
+    ctx, x, al = a.ctx, a.carrier, a.structure
+    update, lookup = _read_operations(a)
+    second, own = _operation_args(ctx, x)
+    subs = [
+        equal_mor(compose(exp_mor(ctx, update), lookup), al, cfg,
+                  check="structure=lookup.(S=>update)"),
+        equal_mor(compose(eta(ctx, x), al), identity(x), cfg,
+                  check="structure.eta=id"),
+        equal_mor(compose(prod_mor(ctx, update), update),
+                  compose(second, update), cfg,
+                  check="update.(Sxupdate)=update.second"),
+        equal_mor(compose(prod_mor(ctx, lookup), update),
+                  compose(own, update), cfg,
+                  check="update.(Sxlookup)=update.own"),
+    ]
+    if subs[0].passed and subs[0].mode == "exhaustive":
+        object.__setattr__(a, "_operations", (update, lookup))
+    return combine("algebra-laws", subs)
+
+
+@lru_cache(maxsize=64)
+def _operation_ranks(ns: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The TA ranks the operations read alpha at, for a carrier of n:
+    the constant computation s |-> (u, a) at each rank u * n + a of
+    S x A, and s |-> (s, g s) at each rank g of S => A."""
+    m1 = ns * n
+    update = tuple(pack([p] * ns, m1) for p in range(m1))
+    lookup = tuple(pack([s * n + d for s, d in enumerate(digits(g, n, ns))],
+                        m1) for g in range(n ** ns))
+    return update, lookup
+
+
+def _read_operations(a: AlgebraStruct) -> tuple[Morphism, Morphism]:
+    """update: S x A -> A and lookup: (S => A) -> A, read off alpha."""
+    ctx, x, al = a.ctx, a.carrier, a.structure
+    update, lookup = _operation_ranks(ctx.ns, x.card)
+    return (Morphism(prod_obj(ctx, x), x, table=al.at(update)),
+            Morphism(exp_obj(ctx, x), x, table=al.at(lookup)))
+
+
+def _operation_args(ctx: StateContext,
+                    x: FinSetObj) -> tuple[Morphism, Morphism]:
+    """second: S x (S x A) -> S x A, (u, (v, a)) |-> (v, a), and
+    own: S x (S => A) -> S x A, (u, g) |-> (u, g u)."""
+    sx, n = prod_obj(ctx, x), x.card
+    ne = n ** ctx.ns
+    ev = eps(ctx, x)
+    return (from_fn(prod_obj(ctx, sx), sx, lambda p: p % sx.card),
+            from_fn(g_obj(ctx, x), sx, lambda p: p // ne * n + ev(p)))
 
 
 def check_coalgebra(c: CoalgebraStruct,
@@ -110,13 +187,31 @@ def algebra_hom_check(f: Morphism, a: AlgebraStruct, c: AlgebraStruct,
     cfg = config or a.ctx.config
     if f.dom != a.carrier or f.cod != c.carrier:
         raise ShapeError("hom candidate must map carrier to carrier")
-    ok = equal_mor(compose(a.structure, f),
-                   compose(t_mor(a.ctx, f), c.structure), cfg).passed
+    if a._operations is not None and c._operations is not None:
+        ok = _preserves_operations(a.ctx, f, a._operations, c._operations,
+                                   cfg)
+    else:
+        ok = equal_mor(compose(a.structure, f),
+                       compose(t_mor(a.ctx, f), c.structure), cfg).passed
     if ok and coretractions is not None:
         abar, cbar = coretractions
         ok = equal_mor(compose(abar, t_mor(a.ctx, f)),
                        compose(f, cbar), cfg).passed
     return ok
+
+
+def _preserves_operations(ctx: StateContext, f: Morphism,
+                          ops_a: tuple[Morphism, Morphism],
+                          ops_c: tuple[Morphism, Morphism],
+                          cfg: CheckConfig) -> bool:
+    """f . update = update . (S x f) on S x A and f . lookup = lookup .
+    (S => f) on S => A.  When both structures satisfy check_algebra's (i),
+    this holds exactly when f . alpha = gamma . Tf, and T f is not built."""
+    (update_a, lookup_a), (update_c, lookup_c) = ops_a, ops_c
+    return (equal_mor(compose(update_a, f),
+                      compose(prod_mor(ctx, f), update_c), cfg).passed
+            and equal_mor(compose(lookup_a, f),
+                          compose(exp_mor(ctx, f), lookup_c), cfg).passed)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +243,7 @@ def make_witness(a: AlgebraStruct, coretraction: Morphism,
     w = ProjectiveWitness(algebra=a, coretraction=coretraction, projector=proj)
     rep = _verify_witness(w, cfg)
     if not rep.passed:
-        raise ValueError(f"witness invariants failed: {rep.to_dict()}")
+        raise LawViolation("witness invariants failed", rep)
     return w
 
 
@@ -199,14 +294,13 @@ def search_sections(a: AlgebraStruct, config: CheckConfig | None = None,
             raise SearchBoundExceeded(
                 f"section search space exceeds {search_bound}")
     ta = t_obj(ctx, a.carrier)
-    # digits[c][s1]: digit s1 of c in TA.  squares[j]: (alpha t, reads)
+    # digit[c][s1]: digit s1 of c in TA.  squares[j]: (alpha t, reads)
     # for each t whose largest read carrier element is j, where reads
     # lists (s1, x, weight of state s) for t's digit (s1, x) at each s.
-    digits = [[c // m1 ** s1 % m1 for s1 in range(ns)]
-              for c in range(ta.card)]
+    digit = [digits(c, m1, ns) for c in range(ta.card)]
     squares = [[] for _ in range(n)]
     for t, v in enumerate(al.table):
-        reads = [(*divmod(digits[t][s], n), m1 ** s) for s in range(ns)]
+        reads = [(*divmod(digit[t][s], n), m1 ** s) for s in range(ns)]
         squares[max([v] + [x for _, x, _ in reads])].append((v, reads))
     out = []
     choice = [0] * n
@@ -217,7 +311,7 @@ def search_sections(a: AlgebraStruct, config: CheckConfig | None = None,
             return
         for c in choices[j]:
             choice[j] = c
-            if all(choice[v] == sum(digits[choice[x]][s1] * w
+            if all(choice[v] == sum(digit[choice[x]][s1] * w
                                     for s1, x, w in reads)
                    for v, reads in squares[j]):
                 extend(j + 1)
@@ -328,7 +422,8 @@ def functor_h_mor(f: Morphism, w1: ProjectiveWitness, w2: ProjectiveWitness,
     ctx = w1.algebra.ctx
     cfg = config or ctx.config
     if not algebra_hom_check(f, w1.algebra, w2.algebra, config=cfg):
-        raise ValueError("not an algebra homomorphism")
+        raise LawViolation("not an algebra homomorphism",
+                           failing("algebra-hom", [{"hom": False}]))
     sf = prod_mor(ctx, f)
     via_cod = compose(sf, w2.projector)
     via_dom = compose(w1.projector, sf)

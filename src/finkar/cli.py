@@ -24,7 +24,8 @@ from .idempotents import (check_split_equalizer_diagram, is_idempotent,
 from .policy import (MealyMachine, MooreMachine, Policy, check_compliance,
                      check_consistency, check_moore, check_policy,
                      mealy_to_moore, moore_to_coalgebra)
-from .report import VerifyReport, combine, erroring, failing, passing
+from .report import (LawViolation, VerifyReport, combine, erroring, failing,
+                     passing)
 from .statemonad import (StateContext, check_adjunction_laws,
                          check_comonad_laws, check_monad_laws, equal_mor,
                          kleisli_resolution, prod_exp_adjunction, prod_obj,
@@ -62,6 +63,7 @@ class SpecFile:
     policies: dict  # name -> machine name
     tasks: list
     state_set: str
+    machine_index: dict = field(default_factory=dict)  # name -> position
 
     def to_json(self) -> str:
         data = {
@@ -106,7 +108,7 @@ def parse_spec(raw: bytes | str) -> SpecFile:
         raise SpecError(_pointer("sets", state_set),
                         "the state set must be nonempty")
 
-    machines = {}
+    machines, machine_index = {}, {}
     for idx, m in enumerate(_objects(data, "machines")):
         ptr = ("machines", idx)
         name = m.get("name")
@@ -120,7 +122,7 @@ def parse_spec(raw: bytes | str) -> SpecFile:
             _validate_moore(ptr, m, sets)
         else:
             raise SpecError(_pointer(*ptr, "kind"), f"unknown kind {kind!r}")
-        machines[name] = m
+        machines[name], machine_index[name] = m, idx
 
     policies = {}
     for idx, p in enumerate(_objects(data, "policies")):
@@ -139,7 +141,8 @@ def parse_spec(raw: bytes | str) -> SpecFile:
     for idx, t in enumerate(tasks):
         _validate_task(idx, t)
     return SpecFile(sets=sets, machines=machines, policies=policies,
-                    tasks=tasks, state_set=state_set)
+                    tasks=tasks, state_set=state_set,
+                    machine_index=machine_index)
 
 
 def _objects(data: dict, key: str) -> list:
@@ -275,12 +278,14 @@ class Env:
     def _machine(self, name: str, kind: str, over: str) -> dict:
         """Machine `name`, which must be of `kind` and have the spec's
         state set under `over`."""
-        m = self.spec.machines[name]
+        if name not in self.spec.machines:
+            raise SpecError(_pointer("machines"), f"unknown machine {name!r}")
+        m, idx = self.spec.machines[name], self.spec.machine_index[name]
         if m.get("kind", "mealy") != kind:
-            raise SpecError(_pointer("machines", name),
+            raise SpecError(_pointer("machines", idx),
                             f"expected a {kind} machine")
         if m[over] != self.spec.state_set:
-            raise SpecError(_pointer("machines", name, over),
+            raise SpecError(_pointer("machines", idx, over),
                             f"must be the state set {self.spec.state_set!r}")
         return m
 
@@ -315,7 +320,7 @@ class Env:
 
     def policy(self, name: str) -> Policy:
         if name not in self.spec.policies:
-            raise SpecError(_pointer("policies", name), "unknown policy")
+            raise SpecError(_pointer("policies"), f"unknown policy {name!r}")
         return Policy(machine=self.mealy(self.spec.policies[name]))
 
 
@@ -344,6 +349,10 @@ def run_command(task: dict, env: Env) -> VerifyReport:
                              witnesses=[{"error": str(exc),
                                          **_jsonable(exc.details)}],
                              details=_jsonable(exc.details))
+    except LawViolation as exc:
+        inner = VerifyReport(check=cmd, status="fail",
+                             witnesses=_violations(exc.report),
+                             sub=[exc.report], details={"reason": str(exc)})
     except (SpecError, ValueError, KeyError) as exc:
         inner = erroring(cmd, str(exc))
     return _apply_expectation(task, inner)
@@ -364,6 +373,13 @@ def _apply_expectation(task: dict, inner: VerifyReport) -> VerifyReport:
         seed=inner.seed, cap=inner.cap,
         witnesses=[] if ok else [{"expected": "fail", "got": inner.status}],
         sub=[inner], details={"expect": "fail"})
+
+
+def _violations(rep: VerifyReport) -> list:
+    """The witnesses of the failing leaf checks under a report."""
+    if not rep.sub:
+        return [{"check": rep.check, **w} for w in rep.witnesses]
+    return [w for r in rep.sub if not r.passed for w in _violations(r)]
 
 
 def _jsonable(value):

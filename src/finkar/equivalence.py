@@ -15,9 +15,9 @@ from .algebras import (AlgebraStruct, CoalgebraStruct, check_algebra,
                        check_coalgebra, consistent_hom_check,
                        karm_object_condition, karm_retraction)
 from .finset import (CheckConfig, FinSetObj, Morphism, ShapeError, compose,
-                     equal_mor, from_fn, identity, inverse, pack)
+                     digits, equal_mor, from_fn, identity, inverse, pack)
 from .idempotents import Splitting, fixed_ranks, split_idempotent
-from .report import VerifyReport, combine, failing, passing
+from .report import LawViolation, VerifyReport, combine, failing, passing
 from .statemonad import (StateContext, eps, eta, exp_mor, exp_obj, g_mor,
                          g_obj, mealy_of_kleisli, prod_mor, prod_obj, t_mor,
                          t_obj, transpose_up)
@@ -144,7 +144,7 @@ def functor_r(c: CoalgebraStruct,
     cfg = config or c.ctx.config
     rep = check_coalgebra(c, cfg)
     if not rep.passed:
-        raise ValueError(f"invalid coalgebra: {rep.to_dict()}")
+        raise LawViolation("invalid coalgebra", rep)
     carrier = exp_obj(c.ctx, c.carrier)
     phi = compose(eps(c.ctx, c.carrier), c.structure)
     k = make_karm_object(c.ctx, carrier, phi, cfg)
@@ -158,9 +158,11 @@ def functor_r_mor(g: Morphism, c1: CoalgebraStruct, c2: CoalgebraStruct,
     """A coalgebra hom g becomes the consistent carrier map S => g."""
     ctx = c1.ctx
     cfg = config or ctx.config
-    if not equal_mor(compose(g, c2.structure),
-                     compose(c1.structure, g_mor(ctx, g)), cfg).passed:
-        raise ValueError("not a coalgebra homomorphism")
+    hom = equal_mor(compose(g, c2.structure),
+                    compose(c1.structure, g_mor(ctx, g)), cfg,
+                    check="coalgebra-hom")
+    if not hom.passed:
+        raise LawViolation("not a coalgebra homomorphism", hom)
     f = exp_mor(ctx, g)
     k1, k2 = functor_r(c1, cfg), functor_r(c2, cfg)
     if not consistent_hom_check(ctx, f, k1.projector, k2.projector, cfg):
@@ -199,7 +201,7 @@ def functor_l(k: KarmObject, config: CheckConfig | None = None,
     if not k.condition.passed and not force:
         violations = moore_law_violations(
             ctx.ns, nb, lambda b: beta[b] // ne,
-            lambda b, t: beta[b] % ne // nb ** t % nb)
+            lambda b, t: digits(beta[b] % ne, nb, ctx.ns)[t])
         details = dict(k.condition.details)
         details["moore_violations"] = violations[:3]
         raise ObjectConditionError(
@@ -303,7 +305,7 @@ def dual_r(a: AlgebraStruct, config: CheckConfig | None = None) -> KarcObject:
     cfg = config or a.ctx.config
     rep = check_algebra(a, cfg)
     if not rep.passed:
-        raise ValueError(f"invalid algebra: {rep.to_dict()}")
+        raise LawViolation("invalid algebra", rep)
     phi = compose(a.structure, eta(a.ctx, a.carrier))
     return make_karc_object(a.ctx, a.carrier, phi, cfg)
 
@@ -316,7 +318,8 @@ def dual_r_mor(f: Morphism, a1: AlgebraStruct, a2: AlgebraStruct,
     ctx = a1.ctx
     cfg = config or ctx.config
     if not algebra_hom_check(f, a1, a2, config=cfg):
-        raise ValueError("not an algebra homomorphism")
+        raise LawViolation("not an algebra homomorphism",
+                           failing("algebra-hom", [{"hom": False}]))
     g = prod_mor(ctx, f)
     k1, k2 = dual_r(a1, cfg), dual_r(a2, cfg)
     if not equal_mor(compose(k1.projector, exp_mor(ctx, g)),
@@ -466,8 +469,7 @@ def nucleus_objects_back(k: KarcObject,
 
     def ev(p):
         st, t = divmod(p, ntc)
-        d = (t // m1 ** st) % m1
-        s1, c1 = divmod(d, c.card)
+        s1, c1 = divmod(digits(t, m1, ctx.ns)[st], c.card)
         return s1 * ntc + eta_c(c1)
 
     proj = from_fn(prod_obj(ctx, carrier), prod_obj(ctx, carrier), ev)

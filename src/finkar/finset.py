@@ -300,6 +300,16 @@ def pack(digits: Iterable[int], base: int) -> int:
     return total
 
 
+def digits(rank: int, base: int, n: int) -> list[int]:
+    """The n little-endian digits of `rank` in `base`, the inverse of
+    `pack`: digit k of an Exp rank is the value at base-rank k."""
+    out = []
+    for _ in range(n):
+        rank, d = divmod(rank, base)
+        out.append(d)
+    return out
+
+
 def inverse(m: Morphism) -> Optional[dict[int, int]]:
     """The value -> rank dict of an injective map, or None when two ranks
     share a value."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from .equivalence import (ObjectConditionError, functor_l, make_karm_object,
                           moore_law_violations)
 from .finset import (CheckConfig, FinSetObj, Morphism, Prod, ShapeError,
-                     compose, envelope_hom_report, equal_mor, pack)
+                     compose, digits, envelope_hom_report, equal_mor, pack)
 from .report import VerifyReport, combine, failing, passing
 from .statemonad import (StateContext, exp_mor, g_obj, prod_mor, prod_obj,
                          t_obj)
@@ -148,11 +148,9 @@ def coalgebra_to_moore(c) -> MooreMachine:
     readout = []
     step = []
     for b in range(nb):
-        v = c.structure(b)
-        st, g = divmod(v, ne)
+        st, g = divmod(c.structure(b), ne)
         readout.append(st)
-        for t in range(ctx.ns):
-            step.append((g // nb ** t) % nb)
+        step += digits(g, nb, ctx.ns)
     return MooreMachine(
         ctx=ctx, state_set=c.carrier,
         readout=Morphism(c.carrier, ctx.state_space, table=readout),

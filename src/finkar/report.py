@@ -46,6 +46,15 @@ class VerifyReport:
         }
 
 
+class LawViolation(ValueError):
+    """A law fails on well-formed input: a verdict, not an input error.
+    `report` is the failing check."""
+
+    def __init__(self, message: str, report: VerifyReport):
+        super().__init__(message)
+        self.report = report
+
+
 def passing(check: str, mode: str = "exhaustive", **details) -> VerifyReport:
     return VerifyReport(check=check, status="pass", mode=mode, details=details)
 

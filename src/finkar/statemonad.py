@@ -20,8 +20,8 @@ from threading import Lock
 from typing import Callable
 
 from .finset import (EAGER_LIMIT, CheckConfig, Exp, FinSetObj, Morphism,
-                     Prod, ShapeError, SeededRng, compose, equal_mor, from_fn,
-                     identity, pack)
+                     Prod, ShapeError, SeededRng, compose, digits, equal_mor,
+                     from_fn, identity, pack)
 from .idempotents import random_morphism
 from .report import VerifyReport, combine
 
@@ -200,12 +200,12 @@ def mu(ctx: StateContext, x: FinSetObj) -> Morphism:
 @_cached
 def eps(ctx: StateContext, x: FinSetObj) -> Morphism:
     """Counit GX -> X: evaluate the function at the carried state."""
-    nx = x.card
-    ne = nx ** ctx.ns
+    ns, nx = ctx.ns, x.card
+    ne = nx ** ns
 
     def ev(p):
         s, g = divmod(p, ne)
-        return (g // nx ** s) % nx
+        return digits(g, nx, ns)[s]
 
     return from_fn(g_obj(ctx, x), x, ev)
 
@@ -242,7 +242,7 @@ def transpose_down(ctx: StateContext, f: Morphism, cod: FinSetObj) -> Morphism:
 
     def ev(p):
         s, a = divmod(p, na)
-        return (f(a) // nb ** s) % nb
+        return digits(f(a), nb, ctx.ns)[s]
 
     return from_fn(prod_obj(ctx, f.dom), cod, ev)
 

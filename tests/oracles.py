@@ -8,8 +8,10 @@ main implementation cannot hide behind itself.
 from functools import lru_cache
 from itertools import product as iproduct
 
-from finkar.finset import Atom, Exp, Morphism, Prod, codec
-from finkar.statemonad import StateContext, g_obj, t_obj
+from finkar.finset import (Atom, Exp, Morphism, Prod, codec, compose,
+                           equal_mor, identity)
+from finkar.report import combine
+from finkar.statemonad import StateContext, eta, g_obj, mu, t_mor, t_obj
 
 
 def oracle_eta_table(ctx: StateContext, x):
@@ -269,3 +271,35 @@ def brute_force_sections(ctx: StateContext, alg: Morphism) -> list[list[int]]:
         if ok:
             out.append(list(choice))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the algebra laws as first stated, on TTA
+
+
+def tta_check_algebra(a, config):
+    """The unit and multiplication laws as stated: alpha . eta = id on A
+    and alpha . T alpha = alpha . mu on TTA, which has (|S| |TA|)^|S|
+    ranks and is sampled above the cap."""
+    ctx, al = a.ctx, a.structure
+    unit = equal_mor(compose(eta(ctx, a.carrier), al), identity(a.carrier),
+                     config, check="structure.eta=id")
+    assoc = equal_mor(compose(t_mor(ctx, al), al),
+                      compose(mu(ctx, a.carrier), al),
+                      config, check="structure.Tstructure=structure.mu")
+    return combine("algebra-laws", [unit, assoc])
+
+
+def tta_law_at_lifted_constants(ctx, carrier, alpha: list, t: int) -> bool:
+    """The multiplication law at one explicit rank of TTA, on structural
+    elements: u = s |-> (s, the constant computation r |-> t(s)), for
+    which mu(u) = t.  A one-entry change of a lawful alpha at t breaks the
+    law there unless t is itself one of the computations u reads."""
+    ta = t_obj(ctx, carrier)
+    c_ta, c_tta = codec(ta), codec(t_obj(ctx, ta))
+    elem = c_ta.unrank(t)
+    u = c_tta.rank(tuple((s, tuple(elem[s] for _ in range(ctx.ns)))
+                         for s in range(ctx.ns)))
+    lhs = alpha[oracle_mu_at(ctx, carrier, u)]
+    rhs = alpha[oracle_t_at(ctx, ta, carrier, alpha.__getitem__, u)]
+    return lhs == rhs

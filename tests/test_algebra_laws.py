@@ -1,0 +1,197 @@
+"""The algebra laws from the lookup/update presentation of state, against
+the laws as first stated on TTA (tests/oracles.py).
+
+Structures are split algebras (`functor_k` on seeded projectors, as in
+the transfer census) and their seeded one-entry mutants.
+"""
+
+import pytest
+
+from finkar.algebras import (AlgebraStruct, algebra_hom_check, check_algebra,
+                             functor_k)
+from finkar.finset import Atom, CheckConfig, Morphism, SeededRng, compose
+from finkar.statemonad import StateContext, exp_mor, prod_obj
+
+from oracles import (oracle_eta_table, tta_check_algebra,
+                     tta_law_at_lifted_constants)
+
+EXHAUSTIVE = CheckConfig(cap=10 ** 8)
+
+
+def _projector(ctx, na, nfix, rng):
+    """A projector on S x A with `nfix` fixed points, the rest retracted
+    onto them at random."""
+    sx = prod_obj(ctx, Atom("A", na))
+    n = sx.card
+    fixed = sorted(rng.shuffled(range(n))[:nfix])
+    return Morphism(sx, sx, table=[k if k in fixed else rng.choice(fixed)
+                                   for k in range(n)])
+
+
+def _split_algebra(ns, na, nfix, seed):
+    ctx = StateContext(Atom("S", ns))
+    phi = _projector(ctx, na, nfix, SeededRng(seed))
+    return functor_k(ctx, phi.dom.right, phi).algebra
+
+
+def _with_structure(a, table):
+    return AlgebraStruct(ctx=a.ctx, carrier=a.carrier,
+                         structure=Morphism(a.structure.dom, a.carrier,
+                                            table=table))
+
+
+def _mutants(a, count, seed):
+    """`count` seeded one-entry mutants: (mutated rank, structure)."""
+    rng = SeededRng(seed)
+    table, n = a.structure.table, a.carrier.card
+    out = []
+    for _ in range(count):
+        t = rng.below(len(table))
+        bad = list(table)
+        bad[t] = (bad[t] + 1 + rng.below(n - 1)) % n
+        out.append((t, _with_structure(a, bad)))
+    return out
+
+
+# (|S|, |A|, fixed points of the projector): carriers 1, 2 and 3 at
+# |S| = 1, and 1, 4 and 9 at |S| = 2 (TTA up to 419,904 ranks)
+CENSUS = [(1, 2, 1), (1, 3, 2), (1, 3, 3), (2, 1, 1), (2, 2, 2), (2, 3, 3)]
+
+
+@pytest.mark.parametrize("ns, na, nfix", CENSUS)
+def test_presentation_agrees_with_the_tta_laws(ns, na, nfix):
+    """On split algebras and their one-entry mutants, the four equations
+    give the TTA verdict, both checked exhaustively."""
+    a = _split_algebra(ns, na, nfix, seed=10 * ns + nfix)
+    assert check_algebra(a).passed
+    assert tta_check_algebra(a, EXHAUSTIVE).passed
+    if a.carrier.card == 1:
+        return  # a one-element carrier has no mutant
+    count = 24 if a.carrier.card < 9 else 6
+    verdicts = []
+    for _, m in _mutants(a, count, seed=ns * 100 + nfix):
+        new = check_algebra(m, EXHAUSTIVE)
+        assert new.mode == "exhaustive"
+        assert new.passed == tta_check_algebra(m, EXHAUSTIVE).passed
+        verdicts.append(new.passed)
+    assert not all(verdicts)
+
+
+def _violating(a, t):
+    """Does a mutant (changed at rank t) show a witness of breaking the
+    laws as stated: the unit law on A, or the multiplication law at the
+    explicit TTA rank over t?"""
+    alpha = a.structure.table
+    unit = oracle_eta_table(a.ctx, a.carrier)
+    return (any(alpha[unit[x]] != x for x in range(a.carrier.card))
+            or not tta_law_at_lifted_constants(a.ctx, a.carrier, alpha, t))
+
+
+def test_three_state_mutants_fail_at_the_default_config():
+    """|S| = 3, carrier 8: |S| |TA| = 41,472 is within the default cap,
+    so the check is exhaustive and catches every violating mutant."""
+    a = _split_algebra(3, 1, 2, seed=3)
+    assert a.carrier.card == 8 and check_algebra(a).passed
+    shown = 0
+    for t, m in _mutants(a, 12, seed=8):
+        rep = check_algebra(m)
+        assert rep.mode == "exhaustive"
+        if _violating(m, t):
+            shown += 1
+            assert not rep.passed, t
+    assert shown >= 10
+
+
+def test_three_state_mutants_on_27_fail_with_the_cap_at_ta():
+    """|S| = 3, carrier 27: TA has 531,441 ranks.  The TTA laws sample
+    10^18 ranks and pass every mutant; with the cap at |TA| the four
+    equations are a proof and fail every one."""
+    a = _split_algebra(3, 1, 3, seed=27)
+    ta = a.structure.dom.card
+    assert a.carrier.card == 27 and ta == 531441
+    proof = CheckConfig(cap=ta)
+    mutants = _mutants(a, 2, seed=27)
+    for t, m in mutants:
+        assert _violating(m, t)
+        assert tta_check_algebra(m, CheckConfig()).passed
+        rep = check_algebra(m, proof)
+        assert rep.mode == "exhaustive" and not rep.passed
+        assert rep.sub[0].witnesses[0]["rank"] == t
+
+
+def _maps(n1, n2):
+    for code in range(n2 ** n1):
+        yield [code // n2 ** k % n2 for k in range(n1)]
+
+
+def _operation_mutant(a, which, p, v):
+    """The structure lookup . (S => update) with one entry of an operation
+    changed.  It may satisfy equation (i) and still not be an algebra."""
+    update, lookup = a._operations
+    ops = [list(update.table), list(lookup.table)]
+    ops[which][p] = v
+    update = Morphism(update.dom, a.carrier, table=ops[0])
+    lookup = Morphism(lookup.dom, a.carrier, table=ops[1])
+    return _with_structure(
+        a, compose(exp_mor(a.ctx, update), lookup).table)
+
+
+def test_hom_routes_agree():
+    """Once both ends carry the operations, algebra_hom_check compares on
+    them; the verdict is the T f route's (taken for structures without
+    them) on every carrier map, between split algebras and between
+    structures that satisfy (i) only."""
+    algs = [_split_algebra(2, 1, 1, seed=1), _split_algebra(2, 2, 2, seed=2),
+            _split_algebra(2, 1, 2, seed=5)]
+    four = algs[1]
+    assert check_algebra(four).passed and four._operations is not None
+    rng = SeededRng(4)
+    mutants = lawless = 0
+    while mutants < 3:
+        which = rng.below(2)
+        size = four._operations[which].dom.card
+        m = _operation_mutant(four, which, rng.below(size), rng.below(4))
+        rep = check_algebra(m)
+        if rep.sub[0].passed:
+            mutants += 1
+            lawless += not rep.passed
+            algs.append(m)
+    assert lawless
+    assert all(a._operations is not None for a in algs)
+    fresh = {id(a): _with_structure(a, a.structure.table) for a in algs}
+    homs = 0
+    for a in algs:
+        for c in algs:
+            for tab in _maps(a.carrier.card, c.carrier.card):
+                f = Morphism(a.carrier, c.carrier, table=tab)
+                new = algebra_hom_check(f, a, c)
+                assert new == algebra_hom_check(f, fresh[id(a)],
+                                                fresh[id(c)])
+                homs += new
+    assert homs and fresh[id(four)]._operations is None
+
+
+def test_operations_recorded_only_after_an_exhaustive_pass():
+    split = _split_algebra(2, 2, 2, seed=2)
+    a = _with_structure(split, split.structure.table)
+    sampled = check_algebra(a, CheckConfig(cap=10))
+    assert sampled.passed and sampled.sub[0].mode == "sampled"
+    assert a._operations is None
+    failed = 0
+    for _, m in _mutants(a, 8, seed=3):
+        if not check_algebra(m).sub[0].passed:
+            failed += 1
+            assert m._operations is None
+    assert failed
+    assert check_algebra(a).passed and a._operations is not None
+    update, lookup = a._operations
+    assert compose(exp_mor(a.ctx, update), lookup).table == a.structure.table
+
+
+def test_check_algebra_reports_the_four_equations():
+    a = _split_algebra(2, 1, 1, seed=1)
+    rep = check_algebra(a)
+    assert [r.check for r in rep.sub] == [
+        "structure=lookup.(S=>update)", "structure.eta=id",
+        "update.(Sxupdate)=update.second", "update.(Sxlookup)=update.own"]
+    assert [r.details["domain"] for r in rep.sub] == [4, 1, 4, 2]

@@ -12,6 +12,7 @@ from finkar.algebras import (AlgebraStruct, CoalgebraStruct,
 from finkar.finset import (Atom, Morphism, SeededRng, compose, equal_mor,
                            identity)
 from finkar.idempotents import karoubi_hom_check, random_idempotent
+from finkar.report import LawViolation
 from finkar.statemonad import (eps, eta, exp_mor, exp_obj, g_obj, mu,
                                prod_mor, prod_obj, t_mor, t_obj)
 
@@ -175,6 +176,16 @@ def test_construct_coretraction_free_case(ctx2):
     w = construct_coretraction(fa, (x, identity(fa.carrier),
                                     identity(fa.carrier)))
     assert w.coretraction.table == t_mor(ctx2, eta(ctx2, x)).table
+
+
+def test_make_witness_rejects_a_non_hom_section_with_its_report(ctx2):
+    """eta at TX is a section of mu but not an algebra hom: a law
+    violation that carries the failing witness report."""
+    fa = free_algebra(ctx2, Atom("X", 1))
+    with pytest.raises(LawViolation) as exc:
+        make_witness(fa, eta(ctx2, fa.carrier))
+    assert exc.value.report.check == "projective-witness"
+    assert {"failing_sub": "section-is-hom"} in exc.value.report.witnesses
 
 
 def test_construct_coretraction_rejects_bad_retract(ctx2):

@@ -53,8 +53,11 @@ def test_functor_r_rejects_lawless(ctx2):
     b = Atom("B", 2)
     bad = Morphism(b, g_obj(ctx2, b), table=[0, 0])
     from finkar.algebras import CoalgebraStruct
-    with pytest.raises(ValueError):
+    from finkar.report import LawViolation
+    with pytest.raises(LawViolation) as exc:
         functor_r(CoalgebraStruct(ctx=ctx2, carrier=b, structure=bad))
+    assert exc.value.report.check == "coalgebra-laws"
+    assert not exc.value.report.passed
 
 
 def test_functor_r_mor_endo_homs_of_fixture(ctx2, e1_moore):

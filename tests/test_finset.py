@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from finkar.finset import (BLOCK, EAGER_LIMIT, KEEP_DRAWS, Atom,
                            CheckConfig, Exp, Morphism, Prod, ShapeError,
-                           SeededRng, codec, compose, envelope_hom_report,
-                           equal_mor, fibers, from_fn, identity, image_factor,
-                           inverse, pack, splitmix64)
+                           SeededRng, codec, compose, digits,
+                           envelope_hom_report, equal_mor, fibers, from_fn,
+                           identity, image_factor, inverse, pack, splitmix64)
 
 
 def small_objects():
@@ -291,6 +291,22 @@ def test_pack_is_the_exp_rank(base, target):
         assert pack([ct.rank(v) for v in elem], target.card) == k
         assert pack((ct.rank(v) for v in elem), target.card) == k
     assert pack([], 7) == 0
+
+
+@pytest.mark.parametrize("base, target", [
+    (Atom("S", 1), Atom("X", 5)), (Atom("S", 2), Atom("X", 3)),
+    (Atom("S", 3), Atom("X", 2)), (Atom("S", 4), Atom("X", 1)),
+    (Atom("S", 2), Prod(Atom("S", 2), Atom("X", 2)))])
+def test_digits_are_the_exp_unrank(base, target):
+    """digits of a rank are the value ranks of the codec's function
+    element, and pack undoes them, at every element of the exponential."""
+    exp = Exp(base, target)
+    c, ct = codec(exp), codec(target)
+    for k in range(exp.card):
+        ds = digits(k, target.card, base.card)
+        assert ds == [ct.rank(v) for v in c.unrank(k)]
+        assert pack(ds, target.card) == k
+    assert digits(0, 7, 0) == []
 
 
 def test_inverse_and_fibers_on_an_injective_map():

@@ -321,7 +321,11 @@ class Env:
     def policy(self, name: str) -> Policy:
         if name not in self.spec.policies:
             raise SpecError(_pointer("policies"), f"unknown policy {name!r}")
-        return Policy(machine=self.mealy(self.spec.policies[name]))
+        try:
+            return Policy(machine=self.mealy(self.spec.policies[name]))
+        except LawViolation as exc:
+            where = _pointer("policies", list(self.spec.policies).index(name))
+            raise LawViolation(f"{where}: {exc}", exc.report) from None
 
 
 def _mealy_entries(spec: SpecFile, m: dict):

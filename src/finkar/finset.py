@@ -185,6 +185,13 @@ class Morphism:
 
     A lazy map evaluates blocks of ranks: `fn` is applied rank by rank, and
     `Morphism.lazy` takes an evaluator of whole blocks.
+
+    A table passed in is copied and range-checked.  The one exception is a
+    gather that `compose` reads from a checked table: it arrives wrapped in
+    `_Checked`, which only this module makes, and is adopted as it is.  A
+    map built from a table has no evaluator (`_at` is None), so its table is
+    a checked one; a table materialized from `fn` or a lazy evaluator is
+    not.
     """
 
     __slots__ = ("dom", "cod", "_table", "_at")
@@ -197,7 +204,9 @@ class Morphism:
         self.dom = dom
         self.cod = cod
         self._at = None if fn is None else partial(_each, fn)
-        if table is not None:
+        if type(table) is _Checked:
+            table = table.values
+        elif table is not None:
             table = list(table)
             if len(table) != dom.card:
                 raise ShapeError(
@@ -258,6 +267,15 @@ class Morphism:
         return f"Morphism({self.dom!r}->{self.cod!r}, card {self.dom.card})"
 
 
+class _Checked:
+    """A fresh table whose entries are known to lie in the codomain."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: list[int]):
+        self.values = values
+
+
 def _each(fn: Callable[[int], int], ranks: Sequence[int]) -> list[int]:
     return list(map(fn, ranks))
 
@@ -271,13 +289,17 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     """f followed by g (so the classical g after f).
 
     Within EAGER_LIMIT the result is a gather: g read at every entry of f's
-    table.  Above it the result is lazy and reads a block as g at f's
+    table.  The gather is adopted without a range check when g's table is a
+    checked one; from a lazy g it is checked like any table passed in.
+    Above EAGER_LIMIT the result is lazy and reads a block as g at f's
     values on it.
     """
     if f.cod != g.dom:
         raise ShapeError(f"cannot compose: cod {f.cod!r} != dom {g.dom!r}")
     if f.dom.card <= EAGER_LIMIT:
-        return Morphism(f.dom, g.cod, table=g.at(f.table))
+        values = g.at(f.table)
+        return Morphism(f.dom, g.cod,
+                        table=values if g._at is not None else _Checked(values))
     return Morphism.lazy(f.dom, g.cod, lambda ks: g.at(f.at(ks)))
 
 
@@ -415,7 +437,8 @@ def equal_mor(f: Morphism, g: Morphism,
                               for lo in range(0, n, BLOCK)))
     else:
         mode, details = "exhaustive", {"domain": n}
-        blocks = ((range(n), f.table, g.table),)
+        ft, gt = f.table, g.table
+        blocks = ((range(n), ft, gt),) if ft != gt else ()
     witnesses = []
     for ks, a, b in blocks:
         for j in compress(count(), map(ne, a, b)):
@@ -477,12 +500,30 @@ def envelope_hom_report(f: Morphism, phi: Morphism, psi: Morphism,
     between the two routes is reported as its own failure."""
     if phi.dom != f.dom or psi.dom != f.cod:
         raise ShapeError("projectors must sit on dom(f) and cod(f)")
-    sandwich = equal_mor(compose(compose(phi, f), psi), f, config,
-                         check="sandwich")
-    post = equal_mor(compose(f, psi), f, config, check="post-policy-absorbed")
-    pre = equal_mor(compose(phi, f), f, config, check="pre-policy-absorbed")
+    post, pre, sandwich = _envelope_equations(
+        f, compose(phi, f), compose(f, psi), psi, config)
     pair = post.passed and pre.passed
     agreement = (passing("sandwich-iff-pair") if sandwich.passed == pair else
                  failing("sandwich-iff-pair",
                          [{"sandwich": sandwich.passed, "pair": pair}]))
     return combine("compliance", [sandwich, post, pre, agreement])
+
+
+def envelope_holds(f: Morphism, phi_f: Morphism, f_psi: Morphism,
+                   psi: Morphism, config: CheckConfig = CheckConfig()) -> bool:
+    """Whether `envelope_hom_report` passes, read off the composites
+    phi . f and f . psi a caller already holds; no equation after the first
+    failing one is evaluated.  The report's fourth check, that the sandwich
+    and the pair agree, holds when all three equations do."""
+    return all(r.passed for r in
+               _envelope_equations(f, phi_f, f_psi, psi, config))
+
+
+def _envelope_equations(f: Morphism, phi_f: Morphism, f_psi: Morphism,
+                        psi: Morphism,
+                        config: CheckConfig) -> Iterator[VerifyReport]:
+    """The envelope-hom equations of f from its composites with the
+    projectors, one at a time: post, pre, then the sandwich."""
+    yield equal_mor(f_psi, f, config, check="post-policy-absorbed")
+    yield equal_mor(phi_f, f, config, check="pre-policy-absorbed")
+    yield equal_mor(compose(phi_f, psi), f, config, check="sandwich")

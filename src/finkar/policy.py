@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 from .equivalence import (ObjectConditionError, functor_l, make_karm_object,
                           moore_law_violations)
 from .finset import (CheckConfig, FinSetObj, Morphism, Prod, ShapeError,
-                     compose, digits, envelope_hom_report, equal_mor, pack)
-from .report import VerifyReport, combine, failing, passing
+                     compose, digits, envelope_hom_report, envelope_holds,
+                     equal_mor, pack)
+from .report import LawViolation, VerifyReport, combine, failing, passing
 from .statemonad import (StateContext, exp_mor, g_obj, prod_mor, prod_obj,
                          t_obj)
 
@@ -81,7 +82,7 @@ class Policy:
             raise ShapeError("a policy needs matching input and output sets")
         rep = check_policy(self.machine)
         if not rep.passed:
-            raise ValueError(f"policy map is not idempotent: {rep.to_dict()}")
+            raise LawViolation("policy map is not idempotent", rep)
 
     @property
     def mapping(self) -> Morphism:
@@ -186,15 +187,15 @@ def check_consistency(f: MealyMachine, phi: Policy, psi: Policy,
                       config: CheckConfig | None = None) -> VerifyReport:
     """Interchange equation psi . f = f . phi.
 
-    Also evaluates compliance and records that compliance forces this
-    equation on the instance."""
+    Also evaluates compliance, from the same two composites, and records
+    that compliance forces this equation on the instance."""
     cfg = config or f.ctx.config
     if phi.alphabet != f.in_set or psi.alphabet != f.out_set:
         raise ShapeError("policies must sit on the machine's alphabets")
-    inter = equal_mor(compose(f.mapping, psi.mapping),
-                      compose(phi.mapping, f.mapping), cfg,
-                      check="interchange")
-    compliant = check_compliance(f, phi, psi, cfg).passed
+    f_psi = compose(f.mapping, psi.mapping)
+    phi_f = compose(phi.mapping, f.mapping)
+    inter = equal_mor(f_psi, phi_f, cfg, check="interchange")
+    compliant = envelope_holds(f.mapping, phi_f, f_psi, psi.mapping, cfg)
     implied = (not compliant) or inter.passed
     implication = (passing("compliance-implies-consistency",
                            compliant=compliant)

@@ -10,7 +10,7 @@ from itertools import product as iproduct
 
 from finkar.finset import (Atom, Exp, Morphism, Prod, codec, compose,
                            equal_mor, identity)
-from finkar.report import combine
+from finkar.report import combine, failing, passing
 from finkar.statemonad import StateContext, eta, g_obj, mu, t_mor, t_obj
 
 
@@ -303,3 +303,45 @@ def tta_law_at_lifted_constants(ctx, carrier, alpha: list, t: int) -> bool:
     lhs = alpha[oracle_mu_at(ctx, carrier, u)]
     rhs = alpha[oracle_t_at(ctx, ta, carrier, alpha.__getitem__, u)]
     return lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# compliance and consistency as first written: each composite built where
+# it is used, and compliance recomputed in full inside consistency
+
+
+def _gather(f: Morphism, g: Morphism) -> Morphism:
+    """f followed by g, read entry by entry into a checked table."""
+    gt = g.table
+    return Morphism(f.dom, g.cod, table=[gt[v] for v in f.table])
+
+
+def oracle_envelope_hom_report(f, phi, psi, config):
+    sandwich = equal_mor(_gather(_gather(phi, f), psi), f, config,
+                         check="sandwich")
+    post = equal_mor(_gather(f, psi), f, config, check="post-policy-absorbed")
+    pre = equal_mor(_gather(phi, f), f, config, check="pre-policy-absorbed")
+    pair = post.passed and pre.passed
+    agreement = (passing("sandwich-iff-pair") if sandwich.passed == pair else
+                 failing("sandwich-iff-pair",
+                         [{"sandwich": sandwich.passed, "pair": pair}]))
+    return combine("compliance", [sandwich, post, pre, agreement])
+
+
+def oracle_check_compliance(f, phi, psi, config):
+    return oracle_envelope_hom_report(f.mapping, phi.mapping, psi.mapping,
+                                      config)
+
+
+def oracle_check_consistency(f, phi, psi, config):
+    inter = equal_mor(_gather(f.mapping, psi.mapping),
+                      _gather(phi.mapping, f.mapping), config,
+                      check="interchange")
+    compliant = oracle_check_compliance(f, phi, psi, config).passed
+    implied = (not compliant) or inter.passed
+    implication = (passing("compliance-implies-consistency",
+                           compliant=compliant)
+                   if implied else
+                   failing("compliance-implies-consistency",
+                           [{"compliant": True, "consistent": False}]))
+    return combine("consistency", [inter, implication], compliant=compliant)

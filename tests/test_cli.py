@@ -243,6 +243,36 @@ def test_broken_law_on_valid_input_is_a_fail():
         "eps.structure=id", "Gstructure.structure=nu.structure"}
 
 
+def test_non_idempotent_policy_is_a_fail(tmp_path, capsys):
+    """A declared policy whose machine cycles (s0,a0) -> (s0,a1) ->
+    (s1,a0) -> (s1,a1) -> (s0,a0) is well-formed input that breaks
+    idempotence: a failing verdict pointing at the policy, whose witnesses
+    are the idempotence violations."""
+    cycle = {"name": "cycle", "kind": "mealy", "stateSet": "S", "inSet": "A",
+             "outSet": "A",
+             "map": [[["s0", "a0"], ["s0", "a1"]], [["s0", "a1"], ["s1", "a0"]],
+                     [["s1", "a0"], ["s1", "a1"]], [["s1", "a1"], ["s0", "a0"]]]}
+    doc = dict(MINIMAL, machines=MINIMAL["machines"] + [cycle],
+               policies=MINIMAL["policies"] + [{"name": "cycle",
+                                                "machine": "cycle"}],
+               tasks=[{"command": "policy-check", "machine": "id",
+                       "inPolicy": "id", "outPolicy": "cycle"}])
+    spec = parse_spec(json.dumps(doc))
+    rep = run_command(spec.tasks[0], _env(spec))
+    inner = rep.sub[0]
+    assert rep.status == inner.status == "fail"
+    assert inner.details == {
+        "reason": "/policies/1: policy map is not idempotent"}
+    assert [r.check for r in inner.sub] == ["policy-idempotent"]
+    assert inner.witnesses[0] == {"check": "policy-idempotent", "rank": 0,
+                                  "lhs": 2, "rhs": 1}
+    assert len(inner.witnesses) == 3
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(doc))
+    assert main(["policy-check", str(path)]) == 1
+    assert "=> FAIL" in capsys.readouterr().err
+
+
 def test_machines_must_run_over_the_state_set(tmp_path):
     """A mealy machine over another state set, or a moore machine over
     another alphabet, is an error report (exit 1), not an IndexError."""
@@ -296,6 +326,20 @@ def test_verify_all_report_bytes_are_golden(tmp_path, fixture, seed):
     out = tmp_path / "report.json"
     assert main(["verify-all", str(FIXTURES / fixture), "--seed", str(seed),
                  "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_REPORTS[fixture, seed]
+
+
+@pytest.mark.parametrize("fixture,seed", sorted(GOLDEN_REPORTS))
+def test_golden_reports_hold_under_python_O(tmp_path, fixture, seed):
+    """`python -O` strips every `assert`, so no check may rest on one: the
+    report bytes are the golden ones there too."""
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "finkar.cli", "verify-all",
+         str(FIXTURES / fixture), "--seed", str(seed), "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == GOLDEN_REPORTS[fixture, seed]
 

@@ -9,6 +9,7 @@ from finkar.finset import (BLOCK, EAGER_LIMIT, KEEP_DRAWS, Atom,
                            SeededRng, codec, compose, digits,
                            envelope_hom_report, equal_mor, fibers, from_fn,
                            identity, image_factor, inverse, pack, splitmix64)
+from finkar.report import VerifyReport
 
 
 def small_objects():
@@ -131,6 +132,80 @@ def test_table_validation_names_first_offending_index():
     lazy_b = Morphism(a, b, fn=lambda k: k)
     with pytest.raises(ShapeError, match=r"entry 5 at 1 "):
         compose(Morphism(b, a, table=[0, 5, 1]), lazy_b)
+
+
+def test_gathers_from_materialized_lazy_maps_are_range_checked():
+    """A table materialized from `fn` is not a checked one: a gather from
+    it is range-checked, as one from the unmaterialized map is, and the
+    error names the first offending index of the composite."""
+    a, b = Atom("A", 6), Atom("B", 3)
+    first = Morphism(b, a, table=[2, 0, 2])
+    bad = Morphism(a, b, fn=lambda k: k - 2)
+    assert bad.table == [-2, -1, 0, 1, 2, 3]
+    with pytest.raises(ShapeError, match=r"entry -2 at 1 not in \[0,3\)"):
+        compose(first, bad)
+    ok = Morphism(a, b, fn=lambda k: k % 3)
+    assert ok.table and compose(first, ok).table == [2, 0, 2]
+
+
+def test_tables_passed_in_are_copied():
+    a = Atom("A", 3)
+    values = [0, 1, 2]
+    m = Morphism(a, a, table=values)
+    values[0] = 2
+    assert m.table == [0, 1, 2] and m(0) == 0
+    assert compose(m, m).table == [0, 1, 2]
+
+
+def test_every_gather_is_built_through_init(monkeypatch):
+    """Trusted gathers skip the copy and the range scan, not
+    `Morphism.__init__`: a hook on it still sees every table compose
+    builds within EAGER_LIMIT, and no lazy composite above it."""
+    seen = []
+    init = Morphism.__init__
+
+    def counting(self, dom, cod, table=None, fn=None):
+        init(self, dom, cod, table=table, fn=fn)
+        seen.append(self)
+
+    rng = SeededRng(3)
+    x = Atom("X", 5)
+    maps = [Morphism(x, x, table=[rng.below(5) for _ in range(5)])
+            for _ in range(6)]
+    big = Atom("Y", EAGER_LIMIT + 1)
+    flip = from_fn(big, big, lambda k: EAGER_LIMIT - k)
+    reverse = Morphism(x, x, fn=lambda k: 4 - k)
+    monkeypatch.setattr(Morphism, "__init__", counting)
+    built = [compose(f, g) for f in maps for g in maps]
+    built.append(compose(built[0], reverse))
+    assert seen == built
+    assert compose(flip, flip).is_lazy and len(seen) == len(built)
+    assert [m.table for m in built[:6]] == [
+        [g.table[v] for v in maps[0].table] for g in maps]
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_equal_mor_reports_same_with_and_without_matching_tables(n):
+    """Identical tables skip the mismatch scan.  With or without matching
+    tables the report is the one a plain scan gives: the first three
+    mismatches in rank order, with both values."""
+    rng = SeededRng(n)
+    x, y = Atom("X", n), Atom("Y", 4)
+    ft = [rng.below(4) for _ in range(n)]
+    f = Morphism(x, y, table=ft)
+    for flips in ([], [0], [n - 1], list(range(0, n, 2))):
+        gt = list(ft)
+        for k in flips:
+            gt[k] = (gt[k] + 1) % 4
+        witnesses = [{"rank": k, "lhs": a, "rhs": b}
+                     for k, (a, b) in enumerate(zip(ft, gt)) if a != b][:3]
+        scanned = VerifyReport(
+            check="c", status="fail" if witnesses else "pass",
+            cap=CheckConfig().cap, witnesses=witnesses,
+            details={"domain": n})
+        rep = equal_mor(f, Morphism(x, y, table=gt), check="c")
+        assert rep.to_dict() == scanned.to_dict()
+        assert len(rep.witnesses) == min(len(flips), 3)
 
 
 def test_eager_limit_decides_table_or_lazy():

@@ -3,11 +3,12 @@ from itertools import product
 
 import pytest
 
+from finkar import policy as policy_module
 from finkar.cli import main
 from finkar.equivalence import (ObjectConditionError, functor_l, functor_r,
                                 make_karm_object, moore_law_violations)
-from finkar.finset import (Atom, Morphism, Prod, SeededRng, ShapeError,
-                           compose, identity)
+from finkar.finset import (Atom, CheckConfig, Morphism, Prod, SeededRng,
+                           ShapeError, compose, identity)
 from finkar.idempotents import random_idempotent, random_morphism
 from finkar.policy import (MealyMachine, MooreMachine, Policy,
                            check_compliance, check_consistency, check_moore,
@@ -15,9 +16,11 @@ from finkar.policy import (MealyMachine, MooreMachine, Policy,
                            mealy_from_components, mealy_to_moore,
                            moore_to_coalgebra, stateful_policy_check,
                            stateless_consistency)
-from finkar.statemonad import exp_mor, prod_mor, prod_obj, t_obj
+from finkar.statemonad import (StateContext, exp_mor, prod_mor, prod_obj,
+                               t_obj)
 
-from oracles import brute_force_moore_machines, naive_moore_tables
+from oracles import (brute_force_moore_machines, naive_moore_tables,
+                     oracle_check_compliance, oracle_check_consistency)
 
 
 def _mealy(ctx, na, nb, table, labels=("A", "A")):
@@ -117,6 +120,69 @@ def test_compliance_implies_consistency_seeded(ctx2):
             assert cons.passed
         trials += 1
     assert trials == 400 and compliant >= 100
+
+
+def _policy_triples(seed, count):
+    """Seeded (f, phi, psi) with |S|, |A|, |B| <= 3.  f is drawn at random,
+    or built so that one of the envelope equations holds by construction:
+    f = g . psi keeps psi . f = f, f = phi . g keeps f . phi = f, and
+    phi . g . psi keeps both."""
+    rng = SeededRng(seed)
+    for k in range(count):
+        ctx = StateContext(Atom("S", 1 + rng.below(3)))
+        a, b = Atom("A", 1 + rng.below(3)), Atom("B", 1 + rng.below(3))
+        sa, sb = prod_obj(ctx, a), prod_obj(ctx, b)
+        phi = Policy(machine=MealyMachine(
+            ctx=ctx, in_set=a, out_set=a, mapping=random_idempotent(sa, rng)))
+        psi = Policy(machine=MealyMachine(
+            ctx=ctx, in_set=b, out_set=b, mapping=random_idempotent(sb, rng)))
+        raw = random_morphism(sa, sb, rng)
+        if k % 4 in (1, 3):
+            raw = compose(raw, psi.mapping)
+        if k % 4 in (2, 3):
+            raw = compose(phi.mapping, raw)
+        yield MealyMachine(ctx=ctx, in_set=a, out_set=b, mapping=raw), phi, psi
+
+
+@pytest.mark.parametrize("config", [
+    CheckConfig(seed=7), CheckConfig(cap=0, samples=3, seed=11)],
+    ids=["exhaustive", "sampled"])
+def test_compliance_and_consistency_match_the_recomputing_oracles(
+        monkeypatch, config):
+    """Compliance, consistency and stateless consistency report the same
+    bytes as the versions that build every composite where they use it and
+    recompute compliance inside consistency, and consistency's `compliant`
+    detail is the compliance verdict.  The sampled config reads 3 ranks of
+    a domain of up to 9, so sampled passes over failing maps occur too."""
+    failing_equations = set()
+    for f, phi, psi in _policy_triples(2024, 400):
+        comp = check_compliance(f, phi, psi, config)
+        cons = check_consistency(f, phi, psi, config)
+        assert comp.to_dict() == \
+            oracle_check_compliance(f, phi, psi, config).to_dict()
+        assert cons.to_dict() == \
+            oracle_check_consistency(f, phi, psi, config).to_dict()
+        assert cons.details["compliant"] == comp.passed
+        failing_equations.add(tuple(r.check for r in comp.sub[1:3]
+                                    if not r.passed))
+    assert failing_equations == {
+        (), ("post-policy-absorbed",), ("pre-policy-absorbed",),
+        ("post-policy-absorbed", "pre-policy-absorbed")}
+
+    def stateless_reports():
+        rng = SeededRng(31)
+        return [stateless_consistency(
+                    random_morphism(phi.alphabet, psi.alphabet, rng), phi,
+                    psi, config).to_dict() if k % 2 else
+                stateless_consistency(identity(phi.alphabet), phi, phi,
+                                      config).to_dict()
+                for k, (_, phi, psi) in enumerate(_policy_triples(77, 120))]
+
+    reports = stateless_reports()
+    monkeypatch.setattr(policy_module, "check_consistency",
+                        oracle_check_consistency)
+    assert reports == stateless_reports()
+    assert {r["status"] for r in reports} == {"pass", "fail"}
 
 
 def test_stateless_consistency(ctx2):

@@ -14,13 +14,13 @@ from typing import Optional
 
 from .finset import (CheckConfig, FinSetObj, Morphism, ShapeError,
                      compose, digits, equal_mor, fibers, from_fn, identity,
-                     inverse, pack)
+                     inverse, lift, pack)
 from .idempotents import Splitting, karoubi_hom_check, split_idempotent
 from .report import (LawViolation, VerifyReport, combine, failing,
                      passing)
 from .statemonad import (StateContext, eta, exp_mor, exp_obj, g_mor, g_obj,
-                         eps, mealy_of_kleisli, mu, nu, prod_mor, prod_obj,
-                         t_mor, t_obj, transpose_up)
+                         eps, kleisli_of_mealy, mealy_of_kleisli, mu, nu,
+                         prod_mor, prod_obj, t_mor, t_obj, transpose_up)
 
 
 class SearchBoundExceeded(RuntimeError):
@@ -31,8 +31,11 @@ class SearchBoundExceeded(RuntimeError):
 class AlgebraStruct:
     """A carrier A with a structure map TA -> A (laws checked, not assumed).
 
-    `check_algebra` records the operations (update, lookup) here once it
-    has proved, exhaustively, that the structure is determined by them."""
+    The operations (update, lookup) are recorded here when the structure
+    is known to be determined by them: `check_algebra` records them once
+    it has proved that exhaustively, and `free_algebra` records the free
+    algebra's closed forms.  `algebra_hom_check` compares on them when both
+    ends carry them."""
 
     ctx: StateContext
     carrier: FinSetObj
@@ -108,7 +111,7 @@ def check_algebra(a: AlgebraStruct,
     cfg = config or a.ctx.config
     ctx, x, al = a.ctx, a.carrier, a.structure
     update, lookup = _read_operations(a)
-    second, own = _operation_args(ctx, x)
+    second, own = _operation_args(ctx.state_space, x)
     subs = [
         equal_mor(compose(exp_mor(ctx, update), lookup), al, cfg,
                   check="structure=lookup.(S=>update)"),
@@ -127,29 +130,33 @@ def check_algebra(a: AlgebraStruct,
 
 
 @lru_cache(maxsize=64)
-def _operation_ranks(ns: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """The TA ranks the operations read alpha at, for a carrier of n:
-    the constant computation s |-> (u, a) at each rank u * n + a of
-    S x A, and s |-> (s, g s) at each rank g of S => A."""
+def _operation_ranks(s: FinSetObj, x: FinSetObj) -> tuple[Morphism, Morphism]:
+    """Where the operations read alpha, for a carrier x: S x A -> TA sends
+    (u, a) to the constant computation s |-> (u, a), and S => A -> TA sends
+    g to s |-> (s, g s)."""
+    ctx = StateContext(s)
+    ns, n = ctx.ns, x.card
     m1 = ns * n
-    update = tuple(pack([p] * ns, m1) for p in range(m1))
-    lookup = tuple(pack([s * n + d for s, d in enumerate(digits(g, n, ns))],
-                        m1) for g in range(n ** ns))
-    return update, lookup
+    w = pack([1] * ns, m1)  # s |-> p has rank p * w
+    ta = t_obj(ctx, x)
+    return (Morphism(prod_obj(ctx, x), ta, table=range(0, m1 * w, w)),
+            Morphism(exp_obj(ctx, x), ta, table=[
+                pack([u * n + d for u, d in enumerate(digits(g, n, ns))], m1)
+                for g in range(n ** ns)]))
 
 
 def _read_operations(a: AlgebraStruct) -> tuple[Morphism, Morphism]:
     """update: S x A -> A and lookup: (S => A) -> A, read off alpha."""
-    ctx, x, al = a.ctx, a.carrier, a.structure
-    update, lookup = _operation_ranks(ctx.ns, x.card)
-    return (Morphism(prod_obj(ctx, x), x, table=al.at(update)),
-            Morphism(exp_obj(ctx, x), x, table=al.at(lookup)))
+    update, lookup = _operation_ranks(a.ctx.state_space, a.carrier)
+    return compose(update, a.structure), compose(lookup, a.structure)
 
 
-def _operation_args(ctx: StateContext,
+@lru_cache(maxsize=64)
+def _operation_args(s: FinSetObj,
                     x: FinSetObj) -> tuple[Morphism, Morphism]:
     """second: S x (S x A) -> S x A, (u, (v, a)) |-> (v, a), and
     own: S x (S => A) -> S x A, (u, g) |-> (u, g u)."""
+    ctx = StateContext(s)
     sx, n = prod_obj(ctx, x), x.card
     ne = n ** ctx.ns
     ev = eps(ctx, x)
@@ -171,8 +178,38 @@ def check_coalgebra(c: CoalgebraStruct,
 
 
 def free_algebra(ctx: StateContext, x: FinSetObj) -> AlgebraStruct:
-    """The free algebra on x: carrier TX with the multiplication."""
-    return AlgebraStruct(ctx=ctx, carrier=t_obj(ctx, x), structure=mu(ctx, x))
+    """The free algebra on x: carrier TX with the multiplication, and its
+    operations recorded in closed form: update_u(t) = s |-> t(u) and
+    lookup(g) = s |-> g(s)(s)."""
+    a = AlgebraStruct(ctx=ctx, carrier=t_obj(ctx, x), structure=mu(ctx, x))
+    object.__setattr__(a, "_operations",
+                       _free_operations(ctx.state_space, x))
+    return a
+
+
+@lru_cache(maxsize=16)
+def _free_operations(s: FinSetObj,
+                     x: FinSetObj) -> tuple[Morphism, Morphism]:
+    """The free algebra's operations, once per (state space, x).  update:
+    S x TX -> TX is run (the counit at S x X) followed by the constant
+    computation, a table of |S| |TX| entries.  lookup: (S => TX) -> TX
+    takes digit u of g's value at each state u; S => TX has |TX|^|S| ranks
+    (27M at |S| = 2 on 36 elements), so lookup is a block evaluator, read
+    only where a check gathers it."""
+    ctx = StateContext(s)
+    sx, tx = prod_obj(ctx, x), t_obj(ctx, x)
+    constant, _ = _operation_ranks(s, x)
+    ns, m1 = ctx.ns, sx.card
+
+    def lookup(gs):
+        out = [g % m1 for g in gs]
+        for u in range(1, ns):
+            p, w = m1 ** (u * ns + u), m1 ** u
+            out = [o + g // p % m1 * w for o, g in zip(out, gs)]
+        return out
+
+    return (compose(eps(ctx, sx), constant),
+            Morphism.lazy(exp_obj(ctx, tx), tx, lookup))
 
 
 def algebra_hom_check(f: Morphism, a: AlgebraStruct, c: AlgebraStruct,
@@ -182,36 +219,40 @@ def algebra_hom_check(f: Morphism, a: AlgebraStruct, c: AlgebraStruct,
 
     With `coretractions` = (abar, cbar) the section-preservation square
     Tf . abar = cbar . f is required as well (the hom-sets of the
-    section-carrying presentation).
+    section-carrying presentation).  Its left side is read through the
+    machine form, as the transpose of (S x f) after the transpose of abar,
+    so T f is not built.
     """
     cfg = config or a.ctx.config
     if f.dom != a.carrier or f.cod != c.carrier:
         raise ShapeError("hom candidate must map carrier to carrier")
     if a._operations is not None and c._operations is not None:
-        ok = _preserves_operations(a.ctx, f, a._operations, c._operations,
-                                   cfg)
+        ok = _preserves_operations(f, a._operations, c._operations, cfg)
     else:
         ok = equal_mor(compose(a.structure, f),
                        compose(t_mor(a.ctx, f), c.structure), cfg).passed
     if ok and coretractions is not None:
-        abar, cbar = coretractions
-        ok = equal_mor(compose(abar, t_mor(a.ctx, f)),
-                       compose(f, cbar), cfg).passed
+        ctx, (abar, cbar) = a.ctx, coretractions
+        tf_abar = kleisli_of_mealy(
+            ctx, compose(mealy_of_kleisli(ctx, abar), prod_mor(ctx, f)))
+        ok = equal_mor(tf_abar, compose(f, cbar), cfg).passed
     return ok
 
 
-def _preserves_operations(ctx: StateContext, f: Morphism,
-                          ops_a: tuple[Morphism, Morphism],
+def _preserves_operations(f: Morphism, ops_a: tuple[Morphism, Morphism],
                           ops_c: tuple[Morphism, Morphism],
                           cfg: CheckConfig) -> bool:
     """f . update = update . (S x f) on S x A and f . lookup = lookup .
-    (S => f) on S => A.  When both structures satisfy check_algebra's (i),
+    (S => f) on S => A, with S x f and S => f lifted between the domains
+    of the operations.  When both structures satisfy check_algebra's (i),
     this holds exactly when f . alpha = gamma . Tf, and T f is not built."""
     (update_a, lookup_a), (update_c, lookup_c) = ops_a, ops_c
     return (equal_mor(compose(update_a, f),
-                      compose(prod_mor(ctx, f), update_c), cfg).passed
+                      compose(lift(update_a.dom, update_c.dom, f), update_c),
+                      cfg).passed
             and equal_mor(compose(lookup_a, f),
-                          compose(exp_mor(ctx, f), lookup_c), cfg).passed)
+                          compose(lift(lookup_a.dom, lookup_c.dom, f),
+                                  lookup_c), cfg).passed)
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,29 @@ computed through that bijection, so a morphism is nothing but a total
 function on ranks: either a materialized table or a lazy evaluator for
 domains too large to enumerate.
 
-One rule decides which: a map built by `from_fn`, `compose` or a structure
-map is a table exactly when its domain has at most `EAGER_LIMIT` ranks, and
-a lazy evaluator above that.  Composition and exhaustive equality on small
-domains then run over whole tables.  Every map is read through `at`, a
-block of ranks at a time: a table gathers, a lazy map evaluates the whole
-block at once.
+One rule decides which: a map built by `from_fn`, `compose`, `lift` or a
+structure map is a table exactly when its domain has at most `EAGER_LIMIT`
+ranks, and a lazy evaluator above that.  The one exception is a map built
+by `Morphism.lazy`: it is read through its evaluator at any size, and a
+composite that reads it first stays lazy too.  Composition and exhaustive
+equality on small domains then run over whole tables.  Every map is read
+through `at`, a block of ranks at a time: a table gathers, a lazy map
+evaluates the whole block at once.
+
+Tables are range-checked once.  A table passed in is copied and checked.
+A table materialized from `fn` or an evaluator is checked the first time
+`compose`, `lift` or `equal_mor` reads it as a table (the `table` property
+returns it unchecked).  The tables this module builds from checked ones, a
+`compose` gather from a checked table and a `lift` of a checked table, are
+trusted: adopted without a copy or a scan.  An evaluator's values are not
+checked; the package builds its evaluators from checked maps, and a table
+gathered from one is checked like a table passed in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import compress, count, islice
 from operator import ne
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -179,19 +190,18 @@ class Morphism:
 
     Holds either a materialized table or a lazy evaluator.  The package's
     own constructions hold a table exactly when the domain has at most
-    EAGER_LIMIT ranks; a lazy morphism built directly with `fn` materializes
-    on demand up to MATERIALIZE_LIMIT.  Values are immutable after
-    construction, and maps may be shared (the structure maps are cached).
+    EAGER_LIMIT ranks, except those built by `Morphism.lazy`, which hold an
+    evaluator of whole blocks at any size.  A map built directly with `fn`
+    applies it rank by rank and materializes on demand up to
+    MATERIALIZE_LIMIT.  Values are immutable after construction, and maps
+    may be shared (the structure maps are cached).
 
-    A lazy map evaluates blocks of ranks: `fn` is applied rank by rank, and
-    `Morphism.lazy` takes an evaluator of whole blocks.
-
-    A table passed in is copied and range-checked.  The one exception is a
-    gather that `compose` reads from a checked table: it arrives wrapped in
-    `_Checked`, which only this module makes, and is adopted as it is.  A
-    map built from a table has no evaluator (`_at` is None), so its table is
-    a checked one; a table materialized from `fn` or a lazy evaluator is
-    not.
+    Tables are range-checked once (see the module docstring).  A table
+    this module computed from checked ones arrives wrapped in `_Checked`,
+    which only this module makes, and is adopted as it is.  A map with a
+    table and no evaluator (`_at` is None) holds a checked table; one
+    materialized from `fn` or an evaluator keeps the evaluator beside it
+    until `_checked_table` has checked it.
     """
 
     __slots__ = ("dom", "cod", "_table", "_at")
@@ -203,7 +213,7 @@ class Morphism:
             raise ValueError("pass exactly one of table, fn")
         self.dom = dom
         self.cod = cod
-        self._at = None if fn is None else partial(_each, fn)
+        self._at = None if fn is None else _Rankwise(fn)
         if type(table) is _Checked:
             table = table.values
         elif table is not None:
@@ -211,18 +221,15 @@ class Morphism:
             if len(table) != dom.card:
                 raise ShapeError(
                     f"table length {len(table)} != card(dom) {dom.card}")
-            n = cod.card
-            if table and not (0 <= min(table) and max(table) < n):
-                k = next(k for k, v in enumerate(table) if not 0 <= v < n)
-                raise ShapeError(
-                    f"table entry {table[k]} at {k} not in [0,{n})")
+            _range_check(table, cod.card)
         self._table = table
 
     @classmethod
     def lazy(cls, dom: FinSetObj, cod: FinSetObj,
              at: Callable[[Sequence[int]], list[int]]) -> "Morphism":
         """A lazy map from a block evaluator: `at(ranks)` returns the list
-        of values at a sequence of domain ranks."""
+        of values at a sequence of domain ranks.  It is read through the
+        evaluator at any size; only `table` materializes it."""
         m = cls.__new__(cls)
         m.dom, m.cod, m._table, m._at = dom, cod, None, at
         return m
@@ -234,11 +241,16 @@ class Morphism:
 
     def at(self, ranks: Sequence[int]) -> list[int]:
         """The values at a sequence of domain ranks, as a list: a gather
-        from the table (materialized first when the domain is within
-        EAGER_LIMIT), else one call of the lazy evaluator."""
+        from the table, else one call of the evaluator.
+
+        The read rule: a `fn` map within EAGER_LIMIT is materialized first
+        (unchecked, like `table`), a `fn` map above it and a `Morphism.lazy`
+        map at any size are read through their evaluators and not kept.
+        The values are as trusted as what they were read from: only a
+        table with no evaluator beside it is a checked one."""
         table = self._table
         if table is None:
-            if self.dom.card > EAGER_LIMIT:
+            if self.dom.card > EAGER_LIMIT or type(self._at) is not _Rankwise:
                 return self._at(ranks)
             table = self.table
         return list(map(table.__getitem__, ranks))
@@ -276,8 +288,38 @@ class _Checked:
         self.values = values
 
 
-def _each(fn: Callable[[int], int], ranks: Sequence[int]) -> list[int]:
-    return list(map(fn, ranks))
+class _Rankwise:
+    """The evaluator of a `fn` map: the rank function at each rank."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[[int], int]):
+        self.fn = fn
+
+    def __call__(self, ranks: Sequence[int]) -> list[int]:
+        return list(map(self.fn, ranks))
+
+
+def _range_check(table: list[int], n: int):
+    if table and not (0 <= min(table) and max(table) < n):
+        k = next(k for k, v in enumerate(table) if not 0 <= v < n)
+        raise ShapeError(f"table entry {table[k]} at {k} not in [0,{n})")
+
+
+def _checked_table(m: Morphism) -> Optional[list[int]]:
+    """m's table, with every entry in the codomain; None for a map read
+    through its evaluator (`Morphism.lazy`, or `fn` above EAGER_LIMIT).  A
+    table materialized from `fn` or an evaluator is checked here once, and
+    the evaluator is dropped so that it reads as checked from then on."""
+    if m._at is None:
+        return m._table
+    if m._table is None and (m.dom.card > EAGER_LIMIT
+                             or type(m._at) is not _Rankwise):
+        return None
+    table = m.table
+    _range_check(table, m.cod.card)
+    m._at = None
+    return table
 
 
 def identity(obj: FinSetObj) -> Morphism:
@@ -289,18 +331,20 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     """f followed by g (so the classical g after f).
 
     Within EAGER_LIMIT the result is a gather: g read at every entry of f's
-    table.  The gather is adopted without a range check when g's table is a
-    checked one; from a lazy g it is checked like any table passed in.
-    Above EAGER_LIMIT the result is lazy and reads a block as g at f's
-    values on it.
+    checked table, so a value of f outside g's domain is a ShapeError.  The
+    gather is adopted without a range check when g's table is a checked
+    one; from g's evaluator or an unchecked table it is checked like any
+    table passed in.  Above EAGER_LIMIT, or when f is a `Morphism.lazy`
+    map, the result is lazy and reads a block as g at f's values on it.
     """
     if f.cod != g.dom:
         raise ShapeError(f"cannot compose: cod {f.cod!r} != dom {g.dom!r}")
-    if f.dom.card <= EAGER_LIMIT:
-        values = g.at(f.table)
-        return Morphism(f.dom, g.cod,
-                        table=values if g._at is not None else _Checked(values))
-    return Morphism.lazy(f.dom, g.cod, lambda ks: g.at(f.at(ks)))
+    ft = _checked_table(f) if f.dom.card <= EAGER_LIMIT else None
+    if ft is None:
+        return Morphism.lazy(f.dom, g.cod, lambda ks: g.at(f.at(ks)))
+    values = g.at(ft)
+    return Morphism(f.dom, g.cod,
+                    table=values if g._at is not None else _Checked(values))
 
 
 def from_fn(dom: FinSetObj, cod: FinSetObj,
@@ -310,6 +354,59 @@ def from_fn(dom: FinSetObj, cod: FinSetObj,
     if dom.card <= EAGER_LIMIT:
         return Morphism(dom, cod, table=list(map(fn, range(dom.card))))
     return Morphism(dom, cod, fn=fn)
+
+
+def lift(dom: FinSetObj, cod: FinSetObj, f: Morphism) -> Morphism:
+    """f in every position: S x f from dom = S x X to cod = S x Y, or
+    S => f (postcomposition) from dom = S => X to cod = S => Y.
+
+    Within EAGER_LIMIT the table is built whole, and adopted without a scan
+    when f's table is a checked one.  S x f is f's table once per state s,
+    shifted by s * |Y|.  S => f is built one state at a time (ranks are
+    little-endian, one base-|X| digit per state): the table over k+1 states
+    is the one over k states repeated once per digit d, shifted by
+    f(d) * |Y|^k.  Above EAGER_LIMIT the map is lazy and reads a block the
+    same way: f at each state's digits of the whole block, shifted into
+    place.
+    """
+    exp = isinstance(dom, Exp) and isinstance(cod, Exp)
+    if exp:
+        s, x, s2, y = dom.base, dom.target, cod.base, cod.target
+    elif isinstance(dom, Prod) and isinstance(cod, Prod):
+        s, x, s2, y = dom.left, dom.right, cod.left, cod.right
+    else:
+        s = None
+    if s is None or s != s2 or x != f.dom or y != f.cod:
+        raise ShapeError(f"cannot lift {f!r} to {dom!r} -> {cod!r}")
+    ns, nx, ny = s.card, x.card, y.card
+    if dom.card <= EAGER_LIMIT:
+        ft = _checked_table(f)
+        checked = ft is not None
+        if not checked:
+            ft = f.at(range(nx))
+        if exp:
+            tab, w = [0], 1
+            for _ in range(ns):
+                tab = [r + w * v for v in ft for r in tab]
+                w *= ny
+        else:
+            tab = [k * ny + v for k in range(ns) for v in ft]
+        return Morphism(dom, cod, table=_Checked(tab) if checked else tab)
+
+    if exp:
+        def at(ts):
+            out = f.at([t % nx for t in ts])
+            for k in range(1, ns):
+                p, w = nx ** k, ny ** k
+                out = [o + w * v for o, v in
+                       zip(out, f.at([t // p % nx for t in ts]))]
+            return out
+    else:
+        def at(ps):
+            return [p // nx * ny + v
+                    for p, v in zip(ps, f.at([p % nx for p in ps]))]
+
+    return Morphism.lazy(dom, cod, at)
 
 
 def pack(digits: Iterable[int], base: int) -> int:
@@ -419,25 +516,29 @@ def equal_mor(f: Morphism, g: Morphism,
     """Compare two parallel morphisms, exhaustively or by seeded sampling.
 
     Both sides are read a block of ranks at a time (two whole tables when
-    an exhaustive domain is within EAGER_LIMIT).  The report holds the
+    an exhaustive domain is within EAGER_LIMIT and neither map is read
+    through its evaluator).  Within EAGER_LIMIT a `fn` map is read from its
+    table, range-checked, so a value outside the codomain is a ShapeError,
+    not a witness.  The report holds the
     first three mismatches in rank order, or in draw order when sampled,
     and no block after the one holding the third is evaluated.
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise ShapeError("equal_mor needs parallel morphisms")
     n = f.dom.card
+    ft, gt = ((_checked_table(f), _checked_table(g)) if n <= EAGER_LIMIT
+              else (None, None))
     if n > config.cap:
         mode, details = "sampled", {"domain": n, "samples": config.samples}
         blocks: Iterable = _read(f, g, ([r % n for r in raw] for raw in
                                         _draw_blocks(config.seed,
                                                      config.samples)))
-    elif n > EAGER_LIMIT:
+    elif ft is None or gt is None:
         mode, details = "exhaustive", {"domain": n}
         blocks = _read(f, g, (range(lo, min(lo + BLOCK, n))
                               for lo in range(0, n, BLOCK)))
     else:
         mode, details = "exhaustive", {"domain": n}
-        ft, gt = f.table, g.table
         blocks = ((range(n), ft, gt),) if ft != gt else ()
     witnesses = []
     for ks, a, b in blocks:

@@ -4,9 +4,11 @@ two resolutions used throughout the package.
 All structure maps are digit arithmetic on the canonical ranks.  They follow
 the finset rule: a structure map is a table exactly when its domain has at
 most EAGER_LIMIT ranks, built whole by a digit kernel, and a lazy evaluator
-above that.  Lazy maps are those whose domains blow up combinatorially (mu
-at TTX once |S x X|^|S| is large, T f on TTX, ...); equalities on them are
-verified by seeded sampling, and they evaluate a block of ranks at a time.
+above that.  S x f and S => f are one finset kernel, `lift`, whose tables
+from checked ones are not scanned again.  Lazy maps are those whose
+domains blow up combinatorially (mu at TTX once |S x X|^|S| is large, T f
+on TTX, ...); equalities on them are verified by seeded sampling, and they
+evaluate a block of ranks at a time.
 The tables of eta, mu, eps and nu depend only on (state space, carrier), so
 each is built once and shared, within a bound on the entries kept.
 """
@@ -19,9 +21,9 @@ from functools import wraps
 from threading import Lock
 from typing import Callable
 
-from .finset import (EAGER_LIMIT, CheckConfig, Exp, FinSetObj, Morphism,
-                     Prod, ShapeError, SeededRng, compose, digits, equal_mor,
-                     from_fn, identity, pack)
+from .finset import (CheckConfig, Exp, FinSetObj, Morphism, Prod,
+                     ShapeError, SeededRng, compose, digits, equal_mor,
+                     from_fn, identity, lift, pack)
 from .idempotents import random_morphism
 from .report import VerifyReport, combine
 
@@ -64,49 +66,12 @@ def g_obj(ctx: StateContext, x: FinSetObj) -> FinSetObj:
 
 def prod_mor(ctx: StateContext, f: Morphism) -> Morphism:
     """S x f on ranks of Prod(S, dom f)."""
-    nx, ny = f.dom.card, f.cod.card
-    dom, cod = prod_obj(ctx, f.dom), prod_obj(ctx, f.cod)
-    if dom.card <= EAGER_LIMIT:
-        ft = f.table
-        return Morphism(dom, cod,
-                        table=[s * ny + v for s in range(ctx.ns) for v in ft])
-
-    def at(ps):
-        return [p // nx * ny + v
-                for p, v in zip(ps, f.at([p % nx for p in ps]))]
-
-    return Morphism.lazy(dom, cod, at)
+    return lift(prod_obj(ctx, f.dom), prod_obj(ctx, f.cod), f)
 
 
 def exp_mor(ctx: StateContext, f: Morphism) -> Morphism:
-    """S => f (postcomposition) on ranks of Exp(S, dom f).
-
-    Ranks are little-endian, one base-|dom f| digit per state.  Within
-    EAGER_LIMIT the table is built one state at a time: the table over k+1
-    states is the one over k states repeated once per digit d, shifted by
-    f(d) * |cod f|^k.  Above it a block is read one state at a time: f at
-    that state's digits of the whole block, shifted into place.
-    """
-    ns = ctx.ns
-    nx, ny = f.dom.card, f.cod.card
-    dom, cod = exp_obj(ctx, f.dom), exp_obj(ctx, f.cod)
-    if dom.card <= EAGER_LIMIT:
-        ft = f.table
-        tab, w = [0], 1
-        for _ in range(ns):
-            tab = [r + w * v for v in ft for r in tab]
-            w *= ny
-        return Morphism(dom, cod, table=tab)
-
-    def at(ts):
-        out = f.at([t % nx for t in ts])
-        for s in range(1, ns):
-            p, w = nx ** s, ny ** s
-            out = [o + w * v for o, v in
-                   zip(out, f.at([t // p % nx for t in ts]))]
-        return out
-
-    return Morphism.lazy(dom, cod, at)
+    """S => f (postcomposition) on ranks of Exp(S, dom f)."""
+    return lift(exp_obj(ctx, f.dom), exp_obj(ctx, f.cod), f)
 
 
 def t_mor(ctx: StateContext, f: Morphism) -> Morphism:

@@ -305,6 +305,19 @@ def tta_law_at_lifted_constants(ctx, carrier, alpha: list, t: int) -> bool:
     return lhs == rhs
 
 
+def tf_algebra_hom_check(f, a, c, config, coretractions=None) -> bool:
+    """The hom square as stated, f . alpha = gamma . Tf on TA, with T f
+    built whole; with `coretractions` = (abar, cbar) also the
+    section-preservation square Tf . abar = cbar . f."""
+    tf = t_mor(a.ctx, f)
+    ok = equal_mor(compose(a.structure, f), compose(tf, c.structure),
+                   config).passed
+    if ok and coretractions is not None:
+        abar, cbar = coretractions
+        ok = equal_mor(compose(abar, tf), compose(f, cbar), config).passed
+    return ok
+
+
 # ---------------------------------------------------------------------------
 # compliance and consistency as first written: each composite built where
 # it is used, and compliance recomputed in full inside consistency

@@ -7,13 +7,16 @@ the transfer census) and their seeded one-entry mutants.
 
 import pytest
 
-from finkar.algebras import (AlgebraStruct, algebra_hom_check, check_algebra,
-                             functor_k)
-from finkar.finset import Atom, CheckConfig, Morphism, SeededRng, compose
-from finkar.statemonad import StateContext, exp_mor, prod_obj
+from finkar.algebras import (AlgebraStruct, SearchBoundExceeded,
+                             _read_operations, algebra_hom_check,
+                             check_algebra, coretraction_of_split,
+                             free_algebra, functor_k, search_sections)
+from finkar.finset import (Atom, CheckConfig, Exp, Morphism, SeededRng, codec,
+                           compose)
+from finkar.statemonad import StateContext, exp_mor, prod_obj, t_obj
 
-from oracles import (oracle_eta_table, tta_check_algebra,
-                     tta_law_at_lifted_constants)
+from oracles import (oracle_eta_table, oracle_mu_at, tf_algebra_hom_check,
+                     tta_check_algebra, tta_law_at_lifted_constants)
 
 EXHAUSTIVE = CheckConfig(cap=10 ** 8)
 
@@ -195,3 +198,144 @@ def test_check_algebra_reports_the_four_equations():
         "structure=lookup.(S=>update)", "structure.eta=id",
         "update.(Sxupdate)=update.second", "update.(Sxlookup)=update.own"]
     assert [r.details["domain"] for r in rep.sub] == [4, 1, 4, 2]
+
+
+# ---------------------------------------------------------------------------
+# the free algebra's recorded operations
+
+
+@pytest.mark.parametrize("ns, nx", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
+                                    (2, 3), (3, 1)])
+def test_free_algebra_operations_are_read_off_mu(ns, nx):
+    """The closed forms free_algebra records are the operations read off
+    mu at every rank, and the free algebra passes the four equations
+    exhaustively (|S| = 3 on one element: TA has 531,441 ranks)."""
+    ctx = StateContext(Atom("S", ns))
+    fa = free_algebra(ctx, Atom("X", nx))
+    update, lookup = fa._operations
+    assert lookup.is_lazy
+    for recorded, read in zip(fa._operations, _read_operations(fa)):
+        assert recorded.dom == read.dom and recorded.cod == read.cod
+        assert recorded.at(range(read.dom.card)) == read.table
+    assert lookup.is_lazy
+    rep = check_algebra(fa, CheckConfig(cap=fa.structure.dom.card))
+    assert rep.passed and {r.mode for r in rep.sub} == {"exhaustive"}
+
+
+def test_free_algebra_operations_on_36_agree_with_mu_on_seeded_ranks():
+    """At the largest split carrier, 36, S => TX has 26,873,856 ranks.
+    lookup(g) = mu(s |-> (s, g s)) and update_u(t) = mu(s |-> (u, t)) on
+    seeded ranks, with mu on structural elements, and lookup is never
+    materialized."""
+    ctx = StateContext(Atom("S", 2))
+    x = Atom("A", 36)
+    fa = free_algebra(ctx, x)
+    tx, update, lookup = fa.carrier, *fa._operations
+    assert lookup.dom.card == 5184 ** 2 and update.dom.card == 2 * 5184
+    c_tx, c_ttx = codec(tx), codec(t_obj(ctx, tx))
+    c_exp = codec(Exp(ctx.state_space, tx))
+    rng = SeededRng(36)
+    gs = [rng.below(lookup.dom.card) for _ in range(200)]
+    ps = [rng.below(update.dom.card) for _ in range(200)]
+    expected = []
+    for g in gs:
+        elem = c_exp.unrank(g)
+        u = c_ttx.rank(tuple((s, elem[s]) for s in range(ctx.ns)))
+        expected.append(oracle_mu_at(ctx, x, u))
+    assert lookup.at(gs) == expected
+    expected = []
+    for p in ps:
+        u, t = divmod(p, tx.card)
+        elem = c_tx.unrank(t)
+        expected.append(oracle_mu_at(
+            ctx, x, c_ttx.rank(tuple((u, elem) for _ in range(ctx.ns)))))
+    assert update.at(ps) == expected
+    assert lookup.is_lazy
+
+
+def _census_algebras():
+    """Split algebras on carriers 1, 4 and 9 at |S| = 2."""
+    return [_split_algebra(2, 1, 1, seed=1), _split_algebra(2, 2, 2, seed=2),
+            _split_algebra(2, 3, 3, seed=3)]
+
+
+def _witnessed_splits():
+    """Split algebras on carriers 1, 4 and 9 at |S| = 2, each with up to
+    four hom-sections: the canonical one from its retract data, then
+    those of the search where it stays within its bound."""
+    out = []
+    for na, seed in ((1, 1), (2, 2), (3, 3)):
+        ctx = StateContext(Atom("S", 2))
+        phi = _projector(ctx, na, na, SeededRng(seed))
+        k = functor_k(ctx, phi.dom.right, phi)
+        secs = [coretraction_of_split(ctx, phi.dom.right, k).coretraction]
+        try:
+            secs += search_sections(k.algebra)[:3]
+        except SearchBoundExceeded:
+            pass
+        out.append((k.algebra, secs))
+    return out
+
+
+def test_free_algebra_homs_agree_with_the_tf_route():
+    """Into and out of free algebras, the operations route gives the T f
+    route's verdict (tests/oracles.py) on every carrier map where there
+    are at most 4^4 of them, and on seeded one-entry mutants of every
+    hom-section found (maps A -> TA into the free algebra on A), so
+    non-homs are covered."""
+    ctx = StateContext(Atom("S", 2))
+    cfg = ctx.config
+    free = [free_algebra(ctx, Atom("X", 1)), free_algebra(ctx, Atom("Y", 1))]
+    small = [a for a in _census_algebras() if a.carrier.card <= 4]
+    homs = checked = 0
+    for a, c in ([(fx, b) for fx in free for b in small]
+                 + [(b, fx) for fx in free for b in small]
+                 + [(free[0], free[1])]):
+        for tab in _maps(a.carrier.card, c.carrier.card):
+            f = Morphism(a.carrier, c.carrier, table=tab)
+            new = algebra_hom_check(f, a, c)
+            assert new == tf_algebra_hom_check(f, a, c, cfg)
+            homs += new
+            checked += 1
+    assert 0 < homs < checked
+    rng = SeededRng(9)
+    mutants = caught = 0
+    for a, secs in _witnessed_splits():
+        assert a._operations is not None
+        fa = free_algebra(ctx, a.carrier)
+        for sec in secs:
+            assert algebra_hom_check(sec, a, fa)
+            for _ in range(6):
+                bad = list(sec.table)
+                k = rng.below(len(bad))
+                bad[k] = (bad[k] + 1 + rng.below(fa.carrier.card - 1)) \
+                    % fa.carrier.card
+                m = Morphism(a.carrier, fa.carrier, table=bad)
+                new = algebra_hom_check(m, a, fa)
+                assert new == tf_algebra_hom_check(m, a, fa, cfg)
+                mutants += 1
+                caught += not new
+    assert caught > mutants // 2
+
+
+def test_section_square_agrees_with_the_tf_route():
+    """With coretractions the section-preservation square is read through
+    the machine form; on every carrier map between witnessed split
+    algebras it gives the T f route's verdict."""
+    algs = _census_algebras()[:2]
+    cfg = algs[0].ctx.config
+    secs = [search_sections(a) for a in algs]
+    held = checked = 0
+    for a, sa in zip(algs, secs):
+        for c, sc in zip(algs, secs):
+            for abar in sa[:2]:
+                for cbar in sc[:2]:
+                    for tab in _maps(a.carrier.card, c.carrier.card):
+                        f = Morphism(a.carrier, c.carrier, table=tab)
+                        new = algebra_hom_check(f, a, c,
+                                                coretractions=(abar, cbar))
+                        assert new == tf_algebra_hom_check(
+                            f, a, c, cfg, coretractions=(abar, cbar))
+                        held += new
+                        checked += algebra_hom_check(f, a, c)
+    assert 0 < held < checked

@@ -1,14 +1,19 @@
+import ast
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finkar
+from finkar import finset
 from finkar.finset import (BLOCK, EAGER_LIMIT, KEEP_DRAWS, Atom,
                            CheckConfig, Exp, Morphism, Prod, ShapeError,
                            SeededRng, codec, compose, digits,
                            envelope_hom_report, equal_mor, fibers, from_fn,
-                           identity, image_factor, inverse, pack, splitmix64)
+                           identity, image_factor, inverse, lift, pack,
+                           splitmix64)
 from finkar.report import VerifyReport
 
 
@@ -439,3 +444,188 @@ def test_envelope_hom_report_names_both_routes():
     assert rep.sub[-1].witnesses == [{"sandwich": True, "pair": False}]
     with pytest.raises(ShapeError):
         envelope_hom_report(identity(two), identity(Atom("U", 3)), const)
+
+
+# ---------------------------------------------------------------------------
+# the read rule: a table materialized from `fn` is range-checked once
+
+
+def test_compose_rejects_a_left_value_below_the_codomain():
+    """A negative value of a `fn` map used to wrap through Python's
+    negative indexing into the composite [1, 0, 1]."""
+    a, b = Atom("A", 3), Atom("B", 2)
+    below = Morphism(a, b, fn=lambda k: k - 1)
+    with pytest.raises(ShapeError, match=r"entry -1 at 0 not in \[0,2\)"):
+        compose(below, Morphism(b, b, table=[0, 1]))
+
+
+def test_compose_rejects_a_left_value_past_the_codomain():
+    """A value past the codomain used to raise IndexError."""
+    a, b = Atom("A", 3), Atom("B", 2)
+    past = Morphism(a, b, fn=lambda k: k)
+    with pytest.raises(ShapeError, match=r"entry 2 at 2 not in \[0,2\)"):
+        compose(past, Morphism(b, b, table=[0, 1]))
+
+
+@pytest.mark.parametrize("cfg", [CheckConfig(), CheckConfig(cap=0, samples=5)])
+def test_equal_mor_rejects_a_value_outside_the_codomain(cfg):
+    """equal_mor used to report lhs: -1 as an ordinary witness."""
+    a, b = Atom("A", 3), Atom("B", 2)
+    below = Morphism(a, b, fn=lambda k: k - 1)
+    with pytest.raises(ShapeError, match=r"entry -1 at 0 not in \[0,2\)"):
+        equal_mor(below, Morphism(a, b, table=[1, 0, 1]), cfg)
+    fine = Morphism(a, b, fn=lambda k: k % 2)
+    assert equal_mor(fine, Morphism(a, b, table=[0, 1, 0]), cfg).passed
+
+
+# ---------------------------------------------------------------------------
+# the lift kernel (S x f and S => f) and its trust boundary
+
+
+def _lift_objs(ns, f, exp):
+    s = Atom("S", ns)
+    wrap = (lambda z: Exp(s, z)) if exp else (lambda z: Prod(s, z))
+    return wrap(f.dom), wrap(f.cod)
+
+
+@pytest.mark.parametrize("exp", [False, True])
+@pytest.mark.parametrize("ns, nx, ny", [(1, 3, 2), (2, 3, 4), (3, 2, 3),
+                                        (2, 1, 1), (3, 4, 1)])
+def test_lift_branches_agree_on_seeded_ranks(monkeypatch, exp, ns, nx, ny):
+    """The table branch and the lazy branch (forced by a zero limit) of
+    lift give the same values, which are f applied at every digit."""
+    rng = SeededRng(100 * ns + 10 * nx + ny)
+    x, y = Atom("X", nx), Atom("Y", ny)
+    f = Morphism(x, y, table=[rng.below(ny) for _ in range(nx)])
+    dom, cod = _lift_objs(ns, f, exp)
+    table = lift(dom, cod, f)
+    assert not table.is_lazy
+    monkeypatch.setattr(finset, "EAGER_LIMIT", 0)
+    lazy = lift(dom, cod, f)
+    assert lazy.is_lazy
+    ranks = [rng.below(dom.card) for _ in range(50)]
+    assert lazy.at(ranks) == table.at(ranks)
+    if exp:
+        want = [pack([f(d) for d in digits(k, nx, ns)], ny) for k in ranks]
+    else:
+        want = [k // nx * ny + f(k % nx) for k in ranks]
+    assert table.at(ranks) == want
+
+
+def test_lift_above_the_limit_reads_f_at_digits():
+    """S => f on 363^2 > EAGER_LIMIT ranks is lazy and reads f at the
+    digits of seeded ranks."""
+    rng = SeededRng(7)
+    x, y = Atom("X", 363), Atom("Y", 5)
+    f = Morphism(x, y, table=[rng.below(5) for _ in range(363)])
+    dom, cod = _lift_objs(2, f, exp=True)
+    assert dom.card > EAGER_LIMIT
+    m = lift(dom, cod, f)
+    ranks = [rng.below(dom.card) for _ in range(300)]
+    assert m.is_lazy
+    assert m.at(ranks) == [pack([f(d) for d in digits(k, 363, 2)], 5)
+                           for k in ranks]
+
+
+def test_lift_rejects_mismatched_objects():
+    x, y, s = Atom("X", 2), Atom("Y", 3), Atom("S", 2)
+    f = Morphism(x, y, table=[0, 2])
+    for dom, cod in ((Prod(s, y), Prod(s, y)), (Prod(s, x), Exp(s, y)),
+                     (Exp(s, x), Exp(Atom("T", 2), y)), (x, y)):
+        with pytest.raises(ShapeError):
+            lift(dom, cod, f)
+
+
+def test_lift_checks_what_it_reads_from_outside():
+    """Tables passed in are still copied and checked, and lift reads them
+    only after that; a `fn` table is checked when lift first reads it, and
+    a block evaluator's values are checked as the lifted table is built."""
+    x, y = Atom("X", 3), Atom("Y", 2)
+    values = [0, 1, 1]
+    f = Morphism(x, y, table=values)
+    values[0] = 5
+    dom, cod = _lift_objs(2, f, exp=True)
+    assert lift(dom, cod, f).table[0] == 0
+    with pytest.raises(ShapeError):
+        Morphism(x, y, table=[0, 2, 1])
+    bad_fn = Morphism(x, y, fn=lambda k: k)
+    with pytest.raises(ShapeError, match=r"entry 2 at 2 not in \[0,2\)"):
+        lift(dom, cod, bad_fn)
+    bad_eval = Morphism.lazy(x, y, lambda ks: [k % 3 for k in ks])
+    for exp in (False, True):
+        with pytest.raises(ShapeError, match=r"not in \[0,"):
+            lift(*_lift_objs(2, bad_eval, exp), bad_eval)
+
+
+def test_every_lifted_table_is_built_through_init(monkeypatch):
+    """Trusted lifts skip the copy and the range scan, not
+    `Morphism.__init__`: a hook on it sees every table lift builds within
+    EAGER_LIMIT, from tables, `fn` maps and evaluators, and no lazy lift
+    above it."""
+    seen = []
+    init = Morphism.__init__
+
+    def counting(self, dom, cod, table=None, fn=None):
+        init(self, dom, cod, table=table, fn=fn)
+        seen.append(self)
+
+    rng = SeededRng(5)
+    x, y = Atom("X", 4), Atom("Y", 3)
+    sources = [Morphism(x, y, table=[rng.below(3) for _ in range(4)])
+               for _ in range(3)]
+    sources += [Morphism(x, y, fn=lambda k: k % 3),
+                Morphism.lazy(x, y, lambda ks: [k // 2 for k in ks])]
+    big = Atom("B", 400)
+    wide = Morphism(big, big, table=list(reversed(range(400))))
+    monkeypatch.setattr(Morphism, "__init__", counting)
+    built = [lift(*_lift_objs(ns, f, exp), f)
+             for f in sources for ns in (1, 2, 3) for exp in (False, True)]
+    assert seen == built
+    assert lift(*_lift_objs(2, wide, True), wide).is_lazy
+    assert len(seen) == len(built)
+
+
+def test_lazy_maps_are_read_through_their_evaluator_at_any_size():
+    """Within EAGER_LIMIT a `Morphism.lazy` map read through `at`, composed
+    or compared stays lazy and is evaluated only at the ranks read, while
+    a `fn` map materializes."""
+    x, y = Atom("X", 1000), Atom("Y", 7)
+    read = []
+
+    def evaluator(ks):
+        read.append(len(ks))
+        return [k % 7 for k in ks]
+
+    lazy = Morphism.lazy(x, y, evaluator)
+    assert lazy.at([3, 999, 10]) == [3, 5, 3] and read == [3]
+    assert lazy.is_lazy
+    first = Morphism(Atom("A", 2), x, table=[10, 20])
+    assert compose(first, lazy).table == [3, 6] and read[-1] == 2
+    later = compose(lazy, identity(y))
+    assert later.is_lazy and lazy.is_lazy
+    assert equal_mor(later, Morphism(x, y, fn=lambda k: k % 7)).passed
+    assert lazy.is_lazy and sum(read) == 3 + 2 + 1000
+    fn_map = Morphism(x, y, fn=lambda k: k % 7)
+    assert fn_map.is_lazy
+    assert fn_map.at([3, 999]) == [3, 5]
+    assert not fn_map.is_lazy
+
+
+def test_the_trust_marker_stays_in_finset():
+    """Only finset makes `_Checked`; no other module of the package names
+    it, so a table from outside finset is always copied and checked."""
+    src = Path(finkar.__file__).resolve().parent
+    named = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "finset.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else
+                     [a.name for a in node.names]
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     else [])
+            if "_Checked" in names:
+                named.append(f"{path.name}:{node.lineno}")
+    assert named == []
+    assert len(list(src.glob("*.py"))) > 5

@@ -19,7 +19,7 @@ from .idempotents import Splitting, karoubi_hom_check, split_idempotent
 from .report import (LawViolation, VerifyReport, combine, failing,
                      passing)
 from .statemonad import (StateContext, eta, exp_mor, exp_obj, g_mor, g_obj,
-                         eps, kleisli_of_mealy, mealy_of_kleisli, mu, nu,
+                         eps, kleisli_of_mealy, mealy_of_kleisli, mu,
                          prod_mor, prod_obj, t_mor, t_obj, transpose_up)
 
 
@@ -103,8 +103,8 @@ def check_algebra(a: AlgebraStruct,
     about once and TTA is never built; above the cap the checks sample TA.
     When (i) passes exhaustively the operations are recorded on `a`, and
     algebra_hom_check then compares homs on them.  The coalgebra side has
-    the same component form: equivalence.moore_law_violations checks the
-    three public-state equations, the laws of very well-behaved lenses
+    the same component form: check_coalgebra checks the three public-state
+    equations (moore_law_violations), the laws of very well-behaved lenses
     (Gibbons and Johnson, Relating algebraic and coalgebraic descriptions
     of lenses, 2012).
     """
@@ -164,17 +164,67 @@ def _operation_args(s: FinSetObj,
             from_fn(g_obj(ctx, x), sx, lambda p: p // ne * n + ev(p)))
 
 
-def check_coalgebra(c: CoalgebraStruct,
-                    config: CheckConfig | None = None) -> VerifyReport:
-    """Counit and comultiplication laws for one coalgebra."""
-    cfg = config or c.ctx.config
-    be = c.structure
-    counit = equal_mor(compose(be, eps(c.ctx, c.carrier)), identity(c.carrier),
-                       cfg, check="eps.structure=id")
-    coassoc = equal_mor(compose(be, g_mor(c.ctx, be)),
-                        compose(be, nu(c.ctx, c.carrier)),
-                        cfg, check="Gstructure.structure=nu.structure")
-    return combine("coalgebra-laws", [counit, coassoc])
+def moore_law_violations(ns: int, readout: list[int],
+                         step: list[int]) -> list[dict]:
+    """Violations of the three public-state equations on the tables
+    readout[b] and step[b * ns + s]: readout(step(b, s)) = s,
+    step(b, readout(b)) = b and step(step(b, s), t) = step(b, t).  Every
+    (b, s, t) is tried, so an empty list is a proof."""
+    def at(b, s):
+        return step[b * ns + s]
+
+    bs, ss = range(len(readout)), range(ns)
+    return ([{"law": "readout-after-step", "b": b, "s": s,
+              "lhs": readout[at(b, s)], "rhs": s}
+             for b in bs for s in ss if readout[at(b, s)] != s]
+            + [{"law": "step-at-own-readout", "b": b,
+                "lhs": at(b, readout[b]), "rhs": b}
+               for b in bs if at(b, readout[b]) != b]
+            + [{"law": "step-absorbs-step", "b": b, "s": s, "t": t,
+                "lhs": at(at(b, s), t), "rhs": at(b, t)}
+               for b in bs for s in ss for t in ss
+               if at(at(b, s), t) != at(b, t)])
+
+
+def coalgebra_components(c: CoalgebraStruct) -> tuple[list[int], list[int]]:
+    """Decode the structure map B -> S x (S => B) into its readout table
+    (b -> s) and its step table (b * |S| + s -> b')."""
+    ns, nb = c.ctx.ns, c.carrier.card
+    ne = nb ** ns
+    readout, step = [], []
+    for v in c.structure.table:
+        st, g = divmod(v, ne)
+        readout.append(st)
+        step += digits(g, nb, ns)
+    return readout, step
+
+
+def coalgebra_of_components(ctx: StateContext, carrier: FinSetObj,
+                            readout: list[int],
+                            step: list[int]) -> CoalgebraStruct:
+    """Encode readout and step tables (as `coalgebra_components` returns
+    them) into the structure map B -> S x (S => B)."""
+    ns, nb = ctx.ns, carrier.card
+    ne = nb ** ns
+    table = [r * ne + pack(step[b * ns:b * ns + ns], nb)
+             for b, r in enumerate(readout)]
+    return CoalgebraStruct(ctx=ctx, carrier=carrier, structure=Morphism(
+        carrier, g_obj(ctx, carrier), table=table))
+
+
+def check_coalgebra(c: CoalgebraStruct) -> VerifyReport:
+    """The counit and comultiplication laws, as the three public-state
+    equations on the readout and step of the structure map beta; the
+    witnesses name the broken equation.
+
+    beta(b) = (readout b, s |-> step(b, s)), so eps . beta = id is
+    step(b, readout b) = b, and G beta . beta = nu . beta holds at b
+    exactly when, for every s, readout(step(b, s)) = s and
+    step(step(b, s), -) = step(b, -).  Neither GB nor GGB is built.
+    """
+    violations = moore_law_violations(c.ctx.ns, *coalgebra_components(c))
+    return (failing("coalgebra-laws", violations) if violations
+            else passing("coalgebra-laws"))
 
 
 def free_algebra(ctx: StateContext, x: FinSetObj) -> AlgebraStruct:
@@ -237,6 +287,16 @@ def algebra_hom_check(f: Morphism, a: AlgebraStruct, c: AlgebraStruct,
             ctx, compose(mealy_of_kleisli(ctx, abar), prod_mor(ctx, f)))
         ok = equal_mor(tf_abar, compose(f, cbar), cfg).passed
     return ok
+
+
+def coalgebra_hom_report(g: Morphism, c1: CoalgebraStruct,
+                         c2: CoalgebraStruct,
+                         config: CheckConfig | None = None,
+                         check: str = "coalgebra-hom") -> VerifyReport:
+    """Is g: B1 -> B2 a coalgebra homomorphism (g;gamma2 = gamma1;G g)?"""
+    return equal_mor(compose(g, c2.structure),
+                     compose(c1.structure, g_mor(c1.ctx, g)),
+                     config or c1.ctx.config, check=check)
 
 
 def _preserves_operations(f: Morphism, ops_a: tuple[Morphism, Morphism],
@@ -415,8 +475,7 @@ def karm_object_condition(ctx: StateContext, carrier: FinSetObj,
                "fixed_points": nfix}
     if ok:
         return passing("karm-object-condition", **details)
-    return VerifyReport(check="karm-object-condition", status="fail",
-                        witnesses=[details], details=details)
+    return failing("karm-object-condition", [details], **details)
 
 
 def karm_retraction(ctx: StateContext, carrier: FinSetObj, phi: Morphism,

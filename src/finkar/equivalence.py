@@ -12,15 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import (AlgebraStruct, CoalgebraStruct, check_algebra,
-                       check_coalgebra, consistent_hom_check,
-                       karm_object_condition, karm_retraction)
+                       check_coalgebra, coalgebra_hom_report,
+                       coalgebra_of_components, consistent_hom_check,
+                       karm_object_condition, karm_retraction,
+                       moore_law_violations)
 from .finset import (CheckConfig, FinSetObj, Morphism, ShapeError, compose,
-                     digits, equal_mor, from_fn, identity, inverse, pack)
+                     digits, equal_mor, from_fn, identity, inverse)
 from .idempotents import Splitting, fixed_ranks, split_idempotent
 from .report import LawViolation, VerifyReport, combine, failing, passing
-from .statemonad import (StateContext, eps, eta, exp_mor, exp_obj, g_mor,
-                         g_obj, mealy_of_kleisli, prod_mor, prod_obj, t_mor,
-                         t_obj, transpose_up)
+from .statemonad import (StateContext, eps, eta, exp_mor, exp_obj,
+                         mealy_of_kleisli, prod_mor, prod_obj, t_mor, t_obj,
+                         transpose_up)
 
 
 class ObjectConditionError(ValueError):
@@ -100,38 +102,7 @@ def karc_object_condition(k: KarcObject,
     details = {"image_card": nfix, "carrier_card": k.carrier.card}
     if nfix == k.carrier.card:
         return passing("karc-object-condition", **details)
-    return VerifyReport(check="karc-object-condition", status="fail",
-                        witnesses=[details], details=details)
-
-
-# ---------------------------------------------------------------------------
-# component form of the three public-state equations (shared with policies)
-
-
-def moore_law_violations(ns: int, nb: int, readout, step) -> list[dict]:
-    """Violations of the three public-state equations on component tables.
-
-    readout(b) -> s; step(b, s) -> b.  Laws: readout(step(b, s)) = s,
-    step(b, readout(b)) = b, step(step(b, s), t) = step(b, t).
-    """
-    out = []
-    for b in range(nb):
-        for s in range(ns):
-            if readout(step(b, s)) != s:
-                out.append({"law": "readout-after-step", "b": b, "s": s,
-                            "lhs": readout(step(b, s)), "rhs": s})
-    for b in range(nb):
-        if step(b, readout(b)) != b:
-            out.append({"law": "step-at-own-readout", "b": b,
-                        "lhs": step(b, readout(b)), "rhs": b})
-    for b in range(nb):
-        for s in range(ns):
-            for t in range(ns):
-                if step(step(b, s), t) != step(b, t):
-                    out.append({"law": "step-absorbs-step", "b": b, "s": s,
-                                "t": t, "lhs": step(step(b, s), t),
-                                "rhs": step(b, t)})
-    return out
+    return failing("karc-object-condition", [details], **details)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +113,7 @@ def functor_r(c: CoalgebraStruct,
               config: CheckConfig | None = None) -> KarmObject:
     """A coalgebra becomes the projector structure-after-counit on S x (S=>B)."""
     cfg = config or c.ctx.config
-    rep = check_coalgebra(c, cfg)
+    rep = check_coalgebra(c)
     if not rep.passed:
         raise LawViolation("invalid coalgebra", rep)
     carrier = exp_obj(c.ctx, c.carrier)
@@ -158,9 +129,7 @@ def functor_r_mor(g: Morphism, c1: CoalgebraStruct, c2: CoalgebraStruct,
     """A coalgebra hom g becomes the consistent carrier map S => g."""
     ctx = c1.ctx
     cfg = config or ctx.config
-    hom = equal_mor(compose(g, c2.structure),
-                    compose(c1.structure, g_mor(ctx, g)), cfg,
-                    check="coalgebra-hom")
+    hom = coalgebra_hom_report(g, c1, c2, cfg)
     if not hom.passed:
         raise LawViolation("not a coalgebra homomorphism", hom)
     f = exp_mor(ctx, g)
@@ -193,22 +162,19 @@ def functor_l(k: KarmObject, config: CheckConfig | None = None,
     s = split_idempotent(k.projector)
     nx = k.carrier.card
     fixes = s.i.table
-    nb = s.mid.card
-    ne = nb ** ctx.ns
     qt = s.q.table
-    beta = [st * ne + pack((qt[t * nx + x] for t in range(ctx.ns)), nb)
-            for st, x in (divmod(p, nx) for p in fixes)]
+    # the public pair (st, x) reads out st and steps at t to q(t, x)
+    readout, step = [], []
+    for st, x in (divmod(p, nx) for p in fixes):
+        readout.append(st)
+        step += (qt[t * nx + x] for t in range(ctx.ns))
     if not k.condition.passed and not force:
-        violations = moore_law_violations(
-            ctx.ns, nb, lambda b: beta[b] // ne,
-            lambda b, t: digits(beta[b] % ne, nb, ctx.ns)[t])
         details = dict(k.condition.details)
-        details["moore_violations"] = violations[:3]
+        details["moore_violations"] = moore_law_violations(
+            ctx.ns, readout, step)[:3]
         raise ObjectConditionError(
             "projector does not split back through its carrier", details)
-    co = CoalgebraStruct(ctx=ctx, carrier=s.mid,
-                         structure=Morphism(s.mid, g_obj(ctx, s.mid),
-                                            table=beta))
+    co = coalgebra_of_components(ctx, s.mid, readout, step)
     return LResult(coalgebra=co, splitting=s, fixed=list(fixes))
 
 
@@ -221,9 +187,7 @@ def functor_l_mor(f: Morphism, k1: KarmObject, k2: KarmObject,
         raise ValueError("carrier map is not consistent with the projectors")
     l1, l2 = functor_l(k1, cfg), functor_l(k2, cfg)
     lf = compose(compose(l1.splitting.i, prod_mor(ctx, f)), l2.splitting.q)
-    hom = equal_mor(compose(lf, l2.coalgebra.structure),
-                    compose(l1.coalgebra.structure, g_mor(ctx, lf)), cfg)
-    if not hom.passed:
+    if not coalgebra_hom_report(lf, l1.coalgebra, l2.coalgebra, cfg).passed:
         raise AssertionError("induced map is not a coalgebra homomorphism")
     return lf
 
@@ -290,9 +254,8 @@ def lr_identity_report(c: CoalgebraStruct,
     subs.append(passing("bijection")
                 if inv is not None and len(inv) == c.carrier.card
                 else failing("bijection", [{"table": sigma.table}]))
-    transported = compose(sigma, c.structure)
-    back = compose(lres.coalgebra.structure, g_mor(ctx, sigma))
-    subs.append(equal_mor(transported, back, cfg, check="structure-transport"))
+    subs.append(coalgebra_hom_report(sigma, lres.coalgebra, c, cfg,
+                                     check="structure-transport"))
     return combine("lr-identity", subs)
 
 

@@ -237,7 +237,7 @@ class Morphism:
     def __call__(self, k: int) -> int:
         if self._table is not None:
             return self._table[k]
-        return self._at((k,))[0]
+        return self.at((k,))[0]
 
     def at(self, ranks: Sequence[int]) -> list[int]:
         """The values at a sequence of domain ranks, as a list: a gather
@@ -247,11 +247,16 @@ class Morphism:
         (unchecked, like `table`), a `fn` map above it and a `Morphism.lazy`
         map at any size are read through their evaluators and not kept.
         The values are as trusted as what they were read from: only a
-        table with no evaluator beside it is a checked one."""
+        table with no evaluator beside it is a checked one.  A block read
+        through a `fn` map's evaluator, never a table, is range-checked."""
         table = self._table
         if table is None:
-            if self.dom.card > EAGER_LIMIT or type(self._at) is not _Rankwise:
+            if type(self._at) is not _Rankwise:
                 return self._at(ranks)
+            if self.dom.card > EAGER_LIMIT:
+                values = self._at(ranks)
+                _range_check(values, self.cod.card)
+                return values
             table = self.table
         return list(map(table.__getitem__, ranks))
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .equivalence import (ObjectConditionError, functor_l, make_karm_object,
-                          moore_law_violations)
+from .algebras import (CoalgebraStruct, coalgebra_components,
+                       coalgebra_of_components, moore_law_violations)
+from .equivalence import ObjectConditionError, functor_l, make_karm_object
 from .finset import (CheckConfig, FinSetObj, Morphism, Prod, ShapeError,
-                     compose, digits, envelope_hom_report, envelope_holds,
-                     equal_mor, pack)
+                     compose, envelope_hom_report, envelope_holds, equal_mor)
 from .report import LawViolation, VerifyReport, combine, failing, passing
-from .statemonad import (StateContext, exp_mor, g_obj, prod_mor, prod_obj,
-                         t_obj)
+from .statemonad import StateContext, exp_mor, prod_mor, prod_obj, t_obj
 
 
 @dataclass(frozen=True)
@@ -121,37 +120,24 @@ class MooreMachine:
 
 
 def check_moore(m: MooreMachine) -> VerifyReport:
-    """The three public-state equations, exhaustively."""
-    violations = moore_law_violations(
-        m.ctx.ns, m.state_set.card,
-        lambda b: m.readout(b), m.step_at)
-    if violations:
-        return failing("moore-laws", violations)
-    return passing("moore-laws")
+    """The three public-state equations, exhaustively: the coalgebra laws
+    of `moore_to_coalgebra(m)`, on its components."""
+    violations = moore_law_violations(m.ctx.ns, m.readout.table,
+                                      m.step.table)
+    return (failing("moore-laws", violations) if violations
+            else passing("moore-laws"))
 
 
-def moore_to_coalgebra(m: MooreMachine):
+def moore_to_coalgebra(m: MooreMachine) -> CoalgebraStruct:
     """Bundle readout and step into a structure map B -> GB."""
-    from .algebras import CoalgebraStruct
-    ns, nb = m.ctx.ns, m.state_set.card
-    step = m.step.table  # indexed (b, t) with t minor
-    tab = [m.readout(b) * nb ** ns + pack(step[b * ns:b * ns + ns], nb)
-           for b in range(nb)]
-    beta = Morphism(m.state_set, g_obj(m.ctx, m.state_set), table=tab)
-    return CoalgebraStruct(ctx=m.ctx, carrier=m.state_set, structure=beta)
+    return coalgebra_of_components(m.ctx, m.state_set, m.readout.table,
+                                   m.step.table)
 
 
-def coalgebra_to_moore(c) -> MooreMachine:
+def coalgebra_to_moore(c: CoalgebraStruct) -> MooreMachine:
     """Unbundle a structure map B -> GB into readout and step tables."""
     ctx = c.ctx
-    nb = c.carrier.card
-    ne = nb ** ctx.ns
-    readout = []
-    step = []
-    for b in range(nb):
-        st, g = divmod(c.structure(b), ne)
-        readout.append(st)
-        step += digits(g, nb, ctx.ns)
+    readout, step = coalgebra_components(c)
     return MooreMachine(
         ctx=ctx, state_set=c.carrier,
         readout=Morphism(c.carrier, ctx.state_space, table=readout),

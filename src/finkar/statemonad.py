@@ -282,8 +282,6 @@ class Adjunction:
     # structure
     def unit(self, x: FinSetObj) -> Morphism: ...
     def counit(self, b: FinSetObj) -> Morphism: ...
-    def transpose_up(self, f: Morphism, b: FinSetObj) -> Morphism: ...
-    def transpose_down(self, g: Morphism, b: FinSetObj) -> Morphism: ...
 
     def monad(self) -> MonadOps:
         return MonadOps(
@@ -317,12 +315,6 @@ class ProdExpAdjunction(Adjunction):
     def counit(self, b):
         return eps(self.ctx, b)
 
-    def transpose_up(self, f, b=None):
-        return transpose_up(self.ctx, f)
-
-    def transpose_down(self, g, b):
-        return transpose_down(self.ctx, g, b)
-
 
 class KleisliResolution(Adjunction):
     """The free-algebra resolution, with machine-form arrows S x X -> S x Y."""
@@ -353,12 +345,6 @@ class KleisliResolution(Adjunction):
         # The arrow TB -> B in machine form S x TB -> S x B: run the step,
         # which is the product/exponential counit at S x B.
         return eps(self.ctx, prod_obj(self.ctx, b))
-
-    def transpose_up(self, f, b=None):
-        return transpose_up(self.ctx, f)
-
-    def transpose_down(self, g, b):
-        return transpose_down(self.ctx, g, prod_obj(self.ctx, b))
 
 
 def prod_exp_adjunction(ctx: StateContext) -> ProdExpAdjunction:

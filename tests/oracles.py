@@ -11,7 +11,8 @@ from itertools import product as iproduct
 from finkar.finset import (Atom, Exp, Morphism, Prod, codec, compose,
                            equal_mor, identity)
 from finkar.report import combine, failing, passing
-from finkar.statemonad import StateContext, eta, g_obj, mu, t_mor, t_obj
+from finkar.statemonad import (StateContext, eps, eta, g_mor, g_obj, mu, nu,
+                               t_mor, t_obj)
 
 
 def oracle_eta_table(ctx: StateContext, x):
@@ -226,6 +227,20 @@ def brute_force_moore_machines(ns: int, nb: int):
             if ok:
                 found.append((list(readout), list(step_flat)))
     return found
+
+
+def structural_check_coalgebra(c, config=None):
+    """Counit and comultiplication laws for one coalgebra, as stated on GB
+    and GGB: eps . structure = id and G structure . structure = nu .
+    structure."""
+    cfg = config or c.ctx.config
+    be = c.structure
+    counit = equal_mor(compose(be, eps(c.ctx, c.carrier)), identity(c.carrier),
+                       cfg, check="eps.structure=id")
+    coassoc = equal_mor(compose(be, g_mor(c.ctx, be)),
+                        compose(be, nu(c.ctx, c.carrier)),
+                        cfg, check="Gstructure.structure=nu.structure")
+    return combine("coalgebra-laws", [counit, coassoc])
 
 
 def naive_moore_tables(k) -> tuple[int, int, list[int], list[list[int]]]:

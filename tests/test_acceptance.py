@@ -289,7 +289,7 @@ def test_criterion_5_machine_equivalence():
                         step=Morphism(Prod(b, ctx.state_space), b,
                                       table=step))
                     c = moore_to_coalgebra(m)
-                    assert check_coalgebra(c, ctx.config).passed
+                    assert check_coalgebra(c).passed
                     rep = lr_identity_report(c, ctx.config)
                     assert rep.passed, rep.to_dict()
                     w = roundtrip_rl(functor_r(c, ctx.config), ctx.config)

@@ -478,6 +478,25 @@ def test_equal_mor_rejects_a_value_outside_the_codomain(cfg):
     assert equal_mor(fine, Morphism(a, b, table=[0, 1, 0]), cfg).passed
 
 
+def test_fn_values_above_the_limit_are_range_checked():
+    """Above EAGER_LIMIT a `fn` map is read through its evaluator, never
+    as a table.  A sampled equal_mor used to report lhs: -1 as an ordinary
+    witness, and a lazy composite used to read [1, 0, 1] at ranks 0 to 2,
+    -1 wrapping through negative indexing."""
+    x, b = Atom("X", EAGER_LIMIT + 1), Atom("B", 2)
+    bad = Morphism(x, b, fn=lambda k: k % 3 - 1)
+    with pytest.raises(ShapeError, match=r"entry -1 at \d+ not in \[0,2\)"):
+        equal_mor(bad, Morphism(x, b, fn=lambda k: 0))
+    with pytest.raises(ShapeError, match=r"entry -1 at 0 not in \[0,2\)"):
+        compose(bad, Morphism(b, b, table=[0, 1])).at([0, 1, 2])
+    with pytest.raises(ShapeError):
+        bad(0)
+    assert bad(1) == 0 and bad.is_lazy
+    # a `Morphism.lazy` evaluator stays trusted
+    trusted = Morphism.lazy(x, b, lambda ks: [-1 for _ in ks])
+    assert trusted.at([0, 1]) == [-1, -1]
+
+
 # ---------------------------------------------------------------------------
 # the lift kernel (S x f and S => f) and its trust boundary
 

@@ -3,10 +3,13 @@ from itertools import product
 
 import pytest
 
+from finkar import algebras, statemonad
 from finkar import policy as policy_module
+from finkar.algebras import (check_coalgebra, coalgebra_of_components,
+                             moore_law_violations)
 from finkar.cli import main
 from finkar.equivalence import (ObjectConditionError, functor_l, functor_r,
-                                make_karm_object, moore_law_violations)
+                                make_karm_object)
 from finkar.finset import (Atom, CheckConfig, Morphism, Prod, SeededRng,
                            ShapeError, compose, identity)
 from finkar.idempotents import random_idempotent, random_morphism
@@ -20,7 +23,8 @@ from finkar.statemonad import (StateContext, exp_mor, prod_mor, prod_obj,
                                t_obj)
 
 from oracles import (brute_force_moore_machines, naive_moore_tables,
-                     oracle_check_compliance, oracle_check_consistency)
+                     oracle_check_compliance, oracle_check_consistency,
+                     structural_check_coalgebra)
 
 
 def _mealy(ctx, na, nb, table, labels=("A", "A")):
@@ -285,27 +289,56 @@ def test_fixed_point_count_for_projector_images(ctx2):
             assert len(fixes) == nb
 
 
-def test_component_equations_match_coalgebra_laws(ctx2):
-    """The three public-state equations hold iff the two structure-map
-    laws hold, verified over random (readout, step) tables rather than
-    assumed."""
-    from finkar.algebras import check_coalgebra
-    rng = SeededRng(71)
-    seen = {True: 0, False: 0}
-    for _ in range(300):
-        nb = 1 + rng.below(3)
-        b = Atom("B", nb)
-        readout = Morphism(b, ctx2.state_space,
-                           table=[rng.below(2) for _ in range(nb)])
-        step = Morphism(Prod(b, ctx2.state_space), b,
-                        table=[rng.below(nb) for _ in range(2 * nb)])
-        m = MooreMachine(ctx=ctx2, state_set=b, readout=readout, step=step)
-        component = check_moore(m).passed
-        structural = check_coalgebra(moore_to_coalgebra(m)).passed
-        assert component == structural
-        seen[component] += 1
-    # both branches exercised (4 lawful, 296 lawless with this seed)
-    assert seen[True] > 0 and seen[False] > 0
+def _one_entry_mutants(ns, nb, readout, step):
+    """Every (readout, step) pair that differs from the given one in
+    exactly one entry."""
+    for j, r in enumerate(readout):
+        for v in range(ns):
+            if v != r:
+                yield readout[:j] + [v] + readout[j + 1:], step
+    for j, x in enumerate(step):
+        for v in range(nb):
+            if v != x:
+                yield readout, step[:j] + [v] + step[j + 1:]
+
+
+def test_component_equations_match_coalgebra_laws(monkeypatch):
+    """check_coalgebra and check_moore, the three public-state equations on
+    readout and step, agree with the laws as stated on GB and GGB
+    (structural_check_coalgebra): on every table at |S| <= 2 and |B| <= 3,
+    where each law, and each pair of laws, fails alone on some table, and
+    on every one-entry mutant of every lawful machine at |S| in {2, 3} and
+    |B| <= 3.  The component check builds no map on GB: it still runs with
+    nu, g_mor and eps replaced by ones that raise."""
+    cases = []
+    for ns, nb in product((1, 2), (1, 2, 3)):
+        for readout in product(range(ns), repeat=nb):
+            for step in product(range(nb), repeat=ns * nb):
+                cases.append((ns, nb, list(readout), list(step)))
+    for ns in (2, 3):
+        for nb in (1, 2, 3):
+            for readout, step in brute_force_moore_machines(ns, nb):
+                cases += [(ns, nb, r, st) for r, st in
+                          _one_entry_mutants(ns, nb, readout, step)]
+    ctxs = {ns: StateContext(Atom("S", ns)) for ns in (1, 2, 3)}
+    coalgebras = [coalgebra_of_components(ctxs[ns], Atom("B", nb), r, st)
+                  for ns, nb, r, st in cases]
+    oracle = [structural_check_coalgebra(c).passed for c in coalgebras]
+    # 5,930 tables, five of them lawful; 12 mutants of the two lawful
+    # machines at |S| = 2 = |B| and 144 of the six at |S| = 3 = |B|, none
+    # lawful
+    assert (len(oracle), oracle.count(True)) == (6086, 5)
+
+    def built_on_gb(*args):
+        raise AssertionError("a map on GB was built")
+
+    for module, name in ((statemonad, "nu"), (statemonad, "g_mor"),
+                         (statemonad, "eps"), (algebras, "g_mor"),
+                         (algebras, "eps")):
+        monkeypatch.setattr(module, name, built_on_gb)
+    assert [check_coalgebra(c).passed for c in coalgebras] == oracle
+    assert [check_moore(coalgebra_to_moore(c)).passed
+            for c in coalgebras] == oracle
 
 
 def test_stateful_policy_check(ctx2):
@@ -371,8 +404,7 @@ def test_public_pair_machine_matches_naive_construction(ctx2, n, draws,
         forced = coalgebra_to_moore(functor_l(k, force=True).coalgebra)
         assert forced.readout.table == readout
         assert forced.step.table == flat_step
-        expected = moore_law_violations(ns, nb, lambda b: readout[b],
-                                        lambda b, t: step[b][t])[:3]
+        expected = moore_law_violations(ns, readout, flat_step)[:3]
         if not k.condition.passed:
             with pytest.raises(ObjectConditionError) as exc:
                 functor_l(k)

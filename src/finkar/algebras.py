@@ -13,9 +13,10 @@ from functools import lru_cache
 from typing import Optional
 
 from .finset import (CheckConfig, FinSetObj, Morphism, ShapeError,
-                     compose, digits, equal_mor, fibers, from_fn, identity,
-                     inverse, lift, pack)
-from .idempotents import Splitting, karoubi_hom_check, split_idempotent
+                     compose, digits, equal_mor, fibers, from_blocks,
+                     identity, inverse, lift, pack)
+from .idempotents import (Splitting, fixed_ranks, karoubi_hom_check,
+                          split_idempotent)
 from .report import (LawViolation, VerifyReport, combine, failing,
                      passing)
 from .statemonad import (StateContext, eta, exp_mor, exp_obj, g_mor, g_obj,
@@ -131,18 +132,11 @@ def check_algebra(a: AlgebraStruct,
 
 @lru_cache(maxsize=64)
 def _operation_ranks(s: FinSetObj, x: FinSetObj) -> tuple[Morphism, Morphism]:
-    """Where the operations read alpha, for a carrier x: S x A -> TA sends
-    (u, a) to the constant computation s |-> (u, a), and S => A -> TA sends
-    g to s |-> (s, g s)."""
+    """Where update and lookup read alpha, for a carrier x: the transposes
+    of the operation arguments, (u, a) |-> (s |-> (u, a)) on S x A and
+    g |-> (s |-> (s, g s)) on S => A."""
     ctx = StateContext(s)
-    ns, n = ctx.ns, x.card
-    m1 = ns * n
-    w = pack([1] * ns, m1)  # s |-> p has rank p * w
-    ta = t_obj(ctx, x)
-    return (Morphism(prod_obj(ctx, x), ta, table=range(0, m1 * w, w)),
-            Morphism(exp_obj(ctx, x), ta, table=[
-                pack([u * n + d for u, d in enumerate(digits(g, n, ns))], m1)
-                for g in range(n ** ns)]))
+    return tuple(transpose_up(ctx, arg) for arg in _operation_args(s, x))
 
 
 def _read_operations(a: AlgebraStruct) -> tuple[Morphism, Morphism]:
@@ -158,10 +152,11 @@ def _operation_args(s: FinSetObj,
     own: S x (S => A) -> S x A, (u, g) |-> (u, g u)."""
     ctx = StateContext(s)
     sx, n = prod_obj(ctx, x), x.card
-    ne = n ** ctx.ns
-    ev = eps(ctx, x)
-    return (from_fn(prod_obj(ctx, sx), sx, lambda p: p % sx.card),
-            from_fn(g_obj(ctx, x), sx, lambda p: p // ne * n + ev(p)))
+    m, ne, ev = sx.card, n ** ctx.ns, eps(ctx, x)
+    return (from_blocks(prod_obj(ctx, sx), sx,
+                        lambda ps: [p % m for p in ps]),
+            from_blocks(g_obj(ctx, x), sx, lambda ps: [
+                p // ne * n + v for p, v in zip(ps, ev.at(ps))]))
 
 
 def moore_law_violations(ns: int, readout: list[int],
@@ -468,7 +463,7 @@ def karm_object_condition(ctx: StateContext, carrier: FinSetObj,
     if not equal_mor(compose(phi, phi), phi, cfg).passed:
         return failing("karm-object-condition",
                        [{"reason": "projector is not idempotent"}])
-    nfix = sum(1 for k in range(phi.dom.card) if phi(k) == k)
+    nfix = len(fixed_ranks(phi))
     image_card = nfix ** ctx.ns
     ok = image_card == carrier.card
     details = {"image_card": image_card, "carrier_card": carrier.card,

@@ -19,8 +19,8 @@ from .equivalence import (ObjectConditionError, dual_lr_identity_report,
                           lr_identity_report, make_karm_object, roundtrip_rl)
 from .finset import Atom, CheckConfig, Morphism, Prod, SeededRng
 from .idempotents import (check_split_equalizer_diagram, is_idempotent,
-                          random_split_equalizer_diagram, split_idempotent,
-                          verify_split_equalizer)
+                          karoubi_hom_check, random_split_equalizer_diagram,
+                          split_idempotent, verify_split_equalizer)
 from .policy import (MealyMachine, MooreMachine, Policy, check_compliance,
                      check_consistency, check_moore, check_policy,
                      mealy_to_moore, moore_to_coalgebra)
@@ -498,7 +498,6 @@ def _cmd_equiv_roundtrip(task, env):
 
 
 def _cmd_karoubi_check(task, env):
-    from .idempotents import karoubi_hom_check
     machine = env.mealy(task["machine"])
     phi = env.policy(task["inPolicy"])
     psi = env.policy(task["outPolicy"])

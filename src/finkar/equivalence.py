@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import (AlgebraStruct, CoalgebraStruct, check_algebra,
-                       check_coalgebra, coalgebra_hom_report,
+from .algebras import (AlgebraStruct, CoalgebraStruct, algebra_hom_check,
+                       check_algebra, check_coalgebra, coalgebra_hom_report,
                        coalgebra_of_components, consistent_hom_check,
                        karm_object_condition, karm_retraction,
                        moore_law_violations)
 from .finset import (CheckConfig, FinSetObj, Morphism, ShapeError, compose,
-                     digits, equal_mor, from_fn, identity, inverse)
+                     equal_mor, identity, inverse)
 from .idempotents import Splitting, fixed_ranks, split_idempotent
 from .report import LawViolation, VerifyReport, combine, failing, passing
 from .statemonad import (StateContext, eps, eta, exp_mor, exp_obj,
@@ -277,7 +277,6 @@ def dual_r_mor(f: Morphism, a1: AlgebraStruct, a2: AlgebraStruct,
                config: CheckConfig | None = None) -> Morphism:
     """An algebra hom becomes the machine-form map S x f, consistent in the
     behavior-level sense."""
-    from .algebras import algebra_hom_check
     ctx = a1.ctx
     cfg = config or ctx.config
     if not algebra_hom_check(f, a1, a2, config=cfg):
@@ -327,7 +326,6 @@ def dual_l(k: KarcObject, config: CheckConfig | None = None,
 def dual_l_mor(g: Morphism, k1: KarcObject, k2: KarcObject,
                config: CheckConfig | None = None) -> Morphism:
     """A consistent machine-form map induces a hom of the carved algebras."""
-    from .algebras import algebra_hom_check
     ctx = k1.ctx
     cfg = config or ctx.config
     if not equal_mor(compose(k1.projector, exp_mor(ctx, g)),
@@ -419,21 +417,11 @@ def nucleus_objects_back(k: KarcObject,
                          config: CheckConfig | None = None) -> KarmObject:
     """Behavior-level projector -> machine-form projector on T(mid).
 
-    Split the projector; on the machine S x T(mid), run one step and
-    freeze the remaining behavior at the unit."""
+    Split the projector; on the machine S x T(mid), run one step (the
+    counit at S x mid) and freeze the remaining behavior at the unit
+    (S x eta)."""
     ctx = k.ctx
     cfg = config or ctx.config
-    s = split_idempotent(k.projector)
-    c = s.mid
-    carrier = t_obj(ctx, c)
-    ntc = carrier.card
-    m1 = ctx.ns * c.card
-    eta_c = eta(ctx, c)
-
-    def ev(p):
-        st, t = divmod(p, ntc)
-        s1, c1 = divmod(digits(t, m1, ctx.ns)[st], c.card)
-        return s1 * ntc + eta_c(c1)
-
-    proj = from_fn(prod_obj(ctx, carrier), prod_obj(ctx, carrier), ev)
-    return make_karm_object(ctx, carrier, proj, cfg)
+    c = split_idempotent(k.projector).mid
+    proj = compose(eps(ctx, prod_obj(ctx, c)), prod_mor(ctx, eta(ctx, c)))
+    return make_karm_object(ctx, t_obj(ctx, c), proj, cfg)

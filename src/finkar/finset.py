@@ -6,14 +6,14 @@ computed through that bijection, so a morphism is nothing but a total
 function on ranks: either a materialized table or a lazy evaluator for
 domains too large to enumerate.
 
-One rule decides which: a map built by `from_fn`, `compose`, `lift` or a
-structure map is a table exactly when its domain has at most `EAGER_LIMIT`
-ranks, and a lazy evaluator above that.  The one exception is a map built
-by `Morphism.lazy`: it is read through its evaluator at any size, and a
-composite that reads it first stays lazy too.  Composition and exhaustive
-equality on small domains then run over whole tables.  Every map is read
-through `at`, a block of ranks at a time: a table gathers, a lazy map
-evaluates the whole block at once.
+One rule decides which: a map built by `from_blocks`, `compose`, `lift`
+or a structure map is a table exactly when its domain has at most
+`EAGER_LIMIT` ranks, and a lazy evaluator above that.  The one exception
+is a map built by `Morphism.lazy`: it is read through its evaluator at any
+size, and a composite that reads it first stays lazy too.  Composition and
+exhaustive equality on small domains then run over whole tables.  Every
+map is read through `at`, a block of ranks at a time: a table gathers, a
+lazy map evaluates the whole block at once.
 
 Tables are range-checked once.  A table passed in is copied and checked.
 A table materialized from `fn` or an evaluator is checked the first time
@@ -21,8 +21,9 @@ A table materialized from `fn` or an evaluator is checked the first time
 returns it unchecked).  The tables this module builds from checked ones, a
 `compose` gather from a checked table and a `lift` of a checked table, are
 trusted: adopted without a copy or a scan.  An evaluator's values are not
-checked; the package builds its evaluators from checked maps, and a table
-gathered from one is checked like a table passed in.
+checked; the package builds its evaluators from maps read through
+`checked_at`, and a table gathered from one is checked like a table passed
+in.  An error names the domain rank of the first value out of range.
 """
 
 from __future__ import annotations
@@ -64,14 +65,11 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True)
 class FinSetObj:
-    """Base class for structured finite sets; use Atom/Prod/Exp."""
+    """Base class for structured finite sets; use Atom/Prod/Exp.  `card`,
+    the number of elements, is set once at construction."""
 
     def __post_init__(self):
-        object.__setattr__(self, "_card", self._compute_card())
-
-    @property
-    def card(self) -> int:
-        return self._card
+        object.__setattr__(self, "card", self._compute_card())
 
     def _compute_card(self) -> int:
         raise NotImplementedError
@@ -255,7 +253,7 @@ class Morphism:
                 return self._at(ranks)
             if self.dom.card > EAGER_LIMIT:
                 values = self._at(ranks)
-                _range_check(values, self.cod.card)
+                _range_check(values, self.cod.card, ranks)
                 return values
             table = self.table
         return list(map(table.__getitem__, ranks))
@@ -305,10 +303,11 @@ class _Rankwise:
         return list(map(self.fn, ranks))
 
 
-def _range_check(table: list[int], n: int):
+def _range_check(table: list[int], n: int, ranks=None):
     if table and not (0 <= min(table) and max(table) < n):
         k = next(k for k, v in enumerate(table) if not 0 <= v < n)
-        raise ShapeError(f"table entry {table[k]} at {k} not in [0,{n})")
+        at = k if ranks is None else ranks[k]
+        raise ShapeError(f"table entry {table[k]} at {at} not in [0,{n})")
 
 
 def _checked_table(m: Morphism) -> Optional[list[int]]:
@@ -327,9 +326,15 @@ def _checked_table(m: Morphism) -> Optional[list[int]]:
     return table
 
 
+def checked_at(m: Morphism) -> Callable[[Sequence[int]], list[int]]:
+    """m's block reader, every value in the codomain: a table materialized
+    from `fn` is checked first, so an error names m's own rank."""
+    _checked_table(m)
+    return m.at
+
+
 def identity(obj: FinSetObj) -> Morphism:
-    return Morphism(obj, obj, table=range(obj.card)) \
-        if obj.card <= EAGER_LIMIT else Morphism.lazy(obj, obj, list)
+    return from_blocks(obj, obj, list)
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
@@ -352,13 +357,21 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
                     table=values if g._at is not None else _Checked(values))
 
 
+def from_blocks(dom: FinSetObj, cod: FinSetObj,
+                at: Callable[[Sequence[int]], list[int]]) -> Morphism:
+    """Build a morphism from a block evaluator: `Morphism.lazy(dom, cod,
+    at)` above EAGER_LIMIT, and within it that map's table, built BLOCK
+    ranks at a time and checked like a table passed in."""
+    m = Morphism.lazy(dom, cod, at)
+    return m if dom.card > EAGER_LIMIT else Morphism(dom, cod, table=m.table)
+
+
 def from_fn(dom: FinSetObj, cod: FinSetObj,
             fn: Callable[[int], int]) -> Morphism:
-    """Build a morphism from a rank function: a table within EAGER_LIMIT,
-    the lazy evaluator above it."""
-    if dom.card <= EAGER_LIMIT:
-        return Morphism(dom, cod, table=list(map(fn, range(dom.card))))
-    return Morphism(dom, cod, fn=fn)
+    """Build a morphism from a rank function through `from_blocks`: a table
+    within EAGER_LIMIT, above it the `fn` map `Morphism(dom, cod, fn=fn)`,
+    whose blocks are range-checked when read."""
+    return from_blocks(dom, cod, _Rankwise(fn))
 
 
 def lift(dom: FinSetObj, cod: FinSetObj, f: Morphism) -> Morphism:
@@ -372,7 +385,7 @@ def lift(dom: FinSetObj, cod: FinSetObj, f: Morphism) -> Morphism:
     is the one over k states repeated once per digit d, shifted by
     f(d) * |Y|^k.  Above EAGER_LIMIT the map is lazy and reads a block the
     same way: f at each state's digits of the whole block, shifted into
-    place.
+    place.  Either way a table f materialized from `fn` is checked first.
     """
     exp = isinstance(dom, Exp) and isinstance(cod, Exp)
     if exp:
@@ -384,8 +397,8 @@ def lift(dom: FinSetObj, cod: FinSetObj, f: Morphism) -> Morphism:
     if s is None or s != s2 or x != f.dom or y != f.cod:
         raise ShapeError(f"cannot lift {f!r} to {dom!r} -> {cod!r}")
     ns, nx, ny = s.card, x.card, y.card
+    ft = _checked_table(f)
     if dom.card <= EAGER_LIMIT:
-        ft = _checked_table(f)
         checked = ft is not None
         if not checked:
             ft = f.at(range(nx))

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .finset import (Atom, CheckConfig, FinSetObj, Morphism, SeededRng,
-                     ShapeError, compose, envelope_hom_report, equal_mor,
-                     fibers, identity, image_factor, inverse)
+from .finset import (BLOCK, Atom, CheckConfig, FinSetObj, Morphism,
+                     SeededRng, ShapeError, compose, envelope_hom_report,
+                     equal_mor, fibers, identity, image_factor, inverse)
 from .report import VerifyReport, combine, failing, passing
 
 
@@ -36,8 +36,10 @@ def is_idempotent(e: Morphism, config: CheckConfig = CheckConfig()) -> bool:
 
 
 def fixed_ranks(e: Morphism) -> list[int]:
-    """Ranks fixed by an endomorphism, ascending."""
-    return [k for k, v in enumerate(e.table) if v == k]
+    """Ranks fixed by an endomorphism, ascending, read a block at a time."""
+    n = e.dom.card
+    blocks = (range(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK))
+    return [k for ks in blocks for k, v in zip(ks, e.at(ks)) if v == k]
 
 
 def split_idempotent(e: Morphism) -> Splitting:
@@ -63,10 +65,9 @@ def verify_split_equalizer(e: Morphism, s: Splitting,
     subs = []
     subs.append(equal_mor(compose(s.i, e), s.i, config, check="e.i=i"))
 
-    fixed = [k for k in range(e.dom.card) if e(k) == k]
     preimages = fibers(s.i)
     wit = []
-    for x in fixed:
+    for x in fixed_ranks(e):
         hits = preimages.get(x, [])
         if len(hits) != 1:
             wit.append({"fixed_rank": x, "preimages": hits})

@@ -1,15 +1,16 @@
 """The state monad T X = S=>(S x X), its comonad G X = S x (S=>X), and the
 two resolutions used throughout the package.
 
-All structure maps are digit arithmetic on the canonical ranks.  They follow
-the finset rule: a structure map is a table exactly when its domain has at
-most EAGER_LIMIT ranks, built whole by a digit kernel, and a lazy evaluator
-above that.  S x f and S => f are one finset kernel, `lift`, whose tables
-from checked ones are not scanned again.  Lazy maps are those whose
+Both come from S x - left adjoint to S => -.  Its hom-set bijection,
+transpose_up and transpose_down, holds the only digit kernels here; eta,
+eps, mu and nu are composites of them: eta and eps transpose identities,
+mu = S => eps at S x X and nu = S x eta at S => X.  The transposes follow
+the finset rule: a table, built a block at a time, exactly when the domain
+has at most EAGER_LIMIT ranks, and a lazy block evaluator above that.
+S x f and S => f are the finset kernel `lift`.  Lazy maps are those whose
 domains blow up combinatorially (mu at TTX once |S x X|^|S| is large, T f
-on TTX, ...); equalities on them are verified by seeded sampling, and they
-evaluate a block of ranks at a time.
-The tables of eta, mu, eps and nu depend only on (state space, carrier), so
+on TTX, ...); equalities on them are verified by seeded sampling.  The
+tables of eta, mu, eps and nu depend only on (state space, carrier), so
 each is built once and shared, within a bound on the entries kept.
 """
 
@@ -22,8 +23,8 @@ from threading import Lock
 from typing import Callable
 
 from .finset import (CheckConfig, Exp, FinSetObj, Morphism, Prod,
-                     ShapeError, SeededRng, compose, digits, equal_mor,
-                     from_fn, identity, lift, pack)
+                     ShapeError, SeededRng, checked_at, compose, equal_mor,
+                     from_blocks, identity, lift)
 from .idempotents import random_morphism
 from .report import VerifyReport, combine
 
@@ -144,12 +145,16 @@ def _cached(build):
     return structure_map
 
 
+def _identity_at(obj: FinSetObj) -> Morphism:
+    # id as a block evaluator, so that a transpose of it keeps no table
+    return Morphism.lazy(obj, obj, list)
+
+
 @_cached
 def eta(ctx: StateContext, x: FinSetObj) -> Morphism:
-    """Unit X -> TX, sending x to the computation s |-> (s, x)."""
-    ns, nx = ctx.ns, x.card
-    return from_fn(x, t_obj(ctx, x),
-                   lambda k: pack((s * nx + k for s in range(ns)), ns * nx))
+    """Unit X -> TX, sending x to the computation s |-> (s, x): the
+    transpose of id on S x X."""
+    return transpose_up(ctx, _identity_at(prod_obj(ctx, x)))
 
 
 @_cached
@@ -164,52 +169,50 @@ def mu(ctx: StateContext, x: FinSetObj) -> Morphism:
 
 @_cached
 def eps(ctx: StateContext, x: FinSetObj) -> Morphism:
-    """Counit GX -> X: evaluate the function at the carried state."""
-    ns, nx = ctx.ns, x.card
-    ne = nx ** ns
-
-    def ev(p):
-        s, g = divmod(p, ne)
-        return digits(g, nx, ns)[s]
-
-    return from_fn(g_obj(ctx, x), x, ev)
+    """Counit GX -> X, evaluating the function at the carried state: the
+    transpose of id on S => X."""
+    return transpose_down(ctx, _identity_at(exp_obj(ctx, x)), x)
 
 
 @_cached
 def nu(ctx: StateContext, x: FinSetObj) -> Morphism:
-    """Comultiplication GX -> GGX: (s, g) |-> (s, t |-> (t, g))."""
-    ns, nx = ctx.ns, x.card
-    ne = nx ** ns        # card(S => X)
-    ngx = ns * ne        # card(GX)
-
-    def ev(p):
-        s, g = divmod(p, ne)
-        return s * ngx ** ns + pack((t * ne + g for t in range(ns)), ngx)
-
-    return from_fn(g_obj(ctx, x), g_obj(ctx, g_obj(ctx, x)), ev)
+    """Comultiplication GX -> GGX, (s, g) |-> (s, t |-> (t, g)): S x eta
+    at S => X."""
+    return prod_mor(ctx, eta(ctx, exp_obj(ctx, x)))
 
 
 def transpose_up(ctx: StateContext, f: Morphism) -> Morphism:
-    """hom(S x A, B) -> hom(A, S => B)."""
+    """hom(S x A, B) -> hom(A, S => B), a |-> (s |-> f(s, a)): f at each
+    state's row of a block, packed one base-|B| digit per state."""
     if not (isinstance(f.dom, Prod) and f.dom.left == ctx.state_space):
         raise ShapeError("transpose_up wants a morphism out of S x A")
-    a = f.dom.right
-    na, nb = a.card, f.cod.card
-    return from_fn(a, exp_obj(ctx, f.cod),
-                   lambda k: pack((f(s * na + k) for s in range(ctx.ns)), nb))
+    a, nb, read = f.dom.right, f.cod.card, checked_at(f)
+
+    def at(ks):
+        out = read(ks)
+        for s in range(1, ctx.ns):
+            w, row = nb ** s, s * a.card
+            out = [o + w * v
+                   for o, v in zip(out, read([row + k for k in ks]))]
+        return out
+
+    return from_blocks(a, exp_obj(ctx, f.cod), at)
 
 
 def transpose_down(ctx: StateContext, f: Morphism, cod: FinSetObj) -> Morphism:
-    """hom(A, S => B) -> hom(S x A, B); `cod` names B."""
-    if f.cod != exp_obj(ctx, cod):
+    """hom(A, S => B) -> hom(S x A, B), (s, a) |-> digit s of f(a); `cod`
+    names B."""
+    e = f.cod
+    if not (type(e) is Exp and e.base == ctx.state_space and e.target == cod):
         raise ShapeError("transpose_down wants a morphism into S => B")
-    na, nb = f.dom.card, cod.card
+    na, nb, read = f.dom.card, cod.card, checked_at(f)
 
-    def ev(p):
-        s, a = divmod(p, na)
-        return digits(f(a), nb, ctx.ns)[s]
+    def at(ps):
+        w = [nb ** s for s in range(ctx.ns)]
+        return [v // w[p // na] % nb
+                for p, v in zip(ps, read([p % na for p in ps]))]
 
-    return from_fn(prod_obj(ctx, f.dom), cod, ev)
+    return from_blocks(prod_obj(ctx, f.dom), cod, at)
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,15 @@ from finkar.statemonad import (StateContext, eps, eta, g_mor, g_obj, mu, nu,
                                t_mor, t_obj)
 
 
+def oracle_eta_at(ctx: StateContext, x, k: int) -> int:
+    """Unit at one rank of X, on structural elements: x |-> (s |-> (s, x))."""
+    elem = codec(x).unrank(k)
+    return codec(t_obj(ctx, x)).rank(tuple((s, elem) for s in range(ctx.ns)))
+
+
 def oracle_eta_table(ctx: StateContext, x):
-    """Unit table computed on structural elements: x |-> (s |-> (s, x))."""
-    tx = t_obj(ctx, x)
-    cx, ctx_codec = codec(x), codec(tx)
-    out = []
-    for k in range(x.card):
-        elem = cx.unrank(k)
-        fun = tuple((s, elem) for s in range(ctx.ns))
-        out.append(ctx_codec.rank(fun))
-    return out
+    """Unit table computed on structural elements."""
+    return [oracle_eta_at(ctx, x, k) for k in range(x.card)]
 
 
 def oracle_mu_at(ctx: StateContext, x, k: int) -> int:
@@ -78,27 +77,66 @@ def oracle_t_at(ctx: StateContext, dom, cod, fn, k: int) -> int:
         tuple((s1, _lift(dom, cod, fn, x)) for s1, x in t))
 
 
+def oracle_eps_at(ctx: StateContext, x, k: int) -> int:
+    """Counit at one rank of GX, on structural elements: (s, g) |-> g(s)."""
+    s, g = codec(g_obj(ctx, x)).unrank(k)
+    return codec(x).rank(g[s])
+
+
 def oracle_eps_table(ctx: StateContext, x):
-    """Counit on structural elements: (s, g) |-> g(s)."""
+    return [oracle_eps_at(ctx, x, k) for k in range(g_obj(ctx, x).card)]
+
+
+def oracle_nu_at(ctx: StateContext, x, k: int) -> int:
+    """Comultiplication at one rank of GX, on structural elements:
+    (s, g) |-> (s, t |-> (t, g))."""
     gx = g_obj(ctx, x)
-    c_gx, c_x = codec(gx), codec(x)
-    out = []
-    for k in range(gx.card):
-        s, g = c_gx.unrank(k)
-        out.append(c_x.rank(g[s]))
-    return out
+    s, g = codec(gx).unrank(k)
+    return codec(g_obj(ctx, gx)).rank(
+        (s, tuple((t, g) for t in range(ctx.ns))))
 
 
 def oracle_nu_table(ctx: StateContext, x):
-    """Comultiplication on structural elements: (s, g) |-> (s, t |-> (t, g))."""
-    gx = g_obj(ctx, x)
-    ggx = g_obj(ctx, gx)
-    c_gx, c_ggx = codec(gx), codec(ggx)
-    out = []
-    for k in range(gx.card):
-        s, g = c_gx.unrank(k)
-        out.append(c_ggx.rank((s, tuple((t, g) for t in range(ctx.ns)))))
-    return out
+    return [oracle_nu_at(ctx, x, k) for k in range(g_obj(ctx, x).card)]
+
+
+def oracle_transpose_up_at(ctx: StateContext, a, b, fn, k: int) -> int:
+    """The transpose A -> S => B of f: S x A -> B (a rank function) at one
+    rank of A, on structural elements: a |-> (s |-> f(s, a))."""
+    elem, sa = codec(a).unrank(k), Prod(ctx.state_space, a)
+    return codec(Exp(ctx.state_space, b)).rank(tuple(
+        _lift(sa, b, fn, (s, elem)) for s in range(ctx.ns)))
+
+
+def oracle_transpose_down_at(ctx: StateContext, a, b, fn, k: int) -> int:
+    """The transpose S x A -> B of f: A -> S => B (a rank function) at one
+    rank of S x A, on structural elements: (s, a) |-> f(a)(s)."""
+    s, elem = codec(Prod(ctx.state_space, a)).unrank(k)
+    return codec(b).rank(_lift(a, Exp(ctx.state_space, b), fn, elem)[s])
+
+
+def oracle_step_then_unit_at(ctx: StateContext, c, k: int) -> int:
+    """The machine-form projector of nucleus_objects_back at one rank of
+    S x TC, on structural elements: (s, t) |-> (s1, (u |-> (u, c1))) where
+    t(s) = (s1, c1)."""
+    sx = Prod(ctx.state_space, t_obj(ctx, c))
+    s, t = codec(sx).unrank(k)
+    s1, c1 = t[s]
+    return codec(sx).rank((s1, tuple((u, c1) for u in range(ctx.ns))))
+
+
+def oracle_update_rank_at(ctx: StateContext, x, k: int) -> int:
+    """Where update reads alpha, at one rank of S x X: (u, x) |-> the
+    constant computation s |-> (u, x)."""
+    u, elem = codec(Prod(ctx.state_space, x)).unrank(k)
+    return codec(t_obj(ctx, x)).rank(tuple((u, elem) for _ in range(ctx.ns)))
+
+
+def oracle_lookup_rank_at(ctx: StateContext, x, k: int) -> int:
+    """Where lookup reads alpha, at one rank of S => X: g |-> (s |-> (s,
+    g s))."""
+    g = codec(Exp(ctx.state_space, x)).unrank(k)
+    return codec(t_obj(ctx, x)).rank(tuple((s, g[s]) for s in range(ctx.ns)))
 
 
 def oracle_kleisli_table(ctx: StateContext, f: Morphism, g: Morphism):

@@ -5,18 +5,22 @@ Structures are split algebras (`functor_k` on seeded projectors, as in
 the transfer census) and their seeded one-entry mutants.
 """
 
+from itertools import islice
+
 import pytest
 
 from finkar.algebras import (AlgebraStruct, SearchBoundExceeded,
-                             _read_operations, algebra_hom_check,
+                             _operation_ranks, _read_operations,
+                             algebra_hom_check,
                              check_algebra, coretraction_of_split,
                              free_algebra, functor_k, search_sections)
-from finkar.finset import (Atom, CheckConfig, Exp, Morphism, SeededRng, codec,
-                           compose)
+from finkar.finset import (EAGER_LIMIT, Atom, CheckConfig, Exp, Morphism,
+                           SeededRng, codec, compose, splitmix64)
 from finkar.statemonad import StateContext, exp_mor, prod_obj, t_obj
 
-from oracles import (oracle_eta_table, oracle_mu_at, tf_algebra_hom_check,
-                     tta_check_algebra, tta_law_at_lifted_constants)
+from oracles import (oracle_eta_table, oracle_lookup_rank_at, oracle_mu_at,
+                     tf_algebra_hom_check, tta_check_algebra,
+                     tta_law_at_lifted_constants)
 
 EXHAUSTIVE = CheckConfig(cap=10 ** 8)
 
@@ -251,6 +255,23 @@ def test_free_algebra_operations_on_36_agree_with_mu_on_seeded_ranks():
             ctx, x, c_ttx.rank(tuple((u, elem) for _ in range(ctx.ns)))))
     assert update.at(ps) == expected
     assert lookup.is_lazy
+
+
+def test_lookup_ranks_stay_lazy_above_the_limit():
+    """The lookup rank map of free_algebra(S = 2, X = 10) has |S => TX| =
+    160,000 ranks: it is the transpose of a lazy map, read only where
+    check_algebra samples, and agrees with the oracle on seeded ranks.  It
+    used to be a 160,000-entry table."""
+    ctx = StateContext(Atom("S", 2))
+    fa = free_algebra(ctx, Atom("X", 10))
+    lookup = _operation_ranks(ctx.state_space, fa.carrier)[1]
+    n = lookup.dom.card
+    assert n == 160000 > EAGER_LIMIT and lookup.is_lazy
+    ranks = [r % n for r in islice(splitmix64(10), 2000)]
+    assert lookup.at(ranks) == [oracle_lookup_rank_at(ctx, fa.carrier, k)
+                                for k in ranks]
+    rep = check_algebra(fa)
+    assert rep.passed and rep.mode == "sampled" and lookup.is_lazy
 
 
 def _census_algebras():

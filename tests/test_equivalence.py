@@ -15,7 +15,8 @@ from finkar.finset import (Atom, Morphism, Prod, compose, equal_mor,
 from finkar.policy import MooreMachine, moore_to_coalgebra
 from finkar.statemonad import g_mor, g_obj, mu, prod_obj, t_obj
 
-from oracles import brute_force_moore_machines, transported_algebras
+from oracles import (brute_force_moore_machines, oracle_step_then_unit_at,
+                     transported_algebras)
 
 E2_TABLE = [2, 6, 2, 6, 2, 2, 6, 6]
 
@@ -350,6 +351,9 @@ def test_nucleus_objects_on_fixture(ctx2, e1_moore):
     assert back.condition.passed
     proj = back.projector
     assert equal_mor(compose(proj, proj), proj).passed
+    mid = Atom("C", 4)
+    assert proj.table == [oracle_step_then_unit_at(ctx2, mid, p)
+                          for p in range(proj.dom.card)]
 
 
 def test_nucleus_singleton_state(ctx1):
@@ -362,3 +366,6 @@ def test_nucleus_singleton_state(ctx1):
     assert nk.projector.table == list(range(nk.projector.dom.card))
     back = nucleus_objects_back(nk)
     assert back.condition.passed
+    assert back.projector.table == [
+        oracle_step_then_unit_at(ctx1, Atom("C", nk.carrier.card), p)
+        for p in range(back.projector.dom.card)]

@@ -497,6 +497,31 @@ def test_fn_values_above_the_limit_are_range_checked():
     assert trusted.at([0, 1]) == [-1, -1]
 
 
+def test_lift_checks_a_fn_table_above_the_limit():
+    """lift reads f's table range-checked on both sides of EAGER_LIMIT:
+    above it, S => f of a `fn` map with a value out of range used to read
+    the -1 into its digits."""
+    s, x, y = Atom("S", 2), Atom("X", 400), Atom("Y", 7)
+    bad = Morphism(x, y, fn=lambda k: -1 if k == 3 else 0)
+    with pytest.raises(ShapeError,
+                       match=r"^table entry -1 at 3 not in \[0,7\)$"):
+        lift(Exp(s, x), Exp(s, y), bad)
+
+
+def test_block_range_errors_name_the_domain_rank():
+    """A value out of range in a block read through a `fn` map's evaluator
+    is named by its domain rank, not by its index in the block (this read
+    `at 1`, and the exhaustive check `at 1695`)."""
+    x, b = Atom("X", EAGER_LIMIT + 1), Atom("B", 2)
+    bad = Morphism(x, b, fn=lambda k: -1 if k == 99999 else 0)
+    with pytest.raises(ShapeError,
+                       match=r"^table entry -1 at 99999 not in \[0,2\)$"):
+        bad.at([5, 99999])
+    with pytest.raises(ShapeError, match=r"^table entry -1 at 99999 "):
+        equal_mor(bad, Morphism(x, b, fn=lambda k: 0),
+                  CheckConfig(cap=EAGER_LIMIT + 1))
+
+
 # ---------------------------------------------------------------------------
 # the lift kernel (S x f and S => f) and its trust boundary
 

@@ -1,19 +1,31 @@
+import ast
 from itertools import islice
+from pathlib import Path
 
+import pytest
+
+from finkar.algebras import _operation_ranks
+from finkar.equivalence import KarcObject, nucleus_objects_back
 from finkar.finset import (EAGER_LIMIT, Atom, Exp, Morphism, SeededRng,
-                           compose, identity, splitmix64)
-from finkar.statemonad import (ProdExpAdjunction, check_adjunction_laws,
-                               check_comonad_laws, check_monad_laws, eps, eta,
-                               exp_mor, g_obj, kleisli_compose,
-                               kleisli_of_mealy, kleisli_resolution,
-                               mealy_of_kleisli, mu, nu, prod_exp_adjunction,
-                               prod_mor, prod_obj, state_comonad,
-                               state_monad, t_mor, t_obj, transpose_down,
-                               transpose_up)
+                           ShapeError, compose, identity, splitmix64)
+from finkar.statemonad import (ProdExpAdjunction, StateContext,
+                               check_adjunction_laws, check_comonad_laws,
+                               check_monad_laws, eps, eta, exp_mor, exp_obj,
+                               g_obj, kleisli_compose, kleisli_of_mealy,
+                               kleisli_resolution, mealy_of_kleisli, mu, nu,
+                               prod_exp_adjunction, prod_mor, prod_obj,
+                               state_comonad, state_monad, t_mor, t_obj,
+                               transpose_down, transpose_up)
 
-from oracles import (oracle_eps_table, oracle_eta_table, oracle_exp_at,
-                     oracle_kleisli_table, oracle_mu_at, oracle_mu_table,
-                     oracle_nu_table, oracle_prod_at, oracle_t_at)
+from oracles import (oracle_eps_at, oracle_eps_table, oracle_eta_at,
+                     oracle_eta_table, oracle_exp_at, oracle_kleisli_table,
+                     oracle_lookup_rank_at, oracle_mu_at, oracle_mu_table,
+                     oracle_nu_at, oracle_nu_table, oracle_prod_at,
+                     oracle_step_then_unit_at, oracle_t_at,
+                     oracle_transpose_down_at, oracle_transpose_up_at,
+                     oracle_update_rank_at)
+
+STATEMONAD = Path(__file__).resolve().parents[1] / "src/finkar/statemonad.py"
 
 
 def test_t_obj_cardinalities(ctx1, ctx2):
@@ -49,9 +61,67 @@ def _random_table(dom, cod, seed):
                                      for _ in range(dom.card)])
 
 
-def _structure_map_cases(ctx2):
+def _hashed(dom, cod, seed):
+    """A `fn` map with seeded pseudo-random values, at any domain size."""
+    return Morphism(dom, cod, fn=lambda k: (k * 2654435761 + seed)
+                    % 4294967291 % cod.card)
+
+
+def _derived_map_cases(ns, small, large):
+    """eta, eps, nu, both transposes and the operation rank maps at |S| =
+    ns, each on a domain within EAGER_LIMIT and one above it: `small` and
+    `large` give (carrier of eta, of eps and nu, of the operation ranks)."""
+    ctx = StateContext(Atom("S", ns))
+    cases = []
+    for n_eta, n_g, n_op in (small, large):
+        x, gx, ox = Atom("X", n_eta), Atom("X", n_g), Atom("X", n_op)
+        cases += [
+            (f"eta S={ns} X={n_eta}", eta(ctx, x),
+             lambda k, x=x: oracle_eta_at(ctx, x, k)),
+            (f"eps S={ns} X={n_g}", eps(ctx, gx),
+             lambda k, x=gx: oracle_eps_at(ctx, x, k)),
+            (f"nu S={ns} X={n_g}", nu(ctx, gx),
+             lambda k, x=gx: oracle_nu_at(ctx, x, k)),
+        ]
+        update, lookup = _operation_ranks(ctx.state_space, ox)
+        cases += [
+            (f"update_ranks S={ns} X={n_op}", update,
+             lambda k, x=ox: oracle_update_rank_at(ctx, x, k)),
+            (f"lookup_ranks S={ns} X={n_op}", lookup,
+             lambda k, x=ox: oracle_lookup_rank_at(ctx, x, k)),
+        ]
+        a, b = Atom("A", n_eta), Atom("B", 3)
+        up_f = _hashed(prod_obj(ctx, a), b, ns)
+        down_f = _hashed(a, exp_obj(ctx, b), ns)
+        cases += [
+            (f"transpose_up S={ns} A={n_eta}", transpose_up(ctx, up_f),
+             lambda k, a=a, f=up_f: oracle_transpose_up_at(ctx, a, b, f, k)),
+            (f"transpose_down S={ns} A={n_eta}",
+             transpose_down(ctx, down_f, b),
+             lambda k, a=a, f=down_f: oracle_transpose_down_at(ctx, a, b, f,
+                                                                k)),
+        ]
+    return cases
+
+
+def _nucleus_case(ns, nb, nfix):
+    """nucleus_objects_back's projector on a behavior-level projector that
+    retracts T(B) onto its first `nfix` ranks, so the mid has nfix
+    elements."""
+    ctx = StateContext(Atom("S", ns))
+    tb = t_obj(ctx, Atom("B", nb))
+    k = KarcObject(ctx, Atom("B", nb), Morphism(
+        tb, tb, table=[r if r < nfix else 0 for r in range(tb.card)]))
+    mid = Atom(f"im({nfix})", nfix)
+    return (f"nucleus_back S={ns} C={nfix}",
+            nucleus_objects_back(k).projector,
+            lambda r: oracle_step_then_unit_at(ctx, mid, r))
+
+
+def _structure_map_cases():
     """(name, map, rank oracle) on both sides of EAGER_LIMIT; the oracles
     work on structural elements and never call the package's maps."""
+    ctx2 = StateContext(Atom("S", 2))
     x9 = Atom("X", 9)
     cases = []
     for nx, ny, seed in ((5, 3, 1), (400, 7, 2)):  # S => X: 25, 160000
@@ -74,21 +144,44 @@ def _structure_map_cases(ctx2):
                   lambda k: oracle_t_at(ctx2, ttx, tx,
                                         lambda r: oracle_mu_at(ctx2, x9, r),
                                         k)))
+    # Domains: eta and the transposes X or A, eps and nu |S| |X|^|S|, the
+    # update ranks |S| |X| and the lookup ranks |X|^|S|.
+    cases += _derived_map_cases(1, (5, 5, 5), (140000, 140000, 140000))
+    cases += _derived_map_cases(2, (9, 9, 9), (140000, 300, 400))
+    cases += _derived_map_cases(3, (4, 4, 3), (140000, 40, 60))
+    # nucleus_objects_back on S x T(C): |S| (|S| |C|)^|S| ranks
+    cases += [_nucleus_case(1, 3, 2), _nucleus_case(2, 1, 3),
+              _nucleus_case(3, 1, 12)]
     return cases
 
 
-def test_structure_maps_match_rank_oracles_on_both_paths(ctx2):
+def test_structure_maps_match_rank_oracles_on_both_paths():
     """A map is a table exactly when its domain is within EAGER_LIMIT; both
     the table and the lazy evaluator agree with a structural oracle, at
     every rank of small domains and at 2000 splitmix64-sampled ranks of
-    large ones."""
-    for name, m, oracle in _structure_map_cases(ctx2):
+    large ones.  The maps derived from the transposes are checked at |S| in
+    {1, 2, 3}, each on both sides of the limit but two: the update ranks
+    on S x X are above it only at |S| = 1 (at |S| = 2 that carrier's
+    lookup ranks would number over 4 * 10^9), and nucleus_objects_back's
+    projector only at |S| = 3, which its object condition reads a block at
+    a time without materializing it."""
+    sides = {}
+    for name, m, oracle in _structure_map_cases():
         n = m.dom.card
+        kind, at = name.split()[:2]
+        sides.setdefault((kind, at), set()).add(n > EAGER_LIMIT)
         assert m.is_lazy == (n > EAGER_LIMIT), name
         ranks = range(n) if n <= 1024 else \
             [r % n for r in islice(splitmix64(len(name)), 2000)]
-        bad = [k for k in ranks if m(k) != oracle(k)]
+        bad = [k for k, v in zip(ranks, m.at(ranks)) if v != oracle(k)]
         assert not bad, f"{name}: differs from the oracle at ranks {bad[:3]}"
+    assert all(sides[kind, f"S={ns}"] == {False, True} for ns in (1, 2, 3)
+               for kind in ("eta", "eps", "nu", "lookup_ranks",
+                            "transpose_up", "transpose_down"))
+    assert [sides[kind, f"S={ns}"] for kind in ("update_ranks",
+                                                 "nucleus_back")
+            for ns in (1, 2, 3)] == [{False, True}, {False}, {False},
+                                     {False}, {False}, {True}]
 
 
 def test_block_evaluation_matches_rank_oracles_above_limit(ctx2):
@@ -104,7 +197,7 @@ def test_block_evaluation_matches_rank_oracles_above_limit(ctx2):
 
     f = _random_table(Atom("X", 70000), Atom("Y", 5), 5)  # S x X: 140000
     al = _random_table(tx, x9, 6)
-    cases = [case for case in _structure_map_cases(ctx2) if case[1].is_lazy]
+    cases = [case for case in _structure_map_cases() if case[1].is_lazy]
     cases += [
         ("prod_mor 70000->5", prod_mor(ctx2, f),
          lambda k: oracle_prod_at(ctx2, f.dom, f.cod, f.table.__getitem__, k)),
@@ -114,7 +207,9 @@ def test_block_evaluation_matches_rank_oracles_above_limit(ctx2):
          lambda k: mu9(oracle_t_at(ctx2, ttx, tx, mu9, k))),
     ]
     assert {name.split()[0] for name, _, _ in cases} == {
-        "exp_mor", "t_mor", "mu", "prod_mor", "compose"}
+        "exp_mor", "t_mor", "mu", "prod_mor", "compose", "eta", "eps", "nu",
+        "update_ranks", "lookup_ranks", "transpose_up", "transpose_down",
+        "nucleus_back"}
     for name, m, oracle in cases:
         n = m.dom.card
         assert m.is_lazy and n > EAGER_LIMIT, name
@@ -178,6 +273,51 @@ def test_transposition_roundtrip_exhaustive(ctx2):
     # transposition is a bijection onto hom(A, S=>B)
     assert len(seen) == n
     assert n == Exp(ctx2.state_space, b).card ** a.card
+
+
+def test_transposes_read_f_range_checked(ctx2):
+    """f's values are read range-checked, as compose and lift read them, so
+    a value outside f's codomain is a ShapeError naming f's rank, not a
+    digit of a valid-looking rank: these used to return [1] and [1, 0].
+    The machine-form conversions go through the transposes."""
+    a, b = Atom("A", 1), Atom("B", 2)
+    sa, ea = prod_obj(ctx2, a), exp_obj(ctx2, b)
+    with pytest.raises(ShapeError,
+                       match=r"^table entry -1 at 0 not in \[0,2\)$"):
+        transpose_up(ctx2, Morphism(sa, b, fn=lambda k: [-1, 1][k]))
+    with pytest.raises(ShapeError,
+                       match=r"^table entry 5 at 0 not in \[0,4\)$"):
+        transpose_down(ctx2, Morphism(a, ea, fn=lambda k: 5), b)
+    sb = prod_obj(ctx2, b)
+    with pytest.raises(ShapeError, match=r"^table entry 4 at 1 "):
+        kleisli_of_mealy(ctx2, Morphism(sa, sb, fn=lambda k: 4 * k))
+    with pytest.raises(ShapeError, match=r"^table entry 16 at 0 "):
+        mealy_of_kleisli(ctx2, Morphism(a, t_obj(ctx2, b), fn=lambda k: 16))
+
+
+def test_only_the_transposes_do_rank_arithmetic():
+    """Every map in statemonad is derived from the hom-set bijection: no
+    function but transpose_up and transpose_down (and no module-level
+    statement) uses //, %, ** or divmod, pack, digits or from_fn."""
+    banned = {"divmod", "pack", "digits", "from_fn"}
+    tree = ast.parse(STATEMONAD.read_text(), str(STATEMONAD))
+    found, defined = [], set()
+    for stmt in tree.body:
+        name = getattr(stmt, "name", type(stmt).__name__)
+        defined.add(name)
+        if name in ("transpose_up", "transpose_down"):
+            continue
+        for node in ast.walk(stmt):
+            if (isinstance(getattr(node, "op", None),
+                           (ast.FloorDiv, ast.Mod, ast.Pow))
+                    or (isinstance(node, ast.Name) and node.id in banned)
+                    or (isinstance(node, ast.Attribute)
+                        and node.attr in banned)
+                    or (isinstance(node, ast.alias) and node.name in banned)):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+    assert {"eta", "eps", "mu", "nu", "transpose_up",
+            "transpose_down"} <= defined
 
 
 def test_transpose_counit_is_identity(ctx2):

@@ -8,7 +8,7 @@ predicates and law reports, never enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -19,9 +19,9 @@ from .idempotents import (Splitting, fixed_ranks, karoubi_hom_check,
                           split_idempotent)
 from .report import (LawViolation, VerifyReport, combine, failing,
                      passing)
-from .statemonad import (StateContext, eta, exp_mor, exp_obj, g_mor, g_obj,
-                         eps, kleisli_of_mealy, mealy_of_kleisli, mu,
-                         prod_mor, prod_obj, t_mor, t_obj, transpose_up)
+from .statemonad import (StateContext, eps, eta, exp_mor, g_mor, g_obj,
+                         kleisli_of_mealy, mealy_of_kleisli, mu, prod_mor,
+                         prod_obj, t_mor, t_obj, transpose_up)
 
 
 class SearchBoundExceeded(RuntimeError):
@@ -32,16 +32,14 @@ class SearchBoundExceeded(RuntimeError):
 class AlgebraStruct:
     """A carrier A with a structure map TA -> A (laws checked, not assumed).
 
-    The operations (update, lookup) are recorded here when the structure
-    is known to be determined by them: `check_algebra` records them once
-    it has proved that exhaustively, and `free_algebra` records the free
-    algebra's closed forms.  `algebra_hom_check` compares on them when both
-    ends carry them."""
+    `_update` (S x A -> A) is recorded only on a proven algebra: by
+    `check_algebra` after an exhaustive pass, by `free_algebra` in closed
+    form.  Homs and sections compare on it alone (algebra_hom_check)."""
 
     ctx: StateContext
     carrier: FinSetObj
     structure: Morphism
-    _operations: Optional[tuple[Morphism, Morphism]] = field(
+    _update: Optional[Morphism] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -101,9 +99,10 @@ def check_algebra(a: AlgebraStruct,
     update_u(g(u,u)), so both sides are lookup(u |-> update_u(g(u,u))).
 
     Every domain has at most |TA| ranks, so each entry of alpha is read
-    about once and TTA is never built; above the cap the checks sample TA.
-    When (i) passes exhaustively the operations are recorded on `a`, and
-    algebra_hom_check then compares homs on them.  The coalgebra side has
+    about once and TTA is never built; above the cap the checks sample TA,
+    and a cap of at least |TA| makes a pass a proof.  Only a proof records
+    update on `a`: by Lemma 1 (algebra_hom_check) homs between proven
+    algebras are then compared on update alone.  The coalgebra side has
     the same component form: check_coalgebra checks the three public-state
     equations (moore_law_violations), the laws of very well-behaved lenses
     (Gibbons and Johnson, Relating algebraic and coalgebraic descriptions
@@ -125,9 +124,10 @@ def check_algebra(a: AlgebraStruct,
                   compose(own, update), cfg,
                   check="update.(Sxlookup)=update.own"),
     ]
-    if subs[0].passed and subs[0].mode == "exhaustive":
-        object.__setattr__(a, "_operations", (update, lookup))
-    return combine("algebra-laws", subs)
+    rep = combine("algebra-laws", subs)
+    if rep.passed and rep.mode == "exhaustive":
+        object.__setattr__(a, "_update", update)
+    return rep
 
 
 @lru_cache(maxsize=64)
@@ -224,37 +224,18 @@ def check_coalgebra(c: CoalgebraStruct) -> VerifyReport:
 
 def free_algebra(ctx: StateContext, x: FinSetObj) -> AlgebraStruct:
     """The free algebra on x: carrier TX with the multiplication, and its
-    operations recorded in closed form: update_u(t) = s |-> t(u) and
-    lookup(g) = s |-> g(s)(s)."""
+    update recorded in closed form: update_u(t) = s |-> t(u)."""
     a = AlgebraStruct(ctx=ctx, carrier=t_obj(ctx, x), structure=mu(ctx, x))
-    object.__setattr__(a, "_operations",
-                       _free_operations(ctx.state_space, x))
+    object.__setattr__(a, "_update", _free_update(ctx.state_space, x))
     return a
 
 
 @lru_cache(maxsize=16)
-def _free_operations(s: FinSetObj,
-                     x: FinSetObj) -> tuple[Morphism, Morphism]:
-    """The free algebra's operations, once per (state space, x).  update:
-    S x TX -> TX is run (the counit at S x X) followed by the constant
-    computation, a table of |S| |TX| entries.  lookup: (S => TX) -> TX
-    takes digit u of g's value at each state u; S => TX has |TX|^|S| ranks
-    (27M at |S| = 2 on 36 elements), so lookup is a block evaluator, read
-    only where a check gathers it."""
+def _free_update(s: FinSetObj, x: FinSetObj) -> Morphism:
+    """The free algebra's update S x TX -> TX, once per (state space, x):
+    run (the counit at S x X), then the constant computation."""
     ctx = StateContext(s)
-    sx, tx = prod_obj(ctx, x), t_obj(ctx, x)
-    constant, _ = _operation_ranks(s, x)
-    ns, m1 = ctx.ns, sx.card
-
-    def lookup(gs):
-        out = [g % m1 for g in gs]
-        for u in range(1, ns):
-            p, w = m1 ** (u * ns + u), m1 ** u
-            out = [o + g // p % m1 * w for o, g in zip(out, gs)]
-        return out
-
-    return (compose(eps(ctx, sx), constant),
-            Morphism.lazy(exp_obj(ctx, tx), tx, lookup))
+    return compose(eps(ctx, prod_obj(ctx, x)), _operation_ranks(s, x)[0])
 
 
 def algebra_hom_check(f: Morphism, a: AlgebraStruct, c: AlgebraStruct,
@@ -262,7 +243,19 @@ def algebra_hom_check(f: Morphism, a: AlgebraStruct, c: AlgebraStruct,
                       config: CheckConfig | None = None) -> bool:
     """Is f: A -> C an algebra homomorphism (f . alpha = gamma . Tf)?
 
-    With `coretractions` = (abar, cbar) the section-preservation square
+    Between two ends that carry update (proven algebras) it is compared on
+    S x A alone (_preserves_operations), by
+
+    Lemma 1.  If A and C satisfy check_algebra's (i), (ii) and (iv), f is
+    a hom exactly when f . update = update . (S x f) on S x A.  Only if:
+    Tf sends s |-> (u, a) to s |-> (u, f a).  If: by (ii) for C, y =
+    lookup(u |-> update_u y), so the update_u are jointly injective on C;
+    by the square with (iv) for A and then for C, update_u(f(lookup g)) =
+    f(update_u(g u)) = update_u(lookup(f . g)) for every u, so f preserves
+    lookup, and then by (i) on both sides it preserves alpha.
+
+    Otherwise the square is compared on TA, with T f built.  With
+    `coretractions` = (abar, cbar) the section-preservation square
     Tf . abar = cbar . f is required as well (the hom-sets of the
     section-carrying presentation).  Its left side is read through the
     machine form, as the transpose of (S x f) after the transpose of abar,
@@ -271,8 +264,8 @@ def algebra_hom_check(f: Morphism, a: AlgebraStruct, c: AlgebraStruct,
     cfg = config or a.ctx.config
     if f.dom != a.carrier or f.cod != c.carrier:
         raise ShapeError("hom candidate must map carrier to carrier")
-    if a._operations is not None and c._operations is not None:
-        ok = _preserves_operations(f, a._operations, c._operations, cfg)
+    if a._update is not None and c._update is not None:
+        ok = _preserves_operations(f, a._update, c._update, cfg)
     else:
         ok = equal_mor(compose(a.structure, f),
                        compose(t_mor(a.ctx, f), c.structure), cfg).passed
@@ -294,20 +287,14 @@ def coalgebra_hom_report(g: Morphism, c1: CoalgebraStruct,
                      config or c1.ctx.config, check=check)
 
 
-def _preserves_operations(f: Morphism, ops_a: tuple[Morphism, Morphism],
-                          ops_c: tuple[Morphism, Morphism],
-                          cfg: CheckConfig) -> bool:
-    """f . update = update . (S x f) on S x A and f . lookup = lookup .
-    (S => f) on S => A, with S x f and S => f lifted between the domains
-    of the operations.  When both structures satisfy check_algebra's (i),
-    this holds exactly when f . alpha = gamma . Tf, and T f is not built."""
-    (update_a, lookup_a), (update_c, lookup_c) = ops_a, ops_c
-    return (equal_mor(compose(update_a, f),
-                      compose(lift(update_a.dom, update_c.dom, f), update_c),
-                      cfg).passed
-            and equal_mor(compose(lookup_a, f),
-                          compose(lift(lookup_a.dom, lookup_c.dom, f),
-                                  lookup_c), cfg).passed)
+def _preserves_operations(f: Morphism, update_a: Morphism,
+                          update_c: Morphism, cfg: CheckConfig) -> bool:
+    """f . update = update . (S x f) on S x A, |S| |A| equations: the hom
+    square between proven algebras (Lemma 1, algebra_hom_check).  Neither
+    T f nor a map on S => A is built."""
+    return equal_mor(compose(update_a, f),
+                     compose(lift(update_a.dom, update_c.dom, f), update_c),
+                     cfg).passed
 
 
 # ---------------------------------------------------------------------------
@@ -368,19 +355,27 @@ def construct_coretraction(a: AlgebraStruct,
 
 def search_sections(a: AlgebraStruct, config: CheckConfig | None = None,
                     search_bound: int = 1 << 20) -> list[Morphism]:
-    """All hom-sections of an algebra, by depth-first fiber-pruned search.
+    """All hom-sections of a structure map, by depth-first fiber-pruned
+    search, or [] when it is not an algebra, by
 
-    A candidate picks one structure-preimage per carrier element, in
-    carrier order.  It must be an algebra hom into the free algebra:
-    section(alpha t) = mu(T section t) for every t in TA.  The right side
-    reads, for each state s, digit s1 of section(x) where (s1, x) is t's
-    digit at s, so the mu table on TTA is never built.  Each t's square is
-    checked as soon as every carrier element it reads has been chosen.
+    Lemma 2.  If alpha has a hom-section sigma (sigma . alpha = mu .
+    T sigma, alpha . sigma = id), alpha is an algebra.  sigma is injective,
+    sigma . alpha . eta = mu . T sigma . eta = mu . eta . sigma = sigma, and
+    sigma . alpha . T alpha = mu . T(sigma . alpha) = mu . T mu . TT sigma
+    = mu . mu . TT sigma = mu . T sigma . mu = sigma . alpha . mu.
+
+    A recorded update proves the laws; otherwise check_algebra decides them
+    with its cap at least |TA|.  A candidate picks one alpha-preimage per
+    carrier element, in carrier order, and by Lemma 1 it is a hom into the
+    free algebra exactly when sigma(update_u x) = update_u(sigma x) on
+    S x A; each square is checked once both elements it reads are chosen.
     Deterministic order: lexicographic in the fibers, each ascending.
     """
-    ctx, al = a.ctx, a.structure
-    n, ns = a.carrier.card, ctx.ns
-    m1 = ns * n  # card(S x A), the digit base of TA
+    cfg = config or a.ctx.config
+    al, ta, n = a.structure, a.structure.dom, a.carrier.card
+    if a._update is None and not check_algebra(
+            a, replace(cfg, cap=max(cfg.cap, ta.card))).passed:
+        return []
     preimages = fibers(al)
     choices = [preimages.get(c, []) for c in range(n)]
     space = 1
@@ -389,15 +384,12 @@ def search_sections(a: AlgebraStruct, config: CheckConfig | None = None,
         if space > search_bound:
             raise SearchBoundExceeded(
                 f"section search space exceeds {search_bound}")
-    ta = t_obj(ctx, a.carrier)
-    # digit[c][s1]: digit s1 of c in TA.  squares[j]: (alpha t, reads)
-    # for each t whose largest read carrier element is j, where reads
-    # lists (s1, x, weight of state s) for t's digit (s1, x) at each s.
-    digit = [digits(c, m1, ns) for c in range(ta.card)]
+    # squares[j]: (v, u |TA|, x) for each v = update_u(x) with max(x, v) = j
+    free_update = _free_update(a.ctx.state_space, a.carrier).table
     squares = [[] for _ in range(n)]
-    for t, v in enumerate(al.table):
-        reads = [(*divmod(digit[t][s], n), m1 ** s) for s in range(ns)]
-        squares[max([v] + [x for _, x, _ in reads])].append((v, reads))
+    for p, v in enumerate(a._update.table):
+        u, x = divmod(p, n)
+        squares[max(x, v)].append((v, u * ta.card, x))
     out = []
     choice = [0] * n
 
@@ -407,9 +399,8 @@ def search_sections(a: AlgebraStruct, config: CheckConfig | None = None,
             return
         for c in choices[j]:
             choice[j] = c
-            if all(choice[v] == sum(digit[choice[x]][s1] * w
-                                    for s1, x, w in reads)
-                   for v, reads in squares[j]):
+            if all(choice[v] == free_update[w + choice[x]]
+                   for v, w, x in squares[j]):
                 extend(j + 1)
 
     extend(0)
@@ -455,20 +446,25 @@ def karm_object_condition(ctx: StateContext, carrier: FinSetObj,
     For an idempotent phi on S x X, the image of S => phi is exactly the
     set of maps S -> Fix(phi), so in finite sets a splitting of S => phi
     through X exists iff |Fix(phi)|^|S| = |X|.  Both cardinalities are
-    reported.
+    reported.  A phi that is not idempotent fails with that reason;
+    idempotent_karm_condition is the count alone.
     """
-    cfg = config or ctx.config
     if phi.dom != prod_obj(ctx, carrier) or phi.cod != phi.dom:
         raise ShapeError("expected an endomorphism of S x carrier")
-    if not equal_mor(compose(phi, phi), phi, cfg).passed:
+    if not equal_mor(compose(phi, phi), phi, config or ctx.config).passed:
         return failing("karm-object-condition",
                        [{"reason": "projector is not idempotent"}])
+    return idempotent_karm_condition(ctx, carrier, phi)
+
+
+def idempotent_karm_condition(ctx: StateContext, carrier: FinSetObj,
+                              phi: Morphism) -> VerifyReport:
+    """karm_object_condition's count, for a phi known to be idempotent."""
     nfix = len(fixed_ranks(phi))
     image_card = nfix ** ctx.ns
-    ok = image_card == carrier.card
     details = {"image_card": image_card, "carrier_card": carrier.card,
                "fixed_points": nfix}
-    if ok:
+    if image_card == carrier.card:
         return passing("karm-object-condition", **details)
     return failing("karm-object-condition", [details], **details)
 

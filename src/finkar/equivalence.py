@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .algebras import (AlgebraStruct, CoalgebraStruct, algebra_hom_check,
                        check_algebra, check_coalgebra, coalgebra_hom_report,
                        coalgebra_of_components, consistent_hom_check,
-                       karm_object_condition, karm_retraction,
+                       idempotent_karm_condition, karm_retraction,
                        moore_law_violations)
 from .finset import (CheckConfig, FinSetObj, Morphism, ShapeError, compose,
                      equal_mor, identity, inverse)
@@ -77,7 +77,7 @@ def make_karm_object(ctx: StateContext, carrier: FinSetObj, phi: Morphism,
     cfg = config or ctx.config
     if not equal_mor(compose(phi, phi), phi, cfg).passed:
         raise ValueError("machine-form map is not idempotent")
-    cond = karm_object_condition(ctx, carrier, phi, cfg)
+    cond = idempotent_karm_condition(ctx, carrier, phi)
     return KarmObject(ctx=ctx, carrier=carrier, projector=phi, condition=cond)
 
 

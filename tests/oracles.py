@@ -42,10 +42,12 @@ def oracle_mu_table(ctx: StateContext, x):
 
 
 @lru_cache(maxsize=None)
-def _oracle_mu_tuple(ctx: StateContext, x):
-    """oracle_mu_table once per (context, carrier); brute_force_sections
-    reads it for every structure on the carrier."""
-    return tuple(oracle_mu_table(ctx, x))
+def _oracle_mu_reader(ctx: StateContext, x):
+    """oracle_mu_at memoized once per (context, carrier);
+    brute_force_sections reads it for every structure on the carrier, only
+    at the ranks it re-ranks to (TTA has 531,441 ranks at |S| = 3 on one
+    element)."""
+    return lru_cache(maxsize=None)(lambda k: oracle_mu_at(ctx, x, k))
 
 
 def _lift(dom, cod, fn, elem):
@@ -302,7 +304,7 @@ def brute_force_sections(ctx: StateContext, alg: Morphism) -> list[list[int]]:
     carrier = alg.cod
     ta = t_obj(ctx, carrier)
     n = carrier.card
-    mut = _oracle_mu_tuple(ctx, carrier)
+    mu_at = _oracle_mu_reader(ctx, carrier)
     fibers = [[t for t in range(ta.card) if alg(t) == v] for v in range(n)]
     out = []
     m1, m2 = ctx.ns * n, ctx.ns * ta.card
@@ -318,7 +320,7 @@ def brute_force_sections(ctx: StateContext, alg: Morphism) -> list[list[int]]:
                 s1, x = divmod(d, n)
                 t_rank += (s1 * ta.card + choice[x]) * w
                 w *= m2
-            if lhs != mut[t_rank]:
+            if lhs != mu_at(t_rank):
                 ok = False
                 break
         if ok:

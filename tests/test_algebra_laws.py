@@ -18,9 +18,10 @@ from finkar.finset import (EAGER_LIMIT, Atom, CheckConfig, Exp, Morphism,
                            SeededRng, codec, compose, splitmix64)
 from finkar.statemonad import StateContext, exp_mor, prod_obj, t_obj
 
-from oracles import (oracle_eta_table, oracle_lookup_rank_at, oracle_mu_at,
-                     tf_algebra_hom_check, tta_check_algebra,
-                     tta_law_at_lifted_constants)
+from oracles import (brute_force_algebras, brute_force_sections,
+                     oracle_eta_table, oracle_lookup_rank_at, oracle_mu_at,
+                     tf_algebra_hom_check, transported_algebras,
+                     tta_check_algebra, tta_law_at_lifted_constants)
 
 EXHAUSTIVE = CheckConfig(cap=10 ** 8)
 
@@ -134,7 +135,7 @@ def _maps(n1, n2):
 def _operation_mutant(a, which, p, v):
     """The structure lookup . (S => update) with one entry of an operation
     changed.  It may satisfy equation (i) and still not be an algebra."""
-    update, lookup = a._operations
+    update, lookup = _read_operations(a)
     ops = [list(update.table), list(lookup.table)]
     ops[which][p] = v
     update = Morphism(update.dom, a.carrier, table=ops[0])
@@ -144,27 +145,29 @@ def _operation_mutant(a, which, p, v):
 
 
 def test_hom_routes_agree():
-    """Once both ends carry the operations, algebra_hom_check compares on
-    them; the verdict is the T f route's (taken for structures without
-    them) on every carrier map, between split algebras and between
-    structures that satisfy (i) only."""
+    """Once both ends carry a recorded update, algebra_hom_check compares
+    on it; the verdict is the T f route's (taken for structures without
+    one) on every carrier map, between split algebras and between
+    structures that satisfy (i).  Only the lawful ones carry a record."""
     algs = [_split_algebra(2, 1, 1, seed=1), _split_algebra(2, 2, 2, seed=2),
             _split_algebra(2, 1, 2, seed=5)]
     four = algs[1]
-    assert check_algebra(four).passed and four._operations is not None
+    assert check_algebra(four).passed and four._update is not None
     rng = SeededRng(4)
+    lawful = [True] * len(algs)
     mutants = lawless = 0
     while mutants < 3:
         which = rng.below(2)
-        size = four._operations[which].dom.card
+        size = _read_operations(four)[which].dom.card
         m = _operation_mutant(four, which, rng.below(size), rng.below(4))
         rep = check_algebra(m)
         if rep.sub[0].passed:
             mutants += 1
             lawless += not rep.passed
+            lawful.append(rep.passed)
             algs.append(m)
     assert lawless
-    assert all(a._operations is not None for a in algs)
+    assert [a._update is not None for a in algs] == lawful
     fresh = {id(a): _with_structure(a, a.structure.table) for a in algs}
     homs = 0
     for a in algs:
@@ -175,7 +178,42 @@ def test_hom_routes_agree():
                 assert new == algebra_hom_check(f, fresh[id(a)],
                                                 fresh[id(c)])
                 homs += new
-    assert homs and fresh[id(four)]._operations is None
+    assert homs and fresh[id(four)]._update is None
+
+
+def test_recorded_hom_checks_build_no_map_on_s_to_a(monkeypatch):
+    """With update recorded on both ends, algebra_hom_check builds maps on
+    S x A only (Lemma 1): none on S => A or TA, between split algebras and
+    into and out of a free algebra.  Without a record it builds T f on TA,
+    which the same spy sees."""
+    ctx = StateContext(Atom("S", 2))
+    four = _split_algebra(2, 2, 2, seed=2)
+    fa = free_algebra(ctx, Atom("X", 1))
+    pairs = [(four, four), (four, fa), (fa, four)]
+    maps = [(a, c, Morphism(a.carrier, c.carrier, table=tab))
+            for a, c in pairs for tab in islice(_maps(4, 4), 0, 256, 5)]
+    built = []
+    init, lazy = Morphism.__init__, Morphism.lazy.__func__
+
+    def spy_init(self, dom, cod, *args, **kwargs):
+        built.append(dom)
+        init(self, dom, cod, *args, **kwargs)
+
+    def spy_lazy(cls, dom, cod, at):
+        built.append(dom)
+        return lazy(cls, dom, cod, at)
+
+    monkeypatch.setattr(Morphism, "__init__", spy_init)
+    monkeypatch.setattr(Morphism, "lazy", classmethod(spy_lazy))
+    verdicts = [algebra_hom_check(f, a, c) for a, c, f in maps]
+    assert built and set(built) == {prod_obj(ctx, four.carrier),
+                                    prod_obj(ctx, fa.carrier)}
+    built.clear()
+    algebra_hom_check(maps[0][2], _with_structure(four, four.structure.table),
+                      four)
+    assert t_obj(ctx, four.carrier) in built
+    monkeypatch.undo()
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_operations_recorded_only_after_an_exhaustive_pass():
@@ -183,15 +221,15 @@ def test_operations_recorded_only_after_an_exhaustive_pass():
     a = _with_structure(split, split.structure.table)
     sampled = check_algebra(a, CheckConfig(cap=10))
     assert sampled.passed and sampled.sub[0].mode == "sampled"
-    assert a._operations is None
+    assert a._update is None
     failed = 0
     for _, m in _mutants(a, 8, seed=3):
         if not check_algebra(m).sub[0].passed:
             failed += 1
-            assert m._operations is None
+            assert m._update is None
     assert failed
-    assert check_algebra(a).passed and a._operations is not None
-    update, lookup = a._operations
+    assert check_algebra(a).passed and a._update is not None
+    update, lookup = a._update, _read_operations(a)[1]
     assert compose(exp_mor(a.ctx, update), lookup).table == a.structure.table
 
 
@@ -204,6 +242,49 @@ def test_check_algebra_reports_the_four_equations():
     assert [r.details["domain"] for r in rep.sub] == [4, 1, 4, 2]
 
 
+def test_search_sections_on_mutants_matches_oracle():
+    """Lemma 2 of search_sections: a structure map with a hom-section is an
+    algebra, so the search proves the laws first and gives [] on a lawless
+    one.  It equals the oracle, in order, on one-entry mutants of the
+    twelve lawful structures on four elements at |S| = 2, and on the one
+    structure on one element at |S| = 2 and 3 (no mutant there); every
+    mutant is lawless and gives [] on both sides."""
+    ctx2, ctx3 = StateContext(Atom("S", 2)), StateContext(Atom("S", 3))
+    a1, a4 = Atom("A", 1), Atom("A", 4)
+    lawful = [AlgebraStruct(ctx=ctx2, carrier=a1,
+                            structure=brute_force_algebras(ctx2, a1)[0]),
+              AlgebraStruct(ctx=ctx3, carrier=a1, structure=Morphism(
+                  t_obj(ctx3, a1), a1, table=[0] * 27))]
+    fours = [AlgebraStruct(ctx=ctx2, carrier=a4, structure=alg)
+             for alg in transported_algebras(ctx2, 2, a4)]
+    mutants = [m for k, a in enumerate(fours) for _, m in _mutants(a, 1, k)]
+    for a in lawful + mutants:
+        got = [s.table for s in search_sections(a)]
+        assert got == brute_force_sections(a.ctx, a.structure)
+        assert bool(got) == (a in lawful)
+        assert check_algebra(a, EXHAUSTIVE).passed == (a in lawful)
+    assert len(search_sections(lawful[1])) == 3
+
+
+def test_search_sections_proves_the_laws_under_a_small_cap():
+    """With CheckConfig(cap=10) the context's own law check samples TA, so
+    it proves nothing and records nothing; the search still proves the
+    laws exhaustively (and so records update) before it uses update, and
+    equals the oracle in order on lawful structures and their mutants."""
+    ctx = StateContext(Atom("S", 2), config=CheckConfig(cap=10))
+    a4 = Atom("A", 4)
+    lawful = [AlgebraStruct(ctx=ctx, carrier=a4, structure=alg)
+              for alg in transported_algebras(ctx, 2, a4)[:4]]
+    mutants = [m for k, a in enumerate(lawful)
+               for _, m in _mutants(a, 1, 20 + k)]
+    for a in lawful + mutants:
+        sampled = check_algebra(a)
+        assert sampled.mode == "sampled" and a._update is None
+        got = [s.table for s in search_sections(a)]
+        assert got == brute_force_sections(ctx, a.structure)
+        assert (a._update is not None) == sampled.passed == bool(got)
+
+
 # ---------------------------------------------------------------------------
 # the free algebra's recorded operations
 
@@ -211,30 +292,35 @@ def test_check_algebra_reports_the_four_equations():
 @pytest.mark.parametrize("ns, nx", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
                                     (2, 3), (3, 1)])
 def test_free_algebra_operations_are_read_off_mu(ns, nx):
-    """The closed forms free_algebra records are the operations read off
-    mu at every rank, and the free algebra passes the four equations
+    """The update free_algebra records is the update read off mu at every
+    rank; the lookup read off mu is the closed form lookup(g) = s |-> g(s)(s)
+    at every rank, on structural elements, and reading it never
+    materializes a lazy mu; and the free algebra passes the four equations
     exhaustively (|S| = 3 on one element: TA has 531,441 ranks)."""
     ctx = StateContext(Atom("S", ns))
     fa = free_algebra(ctx, Atom("X", nx))
-    update, lookup = fa._operations
-    assert lookup.is_lazy
-    for recorded, read in zip(fa._operations, _read_operations(fa)):
-        assert recorded.dom == read.dom and recorded.cod == read.cod
-        assert recorded.at(range(read.dom.card)) == read.table
-    assert lookup.is_lazy
+    update, lookup = _read_operations(fa)
+    recorded = fa._update
+    assert recorded.dom == update.dom and recorded.cod == update.cod
+    assert recorded.at(range(update.dom.card)) == update.table
+    c_tx, c_exp = codec(fa.carrier), codec(lookup.dom)
+    assert lookup.at(range(lookup.dom.card)) == [
+        c_tx.rank(tuple(g[s][s] for s in range(ns)))
+        for g in map(c_exp.unrank, range(lookup.dom.card))]
+    assert fa.structure.is_lazy == (fa.structure.dom.card > EAGER_LIMIT)
     rep = check_algebra(fa, CheckConfig(cap=fa.structure.dom.card))
     assert rep.passed and {r.mode for r in rep.sub} == {"exhaustive"}
 
 
 def test_free_algebra_operations_on_36_agree_with_mu_on_seeded_ranks():
     """At the largest split carrier, 36, S => TX has 26,873,856 ranks.
-    lookup(g) = mu(s |-> (s, g s)) and update_u(t) = mu(s |-> (u, t)) on
-    seeded ranks, with mu on structural elements, and lookup is never
-    materialized."""
+    The lookup read off mu and the recorded update agree with lookup(g) =
+    mu(s |-> (s, g s)) and update_u(t) = mu(s |-> (u, t)) on seeded ranks,
+    with mu on structural elements, and lookup is never materialized."""
     ctx = StateContext(Atom("S", 2))
     x = Atom("A", 36)
     fa = free_algebra(ctx, x)
-    tx, update, lookup = fa.carrier, *fa._operations
+    tx, update, lookup = fa.carrier, fa._update, _read_operations(fa)[1]
     assert lookup.dom.card == 5184 ** 2 and update.dom.card == 2 * 5184
     c_tx, c_ttx = codec(tx), codec(t_obj(ctx, tx))
     c_exp = codec(Exp(ctx.state_space, tx))
@@ -298,31 +384,52 @@ def _witnessed_splits():
     return out
 
 
+# split algebras beside the free algebras on one element, at |S| = 1, 2
+# and 3 (free carriers 1, 4 and 27; at |S| = 1 also the free algebras on
+# 2 and 3 elements)
+FREE_HOM_CASES = {1: ([(1, 2, 1), (1, 3, 2), (1, 3, 3)], (1, 1, 2, 3)),
+                  2: ([(2, 1, 1), (2, 2, 2)], (1, 1)),
+                  3: ([(3, 1, 1), (3, 1, 2)], (1, 1))}
+
+
+def _free_hom_pairs(ns):
+    """(A, C) into and out of free algebras at |S| = ns, and between the
+    first two free ones, where there are at most 4^4 carrier maps."""
+    ctx = StateContext(Atom("S", ns))
+    splits, bases = FREE_HOM_CASES[ns]
+    small = [_split_algebra(*case, seed=10 * ns + case[2]) for case in splits]
+    free = [free_algebra(ctx, Atom(f"X{i}", n)) for i, n in enumerate(bases)]
+    pairs = ([(fx, b) for fx in free for b in small]
+             + [(b, fx) for fx in free for b in small] + [tuple(free[:2])])
+    return [(a, c) for a, c in pairs
+            if c.carrier.card ** a.carrier.card <= 4 ** 4]
+
+
 def test_free_algebra_homs_agree_with_the_tf_route():
-    """Into and out of free algebras, the operations route gives the T f
+    """Into and out of free algebras, the update route gives the T f
     route's verdict (tests/oracles.py) on every carrier map where there
-    are at most 4^4 of them, and on seeded one-entry mutants of every
-    hom-section found (maps A -> TA into the free algebra on A), so
-    non-homs are covered."""
+    are at most 4^4 of them, at |S| = 1, 2 and 3, and on seeded one-entry
+    mutants of every hom-section found at |S| = 2 (maps A -> TA into the
+    free algebra on A), so non-homs are covered."""
     ctx = StateContext(Atom("S", 2))
     cfg = ctx.config
-    free = [free_algebra(ctx, Atom("X", 1)), free_algebra(ctx, Atom("Y", 1))]
-    small = [a for a in _census_algebras() if a.carrier.card <= 4]
-    homs = checked = 0
-    for a, c in ([(fx, b) for fx in free for b in small]
-                 + [(b, fx) for fx in free for b in small]
-                 + [(free[0], free[1])]):
-        for tab in _maps(a.carrier.card, c.carrier.card):
-            f = Morphism(a.carrier, c.carrier, table=tab)
-            new = algebra_hom_check(f, a, c)
-            assert new == tf_algebra_hom_check(f, a, c, cfg)
-            homs += new
-            checked += 1
-    assert 0 < homs < checked
+    homs, checked = {}, {}
+    for ns in FREE_HOM_CASES:
+        for a, c in _free_hom_pairs(ns):
+            assert a._update is not None and c._update is not None
+            for tab in _maps(a.carrier.card, c.carrier.card):
+                f = Morphism(a.carrier, c.carrier, table=tab)
+                new = algebra_hom_check(f, a, c)
+                assert new == tf_algebra_hom_check(f, a, c, cfg)
+                homs[ns] = homs.get(ns, 0) + new
+                checked[ns] = checked.get(ns, 0) + 1
+    # with one state every map is a hom; with more, some are not
+    assert homs[1] == checked[1] == 122
+    assert 0 < homs[2] < checked[2] and 0 < homs[3] < checked[3]
     rng = SeededRng(9)
     mutants = caught = 0
     for a, secs in _witnessed_splits():
-        assert a._operations is not None
+        assert a._update is not None
         fa = free_algebra(ctx, a.carrier)
         for sec in secs:
             assert algebra_hom_check(sec, a, fa)

@@ -1,7 +1,7 @@
 import pytest
 
 from finkar.algebras import (AlgebraStruct, check_coalgebra,
-                             consistent_hom_check)
+                             consistent_hom_check, karm_object_condition)
 from finkar.equivalence import (ObjectConditionError, dual_l, dual_l_mor,
                                 dual_lr_identity_report, dual_r, dual_r_mor,
                                 dual_roundtrip, functor_l, functor_l_mor,
@@ -157,6 +157,34 @@ def test_functor_l_refuses_without_condition(ctx2):
     # the naive machine happens to satisfy the laws here; the carrier
     # cardinality is what breaks the equivalence
     assert det["moore_violations"] == []
+
+
+def test_make_karm_object_checks_idempotence_once(ctx2, monkeypatch):
+    """make_karm_object compares phi;phi with phi once, gives the object
+    the report karm_object_condition gives, and still refuses a phi that
+    is not idempotent with a ValueError."""
+    import finkar.algebras
+    import finkar.equivalence
+    a = Atom("A", 2)
+    sa = prod_obj(ctx2, a)
+    keep_state = Morphism(sa, sa, table=[0, 1, 0, 1])  # (s,x) |-> (s0,x)
+    calls = []
+
+    def counting(f, g, *args, **kwargs):
+        if g is keep_state:
+            calls.append(f.table)
+        return equal_mor(f, g, *args, **kwargs)
+
+    for module in (finkar.algebras, finkar.equivalence):
+        monkeypatch.setattr(module, "equal_mor", counting)
+    k = make_karm_object(ctx2, a, keep_state)
+    assert calls == [keep_state.table]
+    monkeypatch.undo()
+    assert k.condition.to_dict() == karm_object_condition(
+        ctx2, a, keep_state).to_dict()
+    cycle = Morphism(sa, sa, table=[1, 2, 3, 0])
+    with pytest.raises(ValueError, match="not idempotent"):
+        make_karm_object(ctx2, a, cycle)
 
 
 def test_functor_l_forced_on_degenerate_object(ctx2):

@@ -13,8 +13,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .finset import (CheckConfig, FinSetObj, Morphism, ShapeError,
-                     compose, digits, equal_mor, fibers, from_blocks,
-                     identity, inverse, lift, pack)
+                     check_ranks, checked_at, compose, digits, equal_mor,
+                     fibers, from_blocks, identity, inverse, pack)
 from .idempotents import (Splitting, fixed_ranks, karoubi_hom_check,
                           split_idempotent)
 from .report import (LawViolation, VerifyReport, combine, failing,
@@ -222,9 +222,11 @@ def check_coalgebra(c: CoalgebraStruct) -> VerifyReport:
             else passing("coalgebra-laws"))
 
 
+@lru_cache(maxsize=16)
 def free_algebra(ctx: StateContext, x: FinSetObj) -> AlgebraStruct:
     """The free algebra on x: carrier TX with the multiplication, and its
-    update recorded in closed form: update_u(t) = s |-> t(u)."""
+    update recorded in closed form: update_u(t) = s |-> t(u).  Built once
+    per (ctx, x) and shared: callers read it and do not change it."""
     a = AlgebraStruct(ctx=ctx, carrier=t_obj(ctx, x), structure=mu(ctx, x))
     object.__setattr__(a, "_update", _free_update(ctx.state_space, x))
     return a
@@ -290,11 +292,20 @@ def coalgebra_hom_report(g: Morphism, c1: CoalgebraStruct,
 def _preserves_operations(f: Morphism, update_a: Morphism,
                           update_c: Morphism, cfg: CheckConfig) -> bool:
     """f . update = update . (S x f) on S x A, |S| |A| equations: the hom
-    square between proven algebras (Lemma 1, algebra_hom_check).  Neither
-    T f nor a map on S => A is built."""
-    return equal_mor(compose(update_a, f),
-                     compose(lift(update_a.dom, update_c.dom, f), update_c),
-                     cfg).passed
+    square between proven algebras (Lemma 1, algebra_hom_check).
+
+    Both sides are gathered straight from the two update tables and f's
+    values, at the ranks equal_mor would read (finset.check_ranks): all of
+    S x A within the cap, its draws above it.  No map is built.  f is read
+    once through checked_at, so a value of f outside C is a ShapeError
+    naming f's rank."""
+    na, nc = f.dom.card, f.cod.card
+    fx = checked_at(f)(range(na))
+    for ps in check_ranks(update_a.dom.card, cfg):
+        if [fx[v] for v in update_a.at(ps)] != update_c.at(
+                [p // na * nc + fx[p % na] for p in ps]):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +379,19 @@ def search_sections(a: AlgebraStruct, config: CheckConfig | None = None,
     with its cap at least |TA|.  A candidate picks one alpha-preimage per
     carrier element, in carrier order, and by Lemma 1 it is a hom into the
     free algebra exactly when sigma(update_u x) = update_u(sigma x) on
-    S x A; each square is checked once both elements it reads are chosen.
-    Deterministic order: lexicographic in the fibers, each ascending.
+    S x A.  Each square v = update_u(x) is used where it first applies:
+
+    - v = x: a fixed-point filter on the fiber of x, applied once before
+      the search;
+    - v < x: a filter on the candidates for sigma(x), given sigma(v);
+    - v > x: it forces sigma(v) = update_u(sigma x), given sigma(x).  That
+      one value is tried, and only if it lies in the filtered fiber of v
+      and every other square forcing sigma(v) agrees.
+
+    Every filter keeps the fibers ascending and a forced value is the one
+    candidate that could pass, so the sections and their order are those
+    of trying every candidate: lexicographic in the fibers, each
+    ascending.  The search bound applies to the unfiltered fibers.
     """
     cfg = config or a.ctx.config
     al, ta, n = a.structure, a.structure.dom, a.carrier.card
@@ -377,34 +399,49 @@ def search_sections(a: AlgebraStruct, config: CheckConfig | None = None,
             a, replace(cfg, cap=max(cfg.cap, ta.card))).passed:
         return []
     preimages = fibers(al)
-    choices = [preimages.get(c, []) for c in range(n)]
     space = 1
-    for f in choices:
-        space *= len(f)
+    for j in range(n):
+        space *= len(preimages.get(j, []))
         if space > search_bound:
             raise SearchBoundExceeded(
                 f"section search space exceeds {search_bound}")
-    # squares[j]: (v, u |TA|, x) for each v = update_u(x) with max(x, v) = j
+    # offsets u |TA| into the free update, by the element each square
+    # filters (fixed, below) or forces (forced)
     free_update = _free_update(a.ctx.state_space, a.carrier).table
-    squares = [[] for _ in range(n)]
+    fixed, below, forced = ([[] for _ in range(n)] for _ in range(3))
     for p, v in enumerate(a._update.table):
         u, x = divmod(p, n)
-        squares[max(x, v)].append((v, u * ta.card, x))
+        w = u * ta.card
+        if v == x:
+            fixed[x].append(w)
+        elif v < x:
+            below[x].append((w, v))
+        else:
+            forced[v].append((w, x))
+    choices = [[c for c in preimages.get(j, [])
+                if all(free_update[w + c] == c for w in fixed[j])]
+               for j in range(n)]
+    allowed = [set(cs) for cs in choices]
     out = []
     choice = [0] * n
 
     def extend(j):
         if j == n:
-            out.append(Morphism(a.carrier, ta, table=choice))
+            out.append(list(choice))
             return
-        for c in choices[j]:
-            choice[j] = c
-            if all(choice[v] == free_update[w + choice[x]]
-                   for v, w, x in squares[j]):
+        cands = choices[j]
+        if forced[j]:
+            w, x = forced[j][0]
+            c = free_update[w + choice[x]]
+            cands = [c] if c in allowed[j] and all(
+                free_update[w + choice[x]] == c for w, x in forced[j]) else []
+        for c in cands:
+            if all(free_update[w + c] == choice[v] for w, v in below[j]):
+                choice[j] = c
                 extend(j + 1)
 
     extend(0)
-    return out
+    return [Morphism(a.carrier, ta, table=t) for t in out]
 
 
 def is_projective(a: AlgebraStruct, config: CheckConfig | None = None,

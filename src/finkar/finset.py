@@ -8,12 +8,13 @@ domains too large to enumerate.
 
 One rule decides which: a map built by `from_blocks`, `compose`, `lift`
 or a structure map is a table exactly when its domain has at most
-`EAGER_LIMIT` ranks, and a lazy evaluator above that.  The one exception
-is a map built by `Morphism.lazy`: it is read through its evaluator at any
-size, and a composite that reads it first stays lazy too.  Composition and
-exhaustive equality on small domains then run over whole tables.  Every
-map is read through `at`, a block of ranks at a time: a table gathers, a
-lazy map evaluates the whole block at once.
+`EAGER_LIMIT` ranks, and a lazy evaluator above that (statemonad's
+transposes apply it to S x A, the larger side of the bijection).  The one
+exception is a map built by `Morphism.lazy`: it is read through its
+evaluator at any size, and a composite that reads it first stays lazy
+too.  Composition and exhaustive equality on small domains then run over
+whole tables.  Every map is read through `at`, a block of ranks at a time:
+a table gathers, a lazy map evaluates the whole block at once.
 
 Tables are range-checked once.  A table passed in is copied and checked.
 A table materialized from `fn` or an evaluator is checked the first time
@@ -548,15 +549,11 @@ def equal_mor(f: Morphism, g: Morphism,
               else (None, None))
     if n > config.cap:
         mode, details = "sampled", {"domain": n, "samples": config.samples}
-        blocks: Iterable = _read(f, g, ([r % n for r in raw] for raw in
-                                        _draw_blocks(config.seed,
-                                                     config.samples)))
-    elif ft is None or gt is None:
-        mode, details = "exhaustive", {"domain": n}
-        blocks = _read(f, g, (range(lo, min(lo + BLOCK, n))
-                              for lo in range(0, n, BLOCK)))
     else:
         mode, details = "exhaustive", {"domain": n}
+    if mode == "sampled" or ft is None or gt is None:
+        blocks: Iterable = _read(f, g, check_ranks(n, config))
+    else:
         blocks = ((range(n), ft, gt),) if ft != gt else ()
     witnesses = []
     for ks, a, b in blocks:
@@ -571,6 +568,17 @@ def equal_mor(f: Morphism, g: Morphism,
     return VerifyReport(check=check, status=status, mode=mode,
                         seed=config.seed, cap=config.cap,
                         witnesses=witnesses, details=details)
+
+
+def check_ranks(n: int, config: CheckConfig) -> Iterator[Sequence[int]]:
+    """The ranks a check on a domain of n ranks reads, BLOCK at a time:
+    every rank in order when n is at most the cap, else the config's
+    splitmix64 draws mod n, in draw order.  equal_mor reads these, and so
+    does a check that compares values it gathers itself."""
+    if n > config.cap:
+        return ([r % n for r in raw]
+                for raw in _draw_blocks(config.seed, config.samples))
+    return (range(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK))
 
 
 def _read(f: Morphism, g: Morphism, rank_blocks: Iterable[Sequence[int]]):

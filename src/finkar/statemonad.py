@@ -4,9 +4,11 @@ two resolutions used throughout the package.
 Both come from S x - left adjoint to S => -.  Its hom-set bijection,
 transpose_up and transpose_down, holds the only digit kernels here; eta,
 eps, mu and nu are composites of them: eta and eps transpose identities,
-mu = S => eps at S x X and nu = S x eta at S => X.  The transposes follow
-the finset rule: a table, built a block at a time, exactly when the domain
-has at most EAGER_LIMIT ranks, and a lazy block evaluator above that.
+mu = S => eps at S x X and nu = S x eta at S => X.  Both transposes of
+f are tables, built a block at a time, exactly when S x A has at most
+EAGER_LIMIT ranks, and lazy block evaluators above that: the finset rule
+applied to the larger side of the bijection, so that no table is built
+on A for a transpose whose other side is read a block at a time.
 S x f and S => f are the finset kernel `lift`.  Lazy maps are those whose
 domains blow up combinatorially (mu at TTX once |S x X|^|S| is large, T f
 on TTX, ...); equalities on them are verified by seeded sampling.  The
@@ -22,9 +24,9 @@ from functools import wraps
 from threading import Lock
 from typing import Callable
 
-from .finset import (CheckConfig, Exp, FinSetObj, Morphism, Prod,
-                     ShapeError, SeededRng, checked_at, compose, equal_mor,
-                     from_blocks, identity, lift)
+from .finset import (EAGER_LIMIT, CheckConfig, Exp, FinSetObj, Morphism,
+                     Prod, ShapeError, SeededRng, checked_at, compose,
+                     equal_mor, from_blocks, identity, lift)
 from .idempotents import random_morphism
 from .report import VerifyReport, combine
 
@@ -177,7 +179,8 @@ def eps(ctx: StateContext, x: FinSetObj) -> Morphism:
 @_cached
 def nu(ctx: StateContext, x: FinSetObj) -> Morphism:
     """Comultiplication GX -> GGX, (s, g) |-> (s, t |-> (t, g)): S x eta
-    at S => X."""
+    at S => X.  That eta is the transpose of id on GX, so when GX is above
+    EAGER_LIMIT both are lazy and reading nu builds no table on S => X."""
     return prod_mor(ctx, eta(ctx, exp_obj(ctx, x)))
 
 
@@ -196,7 +199,8 @@ def transpose_up(ctx: StateContext, f: Morphism) -> Morphism:
                    for o, v in zip(out, read([row + k for k in ks]))]
         return out
 
-    return from_blocks(a, exp_obj(ctx, f.cod), at)
+    build = from_blocks if f.dom.card <= EAGER_LIMIT else Morphism.lazy
+    return build(a, exp_obj(ctx, f.cod), at)
 
 
 def transpose_down(ctx: StateContext, f: Morphism, cod: FinSetObj) -> Morphism:

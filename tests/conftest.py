@@ -34,3 +34,25 @@ def e2_policy(ctx2):
                        table=table)
     machine = MealyMachine(ctx=ctx2, in_set=g, out_set=g, mapping=mapping)
     return Policy(machine=machine)
+
+
+@pytest.fixture
+def table_sizes(monkeypatch):
+    """The domain sizes of the tables built while the test runs: passed to
+    `Morphism.__init__`, or materialized through `table`."""
+    sizes = []
+    init, table = Morphism.__init__, Morphism.table
+
+    def spy_init(self, dom, cod, table=None, fn=None):
+        init(self, dom, cod, table=table, fn=fn)
+        if table is not None:
+            sizes.append(dom.card)
+
+    def spy_table(self):
+        if self._table is None:
+            sizes.append(self.dom.card)
+        return table.fget(self)
+
+    monkeypatch.setattr(Morphism, "__init__", spy_init)
+    monkeypatch.setattr(Morphism, "table", property(spy_table))
+    return sizes

@@ -5,17 +5,25 @@ Structures are split algebras (`functor_k` on seeded projectors, as in
 the transfer census) and their seeded one-entry mutants.
 """
 
+import ast
+import os
+import subprocess
+import sys
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
+from finkar import algebras
 from finkar.algebras import (AlgebraStruct, SearchBoundExceeded,
-                             _operation_ranks, _read_operations,
+                             _operation_args, _operation_ranks,
+                             _preserves_operations, _read_operations,
                              algebra_hom_check,
                              check_algebra, coretraction_of_split,
                              free_algebra, functor_k, search_sections)
 from finkar.finset import (EAGER_LIMIT, Atom, CheckConfig, Exp, Morphism,
-                           SeededRng, codec, compose, splitmix64)
+                           SeededRng, ShapeError, check_ranks, codec,
+                           compose, equal_mor, identity, lift, splitmix64)
 from finkar.statemonad import StateContext, exp_mor, prod_obj, t_obj
 
 from oracles import (brute_force_algebras, brute_force_sections,
@@ -24,6 +32,7 @@ from oracles import (brute_force_algebras, brute_force_sections,
                      tta_check_algebra, tta_law_at_lifted_constants)
 
 EXHAUSTIVE = CheckConfig(cap=10 ** 8)
+ALGEBRAS = Path(algebras.__file__)
 
 
 def _projector(ctx, na, nfix, rng):
@@ -182,10 +191,11 @@ def test_hom_routes_agree():
 
 
 def test_recorded_hom_checks_build_no_map_on_s_to_a(monkeypatch):
-    """With update recorded on both ends, algebra_hom_check builds maps on
-    S x A only (Lemma 1): none on S => A or TA, between split algebras and
-    into and out of a free algebra.  Without a record it builds T f on TA,
-    which the same spy sees."""
+    """With update recorded on both ends, algebra_hom_check builds no map at
+    all, through `Morphism.__init__` or `Morphism.lazy` (Lemma 1: the
+    square is gathered from the update tables and f), between split
+    algebras and into and out of a free algebra.  Without a record it
+    builds T f on TA, which the same spy sees."""
     ctx = StateContext(Atom("S", 2))
     four = _split_algebra(2, 2, 2, seed=2)
     fa = free_algebra(ctx, Atom("X", 1))
@@ -206,14 +216,91 @@ def test_recorded_hom_checks_build_no_map_on_s_to_a(monkeypatch):
     monkeypatch.setattr(Morphism, "__init__", spy_init)
     monkeypatch.setattr(Morphism, "lazy", classmethod(spy_lazy))
     verdicts = [algebra_hom_check(f, a, c) for a, c, f in maps]
-    assert built and set(built) == {prod_obj(ctx, four.carrier),
-                                    prod_obj(ctx, fa.carrier)}
-    built.clear()
+    assert built == []
     algebra_hom_check(maps[0][2], _with_structure(four, four.structure.table),
                       four)
     assert t_obj(ctx, four.carrier) in built
     monkeypatch.undo()
     assert any(verdicts) and not all(verdicts)
+
+
+def test_recorded_hom_check_reads_f_range_checked():
+    """A `fn` carrier map is read through checked_at: a value below or past
+    the codomain is a ShapeError naming f's own rank, not a wrapped
+    negative index or a rank of S x A."""
+    four = _split_algebra(2, 2, 2, seed=2)
+    assert four._update is not None
+    a4 = four.carrier
+    low = Morphism(a4, a4, fn=lambda k: -1 if k == 2 else 0)
+    with pytest.raises(ShapeError, match=r"^table entry -1 at 2 "):
+        algebra_hom_check(low, four, four)
+    past = Morphism(a4, a4, fn=lambda k: 4 if k == 3 else k)
+    with pytest.raises(ShapeError, match=r"^table entry 4 at 3 "):
+        algebra_hom_check(past, four, four)
+
+
+def _spy(m, seen):
+    """m read through an evaluator that records every block of ranks."""
+    return Morphism.lazy(m.dom, m.cod,
+                         lambda ks: seen.append(list(ks)) or m.at(ks))
+
+
+# the |S| = 2 split algebra on four elements: five draws mod |S x A| = 8
+SAMPLED = CheckConfig(cap=3, samples=5, seed=7)
+
+
+def test_sampled_hom_square_reads_equal_mors_draws():
+    """Above the cap the square reads exactly the ranks equal_mor reads
+    (finset.check_ranks): with f = id and update_C broken at one rank p,
+    the square fails exactly when p is drawn, as the equal_mor route
+    does."""
+    four = _split_algebra(2, 2, 2, seed=2)
+    ua, f = four._update, identity(four.carrier)
+    seen, via_equal = [], []
+    assert _preserves_operations(f, _spy(ua, seen), ua, SAMPLED)
+    assert equal_mor(compose(_spy(ua, via_equal), f),
+                     compose(lift(ua.dom, ua.dom, f), ua), SAMPLED).passed
+    drawn = [list(ks) for ks in check_ranks(ua.dom.card, SAMPLED)]
+    assert seen == via_equal == drawn
+    drawn = set(drawn[0])
+    assert 0 < len(drawn) < ua.dom.card
+    for p in range(ua.dom.card):
+        bad = list(ua.table)
+        bad[p] = (bad[p] + 1) % four.carrier.card
+        uc = Morphism(ua.dom, ua.cod, table=bad)
+        new = _preserves_operations(f, ua, uc, SAMPLED)
+        assert new == (p not in drawn)
+        assert new == equal_mor(compose(ua, f),
+                                compose(lift(ua.dom, uc.dom, f), uc),
+                                SAMPLED).passed
+
+
+def test_sampled_hom_square_fails_on_a_drawn_rank_under_optimize():
+    """The square is no assert: a mutant broken at a drawn rank fails also
+    under `python -O`, and one broken off the draws passes."""
+    script = (
+        "from finkar.algebras import _preserves_operations\n"
+        "from finkar.finset import Atom, CheckConfig, Morphism, identity\n"
+        "from finkar.finset import check_ranks, Prod\n"
+        "assert False, 'asserts are live'\n"
+        "s, a = Atom('S', 2), Atom('A', 4)\n"
+        "sa = Prod(s, a)\n"
+        "ua = Morphism(sa, a, table=[0, 0, 2, 2, 1, 1, 3, 3])\n"
+        "cfg = CheckConfig(cap=3, samples=5, seed=7)\n"
+        "drawn = set(next(iter(check_ranks(8, cfg))))\n"
+        "out = []\n"
+        "for p in (min(drawn), min(set(range(8)) - drawn)):\n"
+        "    bad = list(ua.table)\n"
+        "    bad[p] = (bad[p] + 1) % 4\n"
+        "    uc = Morphism(sa, a, table=bad)\n"
+        "    out.append(_preserves_operations(identity(a), ua, uc, cfg))\n"
+        "print(out)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    r = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[False, True]\n"
 
 
 def test_operations_recorded_only_after_an_exhaustive_pass():
@@ -242,28 +329,48 @@ def test_check_algebra_reports_the_four_equations():
     assert [r.details["domain"] for r in rep.sub] == [4, 1, 4, 2]
 
 
+def _square_kinds(a):
+    """How many update squares v = update_u(x) of a have v = x, v < x and
+    v > x: search_sections filters, filters and forces on them."""
+    n, kinds = a.carrier.card, [0, 0, 0]
+    for p, v in enumerate(a._update.table):
+        x = p % n
+        kinds[(v > x) - (v < x)] += 1
+    return kinds
+
+
 def test_search_sections_on_mutants_matches_oracle():
     """Lemma 2 of search_sections: a structure map with a hom-section is an
     algebra, so the search proves the laws first and gives [] on a lawless
-    one.  It equals the oracle, in order, on one-entry mutants of the
-    twelve lawful structures on four elements at |S| = 2, and on the one
-    structure on one element at |S| = 2 and 3 (no mutant there); every
-    mutant is lawless and gives [] on both sides."""
+    one.  It equals the oracle, in order, at |S| = 1, 2 and 3: on the one
+    structure on two and on three elements at |S| = 1 and their one-entry
+    mutants, on one-entry mutants of the twelve lawful structures on four
+    elements at |S| = 2, and on the one structure on one element at |S| =
+    2 and 3 (no mutant there); every mutant is lawless and gives [] on
+    both sides.  The lawful carriers have fixed squares (update_u x = x),
+    and squares with update_u x below and above x."""
+    ctx1 = StateContext(Atom("S", 1))
     ctx2, ctx3 = StateContext(Atom("S", 2)), StateContext(Atom("S", 3))
     a1, a4 = Atom("A", 1), Atom("A", 4)
     lawful = [AlgebraStruct(ctx=ctx2, carrier=a1,
                             structure=brute_force_algebras(ctx2, a1)[0]),
               AlgebraStruct(ctx=ctx3, carrier=a1, structure=Morphism(
                   t_obj(ctx3, a1), a1, table=[0] * 27))]
+    lawful += [AlgebraStruct(ctx=ctx1, carrier=Atom("A", n),
+                             structure=brute_force_algebras(
+                                 ctx1, Atom("A", n))[0]) for n in (2, 3)]
     fours = [AlgebraStruct(ctx=ctx2, carrier=a4, structure=alg)
              for alg in transported_algebras(ctx2, 2, a4)]
-    mutants = [m for k, a in enumerate(fours) for _, m in _mutants(a, 1, k)]
-    for a in lawful + mutants:
+    mutants = [m for k, a in enumerate(fours + lawful[2:])
+               for _, m in _mutants(a, 1, k)]
+    for a in lawful + fours + mutants:
         got = [s.table for s in search_sections(a)]
         assert got == brute_force_sections(a.ctx, a.structure)
-        assert bool(got) == (a in lawful)
-        assert check_algebra(a, EXHAUSTIVE).passed == (a in lawful)
+        assert bool(got) == (a not in mutants)
+        assert check_algebra(a, EXHAUSTIVE).passed == (a not in mutants)
     assert len(search_sections(lawful[1])) == 3
+    kinds = [sum(k) for k in zip(*map(_square_kinds, lawful + fours))]
+    assert all(kinds), kinds
 
 
 def test_search_sections_proves_the_laws_under_a_small_cap():
@@ -285,8 +392,47 @@ def test_search_sections_proves_the_laws_under_a_small_cap():
         assert (a._update is not None) == sampled.passed == bool(got)
 
 
+def test_extend_and_the_hom_square_build_no_map():
+    """The hom square between proven algebras and the section search's
+    inner `extend` read tables only: neither body names compose, lift,
+    equal_mor or Morphism (their type annotations aside)."""
+    banned = {"compose", "lift", "equal_mor", "Morphism"}
+    tree = ast.parse(ALGEBRAS.read_text(), str(ALGEBRAS))
+    funcs = {node.name: node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)}
+    found = []
+    for name in ("_preserves_operations", "extend"):
+        body = ast.Module(body=funcs[name].body, type_ignores=[])
+        for node in ast.walk(body):
+            if (isinstance(node, ast.Name) and node.id in banned) or (
+                    isinstance(node, ast.Attribute) and node.attr in banned):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+    search = funcs["search_sections"]
+    assert funcs["extend"] in ast.walk(search)
+
+
 # ---------------------------------------------------------------------------
 # the free algebra's recorded operations
+
+
+def test_free_algebra_is_built_once_per_context_and_carrier():
+    """free_algebra returns the same object for the same (ctx, x), and a
+    new one for another carrier or context; check_algebra on the shared
+    algebra passes and leaves an update record equal to the closed form
+    at every rank."""
+    ctx = StateContext(Atom("S", 2))
+    x = Atom("X", 2)
+    fa = free_algebra(ctx, x)
+    closed = fa._update.at(range(fa._update.dom.card))
+    assert free_algebra(ctx, x) is fa
+    assert free_algebra(StateContext(Atom("S", 2)), Atom("X", 2)) is fa
+    assert free_algebra(ctx, Atom("X", 1)) is not fa
+    assert free_algebra(StateContext(Atom("S", 2), CheckConfig(seed=1)),
+                        x) is not fa
+    assert check_algebra(fa).passed
+    assert free_algebra(ctx, x) is fa
+    assert fa._update.at(range(fa._update.dom.card)) == closed
 
 
 @pytest.mark.parametrize("ns, nx", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2),
@@ -341,6 +487,23 @@ def test_free_algebra_operations_on_36_agree_with_mu_on_seeded_ranks():
             ctx, x, c_ttx.rank(tuple((u, elem) for _ in range(ctx.ns)))))
     assert update.at(ps) == expected
     assert lookup.is_lazy
+
+
+def test_sampled_laws_build_no_lookup_table(table_sizes):
+    """Under the default cap the laws of free_algebra(S = 2, X = 9) sample
+    the two equations that read lookup, so lookup and its rank map are
+    read only at the drawn ranks: no table on S => TX (104,976 ranks) is
+    built, and the report passes, sampled.  It used to build both."""
+    ctx = StateContext(Atom("S", 2))
+    _operation_ranks.cache_clear()
+    _operation_args.cache_clear()
+    fa = free_algebra(ctx, Atom("X", 9))
+    lookup_card = Exp(ctx.state_space, fa.carrier).card
+    assert lookup_card == 104976 <= EAGER_LIMIT
+    rep = check_algebra(fa)
+    assert rep.passed and rep.mode == "sampled"
+    assert table_sizes and max(table_sizes) < lookup_card
+    _operation_ranks.cache_clear()
 
 
 def test_lookup_ranks_stay_lazy_above_the_limit():

@@ -6,8 +6,10 @@ import pytest
 
 from finkar.algebras import _operation_ranks
 from finkar.equivalence import KarcObject, nucleus_objects_back
-from finkar.finset import (EAGER_LIMIT, Atom, Exp, Morphism, SeededRng,
-                           ShapeError, compose, identity, splitmix64)
+from finkar import statemonad as SM
+from finkar.finset import (EAGER_LIMIT, Atom, CheckConfig, Exp, Morphism,
+                           SeededRng, ShapeError, check_ranks, compose,
+                           identity, splitmix64)
 from finkar.statemonad import (ProdExpAdjunction, StateContext,
                                check_adjunction_laws, check_comonad_laws,
                                check_monad_laws, eps, eta, exp_mor, exp_obj,
@@ -217,6 +219,22 @@ def test_block_evaluation_matches_rank_oracles_above_limit(ctx2):
         got = m.at(ranks)
         assert got == [oracle(k) for k in ranks], name
         assert got == [m(k) for k in ranks], name
+
+
+def test_sampled_nu_reads_eta_lazily(ctx2, table_sizes, monkeypatch):
+    """nu at |S| = 2, |X| = 300 (GX: 180,000 ranks) is lazy, and so is the
+    eta on S => X it reads: the draws of a default sampled check build no
+    table on S => X (90,000 ranks) and none is cached, and they equal the
+    oracle.  It used to build and cache eta's whole table."""
+    cache = SM._TableCache(SM.STRUCTURE_CACHE_ENTRIES)
+    monkeypatch.setattr(SM, "_structure_cache", cache)
+    x = Atom("X", 300)
+    m = nu(ctx2, x)
+    n = m.dom.card
+    assert m.is_lazy and n == 180000
+    ranks = next(iter(check_ranks(n, CheckConfig())))
+    assert m.at(ranks) == [oracle_nu_at(ctx2, x, k) for k in ranks]
+    assert table_sizes == [] and cache.entries == 0
 
 
 def test_eps_nu_match_oracle(ctx2):

@@ -19,9 +19,10 @@ from .idempotents import (Splitting, fixed_ranks, karoubi_hom_check,
                           split_idempotent)
 from .report import (LawViolation, VerifyReport, combine, failing,
                      passing)
-from .statemonad import (StateContext, eps, eta, exp_mor, g_mor, g_obj,
-                         kleisli_of_mealy, mealy_of_kleisli, mu, prod_mor,
-                         prod_obj, t_mor, t_obj, transpose_up)
+from .statemonad import (StateContext, eps, eta, exp_mor, exp_obj, g_mor,
+                         g_obj, kleisli_of_mealy, mealy_of_kleisli, mu,
+                         prod_mor, prod_obj, t_mor, t_obj, transpose_down,
+                         transpose_up)
 
 
 class SearchBoundExceeded(RuntimeError):
@@ -100,7 +101,9 @@ def check_algebra(a: AlgebraStruct,
 
     Every domain has at most |TA| ranks, so each entry of alpha is read
     about once and TTA is never built; above the cap the checks sample TA,
-    and a cap of at least |TA| makes a pass a proof.  Only a proof records
+    and a cap of at least |TA| makes a pass a proof.  When (iv) samples,
+    so does (i), and lookup and own are read only at the drawn ranks: no
+    table is built on S => A or S x (S => A).  Only a proof records
     update on `a`: by Lemma 1 (algebra_hom_check) homs between proven
     algebras are then compared on update alone.  The coalgebra side has
     the same component form: check_coalgebra checks the three public-state
@@ -110,8 +113,14 @@ def check_algebra(a: AlgebraStruct,
     """
     cfg = config or a.ctx.config
     ctx, x, al = a.ctx, a.carrier, a.structure
-    update, lookup = _read_operations(a)
-    second, own = _operation_args(ctx.state_space, x)
+    lazy = ctx.ns * x.card ** ctx.ns > cfg.cap  # (iv) samples S x (S => A)
+    update, lookup = _read_operations(a, lazy)
+    second, own = _operation_args(ctx.state_space, x, lazy)
+    # S x lookup; when sampled, the transpose of eta . lookup, which
+    # unlike the lift reads lookup only at the drawn ranks
+    s_lookup = (transpose_down(ctx, compose(lookup, eta(ctx, x)),
+                               prod_obj(ctx, x), True) if lazy
+                else prod_mor(ctx, lookup))
     subs = [
         equal_mor(compose(exp_mor(ctx, update), lookup), al, cfg,
                   check="structure=lookup.(S=>update)"),
@@ -120,8 +129,7 @@ def check_algebra(a: AlgebraStruct,
         equal_mor(compose(prod_mor(ctx, update), update),
                   compose(second, update), cfg,
                   check="update.(Sxupdate)=update.second"),
-        equal_mor(compose(prod_mor(ctx, lookup), update),
-                  compose(own, update), cfg,
+        equal_mor(compose(s_lookup, update), compose(own, update), cfg,
                   check="update.(Sxlookup)=update.own"),
     ]
     rep = combine("algebra-laws", subs)
@@ -131,32 +139,40 @@ def check_algebra(a: AlgebraStruct,
 
 
 @lru_cache(maxsize=64)
-def _operation_ranks(s: FinSetObj, x: FinSetObj) -> tuple[Morphism, Morphism]:
+def _operation_ranks(s: FinSetObj, x: FinSetObj,
+                     lazy: bool = False) -> tuple[Morphism, Morphism]:
     """Where update and lookup read alpha, for a carrier x: the transposes
     of the operation arguments, (u, a) |-> (s |-> (u, a)) on S x A and
-    g |-> (s |-> (s, g s)) on S => A."""
+    g |-> (s |-> (s, g s)) on S => A, the second `lazy` if asked."""
     ctx = StateContext(s)
-    return tuple(transpose_up(ctx, arg) for arg in _operation_args(s, x))
+    second, own = _operation_args(s, x, lazy)
+    return transpose_up(ctx, second), transpose_up(ctx, own, lazy)
 
 
-def _read_operations(a: AlgebraStruct) -> tuple[Morphism, Morphism]:
-    """update: S x A -> A and lookup: (S => A) -> A, read off alpha."""
-    update, lookup = _operation_ranks(a.ctx.state_space, a.carrier)
+def _read_operations(a: AlgebraStruct,
+                     lazy: bool = False) -> tuple[Morphism, Morphism]:
+    """update: S x A -> A and lookup: (S => A) -> A, read off alpha;
+    lookup is read a block at a time if `lazy`."""
+    update, lookup = _operation_ranks(a.ctx.state_space, a.carrier, lazy)
     return compose(update, a.structure), compose(lookup, a.structure)
 
 
 @lru_cache(maxsize=64)
-def _operation_args(s: FinSetObj,
-                    x: FinSetObj) -> tuple[Morphism, Morphism]:
+def _operation_args(s: FinSetObj, x: FinSetObj,
+                    lazy: bool = False) -> tuple[Morphism, Morphism]:
     """second: S x (S x A) -> S x A, (u, (v, a)) |-> (v, a), and
-    own: S x (S => A) -> S x A, (u, g) |-> (u, g u)."""
+    own: S x (S => A) -> S x A, (u, g) |-> (u, g u), which reads a lazy
+    eps and stays a block evaluator if `lazy`."""
     ctx = StateContext(s)
-    sx, n = prod_obj(ctx, x), x.card
-    m, ne, ev = sx.card, n ** ctx.ns, eps(ctx, x)
+    sx, ex, n = prod_obj(ctx, x), exp_obj(ctx, x), x.card
+    m, ne = sx.card, ex.card
+    ev = (transpose_down(ctx, Morphism.lazy(ex, ex, list), x, True) if lazy
+          else eps(ctx, x))
     return (from_blocks(prod_obj(ctx, sx), sx,
                         lambda ps: [p % m for p in ps]),
-            from_blocks(g_obj(ctx, x), sx, lambda ps: [
-                p // ne * n + v for p, v in zip(ps, ev.at(ps))]))
+            (Morphism.lazy if lazy else from_blocks)(
+                g_obj(ctx, x), sx, lambda ps: [
+                    p // ne * n + v for p, v in zip(ps, ev.at(ps))]))
 
 
 def moore_law_violations(ns: int, readout: list[int],
@@ -237,7 +253,9 @@ def _free_update(s: FinSetObj, x: FinSetObj) -> Morphism:
     """The free algebra's update S x TX -> TX, once per (state space, x):
     run (the counit at S x X), then the constant computation."""
     ctx = StateContext(s)
-    return compose(eps(ctx, prod_obj(ctx, x)), _operation_ranks(s, x)[0])
+    # `lazy` passed as _read_operations passes it: one cache entry per x
+    return compose(eps(ctx, prod_obj(ctx, x)),
+                   _operation_ranks(s, x, False)[0])
 
 
 def algebra_hom_check(f: Morphism, a: AlgebraStruct, c: AlgebraStruct,

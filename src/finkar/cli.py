@@ -13,10 +13,6 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .algebras import free_algebra
-from .equivalence import (ObjectConditionError, dual_lr_identity_report,
-                          dual_r, dual_roundtrip, functor_r,
-                          lr_identity_report, make_karm_object, roundtrip_rl)
 from .finset import Atom, CheckConfig, Morphism, Prod, SeededRng
 from .idempotents import (check_split_equalizer_diagram, is_idempotent,
                           karoubi_hom_check, random_split_equalizer_diagram,
@@ -24,8 +20,8 @@ from .idempotents import (check_split_equalizer_diagram, is_idempotent,
 from .policy import (MealyMachine, MooreMachine, Policy, check_compliance,
                      check_consistency, check_moore, check_policy,
                      mealy_to_moore, moore_to_coalgebra)
-from .report import (LawViolation, VerifyReport, combine, erroring, failing,
-                     passing)
+from .report import (LawViolation, ObjectConditionError, VerifyReport,
+                     combine, erroring, failing, passing)
 from .statemonad import (StateContext, check_adjunction_laws,
                          check_comonad_laws, check_monad_laws, equal_mor,
                          kleisli_resolution, prod_exp_adjunction, prod_obj,
@@ -475,6 +471,12 @@ def _cmd_mealy_to_moore(task, env):
 
 
 def _cmd_equiv_roundtrip(task, env):
+    # the only handler that needs algebras and equivalence, so the other
+    # commands do not load them
+    from .algebras import free_algebra
+    from .equivalence import (dual_lr_identity_report, dual_r,
+                              dual_roundtrip, functor_r, lr_identity_report,
+                              make_karm_object, roundtrip_rl)
     subs = []
     if "policy" in task:
         phi = env.policy(task["policy"])

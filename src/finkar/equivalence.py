@@ -19,18 +19,11 @@ from .algebras import (AlgebraStruct, CoalgebraStruct, algebra_hom_check,
 from .finset import (CheckConfig, FinSetObj, Morphism, ShapeError, compose,
                      equal_mor, identity, inverse)
 from .idempotents import Splitting, fixed_ranks, split_idempotent
-from .report import LawViolation, VerifyReport, combine, failing, passing
+from .report import (LawViolation, ObjectConditionError, VerifyReport,
+                     combine, failing, passing)
 from .statemonad import (StateContext, eps, eta, exp_mor, exp_obj,
                          mealy_of_kleisli, prod_mor, prod_obj, t_mor, t_obj,
                          transpose_up)
-
-
-class ObjectConditionError(ValueError):
-    """A machine-form projector fails the splitting-through-carrier condition."""
-
-    def __init__(self, message: str, details: dict):
-        super().__init__(message)
-        self.details = details
 
 
 @dataclass(frozen=True)

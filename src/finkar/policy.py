@@ -9,14 +9,19 @@ carry a Moore machine satisfying the three public-state equations."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from .algebras import (CoalgebraStruct, coalgebra_components,
-                       coalgebra_of_components, moore_law_violations)
-from .equivalence import ObjectConditionError, functor_l, make_karm_object
 from .finset import (CheckConfig, FinSetObj, Morphism, Prod, ShapeError,
                      compose, envelope_hom_report, envelope_holds, equal_mor)
-from .report import LawViolation, VerifyReport, combine, failing, passing
+from .report import (LawViolation, ObjectConditionError, VerifyReport,
+                     combine, failing, passing)
 from .statemonad import StateContext, exp_mor, prod_mor, prod_obj, t_obj
+
+if TYPE_CHECKING:
+    from .algebras import CoalgebraStruct
+
+# The Moore-machine passage imports `algebras` and `equivalence` where it
+# runs, so the compliance and consistency checks load neither.
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,7 @@ class MooreMachine:
 def check_moore(m: MooreMachine) -> VerifyReport:
     """The three public-state equations, exhaustively: the coalgebra laws
     of `moore_to_coalgebra(m)`, on its components."""
+    from .algebras import moore_law_violations
     violations = moore_law_violations(m.ctx.ns, m.readout.table,
                                       m.step.table)
     return (failing("moore-laws", violations) if violations
@@ -130,12 +136,14 @@ def check_moore(m: MooreMachine) -> VerifyReport:
 
 def moore_to_coalgebra(m: MooreMachine) -> CoalgebraStruct:
     """Bundle readout and step into a structure map B -> GB."""
+    from .algebras import coalgebra_of_components
     return coalgebra_of_components(m.ctx, m.state_set, m.readout.table,
                                    m.step.table)
 
 
 def coalgebra_to_moore(c: CoalgebraStruct) -> MooreMachine:
     """Unbundle a structure map B -> GB into readout and step tables."""
+    from .algebras import coalgebra_components
     ctx = c.ctx
     readout, step = coalgebra_components(c)
     return MooreMachine(
@@ -242,6 +250,7 @@ def mealy_to_moore(phi: Policy,
     equations, which that condition does not imply; the rejection
     diagnostic carries the cardinalities and any public-state equation the
     would-be machine breaks."""
+    from .equivalence import functor_l, make_karm_object
     ctx = phi.machine.ctx
     cfg = config or ctx.config
     k = make_karm_object(ctx, phi.alphabet, phi.mapping, cfg)

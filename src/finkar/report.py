@@ -55,6 +55,14 @@ class LawViolation(ValueError):
         self.report = report
 
 
+class ObjectConditionError(ValueError):
+    """A machine-form projector fails the splitting-through-carrier condition."""
+
+    def __init__(self, message: str, details: dict):
+        super().__init__(message)
+        self.details = details
+
+
 def passing(check: str, mode: str = "exhaustive", **details) -> VerifyReport:
     return VerifyReport(check=check, status="pass", mode=mode, details=details)
 

@@ -329,6 +329,19 @@ def brute_force_sections(ctx: StateContext, alg: Morphism) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
+# monad associativity as first stated, on TTTX
+
+
+def tttx_mu_assoc(m, x, config):
+    """mu . T mu = mu . mu T on TTTX, with T on arrows and mu read off the
+    MonadOps m: (|S| |TTX|)^|S| ranks (4,194,304 at |S| = |X| = 2),
+    sampled above the cap."""
+    return equal_mor(compose(m.on_mor(m.mu(x)), m.mu(x)),
+                     compose(m.mu(m.on_obj(x)), m.mu(x)), config,
+                     check=f"mu-assoc@{x!r}")
+
+
+# ---------------------------------------------------------------------------
 # the algebra laws as first stated, on TTA
 
 

@@ -74,24 +74,26 @@ def _ctx(ns: int, **kw) -> StateContext:
 
 def test_criterion_1_structure_laws():
     """Unit/counit laws exhaustive at |S|,|X| <= 2; multiplication
-    associativity on >= 10^4 seeded samples; triangle identities
-    exhaustive for both resolutions on objects of card <= 4."""
+    associativity exhaustive, or on >= 10^4 seeded samples; triangle
+    identities exhaustive for both resolutions on objects of card <= 4."""
     with criterion(1, "structure laws", 60):
         for ns in (1, 2):
             ctx = _ctx(ns, samples=10000)
             objs = [Atom("X", 1), Atom("X", 2)]
             rep_m = check_monad_laws(state_monad(ctx), objs)
             assert rep_m.passed, rep_m.to_dict()
-            sampled_assoc = 0
+            exhaustive_assoc = 0
             for sub in rep_m.sub:
                 if "=id@" in sub.check:
                     assert sub.mode == "exhaustive"
-                if sub.check.startswith("mu-assoc") and sub.mode == "sampled":
-                    assert sub.details["samples"] >= 10 ** 4
-                    sampled_assoc += 1
+                if sub.check.startswith("mu-assoc"):
+                    assert (sub.mode == "exhaustive"
+                            or sub.details["samples"] >= 10 ** 4)
+                    exhaustive_assoc += sub.mode == "exhaustive"
             if ns == 2:
-                # the triple-behavior object at |X|=2 has ~4e6 elements
-                assert sampled_assoc >= 1
+                # through the resolution the law at |X| = 2 is an equation
+                # on S x TTX (2,048 ranks), not on TTTX (~4e6)
+                assert exhaustive_assoc >= 1
             rep_c = check_comonad_laws(state_comonad(ctx), objs)
             assert rep_c.passed
             assert rep_c.mode == "exhaustive"

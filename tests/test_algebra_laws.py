@@ -506,6 +506,25 @@ def test_sampled_laws_build_no_lookup_table(table_sizes):
     _operation_ranks.cache_clear()
 
 
+def test_sampled_iv_builds_no_table_on_s_times_s_to_a(table_sizes):
+    """free_algebra(S = 2, X = 8) has |S x (S => TX)| = 131,072 ranks,
+    between the default cap and EAGER_LIMIT, so (iv) samples, and so does
+    (i): own, lookup and its rank map are read only at the drawn ranks.
+    No table on S => TX (65,536 ranks) or on S x (S => TX) is built, and
+    the report passes, sampled.  It used to build seven such tables."""
+    ctx = StateContext(Atom("S", 2))
+    fa = free_algebra(ctx, Atom("X", 8))
+    lookup_card = Exp(ctx.state_space, fa.carrier).card
+    assert CheckConfig().cap < 2 * lookup_card == 131072 <= EAGER_LIMIT
+    table_sizes.clear()
+    rep = check_algebra(fa)
+    assert rep.passed and rep.mode == "sampled"
+    assert [r.mode for r in rep.sub] == ["sampled", "exhaustive",
+                                         "exhaustive", "sampled"]
+    assert table_sizes and max(table_sizes) < lookup_card
+    assert fa._update is not None  # the closed form, not a new record
+
+
 def test_lookup_ranks_stay_lazy_above_the_limit():
     """The lookup rank map of free_algebra(S = 2, X = 10) has |S => TX| =
     160,000 ranks: it is the transpose of a lazy map, read only where

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import subprocess
@@ -319,9 +320,9 @@ def test_main_rejects_vacuous_check_knobs(tmp_path, capsys):
 # from TTA to the four equations of the lookup/update presentation.
 GOLDEN_REPORTS = {
     ("machines.json", 0):
-        "2b775031a206ccf94972743463fa47d2be38779f02bdd83831463e95b46aa9bf",
+        "3ddf0f06a899b310d03161c0cab3de317418cb1287b3b235a6b2f6456c0c301c",
     ("machines.json", 42):
-        "c24a8f5bb23ae1c9625a6a0c2f8d9c6432096475d23fa4fc0d038a7a330e376c",
+        "d426dc48bcfb1beab3a8c6148fe2702f9e1d7d78c334b39aa57e5a88a54e5fda",
     ("policies.json", 0):
         "4d30cfe3bedb2bc4e9a10d60cdac457380a2739a18a5a76acadc694156666290",
     ("policies.json", 42):
@@ -384,6 +385,48 @@ def test_cli_import_stays_pure_python():
          "import sys, finkar.cli; assert 'numpy' not in sys.modules"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _leaf_reports(rep: dict):
+    if not rep["sub"]:
+        return [rep]
+    return [leaf for r in rep["sub"] for leaf in _leaf_reports(r)]
+
+
+def test_machines_report_has_no_sampled_leaf(tmp_path):
+    """At the default config every leaf check of verify-all machines.json
+    is exhaustive: associativity is an equation on S x TTX, not a sample
+    of TTTX."""
+    out = tmp_path / "report.json"
+    assert main(["verify-all", str(FIXTURES / "machines.json"),
+                 "--out", str(out)]) == 0
+    leaves = _leaf_reports(json.loads(out.read_text()))
+    assert len(leaves) > 90
+    assert [r["check"] for r in leaves if r["mode"] != "exhaustive"] == []
+    assert sum(r["check"].startswith("mu-assoc@") for r in leaves) == 2
+
+
+@pytest.mark.parametrize("fixture,loaded", [("policies.json", False),
+                                            ("machines.json", True)])
+def test_policy_only_spec_loads_no_algebras(tmp_path, fixture, loaded):
+    """A policy-check-only spec runs without importing `algebras` or
+    `equivalence`; machines.json, whose tasks need them, loads both."""
+    out = tmp_path / "report.json"
+    code = ("import runpy, sys\n"
+            f"sys.argv = ['finkar', 'verify-all', {str(FIXTURES / fixture)!r},"
+            f" '--out', {str(out)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('finkar', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(sorted(m for m in sys.modules if m.startswith('finkar')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(ast.literal_eval(proc.stdout))
+    assert {"finkar.cli", "finkar.policy", "finkar.statemonad"} <= modules
+    heavy = {"finkar.algebras", "finkar.equivalence"}
+    assert (heavy <= modules) if loaded else not (heavy & modules)
 
 
 def test_cli_process_and_byte_stability(tmp_path):

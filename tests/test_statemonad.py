@@ -25,7 +25,7 @@ from oracles import (oracle_eps_at, oracle_eps_table, oracle_eta_at,
                      oracle_nu_at, oracle_nu_table, oracle_prod_at,
                      oracle_step_then_unit_at, oracle_t_at,
                      oracle_transpose_down_at, oracle_transpose_up_at,
-                     oracle_update_rank_at)
+                     oracle_update_rank_at, tttx_mu_assoc)
 
 STATEMONAD = Path(__file__).resolve().parents[1] / "src/finkar/statemonad.py"
 
@@ -263,6 +263,81 @@ def test_monad_law_verifier_catches_corruption(ctx2):
     broken = type(m)(ctx=ctx2, on_obj=m.on_obj, on_mor=m.on_mor,
                      eta=bad_eta, mu=m.mu)
     assert check_monad_laws(broken, [x]).status == "fail"
+
+
+def _leaves(rep, name):
+    return [r for r in rep.sub if r.check.split("@")[0] == name]
+
+
+def test_mu_assoc_agrees_with_the_tttx_oracle():
+    """The battery's associativity leaf, an equation on S x TTX, agrees
+    with the law as first stated on TTTX: exhaustively where TTTX is
+    within the cap, and against 10^4 draws from its 4,194,304 ranks at
+    |S| = |X| = 2, where the leaf has 2,048 ranks and stays a proof."""
+    for ns, nx in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
+        ctx, x = StateContext(Atom("S", ns)), Atom("X", nx)
+        m = state_monad(ctx)
+        oracle = tttx_mu_assoc(m, x, ctx.config)
+        [leaf] = _leaves(check_monad_laws(m, [x]), "mu-assoc")
+        assert oracle.passed and leaf.passed and leaf.mode == "exhaustive"
+        assert leaf.details["domain"] == ns * t_obj(ctx, t_obj(ctx, x)).card
+        if (ns, nx) == (2, 2):
+            assert oracle.mode == "sampled"
+            assert oracle.details == {"domain": 4194304, "samples": 10000}
+            assert leaf.details["domain"] == 2048
+        else:
+            assert oracle.mode == "exhaustive"
+
+
+@pytest.mark.parametrize("nx", [1, 2])
+def test_mutated_mu_fails_both_assoc_routes(monkeypatch, nx):
+    """A one-entry mutant of mu's table at |S| = 2, injected under its
+    structure-map cache key, is what both routes read, and both fail: the
+    battery (its mu=S=>eps and mu-assoc leaves) and the TTTX oracle
+    (exhaustive at |X| = 1, 10^4 draws at |X| = 2).  The cache is
+    restored afterwards."""
+    ctx, x = StateContext(Atom("S", 2)), Atom("X", nx)
+    m, good = state_monad(ctx), mu(ctx, x)
+    saved = SM._structure_cache
+    rng = SeededRng(nx)
+    for _ in range(3):
+        r = rng.below(good.dom.card)
+        table = list(good.table)
+        table[r] = (table[r] + 1 + rng.below(good.cod.card - 1)) \
+            % good.cod.card
+        cache = SM._TableCache(SM.STRUCTURE_CACHE_ENTRIES)
+        cache.put(("mu", ctx.state_space, x),
+                  Morphism(good.dom, good.cod, table=table))
+        monkeypatch.setattr(SM, "_structure_cache", cache)
+        assert mu(ctx, x).table == table
+        assert tttx_mu_assoc(m, x, ctx.config).status == "fail"
+        rep = check_monad_laws(m, [x])
+        assert rep.status == "fail"
+        for name in ("mu=S=>eps", "mu-assoc"):
+            [leaf] = _leaves(rep, name)
+            assert leaf.status == "fail" and leaf.mode == "exhaustive"
+    monkeypatch.undo()
+    assert SM._structure_cache is saved
+    assert mu(ctx, x).table == good.table == oracle_mu_table(ctx, x)
+    assert check_monad_laws(m, [x]).passed
+
+
+def test_battery_checks_on_mor_against_t_mor(ctx2):
+    """A MonadOps whose on_mor is not S => (S x -) fails the T=S=>(Sx-)
+    leaf: the associativity proof reads T as t_mor builds it."""
+    m, x = state_monad(ctx2), Atom("X", 2)
+
+    def bad_on_mor(f):
+        good = t_mor(ctx2, f)
+        table = list(good.table)
+        table[0] = (table[0] + 1) % good.cod.card
+        return Morphism(good.dom, good.cod, table=table)
+
+    broken = type(m)(ctx=ctx2, on_obj=m.on_obj, on_mor=bad_on_mor,
+                     eta=m.eta, mu=m.mu)
+    [leaf] = _leaves(check_monad_laws(broken, [x]), "T=S=>(Sx-)")
+    assert leaf.status == "fail"
+    assert leaf.witnesses[0]["rank"] == 0
 
 
 def test_comonad_laws_exhaustive(ctx2, ctx1):

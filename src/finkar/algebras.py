@@ -8,6 +8,7 @@ predicates and law reports, never enumerated.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional
@@ -331,6 +332,20 @@ def _preserves_operations(f: Morphism, update_a: Morphism,
 
 
 def _verify_witness(w: ProjectiveWitness, cfg: CheckConfig) -> VerifyReport:
+    """The witness invariants: alpha . sigma = id on A, sigma a hom into
+    the free algebra (`section-is-hom`), the projector pi idempotent, and
+    pi = eps . (S x sigma) on S x A, for the counit eps at S x A that the
+    resolution builds (pi is read off sigma as its transpose).
+
+    The exponential-image identity sigma . alpha = S => pi on TA follows
+    and is not checked on TA.  sigma is a hom, by Lemma 1 or checked
+    directly (algebra_hom_check), so sigma . alpha = mu . T sigma.  `mu`
+    builds mu_A as S => eps at S x A and `t_mor` builds T sigma as
+    S => (S x sigma); S => - preserves composition, so
+    mu . T sigma = S => (eps . (S x sigma)) = S => pi by the last leaf.
+    That leaf reads |S x A| ranks; the identity on TA built two tables of
+    |TA| entries (the test oracle `exp_projector_leaf` keeps it).
+    """
     ctx, a = w.algebra.ctx, w.algebra
     al, ab = a.structure, w.coretraction
     subs = [
@@ -341,8 +356,9 @@ def _verify_witness(w: ProjectiveWitness, cfg: CheckConfig) -> VerifyReport:
         else failing("section-is-hom", [{"hom": False}]),
         equal_mor(compose(w.projector, w.projector), w.projector, cfg,
                   check="projector-idempotent"),
-        equal_mor(compose(al, ab), exp_mor(ctx, w.projector), cfg,
-                  check="section.structure=exp-projector"),
+        equal_mor(w.projector, compose(prod_mor(ctx, ab),
+                                       eps(ctx, prod_obj(ctx, a.carrier))),
+                  cfg, check="projector=eps.(Sxsection)"),
     ]
     return combine("projective-witness", subs)
 
@@ -366,7 +382,9 @@ def construct_coretraction(a: AlgebraStruct,
     """Build the hom-section from retract data (X, q, i).
 
     q must be an algebra hom from the free algebra on X onto a, i a hom
-    section of it; the coretraction is then Tq . Teta . i.
+    section of it; the coretraction is then Tq . Teta . i, built as
+    T(q . eta) . i: T preserves composition, so one lift on TX stands for
+    T eta and T q on TTX.
     """
     cfg = config or a.ctx.config
     ctx = a.ctx
@@ -378,7 +396,7 @@ def construct_coretraction(a: AlgebraStruct,
         raise ValueError("i is not an algebra hom into the free algebra")
     if not equal_mor(compose(i, q), identity(a.carrier), cfg).passed:
         raise ValueError("q . i is not the identity")
-    ab = compose(compose(i, t_mor(ctx, eta(ctx, x))), t_mor(ctx, q))
+    ab = compose(i, t_mor(ctx, compose(eta(ctx, x), q)))
     return make_witness(a, ab, cfg)
 
 
@@ -416,13 +434,13 @@ def search_sections(a: AlgebraStruct, config: CheckConfig | None = None,
     if a._update is None and not check_algebra(
             a, replace(cfg, cap=max(cfg.cap, ta.card))).passed:
         return []
-    preimages = fibers(al)
-    space = 1
+    counts, space = Counter(al.table), 1
     for j in range(n):
-        space *= len(preimages.get(j, []))
+        space *= counts[j]
         if space > search_bound:
             raise SearchBoundExceeded(
                 f"section search space exceeds {search_bound}")
+    preimages = fibers(al)
     # offsets u |TA| into the free update, by the element each square
     # filters (fixed, below) or forces (forced)
     free_update = _free_update(a.ctx.state_space, a.carrier).table
@@ -605,11 +623,15 @@ def functor_k(ctx: StateContext, carrier: FinSetObj, phi: Morphism,
 
     Canonical fixed-point splitting: the mid is an Atom listing the fixed
     points of S => phi ascending, and the structure is q . mu . T(i).
+    mu is S => eps at S x X and T i is S => (S x i), so mu . T i is
+    S => (eps . (S x i)), and eps . (S x i) is the transpose of i, its
+    machine form: the structure is built as q . S => (machine form of i),
+    with no T i table and no read of mu.
     """
     cfg = config or ctx.config
     fphi = exp_mor(ctx, phi)
     s = split_idempotent(fphi)
-    structure = compose(compose(t_mor(ctx, s.i), mu(ctx, carrier)), s.q)
+    structure = compose(exp_mor(ctx, mealy_of_kleisli(ctx, s.i)), s.q)
     alg = AlgebraStruct(ctx=ctx, carrier=s.mid, structure=structure)
     rep = check_algebra(alg, cfg)
     if not rep.passed:

@@ -406,7 +406,7 @@ def lift(dom: FinSetObj, cod: FinSetObj, f: Morphism) -> Morphism:
         if exp:
             tab, w = [0], 1
             for _ in range(ns):
-                tab = [r + w * v for v in ft for r in tab]
+                tab = [r + d for d in [w * v for v in ft] for r in tab]
                 w *= ny
         else:
             tab = [k * ny + v for k in range(ns) for v in ft]
@@ -578,6 +578,8 @@ def check_ranks(n: int, config: CheckConfig) -> Iterator[Sequence[int]]:
     if n > config.cap:
         return ([r % n for r in raw]
                 for raw in _draw_blocks(config.seed, config.samples))
+    if n <= BLOCK:
+        return (range(n),)
     return (range(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK))
 
 

@@ -11,8 +11,8 @@ from itertools import product as iproduct
 from finkar.finset import (Atom, Exp, Morphism, Prod, codec, compose,
                            equal_mor, identity)
 from finkar.report import combine, failing, passing
-from finkar.statemonad import (StateContext, eps, eta, g_mor, g_obj, mu, nu,
-                               t_mor, t_obj)
+from finkar.statemonad import (StateContext, eps, eta, exp_mor, g_mor, g_obj,
+                               mu, nu, t_mor, t_obj)
 
 
 def oracle_eta_at(ctx: StateContext, x, k: int) -> int:
@@ -384,6 +384,30 @@ def tf_algebra_hom_check(f, a, c, config, coretractions=None) -> bool:
         abar, cbar = coretractions
         ok = equal_mor(compose(abar, tf), compose(f, cbar), config).passed
     return ok
+
+
+# ---------------------------------------------------------------------------
+# the transfer functors as first built, through T on TTX and mu
+
+
+def tmu_split_structure(ctx, carrier, s):
+    """functor_k's structure as first built, q . mu . T i: T i built on
+    T(mid) and mu read at TTX, for the splitting s of S => phi."""
+    return compose(compose(t_mor(ctx, s.i), mu(ctx, carrier)), s.q)
+
+
+def tteta_coretraction(ctx, x, q, i):
+    """construct_coretraction's section as first built, Tq . Teta . i:
+    T eta built on TX and T q on TTX."""
+    return compose(compose(i, t_mor(ctx, eta(ctx, x))), t_mor(ctx, q))
+
+
+def exp_projector_leaf(w, config):
+    """The witness identity sigma . alpha = S => pi as first checked, on
+    TA: the composite and S => pi each built whole."""
+    return equal_mor(compose(w.algebra.structure, w.coretraction),
+                     exp_mor(w.algebra.ctx, w.projector), config,
+                     check="section.structure=exp-projector")
 
 
 # ---------------------------------------------------------------------------

@@ -15,21 +15,29 @@ from pathlib import Path
 import pytest
 
 from finkar import algebras
+from finkar import statemonad as SM
 from finkar.algebras import (AlgebraStruct, SearchBoundExceeded,
                              _operation_args, _operation_ranks,
                              _preserves_operations, _read_operations,
                              algebra_hom_check,
                              check_algebra, coretraction_of_split,
-                             free_algebra, functor_k, search_sections)
-from finkar.finset import (EAGER_LIMIT, Atom, CheckConfig, Exp, Morphism,
-                           SeededRng, ShapeError, check_ranks, codec,
-                           compose, equal_mor, identity, lift, splitmix64)
-from finkar.statemonad import StateContext, exp_mor, prod_obj, t_obj
+                             free_algebra, functor_k, make_witness,
+                             search_sections)
+from finkar.finset import (EAGER_LIMIT, MATERIALIZE_LIMIT, Atom,
+                           CheckConfig, Exp, Morphism, SeededRng,
+                           ShapeError, check_ranks, codec,
+                           compose, equal_mor, fibers, identity, lift,
+                           splitmix64)
+from finkar.report import LawViolation
+from finkar.statemonad import (StateContext, eps, exp_mor, prod_mor,
+                               prod_obj, t_mor, t_obj)
 
 from oracles import (brute_force_algebras, brute_force_sections,
-                     oracle_eta_table, oracle_lookup_rank_at, oracle_mu_at,
-                     tf_algebra_hom_check, transported_algebras,
-                     tta_check_algebra, tta_law_at_lifted_constants)
+                     exp_projector_leaf, oracle_eta_table,
+                     oracle_lookup_rank_at, oracle_mu_at,
+                     tf_algebra_hom_check, tmu_split_structure,
+                     transported_algebras, tta_check_algebra,
+                     tta_law_at_lifted_constants, tteta_coretraction)
 
 EXHAUSTIVE = CheckConfig(cap=10 ** 8)
 ALGEBRAS = Path(algebras.__file__)
@@ -649,3 +657,189 @@ def test_section_square_agrees_with_the_tf_route():
                         held += new
                         checked += algebra_hom_check(f, a, c)
     assert 0 < held < checked
+
+
+# ---------------------------------------------------------------------------
+# the transfer functors through the resolution
+
+
+@pytest.mark.parametrize("ns, nx", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_transfer_routes_agree_with_the_routes_through_t_and_mu(ns, nx):
+    """On a seeded projector on S x X with each fixed-point count,
+    functor_k's structure q . S => (machine form of i) is the table of
+    q . mu . T i, the coretraction T(q . eta) . i is that of
+    Tq . Teta . i, and the witness also satisfies sigma . alpha = S => pi
+    on TA (tests/oracles.py).  Where T(mid) is above EAGER_LIMIT (|S| = 3,
+    three fixed points and more) the structures are compared on the
+    default draws, and so is the TA identity above the cap."""
+    ctx = StateContext(Atom("S", ns))
+    for nfix in range(1, ns * nx + 1):
+        phi = _projector(ctx, nx, nfix, SeededRng(100 * ns + 10 * nx + nfix))
+        x = phi.dom.right
+        k = functor_k(ctx, x, phi)
+        new, old = k.algebra.structure, tmu_split_structure(ctx, x,
+                                                            k.splitting)
+        if new.dom.card <= EAGER_LIMIT:
+            assert new.table == old.table
+        else:
+            assert equal_mor(new, old, ctx.config).passed
+        w = coretraction_of_split(ctx, x, k)
+        assert w.coretraction.table == tteta_coretraction(
+            ctx, x, k.splitting.q, k.splitting.i).table
+        leaf = exp_projector_leaf(w, ctx.config)
+        assert leaf.passed and (ns == 3 or leaf.mode == "exhaustive")
+
+
+def test_in_fiber_mutants_of_a_section_fail_section_is_hom():
+    """A one-entry mutant of a hom-section that stays in the fiber (so
+    alpha . sigma = id still holds) and is not itself a hom-section makes
+    make_witness raise, and section-is-hom is the leaf that catches it:
+    on split algebras on one and four elements at |S| = 2."""
+    caught = 0
+    for a, _ in _witnessed_splits()[:2]:
+        secs = search_sections(a)
+        known = {tuple(s.table) for s in secs}
+        fib = fibers(a.structure)
+        for sec in secs[:2]:
+            for x in range(a.carrier.card):
+                for c in fib[x]:
+                    bad = list(sec.table)
+                    bad[x] = c
+                    if tuple(bad) in known:
+                        continue
+                    with pytest.raises(LawViolation) as exc:
+                        make_witness(a, Morphism(sec.dom, sec.cod, table=bad))
+                    failing = exc.value.report.witnesses
+                    assert {"failing_sub": "section-is-hom"} in failing
+                    assert {"failing_sub": "structure.section=id"} \
+                        not in failing
+                    caught += 1
+    assert caught > 50
+
+
+def test_mutated_eps_fails_the_companion_leaf(monkeypatch):
+    """A one-entry mutant of eps at S x A, injected under its structure-map
+    cache key at a rank that S x sigma reaches, fails the witness leaf
+    projector=eps.(Sxsection) and no other.  The cache is restored
+    afterwards."""
+    (a, _), = _witnessed_splits()[1:2]
+    ctx, sec = a.ctx, search_sections(a)[0]
+    make_witness(a, sec)  # the free algebra on A is built with the good eps
+    sa = prod_obj(ctx, a.carrier)
+    good, reached = eps(ctx, sa), prod_mor(ctx, sec).table
+    saved = SM._structure_cache
+    rng = SeededRng(5)
+    for _ in range(3):
+        r = rng.choice(reached)
+        table = list(good.table)
+        table[r] = (table[r] + 1 + rng.below(sa.card - 1)) % sa.card
+        cache = SM._TableCache(SM.STRUCTURE_CACHE_ENTRIES)
+        cache.put(("eps", ctx.state_space, sa),
+                  Morphism(good.dom, good.cod, table=table))
+        monkeypatch.setattr(SM, "_structure_cache", cache)
+        assert eps(ctx, sa).table == table
+        with pytest.raises(LawViolation) as exc:
+            make_witness(a, sec)
+        assert exc.value.report.witnesses == [
+            {"failing_sub": "projector=eps.(Sxsection)"}]
+    monkeypatch.undo()
+    assert SM._structure_cache is saved
+    assert eps(ctx, sa).table == good.table
+    make_witness(a, sec)
+
+
+@pytest.mark.parametrize("nfix", [2, 6])
+def test_coretraction_of_split_builds_no_table_on_ttx_or_t_mid(table_sizes,
+                                                              nfix):
+    """At |S| = 2, |X| = 3, once the structure maps are cached, the
+    canonical witness of a split algebra builds no table larger than TX
+    (36 entries) or S x mid: none on TTX (5,184) or T(mid).  T q used to
+    be built on TTX, and the witness leaf on T(mid), on every call."""
+    ctx = StateContext(Atom("S", 2))
+    phi = _projector(ctx, 3, nfix, SeededRng(nfix))
+    x = phi.dom.right
+    k = functor_k(ctx, x, phi)
+    mid = k.algebra.carrier
+    coretraction_of_split(ctx, x, k)
+    table_sizes.clear()
+    coretraction_of_split(ctx, x, k)
+    tx, smid = t_obj(ctx, x).card, prod_obj(ctx, mid).card
+    assert table_sizes and max(table_sizes) <= max(tx, smid)
+    assert max(table_sizes) < min(t_obj(ctx, t_obj(ctx, x)).card,
+                                  t_obj(ctx, mid).card)
+
+
+def test_search_bound_is_decided_before_any_fiber(table_sizes, monkeypatch):
+    """Past its bound the section search counts alpha's fibers and raises
+    the same message without building them or any table."""
+    fa = free_algebra(StateContext(Atom("S", 2)), Atom("X", 2))
+    table_sizes.clear()
+
+    def no_fibers(m):
+        raise AssertionError("fibers built past the search bound")
+
+    monkeypatch.setattr(algebras, "fibers", no_fibers)
+    with pytest.raises(SearchBoundExceeded) as exc:
+        search_sections(fa, search_bound=10)
+    assert str(exc.value) == "section search space exceeds 10"
+    assert table_sizes == []
+
+
+# a cap below |S x A| whose 10^4 draws reach every rank of S x A
+BELOW_CAP = CheckConfig(cap=1)
+
+
+def test_hom_square_agrees_with_the_tf_oracle_exhaustive_and_sampled():
+    """The hom square between proven algebras, gathered at every rank of
+    S x A within the cap and at the check_ranks draws below it, gives the
+    T f verdict (tests/oracles.py) on every carrier map between witnessed
+    split algebras on one and four elements at |S| = 2.  A value of f
+    outside C is a ShapeError naming f's rank on both paths."""
+    ctx = StateContext(Atom("S", 2))
+    algs = [a for a, _ in _witnessed_splits()[:2]]
+    algs.append(_split_algebra(2, 1, 2, seed=5))
+    for a in algs:
+        make_witness(a, search_sections(a)[0])
+        n = prod_obj(ctx, a.carrier).card
+        assert a._update is not None and BELOW_CAP.cap < n
+        assert {p for ps in check_ranks(n, BELOW_CAP) for p in ps} \
+            == set(range(n))
+    homs = checked = 0
+    for a in algs:
+        for c in algs:
+            for tab in _maps(a.carrier.card, c.carrier.card):
+                f = Morphism(a.carrier, c.carrier, table=tab)
+                want = tf_algebra_hom_check(f, a, c, ctx.config)
+                assert algebra_hom_check(f, a, c) == want
+                assert algebra_hom_check(f, a, c, config=BELOW_CAP) == want
+                homs += want
+                checked += 1
+    assert 0 < homs < checked == 1 + 2 * 4 + 2 + 4 * 256
+    four = algs[1]
+    for cfg in (ctx.config, BELOW_CAP):
+        past = Morphism(four.carrier, four.carrier,
+                        fn=lambda k: 4 if k == 3 else k)
+        with pytest.raises(ShapeError, match=r"^table entry 4 at 3 "):
+            algebra_hom_check(past, four, four, config=cfg)
+
+
+@pytest.mark.parametrize("ny", [200, 2000])
+def test_hom_square_into_a_large_free_algebra_reads_only_reached_ranks(
+        table_sizes, ny):
+    """The square reads the codomain's update only at the ranks S x A
+    reaches, whatever the size of C.  From the free algebra on one element
+    into the free algebra on ny at |S| = 2, whose update on S x TY is lazy
+    (320,000 entries) or past MATERIALIZE_LIMIT (32,000,000), T f is a
+    hom and a one-entry mutant of it is not, and neither check builds a
+    table: the only one built is the mutant's own, on TX."""
+    ctx = StateContext(Atom("S", 2))
+    x, y = Atom("X", 1), Atom("Y", ny)
+    fa, fc = free_algebra(ctx, x), free_algebra(ctx, y)
+    assert prod_obj(ctx, t_obj(ctx, y)).card > (
+        MATERIALIZE_LIMIT if ny == 2000 else EAGER_LIMIT)
+    f = t_mor(ctx, Morphism(x, y, table=[ny - 1]))
+    table_sizes.clear()
+    assert algebra_hom_check(f, fa, fc)
+    bad = Morphism(f.dom, f.cod, table=[f.table[0], 7, *f.table[2:]])
+    assert not algebra_hom_check(bad, fa, fc)
+    assert table_sizes == [t_obj(ctx, x).card]

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Optional
 
-from .finset import (CheckConfig, FinSetObj, Morphism, ShapeError,
-                     check_ranks, checked_at, compose, digits, equal_mor,
-                     fibers, from_blocks, identity, inverse, pack)
+from .finset import (CheckConfig, FinSetObj, Morphism, Prod, ShapeError,
+                     check_ranks, compose, equal_mor, fibers, fst, identity,
+                     inverse, lift_at, pair, snd)
 from .idempotents import (Splitting, fixed_ranks, karoubi_hom_check,
                           split_idempotent)
 from .report import (LawViolation, VerifyReport, combine, failing,
@@ -114,7 +114,7 @@ def check_algebra(a: AlgebraStruct,
     """
     cfg = config or a.ctx.config
     ctx, x, al = a.ctx, a.carrier, a.structure
-    lazy = ctx.ns * x.card ** ctx.ns > cfg.cap  # (iv) samples S x (S => A)
+    lazy = g_obj(ctx, x).card > cfg.cap  # (iv) samples S x (S => A)
     update, lookup = _read_operations(a, lazy)
     second, own = _operation_args(ctx.state_space, x, lazy)
     # S x lookup; when sampled, the transpose of eta . lookup, which
@@ -161,19 +161,16 @@ def _read_operations(a: AlgebraStruct,
 @lru_cache(maxsize=64)
 def _operation_args(s: FinSetObj, x: FinSetObj,
                     lazy: bool = False) -> tuple[Morphism, Morphism]:
-    """second: S x (S x A) -> S x A, (u, (v, a)) |-> (v, a), and
-    own: S x (S => A) -> S x A, (u, g) |-> (u, g u), which reads a lazy
-    eps and stays a block evaluator if `lazy`."""
+    """second: S x (S x A) -> S x A, (u, (v, a)) |-> (v, a), the second
+    projection, and own: S x (S => A) -> S x A, (u, g) |-> (u, g u), the
+    pairing of the first projection with eps, which reads a lazy eps and
+    stays a block evaluator if `lazy`."""
     ctx = StateContext(s)
-    sx, ex, n = prod_obj(ctx, x), exp_obj(ctx, x), x.card
-    m, ne = sx.card, ex.card
+    ex = exp_obj(ctx, x)
     ev = (transpose_down(ctx, Morphism.lazy(ex, ex, list), x, True) if lazy
           else eps(ctx, x))
-    return (from_blocks(prod_obj(ctx, sx), sx,
-                        lambda ps: [p % m for p in ps]),
-            (Morphism.lazy if lazy else from_blocks)(
-                g_obj(ctx, x), sx, lambda ps: [
-                    p // ne * n + v for p, v in zip(ps, ev.at(ps))]))
+    return (snd(prod_obj(ctx, prod_obj(ctx, x))),
+            pair(fst(g_obj(ctx, x), lazy), ev))
 
 
 def moore_law_violations(ns: int, readout: list[int],
@@ -199,29 +196,28 @@ def moore_law_violations(ns: int, readout: list[int],
 
 
 def coalgebra_components(c: CoalgebraStruct) -> tuple[list[int], list[int]]:
-    """Decode the structure map B -> S x (S => B) into its readout table
-    (b -> s) and its step table (b * |S| + s -> b')."""
-    ns, nb = c.ctx.ns, c.carrier.card
-    ne = nb ** ns
-    readout, step = [], []
-    for v in c.structure.table:
-        st, g = divmod(v, ne)
-        readout.append(st)
-        step += digits(g, nb, ns)
-    return readout, step
+    """Decode the structure map beta: B -> S x (S => B) into its readout
+    table beta;pi_1 (b -> s) and its step table, the transpose of
+    beta;pi_2 read in B x S order (b * |S| + s -> b').  The projections
+    are read at B's ranks only: no table is built on GB."""
+    ctx, b, beta = c.ctx, c.carrier, c.structure
+    gb, bs = beta.cod, Prod(b, ctx.state_space)
+    step = compose(pair(snd(bs), fst(bs)),
+                   transpose_down(ctx, compose(beta, snd(gb, True)), b))
+    return compose(beta, fst(gb, True)).table, step.table
 
 
 def coalgebra_of_components(ctx: StateContext, carrier: FinSetObj,
                             readout: list[int],
                             step: list[int]) -> CoalgebraStruct:
     """Encode readout and step tables (as `coalgebra_components` returns
-    them) into the structure map B -> S x (S => B)."""
-    ns, nb = ctx.ns, carrier.card
-    ne = nb ** ns
-    table = [r * ne + pack(step[b * ns:b * ns + ns], nb)
-             for b, r in enumerate(readout)]
-    return CoalgebraStruct(ctx=ctx, carrier=carrier, structure=Morphism(
-        carrier, g_obj(ctx, carrier), table=table))
+    them) into the structure map <readout, transpose of step> from B to
+    S x (S => B); a value outside S or B is a ShapeError."""
+    s, sb = ctx.state_space, prod_obj(ctx, carrier)
+    step_sb = compose(pair(snd(sb), fst(sb)), Morphism(
+        Prod(carrier, s), carrier, table=step))
+    return CoalgebraStruct(ctx=ctx, carrier=carrier, structure=pair(
+        Morphism(carrier, s, table=readout), transpose_up(ctx, step_sb)))
 
 
 def check_coalgebra(c: CoalgebraStruct) -> VerifyReport:
@@ -260,7 +256,6 @@ def _free_update(s: FinSetObj, x: FinSetObj) -> Morphism:
 
 
 def algebra_hom_check(f: Morphism, a: AlgebraStruct, c: AlgebraStruct,
-                      coretractions: Optional[tuple[Morphism, Morphism]] = None,
                       config: CheckConfig | None = None) -> bool:
     """Is f: A -> C an algebra homomorphism (f . alpha = gamma . Tf)?
 
@@ -275,27 +270,27 @@ def algebra_hom_check(f: Morphism, a: AlgebraStruct, c: AlgebraStruct,
     f(update_u(g u)) = update_u(lookup(f . g)) for every u, so f preserves
     lookup, and then by (i) on both sides it preserves alpha.
 
-    Otherwise the square is compared on TA, with T f built.  With
-    `coretractions` = (abar, cbar) the section-preservation square
-    Tf . abar = cbar . f is required as well (the hom-sets of the
-    section-carrying presentation).  Its left side is read through the
-    machine form, as the transpose of (S x f) after the transpose of abar,
-    so T f is not built.
+    Otherwise the square is compared on TA, with T f built.
     """
     cfg = config or a.ctx.config
     if f.dom != a.carrier or f.cod != c.carrier:
         raise ShapeError("hom candidate must map carrier to carrier")
     if a._update is not None and c._update is not None:
-        ok = _preserves_operations(f, a._update, c._update, cfg)
-    else:
-        ok = equal_mor(compose(a.structure, f),
-                       compose(t_mor(a.ctx, f), c.structure), cfg).passed
-    if ok and coretractions is not None:
-        ctx, (abar, cbar) = a.ctx, coretractions
-        tf_abar = kleisli_of_mealy(
-            ctx, compose(mealy_of_kleisli(ctx, abar), prod_mor(ctx, f)))
-        ok = equal_mor(tf_abar, compose(f, cbar), cfg).passed
-    return ok
+        return _preserves_operations(f, a._update, c._update, cfg)
+    return equal_mor(compose(a.structure, f),
+                     compose(t_mor(a.ctx, f), c.structure), cfg).passed
+
+
+def _preserves_sections(ctx: StateContext, f: Morphism, abar: Morphism,
+                        cbar: Morphism, cfg: CheckConfig) -> bool:
+    """The section-preservation square Tf . abar = cbar . f, for a hom f
+    between algebras with hom-sections abar and cbar (the hom-sets of the
+    section-carrying presentation).  Its left side is read through the
+    machine form, as the transpose of (S x f) after the transpose of abar,
+    so T f is not built."""
+    tf_abar = kleisli_of_mealy(
+        ctx, compose(mealy_of_kleisli(ctx, abar), prod_mor(ctx, f)))
+    return equal_mor(tf_abar, compose(f, cbar), cfg).passed
 
 
 def coalgebra_hom_report(g: Morphism, c1: CoalgebraStruct,
@@ -313,16 +308,15 @@ def _preserves_operations(f: Morphism, update_a: Morphism,
     """f . update = update . (S x f) on S x A, |S| |A| equations: the hom
     square between proven algebras (Lemma 1, algebra_hom_check).
 
-    Both sides are gathered straight from the two update tables and f's
-    values, at the ranks equal_mor would read (finset.check_ranks): all of
-    S x A within the cap, its draws above it.  No map is built.  f is read
-    once through checked_at, so a value of f outside C is a ShapeError
-    naming f's rank."""
-    na, nc = f.dom.card, f.cod.card
-    fx = checked_at(f)(range(na))
+    Both sides are gathered at the ranks equal_mor would read
+    (finset.check_ranks): all of S x A within the cap, its draws above it.
+    The left side reads f at update's values, the right side update at the
+    values of S x f, read through lift's block reader (finset.lift_at).
+    No map is built.  f's table is checked first, so a value of f outside
+    C is a ShapeError naming f's rank."""
+    sf = lift_at(update_a.dom, update_c.dom, f)
     for ps in check_ranks(update_a.dom.card, cfg):
-        if [fx[v] for v in update_a.at(ps)] != update_c.at(
-                [p // na * nc + fx[p % na] for p in ps]):
+        if f.at(update_a.at(ps)) != update_c.at(sf(ps)):
             return False
     return True
 
@@ -445,8 +439,8 @@ def search_sections(a: AlgebraStruct, config: CheckConfig | None = None,
     # filters (fixed, below) or forces (forced)
     free_update = _free_update(a.ctx.state_space, a.carrier).table
     fixed, below, forced = ([[] for _ in range(n)] for _ in range(3))
-    for p, v in enumerate(a._update.table):
-        u, x = divmod(p, n)
+    sa = a._update.dom
+    for u, x, v in zip(fst(sa).table, snd(sa).table, a._update.table):
         w = u * ta.card
         if v == x:
             fixed[x].append(w)
@@ -591,9 +585,8 @@ def functor_h_mor(f: Morphism, w1: ProjectiveWitness, w2: ProjectiveWitness,
     sf = prod_mor(ctx, f)
     via_cod = compose(sf, w2.projector)
     via_dom = compose(w1.projector, sf)
-    compatible = algebra_hom_check(
-        f, w1.algebra, w2.algebra,
-        coretractions=(w1.coretraction, w2.coretraction), config=cfg)
+    compatible = _preserves_sections(ctx, f, w1.coretraction,
+                                     w2.coretraction, cfg)
     agree = equal_mor(via_cod, via_dom, cfg).passed
     if compatible and not agree:
         raise AssertionError("section-compatible hom with diverging composites")

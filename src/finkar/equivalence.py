@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import (AlgebraStruct, CoalgebraStruct, algebra_hom_check,
-                       check_algebra, check_coalgebra, coalgebra_hom_report,
-                       coalgebra_of_components, consistent_hom_check,
+                       check_algebra, check_coalgebra, coalgebra_components,
+                       coalgebra_hom_report, consistent_hom_check,
                        idempotent_karm_condition, karm_retraction,
                        moore_law_violations)
 from .finset import (CheckConfig, FinSetObj, Morphism, ShapeError, compose,
@@ -153,22 +153,17 @@ def functor_l(k: KarmObject, config: CheckConfig | None = None,
     """
     ctx = k.ctx
     s = split_idempotent(k.projector)
-    nx = k.carrier.card
-    fixes = s.i.table
-    qt = s.q.table
-    # the public pair (st, x) reads out st and steps at t to q(t, x)
-    readout, step = [], []
-    for st, x in (divmod(p, nx) for p in fixes):
-        readout.append(st)
-        step += (qt[t * nx + x] for t in range(ctx.ns))
+    # the public pair (st, x) reads out st and steps at t to q(t, x): the
+    # structure is i followed by S x (the transpose of q)
+    co = CoalgebraStruct(ctx=ctx, carrier=s.mid, structure=compose(
+        s.i, prod_mor(ctx, transpose_up(ctx, s.q))))
     if not k.condition.passed and not force:
         details = dict(k.condition.details)
         details["moore_violations"] = moore_law_violations(
-            ctx.ns, readout, step)[:3]
+            ctx.ns, *coalgebra_components(co))[:3]
         raise ObjectConditionError(
             "projector does not split back through its carrier", details)
-    co = coalgebra_of_components(ctx, s.mid, readout, step)
-    return LResult(coalgebra=co, splitting=s, fixed=list(fixes))
+    return LResult(coalgebra=co, splitting=s, fixed=list(s.i.table))
 
 
 def functor_l_mor(f: Morphism, k1: KarmObject, k2: KarmObject,

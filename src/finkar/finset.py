@@ -6,25 +6,25 @@ computed through that bijection, so a morphism is nothing but a total
 function on ranks: either a materialized table or a lazy evaluator for
 domains too large to enumerate.
 
-One rule decides which: a map built by `from_blocks`, `compose`, `lift`
-or a structure map is a table exactly when its domain has at most
+One rule decides which: a map built by `from_blocks`, `compose`, `pair`,
+`lift` or a structure map is a table exactly when its domain has at most
 `EAGER_LIMIT` ranks, and a lazy evaluator above that (statemonad's
 transposes apply it to S x A, the larger side of the bijection).  The one
 exception is a map built by `Morphism.lazy`: it is read through its
-evaluator at any size, and a composite that reads it first stays lazy
-too.  Composition and exhaustive equality on small domains then run over
-whole tables.  Every map is read through `at`, a block of ranks at a time:
-a table gathers, a lazy map evaluates the whole block at once.
+evaluator at any size, and a composite or pairing that reads it stays
+lazy too.  Composition and exhaustive equality on small domains then run
+over whole tables.  Every map is read through `at`, a block of ranks at a
+time: a table gathers, a lazy map evaluates the whole block at once.
 
 Tables are range-checked once.  A table passed in is copied and checked.
 A table materialized from `fn` or an evaluator is checked the first time
-`compose`, `lift` or `equal_mor` reads it as a table (the `table` property
-returns it unchecked).  The tables this module builds from checked ones, a
-`compose` gather from a checked table and a `lift` of a checked table, are
-trusted: adopted without a copy or a scan.  An evaluator's values are not
-checked; the package builds its evaluators from maps read through
-`checked_at`, and a table gathered from one is checked like a table passed
-in.  An error names the domain rank of the first value out of range.
+`compose`, `pair`, `lift` or `equal_mor` reads it as a table (the `table`
+property returns it unchecked).  The tables built here from checked
+ones, by `compose`, `pair` and `lift`, are trusted: adopted without a
+copy or a scan.  An evaluator's values are not checked; the package
+builds its evaluators from maps read through `checked_at`, and a table
+gathered from one is checked like a table passed in.  An error names the
+domain rank of the first value out of range.
 """
 
 from __future__ import annotations
@@ -385,9 +385,53 @@ def lift(dom: FinSetObj, cod: FinSetObj, f: Morphism) -> Morphism:
     little-endian, one base-|X| digit per state): the table over k+1 states
     is the one over k states repeated once per digit d, shifted by
     f(d) * |Y|^k.  Above EAGER_LIMIT the map is lazy and reads a block the
-    same way: f at each state's digits of the whole block, shifted into
-    place.  Either way a table f materialized from `fn` is checked first.
+    same way (`lift_at`).  Either way a table f materialized from `fn` is
+    checked first.
     """
+    exp, ns, nx, ny = _lift_shape(dom, cod, f)
+    if dom.card > EAGER_LIMIT:
+        return Morphism.lazy(dom, cod, lift_at(dom, cod, f))
+    ft = _checked_table(f)
+    checked = ft is not None
+    if not checked:
+        ft = f.at(range(nx))
+    if exp:
+        tab, w = [0], 1
+        for _ in range(ns):
+            tab = [r + d for d in [w * v for v in ft] for r in tab]
+            w *= ny
+    else:
+        tab = [k * ny + v for k in range(ns) for v in ft]
+    return Morphism(dom, cod, table=_Checked(tab) if checked else tab)
+
+
+def lift_at(dom: FinSetObj, cod: FinSetObj,
+            f: Morphism) -> Callable[[Sequence[int]], list[int]]:
+    """The block reader of `lift(dom, cod, f)`, at any size and with no
+    map built: f at each state's digit of the whole block, shifted into
+    place (S x f gathers each rank's value from f's table, when it has
+    one).  f's table is checked first, as `lift` checks it."""
+    exp, ns, nx, ny = _lift_shape(dom, cod, f)
+    ft = _checked_table(f)
+    if not exp:
+        if ft is not None:
+            return lambda ps: [p // nx * ny + ft[p % nx] for p in ps]
+        return lambda ps: [p // nx * ny + v
+                           for p, v in zip(ps, f.at([p % nx for p in ps]))]
+
+    def at(ts):
+        out = f.at([t % nx for t in ts])
+        for k in range(1, ns):
+            p, w = nx ** k, ny ** k
+            out = [o + w * v for o, v in
+                   zip(out, f.at([t // p % nx for t in ts]))]
+        return out
+    return at
+
+
+def _lift_shape(dom: FinSetObj, cod: FinSetObj,
+                f: Morphism) -> tuple[bool, int, int, int]:
+    """Whether dom -> cod is S => f (else S x f), with |S|, |X| and |Y|."""
     exp = isinstance(dom, Exp) and isinstance(cod, Exp)
     if exp:
         s, x, s2, y = dom.base, dom.target, cod.base, cod.target
@@ -395,57 +439,40 @@ def lift(dom: FinSetObj, cod: FinSetObj, f: Morphism) -> Morphism:
         s, x, s2, y = dom.left, dom.right, cod.left, cod.right
     else:
         s = None
-    if s is None or s != s2 or x != f.dom or y != f.cod:
+    if s is None or (s, x, y) != (s2, f.dom, f.cod):
         raise ShapeError(f"cannot lift {f!r} to {dom!r} -> {cod!r}")
-    ns, nx, ny = s.card, x.card, y.card
-    ft = _checked_table(f)
-    if dom.card <= EAGER_LIMIT:
-        checked = ft is not None
-        if not checked:
-            ft = f.at(range(nx))
-        if exp:
-            tab, w = [0], 1
-            for _ in range(ns):
-                tab = [r + d for d in [w * v for v in ft] for r in tab]
-                w *= ny
-        else:
-            tab = [k * ny + v for k in range(ns) for v in ft]
-        return Morphism(dom, cod, table=_Checked(tab) if checked else tab)
-
-    if exp:
-        def at(ts):
-            out = f.at([t % nx for t in ts])
-            for k in range(1, ns):
-                p, w = nx ** k, ny ** k
-                out = [o + w * v for o, v in
-                       zip(out, f.at([t // p % nx for t in ts]))]
-            return out
-    else:
-        def at(ps):
-            return [p // nx * ny + v
-                    for p, v in zip(ps, f.at([p % nx for p in ps]))]
-
-    return Morphism.lazy(dom, cod, at)
+    return exp, s.card, x.card, y.card
 
 
-def pack(digits: Iterable[int], base: int) -> int:
-    """The number with these little-endian digits: digit k weighs base**k,
-    as in the rank of an Exp element."""
-    total, w = 0, 1
-    for d in digits:
-        total += d * w
-        w *= base
-    return total
+def fst(p: Prod, lazy: bool = False) -> Morphism:
+    """The projection X x Y -> X, built by `from_blocks`, or a block
+    evaluator at any size if `lazy`, for a caller reading a few ranks."""
+    ny = p.right.card
+    return (Morphism.lazy if lazy else from_blocks)(
+        p, p.left, lambda ks: [k // ny for k in ks])
 
 
-def digits(rank: int, base: int, n: int) -> list[int]:
-    """The n little-endian digits of `rank` in `base`, the inverse of
-    `pack`: digit k of an Exp rank is the value at base-rank k."""
-    out = []
-    for _ in range(n):
-        rank, d = divmod(rank, base)
-        out.append(d)
-    return out
+def snd(p: Prod, lazy: bool = False) -> Morphism:
+    """The projection X x Y -> Y; `lazy` as for `fst`."""
+    ny = p.right.card
+    return (Morphism.lazy if lazy else from_blocks)(
+        p, p.right, lambda ks: [k % ny for k in ks])
+
+
+def pair(f: Morphism, g: Morphism) -> Morphism:
+    """<f, g>: Z -> X x Y, z |-> (f z, g z), both read through
+    `checked_at`.  As for `compose`, a table within EAGER_LIMIT, adopted
+    without a scan, and lazy above it or when either factor is read
+    through its evaluator."""
+    if f.dom != g.dom:
+        raise ShapeError(f"cannot pair: dom {f.dom!r} != dom {g.dom!r}")
+    dom, cod, ny = f.dom, Prod(f.cod, g.cod), g.cod.card
+    rf, rg = checked_at(f), checked_at(g)
+    if dom.card > EAGER_LIMIT or f.is_lazy or g.is_lazy:
+        return Morphism.lazy(dom, cod, lambda ks: [
+            x * ny + y for x, y in zip(rf(ks), rg(ks))])
+    return Morphism(dom, cod, table=_Checked(
+        [x * ny + y for x, y in zip(f._table, g._table)]))
 
 
 def inverse(m: Morphism) -> Optional[dict[int, int]]:

@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .finset import (CheckConfig, FinSetObj, Morphism, Prod, ShapeError,
-                     compose, envelope_hom_report, envelope_holds, equal_mor)
+                     compose, envelope_hom_report, envelope_holds, equal_mor,
+                     fst, pair, snd)
 from .report import (LawViolation, ObjectConditionError, VerifyReport,
                      combine, failing, passing)
 from .statemonad import StateContext, exp_mor, prod_mor, prod_obj, t_obj
@@ -42,37 +43,27 @@ class MealyMachine:
     def state_set(self) -> FinSetObj:
         return self.ctx.state_space
 
-    def next_state(self, s: int, a: int) -> int:
-        return self.mapping(s * self.in_set.card + a) // self.out_set.card
-
-    def output(self, s: int, a: int) -> int:
-        return self.mapping(s * self.in_set.card + a) % self.out_set.card
-
     def next_map(self) -> Morphism:
-        nb = self.out_set.card
-        return Morphism(self.mapping.dom, self.ctx.state_space,
-                        table=[v // nb for v in self.mapping.table])
+        """The next-state map S x A -> S: the mapping, then pi_1."""
+        return compose(self.mapping, fst(self.mapping.cod))
 
     def out_map(self) -> Morphism:
-        nb = self.out_set.card
-        return Morphism(self.mapping.dom, self.out_set,
-                        table=[v % nb for v in self.mapping.table])
+        """The output map S x A -> B: the mapping, then pi_2."""
+        return compose(self.mapping, snd(self.mapping.cod))
 
 
 def mealy_from_components(ctx: StateContext, in_set: FinSetObj,
                           out_set: FinSetObj, nxt: Morphism,
                           out: Morphism) -> MealyMachine:
-    """Pair a next-state map and an output map into one machine."""
+    """Pair a next-state map and an output map into one machine; a value
+    of either outside its codomain is a ShapeError."""
     dom = prod_obj(ctx, in_set)
     if nxt.dom != dom or nxt.cod != ctx.state_space:
         raise ShapeError("next map must have shape S x A -> S")
     if out.dom != dom or out.cod != out_set:
         raise ShapeError("output map must have shape S x A -> B")
-    nb = out_set.card
-    table = [nxt(p) * nb + out(p) for p in range(dom.card)]
-    mapping = Morphism(dom, prod_obj(ctx, out_set), table=table)
     return MealyMachine(ctx=ctx, in_set=in_set, out_set=out_set,
-                        mapping=mapping)
+                        mapping=pair(nxt, out))
 
 
 @dataclass(frozen=True)
@@ -209,27 +200,20 @@ def stateless_consistency(f0: Morphism, phi: Policy, psi: Policy,
     cfg = config or ctx.config
     if f0.dom != phi.alphabet or f0.cod != psi.alphabet:
         raise ShapeError("channel must map the one alphabet to the other")
-    na, nb = f0.dom.card, f0.cod.card
-    wit_state, wit_data = [], []
-    for s in range(ctx.ns):
-        for a in range(na):
-            fa = f0(a)
-            if psi.machine.next_state(s, fa) != phi.machine.next_state(s, a):
-                wit_state.append({"s": s, "a": a,
-                                  "lhs": psi.machine.next_state(s, fa),
-                                  "rhs": phi.machine.next_state(s, a)})
-            if psi.machine.output(s, fa) != f0(phi.machine.output(s, a)):
-                wit_data.append({"s": s, "a": a,
-                                 "lhs": psi.machine.output(s, fa),
-                                 "rhs": f0(phi.machine.output(s, a))})
-    subs = [
-        passing("next-state-agrees") if not wit_state
-        else failing("next-state-agrees", wit_state),
-        passing("output-intertwines") if not wit_data
-        else failing("output-intertwines", wit_data),
-    ]
-    lifted = MealyMachine(ctx=ctx, in_set=f0.dom, out_set=f0.cod,
-                          mapping=prod_mor(ctx, f0))
+    sf = prod_mor(ctx, f0)
+    points = list(zip(fst(sf.dom).table, snd(sf.dom).table))  # (s, a)
+
+    def equation(check, lhs, rhs):
+        # both sides read once, as tables on S x A
+        wit = [{"s": s, "a": a, "lhs": u, "rhs": v}
+               for (s, a), u, v in zip(points, lhs.table, rhs.table) if u != v]
+        return failing(check, wit) if wit else passing(check)
+
+    subs = [equation("next-state-agrees", compose(sf, psi.machine.next_map()),
+                     phi.machine.next_map()),
+            equation("output-intertwines", compose(sf, psi.machine.out_map()),
+                     compose(phi.machine.out_map(), f0))]
+    lifted = MealyMachine(ctx=ctx, in_set=f0.dom, out_set=f0.cod, mapping=sf)
     machine_level = check_consistency(lifted, phi, psi, cfg)
     agree = machine_level.passed == all(r.passed for r in subs)
     subs.append(passing("matches-machine-form") if agree
@@ -255,9 +239,9 @@ def mealy_to_moore(phi: Policy,
     cfg = config or ctx.config
     k = make_karm_object(ctx, phi.alphabet, phi.mapping, cfg)
     lres = functor_l(k, cfg)  # raises ObjectConditionError with diagnostics
-    na = phi.alphabet.card
-    m = replace(coalgebra_to_moore(lres.coalgebra),
-                pair_labels=tuple(divmod(p, na) for p in lres.fixed))
+    i = lres.splitting.i
+    m = replace(coalgebra_to_moore(lres.coalgebra), pair_labels=tuple(zip(
+        compose(i, fst(i.cod)).table, compose(i, snd(i.cod)).table)))
     rep = check_moore(m)
     if not rep.passed:
         raise ObjectConditionError(

@@ -12,7 +12,27 @@ from finkar.finset import (Atom, Exp, Morphism, Prod, codec, compose,
                            equal_mor, identity)
 from finkar.report import combine, failing, passing
 from finkar.statemonad import (StateContext, eps, eta, exp_mor, g_mor, g_obj,
-                               mu, nu, t_mor, t_obj)
+                               mu, nu, prod_obj, t_mor, t_obj)
+
+
+def pack(digits, base: int) -> int:
+    """The number with these little-endian digits: digit k weighs base**k,
+    as in the rank of an Exp element."""
+    total, w = 0, 1
+    for d in digits:
+        total += d * w
+        w *= base
+    return total
+
+
+def digits(rank: int, base: int, n: int) -> list:
+    """The n little-endian digits of `rank` in `base`, the inverse of
+    `pack`: digit k of an Exp rank is the value at base-rank k."""
+    out = []
+    for _ in range(n):
+        rank, d = divmod(rank, base)
+        out.append(d)
+    return out
 
 
 def oracle_eta_at(ctx: StateContext, x, k: int) -> int:
@@ -450,3 +470,25 @@ def oracle_check_consistency(f, phi, psi, config):
                    failing("compliance-implies-consistency",
                            [{"compliant": True, "consistent": False}]))
     return combine("consistency", [inter, implication], compliant=compliant)
+
+
+# ---------------------------------------------------------------------------
+# the component form of stateless consistency
+
+
+def stateless_component_witnesses(ctx, f0, phi, psi):
+    """The witnesses of stateless consistency's two pointwise equations, on
+    structural elements: at each (s, a), psi's next state at (s, f0 a)
+    against phi's at (s, a), then psi's output there against f0 of
+    phi's."""
+    ca, cb = codec(prod_obj(ctx, f0.dom)), codec(prod_obj(ctx, f0.cod))
+    nxt, out = [], []
+    for s in range(ctx.ns):
+        for a in range(f0.dom.card):
+            t, b = cb.unrank(psi.mapping(cb.rank((s, f0(a)))))
+            u, c = ca.unrank(phi.mapping(ca.rank((s, a))))
+            if t != u:
+                nxt.append({"s": s, "a": a, "lhs": t, "rhs": u})
+            if b != f0(c):
+                out.append({"s": s, "a": a, "lhs": b, "rhs": f0(c)})
+    return [nxt, out]

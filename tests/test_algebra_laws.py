@@ -18,11 +18,11 @@ from finkar import algebras
 from finkar import statemonad as SM
 from finkar.algebras import (AlgebraStruct, SearchBoundExceeded,
                              _operation_args, _operation_ranks,
-                             _preserves_operations, _read_operations,
-                             algebra_hom_check,
+                             _preserves_operations, _preserves_sections,
+                             _read_operations, algebra_hom_check,
                              check_algebra, coretraction_of_split,
-                             free_algebra, functor_k, make_witness,
-                             search_sections)
+                             free_algebra, functor_h_mor, functor_k,
+                             make_witness, search_sections)
 from finkar.finset import (EAGER_LIMIT, MATERIALIZE_LIMIT, Atom,
                            CheckConfig, Exp, Morphism, SeededRng,
                            ShapeError, check_ranks, codec,
@@ -637,9 +637,9 @@ def test_free_algebra_homs_agree_with_the_tf_route():
 
 
 def test_section_square_agrees_with_the_tf_route():
-    """With coretractions the section-preservation square is read through
-    the machine form; on every carrier map between witnessed split
-    algebras it gives the T f route's verdict."""
+    """The section-preservation square (functor_h_mor's helper) is read
+    through the machine form; after the hom check, on every carrier map
+    between witnessed split algebras it gives the T f route's verdict."""
     algs = _census_algebras()[:2]
     cfg = algs[0].ctx.config
     secs = [search_sections(a) for a in algs]
@@ -650,13 +650,39 @@ def test_section_square_agrees_with_the_tf_route():
                 for cbar in sc[:2]:
                     for tab in _maps(a.carrier.card, c.carrier.card):
                         f = Morphism(a.carrier, c.carrier, table=tab)
-                        new = algebra_hom_check(f, a, c,
-                                                coretractions=(abar, cbar))
+                        hom = algebra_hom_check(f, a, c)
+                        new = hom and _preserves_sections(
+                            a.ctx, f, abar, cbar, cfg)
                         assert new == tf_algebra_hom_check(
                             f, a, c, cfg, coretractions=(abar, cbar))
                         held += new
-                        checked += algebra_hom_check(f, a, c)
+                        checked += hom
     assert 0 < held < checked
+
+
+def test_functor_h_mor_squares_each_hom_once(monkeypatch):
+    """functor_h_mor checks the hom square of f once, then the section
+    square on its own: one _preserves_operations call per call (there were
+    two, the second before the section square), on every hom of the split
+    algebra on four elements, between each pair of its witnesses."""
+    a, secs = _witnessed_splits()[1]
+    ws = [make_witness(a, sec) for sec in secs[:2]]
+    homs = [f for f in (Morphism(a.carrier, a.carrier, table=tab)
+                        for tab in _maps(4, 4)) if algebra_hom_check(f, a, a)]
+    calls = []
+    square = algebras._preserves_operations
+    monkeypatch.setattr(algebras, "_preserves_operations",
+                        lambda *args: calls.append(args) or square(*args))
+    compatible = 0
+    for w1 in ws:
+        for w2 in ws:
+            for f in homs:
+                calls.clear()
+                functor_h_mor(f, w1, w2)
+                assert len(calls) == 1
+                compatible += _preserves_sections(
+                    a.ctx, f, w1.coretraction, w2.coretraction, a.ctx.config)
+    assert len(ws) == 2 and 0 < compatible < 4 * len(homs)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,15 @@ import pytest
 from finkar.algebras import (AlgebraStruct, CoalgebraStruct,
                              SearchBoundExceeded, algebra_hom_check,
                              check_algebra, check_coalgebra,
+                             coalgebra_components, coalgebra_of_components,
                              consistent_hom_check,
                              construct_coretraction, free_algebra, functor_h,
                              functor_h_mor, functor_k, functor_k_mor,
                              is_projective, iso_witness_i_prime,
                              karm_object_condition, karm_retraction,
                              make_witness, search_sections)
-from finkar.finset import (Atom, Morphism, SeededRng, compose, equal_mor,
-                           identity)
+from finkar.finset import (Atom, Morphism, SeededRng, ShapeError, compose,
+                           equal_mor, identity)
 from finkar.idempotents import karoubi_hom_check, random_idempotent
 from finkar.report import LawViolation
 from finkar.statemonad import (eps, eta, exp_mor, exp_obj, g_obj, mu,
@@ -359,3 +360,24 @@ def test_coalgebra_checks(ctx2, e1_moore):
                           structure=Morphism(c.structure.dom,
                                              c.structure.cod, table=t))
     assert check_coalgebra(bad).status == "fail"
+
+
+def test_coalgebra_encoder_rejects_values_outside_s_and_b(ctx2):
+    """A step value outside B is a ShapeError naming its rank, not carried
+    into the readout digit: readout [0, 1] and step [2, 0, 0, 1] on
+    |B| = 2 used to encode as [2, 6], another coalgebra, one that passes
+    check_coalgebra.  A readout outside S and a short step table are
+    ShapeErrors too; lawful components round-trip."""
+    b = Atom("B", 2)
+    with pytest.raises(ShapeError,
+                       match=r"^table entry 2 at 0 not in \[0,2\)$"):
+        coalgebra_of_components(ctx2, b, [0, 1], [2, 0, 0, 1])
+    with pytest.raises(ShapeError,
+                       match=r"^table entry 2 at 1 not in \[0,2\)$"):
+        coalgebra_of_components(ctx2, b, [0, 2], [0, 0, 1, 1])
+    with pytest.raises(ShapeError, match=r"^table length 3 "):
+        coalgebra_of_components(ctx2, b, [0, 1], [0, 0, 1])
+    for readout, step in (([0, 1], [0, 1, 0, 1]), ([0, 0], [0, 1, 0, 1])):
+        c = coalgebra_of_components(ctx2, b, readout, step)
+        assert coalgebra_components(c) == (readout, step)
+    assert check_coalgebra(c).status == "fail"

@@ -10,11 +10,12 @@ import finkar
 from finkar import finset
 from finkar.finset import (BLOCK, EAGER_LIMIT, KEEP_DRAWS, Atom,
                            CheckConfig, Exp, Morphism, Prod, ShapeError,
-                           SeededRng, codec, compose, digits,
-                           envelope_hom_report, equal_mor, fibers, from_fn,
-                           identity, image_factor, inverse, lift, pack,
+                           SeededRng, codec, compose, envelope_hom_report,
+                           equal_mor, fibers, from_fn, fst, identity,
+                           image_factor, inverse, lift, lift_at, pair, snd,
                            splitmix64)
 from finkar.report import VerifyReport
+from oracles import digits, pack
 
 
 def small_objects():
@@ -362,8 +363,9 @@ def test_splitmix64_reference_stream_is_stable():
     (Atom("S", 3), Atom("X", 2)), (Atom("S", 4), Atom("X", 1)),
     (Atom("S", 2), Prod(Atom("S", 2), Atom("X", 2)))])
 def test_pack_is_the_exp_rank(base, target):
-    """pack of the value ranks is the codec's rank of the function element,
-    at every element of the exponential."""
+    """The oracles' pack, the digit oracle of the lift tests: pack of the
+    value ranks is the codec's rank of the function element, at every
+    element of the exponential."""
     exp = Exp(base, target)
     c, ct = codec(exp), codec(target)
     for k in range(exp.card):
@@ -378,8 +380,9 @@ def test_pack_is_the_exp_rank(base, target):
     (Atom("S", 3), Atom("X", 2)), (Atom("S", 4), Atom("X", 1)),
     (Atom("S", 2), Prod(Atom("S", 2), Atom("X", 2)))])
 def test_digits_are_the_exp_unrank(base, target):
-    """digits of a rank are the value ranks of the codec's function
-    element, and pack undoes them, at every element of the exponential."""
+    """The oracles' digits of a rank are the value ranks of the codec's
+    function element, and pack undoes them, at every element of the
+    exponential."""
     exp = Exp(base, target)
     c, ct = codec(exp), codec(target)
     for k in range(exp.card):
@@ -571,6 +574,34 @@ def test_lift_above_the_limit_reads_f_at_digits():
                            for k in ranks]
 
 
+@pytest.mark.parametrize("exp", [False, True])
+def test_lift_at_reads_the_lift_without_building_a_map(monkeypatch, exp):
+    """lift_at is lift's block reader: the same values as the lift's
+    table, at every rank, with no map built, whether f is a table or read
+    through its evaluator; f's `fn` table is checked first, naming f's
+    rank, and mismatched objects are a ShapeError."""
+    rng = SeededRng(5)
+    x, y = Atom("X", 3), Atom("Y", 4)
+    f = Morphism(x, y, table=[rng.below(4) for _ in range(3)])
+    dom, cod = _lift_objs(3, f, exp)
+    want, lazy_f = lift(dom, cod, f).table, Morphism.lazy(x, y, f.at)
+    built = []
+    init, lazy = Morphism.__init__, Morphism.lazy.__func__
+    monkeypatch.setattr(Morphism, "__init__", lambda self, *args, **kw: (
+        built.append(args[0]), init(self, *args, **kw))[1])
+    monkeypatch.setattr(Morphism, "lazy", classmethod(
+        lambda cls, *args: built.append(args[0]) or lazy(cls, *args)))
+    for g in (f, lazy_f):
+        assert lift_at(dom, cod, g)(range(dom.card)) == want
+    assert built == []
+    monkeypatch.undo()
+    bad = Morphism(x, y, fn=lambda k: 4 if k == 1 else 0)
+    with pytest.raises(ShapeError, match=r"^table entry 4 at 1 "):
+        lift_at(dom, cod, bad)
+    with pytest.raises(ShapeError, match=r"^cannot lift "):
+        lift_at(cod, dom, f)
+
+
 def test_lift_rejects_mismatched_objects():
     x, y, s = Atom("X", 2), Atom("Y", 3), Atom("S", 2)
     f = Morphism(x, y, table=[0, 2])
@@ -673,3 +704,100 @@ def test_the_trust_marker_stays_in_finset():
                 named.append(f"{path.name}:{node.lineno}")
     assert named == []
     assert len(list(src.glob("*.py"))) > 5
+
+
+# ---------------------------------------------------------------------------
+# products: the projections and the pairing
+
+
+PRODUCTS = [Prod(Atom("X", 3), Atom("Y", 4)), Prod(Atom("X", 1), Atom("Y", 1)),
+            Prod(Atom("S", 2), Exp(Atom("S", 2), Atom("B", 3))),
+            Prod(Prod(Atom("X", 2), Atom("Y", 3)), Atom("Z", 2)),
+            Prod(Atom("X", 5), Prod(Atom("S", 2), Atom("Y", 2)))]
+
+
+def _components(p, ranks):
+    """The ranks of both components of each element, by the codec."""
+    c, cl, cr = codec(p), codec(p.left), codec(p.right)
+    elems = [c.unrank(k) for k in ranks]
+    return [cl.rank(e[0]) for e in elems], [cr.rank(e[1]) for e in elems]
+
+
+@pytest.mark.parametrize("p", PRODUCTS)
+def test_projections_and_pairing_are_the_prod_codec(p):
+    """Within EAGER_LIMIT, fst and snd are the components of
+    codec(Prod).unrank on the whole table (a block evaluator when asked
+    `lazy`), and pair(f, g) sends z to the rank of (f z, g z); the pairing
+    of the two projections is the identity."""
+    left, right = _components(p, range(p.card))
+    for lazy in (False, True):
+        pi1, pi2 = fst(p, lazy), snd(p, lazy)
+        assert pi1.is_lazy == pi2.is_lazy == lazy
+        assert (pi1.dom, pi1.cod, pi2.cod) == (p, p.left, p.right)
+        assert pi1.at(range(p.card)) == left
+        assert pi2.at(range(p.card)) == right
+    ident = pair(fst(p), snd(p))
+    assert ident.cod == p and not ident.is_lazy
+    assert ident.table == list(range(p.card))
+    rng, z = SeededRng(p.card), Atom("Z", 7)
+    f = Morphism(z, p.left, table=[rng.below(p.left.card) for _ in range(7)])
+    g = Morphism(z, p.right, table=[rng.below(p.right.card)
+                                    for _ in range(7)])
+    assert pair(f, g).table == [codec(p).rank((
+        codec(p.left).unrank(f(k)), codec(p.right).unrank(g(k))))
+        for k in range(7)]
+
+
+def test_projections_and_pairing_are_lazy_above_the_limit():
+    """Above EAGER_LIMIT the projections and their pairing are lazy and
+    agree with the codec at seeded ranks."""
+    p = Prod(Atom("X", 400), Prod(Atom("S", 2), Atom("Y", 200)))
+    assert p.card > EAGER_LIMIT
+    rng = SeededRng(11)
+    ranks = [rng.below(p.card) for _ in range(500)]
+    pi1, pi2 = fst(p), snd(p)
+    assert pi1.is_lazy and pi2.is_lazy
+    assert [pi1.at(ranks), pi2.at(ranks)] == list(_components(p, ranks))
+    ident = pair(pi1, pi2)
+    assert ident.is_lazy and ident.at(ranks) == ranks
+    table = Morphism(p, p.right, table=pi2.table)
+    assert pair(pi1, table).is_lazy
+
+
+def test_pair_is_lazy_exactly_when_a_factor_is_read_through_its_evaluator():
+    """As for compose: two tables (a `fn` map within EAGER_LIMIT is
+    materialized) pair into a table adopted without a scan, and a
+    `Morphism.lazy` factor on either side keeps the pairing lazy."""
+    rng, z, x, y = SeededRng(3), Atom("Z", 6), Atom("X", 3), Atom("Y", 2)
+    f = Morphism(z, x, table=[rng.below(3) for _ in range(6)])
+    g = Morphism(z, y, table=[rng.below(2) for _ in range(6)])
+    lf, lg = Morphism.lazy(z, x, f.at), Morphism.lazy(z, y, g.at)
+    want = [f(k) * 2 + g(k) for k in range(6)]
+    for a, b, lazy in ((f, g, False), (f, Morphism(z, y, fn=g), False),
+                       (Morphism(z, x, fn=f), g, False), (lf, g, True),
+                       (f, lg, True), (lf, lg, True)):
+        m = pair(a, b)
+        assert m.is_lazy == lazy and m.at(range(6)) == want
+    assert pair(f, g)._at is None and pair(f, g).cod == Prod(x, y)
+    with pytest.raises(ShapeError, match=r"^cannot pair"):
+        pair(f, Morphism(Atom("W", 6), y, table=g.table))
+
+
+def test_pair_reads_a_fn_factor_range_checked():
+    """A value of a `fn` factor outside its codomain is a ShapeError naming
+    its rank: when the pairing is built within EAGER_LIMIT, and when a
+    block is read above it."""
+    z, s, b = Atom("Z", 4), Atom("S", 2), Atom("B", 2)
+    nxt = Morphism(z, s, table=[0, 1, 0, 1])
+    bad = Morphism(z, b, fn=lambda k: 3 if k == 0 else 0)
+    for f, g in ((nxt, bad), (bad, nxt)):
+        with pytest.raises(ShapeError,
+                           match=r"^table entry 3 at 0 not in \[0,2\)$"):
+            pair(f, g)
+    big = Atom("Z", EAGER_LIMIT + 1)
+    m = pair(Morphism(big, s, fn=lambda k: 0),
+             Morphism(big, b, fn=lambda k: -1 if k == 99999 else 0))
+    assert m.is_lazy and m.at([5, 6]) == [0, 0]
+    with pytest.raises(ShapeError,
+                       match=r"^table entry -1 at 99999 not in \[0,2\)$"):
+        m.at([5, 99999])

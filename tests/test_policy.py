@@ -24,6 +24,7 @@ from finkar.statemonad import (StateContext, exp_mor, prod_mor, prod_obj,
 
 from oracles import (brute_force_moore_machines, naive_moore_tables,
                      oracle_check_compliance, oracle_check_consistency,
+                     stateless_component_witnesses,
                      structural_check_coalgebra)
 
 
@@ -62,12 +63,30 @@ def test_policy_validation(ctx2):
 
 def test_mealy_components(ctx2):
     m = _mealy(ctx2, 2, 2, [2, 0, 1, 3])
-    assert m.next_state(0, 0) == 1 and m.output(0, 0) == 0
+    assert m.next_map()(0) == 1 and m.out_map()(0) == 0
     assert m.next_map().table == [1, 0, 0, 1]
     assert m.out_map().table == [0, 0, 1, 1]
     rebuilt = mealy_from_components(ctx2, m.in_set, m.out_set,
                                     m.next_map(), m.out_map())
     assert rebuilt.mapping.table == m.mapping.table
+
+
+def test_mealy_from_components_reads_both_maps_range_checked(ctx2):
+    """A value of either component outside its codomain is a ShapeError
+    naming its rank: an output 3 on |B| = 2 used to be carried into the
+    next-state digit, packing the mapping [3, 0, 0, 0] whose next state
+    at (0, 0) is 1 where the next map said 0."""
+    a, b = Atom("A", 2), Atom("B", 2)
+    sa = prod_obj(ctx2, a)
+    nxt = Morphism(sa, ctx2.state_space, table=[0, 0, 0, 0])
+    out = Morphism(sa, b, fn=lambda k: 3 if k == 0 else 0)
+    with pytest.raises(ShapeError,
+                       match=r"^table entry 3 at 0 not in \[0,2\)$"):
+        mealy_from_components(ctx2, a, b, nxt, out)
+    far = Morphism(sa, ctx2.state_space, fn=lambda k: 2 if k == 1 else 0)
+    with pytest.raises(ShapeError,
+                       match=r"^table entry 2 at 1 not in \[0,2\)$"):
+        mealy_from_components(ctx2, a, b, far, Morphism(sa, b, fn=int))
 
 
 def test_compliance_fixture_pairs(ctx2):
@@ -200,6 +219,15 @@ def test_stateless_consistency(ctx2):
         rep = stateless_consistency(f0, phi, phi)
         agree = [r for r in rep.sub if r.check == "matches-machine-form"][0]
         assert agree.passed
+    # the witnesses of the two equations are those on structural elements
+    failed = 0
+    for _, phi2, psi2 in _policy_triples(78, 60):
+        f0 = random_morphism(phi2.alphabet, psi2.alphabet, rng)
+        rep = stateless_consistency(f0, phi2, psi2)
+        assert [r.witnesses for r in rep.sub[:2]] == \
+            stateless_component_witnesses(phi2.machine.ctx, f0, phi2, psi2)
+        failed += not rep.passed
+    assert 0 < failed < 60
     # a violating channel is pinpointed
     b = Atom("A", 2)
     sb = prod_obj(ctx2, b)

@@ -388,29 +388,44 @@ def test_transposes_read_f_range_checked(ctx2):
         mealy_of_kleisli(ctx2, Morphism(a, t_obj(ctx2, b), fn=lambda k: 16))
 
 
+# The only functions outside finset allowed rank arithmetic: the hom-set
+# bijection, and a cardinal (|Fix phi| ** |S|).
+RANK_ARITHMETIC = {("statemonad", "transpose_up"),
+                   ("statemonad", "transpose_down"),
+                   ("algebras", "idempotent_karm_condition")}
+
+
 def test_only_the_transposes_do_rank_arithmetic():
-    """Every map in statemonad is derived from the hom-set bijection: no
-    function but transpose_up and transpose_down (and no module-level
-    statement) uses //, %, ** or divmod, pack, digits or from_fn."""
+    """Rank arithmetic lives in finset: in every other module of the
+    package, no function but the transposes and the cardinal count of
+    RANK_ARITHMETIC (and no module-level statement) uses //, %, ** or
+    divmod, pack, digits or from_fn.  Every other map is a composite of
+    finset's kernels (projections, pairing, lift) and the transposes."""
     banned = {"divmod", "pack", "digits", "from_fn"}
-    tree = ast.parse(STATEMONAD.read_text(), str(STATEMONAD))
+    paths = sorted(p for p in STATEMONAD.parent.glob("*.py")
+                   if p.name != "finset.py")
     found, defined = [], set()
-    for stmt in tree.body:
-        name = getattr(stmt, "name", type(stmt).__name__)
-        defined.add(name)
-        if name in ("transpose_up", "transpose_down"):
-            continue
-        for node in ast.walk(stmt):
-            if (isinstance(getattr(node, "op", None),
-                           (ast.FloorDiv, ast.Mod, ast.Pow))
-                    or (isinstance(node, ast.Name) and node.id in banned)
-                    or (isinstance(node, ast.Attribute)
-                        and node.attr in banned)
-                    or (isinstance(node, ast.alias) and node.name in banned)):
-                found.append(f"{name}:{node.lineno}")
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        for stmt in tree.body:
+            name = (path.stem, getattr(stmt, "name", type(stmt).__name__))
+            defined.add(name)
+            if name in RANK_ARITHMETIC:
+                continue
+            for node in ast.walk(stmt):
+                if (isinstance(getattr(node, "op", None),
+                               (ast.FloorDiv, ast.Mod, ast.Pow))
+                        or (isinstance(node, ast.Name) and node.id in banned)
+                        or (isinstance(node, ast.Attribute)
+                            and node.attr in banned)
+                        or (isinstance(node, ast.alias)
+                            and node.name in banned)):
+                    found.append(f"{name[0]}.{name[1]}:{node.lineno}")
     assert found == []
-    assert {"eta", "eps", "mu", "nu", "transpose_up",
-            "transpose_down"} <= defined
+    assert {"algebras", "policy", "equivalence", "statemonad", "cli"} <= {
+        p.stem for p in paths}
+    assert RANK_ARITHMETIC | {("statemonad", m) for m in (
+        "eta", "eps", "mu", "nu")} <= defined
 
 
 def test_transpose_counit_is_identity(ctx2):

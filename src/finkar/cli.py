@@ -14,18 +14,18 @@ import sys
 from dataclasses import dataclass, field
 
 from .finset import Atom, CheckConfig, Morphism, Prod, SeededRng
-from .idempotents import (check_split_equalizer_diagram, is_idempotent,
-                          karoubi_hom_check, random_split_equalizer_diagram,
-                          split_idempotent, verify_split_equalizer)
+from .idempotents import (check_split_equalizer_diagram, karoubi_hom_check,
+                          random_split_equalizer_diagram, split_idempotent,
+                          verify_split_equalizer)
 from .policy import (MealyMachine, MooreMachine, Policy, check_compliance,
                      check_consistency, check_moore, check_policy,
                      mealy_to_moore, moore_to_coalgebra)
 from .report import (LawViolation, ObjectConditionError, VerifyReport,
                      combine, erroring, failing, passing)
-from .statemonad import (StateContext, check_adjunction_laws,
-                         check_comonad_laws, check_monad_laws, equal_mor,
-                         kleisli_resolution, prod_exp_adjunction, prod_obj,
-                         state_comonad, state_monad)
+from .statemonad import (KleisliResolution, ProdExpAdjunction,
+                         StateContext, check_adjunction_laws,
+                         check_comonad_laws, check_monad_laws, equal_mor, mu,
+                         prod_obj)
 
 # Task fields with a fixed type or range, as in docs/specfile-schema.json.
 _TASK_STRINGS = ("name", "machine", "policy", "inPolicy", "outPolicy",
@@ -398,16 +398,15 @@ def _cmd_check_laws(task, env):
                                     if len(env.spec.sets[n]) <= 3]
     objs = [env.atom(n) for n in names]
     small = [o for o in objs if o.card <= 2] or objs[:1]
+    prod_exp, kleisli = ProdExpAdjunction(ctx), KleisliResolution(ctx)
     subs = [
-        check_monad_laws(state_monad(ctx), small, ctx.config),
-        check_comonad_laws(state_comonad(ctx), small, ctx.config),
-        check_adjunction_laws(prod_exp_adjunction(ctx), objs, ctx.config),
-        check_adjunction_laws(kleisli_resolution(ctx), small, ctx.config),
+        check_monad_laws(prod_exp, small, ctx.config),
+        check_comonad_laws(prod_exp, small, ctx.config),
+        check_adjunction_laws(prod_exp, objs, ctx.config),
+        check_adjunction_laws(kleisli, small, ctx.config),
     ]
-    mono = state_monad(ctx)
-    resolved = kleisli_resolution(ctx).monad()
     for o in small:
-        subs.append(equal_mor(resolved.mu(o), mono.mu(o), ctx.config,
+        subs.append(equal_mor(kleisli.mu(o), mu(ctx, o), ctx.config,
                               check=f"resolved-mu-matches@{o!r}"))
     return combine("check-laws", subs)
 
@@ -417,9 +416,10 @@ def _cmd_split(task, env):
     m = machine.mapping
     if m.dom != m.cod:
         return erroring("split", "machine map is not an endomorphism")
-    if not is_idempotent(m, env.ctx.config):
+    try:
+        s = split_idempotent(m)
+    except ValueError:
         return failing("split", [{"reason": "map is not idempotent"}])
-    s = split_idempotent(m)
     rep = verify_split_equalizer(m, s, env.ctx.config)
     rep.details["mid_card"] = s.mid.card
     rep.details["q"] = s.q.table

@@ -46,11 +46,16 @@ def split_idempotent(e: Morphism) -> Splitting:
     """Split a projector through its fixed points, ordered ascending.
 
     For an idempotent the image and the fixed-point set coincide, so this
-    is the epi-mono factorization with the canonical mid.
+    is the epi-mono factorization with the canonical mid.  e is idempotent
+    exactly when it fixes every value in its image, which is decided on
+    the whole table that the factorization reads, at any size.
     """
-    if not is_idempotent(e):
-        raise ValueError("split_idempotent needs an idempotent morphism")
+    if e.dom != e.cod:
+        raise ShapeError("idempotence only makes sense for endomorphisms")
     q, i, mid = image_factor(e)
+    table = e.table
+    if any(table[v] != v for v in i.table):
+        raise ValueError("split_idempotent needs an idempotent morphism")
     return Splitting(projector=e, mid=mid, q=q, i=i)
 
 
@@ -190,7 +195,8 @@ def random_idempotent(obj: FinSetObj, rng: SeededRng) -> Morphism:
         return identity(obj)
     nfix = 1 + rng.below(n)
     fixed = sorted(rng.shuffled(range(n))[:nfix])
-    table = [k if k in fixed else rng.choice(fixed) for k in range(n)]
+    keep = set(fixed)
+    table = [k if k in keep else rng.choice(fixed) for k in range(n)]
     return Morphism(obj, obj, table=table)
 
 

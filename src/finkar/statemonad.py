@@ -15,6 +15,13 @@ domains blow up combinatorially (mu at TTX once |S x X|^|S| is large, T f
 on TTX, ...); equalities on them are verified by seeded sampling.  The
 tables of eta, mu, eps and nu depend only on (state space, carrier), so
 each is built once and shared, within a bound on the entries kept.
+
+A resolution L -| R (`Adjunction`) is the one place the monad and the
+comonad come from: T = RL with eta its unit and mu = R eps L, G = LR
+with eps its counit and nu = L eta R.  The law batteries take the
+resolution and read the structure off it; the product/exponential one
+answers mu and nu with the cached tables above, the Kleisli one derives
+them from its unit and counit.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import wraps
 from threading import Lock
-from typing import Callable
 
 from .finset import (EAGER_LIMIT, CheckConfig, Exp, FinSetObj, Morphism,
                      Prod, ShapeError, SeededRng, checked_at, compose,
@@ -227,44 +233,6 @@ def transpose_down(ctx: StateContext, f: Morphism, cod: FinSetObj,
 
 
 # ---------------------------------------------------------------------------
-# monad / comonad bundles
-
-
-@dataclass(frozen=True)
-class MonadOps:
-    ctx: StateContext
-    on_obj: Callable[[FinSetObj], FinSetObj]
-    on_mor: Callable[[Morphism], Morphism]
-    eta: Callable[[FinSetObj], Morphism]
-    mu: Callable[[FinSetObj], Morphism]
-
-
-@dataclass(frozen=True)
-class ComonadOps:
-    ctx: StateContext
-    on_obj: Callable[[FinSetObj], FinSetObj]
-    on_mor: Callable[[Morphism], Morphism]
-    eps: Callable[[FinSetObj], Morphism]
-    nu: Callable[[FinSetObj], Morphism]
-
-
-def state_monad(ctx: StateContext) -> MonadOps:
-    return MonadOps(ctx=ctx,
-                    on_obj=lambda x: t_obj(ctx, x),
-                    on_mor=lambda f: t_mor(ctx, f),
-                    eta=lambda x: eta(ctx, x),
-                    mu=lambda x: mu(ctx, x))
-
-
-def state_comonad(ctx: StateContext) -> ComonadOps:
-    return ComonadOps(ctx=ctx,
-                      on_obj=lambda x: g_obj(ctx, x),
-                      on_mor=lambda f: g_mor(ctx, f),
-                      eps=lambda x: eps(ctx, x),
-                      nu=lambda x: nu(ctx, x))
-
-
-# ---------------------------------------------------------------------------
 # resolutions
 #
 # Both adjunctions present their right-hand category with plain Morphisms:
@@ -297,13 +265,15 @@ class Adjunction:
     def unit(self, x: FinSetObj) -> Morphism: ...
     def counit(self, b: FinSetObj) -> Morphism: ...
 
-    def monad(self) -> MonadOps:
-        return MonadOps(
-            ctx=self.ctx,
-            on_obj=lambda x: self.right_obj(self.left_obj(x)),
-            on_mor=lambda f: self.right_mor(self.left_mor(f)),
-            eta=self.unit,
-            mu=lambda x: self.right_mor(self.counit(self.left_obj(x))))
+    def mu(self, x: FinSetObj) -> Morphism:
+        """The induced monad's multiplication RLRL x -> RL x: R applied to
+        the counit at L x."""
+        return self.right_mor(self.counit(self.left_obj(x)))
+
+    def nu(self, b: FinSetObj) -> Morphism:
+        """The induced comonad's comultiplication LR b -> LRLR b: L applied
+        to the unit at R b."""
+        return self.left_mor(self.unit(self.right_obj(b)))
 
 
 class ProdExpAdjunction(Adjunction):
@@ -328,6 +298,14 @@ class ProdExpAdjunction(Adjunction):
 
     def counit(self, b):
         return eps(self.ctx, b)
+
+    # The derived maps are the cached structure maps, so the structure
+    # cache stays the one store of their tables.
+    def mu(self, x):
+        return mu(self.ctx, x)
+
+    def nu(self, b):
+        return nu(self.ctx, b)
 
 
 class KleisliResolution(Adjunction):
@@ -359,14 +337,6 @@ class KleisliResolution(Adjunction):
         # The arrow TB -> B in machine form S x TB -> S x B: run the step,
         # which is the product/exponential counit at S x B.
         return eps(self.ctx, prod_obj(self.ctx, b))
-
-
-def prod_exp_adjunction(ctx: StateContext) -> ProdExpAdjunction:
-    return ProdExpAdjunction(ctx)
-
-
-def kleisli_resolution(ctx: StateContext) -> KleisliResolution:
-    return KleisliResolution(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +405,16 @@ def check_adjunction_laws(adj: Adjunction, test_objs: list[FinSetObj],
     return combine(f"adjunction-laws[{adj.name}]", subs)
 
 
-def check_monad_laws(m: MonadOps, test_objs: list[FinSetObj],
+def check_monad_laws(adj: Adjunction, test_objs: list[FinSetObj],
                      config: CheckConfig | None = None) -> VerifyReport:
-    """Unit laws on TX, associativity through the resolution, naturality of
-    eta and mu.
+    """Laws of the monad T = RL that `adj` induces, with eta its unit and
+    mu = `adj.mu`: unit laws on TX, associativity through the resolution,
+    naturality of eta and mu.
 
     Associativity is not checked on TTTX (4,194,304 ranks at |S| = |X| =
-    2).  `mu` builds mu at every object as S => eps at S x X, and `t_mor`
-    builds T f as S => (S x f).  S => - preserves composition, so
+    2).  Both resolutions here induce mu at every object as S => eps at
+    S x X, and T f as S => (S x f), as `t_mor` builds it.  S => - preserves
+    composition, so
 
         mu_X . T mu_X = S => (eps_SxX . (S x mu_X)),
         mu_X . mu_TX  = S => (eps_SxX . eps_SxTX),
@@ -451,71 +423,82 @@ def check_monad_laws(m: MonadOps, test_objs: list[FinSetObj],
     it).  So mu is associative at X exactly when the two maps
     S x TTX -> S x X inside are equal.  Three leaves per object carry this:
 
-    - `mu=S=>eps`: the mu_X the battery reads is S => eps_SxX, on TTX;
-    - `T=S=>(Sx-)`: on_mor agrees with `t_mor` on eta_X, on TX;
+    - `mu=S=>eps`: the resolution's mu_X is S => eps_SxX, on TTX;
+    - `T=S=>(Sx-)`: its T agrees with `t_mor` on eta_X, on TX;
     - `mu-assoc`: eps_SxX . (S x mu_X) = eps_SxX . eps_SxTX, on S x TTX.
 
     The last has 2,048 ranks at |S| = |X| = 2 and 10,368 at |X| = 3, so
     under the default cap it is a proof at |S| = 2; at |S| = 3 and |X| = 2
     it has 816M ranks and is sampled.  The T^3 route is the test oracle.
     """
-    cfg = config or m.ctx.config
-    ctx = m.ctx
+    cfg = config or adj.ctx.config
+    ctx = adj.ctx
     rng = SeededRng(cfg.seed)
+
+    def t(f):
+        return adj.right_mor(adj.left_mor(f))
+
     subs = []
     for x in test_objs:
-        tx, sx, teta = m.on_obj(x), prod_obj(ctx, x), m.on_mor(m.eta(x))
-        idt = identity(tx)
-        subs.append(equal_mor(compose(m.eta(tx), m.mu(x)), idt, cfg,
+        tx, sx = adj.right_obj(adj.left_obj(x)), prod_obj(ctx, x)
+        eta_x, mu_x = adj.unit(x), adj.mu(x)
+        teta, idt = t(eta_x), identity(tx)
+        subs.append(equal_mor(compose(adj.unit(tx), mu_x), idt, cfg,
                               check=f"mu.etaT=id@{x!r}"))
-        subs.append(equal_mor(compose(teta, m.mu(x)), idt, cfg,
+        subs.append(equal_mor(compose(teta, mu_x), idt, cfg,
                               check=f"mu.Teta=id@{x!r}"))
-        subs.append(equal_mor(m.mu(x), exp_mor(ctx, eps(ctx, sx)), cfg,
+        subs.append(equal_mor(mu_x, exp_mor(ctx, eps(ctx, sx)), cfg,
                               check=f"mu=S=>eps@{x!r}"))
-        subs.append(equal_mor(teta, t_mor(ctx, m.eta(x)), cfg,
+        subs.append(equal_mor(teta, t_mor(ctx, eta_x), cfg,
                               check=f"T=S=>(Sx-)@{x!r}"))
-        subs.append(equal_mor(compose(prod_mor(ctx, m.mu(x)), eps(ctx, sx)),
+        subs.append(equal_mor(compose(prod_mor(ctx, mu_x), eps(ctx, sx)),
                               compose(eps(ctx, prod_obj(ctx, tx)),
                                       eps(ctx, sx)), cfg,
                               check=f"mu-assoc@{x!r}"))
     for x in test_objs:
         for y in test_objs:
             f = random_morphism(x, y, rng)
-            subs.append(equal_mor(compose(f, m.eta(y)),
-                                  compose(m.eta(x), m.on_mor(f)), cfg,
+            tf = t(f)
+            subs.append(equal_mor(compose(f, adj.unit(y)),
+                                  compose(adj.unit(x), tf), cfg,
                                   check=f"eta-natural@{x!r}->{y!r}"))
-            tf = m.on_mor(f)
-            subs.append(equal_mor(compose(m.on_mor(tf), m.mu(y)),
-                                  compose(m.mu(x), tf), cfg,
+            subs.append(equal_mor(compose(t(tf), adj.mu(y)),
+                                  compose(adj.mu(x), tf), cfg,
                                   check=f"mu-natural@{x!r}->{y!r}"))
     return combine("monad-laws", subs)
 
 
-def check_comonad_laws(c: ComonadOps, test_objs: list[FinSetObj],
+def check_comonad_laws(adj: Adjunction, test_objs: list[FinSetObj],
                        config: CheckConfig | None = None) -> VerifyReport:
-    """Counit laws and coassociativity; all domains are GX, so exhaustive."""
-    cfg = config or c.ctx.config
+    """Laws of the comonad G = LR that `adj` induces, with eps its counit
+    and nu = `adj.nu`: counit laws, coassociativity and naturality.  Every
+    domain is GB, so small objects are checked exhaustively; identities
+    and random arrows are taken on `b_pres`, as in check_adjunction_laws."""
+    cfg = config or adj.ctx.config
     rng = SeededRng(cfg.seed)
+
+    def g(h):
+        return adj.left_mor(adj.right_mor(h))
+
     subs = []
-    for x in test_objs:
-        gx = c.on_obj(x)
-        idg = identity(gx)
-        subs.append(equal_mor(compose(c.nu(x), c.eps(gx)), idg, cfg,
-                              check=f"epsG.nu=id@{x!r}"))
-        subs.append(equal_mor(compose(c.nu(x), c.on_mor(c.eps(x))), idg, cfg,
-                              check=f"Geps.nu=id@{x!r}"))
-        coassoc_l = compose(c.nu(x), c.nu(gx))
-        coassoc_r = compose(c.nu(x), c.on_mor(c.nu(x)))
-        subs.append(equal_mor(coassoc_l, coassoc_r, cfg,
-                              check=f"nu-coassoc@{x!r}"))
-    for x in test_objs:
-        for y in test_objs:
-            f = random_morphism(x, y, rng)
-            gf = c.on_mor(f)
-            subs.append(equal_mor(compose(gf, c.eps(y)),
-                                  compose(c.eps(x), f), cfg,
-                                  check=f"eps-natural@{x!r}->{y!r}"))
-            subs.append(equal_mor(compose(gf, c.nu(y)),
-                                  compose(c.nu(x), c.on_mor(gf)), cfg,
-                                  check=f"nu-natural@{x!r}->{y!r}"))
+    for b in test_objs:
+        gb, nu_b = adj.left_obj(adj.right_obj(b)), adj.nu(b)
+        idg = identity(adj.b_pres(gb))
+        subs.append(equal_mor(compose(nu_b, adj.counit(gb)), idg, cfg,
+                              check=f"epsG.nu=id@{b!r}"))
+        subs.append(equal_mor(compose(nu_b, g(adj.counit(b))), idg, cfg,
+                              check=f"Geps.nu=id@{b!r}"))
+        subs.append(equal_mor(compose(nu_b, adj.nu(gb)),
+                              compose(nu_b, g(nu_b)), cfg,
+                              check=f"nu-coassoc@{b!r}"))
+    for b in test_objs:
+        for c in test_objs:
+            h = random_morphism(adj.b_pres(b), adj.b_pres(c), rng)
+            gh = g(h)
+            subs.append(equal_mor(compose(gh, adj.counit(c)),
+                                  compose(adj.counit(b), h), cfg,
+                                  check=f"eps-natural@{b!r}->{c!r}"))
+            subs.append(equal_mor(compose(gh, adj.nu(c)),
+                                  compose(adj.nu(b), g(gh)), cfg,
+                                  check=f"nu-natural@{b!r}->{c!r}"))
     return combine("comonad-laws", subs)

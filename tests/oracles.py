@@ -8,8 +8,8 @@ main implementation cannot hide behind itself.
 from functools import lru_cache
 from itertools import product as iproduct
 
-from finkar.finset import (Atom, Exp, Morphism, Prod, codec, compose,
-                           equal_mor, identity)
+from finkar.finset import (Atom, Exp, Morphism, Prod, check_ranks, codec,
+                           compose, equal_mor, identity)
 from finkar.report import combine, failing, passing
 from finkar.statemonad import (StateContext, eps, eta, exp_mor, g_mor, g_obj,
                                mu, nu, prod_obj, t_mor, t_obj)
@@ -352,12 +352,13 @@ def brute_force_sections(ctx: StateContext, alg: Morphism) -> list[list[int]]:
 # monad associativity as first stated, on TTTX
 
 
-def tttx_mu_assoc(m, x, config):
-    """mu . T mu = mu . mu T on TTTX, with T on arrows and mu read off the
-    MonadOps m: (|S| |TTX|)^|S| ranks (4,194,304 at |S| = |X| = 2),
-    sampled above the cap."""
-    return equal_mor(compose(m.on_mor(m.mu(x)), m.mu(x)),
-                     compose(m.mu(m.on_obj(x)), m.mu(x)), config,
+def tttx_mu_assoc(ctx, x, config):
+    """mu . T mu = mu . mu T on TTTX, with mu and T on arrows read off the
+    cached `mu` and `t_mor`: (|S| |TTX|)^|S| ranks (4,194,304 at
+    |S| = |X| = 2), sampled above the cap."""
+    mu_x = mu(ctx, x)
+    return equal_mor(compose(t_mor(ctx, mu_x), mu_x),
+                     compose(mu(ctx, t_obj(ctx, x)), mu_x), config,
                      check=f"mu-assoc@{x!r}")
 
 
@@ -428,6 +429,34 @@ def exp_projector_leaf(w, config):
     return equal_mor(compose(w.algebra.structure, w.coretraction),
                      exp_mor(w.algebra.ctx, w.projector), config,
                      check="section.structure=exp-projector")
+
+
+# ---------------------------------------------------------------------------
+# the seeded projector generator as first written
+
+
+def list_random_idempotent(obj, rng):
+    """random_idempotent as first written: membership tested on the sorted
+    list of fixed points, quadratic in |obj|.  It pins the draws."""
+    n = obj.card
+    if n == 0:
+        return identity(obj)
+    nfix = 1 + rng.below(n)
+    fixed = sorted(rng.shuffled(range(n))[:nfix])
+    table = [k if k in fixed else rng.choice(fixed) for k in range(n)]
+    return Morphism(obj, obj, table=table)
+
+
+def broken_at_an_undrawn_rank(n: int, config) -> list:
+    """The identity table on n ranks, except a |-> b and b |-> b + 1 for a
+    rank a that a sampled check at `config` does not draw: e.e differs
+    from e at a alone, so above the cap idempotence passes by sampling."""
+    drawn = {k for ks in check_ranks(n, config) for k in ks}
+    undrawn = [k for k in range(n - 1) if k not in drawn]
+    a, b = undrawn[0], undrawn[-1]
+    table = list(range(n))
+    table[a], table[b] = b, b + 1
+    return table
 
 
 # ---------------------------------------------------------------------------

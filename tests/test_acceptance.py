@@ -38,10 +38,10 @@ from finkar.policy import (MealyMachine, MooreMachine, Policy,
                            check_compliance, check_consistency, check_moore,
                            coalgebra_to_moore, mealy_to_moore,
                            moore_to_coalgebra)
-from finkar.statemonad import (StateContext, check_adjunction_laws,
+from finkar.statemonad import (KleisliResolution, ProdExpAdjunction,
+                               StateContext, check_adjunction_laws,
                                check_comonad_laws, check_monad_laws, exp_mor,
-                               kleisli_resolution, prod_exp_adjunction,
-                               prod_obj, state_comonad, state_monad, t_obj)
+                               prod_obj, t_obj)
 
 from oracles import (brute_force_algebras, brute_force_moore_machines,
                      brute_force_sections, transported_algebras)
@@ -80,7 +80,7 @@ def test_criterion_1_structure_laws():
         for ns in (1, 2):
             ctx = _ctx(ns, samples=10000)
             objs = [Atom("X", 1), Atom("X", 2)]
-            rep_m = check_monad_laws(state_monad(ctx), objs)
+            rep_m = check_monad_laws(ProdExpAdjunction(ctx), objs)
             assert rep_m.passed, rep_m.to_dict()
             exhaustive_assoc = 0
             for sub in rep_m.sub:
@@ -94,11 +94,11 @@ def test_criterion_1_structure_laws():
                 # through the resolution the law at |X| = 2 is an equation
                 # on S x TTX (2,048 ranks), not on TTTX (~4e6)
                 assert exhaustive_assoc >= 1
-            rep_c = check_comonad_laws(state_comonad(ctx), objs)
+            rep_c = check_comonad_laws(ProdExpAdjunction(ctx), objs)
             assert rep_c.passed
             assert rep_c.mode == "exhaustive"
             tri_objs = [Atom(f"O{n}", n) for n in (1, 2, 3, 4)]
-            for adj in (prod_exp_adjunction(ctx), kleisli_resolution(ctx)):
+            for adj in (ProdExpAdjunction(ctx), KleisliResolution(ctx)):
                 rep_a = check_adjunction_laws(adj, tri_objs)
                 assert rep_a.passed, rep_a.to_dict()
                 for sub in rep_a.sub:

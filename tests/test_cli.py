@@ -12,8 +12,11 @@ from finkar.algebras import coalgebra_components, moore_law_violations
 from finkar.cli import (Env, SpecError, canonical_json, main, parse_spec,
                         run_command)
 from finkar.equivalence import functor_l, make_karm_object
-from finkar.finset import Atom, CheckConfig
+from finkar.finset import Atom, CheckConfig, Morphism
+from finkar.policy import MealyMachine
 from finkar.statemonad import StateContext
+
+from oracles import broken_at_an_undrawn_rank
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -123,6 +126,22 @@ def test_main_exit_codes(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{")
     assert main(["verify-all", str(broken)]) == 2
+
+
+def test_split_task_decides_idempotence_exactly_above_the_cap(monkeypatch):
+    """A machine map above the cap that breaks idempotence only at a rank
+    the sampler does not draw fails as not idempotent; it is not split."""
+    ctx = StateContext(Atom("S", 1), CheckConfig(seed=0))
+    a = Atom("A", 200000)
+    sa = SM.prod_obj(ctx, a)
+    table = broken_at_an_undrawn_rank(sa.card, ctx.config)
+    machine = MealyMachine(ctx=ctx, in_set=a, out_set=a,
+                           mapping=Morphism(sa, sa, table=table))
+    monkeypatch.setattr(Env, "mealy", lambda self, name: machine)
+    rep = run_command({"command": "split", "machine": "m"},
+                      Env(spec=None, ctx=ctx))
+    assert rep.status == "fail"
+    assert rep.sub[0].witnesses == [{"reason": "map is not idempotent"}]
 
 
 @pytest.mark.parametrize("key, value, pointer", [
@@ -351,6 +370,31 @@ def test_golden_reports_hold_under_python_O(tmp_path, fixture, seed):
     assert proc.returncode == 0, proc.stderr
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == GOLDEN_REPORTS[fixture, seed]
+
+
+THREE_STATES = {
+    "sets": {"S": ["a", "b", "c"], "X": ["x0", "x1"],
+             "Y": ["y0", "y1", "y2"]},
+    "stateSet": "S", "machines": [], "policies": [],
+    "tasks": [{"command": "check-laws"}],
+}
+
+
+def test_check_laws_at_three_states_is_golden(tmp_path):
+    """`check-laws --seed 0` at |S| = 3, where mu on TTX is lazy and four
+    leaves on the 2-element object are sampled (the fixtures, at |S| = 2,
+    never reach this path): the report bytes are frozen."""
+    spec, out = tmp_path / "spec.json", tmp_path / "report.json"
+    spec.write_text(json.dumps(THREE_STATES))
+    assert main(["check-laws", str(spec), "--seed", "0",
+                 "--out", str(out)]) == 0
+    leaves = _leaf_reports(json.loads(out.read_text()))
+    assert len(leaves) == 41
+    assert sorted(r["check"].split("@")[0] for r in leaves
+                  if r["mode"] == "sampled") == [
+        "mu-assoc", "mu-natural", "mu=S=>eps", "resolved-mu-matches"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "f1b171bf9f4a81ba853bd57f01aee2ebdb797d46fa550d50ed0d3a576ccb6c28"
 
 
 @pytest.mark.parametrize("limit", [SM.STRUCTURE_CACHE_ENTRIES, 3000])

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finkar.finset import Atom, Morphism, SeededRng, ShapeError, compose, identity
+from finkar.finset import (Atom, CheckConfig, Morphism, SeededRng, ShapeError,
+                           compose, identity)
 from finkar.idempotents import (check_split_equalizer_diagram, fixed_ranks,
                                 is_idempotent, karoubi_compose,
                                 karoubi_hom_check, random_idempotent,
                                 random_morphism,
                                 random_split_equalizer_diagram,
                                 split_idempotent, verify_split_equalizer)
+
+from oracles import broken_at_an_undrawn_rank, list_random_idempotent
 
 THREE = Atom("Y", 3)
 E = Morphism(THREE, THREE, table=[0, 0, 2])
@@ -54,6 +57,29 @@ def test_split_rejects_non_idempotent():
     two = Atom("X", 2)
     with pytest.raises(ValueError):
         split_idempotent(Morphism(two, two, table=[1, 0]))
+    with pytest.raises(ShapeError):
+        split_idempotent(Morphism(two, THREE, table=[0, 1]))
+
+
+def test_split_decides_idempotence_exactly_above_the_cap():
+    """Above the cap `is_idempotent` samples, so a map that breaks the law
+    at one undrawn rank passes it; split_idempotent reads the whole table
+    anyway and refuses the map instead of splitting it."""
+    b = Atom("B", 200000)
+    e = Morphism(b, b, table=broken_at_an_undrawn_rank(b.card, CheckConfig()))
+    assert is_idempotent(e)
+    with pytest.raises(ValueError, match="needs an idempotent"):
+        split_idempotent(e)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 300])
+def test_random_idempotent_draws_match_the_list_version(n):
+    """Set membership draws exactly what the quadratic list scan drew."""
+    for seed in (0, 1, 7, 42, 2 ** 31):
+        new, old = SeededRng(seed), SeededRng(seed)
+        for _ in range(3):
+            e = random_idempotent(Atom("A", n), new)
+            assert e.table == list_random_idempotent(Atom("A", n), old).table
 
 
 def test_verify_split_equalizer_passes_and_catches_tampering():

@@ -10,13 +10,12 @@ from finkar import statemonad as SM
 from finkar.finset import (EAGER_LIMIT, Atom, CheckConfig, Exp, Morphism,
                            SeededRng, ShapeError, check_ranks, compose,
                            identity, splitmix64)
-from finkar.statemonad import (ProdExpAdjunction, StateContext,
-                               check_adjunction_laws, check_comonad_laws,
-                               check_monad_laws, eps, eta, exp_mor, exp_obj,
-                               g_obj, kleisli_compose, kleisli_of_mealy,
-                               kleisli_resolution, mealy_of_kleisli, mu, nu,
-                               prod_exp_adjunction, prod_mor, prod_obj,
-                               state_comonad, state_monad, t_mor, t_obj,
+from finkar.statemonad import (KleisliResolution, ProdExpAdjunction,
+                               StateContext, check_adjunction_laws,
+                               check_comonad_laws, check_monad_laws, eps, eta,
+                               exp_mor, exp_obj, g_obj, kleisli_compose,
+                               kleisli_of_mealy, mealy_of_kleisli, mu, nu,
+                               prod_mor, prod_obj, t_mor, t_obj,
                                transpose_down, transpose_up)
 
 from oracles import (oracle_eps_at, oracle_eps_table, oracle_eta_at,
@@ -245,24 +244,29 @@ def test_eps_nu_match_oracle(ctx2):
 
 
 def test_monad_laws_small(ctx2, ctx1):
+    """Both resolutions induce the same lawful monad, leaf for leaf."""
     objs = [Atom("X", 1), Atom("X", 2)]
-    assert check_monad_laws(state_monad(ctx2), objs).passed
-    assert check_monad_laws(state_monad(ctx1), objs).passed
+    for ctx in (ctx2, ctx1):
+        rep = check_monad_laws(ProdExpAdjunction(ctx), objs)
+        assert rep.passed
+        assert check_monad_laws(KleisliResolution(ctx), objs).to_dict() == \
+            rep.to_dict()
 
 
 def test_monad_law_verifier_catches_corruption(ctx2):
-    m = state_monad(ctx2)
-    x = Atom("X", 2)
+    """A resolution whose unit is off at one rank fails the unit laws and
+    eta's naturality."""
+    class BadUnit(ProdExpAdjunction):
+        def unit(self, x):
+            good = eta(self.ctx, x)
+            t = list(good.table)
+            t[0] = (t[0] + 1) % good.cod.card
+            return Morphism(good.dom, good.cod, table=t)
 
-    def bad_eta(obj):
-        good = eta(ctx2, obj)
-        t = list(good.table)
-        t[0] = (t[0] + 1) % t_obj(ctx2, obj).card
-        return Morphism(obj, t_obj(ctx2, obj), table=t)
-
-    broken = type(m)(ctx=ctx2, on_obj=m.on_obj, on_mor=m.on_mor,
-                     eta=bad_eta, mu=m.mu)
-    assert check_monad_laws(broken, [x]).status == "fail"
+    rep = check_monad_laws(BadUnit(ctx2), [Atom("X", 2)])
+    assert rep.status == "fail"
+    assert {r.check.split("@")[0] for r in rep.sub if not r.passed} == {
+        "mu.etaT=id", "mu.Teta=id", "eta-natural"}
 
 
 def _leaves(rep, name):
@@ -276,9 +280,9 @@ def test_mu_assoc_agrees_with_the_tttx_oracle():
     |S| = |X| = 2, where the leaf has 2,048 ranks and stays a proof."""
     for ns, nx in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
         ctx, x = StateContext(Atom("S", ns)), Atom("X", nx)
-        m = state_monad(ctx)
-        oracle = tttx_mu_assoc(m, x, ctx.config)
-        [leaf] = _leaves(check_monad_laws(m, [x]), "mu-assoc")
+        oracle = tttx_mu_assoc(ctx, x, ctx.config)
+        [leaf] = _leaves(check_monad_laws(ProdExpAdjunction(ctx), [x]),
+                         "mu-assoc")
         assert oracle.passed and leaf.passed and leaf.mode == "exhaustive"
         assert leaf.details["domain"] == ns * t_obj(ctx, t_obj(ctx, x)).card
         if (ns, nx) == (2, 2):
@@ -297,7 +301,7 @@ def test_mutated_mu_fails_both_assoc_routes(monkeypatch, nx):
     (exhaustive at |X| = 1, 10^4 draws at |X| = 2).  The cache is
     restored afterwards."""
     ctx, x = StateContext(Atom("S", 2)), Atom("X", nx)
-    m, good = state_monad(ctx), mu(ctx, x)
+    adj, good = ProdExpAdjunction(ctx), mu(ctx, x)
     saved = SM._structure_cache
     rng = SeededRng(nx)
     for _ in range(3):
@@ -310,8 +314,8 @@ def test_mutated_mu_fails_both_assoc_routes(monkeypatch, nx):
                   Morphism(good.dom, good.cod, table=table))
         monkeypatch.setattr(SM, "_structure_cache", cache)
         assert mu(ctx, x).table == table
-        assert tttx_mu_assoc(m, x, ctx.config).status == "fail"
-        rep = check_monad_laws(m, [x])
+        assert tttx_mu_assoc(ctx, x, ctx.config).status == "fail"
+        rep = check_monad_laws(adj, [x])
         assert rep.status == "fail"
         for name in ("mu=S=>eps", "mu-assoc"):
             [leaf] = _leaves(rep, name)
@@ -319,32 +323,47 @@ def test_mutated_mu_fails_both_assoc_routes(monkeypatch, nx):
     monkeypatch.undo()
     assert SM._structure_cache is saved
     assert mu(ctx, x).table == good.table == oracle_mu_table(ctx, x)
-    assert check_monad_laws(m, [x]).passed
+    assert check_monad_laws(adj, [x]).passed
 
 
 def test_battery_checks_on_mor_against_t_mor(ctx2):
-    """A MonadOps whose on_mor is not S => (S x -) fails the T=S=>(Sx-)
-    leaf: the associativity proof reads T as t_mor builds it."""
-    m, x = state_monad(ctx2), Atom("X", 2)
+    """A resolution whose T on arrows is not S => (S x -) fails the
+    T=S=>(Sx-) leaf: the associativity proof reads T as t_mor builds it."""
+    class BadLeft(ProdExpAdjunction):
+        def left_mor(self, f):
+            good = prod_mor(self.ctx, f)
+            table = list(good.table)
+            table[0] = (table[0] + 1) % good.cod.card
+            return Morphism(good.dom, good.cod, table=table)
 
-    def bad_on_mor(f):
-        good = t_mor(ctx2, f)
-        table = list(good.table)
-        table[0] = (table[0] + 1) % good.cod.card
-        return Morphism(good.dom, good.cod, table=table)
-
-    broken = type(m)(ctx=ctx2, on_obj=m.on_obj, on_mor=bad_on_mor,
-                     eta=m.eta, mu=m.mu)
-    [leaf] = _leaves(check_monad_laws(broken, [x]), "T=S=>(Sx-)")
+    [leaf] = _leaves(check_monad_laws(BadLeft(ctx2), [Atom("X", 2)]),
+                     "T=S=>(Sx-)")
     assert leaf.status == "fail"
     assert leaf.witnesses[0]["rank"] == 0
 
 
 def test_comonad_laws_exhaustive(ctx2, ctx1):
+    """Each resolution induces a lawful comonad, checked exhaustively."""
     objs = [Atom("X", 1), Atom("X", 2)]
-    rep = check_comonad_laws(state_comonad(ctx2), objs)
-    assert rep.passed and rep.mode == "exhaustive"
-    assert check_comonad_laws(state_comonad(ctx1), objs).passed
+    for ctx in (ctx2, ctx1):
+        for adj in (ProdExpAdjunction(ctx), KleisliResolution(ctx)):
+            rep = check_comonad_laws(adj, objs)
+            assert rep.passed and rep.mode == "exhaustive"
+
+
+def test_comonad_verifier_catches_corruption(ctx2):
+    """A Kleisli resolution whose counit is off at one rank fails a counit
+    law and eps's naturality in the comonad it induces."""
+    class BadCounit(KleisliResolution):
+        def counit(self, b):
+            good = super().counit(b)
+            t = list(good.table)
+            t[0] = (t[0] + 1) % good.cod.card
+            return Morphism(good.dom, good.cod, table=t)
+
+    rep = check_comonad_laws(BadCounit(ctx2), [Atom("X", 2)])
+    assert {r.check.split("@")[0] for r in rep.sub if not r.passed} == {
+        "Geps.nu=id", "eps-natural"}
 
 
 def test_transposition_roundtrip_exhaustive(ctx2):
@@ -436,17 +455,19 @@ def test_transpose_counit_is_identity(ctx2):
 
 def test_adjunction_eta_matches_monad(ctx2):
     a = Atom("A", 3)
-    adj = prod_exp_adjunction(ctx2)
+    adj = ProdExpAdjunction(ctx2)
     assert adj.unit(a).table == eta(ctx2, a).table
-    assert adj.monad().mu(a).dom == mu(ctx2, a).dom
+    assert adj.mu(a) is mu(ctx2, a) and adj.nu(a) is nu(ctx2, a)
+    derived = super(ProdExpAdjunction, adj)
+    assert derived.mu(a).table == mu(ctx2, a).table
+    assert derived.nu(a).table == nu(ctx2, a).table
 
 
 def test_adjunction_laws_both_resolutions(ctx2, ctx1):
     objs = [Atom(f"O{n}", n) for n in (1, 2, 3, 4)]
-    assert check_adjunction_laws(prod_exp_adjunction(ctx2), objs).passed
-    assert check_adjunction_laws(kleisli_resolution(ctx2), objs).passed
-    assert check_adjunction_laws(prod_exp_adjunction(ctx1), objs).passed
-    assert check_adjunction_laws(kleisli_resolution(ctx1), objs).passed
+    for ctx in (ctx2, ctx1):
+        assert check_adjunction_laws(ProdExpAdjunction(ctx), objs).passed
+        assert check_adjunction_laws(KleisliResolution(ctx), objs).passed
 
 
 def test_adjunction_verifier_catches_corruption(ctx2):
@@ -524,22 +545,23 @@ def test_mealy_of_kleisli_roundtrip_and_functoriality(ctx2):
 
 
 def test_resolved_monad_matches_state_monad(ctx2, ctx1):
+    """The Kleisli resolution's derived mu, its unit and its T on arrows
+    are the state monad's cached mu, eta and t_mor."""
     for ctx in (ctx2, ctx1):
-        res = kleisli_resolution(ctx).monad()
-        direct = state_monad(ctx)
+        res = KleisliResolution(ctx)
         for n in (1, 2):
             x = Atom("X", n)
-            assert res.mu(x).table == direct.mu(x).table
-            assert res.eta(x).table == direct.eta(x).table
+            assert res.mu(x).table == mu(ctx, x).table
+            assert res.unit(x).table == eta(ctx, x).table
             rng = SeededRng(1)
             f = Morphism(x, x, table=[rng.below(n) for _ in range(n)])
-            assert res.on_mor(f).table == direct.on_mor(f).table
+            assert res.right_mor(res.left_mor(f)).table == \
+                t_mor(ctx, f).table
 
 
 def test_kleisli_counit_acts_as_behavior_step(ctx2):
     x = Atom("X", 2)
-    res = kleisli_resolution(ctx2)
-    cu = res.counit(x)
+    cu = KleisliResolution(ctx2).counit(x)
     tx = t_obj(ctx2, x)
     m = ctx2.ns * x.card
     for s in range(ctx2.ns):

@@ -1,5 +1,9 @@
 """Finite sets with products and exponentials, and maps between them as rank tables.
 
+Objects (`Atom`, `Prod`, `Exp`) are interned: equal fields give the same
+instance, so equality and hashing are by identity, and every shape check
+and every cache key on objects costs a pointer comparison.
+
 Every object carries a canonical bijection between its elements and the
 integer range [0, card).  All structure maps elsewhere in the package are
 computed through that bijection, so a morphism is nothing but a total
@@ -29,10 +33,12 @@ domain rank of the first value out of range.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, islice
 from operator import ne
+from threading import Lock
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .report import VerifyReport, combine, failing, passing
@@ -64,22 +70,67 @@ class ShapeError(ValueError):
 # objects
 
 
-@dataclass(frozen=True)
 class FinSetObj:
-    """Base class for structured finite sets; use Atom/Prod/Exp.  `card`,
-    the number of elements, is set once at construction."""
+    """Base class for structured finite sets; use Atom/Prod/Exp.
 
-    def __post_init__(self):
-        object.__setattr__(self, "card", self._compute_card())
+    Objects are interned (hash-consed): constructing one with the fields of
+    a live object returns that object, so two objects are equal exactly
+    when they are the same object, and `==` and `hash` are `object`'s, by
+    identity.  The fields are type-checked before the lookup, so `Atom("A",
+    2.0)` or `Atom("A", True)` can never be the instance a later
+    `Atom("A", 2)` gets.  `card`, the number of elements, is set once at
+    construction; objects are immutable, and copying or unpickling one
+    constructs it again, which returns the live instance."""
+
+    __slots__ = ("card", "__weakref__")
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        obj = _live.get(key)
+        if obj is None:
+            with _miss:
+                obj = _live.get(key)
+                if obj is None:
+                    obj = _live[key] = cls._build(fields)
+        return obj
+
+    @classmethod
+    def _build(cls, fields: tuple) -> "FinSetObj":
+        """A new object, validated, with its card set."""
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes {cls.__slots__}")
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(obj, name, value)
+        object.__setattr__(obj, "card", obj._compute_card())
+        return obj
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
 
     def _compute_card(self) -> int:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+# The live objects by (class, *fields); the lock makes a miss atomic.
+_live: "weakref.WeakValueDictionary[tuple, FinSetObj]" = (
+    weakref.WeakValueDictionary())
+_miss = Lock()
+
+
 class Atom(FinSetObj):
-    label: str
-    size: int
+    __slots__ = ("label", "size")
+
+    def __new__(cls, label: str, size: int):
+        if type(label) is not str or type(size) is not int:
+            raise TypeError(f"atom needs a str label and an int size, got "
+                            f"{label!r}, {size!r}")
+        return FinSetObj.__new__(cls, label, size)
 
     def _compute_card(self) -> int:
         if self.size < 0:
@@ -90,10 +141,8 @@ class Atom(FinSetObj):
         return f"Atom({self.label!r},{self.size})"
 
 
-@dataclass(frozen=True)
 class Prod(FinSetObj):
-    left: FinSetObj
-    right: FinSetObj
+    __slots__ = ("left", "right")
 
     def _compute_card(self) -> int:
         return self.left.card * self.right.card
@@ -102,10 +151,8 @@ class Prod(FinSetObj):
         return f"({self.left!r}x{self.right!r})"
 
 
-@dataclass(frozen=True)
 class Exp(FinSetObj):
-    base: FinSetObj
-    target: FinSetObj
+    __slots__ = ("base", "target")
 
     def _compute_card(self) -> int:
         return self.target.card ** self.base.card

@@ -139,7 +139,9 @@ _structure_cache = _TableCache(STRUCTURE_CACHE_ENTRIES)
 
 def _cached(build):
     """Build a structure map once per (state space, carrier): the maps
-    depend on nothing else.  The result stays a plain function."""
+    depend on nothing else.  The key (name, state space, carrier) hashes
+    and compares by identity, since objects are interned.  The result
+    stays a plain function."""
     name = build.__name__
 
     @wraps(build)

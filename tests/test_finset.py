@@ -1,4 +1,11 @@
 import ast
+import copy
+import dataclasses
+import gc
+import pickle
+import threading
+import time
+import weakref
 from itertools import islice
 from pathlib import Path
 
@@ -9,7 +16,7 @@ from hypothesis import strategies as st
 import finkar
 from finkar import finset
 from finkar.finset import (BLOCK, EAGER_LIMIT, KEEP_DRAWS, Atom,
-                           CheckConfig, Exp, Morphism, Prod, ShapeError,
+                           CheckConfig, Exp, FinSetObj, Morphism, Prod, ShapeError,
                            SeededRng, codec, compose, envelope_hom_report,
                            equal_mor, fibers, from_fn, fst, identity,
                            image_factor, inverse, lift, lift_at, pair, snd,
@@ -34,6 +41,96 @@ def test_cardinalities():
     assert Prod(Atom("A", 2), Atom("B", 3)).card == 6
     assert Exp(s, Atom("B", 3)).card == 9
     assert Exp(s, Prod(s, Atom("X", 2))).card == 16
+
+
+def _live_labels():
+    # an object's parts stay live with it, so its atoms' labels show it
+    return {key[1] for key in list(finset._live.keys()) if key[0] is Atom}
+
+
+def test_equal_fields_give_the_same_instance():
+    s = Atom("S", 2)
+    t = Exp(s, Prod(s, Atom("X", 3)))
+    assert Atom("S", 2) is s
+    assert Exp(Atom("S", 2), Prod(Atom("S", 2), Atom("X", 3))) is t
+    assert Prod(t, Exp(s, t)) is Prod(t, Exp(s, t))
+    assert Prod(s, Atom("X", 3)) is not Exp(s, Atom("X", 3))
+    assert Atom("S", 3) is not s and Atom("T", 2) is not s
+
+
+def test_copies_and_pickles_are_the_same_instance():
+    for obj in small_objects():
+        assert copy.copy(obj) is obj
+        assert copy.deepcopy(obj) is obj
+        assert copy.deepcopy([obj, obj])[0] is obj
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(obj, protocol)) is obj
+
+
+def test_objects_are_immutable():
+    a = Atom("A", 2)
+    with pytest.raises(AttributeError):
+        a.size = 3
+    with pytest.raises(AttributeError):
+        del a.label
+    with pytest.raises(AttributeError):
+        a.card = 5
+    assert (a.size, a.card) == (2, 2)
+
+
+def test_unreferenced_objects_leave_the_table():
+    obj = Exp(Atom("gc-probe", 3), Prod(Atom("gc-probe-x", 2), Atom("S", 2)))
+    ref = weakref.ref(obj)
+    assert {"gc-probe", "gc-probe-x"} <= _live_labels()
+    del obj
+    gc.collect()
+    assert ref() is None
+    assert not {"gc-probe", "gc-probe-x"} & _live_labels()
+
+
+def test_a_raced_miss_yields_one_instance(monkeypatch):
+    # A slow miss path holds every thread inside it at once, unless misses
+    # are serialized and re-check the table.
+    build = Atom._compute_card
+    monkeypatch.setattr(Atom, "_compute_card",
+                        lambda self: time.sleep(0.02) or build(self))
+    threads, start, got = 8, threading.Barrier(8), []
+
+    def construct():
+        start.wait()
+        got.append(Atom("race-probe", 4))
+    workers = [threading.Thread(target=construct) for _ in range(threads)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    assert len(got) == threads and all(a is got[0] for a in got)
+
+
+def test_a_bad_first_construction_cannot_poison_the_table():
+    with pytest.raises(TypeError):
+        Atom("A", 2.0)
+    with pytest.raises(TypeError):
+        Atom("B", True)
+    with pytest.raises(TypeError):
+        Atom(7, 1)
+    with pytest.raises(TypeError):
+        Prod(Atom("A", 2), Atom("A", 2), Atom("A", 2))
+    assert type(Atom("A", 2).card) is int and type(Atom("B", 1).size) is int
+    with pytest.raises(ValueError):
+        Atom("neg-probe", -1)
+    gc.collect()
+    assert "neg-probe" not in _live_labels()
+    assert Atom("neg-probe", 1).card == 1
+
+
+def test_objects_are_compared_and_hashed_by_identity():
+    # a field-wise __eq__ would let two equal-but-distinct objects through
+    # every shape check; interning makes identity the equality
+    for cls in (FinSetObj, Atom, Prod, Exp):
+        assert not dataclasses.is_dataclass(cls)
+        assert cls.__eq__ is object.__eq__
+        assert cls.__hash__ is object.__hash__
 
 
 def test_atom_codec_is_enumeration_order():

@@ -16,8 +16,8 @@ from typing import Optional
 from .finset import (CheckConfig, FinSetObj, Morphism, Prod, ShapeError,
                      check_ranks, compose, equal_mor, fibers, fst, identity,
                      inverse, lift_at, pair, snd)
-from .idempotents import (Splitting, fixed_ranks, karoubi_hom_check,
-                          split_idempotent)
+from .idempotents import (Splitting, fixed_ranks, is_idempotent,
+                          karoubi_hom_check, split_idempotent)
 from .report import (LawViolation, VerifyReport, combine, failing,
                      passing)
 from .statemonad import (StateContext, eps, eta, exp_mor, exp_obj, g_mor,
@@ -510,34 +510,39 @@ def karm_object_condition(ctx: StateContext, carrier: FinSetObj,
                           config: CheckConfig | None = None) -> VerifyReport:
     """Does the exponential transport of phi split back through the carrier?
 
-    For an idempotent phi on S x X, the image of S => phi is exactly the
-    set of maps S -> Fix(phi), so in finite sets a splitting of S => phi
-    through X exists iff |Fix(phi)|^|S| = |X|.  Both cardinalities are
-    reported.  A phi that is not idempotent fails with that reason;
-    idempotent_karm_condition is the count alone.
+    The splitting count at power |S|, after a check that phi is an
+    idempotent endomorphism of S x carrier; a phi that is not idempotent
+    fails with that reason.
     """
     if phi.dom != prod_obj(ctx, carrier) or phi.cod != phi.dom:
         raise ShapeError("expected an endomorphism of S x carrier")
-    if not equal_mor(compose(phi, phi), phi, config or ctx.config).passed:
+    if not is_idempotent(phi, config or ctx.config):
         return failing("karm-object-condition",
                        [{"reason": "projector is not idempotent"}])
-    return idempotent_karm_condition(ctx, carrier, phi)
+    return splitting_condition("karm-object-condition", carrier, phi, ctx.ns)
 
 
-def idempotent_karm_condition(ctx: StateContext, carrier: FinSetObj,
-                              phi: Morphism) -> VerifyReport:
-    """karm_object_condition's count, for a phi known to be idempotent."""
+def splitting_condition(check: str, carrier: FinSetObj, phi: Morphism,
+                        power: int) -> VerifyReport:
+    """Does a splitting of an idempotent phi, transported to the power-th
+    exponential, pass through the carrier?
+
+    The image of that transport is the set of maps from a power-element
+    set into Fix(phi), so in finite sets the splitting exists iff
+    |Fix(phi)| ** power = |carrier|.  A machine-form projector on S x X
+    takes power |S| (S => phi on TX), a behavior-level one on TB power 1.
+    Both cardinalities and the fixed-point count are reported.
+    """
     nfix = len(fixed_ranks(phi))
-    image_card = nfix ** ctx.ns
+    image_card = nfix ** power
     details = {"image_card": image_card, "carrier_card": carrier.card,
                "fixed_points": nfix}
     if image_card == carrier.card:
-        return passing("karm-object-condition", **details)
-    return failing("karm-object-condition", [details], **details)
+        return passing(check, **details)
+    return failing(check, [details], **details)
 
 
-def karm_retraction(ctx: StateContext, carrier: FinSetObj, phi: Morphism,
-                    config: CheckConfig | None = None
+def karm_retraction(ctx: StateContext, carrier: FinSetObj, phi: Morphism
                     ) -> tuple[Morphism, Morphism]:
     """The canonical section/retraction of S => phi through the carrier.
 
@@ -599,37 +604,43 @@ def functor_h_mor(f: Morphism, w1: ProjectiveWitness, w2: ProjectiveWitness,
 
 @dataclass(frozen=True)
 class SplitAlgebra:
-    """Result of splitting an exponential projector inside the algebras.
-
-    carrier_map records the forced identification mid -> original fixed
-    points (the splitting section composed with the structure retraction
-    when one exists).
-    """
+    """An algebra carved out of a behavior-level projector, with the
+    splitting it used and the report of its laws."""
 
     algebra: AlgebraStruct
-    splitting: Splitting  # of S => phi on T(carrier)
+    splitting: Splitting  # of the projector on T(carrier)
+    laws: VerifyReport
+
+
+def carve_algebra(ctx: StateContext, projector: Morphism,
+                  config: CheckConfig | None = None) -> SplitAlgebra:
+    """Split a projector on TB; the mid inherits the induced structure.
+
+    Canonical fixed-point splitting: the mid is an Atom listing the fixed
+    points ascending, and the structure is q . mu . T(i).  mu is S => eps
+    at S x B and T i is S => (S x i), so mu . T i is
+    S => (eps . (S x i)), and eps . (S x i) is the transpose of i, its
+    machine form: the structure is built as q . S => (machine form of i),
+    with no T i table and no read of mu.  The laws are checked, not
+    assumed: a projector that is not the image of an algebra breaks them.
+    """
+    s = split_idempotent(projector)
+    structure = compose(exp_mor(ctx, mealy_of_kleisli(ctx, s.i)), s.q)
+    alg = AlgebraStruct(ctx=ctx, carrier=s.mid, structure=structure)
+    return SplitAlgebra(algebra=alg, splitting=s,
+                        laws=check_algebra(alg, config))
 
 
 def functor_k(ctx: StateContext, carrier: FinSetObj, phi: Morphism,
               config: CheckConfig | None = None) -> SplitAlgebra:
-    """Split S => phi on the free algebra; the mid inherits the structure.
-
-    Canonical fixed-point splitting: the mid is an Atom listing the fixed
-    points of S => phi ascending, and the structure is q . mu . T(i).
-    mu is S => eps at S x X and T i is S => (S x i), so mu . T i is
-    S => (eps . (S x i)), and eps . (S x i) is the transpose of i, its
-    machine form: the structure is built as q . S => (machine form of i),
-    with no T i table and no read of mu.
-    """
-    cfg = config or ctx.config
-    fphi = exp_mor(ctx, phi)
-    s = split_idempotent(fphi)
-    structure = compose(exp_mor(ctx, mealy_of_kleisli(ctx, s.i)), s.q)
-    alg = AlgebraStruct(ctx=ctx, carrier=s.mid, structure=structure)
-    rep = check_algebra(alg, cfg)
-    if not rep.passed:
+    """Object part: the algebra carved out of S => phi on the free algebra
+    on the carrier, which is always lawful."""
+    if phi.dom != prod_obj(ctx, carrier) or phi.cod != phi.dom:
+        raise ShapeError("expected an endomorphism of S x carrier")
+    k = carve_algebra(ctx, exp_mor(ctx, phi), config)
+    if not k.laws.passed:
         raise AssertionError("split of an exponential projector broke the laws")
-    return SplitAlgebra(algebra=alg, splitting=s)
+    return k
 
 
 def functor_k_mor(ctx: StateContext, h: Morphism, k1: SplitAlgebra,

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import (AlgebraStruct, CoalgebraStruct, algebra_hom_check,
-                       check_algebra, check_coalgebra, coalgebra_components,
+from .algebras import (AlgebraStruct, CoalgebraStruct, SplitAlgebra,
+                       algebra_hom_check, carve_algebra, check_algebra,
+                       check_coalgebra, coalgebra_components,
                        coalgebra_hom_report, consistent_hom_check,
-                       idempotent_karm_condition, karm_retraction,
-                       moore_law_violations)
+                       functor_k_mor, karm_retraction, moore_law_violations,
+                       splitting_condition)
 from .finset import (CheckConfig, FinSetObj, Morphism, ShapeError, compose,
                      equal_mor, identity, inverse)
-from .idempotents import Splitting, fixed_ranks, split_idempotent
+from .idempotents import Splitting, is_idempotent, split_idempotent
 from .report import (LawViolation, ObjectConditionError, VerifyReport,
                      combine, failing, passing)
 from .statemonad import (StateContext, eps, eta, exp_mor, exp_obj,
@@ -67,35 +68,25 @@ class EquivWitness:
 
 def make_karm_object(ctx: StateContext, carrier: FinSetObj, phi: Morphism,
                      config: CheckConfig | None = None) -> KarmObject:
-    cfg = config or ctx.config
-    if not equal_mor(compose(phi, phi), phi, cfg).passed:
+    if not is_idempotent(phi, config or ctx.config):
         raise ValueError("machine-form map is not idempotent")
-    cond = idempotent_karm_condition(ctx, carrier, phi)
+    cond = splitting_condition("karm-object-condition", carrier, phi, ctx.ns)
     return KarmObject(ctx=ctx, carrier=carrier, projector=phi, condition=cond)
 
 
 def make_karc_object(ctx: StateContext, carrier: FinSetObj, phi: Morphism,
                      config: CheckConfig | None = None) -> KarcObject:
-    cfg = config or ctx.config
-    if not equal_mor(compose(phi, phi), phi, cfg).passed:
+    if not is_idempotent(phi, config or ctx.config):
         raise ValueError("behavior-level map is not idempotent")
     return KarcObject(ctx=ctx, carrier=carrier, projector=phi)
 
 
-def karc_object_condition(k: KarcObject,
-                          config: CheckConfig | None = None) -> VerifyReport:
-    """Mirror-image splitting condition for the behavior-level side.
-
-    A splitting of the lifted projector through the carrier exists in
-    finite sets iff the projector's image has exactly card(carrier)
-    elements; both cardinalities are reported.  The object definition does
-    not require this, so it is exposed as a separate check.
-    """
-    nfix = len(fixed_ranks(k.projector))
-    details = {"image_card": nfix, "carrier_card": k.carrier.card}
-    if nfix == k.carrier.card:
-        return passing("karc-object-condition", **details)
-    return failing("karc-object-condition", [details], **details)
+def karc_object_condition(k: KarcObject) -> VerifyReport:
+    """Mirror-image splitting condition for the behavior-level side: the
+    splitting count at power 1.  The object definition does not require
+    it, so it is exposed as a separate check."""
+    return splitting_condition("karc-object-condition", k.carrier,
+                               k.projector, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +128,10 @@ class LResult:
     """A coalgebra carved out of a projector, with the splitting it used."""
 
     coalgebra: CoalgebraStruct
-    splitting: Splitting
-    fixed: list[int]  # ranks of the public pairs inside S x X
+    splitting: Splitting  # i lists the public pairs inside S x X
 
 
-def functor_l(k: KarmObject, config: CheckConfig | None = None,
-              force: bool = False) -> LResult:
+def functor_l(k: KarmObject, *, force: bool = False) -> LResult:
     """Split a machine-form projector into its public-pair coalgebra.
 
     Refuses projectors failing the object condition, without which the
@@ -163,7 +152,7 @@ def functor_l(k: KarmObject, config: CheckConfig | None = None,
             ctx.ns, *coalgebra_components(co))[:3]
         raise ObjectConditionError(
             "projector does not split back through its carrier", details)
-    return LResult(coalgebra=co, splitting=s, fixed=list(s.i.table))
+    return LResult(coalgebra=co, splitting=s)
 
 
 def functor_l_mor(f: Morphism, k1: KarmObject, k2: KarmObject,
@@ -173,7 +162,7 @@ def functor_l_mor(f: Morphism, k1: KarmObject, k2: KarmObject,
     cfg = config or ctx.config
     if not consistent_hom_check(ctx, f, k1.projector, k2.projector, cfg):
         raise ValueError("carrier map is not consistent with the projectors")
-    l1, l2 = functor_l(k1, cfg), functor_l(k2, cfg)
+    l1, l2 = functor_l(k1), functor_l(k2)
     lf = compose(compose(l1.splitting.i, prod_mor(ctx, f)), l2.splitting.q)
     if not coalgebra_hom_report(lf, l1.coalgebra, l2.coalgebra, cfg).passed:
         raise AssertionError("induced map is not a coalgebra homomorphism")
@@ -191,12 +180,12 @@ def roundtrip_rl(k: KarmObject,
     """
     ctx = k.ctx
     cfg = config or ctx.config
-    lres = functor_l(k, cfg)
+    lres = functor_l(k)
     rl = functor_r(lres.coalgebra, cfg)
     q_prime = transpose_up(ctx, lres.splitting.q)
     subs = []
     try:
-        abar, alpha = karm_retraction(ctx, k.carrier, k.projector, cfg)
+        abar, alpha = karm_retraction(ctx, k.carrier, k.projector)
     except ValueError as exc:
         return EquivWitness(
             obj=rl, forward=q_prime, backward=q_prime,
@@ -227,10 +216,9 @@ def lr_identity_report(c: CoalgebraStruct,
     """
     ctx = c.ctx
     cfg = config or ctx.config
-    k = functor_r(c, cfg)
-    lres = functor_l(k, cfg)
+    lres = functor_l(functor_r(c, cfg))
     expected = sorted(c.structure.table)
-    got = list(lres.fixed)
+    got = list(lres.splitting.i.table)
     subs = []
     if expected != got:
         subs.append(failing("public-pairs-are-structure-values",
@@ -238,10 +226,7 @@ def lr_identity_report(c: CoalgebraStruct,
     else:
         subs.append(passing("public-pairs-are-structure-values"))
     sigma = compose(lres.splitting.i, eps(ctx, c.carrier))
-    inv = inverse(sigma)
-    subs.append(passing("bijection")
-                if inv is not None and len(inv) == c.carrier.card
-                else failing("bijection", [{"table": sigma.table}]))
+    subs.append(_bijection_leaf("bijection", sigma)[0])
     subs.append(coalgebra_hom_report(sigma, lres.coalgebra, c, cfg,
                                      check="structure-transport"))
     return combine("lr-identity", subs)
@@ -271,60 +256,37 @@ def dual_r_mor(f: Morphism, a1: AlgebraStruct, a2: AlgebraStruct,
         raise LawViolation("not an algebra homomorphism",
                            failing("algebra-hom", [{"hom": False}]))
     g = prod_mor(ctx, f)
-    k1, k2 = dual_r(a1, cfg), dual_r(a2, cfg)
-    if not equal_mor(compose(k1.projector, exp_mor(ctx, g)),
-                     compose(exp_mor(ctx, g), k2.projector), cfg).passed:
+    if not _exp_square(ctx, g, dual_r(a1, cfg).projector,
+                       dual_r(a2, cfg).projector, cfg).passed:
         raise AssertionError("image of an algebra hom must be consistent")
     return g
 
 
-@dataclass(frozen=True)
-class DualLResult:
-    """An algebra carved out of a behavior-level projector."""
-
-    algebra: AlgebraStruct
-    splitting: Splitting  # of phi on T(carrier)
-    machine_mono: Morphism  # S x mid -> S x carrier
-    laws: VerifyReport
-
-
 def dual_l(k: KarcObject, config: CheckConfig | None = None,
-           require_lawful: bool = True) -> DualLResult:
+           require_lawful: bool = True) -> SplitAlgebra:
     """Split a behavior-level projector into an algebra on its fixed points.
 
-    The structure runs the machine form of the splitting mono and retracts.
-    The algebra laws are verified; with require_lawful they must pass
-    (they can fail for projectors that are not images of algebras)."""
-    ctx = k.ctx
-    cfg = config or ctx.config
-    s = split_idempotent(k.projector)
-    i_prime = mealy_of_kleisli(ctx, s.i)
-    structure = compose(exp_mor(ctx, i_prime), s.q)
-    alg = AlgebraStruct(ctx=ctx, carrier=s.mid, structure=structure)
-    laws = check_algebra(alg, cfg)
-    if require_lawful and not laws.passed:
+    This is carve_algebra on the projector, and functor_k is this at
+    S => phi.  The algebra laws are verified; with require_lawful they must
+    pass (they can fail for projectors that are not images of algebras)."""
+    res = carve_algebra(k.ctx, k.projector, config)
+    if require_lawful and not res.laws.passed:
         raise ObjectConditionError(
             "behavior-level projector does not carve out a lawful algebra",
-            {"laws": laws.to_dict(),
-             "condition": karc_object_condition(k, cfg).to_dict()})
-    return DualLResult(algebra=alg, splitting=s, machine_mono=i_prime,
-                       laws=laws)
+            {"laws": res.laws.to_dict(),
+             "condition": karc_object_condition(k).to_dict()})
+    return res
 
 
 def dual_l_mor(g: Morphism, k1: KarcObject, k2: KarcObject,
                config: CheckConfig | None = None) -> Morphism:
-    """A consistent machine-form map induces a hom of the carved algebras."""
+    """A consistent machine-form map induces a hom of the carved algebras:
+    functor_k's arrow part between the two carves."""
     ctx = k1.ctx
     cfg = config or ctx.config
-    if not equal_mor(compose(k1.projector, exp_mor(ctx, g)),
-                     compose(exp_mor(ctx, g), k2.projector), cfg).passed:
+    if not _exp_square(ctx, g, k1.projector, k2.projector, cfg).passed:
         raise ValueError("machine-form map is not consistent")
-    l1 = dual_l(k1, cfg)
-    l2 = dual_l(k2, cfg)
-    lg = compose(compose(l1.splitting.i, exp_mor(ctx, g)), l2.splitting.q)
-    if not algebra_hom_check(lg, l1.algebra, l2.algebra, config=cfg):
-        raise AssertionError("induced map is not an algebra homomorphism")
-    return lg
+    return functor_k_mor(ctx, g, dual_l(k1, cfg), dual_l(k2, cfg), cfg)
 
 
 def dual_lr_identity_report(a: AlgebraStruct,
@@ -335,10 +297,7 @@ def dual_lr_identity_report(a: AlgebraStruct,
     k = dual_r(a, cfg)
     lres = dual_l(k, cfg)
     sigma = compose(lres.splitting.i, a.structure)
-    inv = inverse(sigma)
-    subs = [passing("bijection")
-            if inv is not None and len(inv) == a.carrier.card
-            else failing("bijection", [{"table": sigma.table}])]
+    subs = [_bijection_leaf("bijection", sigma)[0]]
     subs.append(equal_mor(compose(t_mor(ctx, sigma), a.structure),
                           compose(lres.algebra.structure, sigma), cfg,
                           check="structure-transport"))
@@ -355,32 +314,44 @@ def dual_roundtrip(k: KarcObject,
     ctx = k.ctx
     cfg = config or ctx.config
     lres = dual_l(k, cfg, require_lawful=False)
+    i_prime = mealy_of_kleisli(ctx, lres.splitting.i)
     subs = [lres.laws]
-    rl = dual_r(lres.algebra, cfg) if lres.laws.passed else None
-    if rl is None:
-        return EquivWitness(obj=None, forward=lres.machine_mono,
-                            backward=lres.machine_mono,
+    if not lres.laws.passed:
+        return EquivWitness(obj=None, forward=i_prime, backward=i_prime,
                             report=combine("dual-roundtrip", subs))
-    i_prime = lres.machine_mono
-    lifted = exp_mor(ctx, i_prime)
-    subs.append(equal_mor(compose(rl.projector, lifted),
-                          compose(lifted, k.projector), cfg,
-                          check="forward-intertwines"))
-    n = i_prime.cod.card
-    inv = inverse(i_prime)
-    if inv is None or len(inv) != n:
-        subs.append(failing("forward-bijective", [{"table": i_prime.table}]))
+    rl = dual_r(lres.algebra, cfg)
+    subs.append(_exp_square(ctx, i_prime, rl.projector, k.projector, cfg,
+                            check="forward-intertwines"))
+    leaf, i_dbl = _bijection_leaf("forward-bijective", i_prime)
+    subs.append(leaf)
+    if i_dbl is None:
         return EquivWitness(obj=rl, forward=i_prime, backward=i_prime,
                             report=combine("dual-roundtrip", subs))
-    subs.append(passing("forward-bijective"))
-    i_dbl = Morphism(i_prime.cod, i_prime.dom,
-                     table=[inv[v] for v in range(n)])
-    lifted_inv = exp_mor(ctx, i_dbl)
-    subs.append(equal_mor(compose(k.projector, lifted_inv),
-                          compose(lifted_inv, rl.projector), cfg,
-                          check="backward-intertwines"))
+    subs.append(_exp_square(ctx, i_dbl, k.projector, rl.projector, cfg,
+                            check="backward-intertwines"))
     return EquivWitness(obj=rl, forward=i_prime, backward=i_dbl,
                         report=combine("dual-roundtrip", subs))
+
+
+def _exp_square(ctx: StateContext, g: Morphism, phi: Morphism,
+                psi: Morphism, cfg: CheckConfig,
+                check: str = "equal") -> VerifyReport:
+    """Does S => g carry phi to psi?  phi . (S => g) against
+    (S => g) . psi."""
+    lifted = exp_mor(ctx, g)
+    return equal_mor(compose(phi, lifted), compose(lifted, psi), cfg,
+                     check=check)
+
+
+def _bijection_leaf(check: str, m: Morphism
+                    ) -> tuple[VerifyReport, Morphism | None]:
+    """The leaf `check` passes iff m is a bijection; then its inverse
+    comes with it."""
+    inv = inverse(m)
+    if inv is None or len(inv) != m.cod.card:
+        return failing(check, [{"table": m.table}]), None
+    return passing(check), Morphism(m.cod, m.dom,
+                                    table=[inv[v] for v in range(len(inv))])
 
 
 # ---------------------------------------------------------------------------

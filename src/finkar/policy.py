@@ -238,7 +238,7 @@ def mealy_to_moore(phi: Policy,
     ctx = phi.machine.ctx
     cfg = config or ctx.config
     k = make_karm_object(ctx, phi.alphabet, phi.mapping, cfg)
-    lres = functor_l(k, cfg)  # raises ObjectConditionError with diagnostics
+    lres = functor_l(k)  # raises ObjectConditionError with diagnostics
     i = lres.splitting.i
     m = replace(coalgebra_to_moore(lres.coalgebra), pair_labels=tuple(zip(
         compose(i, fst(i.cod)).table, compose(i, snd(i.cod)).table)))

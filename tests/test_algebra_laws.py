@@ -23,6 +23,7 @@ from finkar.algebras import (AlgebraStruct, SearchBoundExceeded,
                              check_algebra, coretraction_of_split,
                              free_algebra, functor_h_mor, functor_k,
                              make_witness, search_sections)
+from finkar.equivalence import KarcObject, dual_l
 from finkar.finset import (EAGER_LIMIT, MATERIALIZE_LIMIT, Atom,
                            CheckConfig, Exp, Morphism, SeededRng,
                            ShapeError, check_ranks, codec,
@@ -693,7 +694,8 @@ def test_functor_h_mor_squares_each_hom_once(monkeypatch):
 def test_transfer_routes_agree_with_the_routes_through_t_and_mu(ns, nx):
     """On a seeded projector on S x X with each fixed-point count,
     functor_k's structure q . S => (machine form of i) is the table of
-    q . mu . T i, the coretraction T(q . eta) . i is that of
+    q . mu . T i, and so is that of dual_l on the behavior projector
+    S => phi, whose carve K is, the coretraction T(q . eta) . i is that of
     Tq . Teta . i, and the witness also satisfies sigma . alpha = S => pi
     on TA (tests/oracles.py).  Where T(mid) is above EAGER_LIMIT (|S| = 3,
     three fixed points and more) the structures are compared on the
@@ -703,12 +705,14 @@ def test_transfer_routes_agree_with_the_routes_through_t_and_mu(ns, nx):
         phi = _projector(ctx, nx, nfix, SeededRng(100 * ns + 10 * nx + nfix))
         x = phi.dom.right
         k = functor_k(ctx, x, phi)
-        new, old = k.algebra.structure, tmu_split_structure(ctx, x,
-                                                            k.splitting)
-        if new.dom.card <= EAGER_LIMIT:
-            assert new.table == old.table
-        else:
-            assert equal_mor(new, old, ctx.config).passed
+        d = dual_l(KarcObject(ctx, x, exp_mor(ctx, phi)))
+        for carve in (k, d):
+            new = carve.algebra.structure
+            old = tmu_split_structure(ctx, x, carve.splitting)
+            if new.dom.card <= EAGER_LIMIT:
+                assert new.table == old.table
+            else:
+                assert equal_mor(new, old, ctx.config).passed
         w = coretraction_of_split(ctx, x, k)
         assert w.coretraction.table == tteta_coretraction(
             ctx, x, k.splitting.q, k.splitting.i).table

@@ -284,6 +284,20 @@ def test_karm_retraction_rejects_degenerate(ctx2):
         karm_retraction(ctx2, x, phi)
 
 
+def test_functor_k_rejects_a_projector_off_its_carrier(ctx2):
+    """functor_k reads its carrier: a phi that is not an endomorphism of
+    S x carrier is a ShapeError up front.  It used to be carved silently,
+    and the mismatch only surfaced in coretraction_of_split as "hom
+    candidate must map carrier to carrier"."""
+    x, y = Atom("X", 2), Atom("Y", 3)
+    phi = identity(prod_obj(ctx2, x))
+    assert functor_k(ctx2, x, phi).algebra.carrier.card == 16
+    for carrier in (y, prod_obj(ctx2, x)):
+        with pytest.raises(ShapeError,
+                           match="^expected an endomorphism of S x carrier$"):
+            functor_k(ctx2, carrier, phi)
+
+
 def test_functor_h_and_k_roundtrip_object(ctx2):
     """K after H recovers the algebra up to the forced mid bijection."""
     carrier = Atom("A", 4)

@@ -132,7 +132,7 @@ def test_functor_l_recovers_fixture(ctx2, e1_moore):
     c = moore_to_coalgebra(e1_moore)
     k = functor_r(c)
     lres = functor_l(k)
-    assert lres.fixed == [2, 6]
+    assert lres.splitting.i.table == [2, 6]
     assert check_coalgebra(lres.coalgebra).passed
     assert lr_identity_report(c).passed
 
@@ -165,6 +165,7 @@ def test_make_karm_object_checks_idempotence_once(ctx2, monkeypatch):
     is not idempotent with a ValueError."""
     import finkar.algebras
     import finkar.equivalence
+    import finkar.idempotents
     a = Atom("A", 2)
     sa = prod_obj(ctx2, a)
     keep_state = Morphism(sa, sa, table=[0, 1, 0, 1])  # (s,x) |-> (s0,x)
@@ -175,7 +176,7 @@ def test_make_karm_object_checks_idempotence_once(ctx2, monkeypatch):
             calls.append(f.table)
         return equal_mor(f, g, *args, **kwargs)
 
-    for module in (finkar.algebras, finkar.equivalence):
+    for module in (finkar.algebras, finkar.equivalence, finkar.idempotents):
         monkeypatch.setattr(module, "equal_mor", counting)
     k = make_karm_object(ctx2, a, keep_state)
     assert calls == [keep_state.table]

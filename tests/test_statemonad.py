@@ -408,10 +408,10 @@ def test_transposes_read_f_range_checked(ctx2):
 
 
 # The only functions outside finset allowed rank arithmetic: the hom-set
-# bijection, and a cardinal (|Fix phi| ** |S|).
+# bijection, and a cardinal (|Fix phi| ** power).
 RANK_ARITHMETIC = {("statemonad", "transpose_up"),
                    ("statemonad", "transpose_down"),
-                   ("algebras", "idempotent_karm_condition")}
+                   ("algebras", "splitting_condition")}
 
 
 def test_only_the_transposes_do_rank_arithmetic():
@@ -445,6 +445,66 @@ def test_only_the_transposes_do_rank_arithmetic():
         p.stem for p in paths}
     assert RANK_ARITHMETIC | {("statemonad", m) for m in (
         "eta", "eps", "mu", "nu")} <= defined
+
+
+# The only functions allowed a parameter they never read: the interface
+# stubs of Adjunction, the immutable object's __setattr__ (its signature
+# is object's) and the CLI handler that needs the environment alone.
+UNREAD_PARAMETERS = {("statemonad", f"Adjunction.{m}") for m in (
+    "left_obj", "right_obj", "left_mor", "right_mor", "unit", "counit")} | {
+    ("finset", "FinSetObj.__setattr__"), ("cli", "_cmd_verify_all")}
+
+
+def _unread_parameters(tree, module):
+    """(module, qualified name, parameter) for each parameter of a function
+    or lambda that its body never reads.  A method's receiver is exempt."""
+    found = []
+
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                name = ".".join(scope + [getattr(child, "name", "<lambda>")])
+                a = child.args
+                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                          + [a.vararg, a.kwarg] if p is not None]
+                if in_class and params and params[0] in ("self", "cls"):
+                    params = params[1:]
+                body = child.body if isinstance(child.body, list) \
+                    else [child.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                found.extend((module, name, p) for p in params
+                             if p not in read)
+                visit(child, scope + [name.rsplit(".", 1)[-1]], False)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], True)
+            else:
+                visit(child, scope, in_class)
+
+    visit(tree, [], False)
+    return found
+
+
+def test_every_parameter_is_read():
+    """No function in the package takes a parameter its body never reads,
+    but the allow-listed ones; a parameter that does nothing reads as an
+    option that does something.  The check itself catches an unread
+    parameter, an unread keyword-only one and one that is only assigned."""
+    found, defined = [], set()
+    for path in sorted(STATEMONAD.parent.glob("*.py")):
+        for module, name, param in _unread_parameters(
+                ast.parse(path.read_text(), str(path)), path.stem):
+            defined.add((module, name))
+            if (module, name) not in UNREAD_PARAMETERS:
+                found.append(f"{module}.{name}({param})")
+    assert found == []
+    assert defined == UNREAD_PARAMETERS
+    probe = ast.parse("def f(a, b, *, c=1):\n    b = a\n    return a\n"
+                      "class C:\n    def m(self, x):\n        return 1\n")
+    assert _unread_parameters(probe, "m") == [
+        ("m", "f", "b"), ("m", "f", "c"), ("m", "C.m", "x")]
 
 
 def test_transpose_counit_is_identity(ctx2):

@@ -111,8 +111,12 @@ def check_algebra(a: AlgebraStruct,
     equations (moore_law_violations), the laws of very well-behaved lenses
     (Gibbons and Johnson, Relating algebraic and coalgebraic descriptions
     of lenses, 2012).
+
+    The checks read `a.ctx.config` unless `config` is given.  This is the
+    one check that takes an override: search_sections proves the laws
+    with its cap raised to |TA|, whatever the context's cap.
     """
-    cfg = config or a.ctx.config
+    cfg = a.ctx.config if config is None else config
     ctx, x, al = a.ctx, a.carrier, a.structure
     lazy = g_obj(ctx, x).card > cfg.cap  # (iv) samples S x (S => A)
     update, lookup = _read_operations(a, lazy)
@@ -255,8 +259,8 @@ def _free_update(s: FinSetObj, x: FinSetObj) -> Morphism:
                    _operation_ranks(s, x, False)[0])
 
 
-def algebra_hom_check(f: Morphism, a: AlgebraStruct, c: AlgebraStruct,
-                      config: CheckConfig | None = None) -> bool:
+def algebra_hom_check(f: Morphism, a: AlgebraStruct,
+                      c: AlgebraStruct) -> bool:
     """Is f: A -> C an algebra homomorphism (f . alpha = gamma . Tf)?
 
     Between two ends that carry update (proven algebras) it is compared on
@@ -272,7 +276,7 @@ def algebra_hom_check(f: Morphism, a: AlgebraStruct, c: AlgebraStruct,
 
     Otherwise the square is compared on TA, with T f built.
     """
-    cfg = config or a.ctx.config
+    cfg = a.ctx.config
     if f.dom != a.carrier or f.cod != c.carrier:
         raise ShapeError("hom candidate must map carrier to carrier")
     if a._update is not None and c._update is not None:
@@ -282,7 +286,7 @@ def algebra_hom_check(f: Morphism, a: AlgebraStruct, c: AlgebraStruct,
 
 
 def _preserves_sections(ctx: StateContext, f: Morphism, abar: Morphism,
-                        cbar: Morphism, cfg: CheckConfig) -> bool:
+                        cbar: Morphism) -> bool:
     """The section-preservation square Tf . abar = cbar . f, for a hom f
     between algebras with hom-sections abar and cbar (the hom-sets of the
     section-carrying presentation).  Its left side is read through the
@@ -290,17 +294,16 @@ def _preserves_sections(ctx: StateContext, f: Morphism, abar: Morphism,
     so T f is not built."""
     tf_abar = kleisli_of_mealy(
         ctx, compose(mealy_of_kleisli(ctx, abar), prod_mor(ctx, f)))
-    return equal_mor(tf_abar, compose(f, cbar), cfg).passed
+    return equal_mor(tf_abar, compose(f, cbar), ctx.config).passed
 
 
 def coalgebra_hom_report(g: Morphism, c1: CoalgebraStruct,
-                         c2: CoalgebraStruct,
-                         config: CheckConfig | None = None,
+                         c2: CoalgebraStruct, *,
                          check: str = "coalgebra-hom") -> VerifyReport:
     """Is g: B1 -> B2 a coalgebra homomorphism (g;gamma2 = gamma1;G g)?"""
     return equal_mor(compose(g, c2.structure),
                      compose(c1.structure, g_mor(c1.ctx, g)),
-                     config or c1.ctx.config, check=check)
+                     c1.ctx.config, check=check)
 
 
 def _preserves_operations(f: Morphism, update_a: Morphism,
@@ -325,7 +328,7 @@ def _preserves_operations(f: Morphism, update_a: Morphism,
 # projectivity
 
 
-def _verify_witness(w: ProjectiveWitness, cfg: CheckConfig) -> VerifyReport:
+def _verify_witness(w: ProjectiveWitness) -> VerifyReport:
     """The witness invariants: alpha . sigma = id on A, sigma a hom into
     the free algebra (`section-is-hom`), the projector pi idempotent, and
     pi = eps . (S x sigma) on S x A, for the counit eps at S x A that the
@@ -341,12 +344,12 @@ def _verify_witness(w: ProjectiveWitness, cfg: CheckConfig) -> VerifyReport:
     |TA| entries (the test oracle `exp_projector_leaf` keeps it).
     """
     ctx, a = w.algebra.ctx, w.algebra
-    al, ab = a.structure, w.coretraction
+    al, ab, cfg = a.structure, w.coretraction, ctx.config
     subs = [
         equal_mor(compose(ab, al), identity(a.carrier), cfg,
                   check="structure.section=id"),
         passing("section-is-hom") if algebra_hom_check(
-            ab, a, free_algebra(ctx, a.carrier), config=cfg)
+            ab, a, free_algebra(ctx, a.carrier))
         else failing("section-is-hom", [{"hom": False}]),
         equal_mor(compose(w.projector, w.projector), w.projector, cfg,
                   check="projector-idempotent"),
@@ -357,21 +360,19 @@ def _verify_witness(w: ProjectiveWitness, cfg: CheckConfig) -> VerifyReport:
     return combine("projective-witness", subs)
 
 
-def make_witness(a: AlgebraStruct, coretraction: Morphism,
-                 config: CheckConfig | None = None) -> ProjectiveWitness:
+def make_witness(a: AlgebraStruct,
+                 coretraction: Morphism) -> ProjectiveWitness:
     """Package a hom-section into a witness, verifying all its invariants."""
-    cfg = config or a.ctx.config
     proj = mealy_of_kleisli(a.ctx, coretraction)
     w = ProjectiveWitness(algebra=a, coretraction=coretraction, projector=proj)
-    rep = _verify_witness(w, cfg)
+    rep = _verify_witness(w)
     if not rep.passed:
         raise LawViolation("witness invariants failed", rep)
     return w
 
 
 def construct_coretraction(a: AlgebraStruct,
-                           retract: tuple[FinSetObj, Morphism, Morphism],
-                           config: CheckConfig | None = None
+                           retract: tuple[FinSetObj, Morphism, Morphism]
                            ) -> ProjectiveWitness:
     """Build the hom-section from retract data (X, q, i).
 
@@ -380,21 +381,20 @@ def construct_coretraction(a: AlgebraStruct,
     T(q . eta) . i: T preserves composition, so one lift on TX stands for
     T eta and T q on TTX.
     """
-    cfg = config or a.ctx.config
     ctx = a.ctx
     x, q, i = retract
     fx = free_algebra(ctx, x)
-    if not algebra_hom_check(q, fx, a, config=cfg):
+    if not algebra_hom_check(q, fx, a):
         raise ValueError("q is not an algebra hom from the free algebra")
-    if not algebra_hom_check(i, a, fx, config=cfg):
+    if not algebra_hom_check(i, a, fx):
         raise ValueError("i is not an algebra hom into the free algebra")
-    if not equal_mor(compose(i, q), identity(a.carrier), cfg).passed:
+    if not equal_mor(compose(i, q), identity(a.carrier), ctx.config).passed:
         raise ValueError("q . i is not the identity")
     ab = compose(i, t_mor(ctx, compose(eta(ctx, x), q)))
-    return make_witness(a, ab, cfg)
+    return make_witness(a, ab)
 
 
-def search_sections(a: AlgebraStruct, config: CheckConfig | None = None,
+def search_sections(a: AlgebraStruct,
                     search_bound: int = 1 << 20) -> list[Morphism]:
     """All hom-sections of a structure map, by depth-first fiber-pruned
     search, or [] when it is not an algebra, by
@@ -423,7 +423,7 @@ def search_sections(a: AlgebraStruct, config: CheckConfig | None = None,
     of trying every candidate: lexicographic in the fibers, each
     ascending.  The search bound applies to the unfiltered fibers.
     """
-    cfg = config or a.ctx.config
+    cfg = a.ctx.config
     al, ta, n = a.structure, a.structure.dom, a.carrier.card
     if a._update is None and not check_algebra(
             a, replace(cfg, cap=max(cfg.cap, ta.card))).passed:
@@ -474,8 +474,7 @@ def search_sections(a: AlgebraStruct, config: CheckConfig | None = None,
     return [Morphism(a.carrier, ta, table=t) for t in out]
 
 
-def is_projective(a: AlgebraStruct, config: CheckConfig | None = None,
-                  search_bound: int = 1 << 20
+def is_projective(a: AlgebraStruct, search_bound: int = 1 << 20
                   ) -> Optional[ProjectiveWitness]:
     """Search for a hom-section of the structure map.
 
@@ -483,11 +482,10 @@ def is_projective(a: AlgebraStruct, config: CheckConfig | None = None,
     order, or None.  Sections need not be unique; use search_sections to
     enumerate them all.
     """
-    cfg = config or a.ctx.config
-    sections = search_sections(a, cfg, search_bound)
+    sections = search_sections(a, search_bound)
     if not sections:
         return None
-    return make_witness(a, sections[0], cfg)
+    return make_witness(a, sections[0])
 
 
 # ---------------------------------------------------------------------------
@@ -495,19 +493,19 @@ def is_projective(a: AlgebraStruct, config: CheckConfig | None = None,
 
 
 def consistent_hom_check(ctx: StateContext, f: Morphism, phi: Morphism,
-                         psi: Morphism,
-                         config: CheckConfig | None = None) -> bool:
-    """Consistency of a carrier map f: X -> Y: psi . (S x f) = (S x f) . phi."""
-    cfg = config or ctx.config
+                         psi: Morphism, *,
+                         check: str = "consistent-hom") -> VerifyReport:
+    """Consistency of a carrier map f: X -> Y: psi . (S x f) = (S x f) . phi,
+    with psi . (S x f) as the report's lhs."""
     sf = prod_mor(ctx, f)
     if phi.dom != sf.dom or psi.dom != sf.cod:
         raise ShapeError("projectors must sit on S x dom(f) and S x cod(f)")
-    return equal_mor(compose(sf, psi), compose(phi, sf), cfg).passed
+    return equal_mor(compose(sf, psi), compose(phi, sf), ctx.config,
+                     check=check)
 
 
 def karm_object_condition(ctx: StateContext, carrier: FinSetObj,
-                          phi: Morphism,
-                          config: CheckConfig | None = None) -> VerifyReport:
+                          phi: Morphism) -> VerifyReport:
     """Does the exponential transport of phi split back through the carrier?
 
     The splitting count at power |S|, after a check that phi is an
@@ -516,7 +514,7 @@ def karm_object_condition(ctx: StateContext, carrier: FinSetObj,
     """
     if phi.dom != prod_obj(ctx, carrier) or phi.cod != phi.dom:
         raise ShapeError("expected an endomorphism of S x carrier")
-    if not is_idempotent(phi, config or ctx.config):
+    if not is_idempotent(phi, ctx.config):
         return failing("karm-object-condition",
                        [{"reason": "projector is not idempotent"}])
     return splitting_condition("karm-object-condition", carrier, phi, ctx.ns)
@@ -572,8 +570,8 @@ def functor_h(w: ProjectiveWitness) -> Morphism:
     return w.projector
 
 
-def functor_h_mor(f: Morphism, w1: ProjectiveWitness, w2: ProjectiveWitness,
-                  config: CheckConfig | None = None) -> Morphism:
+def functor_h_mor(f: Morphism, w1: ProjectiveWitness,
+                  w2: ProjectiveWitness) -> Morphism:
     """Arrow part: send an algebra hom to its compliant machine form.
 
     The image is the codomain-side composite (machine form of the
@@ -583,15 +581,15 @@ def functor_h_mor(f: Morphism, w1: ProjectiveWitness, w2: ProjectiveWitness,
     the section-preservation square holds.
     """
     ctx = w1.algebra.ctx
-    cfg = config or ctx.config
-    if not algebra_hom_check(f, w1.algebra, w2.algebra, config=cfg):
+    cfg = ctx.config
+    if not algebra_hom_check(f, w1.algebra, w2.algebra):
         raise LawViolation("not an algebra homomorphism",
                            failing("algebra-hom", [{"hom": False}]))
     sf = prod_mor(ctx, f)
     via_cod = compose(sf, w2.projector)
     via_dom = compose(w1.projector, sf)
     compatible = _preserves_sections(ctx, f, w1.coretraction,
-                                     w2.coretraction, cfg)
+                                     w2.coretraction)
     agree = equal_mor(via_cod, via_dom, cfg).passed
     if compatible and not agree:
         raise AssertionError("section-compatible hom with diverging composites")
@@ -612,8 +610,7 @@ class SplitAlgebra:
     laws: VerifyReport
 
 
-def carve_algebra(ctx: StateContext, projector: Morphism,
-                  config: CheckConfig | None = None) -> SplitAlgebra:
+def carve_algebra(ctx: StateContext, projector: Morphism) -> SplitAlgebra:
     """Split a projector on TB; the mid inherits the induced structure.
 
     Canonical fixed-point splitting: the mid is an Atom listing the fixed
@@ -628,48 +625,42 @@ def carve_algebra(ctx: StateContext, projector: Morphism,
     structure = compose(exp_mor(ctx, mealy_of_kleisli(ctx, s.i)), s.q)
     alg = AlgebraStruct(ctx=ctx, carrier=s.mid, structure=structure)
     return SplitAlgebra(algebra=alg, splitting=s,
-                        laws=check_algebra(alg, config))
+                        laws=check_algebra(alg))
 
 
-def functor_k(ctx: StateContext, carrier: FinSetObj, phi: Morphism,
-              config: CheckConfig | None = None) -> SplitAlgebra:
+def functor_k(ctx: StateContext, carrier: FinSetObj,
+              phi: Morphism) -> SplitAlgebra:
     """Object part: the algebra carved out of S => phi on the free algebra
     on the carrier, which is always lawful."""
     if phi.dom != prod_obj(ctx, carrier) or phi.cod != phi.dom:
         raise ShapeError("expected an endomorphism of S x carrier")
-    k = carve_algebra(ctx, exp_mor(ctx, phi), config)
+    k = carve_algebra(ctx, exp_mor(ctx, phi))
     if not k.laws.passed:
         raise AssertionError("split of an exponential projector broke the laws")
     return k
 
 
 def functor_k_mor(ctx: StateContext, h: Morphism, k1: SplitAlgebra,
-                  k2: SplitAlgebra,
-                  config: CheckConfig | None = None) -> Morphism:
+                  k2: SplitAlgebra) -> Morphism:
     """Arrow part: induced map between the splitting mids.
 
     h must be compliant between the projectors; the induced map is an
     algebra homomorphism between the mids.
     """
-    cfg = config or ctx.config
     kh = compose(compose(k1.splitting.i, exp_mor(ctx, h)), k2.splitting.q)
-    if not algebra_hom_check(kh, k1.algebra, k2.algebra, config=cfg):
+    if not algebra_hom_check(kh, k1.algebra, k2.algebra):
         raise AssertionError("induced mid-to-mid map is not an algebra hom")
     return kh
 
 
 def coretraction_of_split(ctx: StateContext, carrier: FinSetObj,
-                          k: SplitAlgebra,
-                          config: CheckConfig | None = None
-                          ) -> ProjectiveWitness:
+                          k: SplitAlgebra) -> ProjectiveWitness:
     """The canonical witness of a split algebra, via its retract data."""
-    cfg = config or ctx.config
     return construct_coretraction(
-        k.algebra, (carrier, k.splitting.q, k.splitting.i), cfg)
+        k.algebra, (carrier, k.splitting.q, k.splitting.i))
 
 
-def iso_witness_i_prime(ctx: StateContext, carrier: FinSetObj, phi: Morphism,
-                        config: CheckConfig | None = None
+def iso_witness_i_prime(ctx: StateContext, carrier: FinSetObj, phi: Morphism
                         ) -> tuple[Morphism, Morphism, VerifyReport]:
     """The mutually inverse envelope homs between a projector and its
     witnessed double-transfer image.
@@ -679,9 +670,9 @@ def iso_witness_i_prime(ctx: StateContext, carrier: FinSetObj, phi: Morphism,
     Verifies i'' . i' = induced projector and i' . i'' = phi, and that
     i' is compliant.
     """
-    cfg = config or ctx.config
-    k = functor_k(ctx, carrier, phi, cfg)
-    w = coretraction_of_split(ctx, carrier, k, cfg)
+    cfg = ctx.config
+    k = functor_k(ctx, carrier, phi)
+    w = coretraction_of_split(ctx, carrier, k)
     i_prime = mealy_of_kleisli(ctx, k.splitting.i)
     i_double = compose(compose(prod_mor(ctx, eta(ctx, carrier)),
                                prod_mor(ctx, k.splitting.q)),

@@ -400,10 +400,10 @@ def _cmd_check_laws(task, env):
     small = [o for o in objs if o.card <= 2] or objs[:1]
     prod_exp, kleisli = ProdExpAdjunction(ctx), KleisliResolution(ctx)
     subs = [
-        check_monad_laws(prod_exp, small, ctx.config),
-        check_comonad_laws(prod_exp, small, ctx.config),
-        check_adjunction_laws(prod_exp, objs, ctx.config),
-        check_adjunction_laws(kleisli, small, ctx.config),
+        check_monad_laws(prod_exp, small),
+        check_comonad_laws(prod_exp, small),
+        check_adjunction_laws(prod_exp, objs),
+        check_adjunction_laws(kleisli, small),
     ]
     for o in small:
         subs.append(equal_mor(kleisli.mu(o), mu(ctx, o), ctx.config,
@@ -432,18 +432,17 @@ def _cmd_policy_check(task, env):
     phi = env.policy(task["inPolicy"])
     psi = env.policy(task["outPolicy"])
     mode = task.get("mode", "both")
-    subs = [check_policy(phi, env.ctx.config),
-            check_policy(psi, env.ctx.config)]
+    subs = [check_policy(phi), check_policy(psi)]
     if mode in ("compliance", "both"):
-        subs.append(check_compliance(machine, phi, psi, env.ctx.config))
+        subs.append(check_compliance(machine, phi, psi))
     if mode in ("consistency", "both"):
-        subs.append(check_consistency(machine, phi, psi, env.ctx.config))
+        subs.append(check_consistency(machine, phi, psi))
     return combine("policy-check", subs)
 
 
 def _cmd_mealy_to_moore(task, env):
     phi = env.policy(task["policy"])
-    moore = mealy_to_moore(phi, env.ctx.config)
+    moore = mealy_to_moore(phi)
     machine_name = env.spec.policies[task["policy"]]
     alphabet_labels = env.spec.sets[env.spec.machines[machine_name]["inSet"]]
     state_labels = env.spec.sets[env.spec.state_set]
@@ -480,19 +479,16 @@ def _cmd_equiv_roundtrip(task, env):
     subs = []
     if "policy" in task:
         phi = env.policy(task["policy"])
-        k = make_karm_object(env.ctx, phi.alphabet, phi.mapping,
-                             env.ctx.config)
-        subs.append(roundtrip_rl(k, env.ctx.config).report)
+        k = make_karm_object(env.ctx, phi.alphabet, phi.mapping)
+        subs.append(roundtrip_rl(k).report)
     if "moore" in task:
         c = moore_to_coalgebra(env.moore(task["moore"]))
-        subs.append(lr_identity_report(c, env.ctx.config))
-        subs.append(roundtrip_rl(functor_r(c, env.ctx.config),
-                                 env.ctx.config).report)
+        subs.append(lr_identity_report(c))
+        subs.append(roundtrip_rl(functor_r(c)).report)
     if "freeAlgebraOn" in task:
         a = free_algebra(env.ctx, env.atom(task["freeAlgebraOn"]))
-        subs.append(dual_lr_identity_report(a, env.ctx.config))
-        subs.append(dual_roundtrip(dual_r(a, env.ctx.config),
-                                   env.ctx.config).report)
+        subs.append(dual_lr_identity_report(a))
+        subs.append(dual_roundtrip(dual_r(a)).report)
     if not subs:
         return erroring("equiv-roundtrip",
                         "need one of policy, moore, freeAlgebraOn")

@@ -17,8 +17,8 @@ from .algebras import (AlgebraStruct, CoalgebraStruct, SplitAlgebra,
                        coalgebra_hom_report, consistent_hom_check,
                        functor_k_mor, karm_retraction, moore_law_violations,
                        splitting_condition)
-from .finset import (CheckConfig, FinSetObj, Morphism, ShapeError, compose,
-                     equal_mor, identity, inverse)
+from .finset import (FinSetObj, Morphism, ShapeError, compose, equal_mor,
+                     identity, inverse)
 from .idempotents import Splitting, is_idempotent, split_idempotent
 from .report import (LawViolation, ObjectConditionError, VerifyReport,
                      combine, failing, passing)
@@ -66,17 +66,17 @@ class EquivWitness:
     report: VerifyReport
 
 
-def make_karm_object(ctx: StateContext, carrier: FinSetObj, phi: Morphism,
-                     config: CheckConfig | None = None) -> KarmObject:
-    if not is_idempotent(phi, config or ctx.config):
+def make_karm_object(ctx: StateContext, carrier: FinSetObj,
+                     phi: Morphism) -> KarmObject:
+    if not is_idempotent(phi, ctx.config):
         raise ValueError("machine-form map is not idempotent")
     cond = splitting_condition("karm-object-condition", carrier, phi, ctx.ns)
     return KarmObject(ctx=ctx, carrier=carrier, projector=phi, condition=cond)
 
 
-def make_karc_object(ctx: StateContext, carrier: FinSetObj, phi: Morphism,
-                     config: CheckConfig | None = None) -> KarcObject:
-    if not is_idempotent(phi, config or ctx.config):
+def make_karc_object(ctx: StateContext, carrier: FinSetObj,
+                     phi: Morphism) -> KarcObject:
+    if not is_idempotent(phi, ctx.config):
         raise ValueError("behavior-level map is not idempotent")
     return KarcObject(ctx=ctx, carrier=carrier, projector=phi)
 
@@ -93,32 +93,29 @@ def karc_object_condition(k: KarcObject) -> VerifyReport:
 # coalgebras <-> machine-form projectors
 
 
-def functor_r(c: CoalgebraStruct,
-              config: CheckConfig | None = None) -> KarmObject:
+def functor_r(c: CoalgebraStruct) -> KarmObject:
     """A coalgebra becomes the projector structure-after-counit on S x (S=>B)."""
-    cfg = config or c.ctx.config
     rep = check_coalgebra(c)
     if not rep.passed:
         raise LawViolation("invalid coalgebra", rep)
     carrier = exp_obj(c.ctx, c.carrier)
     phi = compose(eps(c.ctx, c.carrier), c.structure)
-    k = make_karm_object(c.ctx, carrier, phi, cfg)
+    k = make_karm_object(c.ctx, carrier, phi)
     if not k.condition.passed:
         raise AssertionError("coalgebra image lost the object condition")
     return k
 
 
-def functor_r_mor(g: Morphism, c1: CoalgebraStruct, c2: CoalgebraStruct,
-                  config: CheckConfig | None = None) -> Morphism:
+def functor_r_mor(g: Morphism, c1: CoalgebraStruct,
+                  c2: CoalgebraStruct) -> Morphism:
     """A coalgebra hom g becomes the consistent carrier map S => g."""
     ctx = c1.ctx
-    cfg = config or ctx.config
-    hom = coalgebra_hom_report(g, c1, c2, cfg)
+    hom = coalgebra_hom_report(g, c1, c2)
     if not hom.passed:
         raise LawViolation("not a coalgebra homomorphism", hom)
     f = exp_mor(ctx, g)
-    k1, k2 = functor_r(c1, cfg), functor_r(c2, cfg)
-    if not consistent_hom_check(ctx, f, k1.projector, k2.projector, cfg):
+    k1, k2 = functor_r(c1), functor_r(c2)
+    if not consistent_hom_check(ctx, f, k1.projector, k2.projector).passed:
         raise AssertionError("image of a coalgebra hom must be consistent")
     return f
 
@@ -155,22 +152,19 @@ def functor_l(k: KarmObject, *, force: bool = False) -> LResult:
     return LResult(coalgebra=co, splitting=s)
 
 
-def functor_l_mor(f: Morphism, k1: KarmObject, k2: KarmObject,
-                  config: CheckConfig | None = None) -> Morphism:
+def functor_l_mor(f: Morphism, k1: KarmObject, k2: KarmObject) -> Morphism:
     """A consistent carrier map induces a map of public-pair coalgebras."""
     ctx = k1.ctx
-    cfg = config or ctx.config
-    if not consistent_hom_check(ctx, f, k1.projector, k2.projector, cfg):
+    if not consistent_hom_check(ctx, f, k1.projector, k2.projector).passed:
         raise ValueError("carrier map is not consistent with the projectors")
     l1, l2 = functor_l(k1), functor_l(k2)
     lf = compose(compose(l1.splitting.i, prod_mor(ctx, f)), l2.splitting.q)
-    if not coalgebra_hom_report(lf, l1.coalgebra, l2.coalgebra, cfg).passed:
+    if not coalgebra_hom_report(lf, l1.coalgebra, l2.coalgebra).passed:
         raise AssertionError("induced map is not a coalgebra homomorphism")
     return lf
 
 
-def roundtrip_rl(k: KarmObject,
-                 config: CheckConfig | None = None) -> EquivWitness:
+def roundtrip_rl(k: KarmObject) -> EquivWitness:
     """Verify that a valid projector is isomorphic to its round-trip image.
 
     The forward iso is the transpose of the splitting epi; its inverse is
@@ -178,12 +172,10 @@ def roundtrip_rl(k: KarmObject,
     splitting mono.  Both intertwining squares and both inverse laws are
     verified and reported.
     """
-    ctx = k.ctx
-    cfg = config or ctx.config
+    ctx, cfg = k.ctx, k.ctx.config
     lres = functor_l(k)
-    rl = functor_r(lres.coalgebra, cfg)
+    rl = functor_r(lres.coalgebra)
     q_prime = transpose_up(ctx, lres.splitting.q)
-    subs = []
     try:
         abar, alpha = karm_retraction(ctx, k.carrier, k.projector)
     except ValueError as exc:
@@ -191,32 +183,28 @@ def roundtrip_rl(k: KarmObject,
             obj=rl, forward=q_prime, backward=q_prime,
             report=failing("roundtrip-rl", [{"reason": str(exc)}]))
     q_dbl = compose(exp_mor(ctx, lres.splitting.i), alpha)
-    sq1 = prod_mor(ctx, q_prime)
-    subs.append(equal_mor(compose(k.projector, sq1),
-                          compose(sq1, rl.projector), cfg,
-                          check="forward-intertwines"))
-    sq2 = prod_mor(ctx, q_dbl)
-    subs.append(equal_mor(compose(rl.projector, sq2),
-                          compose(sq2, k.projector), cfg,
-                          check="backward-intertwines"))
-    subs.append(equal_mor(compose(q_prime, q_dbl), identity(k.carrier), cfg,
-                          check="backward.forward=id"))
-    subs.append(equal_mor(compose(q_dbl, q_prime), identity(rl.carrier), cfg,
-                          check="forward.backward=id"))
+    subs = [
+        consistent_hom_check(ctx, q_prime, k.projector, rl.projector,
+                             check="forward-intertwines"),
+        consistent_hom_check(ctx, q_dbl, rl.projector, k.projector,
+                             check="backward-intertwines"),
+        equal_mor(compose(q_prime, q_dbl), identity(k.carrier), cfg,
+                  check="backward.forward=id"),
+        equal_mor(compose(q_dbl, q_prime), identity(rl.carrier), cfg,
+                  check="forward.backward=id"),
+    ]
     return EquivWitness(obj=rl, forward=q_prime, backward=q_dbl,
                         report=combine("roundtrip-rl", subs))
 
 
-def lr_identity_report(c: CoalgebraStruct,
-                       config: CheckConfig | None = None) -> VerifyReport:
+def lr_identity_report(c: CoalgebraStruct) -> VerifyReport:
     """The coalgebra round trip is the identity under the forced bijection.
 
     The public pairs of the image projector are exactly the structure
     values, and the bijection sends each back through the counit.
     """
     ctx = c.ctx
-    cfg = config or ctx.config
-    lres = functor_l(functor_r(c, cfg))
+    lres = functor_l(functor_r(c))
     expected = sorted(c.structure.table)
     got = list(lres.splitting.i.table)
     subs = []
@@ -227,7 +215,7 @@ def lr_identity_report(c: CoalgebraStruct,
         subs.append(passing("public-pairs-are-structure-values"))
     sigma = compose(lres.splitting.i, eps(ctx, c.carrier))
     subs.append(_bijection_leaf("bijection", sigma)[0])
-    subs.append(coalgebra_hom_report(sigma, lres.coalgebra, c, cfg,
+    subs.append(coalgebra_hom_report(sigma, lres.coalgebra, c,
                                      check="structure-transport"))
     return combine("lr-identity", subs)
 
@@ -236,40 +224,36 @@ def lr_identity_report(c: CoalgebraStruct,
 # dual: algebras <-> behavior-level projectors
 
 
-def dual_r(a: AlgebraStruct, config: CheckConfig | None = None) -> KarcObject:
+def dual_r(a: AlgebraStruct) -> KarcObject:
     """An algebra becomes the projector unit-after-structure on TA."""
-    cfg = config or a.ctx.config
-    rep = check_algebra(a, cfg)
+    rep = check_algebra(a)
     if not rep.passed:
         raise LawViolation("invalid algebra", rep)
     phi = compose(a.structure, eta(a.ctx, a.carrier))
-    return make_karc_object(a.ctx, a.carrier, phi, cfg)
+    return make_karc_object(a.ctx, a.carrier, phi)
 
 
-def dual_r_mor(f: Morphism, a1: AlgebraStruct, a2: AlgebraStruct,
-               config: CheckConfig | None = None) -> Morphism:
+def dual_r_mor(f: Morphism, a1: AlgebraStruct, a2: AlgebraStruct) -> Morphism:
     """An algebra hom becomes the machine-form map S x f, consistent in the
     behavior-level sense."""
     ctx = a1.ctx
-    cfg = config or ctx.config
-    if not algebra_hom_check(f, a1, a2, config=cfg):
+    if not algebra_hom_check(f, a1, a2):
         raise LawViolation("not an algebra homomorphism",
                            failing("algebra-hom", [{"hom": False}]))
     g = prod_mor(ctx, f)
-    if not _exp_square(ctx, g, dual_r(a1, cfg).projector,
-                       dual_r(a2, cfg).projector, cfg).passed:
+    if not _exp_square(ctx, g, dual_r(a1).projector,
+                       dual_r(a2).projector).passed:
         raise AssertionError("image of an algebra hom must be consistent")
     return g
 
 
-def dual_l(k: KarcObject, config: CheckConfig | None = None,
-           require_lawful: bool = True) -> SplitAlgebra:
+def dual_l(k: KarcObject, *, require_lawful: bool = True) -> SplitAlgebra:
     """Split a behavior-level projector into an algebra on its fixed points.
 
     This is carve_algebra on the projector, and functor_k is this at
     S => phi.  The algebra laws are verified; with require_lawful they must
     pass (they can fail for projectors that are not images of algebras)."""
-    res = carve_algebra(k.ctx, k.projector, config)
+    res = carve_algebra(k.ctx, k.projector)
     if require_lawful and not res.laws.passed:
         raise ObjectConditionError(
             "behavior-level projector does not carve out a lawful algebra",
@@ -278,68 +262,60 @@ def dual_l(k: KarcObject, config: CheckConfig | None = None,
     return res
 
 
-def dual_l_mor(g: Morphism, k1: KarcObject, k2: KarcObject,
-               config: CheckConfig | None = None) -> Morphism:
+def dual_l_mor(g: Morphism, k1: KarcObject, k2: KarcObject) -> Morphism:
     """A consistent machine-form map induces a hom of the carved algebras:
     functor_k's arrow part between the two carves."""
     ctx = k1.ctx
-    cfg = config or ctx.config
-    if not _exp_square(ctx, g, k1.projector, k2.projector, cfg).passed:
+    if not _exp_square(ctx, g, k1.projector, k2.projector).passed:
         raise ValueError("machine-form map is not consistent")
-    return functor_k_mor(ctx, g, dual_l(k1, cfg), dual_l(k2, cfg), cfg)
+    return functor_k_mor(ctx, g, dual_l(k1), dual_l(k2))
 
 
-def dual_lr_identity_report(a: AlgebraStruct,
-                            config: CheckConfig | None = None) -> VerifyReport:
+def dual_lr_identity_report(a: AlgebraStruct) -> VerifyReport:
     """The algebra round trip is the identity under the forced bijection."""
     ctx = a.ctx
-    cfg = config or ctx.config
-    k = dual_r(a, cfg)
-    lres = dual_l(k, cfg)
+    lres = dual_l(dual_r(a))
     sigma = compose(lres.splitting.i, a.structure)
     subs = [_bijection_leaf("bijection", sigma)[0]]
     subs.append(equal_mor(compose(t_mor(ctx, sigma), a.structure),
-                          compose(lres.algebra.structure, sigma), cfg,
-                          check="structure-transport"))
+                          compose(lres.algebra.structure, sigma),
+                          ctx.config, check="structure-transport"))
     return combine("dual-lr-identity", subs)
 
 
-def dual_roundtrip(k: KarcObject,
-                   config: CheckConfig | None = None) -> EquivWitness:
+def dual_roundtrip(k: KarcObject) -> EquivWitness:
     """Verify a behavior-level projector against its round-trip image.
 
     The iso candidate is the machine form of the splitting mono; it must
     be a bijection whose inverse satisfies the mirrored square.  For
     projectors that are not images of algebras this reports failure."""
     ctx = k.ctx
-    cfg = config or ctx.config
-    lres = dual_l(k, cfg, require_lawful=False)
+    lres = dual_l(k, require_lawful=False)
     i_prime = mealy_of_kleisli(ctx, lres.splitting.i)
     subs = [lres.laws]
     if not lres.laws.passed:
         return EquivWitness(obj=None, forward=i_prime, backward=i_prime,
                             report=combine("dual-roundtrip", subs))
-    rl = dual_r(lres.algebra, cfg)
-    subs.append(_exp_square(ctx, i_prime, rl.projector, k.projector, cfg,
+    rl = dual_r(lres.algebra)
+    subs.append(_exp_square(ctx, i_prime, rl.projector, k.projector,
                             check="forward-intertwines"))
     leaf, i_dbl = _bijection_leaf("forward-bijective", i_prime)
     subs.append(leaf)
     if i_dbl is None:
         return EquivWitness(obj=rl, forward=i_prime, backward=i_prime,
                             report=combine("dual-roundtrip", subs))
-    subs.append(_exp_square(ctx, i_dbl, k.projector, rl.projector, cfg,
+    subs.append(_exp_square(ctx, i_dbl, k.projector, rl.projector,
                             check="backward-intertwines"))
     return EquivWitness(obj=rl, forward=i_prime, backward=i_dbl,
                         report=combine("dual-roundtrip", subs))
 
 
 def _exp_square(ctx: StateContext, g: Morphism, phi: Morphism,
-                psi: Morphism, cfg: CheckConfig,
-                check: str = "equal") -> VerifyReport:
+                psi: Morphism, *, check: str = "equal") -> VerifyReport:
     """Does S => g carry phi to psi?  phi . (S => g) against
     (S => g) . psi."""
     lifted = exp_mor(ctx, g)
-    return equal_mor(compose(phi, lifted), compose(lifted, psi), cfg,
+    return equal_mor(compose(phi, lifted), compose(lifted, psi), ctx.config,
                      check=check)
 
 
@@ -358,29 +334,25 @@ def _bijection_leaf(check: str, m: Morphism
 # nucleus object maps
 
 
-def nucleus_objects(k: KarmObject,
-                    config: CheckConfig | None = None) -> KarcObject:
+def nucleus_objects(k: KarmObject) -> KarcObject:
     """Machine-form projector -> behavior-level projector on S => mid.
 
     Split the projector, then take the unit after the exponential counit
     on the behaviors of the mid."""
     ctx = k.ctx
-    cfg = config or ctx.config
     s = split_idempotent(k.projector)
     carrier = exp_obj(ctx, s.mid)
     proj = compose(exp_mor(ctx, eps(ctx, s.mid)), eta(ctx, carrier))
-    return make_karc_object(ctx, carrier, proj, cfg)
+    return make_karc_object(ctx, carrier, proj)
 
 
-def nucleus_objects_back(k: KarcObject,
-                         config: CheckConfig | None = None) -> KarmObject:
+def nucleus_objects_back(k: KarcObject) -> KarmObject:
     """Behavior-level projector -> machine-form projector on T(mid).
 
     Split the projector; on the machine S x T(mid), run one step (the
     counit at S x mid) and freeze the remaining behavior at the unit
     (S x eta)."""
     ctx = k.ctx
-    cfg = config or ctx.config
     c = split_idempotent(k.projector).mid
     proj = compose(eps(ctx, prod_obj(ctx, c)), prod_mor(ctx, eta(ctx, c)))
-    return make_karm_object(ctx, t_obj(ctx, c), proj, cfg)
+    return make_karm_object(ctx, t_obj(ctx, c), proj)

@@ -122,11 +122,20 @@ def check_split_equalizer_diagram(i: Morphism, q: Morphism, f: Morphism,
                                   j: Morphism, r: Morphism,
                                   config: CheckConfig = CheckConfig()
                                   ) -> VerifyReport:
-    """Verify the split-equalizer hypotheses and the resulting biconditional.
+    """Verify the split-equalizer hypotheses and the lemma they give.
 
     Shapes: i: A -> B, q: B -> A, f, j: B -> C, r: C -> B.  Hypotheses:
-    q.i = id, r.j = id, f.r.f = j.r.f.  Then r.f must be idempotent, and
-    "i equalizes f and j" is compared against "i.q = r.f".
+    q.i = id, r.j = id, f.r.f = j.r.f.  Then r.f is idempotent and its
+    image is the equalizing set E = {x : f x = j x}: if f x = j x then
+    x = r j x = r f x, and f (r f x) = j (r f x) by the third hypothesis.
+    As q.i = id makes i injective, the lemma checked is
+
+    - "i is an equalizer of f and j" iff im i = im r.f;
+    - i.q = r.f implies that i is an equalizer (q is onto, so
+      im i = im i.q = im r.f).
+
+    The converse of the second fails: q can be any retraction of an
+    equalizing i, and i.q then differs from r.f.
     """
     a, b, c = i.dom, i.cod, f.cod
     if q.dom != b or q.cod != a or f.dom != b or j.dom != b or j.cod != c \
@@ -160,23 +169,28 @@ def check_split_equalizer_diagram(i: Morphism, q: Morphism, f: Morphism,
     is_equalizer = cone.passed and universal.passed
 
     split_eq = equal_mor(compose(q, i), rf, config, check="i.q=r.f")
-    agree = is_equalizer == split_eq.passed
-    iff = (passing("equalizer-iff-splitting",
-                   equalizer=is_equalizer, splitting=split_eq.passed)
-           if agree else
-           failing("equalizer-iff-splitting",
-                   [{"equalizer": is_equalizer,
-                     "splitting": split_eq.passed}]))
-    # The two sides of the biconditional may both be false on a valid
-    # diagram; only the hypotheses, the idempotence, and their agreement
-    # gate the verdict.  The side evaluations stay attached for reading.
-    gating = combine("split-equalizer-gate", [hyps, idem, iff])
+    image = set(i.table) == set(rf.table)
+    lemma = [_holds("splitting-implies-equalizer",
+                    is_equalizer or not split_eq.passed,
+                    equalizer=is_equalizer, splitting=split_eq.passed),
+             _holds("equalizer-iff-image", is_equalizer == image,
+                    equalizer=is_equalizer, image=image)]
+    # Either side may be false on a valid diagram; only the hypotheses, the
+    # idempotence and the lemma gate the verdict.  The side evaluations
+    # stay attached for reading.
+    gating = combine("split-equalizer-gate", [hyps, idem, *lemma])
     return VerifyReport(check="split-equalizer-diagram", status=gating.status,
                         mode=gating.mode, seed=gating.seed, cap=gating.cap,
                         witnesses=list(gating.witnesses),
-                        sub=[hyps, idem, cone, universal, split_eq, iff],
+                        sub=[hyps, idem, cone, universal, split_eq, *lemma],
                         details={"equalizer": is_equalizer,
                                  "splitting": split_eq.passed})
+
+
+def _holds(check: str, ok: bool, **facts) -> VerifyReport:
+    """A leaf for a statement about the facts: they are its details when
+    it holds and its witness when it fails."""
+    return passing(check, **facts) if ok else failing(check, [facts])
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .finset import (CheckConfig, FinSetObj, Morphism, Prod, ShapeError,
-                     compose, envelope_hom_report, envelope_holds, equal_mor,
-                     fst, pair, snd)
+from .finset import (FinSetObj, Morphism, Prod, ShapeError, compose,
+                     envelope_hom_report, envelope_holds, equal_mor, fst, pair,
+                     snd)
 from .report import (LawViolation, ObjectConditionError, VerifyReport,
                      combine, failing, passing)
 from .statemonad import StateContext, exp_mor, prod_mor, prod_obj, t_obj
@@ -148,33 +148,33 @@ def coalgebra_to_moore(c: CoalgebraStruct) -> MooreMachine:
 # checks
 
 
-def check_policy(p, config: CheckConfig | None = None) -> VerifyReport:
+def check_policy(p) -> VerifyReport:
     """Idempotence of a square machine (accepts a Policy or a MealyMachine)."""
     machine = p.machine if isinstance(p, Policy) else p
-    cfg = config or machine.ctx.config
     if machine.in_set != machine.out_set:
         raise ShapeError("idempotence needs matching input and output sets")
     m = machine.mapping
-    return equal_mor(compose(m, m), m, cfg, check="policy-idempotent")
+    return equal_mor(compose(m, m), m, machine.ctx.config,
+                     check="policy-idempotent")
 
 
-def check_compliance(f: MealyMachine, phi: Policy, psi: Policy,
-                     config: CheckConfig | None = None) -> VerifyReport:
+def check_compliance(f: MealyMachine, phi: Policy,
+                     psi: Policy) -> VerifyReport:
     """Sandwich equation and its split form, which must agree: the
     envelope hom report of the machine map between the policy maps."""
     if phi.alphabet != f.in_set or psi.alphabet != f.out_set:
         raise ShapeError("policies must sit on the machine's alphabets")
     return envelope_hom_report(f.mapping, phi.mapping, psi.mapping,
-                               config or f.ctx.config)
+                               f.ctx.config)
 
 
-def check_consistency(f: MealyMachine, phi: Policy, psi: Policy,
-                      config: CheckConfig | None = None) -> VerifyReport:
+def check_consistency(f: MealyMachine, phi: Policy,
+                      psi: Policy) -> VerifyReport:
     """Interchange equation psi . f = f . phi.
 
     Also evaluates compliance, from the same two composites, and records
     that compliance forces this equation on the instance."""
-    cfg = config or f.ctx.config
+    cfg = f.ctx.config
     if phi.alphabet != f.in_set or psi.alphabet != f.out_set:
         raise ShapeError("policies must sit on the machine's alphabets")
     f_psi = compose(f.mapping, psi.mapping)
@@ -190,14 +190,13 @@ def check_consistency(f: MealyMachine, phi: Policy, psi: Policy,
     return combine("consistency", [inter, implication], compliant=compliant)
 
 
-def stateless_consistency(f0: Morphism, phi: Policy, psi: Policy,
-                          config: CheckConfig | None = None) -> VerifyReport:
+def stateless_consistency(f0: Morphism, phi: Policy,
+                          psi: Policy) -> VerifyReport:
     """Component form of consistency for a stateless channel f0: A -> B.
 
     Checks the two pointwise equations against the policies' next/output
     components, and that the verdict agrees with the machine-form check."""
     ctx = phi.machine.ctx
-    cfg = config or ctx.config
     if f0.dom != phi.alphabet or f0.cod != psi.alphabet:
         raise ShapeError("channel must map the one alphabet to the other")
     sf = prod_mor(ctx, f0)
@@ -214,7 +213,7 @@ def stateless_consistency(f0: Morphism, phi: Policy, psi: Policy,
             equation("output-intertwines", compose(sf, psi.machine.out_map()),
                      compose(phi.machine.out_map(), f0))]
     lifted = MealyMachine(ctx=ctx, in_set=f0.dom, out_set=f0.cod, mapping=sf)
-    machine_level = check_consistency(lifted, phi, psi, cfg)
+    machine_level = check_consistency(lifted, phi, psi)
     agree = machine_level.passed == all(r.passed for r in subs)
     subs.append(passing("matches-machine-form") if agree
                 else failing("matches-machine-form",
@@ -223,8 +222,7 @@ def stateless_consistency(f0: Morphism, phi: Policy, psi: Policy,
     return combine("stateless-consistency", subs)
 
 
-def mealy_to_moore(phi: Policy,
-                   config: CheckConfig | None = None) -> MooreMachine:
+def mealy_to_moore(phi: Policy) -> MooreMachine:
     """Extract the public-pair Moore machine of a policy.
 
     States are the fixed pairs of the policy map; the readout returns the
@@ -235,9 +233,7 @@ def mealy_to_moore(phi: Policy,
     diagnostic carries the cardinalities and any public-state equation the
     would-be machine breaks."""
     from .equivalence import functor_l, make_karm_object
-    ctx = phi.machine.ctx
-    cfg = config or ctx.config
-    k = make_karm_object(ctx, phi.alphabet, phi.mapping, cfg)
+    k = make_karm_object(phi.machine.ctx, phi.alphabet, phi.mapping)
     lres = functor_l(k)  # raises ObjectConditionError with diagnostics
     i = lres.splitting.i
     m = replace(coalgebra_to_moore(lres.coalgebra), pair_labels=tuple(zip(
@@ -250,15 +246,14 @@ def mealy_to_moore(phi: Policy,
     return m
 
 
-def stateful_policy_check(g: MealyMachine, phi: Morphism, psi: Morphism,
-                          config: CheckConfig | None = None) -> VerifyReport:
+def stateful_policy_check(g: MealyMachine, phi: Morphism,
+                          psi: Morphism) -> VerifyReport:
     """Consistency of a stateful database with behavior-level policies.
 
     phi and psi are idempotent filters on whole behaviors TA and TB; the
     database g: S x A -> S x B is consistent when its behavior transport
     interchanges them.  Sampled above the cap."""
-    ctx = g.ctx
-    cfg = config or ctx.config
+    ctx, cfg = g.ctx, g.ctx.config
     ta, tb = t_obj(ctx, g.in_set), t_obj(ctx, g.out_set)
     if phi.dom != ta or phi.cod != ta or psi.dom != tb or psi.cod != tb:
         raise ShapeError("policies must sit on the behavior objects")

@@ -40,7 +40,13 @@ from .report import VerifyReport, combine
 
 @dataclass(frozen=True)
 class StateContext:
-    """A fixed state space plus the verification knobs used under it."""
+    """A fixed state space plus the verification knobs used under it.
+
+    Every check that reaches a context through its arguments reads its
+    knobs from `config` and takes none of its own; to check under other
+    knobs, build the objects under another context.  The one override is
+    `check_algebra(a, config)`, for the proof cap of the section search.
+    The context-free primitives (finset, idempotents) take a config."""
 
     state_space: FinSetObj
     config: CheckConfig = field(default_factory=CheckConfig)
@@ -376,10 +382,10 @@ def kleisli_of_mealy(ctx: StateContext, f: Morphism) -> Morphism:
 # law verifiers
 
 
-def check_adjunction_laws(adj: Adjunction, test_objs: list[FinSetObj],
-                          config: CheckConfig | None = None) -> VerifyReport:
+def check_adjunction_laws(adj: Adjunction,
+                          test_objs: list[FinSetObj]) -> VerifyReport:
     """Triangle identities plus unit/counit naturality on sampled morphisms."""
-    cfg = config or adj.ctx.config
+    cfg = adj.ctx.config
     rng = SeededRng(cfg.seed)
     subs = []
     for x in test_objs:
@@ -407,8 +413,8 @@ def check_adjunction_laws(adj: Adjunction, test_objs: list[FinSetObj],
     return combine(f"adjunction-laws[{adj.name}]", subs)
 
 
-def check_monad_laws(adj: Adjunction, test_objs: list[FinSetObj],
-                     config: CheckConfig | None = None) -> VerifyReport:
+def check_monad_laws(adj: Adjunction,
+                     test_objs: list[FinSetObj]) -> VerifyReport:
     """Laws of the monad T = RL that `adj` induces, with eta its unit and
     mu = `adj.mu`: unit laws on TX, associativity through the resolution,
     naturality of eta and mu.
@@ -433,8 +439,7 @@ def check_monad_laws(adj: Adjunction, test_objs: list[FinSetObj],
     under the default cap it is a proof at |S| = 2; at |S| = 3 and |X| = 2
     it has 816M ranks and is sampled.  The T^3 route is the test oracle.
     """
-    cfg = config or adj.ctx.config
-    ctx = adj.ctx
+    ctx, cfg = adj.ctx, adj.ctx.config
     rng = SeededRng(cfg.seed)
 
     def t(f):
@@ -470,13 +475,13 @@ def check_monad_laws(adj: Adjunction, test_objs: list[FinSetObj],
     return combine("monad-laws", subs)
 
 
-def check_comonad_laws(adj: Adjunction, test_objs: list[FinSetObj],
-                       config: CheckConfig | None = None) -> VerifyReport:
+def check_comonad_laws(adj: Adjunction,
+                       test_objs: list[FinSetObj]) -> VerifyReport:
     """Laws of the comonad G = LR that `adj` induces, with eps its counit
     and nu = `adj.nu`: counit laws, coassociativity and naturality.  Every
     domain is GB, so small objects are checked exhaustively; identities
     and random arrows are taken on `b_pres`, as in check_adjunction_laws."""
-    cfg = config or adj.ctx.config
+    cfg = adj.ctx.config
     rng = SeededRng(cfg.seed)
 
     def g(h):

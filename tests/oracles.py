@@ -521,3 +521,31 @@ def stateless_component_witnesses(ctx, f0, phi, psi):
             if b != f0(c):
                 out.append({"s": s, "a": a, "lhs": b, "rhs": f0(c)})
     return [nxt, out]
+
+
+def split_equalizer_diagrams(max_size: int):
+    """Every split-equalizer diagram with 1 <= |A| <= |B| <= |C| <=
+    max_size that meets the hypotheses q.i = id, r.j = id and
+    f.r.f = j.r.f, as plain tables (i, q, f, j, r), with the two sides
+    on plain lists: is i an equalizer of f and j, and is i.q = r.f."""
+    def maps(n, m):
+        return iproduct(range(m), repeat=n)
+
+    for na in range(1, max_size + 1):
+        for nb in range(na, max_size + 1):
+            for nc in range(nb, max_size + 1):
+                retracts = [
+                    (i, q) for i in maps(na, nb) for q in maps(nb, na)
+                    if all(q[i[x]] == x for x in range(na))]
+                sections = [
+                    (j, r) for j in maps(nb, nc) for r in maps(nc, nb)
+                    if all(r[j[x]] == x for x in range(nb))]
+                for (i, q), (j, r), f in iproduct(retracts, sections,
+                                                  maps(nb, nc)):
+                    rf = [r[f[x]] for x in range(nb)]
+                    if any(f[y] != j[y] for y in rf):
+                        continue
+                    equalizing = {x for x in range(nb) if f[x] == j[x]}
+                    yield ((na, nb, nc), (i, q, f, j, r),
+                           set(i) == equalizing and len(set(i)) == na,
+                           [i[q[x]] for x in range(nb)] == rf)

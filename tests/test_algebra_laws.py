@@ -9,6 +9,7 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -653,7 +654,7 @@ def test_section_square_agrees_with_the_tf_route():
                         f = Morphism(a.carrier, c.carrier, table=tab)
                         hom = algebra_hom_check(f, a, c)
                         new = hom and _preserves_sections(
-                            a.ctx, f, abar, cbar, cfg)
+                            a.ctx, f, abar, cbar)
                         assert new == tf_algebra_hom_check(
                             f, a, c, cfg, coretractions=(abar, cbar))
                         held += new
@@ -682,7 +683,7 @@ def test_functor_h_mor_squares_each_hom_once(monkeypatch):
                 functor_h_mor(f, w1, w2)
                 assert len(calls) == 1
                 compatible += _preserves_sections(
-                    a.ctx, f, w1.coretraction, w2.coretraction, a.ctx.config)
+                    a.ctx, f, w1.coretraction, w2.coretraction)
     assert len(ws) == 2 and 0 < compatible < 4 * len(homs)
 
 
@@ -819,6 +820,15 @@ def test_search_bound_is_decided_before_any_fiber(table_sizes, monkeypatch):
 BELOW_CAP = CheckConfig(cap=1)
 
 
+def _under(a: AlgebraStruct, config: CheckConfig) -> AlgebraStruct:
+    """The algebra a under a context that carries `config`, re-proved
+    exhaustively so that it records update."""
+    b = AlgebraStruct(ctx=replace(a.ctx, config=config), carrier=a.carrier,
+                      structure=a.structure)
+    assert check_algebra(b, EXHAUSTIVE).passed and b._update is not None
+    return b
+
+
 def test_hom_square_agrees_with_the_tf_oracle_exhaustive_and_sampled():
     """The hom square between proven algebras, gathered at every rank of
     S x A within the cap and at the check_ranks draws below it, gives the
@@ -834,23 +844,23 @@ def test_hom_square_agrees_with_the_tf_oracle_exhaustive_and_sampled():
         assert a._update is not None and BELOW_CAP.cap < n
         assert {p for ps in check_ranks(n, BELOW_CAP) for p in ps} \
             == set(range(n))
+    pairs = [(a, _under(a, BELOW_CAP)) for a in algs]
     homs = checked = 0
-    for a in algs:
-        for c in algs:
+    for a, a_below in pairs:
+        for c, c_below in pairs:
             for tab in _maps(a.carrier.card, c.carrier.card):
                 f = Morphism(a.carrier, c.carrier, table=tab)
                 want = tf_algebra_hom_check(f, a, c, ctx.config)
                 assert algebra_hom_check(f, a, c) == want
-                assert algebra_hom_check(f, a, c, config=BELOW_CAP) == want
+                assert algebra_hom_check(f, a_below, c_below) == want
                 homs += want
                 checked += 1
     assert 0 < homs < checked == 1 + 2 * 4 + 2 + 4 * 256
-    four = algs[1]
-    for cfg in (ctx.config, BELOW_CAP):
+    for four in pairs[1]:
         past = Morphism(four.carrier, four.carrier,
                         fn=lambda k: 4 if k == 3 else k)
         with pytest.raises(ShapeError, match=r"^table entry 4 at 3 "):
-            algebra_hom_check(past, four, four, config=cfg)
+            algebra_hom_check(past, four, four)
 
 
 @pytest.mark.parametrize("ny", [200, 2000])

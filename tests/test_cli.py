@@ -450,6 +450,25 @@ def test_machines_report_has_no_sampled_leaf(tmp_path):
     assert sum(r["check"].startswith("mu-assoc@") for r in leaves) == 2
 
 
+@pytest.mark.parametrize("fixture,measured,sampled", [
+    ("machines.json", 88, 16), ("policies.json", 14, 0)])
+def test_one_config_reaches_every_leaf(tmp_path, fixture, measured, sampled):
+    """The CLI builds one context from --seed, --cap and --samples, and
+    every check reads its knobs from it: at non-default knobs each leaf
+    that measured a domain carries that seed and cap, and each sampled
+    leaf that sample count."""
+    out = tmp_path / "report.json"
+    assert main(["verify-all", str(FIXTURES / fixture), "--cap", "50",
+                 "--samples", "7", "--seed", "3", "--out", str(out)]) == 0
+    leaves = _leaf_reports(json.loads(out.read_text()))
+    with_domain = [r for r in leaves if "domain" in r["details"]]
+    assert len(with_domain) == measured
+    assert {(r["seed"], r["cap"]) for r in with_domain} == {(3, 50)}
+    drawn = [r for r in leaves if r["mode"] == "sampled"]
+    assert len(drawn) == sampled
+    assert all(r["details"]["samples"] == 7 for r in drawn)
+
+
 @pytest.mark.parametrize("fixture,loaded", [("policies.json", False),
                                             ("machines.json", True)])
 def test_policy_only_spec_loads_no_algebras(tmp_path, fixture, loaded):

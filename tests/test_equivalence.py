@@ -77,7 +77,7 @@ def test_functor_r_mor_endo_homs_of_fixture(ctx2, e1_moore):
     assert [g.table for g in homs] == [[0, 1]]
     f = functor_r_mor(homs[0], c, c)
     k = functor_r(c)
-    assert consistent_hom_check(ctx2, f, k.projector, k.projector)
+    assert consistent_hom_check(ctx2, f, k.projector, k.projector).passed
 
 
 def _coalgebra_homs(ctx, c1, c2):

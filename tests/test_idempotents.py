@@ -16,7 +16,8 @@ from finkar.idempotents import (check_split_equalizer_diagram, fixed_ranks,
                                 random_split_equalizer_diagram,
                                 split_idempotent, verify_split_equalizer)
 
-from oracles import broken_at_an_undrawn_rank, list_random_idempotent
+from oracles import (broken_at_an_undrawn_rank, list_random_idempotent,
+                     split_equalizer_diagrams)
 
 THREE = Atom("Y", 3)
 E = Morphism(THREE, THREE, table=[0, 0, 2])
@@ -222,6 +223,45 @@ def test_split_equalizer_diagram_detuned_is_consistent():
     rep = check_split_equalizer_diagram(i, q, f, j, r)
     assert rep.passed
     assert rep.details == {"equalizer": False, "splitting": False}
+
+
+def test_split_equalizer_passes_an_equalizer_with_another_retraction():
+    """i = [0, 2] equalizes f = [0, 0, 2] and j = id, and q = [0, 1, 1] is
+    a retraction of it, but i.q = [0, 2, 2] is not r.f = [0, 0, 2].  The
+    diagram meets the hypotheses, so it passes: i.q = r.f is only
+    sufficient, and im i = im r.f = {0, 2} is what the gate asks."""
+    a, b = Atom("A", 2), Atom("B", 3)
+    rep = check_split_equalizer_diagram(
+        Morphism(a, b, table=[0, 2]), Morphism(b, a, table=[0, 1, 1]),
+        Morphism(b, b, table=[0, 0, 2]), identity(b), identity(b))
+    assert rep.passed, rep.to_dict()
+    assert rep.details == {"equalizer": True, "splitting": False}
+    assert {r.check: r.passed for r in rep.sub} == {
+        "hypotheses": True, "r.f-idempotent": True, "f.i=j.i": True,
+        "i-universal": True, "i.q=r.f": False,
+        "splitting-implies-equalizer": True, "equalizer-iff-image": True}
+
+
+def test_split_equalizer_census_matches_the_plain_list_oracle():
+    """Every diagram with |A| <= |B| <= |C| <= 3 that meets the hypotheses
+    (1,482 of them) passes, and its two sides are those of the plain-list
+    oracle.  They differ on 72 diagrams, all at sizes (2, 3, 3), where i
+    is an equalizer and i.q is not r.f."""
+    total, differ = 0, []
+    for sizes, tables, equalizer, splitting in split_equalizer_diagrams(3):
+        objs = {"A": Atom("A", sizes[0]), "B": Atom("B", sizes[1]),
+                "C": Atom("C", sizes[2])}
+        i, q, f, j, r = (Morphism(objs[d], objs[c], table=list(t))
+                         for (d, c), t in zip(
+                             ("AB", "BA", "BC", "BC", "CB"), tables))
+        rep = check_split_equalizer_diagram(i, q, f, j, r)
+        assert rep.passed, (tables, rep.to_dict())
+        assert rep.details == {"equalizer": equalizer, "splitting": splitting}
+        total += 1
+        if equalizer != splitting:
+            differ.append((sizes, equalizer))
+    assert total == 1482
+    assert len(differ) == 72 and set(differ) == {((2, 3, 3), True)}
 
 
 def test_split_equalizer_diagram_shape_mismatch():

@@ -145,14 +145,15 @@ def test_compliance_implies_consistency_seeded(ctx2):
     assert trials == 400 and compliant >= 100
 
 
-def _policy_triples(seed, count):
-    """Seeded (f, phi, psi) with |S|, |A|, |B| <= 3.  f is drawn at random,
+def _policy_triples(seed, count, config=CheckConfig()):
+    """Seeded (f, phi, psi) with |S|, |A|, |B| <= 3, under a context that
+    carries `config` (the draws do not depend on it).  f is drawn at random,
     or built so that one of the envelope equations holds by construction:
     f = g . psi keeps psi . f = f, f = phi . g keeps f . phi = f, and
     phi . g . psi keeps both."""
     rng = SeededRng(seed)
     for k in range(count):
-        ctx = StateContext(Atom("S", 1 + rng.below(3)))
+        ctx = StateContext(Atom("S", 1 + rng.below(3)), config)
         a, b = Atom("A", 1 + rng.below(3)), Atom("B", 1 + rng.below(3))
         sa, sb = prod_obj(ctx, a), prod_obj(ctx, b)
         phi = Policy(machine=MealyMachine(
@@ -178,9 +179,9 @@ def test_compliance_and_consistency_match_the_recomputing_oracles(
     detail is the compliance verdict.  The sampled config reads 3 ranks of
     a domain of up to 9, so sampled passes over failing maps occur too."""
     failing_equations = set()
-    for f, phi, psi in _policy_triples(2024, 400):
-        comp = check_compliance(f, phi, psi, config)
-        cons = check_consistency(f, phi, psi, config)
+    for f, phi, psi in _policy_triples(2024, 400, config):
+        comp = check_compliance(f, phi, psi)
+        cons = check_consistency(f, phi, psi)
         assert comp.to_dict() == \
             oracle_check_compliance(f, phi, psi, config).to_dict()
         assert cons.to_dict() == \
@@ -196,14 +197,16 @@ def test_compliance_and_consistency_match_the_recomputing_oracles(
         rng = SeededRng(31)
         return [stateless_consistency(
                     random_morphism(phi.alphabet, psi.alphabet, rng), phi,
-                    psi, config).to_dict() if k % 2 else
-                stateless_consistency(identity(phi.alphabet), phi, phi,
-                                      config).to_dict()
-                for k, (_, phi, psi) in enumerate(_policy_triples(77, 120))]
+                    psi).to_dict() if k % 2 else
+                stateless_consistency(identity(phi.alphabet), phi,
+                                      phi).to_dict()
+                for k, (_, phi, psi) in enumerate(
+                    _policy_triples(77, 120, config))]
 
     reports = stateless_reports()
     monkeypatch.setattr(policy_module, "check_consistency",
-                        oracle_check_consistency)
+                        lambda f, phi, psi: oracle_check_consistency(
+                            f, phi, psi, f.ctx.config))
     assert reports == stateless_reports()
     assert {r["status"] for r in reports} == {"pass", "fail"}
 

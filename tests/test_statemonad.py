@@ -1,4 +1,5 @@
 import ast
+import inspect
 from itertools import islice
 from pathlib import Path
 
@@ -449,10 +450,13 @@ def test_only_the_transposes_do_rank_arithmetic():
 
 # The only functions allowed a parameter they never read: the interface
 # stubs of Adjunction, the immutable object's __setattr__ (its signature
-# is object's) and the CLI handler that needs the environment alone.
+# is object's), the CLI handler that needs the environment alone, and
+# coretraction_of_split, whose leading ctx the split algebra determines
+# but which stays for callers that pass the arguments by position.
 UNREAD_PARAMETERS = {("statemonad", f"Adjunction.{m}") for m in (
     "left_obj", "right_obj", "left_mor", "right_mor", "unit", "counit")} | {
-    ("finset", "FinSetObj.__setattr__"), ("cli", "_cmd_verify_all")}
+    ("finset", "FinSetObj.__setattr__"), ("cli", "_cmd_verify_all"),
+    ("algebras", "coretraction_of_split")}
 
 
 def _unread_parameters(tree, module):
@@ -505,6 +509,28 @@ def test_every_parameter_is_read():
                       "class C:\n    def m(self, x):\n        return 1\n")
     assert _unread_parameters(probe, "m") == [
         ("m", "f", "b"), ("m", "f", "c"), ("m", "C.m", "x")]
+
+
+def test_checks_read_their_knobs_from_their_context():
+    """A check that holds a StateContext reads cap, samples and seed from
+    ctx.config.  Among the public functions of the modules that hold one,
+    only check_algebra takes a `config`: the section search proves the
+    laws with its cap raised to |TA|.  No `config or` fallback is left in
+    the package."""
+    from finkar import algebras, equivalence, policy
+    takers = sorted(
+        f"{module.__name__}.{name}"
+        for module in (algebras, equivalence, policy, SM)
+        for name, fn in vars(module).items()
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__
+        and not name.startswith("_")
+        and "config" in inspect.signature(fn).parameters)
+    assert takers == ["finkar.algebras.check_algebra"]
+    fallbacks = [f"{path.name}:{n}"
+                 for path in sorted(STATEMONAD.parent.glob("*.py"))
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if "config or" in line]
+    assert fallbacks == []
 
 
 def test_transpose_counit_is_identity(ctx2):

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .finset import (CheckConfig, FinSetObj, Morphism, Prod, ShapeError,
                      check_ranks, compose, equal_mor, fibers, fst, identity,
-                     inverse, lift_at, pair, snd)
+                     inverse, lift_at, pair, rows, snd)
 from .idempotents import (Splitting, fixed_ranks, is_idempotent,
                           karoubi_hom_check, split_idempotent)
 from .report import (LawViolation, VerifyReport, combine, failing,
@@ -179,24 +179,22 @@ def _operation_args(s: FinSetObj, x: FinSetObj,
 
 def moore_law_violations(ns: int, readout: list[int],
                          step: list[int]) -> list[dict]:
-    """Violations of the three public-state equations on the tables
-    readout[b] and step[b * ns + s]: readout(step(b, s)) = s,
+    """Violations of the three public-state equations on the tables readout
+    (B -> S) and step (B x S -> B, read by rows): readout(step(b, s)) = s,
     step(b, readout(b)) = b and step(step(b, s), t) = step(b, t).  Every
     (b, s, t) is tried, so an empty list is a proof."""
-    def at(b, s):
-        return step[b * ns + s]
-
+    step = rows(step, len(readout))
     bs, ss = range(len(readout)), range(ns)
     return ([{"law": "readout-after-step", "b": b, "s": s,
-              "lhs": readout[at(b, s)], "rhs": s}
-             for b in bs for s in ss if readout[at(b, s)] != s]
+              "lhs": readout[step[b][s]], "rhs": s}
+             for b in bs for s in ss if readout[step[b][s]] != s]
             + [{"law": "step-at-own-readout", "b": b,
-                "lhs": at(b, readout[b]), "rhs": b}
-               for b in bs if at(b, readout[b]) != b]
+                "lhs": step[b][readout[b]], "rhs": b}
+               for b in bs if step[b][readout[b]] != b]
             + [{"law": "step-absorbs-step", "b": b, "s": s, "t": t,
-                "lhs": at(at(b, s), t), "rhs": at(b, t)}
+                "lhs": step[step[b][s]][t], "rhs": step[b][t]}
                for b in bs for s in ss for t in ss
-               if at(at(b, s), t) != at(b, t)])
+               if step[step[b][s]][t] != step[b][t]])
 
 
 def coalgebra_components(c: CoalgebraStruct) -> tuple[list[int], list[int]]:
@@ -435,21 +433,21 @@ def search_sections(a: AlgebraStruct,
             raise SearchBoundExceeded(
                 f"section search space exceeds {search_bound}")
     preimages = fibers(al)
-    # offsets u |TA| into the free update, by the element each square
+    # the free update's rows update_u on TA, by the element each square
     # filters (fixed, below) or forces (forced)
-    free_update = _free_update(a.ctx.state_space, a.carrier).table
+    update = rows(_free_update(a.ctx.state_space, a.carrier).table, a.ctx.ns)
     fixed, below, forced = ([[] for _ in range(n)] for _ in range(3))
     sa = a._update.dom
     for u, x, v in zip(fst(sa).table, snd(sa).table, a._update.table):
-        w = u * ta.card
+        up = update[u]
         if v == x:
-            fixed[x].append(w)
+            fixed[x].append(up)
         elif v < x:
-            below[x].append((w, v))
+            below[x].append((up, v))
         else:
-            forced[v].append((w, x))
+            forced[v].append((up, x))
     choices = [[c for c in preimages.get(j, [])
-                if all(free_update[w + c] == c for w in fixed[j])]
+                if all(up[c] == c for up in fixed[j])]
                for j in range(n)]
     allowed = [set(cs) for cs in choices]
     out = []
@@ -461,12 +459,12 @@ def search_sections(a: AlgebraStruct,
             return
         cands = choices[j]
         if forced[j]:
-            w, x = forced[j][0]
-            c = free_update[w + choice[x]]
+            up, x = forced[j][0]
+            c = up[choice[x]]
             cands = [c] if c in allowed[j] and all(
-                free_update[w + choice[x]] == c for w, x in forced[j]) else []
+                up[choice[x]] == c for up, x in forced[j]) else []
         for c in cands:
-            if all(free_update[w + c] == choice[v] for w, v in below[j]):
+            if all(up[c] == choice[v] for up, v in below[j]):
                 choice[j] = c
                 extend(j + 1)
 

@@ -19,7 +19,7 @@ from .idempotents import (check_split_equalizer_diagram, karoubi_hom_check,
                           verify_split_equalizer)
 from .policy import (MealyMachine, MooreMachine, Policy, check_compliance,
                      check_consistency, check_moore, check_policy,
-                     mealy_to_moore, moore_to_coalgebra)
+                     mealy_from_components, mealy_to_moore, moore_to_coalgebra)
 from .report import (LawViolation, ObjectConditionError, VerifyReport,
                      combine, erroring, failing, passing)
 from .statemonad import (KleisliResolution, ProdExpAdjunction,
@@ -60,6 +60,7 @@ class SpecFile:
     tasks: list
     state_set: str
     machine_index: dict = field(default_factory=dict)  # name -> position
+    tables: dict = field(default_factory=dict)  # name -> its rank tables
 
     def to_json(self) -> str:
         data = {
@@ -90,12 +91,14 @@ def parse_spec(raw: bytes | str) -> SpecFile:
     if not isinstance(sets, dict) or not sets:
         raise SpecError(_pointer("sets"),
                         "need a nonempty object of labeled sets")
+    ranks = {}  # set name -> label -> rank
     for name, elems in sets.items():
         if not isinstance(elems, list) or not all(
                 isinstance(e, str) for e in elems):
             raise SpecError(_pointer("sets", name),
                             "elements must be a string list")
-        if len(set(elems)) != len(elems):
+        ranks[name] = {lbl: k for k, lbl in enumerate(elems)}
+        if len(ranks[name]) != len(elems):
             raise SpecError(_pointer("sets", name),
                             "element labels must be unique")
 
@@ -104,7 +107,7 @@ def parse_spec(raw: bytes | str) -> SpecFile:
         raise SpecError(_pointer("sets", state_set),
                         "the state set must be nonempty")
 
-    machines, machine_index = {}, {}
+    machines, machine_index, tables = {}, {}, {}
     for idx, m in enumerate(_objects(data, "machines")):
         ptr = ("machines", idx)
         name = m.get("name")
@@ -113,9 +116,9 @@ def parse_spec(raw: bytes | str) -> SpecFile:
                             "missing or duplicate machine name")
         kind = m.get("kind", "mealy")
         if kind == "mealy":
-            _validate_mealy(ptr, m, sets)
+            tables[name] = _validate_mealy(ptr, m, ranks)
         elif kind == "moore":
-            _validate_moore(ptr, m, sets)
+            tables[name] = _validate_moore(ptr, m, ranks)
         else:
             raise SpecError(_pointer(*ptr, "kind"), f"unknown kind {kind!r}")
         machines[name], machine_index[name] = m, idx
@@ -138,7 +141,7 @@ def parse_spec(raw: bytes | str) -> SpecFile:
         _validate_task(idx, t)
     return SpecFile(sets=sets, machines=machines, policies=policies,
                     tasks=tasks, state_set=state_set,
-                    machine_index=machine_index)
+                    machine_index=machine_index, tables=tables)
 
 
 def _objects(data: dict, key: str) -> list:
@@ -164,6 +167,12 @@ def _is_pair(x) -> bool:
     return isinstance(x, list) and len(x) == 2
 
 
+def _rank(ranks: dict, label) -> int | None:
+    """The rank of `label` in a set (its label -> rank dict), or None when
+    it is not one of the set's labels."""
+    return ranks.get(label) if isinstance(label, str) else None
+
+
 def _validate_task(idx: int, t: dict):
     """The command and the typed fields of one task."""
     if t.get("command") not in COMMANDS:
@@ -185,11 +194,13 @@ def _validate_task(idx: int, t: dict):
             raise SpecError(where, "must be a list of set names")
 
 
-def _validate_mealy(ptr, m, sets):
+def _validate_mealy(ptr, m, ranks) -> tuple[list[int], list[int]]:
+    """The next-state and output rank tables of a mealy machine, in the
+    rank order of S x A."""
     for key in ("stateSet", "inSet", "outSet"):
-        _known(m, key, sets, ptr, "set")
-    state, inset = sets[m["stateSet"]], sets[m["inSet"]]
-    outset = sets[m["outSet"]]
+        _known(m, key, ranks, ptr, "set")
+    state, inset = ranks[m["stateSet"]], ranks[m["inSet"]]
+    outset = ranks[m["outSet"]]
     seen = {}
     entries = m.get("map")
     if not isinstance(entries, list):
@@ -201,25 +212,32 @@ def _validate_mealy(ptr, m, sets):
                 and _is_pair(entry[1])):
             raise SpecError(eptr, "entry must be [[s,a],[s',b]]")
         (s, a), (s2, b) = entry
+        found = []
         for lbl, pool, which in ((s, state, "state"), (a, inset, "input"),
                                  (s2, state, "next state"),
                                  (b, outset, "output")):
-            if lbl not in pool:
+            found.append(_rank(pool, lbl))
+            if found[-1] is None:
                 raise SpecError(eptr, f"unknown {which} label {lbl!r}")
         if (s, a) in seen:
             raise SpecError(eptr, f"duplicate input pair [{s!r},{a!r}]")
-        seen[(s, a)] = (s2, b)
+        seen[(s, a)] = found[2:]
+    pairs = []
     for s in state:
         for a in inset:
             if (s, a) not in seen:
                 raise SpecError(_pointer(*ptr, "map"),
                                 f"map is missing the input pair [{s!r},{a!r}]")
+            pairs.append(seen[s, a])
+    return [s2 for s2, _ in pairs], [b for _, b in pairs]
 
 
-def _validate_moore(ptr, m, sets):
+def _validate_moore(ptr, m, ranks) -> tuple[list[int], list[int]]:
+    """The readout and step rank tables of a moore machine, the step in
+    the rank order of B x S."""
     for key in ("stateSet", "alphabet"):
-        _known(m, key, sets, ptr, "set")
-    states, alpha = sets[m["stateSet"]], sets[m["alphabet"]]
+        _known(m, key, ranks, ptr, "set")
+    states, alpha = ranks[m["stateSet"]], ranks[m["alphabet"]]
     readout = m.get("readout")
     if not isinstance(readout, dict):
         raise SpecError(_pointer(*ptr, "readout"),
@@ -228,8 +246,10 @@ def _validate_moore(ptr, m, sets):
         if not isinstance(letter, str):
             raise SpecError(_pointer(*ptr, "readout", b),
                             "letter must be a string")
+    letters = []
     for b in states:
-        if readout.get(b) not in alpha:
+        letters.append(_rank(alpha, readout.get(b)))
+        if letters[-1] is None:
             raise SpecError(_pointer(*ptr, "readout", b),
                             "missing or unknown letter")
     steps = m.get("step")
@@ -242,16 +262,20 @@ def _validate_moore(ptr, m, sets):
         if not (_is_pair(entry) and _is_pair(entry[0])):
             raise SpecError(eptr, "entry must be [[b,s],b']")
         (b, s), b2 = entry
-        if b not in states or s not in alpha or b2 not in states:
+        target = _rank(states, b2)
+        if None in (_rank(states, b), _rank(alpha, s), target):
             raise SpecError(eptr, "unknown label in step entry")
         if (b, s) in seen:
             raise SpecError(eptr, f"duplicate step pair [{b!r},{s!r}]")
-        seen[(b, s)] = b2
+        seen[(b, s)] = target
+    step = []
     for b in states:
         for s in alpha:
             if (b, s) not in seen:
                 raise SpecError(_pointer(*ptr, "step"),
                                 f"step is missing the pair [{b!r},{s!r}]")
+            step.append(seen[b, s])
+    return letters, step
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +288,9 @@ class Env:
 
     spec: SpecFile
     ctx: StateContext
-    atoms: dict = field(default_factory=dict)
 
     def atom(self, name: str) -> Atom:
-        if name not in self.atoms:
-            self.atoms[name] = Atom(name, len(self.spec.sets[name]))
-        return self.atoms[name]
+        return Atom(name, len(self.spec.sets[name]))
 
     def _machine(self, name: str, kind: str, over: str) -> dict:
         """Machine `name`, which must be of `kind` and have the spec's
@@ -288,31 +309,22 @@ class Env:
     def mealy(self, name: str) -> MealyMachine:
         m = self._machine(name, "mealy", "stateSet")
         inset, outset = self.atom(m["inSet"]), self.atom(m["outSet"])
-        na, nb = inset.size, outset.size
-        table = [0] * (self.ctx.ns * na)
-        for (s, a), (s2, b) in _mealy_entries(self.spec, m):
-            table[s * na + a] = s2 * nb + b
-        mapping = Morphism(prod_obj(self.ctx, inset),
-                           prod_obj(self.ctx, outset), table=table)
-        return MealyMachine(ctx=self.ctx, in_set=inset, out_set=outset,
-                            mapping=mapping)
+        nxt, out = self.spec.tables[name]
+        dom = prod_obj(self.ctx, inset)
+        return mealy_from_components(
+            self.ctx, inset, outset,
+            Morphism(dom, self.ctx.state_space, table=nxt),
+            Morphism(dom, outset, table=out))
 
     def moore(self, name: str) -> MooreMachine:
         m = self._machine(name, "moore", "alphabet")
         states = self.atom(m["stateSet"])
-        labels = self.spec.sets[m["stateSet"]]
-        alpha = self.spec.sets[m["alphabet"]]
-        readout = Morphism(states, self.ctx.state_space,
-                           table=[alpha.index(m["readout"][b])
-                                  for b in labels])
-        step_tab = [0] * (states.size * self.ctx.ns)
-        for (b, s), b2 in m["step"]:
-            step_tab[labels.index(b) * self.ctx.ns + alpha.index(s)] = \
-                labels.index(b2)
-        step = Morphism(Prod(states, self.ctx.state_space), states,
-                        table=step_tab)
-        return MooreMachine(ctx=self.ctx, state_set=states, readout=readout,
-                            step=step)
+        readout, step = self.spec.tables[name]
+        return MooreMachine(
+            ctx=self.ctx, state_set=states,
+            readout=Morphism(states, self.ctx.state_space, table=readout),
+            step=Morphism(Prod(states, self.ctx.state_space), states,
+                          table=step))
 
     def policy(self, name: str) -> Policy:
         if name not in self.spec.policies:
@@ -322,14 +334,6 @@ class Env:
         except LawViolation as exc:
             where = _pointer("policies", list(self.spec.policies).index(name))
             raise LawViolation(f"{where}: {exc}", exc.report) from None
-
-
-def _mealy_entries(spec: SpecFile, m: dict):
-    state = spec.sets[m["stateSet"]]
-    inset, outset = spec.sets[m["inSet"]], spec.sets[m["outSet"]]
-    for (s, a), (s2, b) in ((tuple(e[0]), tuple(e[1])) for e in m["map"]):
-        yield ((state.index(s), inset.index(a)),
-               (state.index(s2), outset.index(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +527,6 @@ def _cmd_split_equalizer(task, env):
     return passing("split-equalizer", trials=trials, max_size=max_size)
 
 
-def _cmd_verify_all(task, env):
-    return combine("verify-all", [run_command(t, env) for t in env.spec.tasks
-                                  if t.get("command") != "verify-all"])
-
-
 HANDLERS = {
     "check-laws": _cmd_check_laws,
     "split": _cmd_split,
@@ -536,9 +535,9 @@ HANDLERS = {
     "equiv-roundtrip": _cmd_equiv_roundtrip,
     "karoubi-check": _cmd_karoubi_check,
     "split-equalizer": _cmd_split_equalizer,
-    "verify-all": _cmd_verify_all,
 }
-COMMANDS = tuple(HANDLERS)
+# verify-all runs every other task; main dispatches it, so no task does
+COMMANDS = (*HANDLERS, "verify-all")
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +568,7 @@ def main(argv=None) -> int:
     try:
         with open(args.spec, "rb") as fh:
             spec = parse_spec(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SpecError as exc:
+    except (OSError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

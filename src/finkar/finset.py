@@ -522,6 +522,15 @@ def pair(f: Morphism, g: Morphism) -> Morphism:
         [x * ny + y for x, y in zip(f._table, g._table)]))
 
 
+def rows(table: Sequence[int], n: int) -> list[Sequence[int]]:
+    """The table of a map on X x Y, |X| = n, split into its n rows: row x
+    holds the values at (x, y), in Y's rank order."""
+    ny = len(table) // n if n else 0
+    if ny * n != len(table):
+        raise ShapeError(f"a table of length {len(table)} has no {n} rows")
+    return [table[x * ny:(x + 1) * ny] for x in range(n)]
+
+
 def inverse(m: Morphism) -> Optional[dict[int, int]]:
     """The value -> rank dict of an injective map, or None when two ranks
     share a value."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .finset import (FinSetObj, Morphism, Prod, ShapeError, compose,
+from .finset import (FinSetObj, Morphism, Prod, ShapeError, codec, compose,
                      envelope_hom_report, envelope_holds, equal_mor, fst, pair,
                      snd)
 from .report import (LawViolation, ObjectConditionError, VerifyReport,
@@ -38,10 +38,6 @@ class MealyMachine:
         if self.mapping.dom != prod_obj(self.ctx, self.in_set) \
                 or self.mapping.cod != prod_obj(self.ctx, self.out_set):
             raise ShapeError("mapping must have shape S x A -> S x B")
-
-    @property
-    def state_set(self) -> FinSetObj:
-        return self.ctx.state_space
 
     def next_map(self) -> Morphism:
         """The next-state map S x A -> S: the mapping, then pi_1."""
@@ -112,7 +108,7 @@ class MooreMachine:
             raise ShapeError("step must have shape B x S -> B")
 
     def step_at(self, b: int, s: int) -> int:
-        return self.step(b * self.ctx.ns + s)
+        return self.step(codec(self.step.dom).rank((b, s)))
 
 
 def check_moore(m: MooreMachine) -> VerifyReport:

@@ -34,6 +34,13 @@ MINIMAL = {
                "outPolicy": "id", "name": "trivial"}],
 }
 
+# A well-formed moore machine over the minimal spec's sets, for the
+# parser cases below.
+MOORE = {"name": "m", "kind": "moore", "stateSet": "S", "alphabet": "A",
+         "readout": {"s0": "a0", "s1": "a1"},
+         "step": [[[b, s], b] for b in ("s0", "s1") for s in ("a0", "a1")]}
+ID_MAP = MINIMAL["machines"][0]["map"]
+
 
 def _env(spec):
     ctx = StateContext(Atom(spec.state_set, len(spec.sets[spec.state_set])),
@@ -154,6 +161,29 @@ def test_split_task_decides_idempotence_exactly_above_the_cap(monkeypatch):
     ("tasks", 5, "/tasks"),
     ("tasks", [None], "/tasks/0"),
     ("sets", {"S": [], "A": ["a0", "a1"]}, "/sets/S"),
+    ("machines", [dict(MINIMAL["machines"][0], map=5)], "/machines/0/map"),
+    ("machines", [dict(MINIMAL["machines"][0], map=[[["s0", "a0"]]])],
+     "/machines/0/map/0"),
+    ("machines", [dict(MINIMAL["machines"][0], map=[
+        [["s0", ["a0"]], ["s0", "a0"]]])], "/machines/0/map/0"),
+    ("machines", [dict(MINIMAL["machines"][0], map=ID_MAP + ID_MAP[:1])],
+     "/machines/0/map/4"),
+    ("machines", [dict(MOORE, readout=["a0", "a1"])], "/machines/0/readout"),
+    ("machines", [dict(MOORE, readout={"s0": "a0"})],
+     "/machines/0/readout/s1"),
+    ("machines", [dict(MOORE, readout={"s0": "a0", "s1": "zz"})],
+     "/machines/0/readout/s1"),
+    ("machines", [dict(MOORE, step=[5])], "/machines/0/step/0"),
+    ("machines", [dict(MOORE, step=[[["s0", "zz"], "s0"]])],
+     "/machines/0/step/0"),
+    ("machines", [dict(MOORE, step=[[[["s0"], "a0"], "s0"]])],
+     "/machines/0/step/0"),
+    ("machines", [dict(MOORE, step=MOORE["step"] + MOORE["step"][:1])],
+     "/machines/0/step/4"),
+    ("machines", [dict(MOORE, step=MOORE["step"][:-1])], "/machines/0/step"),
+    ("machines", [dict(MINIMAL["machines"][0], outSet="S", map=[
+        [[s, a], [s, s]] for s in ("s0", "s1") for a in ("a0", "a1")])],
+     "/policies/0/machine"),
 ])
 def test_malformed_spec_is_a_spec_error(tmp_path, capsys, key, value,
                                         pointer):
@@ -202,6 +232,32 @@ def test_malformed_task_field_is_a_spec_error(tmp_path, capsys, task, field):
     path.write_text(json.dumps(bad))
     assert main(["verify-all", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: /tasks/1/{field}: ")
+
+
+def test_split_of_a_non_square_machine_is_an_error_report(tmp_path):
+    """A split task on a machine whose map is not an endomorphism (its
+    output set is not its input set) is an error report, exit 1."""
+    flip = {"name": "flip", "stateSet": "S", "inSet": "A", "outSet": "S",
+            "map": [[[s, a], [s, s]] for s in ("s0", "s1")
+                    for a in ("a0", "a1")]}
+    doc = dict(MINIMAL, machines=MINIMAL["machines"] + [flip],
+               tasks=[{"command": "split", "machine": "flip"}])
+    rep = run_command(doc["tasks"][0], _env(parse_spec(json.dumps(doc))))
+    assert rep.status == rep.sub[0].status == "error"
+    assert rep.sub[0].details == {
+        "reason": "machine map is not an endomorphism"}
+    path = tmp_path / "flip.json"
+    path.write_text(json.dumps(doc))
+    assert main(["split", str(path)]) == 1
+
+
+def test_command_with_no_task_is_a_usage_error(tmp_path, capsys):
+    """A command with no task of its kind in the spec exits 2 and says so;
+    the minimal spec holds a policy-check task only."""
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps(MINIMAL))
+    assert main(["split", str(path)]) == 2
+    assert capsys.readouterr().err == "error: no split task in spec\n"
 
 
 @pytest.mark.parametrize("change, pointer", [

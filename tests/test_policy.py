@@ -306,6 +306,17 @@ def test_moore_coalgebra_conversions(ctx2, e1_moore):
     assert back.step.table == e1_moore.step.table
 
 
+def test_step_at_rejects_an_element_out_of_range(e1_moore):
+    """step_at reads step(b, s) through the codec of B x S: a letter or a
+    state out of range is a ValueError naming it, not the entry of the
+    next state (step_at(0, 2) read step_at(1, 0)) or an IndexError."""
+    assert [e1_moore.step_at(b, s) for b in (0, 1) for s in (0, 1)] == \
+        e1_moore.step.table
+    for b, s, bad in ((0, 2, 2), (1, 2, 2), (2, 0, 2), (0, -1, -1)):
+        with pytest.raises(ValueError, match=rf"element {bad} out of range"):
+            e1_moore.step_at(b, s)
+
+
 def test_fixed_point_count_for_projector_images(ctx2):
     for nb in (1, 2, 3):
         for readout, step in brute_force_moore_machines(2, nb):

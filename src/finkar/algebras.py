@@ -16,8 +16,8 @@ from typing import Optional
 from .finset import (CheckConfig, FinSetObj, Morphism, Prod, ShapeError,
                      check_ranks, compose, equal_mor, fibers, fst, identity,
                      inverse, lift_at, pair, rows, snd)
-from .idempotents import (Splitting, fixed_ranks, is_idempotent,
-                          karoubi_hom_check, split_idempotent)
+from .idempotents import (Splitting, fixed_ranks, karoubi_hom_check,
+                          split_idempotent)
 from .report import (LawViolation, VerifyReport, combine, failing,
                      passing)
 from .statemonad import (StateContext, eps, eta, exp_mor, exp_obj, g_mor,
@@ -472,20 +472,6 @@ def search_sections(a: AlgebraStruct,
     return [Morphism(a.carrier, ta, table=t) for t in out]
 
 
-def is_projective(a: AlgebraStruct, search_bound: int = 1 << 20
-                  ) -> Optional[ProjectiveWitness]:
-    """Search for a hom-section of the structure map.
-
-    Returns a witness built from the first section in canonical search
-    order, or None.  Sections need not be unique; use search_sections to
-    enumerate them all.
-    """
-    sections = search_sections(a, search_bound)
-    if not sections:
-        return None
-    return make_witness(a, sections[0])
-
-
 # ---------------------------------------------------------------------------
 # consistent homs and the machine-form object condition
 
@@ -500,22 +486,6 @@ def consistent_hom_check(ctx: StateContext, f: Morphism, phi: Morphism,
         raise ShapeError("projectors must sit on S x dom(f) and S x cod(f)")
     return equal_mor(compose(sf, psi), compose(phi, sf), ctx.config,
                      check=check)
-
-
-def karm_object_condition(ctx: StateContext, carrier: FinSetObj,
-                          phi: Morphism) -> VerifyReport:
-    """Does the exponential transport of phi split back through the carrier?
-
-    The splitting count at power |S|, after a check that phi is an
-    idempotent endomorphism of S x carrier; a phi that is not idempotent
-    fails with that reason.
-    """
-    if phi.dom != prod_obj(ctx, carrier) or phi.cod != phi.dom:
-        raise ShapeError("expected an endomorphism of S x carrier")
-    if not is_idempotent(phi, ctx.config):
-        return failing("karm-object-condition",
-                       [{"reason": "projector is not idempotent"}])
-    return splitting_condition("karm-object-condition", carrier, phi, ctx.ns)
 
 
 def splitting_condition(check: str, carrier: FinSetObj, phi: Morphism,

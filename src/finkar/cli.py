@@ -601,8 +601,12 @@ def main(argv=None) -> int:
 
     payload = canonical_json(top.to_dict())
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return 0 if top.passed else 1

@@ -1,5 +1,5 @@
-"""The passage between machine-form projectors and coalgebras, its dual
-between behavior-level projectors and algebras, and the nucleus object maps.
+"""The passage between machine-form projectors and coalgebras, and its
+dual between behavior-level projectors and algebras.
 
 Splittings are canonical everywhere (fixed points ascending), so the
 coalgebra->projector->coalgebra round trip is the identity under a forced
@@ -328,31 +328,3 @@ def _bijection_leaf(check: str, m: Morphism
         return failing(check, [{"table": m.table}]), None
     return passing(check), Morphism(m.cod, m.dom,
                                     table=[inv[v] for v in range(len(inv))])
-
-
-# ---------------------------------------------------------------------------
-# nucleus object maps
-
-
-def nucleus_objects(k: KarmObject) -> KarcObject:
-    """Machine-form projector -> behavior-level projector on S => mid.
-
-    Split the projector, then take the unit after the exponential counit
-    on the behaviors of the mid."""
-    ctx = k.ctx
-    s = split_idempotent(k.projector)
-    carrier = exp_obj(ctx, s.mid)
-    proj = compose(exp_mor(ctx, eps(ctx, s.mid)), eta(ctx, carrier))
-    return make_karc_object(ctx, carrier, proj)
-
-
-def nucleus_objects_back(k: KarcObject) -> KarmObject:
-    """Behavior-level projector -> machine-form projector on T(mid).
-
-    Split the projector; on the machine S x T(mid), run one step (the
-    counit at S x mid) and freeze the remaining behavior at the unit
-    (S x eta)."""
-    ctx = k.ctx
-    c = split_idempotent(k.projector).mid
-    proj = compose(eps(ctx, prod_obj(ctx, c)), prod_mor(ctx, eta(ctx, c)))
-    return make_karm_object(ctx, t_obj(ctx, c), proj)

@@ -167,7 +167,8 @@ class Exp(FinSetObj):
 # Elements are represented as: int for Atom, (x, y) pair for Prod, and a
 # tuple of target elements indexed by base rank for Exp.  Exponential ranks
 # are little-endian in the domain rank: the digit at base-rank k carries
-# weight card(target)**k.
+# weight card(target)**k.  An Atom element and a rank are an int, never a
+# bool: anything else is a TypeError, not a truncated rank.
 
 
 class ElemCodec:
@@ -180,17 +181,23 @@ class ElemCodec:
         return _rank(self.obj, elem)
 
     def unrank(self, k: int):
+        _int_check("rank", k)
         if not 0 <= k < self.obj.card:
             raise ValueError(f"rank {k} out of range for card {self.obj.card}")
         return _unrank(self.obj, k)
 
 
+def _int_check(what: str, value) -> None:
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, got {value!r}")
+
+
 def _rank(obj: FinSetObj, elem) -> int:
     if isinstance(obj, Atom):
-        k = int(elem)
-        if not 0 <= k < obj.size:
+        _int_check("atom element", elem)
+        if not 0 <= elem < obj.size:
             raise ValueError(f"atom element {elem} out of range")
-        return k
+        return elem
     if isinstance(obj, Prod):
         x, y = elem
         return _rank(obj.left, x) * obj.right.card + _rank(obj.right, y)

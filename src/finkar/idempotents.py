@@ -104,20 +104,6 @@ def karoubi_hom_check(f: Morphism, phi: Morphism, psi: Morphism,
     return rep.passed
 
 
-def karoubi_compose(f: Morphism, g: Morphism, phi: Morphism, psi: Morphism,
-                    chi: Morphism,
-                    config: CheckConfig = CheckConfig()) -> Morphism:
-    """Compose envelope homs f: phi -> psi and g: psi -> chi."""
-    if not karoubi_hom_check(f, phi, psi, config):
-        raise ValueError("f is not an envelope hom from phi to psi")
-    if not karoubi_hom_check(g, psi, chi, config):
-        raise ValueError("g is not an envelope hom from psi to chi")
-    gf = compose(f, g)
-    if not karoubi_hom_check(gf, phi, chi, config):
-        raise AssertionError("composite is not an envelope hom")
-    return gf
-
-
 def check_split_equalizer_diagram(i: Morphism, q: Morphism, f: Morphism,
                                   j: Morphism, r: Morphism,
                                   config: CheckConfig = CheckConfig()
@@ -231,9 +217,20 @@ def random_section_retraction(small: FinSetObj, big: FinSetObj,
 def random_split_equalizer_diagram(rng: SeededRng, max_size: int = 8):
     """A diagram satisfying the three split-equalizer hypotheses.
 
-    Two families: a coherent one built from a projector splitting (the
-    biconditional holds with both sides true) and a detuned one whose f
-    tracks a projector with a different fixed-point set (both sides false).
+    Two families, each drawn with probability 1/2:
+
+    - coherent: f = j.e for the projector e = i.q, so r.f = i.q.  The
+      splitting holds, so `splitting-implies-equalizer` checks its
+      conclusion, and `equalizer-iff-image` holds with both sides true;
+    - detuned: f = j.e2 for a projector e2 with another fixed-point set,
+      so im r.f differs from im i.  `splitting-implies-equalizer` holds
+      with a false premise, and `equalizer-iff-image` with both sides
+      false.
+
+    The third kind of diagram, an equalizing i whose q is another
+    retraction (i.q differs from r.f), is not drawn: a detuned e2 with
+    e's fixed points is redrawn, and after 64 redraws e2 falls back to e.
+    A sampler over all three kinds is open (ROADMAP item 3).
     """
     nb = 2 + rng.below(max_size - 1)
     b = Atom("B", nb)
@@ -245,8 +242,8 @@ def random_split_equalizer_diagram(rng: SeededRng, max_size: int = 8):
     if rng.below(2) == 0:
         f = compose(e, j)
     else:
-        # A projector with a different fixed-point set keeps the detuned
-        # instance consistent (both sides of the biconditional false).
+        # A projector with a different fixed-point set makes im r.f differ
+        # from im i: no equalizer, no image match, no splitting.
         e2 = random_idempotent(b, rng)
         for _ in range(64):
             if set(fixed_ranks(e2)) != set(fixed_ranks(e)):

@@ -16,7 +16,7 @@ from .finset import (FinSetObj, Morphism, Prod, ShapeError, codec, compose,
                      snd)
 from .report import (LawViolation, ObjectConditionError, VerifyReport,
                      combine, failing, passing)
-from .statemonad import StateContext, exp_mor, prod_mor, prod_obj, t_obj
+from .statemonad import StateContext, prod_obj
 
 if TYPE_CHECKING:
     from .algebras import CoalgebraStruct
@@ -186,38 +186,6 @@ def check_consistency(f: MealyMachine, phi: Policy,
     return combine("consistency", [inter, implication], compliant=compliant)
 
 
-def stateless_consistency(f0: Morphism, phi: Policy,
-                          psi: Policy) -> VerifyReport:
-    """Component form of consistency for a stateless channel f0: A -> B.
-
-    Checks the two pointwise equations against the policies' next/output
-    components, and that the verdict agrees with the machine-form check."""
-    ctx = phi.machine.ctx
-    if f0.dom != phi.alphabet or f0.cod != psi.alphabet:
-        raise ShapeError("channel must map the one alphabet to the other")
-    sf = prod_mor(ctx, f0)
-    points = list(zip(fst(sf.dom).table, snd(sf.dom).table))  # (s, a)
-
-    def equation(check, lhs, rhs):
-        # both sides read once, as tables on S x A
-        wit = [{"s": s, "a": a, "lhs": u, "rhs": v}
-               for (s, a), u, v in zip(points, lhs.table, rhs.table) if u != v]
-        return failing(check, wit) if wit else passing(check)
-
-    subs = [equation("next-state-agrees", compose(sf, psi.machine.next_map()),
-                     phi.machine.next_map()),
-            equation("output-intertwines", compose(sf, psi.machine.out_map()),
-                     compose(phi.machine.out_map(), f0))]
-    lifted = MealyMachine(ctx=ctx, in_set=f0.dom, out_set=f0.cod, mapping=sf)
-    machine_level = check_consistency(lifted, phi, psi)
-    agree = machine_level.passed == all(r.passed for r in subs)
-    subs.append(passing("matches-machine-form") if agree
-                else failing("matches-machine-form",
-                             [{"component": all(r.passed for r in subs[:2]),
-                               "machine": machine_level.passed}]))
-    return combine("stateless-consistency", subs)
-
-
 def mealy_to_moore(phi: Policy) -> MooreMachine:
     """Extract the public-pair Moore machine of a policy.
 
@@ -240,25 +208,3 @@ def mealy_to_moore(phi: Policy) -> MooreMachine:
             "public pairs break the public-state equations",
             {**k.condition.details, "moore_violations": rep.witnesses[:3]})
     return m
-
-
-def stateful_policy_check(g: MealyMachine, phi: Morphism,
-                          psi: Morphism) -> VerifyReport:
-    """Consistency of a stateful database with behavior-level policies.
-
-    phi and psi are idempotent filters on whole behaviors TA and TB; the
-    database g: S x A -> S x B is consistent when its behavior transport
-    interchanges them.  Sampled above the cap."""
-    ctx, cfg = g.ctx, g.ctx.config
-    ta, tb = t_obj(ctx, g.in_set), t_obj(ctx, g.out_set)
-    if phi.dom != ta or phi.cod != ta or psi.dom != tb or psi.cod != tb:
-        raise ShapeError("policies must sit on the behavior objects")
-    subs = [
-        equal_mor(compose(phi, phi), phi, cfg, check="input-filter-idempotent"),
-        equal_mor(compose(psi, psi), psi, cfg, check="output-filter-idempotent"),
-    ]
-    lifted = exp_mor(ctx, g.mapping)
-    subs.append(equal_mor(compose(phi, lifted), compose(lifted, psi), cfg,
-                          check="behavior-interchange"))
-    return combine("stateful-policy-check", subs,
-                   note="filters act on whole stateful behaviors")

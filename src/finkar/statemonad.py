@@ -351,16 +351,6 @@ class KleisliResolution(Adjunction):
 # Kleisli arrows and machine forms
 
 
-def kleisli_compose(ctx: StateContext, f: Morphism, g: Morphism) -> Morphism:
-    """Compose f: A -> TB with g: B -> TC to A -> TC (mu . Tg . f)."""
-    if not (isinstance(g.dom, FinSetObj) and f.cod == t_obj(ctx, g.dom)):
-        raise ShapeError("kleisli_compose wants f: A -> T(dom g)")
-    c = g.cod
-    if not (isinstance(c, Exp) and isinstance(c.target, Prod)):
-        raise ShapeError("kleisli_compose wants g: B -> TC")
-    return compose(compose(f, t_mor(ctx, g)), mu(ctx, c.target.right))
-
-
 def mealy_of_kleisli(ctx: StateContext, f: Morphism) -> Morphism:
     """Turn f: A -> TB into its machine form S x A -> S x B."""
     c = f.cod

@@ -7,9 +7,9 @@ from finkar.algebras import (AlgebraStruct, CoalgebraStruct,
                              consistent_hom_check,
                              construct_coretraction, free_algebra, functor_h,
                              functor_h_mor, functor_k, functor_k_mor,
-                             is_projective, iso_witness_i_prime,
-                             karm_object_condition, karm_retraction,
+                             iso_witness_i_prime, karm_retraction,
                              make_witness, search_sections)
+from finkar.equivalence import make_karm_object
 from finkar.finset import (Atom, Morphism, SeededRng, ShapeError, compose,
                            equal_mor, identity)
 from finkar.idempotents import karoubi_hom_check, random_idempotent
@@ -198,17 +198,17 @@ def test_construct_coretraction_rejects_bad_retract(ctx2):
 
 
 def test_is_projective_returns_canonical_witness(ctx2, ctx1):
+    """An algebra is projective through the first hom-section in search
+    order: make_witness, which checks the witness invariants, accepts it."""
     a1 = AlgebraStruct(ctx=ctx2, carrier=Atom("A", 1),
                        structure=brute_force_algebras(ctx2, Atom("A", 1))[0])
-    w = is_projective(a1)
-    assert w is not None
-    assert w.coretraction.table == search_sections(a1)[0].table
+    w = make_witness(a1, search_sections(a1)[0])
+    assert compose(w.coretraction, a1.structure).table == [0]
     # singleton state: every algebra is an iso with inverse as witness
     x = Atom("A", 2)
     alg = AlgebraStruct(ctx=ctx1, carrier=t_obj(ctx1, x),
                         structure=mu(ctx1, x))
-    w1 = is_projective(alg)
-    assert w1 is not None
+    w1 = make_witness(alg, search_sections(alg)[0])
     assert compose(w1.coretraction, alg.structure).table == \
         list(range(alg.carrier.card))
 
@@ -234,17 +234,17 @@ def test_compliant_vs_consistent_strictness(ctx2):
 
 def test_karm_object_condition_fixture_cardinalities(ctx2, e2_policy):
     g = e2_policy.alphabet
-    rep = karm_object_condition(ctx2, g, e2_policy.mapping)
+    rep = make_karm_object(ctx2, g, e2_policy.mapping).condition
     assert rep.passed
     assert rep.details == {"image_card": 4, "carrier_card": 4,
                            "fixed_points": 2}
     a = Atom("A", 2)
     sa = prod_obj(ctx2, a)
-    rep = karm_object_condition(ctx2, a, identity(sa))
+    rep = make_karm_object(ctx2, a, identity(sa)).condition
     assert rep.status == "fail"
     assert rep.details["image_card"] == 16 and rep.details["carrier_card"] == 2
     keep_state = Morphism(sa, sa, table=[0, 1, 0, 1])  # (s,x) |-> (s0,x)
-    rep = karm_object_condition(ctx2, a, keep_state)
+    rep = make_karm_object(ctx2, a, keep_state).condition
     assert rep.status == "fail"
     assert rep.details["image_card"] == 4 and rep.details["carrier_card"] == 2
 
@@ -259,7 +259,7 @@ def test_karm_object_condition_matches_direct_image(ctx2):
             phi = random_idempotent(sx, rng)
             lifted = exp_mor(ctx2, phi)
             direct = len({lifted(t) for t in range(t_obj(ctx2, x).card)})
-            rep = karm_object_condition(ctx2, x, phi)
+            rep = make_karm_object(ctx2, x, phi).condition
             assert rep.details["image_card"] == direct
 
 
@@ -279,7 +279,7 @@ def test_karm_retraction_rejects_degenerate(ctx2):
     x = Atom("X", 4)
     sx = prod_obj(ctx2, x)
     phi = Morphism(sx, sx, table=[0, 0, 0, 0, 4, 4, 4, 4])  # (s,x)->(s,0)
-    assert karm_object_condition(ctx2, x, phi).passed  # 2^2 = 4 = |X|
+    assert make_karm_object(ctx2, x, phi).condition.passed  # 2^2 = 4 = |X|
     with pytest.raises(ValueError):
         karm_retraction(ctx2, x, phi)
 

@@ -260,6 +260,18 @@ def test_command_with_no_task_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: no split task in spec\n"
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    """An --out path that cannot be written exits 2 with `error: ...`, not
+    a traceback and exit 1, which means a check failed."""
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps(MINIMAL))
+    out = tmp_path / "missing" / "report.json"
+    assert main(["policy-check", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: ")
+    assert str(out) in err and not out.exists()
+
+
 @pytest.mark.parametrize("change, pointer", [
     ({"sets": {"a/b": [], "A": ["a0", "a1"]}, "stateSet": "a/b"},
      "/sets/a~1b"),

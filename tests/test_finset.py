@@ -169,6 +169,25 @@ def test_codec_rejects_out_of_range():
         c.rank(5)
 
 
+@pytest.mark.parametrize("bad", [1.9, 1.0, True, "1", None], ids=repr)
+def test_codec_rejects_a_non_int_element_or_rank(bad, e1_moore):
+    """An Atom element and a rank are an int and not a bool.  A float, a
+    bool, a numeric string or None is a TypeError or a ValueError wherever
+    it sits in an element, never a truncated rank."""
+    a, b = Atom("A", 2), Atom("B", 2)
+    cases = [(a, bad), (Prod(a, b), (bad, 0)), (Prod(a, b), (1, bad)),
+             (Prod(a, b), ("1", 0.5)), (Exp(a, b), (0, bad)),
+             (Exp(a, b), bad)]
+    for obj, elem in cases:
+        with pytest.raises((TypeError, ValueError)):
+            codec(obj).rank(elem)
+        with pytest.raises((TypeError, ValueError)):
+            codec(obj).unrank(bad)
+    for letter, state in ((bad, 0), (0, bad)):
+        with pytest.raises((TypeError, ValueError)):
+            e1_moore.step_at(letter, state)
+
+
 def test_identity_tables():
     assert identity(Atom("A", 3)).table == [0, 1, 2]
     sa = Prod(Atom("S", 2), Atom("A", 2))

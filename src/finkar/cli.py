@@ -11,12 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .finset import Atom, CheckConfig, Morphism, Prod, SeededRng
-from .idempotents import (check_split_equalizer_diagram, karoubi_hom_check,
-                          random_split_equalizer_diagram, split_idempotent,
-                          verify_split_equalizer)
 from .policy import (MealyMachine, MooreMachine, Policy, check_compliance,
                      check_consistency, check_moore, check_policy,
                      mealy_from_components, mealy_to_moore, moore_to_coalgebra)
@@ -50,17 +46,24 @@ def _pointer(*tokens) -> str:
                    for t in tokens)
 
 
-@dataclass
 class SpecFile:
-    """A validated problem file: labeled sets, machines, policies, tasks."""
+    """A validated problem file: labeled sets, machines, policies, tasks.
 
-    sets: dict  # name -> list of element labels
-    machines: dict  # name -> machine description dict
-    policies: dict  # name -> machine name
-    tasks: list
-    state_set: str
-    machine_index: dict = field(default_factory=dict)  # name -> position
-    tables: dict = field(default_factory=dict)  # name -> its rank tables
+    By name: `sets` holds each set's element labels, `machines` each
+    machine's description dict, `policies` each policy's machine name,
+    `machine_index` each machine's position and `tables` its rank tables.
+    """
+
+    __slots__ = ("sets", "machines", "policies", "tasks", "state_set",
+                 "machine_index", "tables")
+
+    def __init__(self, sets: dict, machines: dict, policies: dict,
+                 tasks: list, state_set: str,
+                 machine_index: dict | None = None, tables: dict | None = None):
+        self.sets, self.machines, self.policies = sets, machines, policies
+        self.tasks, self.state_set = tasks, state_set
+        self.machine_index = {} if machine_index is None else machine_index
+        self.tables = {} if tables is None else tables
 
     def to_json(self) -> str:
         data = {
@@ -282,12 +285,13 @@ def _validate_moore(ptr, m, ranks) -> tuple[list[int], list[int]]:
 # realization of spec values
 
 
-@dataclass
 class Env:
     """Spec objects realized over a shared state context."""
 
-    spec: SpecFile
-    ctx: StateContext
+    __slots__ = ("spec", "ctx")
+
+    def __init__(self, spec: SpecFile, ctx: StateContext):
+        self.spec, self.ctx = spec, ctx
 
     def atom(self, name: str) -> Atom:
         return Atom(name, len(self.spec.sets[name]))
@@ -416,6 +420,9 @@ def _cmd_check_laws(task, env):
 
 
 def _cmd_split(task, env):
+    # the split, karoubi-check and split-equalizer handlers import
+    # idempotents where they run, so a policy-only spec does not load it
+    from .idempotents import split_idempotent, verify_split_equalizer
     machine = env.mealy(task["machine"])
     m = machine.mapping
     if m.dom != m.cod:
@@ -500,6 +507,7 @@ def _cmd_equiv_roundtrip(task, env):
 
 
 def _cmd_karoubi_check(task, env):
+    from .idempotents import karoubi_hom_check
     machine = env.mealy(task["machine"])
     phi = env.policy(task["inPolicy"])
     psi = env.policy(task["outPolicy"])
@@ -511,6 +519,8 @@ def _cmd_karoubi_check(task, env):
 
 
 def _cmd_split_equalizer(task, env):
+    from .idempotents import (check_split_equalizer_diagram,
+                              random_split_equalizer_diagram)
     trials = task.get("trials", 100)
     max_size = task.get("maxSize", 8)
     rng = SeededRng(env.ctx.config.seed)

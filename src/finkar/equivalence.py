@@ -9,8 +9,6 @@ mutually inverse consistent isos.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebras import (AlgebraStruct, CoalgebraStruct, SplitAlgebra,
                        algebra_hom_check, carve_algebra, check_algebra,
                        check_coalgebra, coalgebra_components,
@@ -27,43 +25,42 @@ from .statemonad import (StateContext, eps, eta, exp_mor, exp_obj,
                          transpose_up)
 
 
-@dataclass(frozen=True)
 class KarmObject:
     """A carrier X with an idempotent machine-form map on S x X."""
 
-    ctx: StateContext
-    carrier: FinSetObj
-    projector: Morphism
-    condition: VerifyReport
+    __slots__ = ("ctx", "carrier", "projector", "condition")
 
-    def __post_init__(self):
-        if self.projector.dom != prod_obj(self.ctx, self.carrier) \
-                or self.projector.cod != self.projector.dom:
+    def __init__(self, ctx: StateContext, carrier: FinSetObj,
+                 projector: Morphism, condition: VerifyReport):
+        if projector.dom != prod_obj(ctx, carrier) \
+                or projector.cod != projector.dom:
             raise ShapeError("projector must be an endo on S x carrier")
+        self.ctx, self.carrier, self.projector = ctx, carrier, projector
+        self.condition = condition
 
 
-@dataclass(frozen=True)
 class KarcObject:
     """A carrier B with an idempotent behavior-level map on TB."""
 
-    ctx: StateContext
-    carrier: FinSetObj
-    projector: Morphism
+    __slots__ = ("ctx", "carrier", "projector")
 
-    def __post_init__(self):
-        if self.projector.dom != t_obj(self.ctx, self.carrier) \
-                or self.projector.cod != self.projector.dom:
+    def __init__(self, ctx: StateContext, carrier: FinSetObj,
+                 projector: Morphism):
+        if projector.dom != t_obj(ctx, carrier) \
+                or projector.cod != projector.dom:
             raise ShapeError("projector must be an endo on T(carrier)")
+        self.ctx, self.carrier, self.projector = ctx, carrier, projector
 
 
-@dataclass(frozen=True)
 class EquivWitness:
     """Outcome of a round trip: the image object, the iso pair, reports."""
 
-    obj: object
-    forward: Morphism
-    backward: Morphism
-    report: VerifyReport
+    __slots__ = ("obj", "forward", "backward", "report")
+
+    def __init__(self, obj: object, forward: Morphism, backward: Morphism,
+                 report: VerifyReport):
+        self.obj, self.forward, self.backward = obj, forward, backward
+        self.report = report
 
 
 def make_karm_object(ctx: StateContext, carrier: FinSetObj,
@@ -120,12 +117,14 @@ def functor_r_mor(g: Morphism, c1: CoalgebraStruct,
     return f
 
 
-@dataclass(frozen=True)
 class LResult:
-    """A coalgebra carved out of a projector, with the splitting it used."""
+    """A coalgebra carved out of a projector, with the splitting it used,
+    whose i lists the public pairs inside S x X."""
 
-    coalgebra: CoalgebraStruct
-    splitting: Splitting  # i lists the public pairs inside S x X
+    __slots__ = ("coalgebra", "splitting")
+
+    def __init__(self, coalgebra: CoalgebraStruct, splitting: Splitting):
+        self.coalgebra, self.splitting = coalgebra, splitting
 
 
 def functor_l(k: KarmObject, *, force: bool = False) -> LResult:

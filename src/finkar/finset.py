@@ -27,17 +27,17 @@ property returns it unchecked).  The tables built here from checked
 ones, by `compose`, `pair` and `lift`, are trusted: adopted without a
 copy or a scan.  An evaluator's values are not checked; the package
 builds its evaluators from maps read through `checked_at`, and a table
-gathered from one is checked like a table passed in.  An error names the
-domain rank of the first value out of range.
+gathered from one is checked like a table passed in.  An entry that is
+not an int (a bool included) is a TypeError, one out of range a
+ShapeError; either names the domain rank of the first bad entry.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, islice
-from operator import ne
+from operator import countOf, ne
 from threading import Lock
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -359,9 +359,13 @@ class _Rankwise:
 
 
 def _range_check(table: list[int], n: int, ranks=None):
-    if table and not (0 <= min(table) and max(table) < n):
-        k = next(k for k, v in enumerate(table) if not 0 <= v < n)
+    if table and not (countOf(map(type, table), int) == len(table)
+                      and 0 <= min(table) and max(table) < n):
+        k = next(k for k, v in enumerate(table)
+                 if type(v) is not int or not 0 <= v < n)
         at = k if ranks is None else ranks[k]
+        if type(table[k]) is not int:
+            raise TypeError(f"table entry {table[k]!r} at {at} is not an int")
         raise ShapeError(f"table entry {table[k]} at {at} not in [0,{n})")
 
 
@@ -594,25 +598,38 @@ class SeededRng:
         return out
 
 
-@dataclass(frozen=True)
+def random_morphism(dom: FinSetObj, cod: FinSetObj, rng: SeededRng) -> Morphism:
+    return Morphism(dom, cod,
+                    table=[rng.below(cod.card) for _ in range(dom.card)])
+
+
 class CheckConfig:
     """Determinism knobs for every verifier.
 
     Equality checks are exhaustive when card(dom) <= cap and otherwise
     sample `samples` domain ranks from a splitmix64 stream.  A check must
     evaluate at least one point, so `samples` must be positive and `cap`
-    nonnegative.
+    nonnegative.  Configs are values: equal knobs compare and hash equal,
+    and a config keys caches, so it is not changed once built.
     """
 
-    cap: int = 100000
-    samples: int = 10000
-    seed: int = 0
+    __slots__ = ("cap", "samples", "seed")
 
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be at least 1, got {self.samples}")
-        if self.cap < 0:
-            raise ValueError(f"cap must be nonnegative, got {self.cap}")
+    def __init__(self, cap: int = 100000, samples: int = 10000,
+                 seed: int = 0):
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        if cap < 0:
+            raise ValueError(f"cap must be nonnegative, got {cap}")
+        self.cap, self.samples, self.seed = cap, samples, seed
+
+    def __eq__(self, other):
+        return type(other) is CheckConfig and (
+            self.cap, self.samples, self.seed) == (
+            other.cap, other.samples, other.seed)
+
+    def __hash__(self):
+        return hash((self.cap, self.samples, self.seed))
 
 
 # ---------------------------------------------------------------------------

@@ -8,25 +8,24 @@ composition is inherited composition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .finset import (BLOCK, Atom, CheckConfig, FinSetObj, Morphism,
                      SeededRng, ShapeError, compose, envelope_hom_report,
                      equal_mor, fibers, identity, image_factor, inverse)
 from .report import VerifyReport, combine, failing, passing
 
 
-@dataclass(frozen=True)
 class Splitting:
-    """A projector together with its epi-mono factorization through mid.
+    """A projector together with its epi-mono factorization through mid:
+    q: Y -> mid and i: mid -> Y.
 
     Satisfies compose(q, i) = projector and compose(i, q) = identity(mid).
     """
 
-    projector: Morphism
-    mid: FinSetObj
-    q: Morphism  # Y -> mid
-    i: Morphism  # mid -> Y
+    __slots__ = ("projector", "mid", "q", "i")
+
+    def __init__(self, projector: Morphism, mid: FinSetObj, q: Morphism,
+                 i: Morphism):
+        self.projector, self.mid, self.q, self.i = projector, mid, q, i
 
 
 def is_idempotent(e: Morphism, config: CheckConfig = CheckConfig()) -> bool:
@@ -181,11 +180,6 @@ def _holds(check: str, ok: bool, **facts) -> VerifyReport:
 
 # ---------------------------------------------------------------------------
 # seeded generators (used by the test suite and the CLI battery)
-
-
-def random_morphism(dom: FinSetObj, cod: FinSetObj, rng: SeededRng) -> Morphism:
-    return Morphism(dom, cod,
-                    table=[rng.below(cod.card) for _ in range(dom.card)])
 
 
 def random_idempotent(obj: FinSetObj, rng: SeededRng) -> Morphism:

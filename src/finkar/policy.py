@@ -8,7 +8,6 @@ carry a Moore machine satisfying the three public-state equations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .finset import (FinSetObj, Morphism, Prod, ShapeError, codec, compose,
@@ -25,19 +24,18 @@ if TYPE_CHECKING:
 # runs, so the compliance and consistency checks load neither.
 
 
-@dataclass(frozen=True)
 class MealyMachine:
     """A map S x A -> S x B: next state and output for each state/input."""
 
-    ctx: StateContext
-    in_set: FinSetObj
-    out_set: FinSetObj
-    mapping: Morphism
+    __slots__ = ("ctx", "in_set", "out_set", "mapping")
 
-    def __post_init__(self):
-        if self.mapping.dom != prod_obj(self.ctx, self.in_set) \
-                or self.mapping.cod != prod_obj(self.ctx, self.out_set):
+    def __init__(self, ctx: StateContext, in_set: FinSetObj,
+                 out_set: FinSetObj, mapping: Morphism):
+        if mapping.dom != prod_obj(ctx, in_set) \
+                or mapping.cod != prod_obj(ctx, out_set):
             raise ShapeError("mapping must have shape S x A -> S x B")
+        self.ctx, self.in_set, self.out_set = ctx, in_set, out_set
+        self.mapping = mapping
 
     def next_map(self) -> Morphism:
         """The next-state map S x A -> S: the mapping, then pi_1."""
@@ -62,18 +60,18 @@ def mealy_from_components(ctx: StateContext, in_set: FinSetObj,
                         mapping=pair(nxt, out))
 
 
-@dataclass(frozen=True)
 class Policy:
     """An idempotent machine on a single alphabet; validated eagerly."""
 
-    machine: MealyMachine
+    __slots__ = ("machine",)
 
-    def __post_init__(self):
-        if self.machine.in_set != self.machine.out_set:
+    def __init__(self, machine: MealyMachine):
+        if machine.in_set != machine.out_set:
             raise ShapeError("a policy needs matching input and output sets")
-        rep = check_policy(self.machine)
+        rep = check_policy(machine)
         if not rep.passed:
             raise LawViolation("policy map is not idempotent", rep)
+        self.machine = machine
 
     @property
     def mapping(self) -> Morphism:
@@ -84,28 +82,26 @@ class Policy:
         return self.machine.in_set
 
 
-@dataclass(frozen=True)
 class MooreMachine:
-    """Public-pair states with a readout into S and a step over S.
+    """Public-pair states B with a readout B -> S and a step B x S -> B,
+    and optionally the (state, input) rank pair each state stands for.
 
     Satisfies (verified, not assumed) the three equations:
     readout(step(b, s)) = s, step(b, readout(b)) = b, and
     step(step(b, s), t) = step(b, t).
     """
 
-    ctx: StateContext
-    state_set: FinSetObj
-    readout: Morphism  # B -> S
-    step: Morphism     # Prod(B, S) -> B
-    pair_labels: tuple = ()  # optional (state, input) rank pairs per state
+    __slots__ = ("ctx", "state_set", "readout", "step", "pair_labels")
 
-    def __post_init__(self):
-        if self.readout.dom != self.state_set \
-                or self.readout.cod != self.ctx.state_space:
+    def __init__(self, ctx: StateContext, state_set: FinSetObj,
+                 readout: Morphism, step: Morphism, pair_labels: tuple = ()):
+        if readout.dom != state_set or readout.cod != ctx.state_space:
             raise ShapeError("readout must have shape B -> S")
-        if self.step.dom != Prod(self.state_set, self.ctx.state_space) \
-                or self.step.cod != self.state_set:
+        if step.dom != Prod(state_set, ctx.state_space) \
+                or step.cod != state_set:
             raise ShapeError("step must have shape B x S -> B")
+        self.ctx, self.state_set, self.readout = ctx, state_set, readout
+        self.step, self.pair_labels = step, pair_labels
 
     def step_at(self, b: int, s: int) -> int:
         return self.step(codec(self.step.dom).rank((b, s)))
@@ -200,7 +196,8 @@ def mealy_to_moore(phi: Policy) -> MooreMachine:
     k = make_karm_object(phi.machine.ctx, phi.alphabet, phi.mapping)
     lres = functor_l(k)  # raises ObjectConditionError with diagnostics
     i = lres.splitting.i
-    m = replace(coalgebra_to_moore(lres.coalgebra), pair_labels=tuple(zip(
+    m = coalgebra_to_moore(lres.coalgebra)
+    m = MooreMachine(m.ctx, m.state_set, m.readout, m.step, tuple(zip(
         compose(i, fst(i.cod)).table, compose(i, snd(i.cod)).table)))
     rep = check_moore(m)
     if not rep.passed:

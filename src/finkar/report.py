@@ -2,32 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class VerifyReport:
     """Outcome of one check: pass/fail/error plus witnesses and sub-reports.
 
-    A failing report carries at least one witness; a sampled report records
-    its sample count in `details`.
+    `mode` is exhaustive or sampled.  A failing report carries at least one
+    witness; a sampled report records its sample count in `details`.
+    `witnesses`, `sub` and `details` default to a fresh list or dict per
+    report.
     """
 
-    check: str
-    status: str  # pass | fail | error
-    mode: str = "exhaustive"  # exhaustive | sampled
-    seed: int = 0
-    cap: int = 0
-    witnesses: list = field(default_factory=list)
-    sub: list["VerifyReport"] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    __slots__ = ("check", "status", "mode", "seed", "cap", "witnesses",
+                 "sub", "details")
 
-    def __post_init__(self):
-        if self.status not in ("pass", "fail", "error"):
-            raise ValueError(f"bad status {self.status!r}")
-        if self.status == "fail" and not self.witnesses and not any(
-                not r.passed for r in self.sub):
+    def __init__(self, check: str, status: str, mode: str = "exhaustive",
+                 seed: int = 0, cap: int = 0, witnesses: list | None = None,
+                 sub: list[VerifyReport] | None = None,
+                 details: dict | None = None):
+        if status not in ("pass", "fail", "error"):
+            raise ValueError(f"bad status {status!r}")
+        if status == "fail" and not witnesses and not any(
+                not r.passed for r in sub or ()):
             raise ValueError("failing report needs a witness or failing sub")
+        self.check, self.status, self.mode = check, status, mode
+        self.seed, self.cap = seed, cap
+        self.witnesses = [] if witnesses is None else witnesses
+        self.sub = [] if sub is None else sub
+        self.details = {} if details is None else details
 
     @property
     def passed(self) -> bool:

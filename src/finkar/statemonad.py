@@ -27,18 +27,15 @@ them from its unit and counit.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from functools import wraps
 from threading import Lock
 
 from .finset import (EAGER_LIMIT, CheckConfig, Exp, FinSetObj, Morphism,
                      Prod, ShapeError, SeededRng, checked_at, compose,
-                     equal_mor, from_blocks, identity, lift)
-from .idempotents import random_morphism
+                     equal_mor, from_blocks, identity, lift, random_morphism)
 from .report import VerifyReport, combine
 
 
-@dataclass(frozen=True)
 class StateContext:
     """A fixed state space plus the verification knobs used under it.
 
@@ -46,14 +43,24 @@ class StateContext:
     knobs from `config` and takes none of its own; to check under other
     knobs, build the objects under another context.  The one override is
     `check_algebra(a, config)`, for the proof cap of the section search.
-    The context-free primitives (finset, idempotents) take a config."""
+    The context-free primitives (finset, idempotents) take a config.
+    Contexts are values, like configs: equal ones compare and hash equal,
+    and they key caches (`free_algebra`)."""
 
-    state_space: FinSetObj
-    config: CheckConfig = field(default_factory=CheckConfig)
+    __slots__ = ("state_space", "config")
 
-    def __post_init__(self):
-        if self.state_space.card < 1:
+    def __init__(self, state_space: FinSetObj,
+                 config: CheckConfig = CheckConfig()):
+        if state_space.card < 1:
             raise ValueError("state space must be inhabited")
+        self.state_space, self.config = state_space, config
+
+    def __eq__(self, other):
+        return type(other) is StateContext and (
+            self.state_space, self.config) == (other.state_space, other.config)
+
+    def __hash__(self):
+        return hash((self.state_space, self.config))
 
     @property
     def ns(self) -> int:

@@ -29,9 +29,9 @@ from finkar.equivalence import (ObjectConditionError,
                                 dual_lr_identity_report, dual_r, functor_l,
                                 functor_r, lr_identity_report, roundtrip_rl)
 from finkar.finset import (Atom, CheckConfig, Morphism, Prod, SeededRng,
-                           compose, equal_mor, identity)
+                           compose, equal_mor, identity, random_morphism)
 from finkar.idempotents import (check_split_equalizer_diagram,
-                                random_idempotent, random_morphism,
+                                random_idempotent,
                                 random_split_equalizer_diagram,
                                 split_idempotent, verify_split_equalizer)
 from finkar.policy import (MealyMachine, MooreMachine, Policy,

@@ -9,7 +9,6 @@ import ast
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -427,8 +426,9 @@ def test_extend_and_the_hom_square_build_no_map():
 
 
 def test_free_algebra_is_built_once_per_context_and_carrier():
-    """free_algebra returns the same object for the same (ctx, x), and a
-    new one for another carrier or context; check_algebra on the shared
+    """free_algebra returns the same object for the same (ctx, x), also
+    when an equal context is built apart, and a new one for another
+    carrier or context; check_algebra on the shared
     algebra passes and leaves an update record equal to the closed form
     at every rank."""
     ctx = StateContext(Atom("S", 2))
@@ -437,6 +437,7 @@ def test_free_algebra_is_built_once_per_context_and_carrier():
     closed = fa._update.at(range(fa._update.dom.card))
     assert free_algebra(ctx, x) is fa
     assert free_algebra(StateContext(Atom("S", 2)), Atom("X", 2)) is fa
+    assert free_algebra(StateContext(Atom("S", 2), CheckConfig()), x) is fa
     assert free_algebra(ctx, Atom("X", 1)) is not fa
     assert free_algebra(StateContext(Atom("S", 2), CheckConfig(seed=1)),
                         x) is not fa
@@ -823,8 +824,8 @@ BELOW_CAP = CheckConfig(cap=1)
 def _under(a: AlgebraStruct, config: CheckConfig) -> AlgebraStruct:
     """The algebra a under a context that carries `config`, re-proved
     exhaustively so that it records update."""
-    b = AlgebraStruct(ctx=replace(a.ctx, config=config), carrier=a.carrier,
-                      structure=a.structure)
+    b = AlgebraStruct(ctx=StateContext(a.ctx.state_space, config),
+                      carrier=a.carrier, structure=a.structure)
     assert check_algebra(b, EXHAUSTIVE).passed and b._update is not None
     return b
 

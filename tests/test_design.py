@@ -1,8 +1,12 @@
-"""Package-wide design guards: each reads the `ast` of every module of the
-package, parsed once, and keeps one rule of the design."""
+"""Package-wide design guards, each keeping one rule of the design: all but
+the last read the `ast` of every module of the package, parsed once, and
+the last runs the CLI in a fresh interpreter."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -219,3 +223,45 @@ def test_every_definition_has_a_caller():
     probe = ast.parse("X = f\ndef main():\n    return g.h()\n"
                       "def f(): pass\ndef h(): pass\ndef k(): pass\n")
     assert _unreached([("m", probe)], {"main"}) == [("m", "k", 6)]
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+def test_no_module_imports_dataclasses():
+    """The records are plain classes with slots: importing `dataclasses`
+    loads `inspect`, `ast`, `dis` and `tokenize`, and it and the
+    decoration cost every CLI process milliseconds of start-up."""
+    found = [f"{m}:{node.lineno}" for m, tree in _modules()
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.Import) and any(
+                 a.name.split(".")[0] == "dataclasses" for a in node.names))
+             or (isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[0] == "dataclasses")]
+    assert found == []
+
+
+def test_a_policy_only_run_loads_only_what_it_runs(tmp_path):
+    """`verify-all` on a spec of policy checks, in a fresh interpreter,
+    loads neither `dataclasses` nor `inspect`, nor the idempotents,
+    algebras and equivalence layers, which only other commands run.  The
+    modules are diffed against those loaded before finkar, so site hooks
+    do not count."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from finkar.cli import main\n"
+        f"code = main(['verify-all', {str(ROOT / 'fixtures/policies.json')!r},"
+        f" '--out', {str(tmp_path / 'report.json')!r}])\n"
+        "print(code, sorted(set(sys.modules) - before))\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    r = subprocess.run([sys.executable, "-c", script], env=env,
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    code, loaded = r.stdout.split(" ", 1)
+    assert code == "0"
+    loaded = set(ast.literal_eval(loaded))
+    assert {"finkar.cli", "finkar.policy"} <= loaded
+    assert loaded & {"dataclasses", "inspect", "finkar.idempotents",
+                     "finkar.algebras", "finkar.equivalence"} == set()

@@ -21,7 +21,7 @@ from finkar.finset import (BLOCK, EAGER_LIMIT, KEEP_DRAWS, Atom,
                            equal_mor, fibers, from_fn, fst, identity,
                            image_factor, inverse, lift, lift_at, pair, snd,
                            splitmix64)
-from finkar.report import VerifyReport
+from finkar.report import VerifyReport, passing
 from oracles import digits, pack
 
 
@@ -256,6 +256,25 @@ def test_table_validation_names_first_offending_index():
         compose(Morphism(b, a, table=[0, 5, 1]), lazy_b)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None], ids=repr)
+def test_table_rejects_a_non_int_entry(bad):
+    """A table entry is an int and not a bool: a bool, a float, a numeric
+    string or None is a TypeError naming its rank, in a table passed in
+    and in values read from fn, below and above EAGER_LIMIT.  A bool
+    entry would otherwise reach a witness as `true`."""
+    a = Atom("A", 2)
+    with pytest.raises(TypeError, match=" at 1 is not an int"):
+        Morphism(a, a, table=[0, bad])
+    with pytest.raises(TypeError, match=" at 1 is not an int"):
+        equal_mor(Morphism(a, a, fn=lambda k: bad if k else 0), identity(a))
+    with pytest.raises(TypeError, match=" at 1 is not an int"):
+        from_fn(a, a, lambda k: bad if k else 0)
+    big = Morphism(Atom("big", EAGER_LIMIT + 1), a,
+                   fn=lambda k: bad if k == 5 else 0)
+    with pytest.raises(TypeError, match=" at 5 is not an int"):
+        big.at(range(3, 8))
+
+
 def test_gathers_from_materialized_lazy_maps_are_range_checked():
     """A table materialized from `fn` is not a checked one: a gather from
     it is range-checked, as one from the unmaterialized map is, and the
@@ -410,6 +429,26 @@ def test_check_config_rejects_vacuous_knobs():
         with pytest.raises(ValueError):
             CheckConfig(**kw)
     assert CheckConfig(cap=0, samples=1).samples == 1
+
+
+def test_check_configs_are_values():
+    """Equal knobs compare and hash equal, so two equal configs key the
+    same cache entry (through StateContext); other knobs compare unequal."""
+    a, b = CheckConfig(cap=5, samples=7, seed=3), CheckConfig(5, 7, 3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert CheckConfig() == CheckConfig(100000, 10000, 0)
+    for kw in ({"cap": 6}, {"samples": 8}, {"seed": 4}):
+        assert a != CheckConfig(**{"cap": 5, "samples": 7, "seed": 3, **kw})
+
+
+def test_reports_share_no_default_list_or_dict():
+    """Each report gets its own witnesses, sub and details, so filling in
+    one report (as cli's split handler fills in details) leaves every
+    other report as it was."""
+    for a, b in ((passing("a"), passing("b")),
+                 (VerifyReport("c", "pass"), VerifyReport("d", "pass"))):
+        assert a.witnesses is not b.witnesses and a.sub is not b.sub
+        assert a.details is not b.details
 
 
 def test_equal_mor_sampled_large_domain():

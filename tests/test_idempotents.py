@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finkar.finset import (Atom, CheckConfig, Morphism, SeededRng, ShapeError,
-                           compose, identity)
+                           compose, identity, random_morphism)
 from finkar.idempotents import (check_split_equalizer_diagram, fixed_ranks,
                                 is_idempotent, karoubi_hom_check,
                                 random_idempotent,
-                                random_morphism,
                                 random_split_equalizer_diagram,
                                 split_idempotent, verify_split_equalizer)
 

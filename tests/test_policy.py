@@ -10,8 +10,8 @@ from finkar.cli import main
 from finkar.equivalence import (ObjectConditionError, functor_l, functor_r,
                                 make_karm_object)
 from finkar.finset import (Atom, CheckConfig, Morphism, Prod, SeededRng,
-                           ShapeError, compose, identity)
-from finkar.idempotents import random_idempotent, random_morphism
+                           ShapeError, compose, identity, random_morphism)
+from finkar.idempotents import random_idempotent
 from finkar.policy import (MealyMachine, MooreMachine, Policy,
                            check_compliance, check_consistency, check_moore,
                            check_policy, coalgebra_to_moore,

@@ -1,4 +1,7 @@
 import inspect
+import os
+import subprocess
+import sys
 from itertools import islice
 from pathlib import Path
 
@@ -35,6 +38,42 @@ def test_t_obj_cardinalities(ctx1, ctx2):
     assert t_obj(ctx1, x).card == 2
     assert g_obj(ctx2, x).card == 8
     assert g_obj(ctx2, g_obj(ctx2, x)).card == 128
+
+
+def test_state_contexts_are_values():
+    """Equal contexts compare and hash equal, so two equal contexts key the
+    same cache entry (free_algebra); another state space or other knobs
+    compare unequal."""
+    s = Atom("S", 2)
+    a = StateContext(s, CheckConfig(seed=3))
+    b = StateContext(s, CheckConfig(seed=3))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert StateContext(s) == StateContext(s, CheckConfig())
+    assert a != StateContext(s)
+    assert a != StateContext(Atom("S", 3), CheckConfig(seed=3))
+
+
+def test_bad_knobs_and_an_empty_state_space_raise_under_python_O():
+    """`python -O` strips every `assert`; a bad config and an empty state
+    space are still refused there, with their messages."""
+    script = (
+        "from finkar.finset import Atom, CheckConfig\n"
+        "from finkar.statemonad import StateContext\n"
+        "assert False, 'asserts are live'\n"
+        "for build in (lambda: CheckConfig(samples=0),\n"
+        "              lambda: CheckConfig(cap=-1),\n"
+        "              lambda: StateContext(Atom('S', 0))):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(STATEMONAD.parents[1]))
+    r = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["samples must be at least 1, got 0",
+                                     "cap must be nonnegative, got -1",
+                                     "state space must be inhabited"]
 
 
 def test_singleton_state_unit_is_bijection(ctx1):

@@ -443,7 +443,7 @@ def _cmd_policy_check(task, env):
     phi = env.policy(task["inPolicy"])
     psi = env.policy(task["outPolicy"])
     mode = task.get("mode", "both")
-    subs = [check_policy(phi), check_policy(psi)]
+    subs = [check_policy(phi.machine), check_policy(psi.machine)]
     if mode in ("compliance", "both"):
         subs.append(check_compliance(machine, phi, psi))
     if mode in ("consistency", "both"):

@@ -10,26 +10,24 @@ computed through that bijection, so a morphism is nothing but a total
 function on ranks: either a materialized table or a lazy evaluator for
 domains too large to enumerate.
 
-One rule decides which: a map built by `from_blocks`, `compose`, `pair`,
-`lift` or a structure map is a table exactly when its domain has at most
-`EAGER_LIMIT` ranks, and a lazy evaluator above that (statemonad's
-transposes apply it to S x A, the larger side of the bijection).  The one
-exception is a map built by `Morphism.lazy`: it is read through its
-evaluator at any size, and a composite or pairing that reads it stays
-lazy too.  Composition and exhaustive equality on small domains then run
-over whole tables.  Every map is read through `at`, a block of ranks at a
-time: a table gathers, a lazy map evaluates the whole block at once.
+One rule decides which: a map built by `Morphism(..., fn=...)`,
+`from_blocks`, `compose`, `pair`, `lift` or a structure map is a table
+exactly when its domain has at most `EAGER_LIMIT` ranks, and a lazy
+evaluator above that (statemonad's transposes apply it to S x A, the
+larger side of the bijection).  The one exception is a map built by
+`Morphism.lazy`: it is read through its evaluator at any size, and a
+composite or pairing that reads it stays lazy too.  Composition and
+exhaustive equality on small domains then run over whole tables.  Every
+map is read through `at`, a block of ranks at a time: a table gathers, a
+lazy map evaluates the whole block at once.
 
-Tables are range-checked once.  A table passed in is copied and checked.
-A table materialized from `fn` or an evaluator is checked the first time
-`compose`, `pair`, `lift` or `equal_mor` reads it as a table (the `table`
-property returns it unchecked).  The tables built here from checked
-ones, by `compose`, `pair` and `lift`, are trusted: adopted without a
-copy or a scan.  An evaluator's values are not checked; the package
-builds its evaluators from maps read through `checked_at`, and a table
-gathered from one is checked like a table passed in.  An entry that is
-not an int (a bool included) is a TypeError, one out of range a
-ShapeError; either names the domain rank of the first bad entry.
+A map holds a range-checked table or an evaluator, never both.  A table
+passed in is copied and checked; one built here from checked tables is
+adopted as it is; one materialized from an evaluator (`table`) is checked
+once, and the evaluator dropped.  A `fn` map's evaluator checks each
+block it reads; a `Morphism.lazy` evaluator is trusted on block reads.
+An entry that is not an int (a bool included) is a TypeError, one out of
+range a ShapeError; either names the domain rank of the first bad entry.
 """
 
 from __future__ import annotations
@@ -241,20 +239,14 @@ def codec(obj: FinSetObj) -> ElemCodec:
 class Morphism:
     """A total map between finite sets, as a codomain-rank table.
 
-    Holds either a materialized table or a lazy evaluator.  The package's
-    own constructions hold a table exactly when the domain has at most
-    EAGER_LIMIT ranks, except those built by `Morphism.lazy`, which hold an
-    evaluator of whole blocks at any size.  A map built directly with `fn`
-    applies it rank by rank and materializes on demand up to
-    MATERIALIZE_LIMIT.  Values are immutable after construction, and maps
-    may be shared (the structure maps are cached).
-
-    Tables are range-checked once (see the module docstring).  A table
-    this module computed from checked ones arrives wrapped in `_Checked`,
-    which only this module makes, and is adopted as it is.  A map with a
-    table and no evaluator (`_at` is None) holds a checked table; one
-    materialized from `fn` or an evaluator keeps the evaluator beside it
-    until `_checked_table` has checked it.
+    Holds either a range-checked table (`_at` is None) or a block
+    evaluator (`_table` is None), by the rule in the module docstring.  A
+    map built with `fn` is tabulated within EAGER_LIMIT and lazy above
+    it; `table` materializes a lazy map up to MATERIALIZE_LIMIT.  Values
+    are immutable after construction, and maps may be shared (the
+    structure maps are cached).  A table this module computed from checked
+    ones arrives wrapped in `_Checked`, which only this module makes, and
+    is adopted as it is.
     """
 
     __slots__ = ("dom", "cod", "_table", "_at")
@@ -264,12 +256,20 @@ class Morphism:
                  fn: Optional[Callable[[int], int]] = None):
         if (table is None) == (fn is None):
             raise ValueError("pass exactly one of table, fn")
-        self.dom = dom
-        self.cod = cod
-        self._at = None if fn is None else _Rankwise(fn)
+        self.dom, self.cod, self._at = dom, cod, None
+        if fn is not None:
+            def at(ranks):
+                values = list(map(fn, ranks))
+                _range_check(values, cod.card, ranks)
+                return values
+            if dom.card > EAGER_LIMIT:
+                self._table, self._at = None, at
+            else:
+                self._table = at(range(dom.card))
+            return
         if type(table) is _Checked:
             table = table.values
-        elif table is not None:
+        else:
             table = list(table)
             if len(table) != dom.card:
                 raise ShapeError(
@@ -294,24 +294,10 @@ class Morphism:
 
     def at(self, ranks: Sequence[int]) -> list[int]:
         """The values at a sequence of domain ranks, as a list: a gather
-        from the table, else one call of the evaluator.
-
-        The read rule: a `fn` map within EAGER_LIMIT is materialized first
-        (unchecked, like `table`), a `fn` map above it and a `Morphism.lazy`
-        map at any size are read through their evaluators and not kept.
-        The values are as trusted as what they were read from: only a
-        table with no evaluator beside it is a checked one.  A block read
-        through a `fn` map's evaluator, never a table, is range-checked."""
-        table = self._table
-        if table is None:
-            if type(self._at) is not _Rankwise:
-                return self._at(ranks)
-            if self.dom.card > EAGER_LIMIT:
-                values = self._at(ranks)
-                _range_check(values, self.cod.card, ranks)
-                return values
-            table = self.table
-        return list(map(table.__getitem__, ranks))
+        from the table, else one call of the evaluator."""
+        if self._table is None:
+            return self._at(ranks)
+        return list(map(self._table.__getitem__, ranks))
 
     @property
     def is_lazy(self) -> bool:
@@ -319,7 +305,8 @@ class Morphism:
 
     @property
     def table(self) -> list[int]:
-        """Materialize (and cache) the full table."""
+        """The full table: a lazy map is materialized, range-checked once,
+        and holds the table in place of its evaluator from then on."""
         if self._table is None:
             n = self.dom.card
             if n > MATERIALIZE_LIMIT:
@@ -328,7 +315,8 @@ class Morphism:
             table = []
             for lo in range(0, n, BLOCK):
                 table += self._at(range(lo, min(lo + BLOCK, n)))
-            self._table = table
+            _range_check(table, self.cod.card)
+            self._table, self._at = table, None
         return self._table
 
     def __repr__(self):
@@ -346,18 +334,6 @@ class _Checked:
         self.values = values
 
 
-class _Rankwise:
-    """The evaluator of a `fn` map: the rank function at each rank."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[int], int]):
-        self.fn = fn
-
-    def __call__(self, ranks: Sequence[int]) -> list[int]:
-        return list(map(self.fn, ranks))
-
-
 def _range_check(table: list[int], n: int, ranks=None):
     if table and not (countOf(map(type, table), int) == len(table)
                       and 0 <= min(table) and max(table) < n):
@@ -369,29 +345,6 @@ def _range_check(table: list[int], n: int, ranks=None):
         raise ShapeError(f"table entry {table[k]} at {at} not in [0,{n})")
 
 
-def _checked_table(m: Morphism) -> Optional[list[int]]:
-    """m's table, with every entry in the codomain; None for a map read
-    through its evaluator (`Morphism.lazy`, or `fn` above EAGER_LIMIT).  A
-    table materialized from `fn` or an evaluator is checked here once, and
-    the evaluator is dropped so that it reads as checked from then on."""
-    if m._at is None:
-        return m._table
-    if m._table is None and (m.dom.card > EAGER_LIMIT
-                             or type(m._at) is not _Rankwise):
-        return None
-    table = m.table
-    _range_check(table, m.cod.card)
-    m._at = None
-    return table
-
-
-def checked_at(m: Morphism) -> Callable[[Sequence[int]], list[int]]:
-    """m's block reader, every value in the codomain: a table materialized
-    from `fn` is checked first, so an error names m's own rank."""
-    _checked_table(m)
-    return m.at
-
-
 def identity(obj: FinSetObj) -> Morphism:
     return from_blocks(obj, obj, list)
 
@@ -399,16 +352,14 @@ def identity(obj: FinSetObj) -> Morphism:
 def compose(f: Morphism, g: Morphism) -> Morphism:
     """f followed by g (so the classical g after f).
 
-    Within EAGER_LIMIT the result is a gather: g read at every entry of f's
-    checked table, so a value of f outside g's domain is a ShapeError.  The
-    gather is adopted without a range check when g's table is a checked
-    one; from g's evaluator or an unchecked table it is checked like any
-    table passed in.  Above EAGER_LIMIT, or when f is a `Morphism.lazy`
-    map, the result is lazy and reads a block as g at f's values on it.
+    Within EAGER_LIMIT, when f is a table, the result is a gather: g read
+    at every entry of f's table, adopted as it is from g's table and
+    checked like a table passed in from g's evaluator.  Otherwise it is
+    lazy and reads a block as g at f's values on it.
     """
     if f.cod != g.dom:
         raise ShapeError(f"cannot compose: cod {f.cod!r} != dom {g.dom!r}")
-    ft = _checked_table(f) if f.dom.card <= EAGER_LIMIT else None
+    ft = f._table if f.dom.card <= EAGER_LIMIT else None
     if ft is None:
         return Morphism.lazy(f.dom, g.cod, lambda ks: g.at(f.at(ks)))
     values = g.at(ft)
@@ -419,18 +370,18 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
 def from_blocks(dom: FinSetObj, cod: FinSetObj,
                 at: Callable[[Sequence[int]], list[int]]) -> Morphism:
     """Build a morphism from a block evaluator: `Morphism.lazy(dom, cod,
-    at)` above EAGER_LIMIT, and within it that map's table, built BLOCK
-    ranks at a time and checked like a table passed in."""
+    at)` above EAGER_LIMIT, and within it that map's table, materialized
+    and checked once."""
     m = Morphism.lazy(dom, cod, at)
-    return m if dom.card > EAGER_LIMIT else Morphism(dom, cod, table=m.table)
+    if dom.card > EAGER_LIMIT:
+        return m
+    return Morphism(dom, cod, table=_Checked(m.table))
 
 
 def from_fn(dom: FinSetObj, cod: FinSetObj,
             fn: Callable[[int], int]) -> Morphism:
-    """Build a morphism from a rank function through `from_blocks`: a table
-    within EAGER_LIMIT, above it the `fn` map `Morphism(dom, cod, fn=fn)`,
-    whose blocks are range-checked when read."""
-    return from_blocks(dom, cod, _Rankwise(fn))
+    """The `fn` map `Morphism(dom, cod, fn=fn)`."""
+    return Morphism(dom, cod, fn=fn)
 
 
 def lift(dom: FinSetObj, cod: FinSetObj, f: Morphism) -> Morphism:
@@ -438,18 +389,17 @@ def lift(dom: FinSetObj, cod: FinSetObj, f: Morphism) -> Morphism:
     S => f (postcomposition) from dom = S => X to cod = S => Y.
 
     Within EAGER_LIMIT the table is built whole, and adopted without a scan
-    when f's table is a checked one.  S x f is f's table once per state s,
-    shifted by s * |Y|.  S => f is built one state at a time (ranks are
-    little-endian, one base-|X| digit per state): the table over k+1 states
-    is the one over k states repeated once per digit d, shifted by
-    f(d) * |Y|^k.  Above EAGER_LIMIT the map is lazy and reads a block the
-    same way (`lift_at`).  Either way a table f materialized from `fn` is
-    checked first.
+    when f is a table.  S x f is f's table once per state s, shifted by
+    s * |Y|.  S => f is built one state at a time (ranks are little-endian,
+    one base-|X| digit per state): the table over k+1 states is the one
+    over k states repeated once per digit d, shifted by f(d) * |Y|^k.
+    Above EAGER_LIMIT the map is lazy and reads a block the same way
+    (`lift_at`).
     """
     exp, ns, nx, ny = _lift_shape(dom, cod, f)
     if dom.card > EAGER_LIMIT:
         return Morphism.lazy(dom, cod, lift_at(dom, cod, f))
-    ft = _checked_table(f)
+    ft = f._table
     checked = ft is not None
     if not checked:
         ft = f.at(range(nx))
@@ -468,9 +418,9 @@ def lift_at(dom: FinSetObj, cod: FinSetObj,
     """The block reader of `lift(dom, cod, f)`, at any size and with no
     map built: f at each state's digit of the whole block, shifted into
     place (S x f gathers each rank's value from f's table, when it has
-    one).  f's table is checked first, as `lift` checks it."""
+    one)."""
     exp, ns, nx, ny = _lift_shape(dom, cod, f)
-    ft = _checked_table(f)
+    ft = f._table
     if not exp:
         if ft is not None:
             return lambda ps: [p // nx * ny + ft[p % nx] for p in ps]
@@ -518,17 +468,15 @@ def snd(p: Prod, lazy: bool = False) -> Morphism:
 
 
 def pair(f: Morphism, g: Morphism) -> Morphism:
-    """<f, g>: Z -> X x Y, z |-> (f z, g z), both read through
-    `checked_at`.  As for `compose`, a table within EAGER_LIMIT, adopted
-    without a scan, and lazy above it or when either factor is read
-    through its evaluator."""
+    """<f, g>: Z -> X x Y, z |-> (f z, g z).  As for `compose`, a table
+    within EAGER_LIMIT, adopted without a scan, and lazy above it or when
+    either factor is lazy."""
     if f.dom != g.dom:
         raise ShapeError(f"cannot pair: dom {f.dom!r} != dom {g.dom!r}")
     dom, cod, ny = f.dom, Prod(f.cod, g.cod), g.cod.card
-    rf, rg = checked_at(f), checked_at(g)
     if dom.card > EAGER_LIMIT or f.is_lazy or g.is_lazy:
         return Morphism.lazy(dom, cod, lambda ks: [
-            x * ny + y for x, y in zip(rf(ks), rg(ks))])
+            x * ny + y for x, y in zip(f.at(ks), g.at(ks))])
     return Morphism(dom, cod, table=_Checked(
         [x * ny + y for x, y in zip(f._table, g._table)]))
 
@@ -642,18 +590,15 @@ def equal_mor(f: Morphism, g: Morphism,
     """Compare two parallel morphisms, exhaustively or by seeded sampling.
 
     Both sides are read a block of ranks at a time (two whole tables when
-    an exhaustive domain is within EAGER_LIMIT and neither map is read
-    through its evaluator).  Within EAGER_LIMIT a `fn` map is read from its
-    table, range-checked, so a value outside the codomain is a ShapeError,
-    not a witness.  The report holds the
-    first three mismatches in rank order, or in draw order when sampled,
-    and no block after the one holding the third is evaluated.
+    an exhaustive domain is within EAGER_LIMIT and both maps are tables).
+    The report holds the first three mismatches in rank order, or in draw
+    order when sampled, and no block after the one holding the third is
+    evaluated.
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise ShapeError("equal_mor needs parallel morphisms")
     n = f.dom.card
-    ft, gt = ((_checked_table(f), _checked_table(g)) if n <= EAGER_LIMIT
-              else (None, None))
+    ft, gt = (f._table, g._table) if n <= EAGER_LIMIT else (None, None)
     if n > config.cap:
         mode, details = "sampled", {"domain": n, "samples": config.samples}
     else:

@@ -37,14 +37,6 @@ class MealyMachine:
         self.ctx, self.in_set, self.out_set = ctx, in_set, out_set
         self.mapping = mapping
 
-    def next_map(self) -> Morphism:
-        """The next-state map S x A -> S: the mapping, then pi_1."""
-        return compose(self.mapping, fst(self.mapping.cod))
-
-    def out_map(self) -> Morphism:
-        """The output map S x A -> B: the mapping, then pi_2."""
-        return compose(self.mapping, snd(self.mapping.cod))
-
 
 def mealy_from_components(ctx: StateContext, in_set: FinSetObj,
                           out_set: FinSetObj, nxt: Morphism,
@@ -140,9 +132,8 @@ def coalgebra_to_moore(c: CoalgebraStruct) -> MooreMachine:
 # checks
 
 
-def check_policy(p) -> VerifyReport:
-    """Idempotence of a square machine (accepts a Policy or a MealyMachine)."""
-    machine = p.machine if isinstance(p, Policy) else p
+def check_policy(machine: MealyMachine) -> VerifyReport:
+    """Idempotence of a square machine."""
     if machine.in_set != machine.out_set:
         raise ShapeError("idempotence needs matching input and output sets")
     m = machine.mapping

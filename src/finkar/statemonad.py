@@ -31,8 +31,8 @@ from functools import wraps
 from threading import Lock
 
 from .finset import (EAGER_LIMIT, CheckConfig, Exp, FinSetObj, Morphism,
-                     Prod, ShapeError, SeededRng, checked_at, compose,
-                     equal_mor, from_blocks, identity, lift, random_morphism)
+                     Prod, ShapeError, SeededRng, compose, equal_mor,
+                     from_blocks, identity, lift, random_morphism)
 from .report import VerifyReport, combine
 
 
@@ -214,7 +214,7 @@ def transpose_up(ctx: StateContext, f: Morphism,
     reads it only at sampled ranks."""
     if not (isinstance(f.dom, Prod) and f.dom.left == ctx.state_space):
         raise ShapeError("transpose_up wants a morphism out of S x A")
-    a, nb, read = f.dom.right, f.cod.card, checked_at(f)
+    a, nb, read = f.dom.right, f.cod.card, f.at
 
     def at(ks):
         out = read(ks)
@@ -236,7 +236,7 @@ def transpose_down(ctx: StateContext, f: Morphism, cod: FinSetObj,
     e = f.cod
     if not (type(e) is Exp and e.base == ctx.state_space and e.target == cod):
         raise ShapeError("transpose_down wants a morphism into S => B")
-    na, nb, read = f.dom.card, cod.card, checked_at(f)
+    na, nb, read = f.dom.card, cod.card, f.at
 
     def at(ps):
         w = [nb ** s for s in range(ctx.ns)]

@@ -234,18 +234,18 @@ def test_recorded_hom_checks_build_no_map_on_s_to_a(monkeypatch):
 
 
 def test_recorded_hom_check_reads_f_range_checked():
-    """A `fn` carrier map is read through checked_at: a value below or past
-    the codomain is a ShapeError naming f's own rank, not a wrapped
-    negative index or a rank of S x A."""
+    """A `fn` carrier map is range-checked when it is built: a value below
+    or past the codomain is a ShapeError naming f's own rank, not a
+    wrapped negative index or a rank of S x A."""
     four = _split_algebra(2, 2, 2, seed=2)
     assert four._update is not None
     a4 = four.carrier
-    low = Morphism(a4, a4, fn=lambda k: -1 if k == 2 else 0)
     with pytest.raises(ShapeError, match=r"^table entry -1 at 2 "):
-        algebra_hom_check(low, four, four)
-    past = Morphism(a4, a4, fn=lambda k: 4 if k == 3 else k)
+        algebra_hom_check(Morphism(a4, a4, fn=lambda k: -1 if k == 2 else 0),
+                          four, four)
     with pytest.raises(ShapeError, match=r"^table entry 4 at 3 "):
-        algebra_hom_check(past, four, four)
+        algebra_hom_check(Morphism(a4, a4, fn=lambda k: 4 if k == 3 else k),
+                          four, four)
 
 
 def _spy(m, seen):
@@ -858,10 +858,10 @@ def test_hom_square_agrees_with_the_tf_oracle_exhaustive_and_sampled():
                 checked += 1
     assert 0 < homs < checked == 1 + 2 * 4 + 2 + 4 * 256
     for four in pairs[1]:
-        past = Morphism(four.carrier, four.carrier,
-                        fn=lambda k: 4 if k == 3 else k)
         with pytest.raises(ShapeError, match=r"^table entry 4 at 3 "):
-            algebra_hom_check(past, four, four)
+            algebra_hom_check(Morphism(four.carrier, four.carrier,
+                                       fn=lambda k: 4 if k == 3 else k),
+                              four, four)
 
 
 @pytest.mark.parametrize("ny", [200, 2000])

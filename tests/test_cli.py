@@ -109,6 +109,36 @@ def test_run_command_unknown_reference_is_error():
     assert rep.status == "error"
 
 
+def test_run_command_does_not_nest_verify_all():
+    """`verify-all` runs the tasks of a file; as a task it is an unknown
+    command, an error report."""
+    spec = parse_spec(json.dumps(MINIMAL))
+    rep = run_command({"command": "verify-all"}, _env(spec))
+    assert rep.status == "error" and rep.check == "verify-all"
+    assert rep.witnesses == [{"error": "unknown command 'verify-all'"}]
+
+
+def test_equiv_roundtrip_with_nothing_to_check_is_an_error():
+    spec = parse_spec(json.dumps(MINIMAL))
+    rep = run_command({"command": "equiv-roundtrip", "name": "empty"},
+                      _env(spec))
+    assert rep.status == "error" and rep.check == "empty"
+    assert rep.sub[0].witnesses == [
+        {"error": "need one of policy, moore, freeAlgebraOn"}]
+
+
+def test_karoubi_check_fails_off_the_envelope():
+    """The identity machine is not in the envelope hom-set of the mask
+    policy on both sides (the fixture's e5-not-compliant task)."""
+    spec = parse_spec((FIXTURES / "policies.json").read_text())
+    rep = run_command({"command": "karoubi-check", "machine": "ident",
+                       "inPolicy": "mask", "outPolicy": "mask",
+                       "name": "k"}, _env(spec))
+    assert rep.status == "fail"
+    assert rep.sub[0].check == "karoubi-check"
+    assert rep.sub[0].witnesses == [{"hom": False}]
+
+
 def test_expectation_wrapper():
     spec = parse_spec(json.dumps(MINIMAL))
     task = {"command": "karoubi-check", "machine": "id", "inPolicy": "id",

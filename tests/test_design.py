@@ -226,6 +226,24 @@ def test_every_definition_has_a_caller():
 
 
 # ---------------------------------------------------------------------------
+# the morphism representation
+
+
+def test_only_finset_reads_a_morphism_representation():
+    """A map holds a checked table or an evaluator, and only finset knows
+    which: no other module of the package reads `._table` or `._at`, so
+    every map outside finset is read through `at`, `table` or a call."""
+    found = [f"{m}:{node.lineno}" for m, tree in _modules() if m != "finset"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("_table", "_at")]
+    assert found == []
+    assert any(isinstance(node, ast.Attribute) and node.attr == "_table"
+               for m, tree in _modules() if m == "finset"
+               for node in ast.walk(tree))
+
+
+# ---------------------------------------------------------------------------
 # start-up
 
 

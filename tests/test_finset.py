@@ -18,9 +18,9 @@ from finkar import finset
 from finkar.finset import (BLOCK, EAGER_LIMIT, KEEP_DRAWS, Atom,
                            CheckConfig, Exp, FinSetObj, Morphism, Prod, ShapeError,
                            SeededRng, codec, compose, envelope_hom_report,
-                           equal_mor, fibers, from_fn, fst, identity,
-                           image_factor, inverse, lift, lift_at, pair, snd,
-                           splitmix64)
+                           equal_mor, fibers, from_blocks, from_fn, fst,
+                           identity, image_factor, inverse, lift, lift_at,
+                           pair, snd, splitmix64)
 from finkar.report import VerifyReport, passing
 from oracles import digits, pack
 
@@ -251,7 +251,7 @@ def test_table_validation_names_first_offending_index():
     # the same check guards tables built by from_fn and by compose
     with pytest.raises(ShapeError, match=r"entry 3 at 3 "):
         from_fn(a, b, lambda k: k)
-    lazy_b = Morphism(a, b, fn=lambda k: k)
+    lazy_b = Morphism.lazy(a, b, list)
     with pytest.raises(ShapeError, match=r"entry 5 at 1 "):
         compose(Morphism(b, a, table=[0, 5, 1]), lazy_b)
 
@@ -259,12 +259,15 @@ def test_table_validation_names_first_offending_index():
 @pytest.mark.parametrize("bad", [True, 1.0, "1", None], ids=repr)
 def test_table_rejects_a_non_int_entry(bad):
     """A table entry is an int and not a bool: a bool, a float, a numeric
-    string or None is a TypeError naming its rank, in a table passed in
-    and in values read from fn, below and above EAGER_LIMIT.  A bool
-    entry would otherwise reach a witness as `true`."""
+    string or None is a TypeError naming its rank, in a table passed in,
+    in a table materialized from an evaluator and in values read from fn,
+    below and above EAGER_LIMIT.  A bool entry would otherwise reach a
+    witness as `true`."""
     a = Atom("A", 2)
     with pytest.raises(TypeError, match=" at 1 is not an int"):
         Morphism(a, a, table=[0, bad])
+    with pytest.raises(TypeError, match=" at 1 is not an int"):
+        Morphism.lazy(a, a, lambda ks: [bad if k else 0 for k in ks]).table
     with pytest.raises(TypeError, match=" at 1 is not an int"):
         equal_mor(Morphism(a, a, fn=lambda k: bad if k else 0), identity(a))
     with pytest.raises(TypeError, match=" at 1 is not an int"):
@@ -276,15 +279,21 @@ def test_table_rejects_a_non_int_entry(bad):
 
 
 def test_gathers_from_materialized_lazy_maps_are_range_checked():
-    """A table materialized from `fn` is not a checked one: a gather from
-    it is range-checked, as one from the unmaterialized map is, and the
-    error names the first offending index of the composite."""
+    """A table materialized from an evaluator is range-checked once, when
+    it is built: a `fn` map's in the constructor and a lazy map's in
+    `table`, each naming the map's own rank.  A gather from an evaluator
+    is range-checked too, and the error names the first offending index
+    of the composite."""
     a, b = Atom("A", 6), Atom("B", 3)
     first = Morphism(b, a, table=[2, 0, 2])
-    bad = Morphism(a, b, fn=lambda k: k - 2)
-    assert bad.table == [-2, -1, 0, 1, 2, 3]
+    with pytest.raises(ShapeError, match=r"entry -2 at 0 not in \[0,3\)"):
+        Morphism(a, b, fn=lambda k: k - 2)
+    bad = Morphism.lazy(a, b, lambda ks: [k - 2 for k in ks])
     with pytest.raises(ShapeError, match=r"entry -2 at 1 not in \[0,3\)"):
         compose(first, bad)
+    with pytest.raises(ShapeError, match=r"entry -2 at 0 not in \[0,3\)"):
+        bad.table
+    assert bad.is_lazy
     ok = Morphism(a, b, fn=lambda k: k % 3)
     assert ok.table and compose(first, ok).table == [2, 0, 2]
 
@@ -498,9 +507,10 @@ def test_image_factor_properties(n, m, seed):
 
 def test_lazy_materialization():
     x = Atom("X", 10)
-    f = Morphism(x, x, fn=lambda k: (k + 1) % 10)
+    f = Morphism.lazy(x, x, lambda ks: [(k + 1) % 10 for k in ks])
     assert f.is_lazy
     assert f.table == [(k + 1) % 10 for k in range(10)]
+    assert not f.is_lazy and f._at is None
 
 
 def test_splitmix64_reference_stream_is_stable():
@@ -605,33 +615,33 @@ def test_envelope_hom_report_names_both_routes():
 
 
 # ---------------------------------------------------------------------------
-# the read rule: a table materialized from `fn` is range-checked once
+# the read rule: a table is range-checked once, when it is built
 
 
 def test_compose_rejects_a_left_value_below_the_codomain():
     """A negative value of a `fn` map used to wrap through Python's
     negative indexing into the composite [1, 0, 1]."""
     a, b = Atom("A", 3), Atom("B", 2)
-    below = Morphism(a, b, fn=lambda k: k - 1)
     with pytest.raises(ShapeError, match=r"entry -1 at 0 not in \[0,2\)"):
-        compose(below, Morphism(b, b, table=[0, 1]))
+        compose(Morphism(a, b, fn=lambda k: k - 1),
+                Morphism(b, b, table=[0, 1]))
 
 
 def test_compose_rejects_a_left_value_past_the_codomain():
     """A value past the codomain used to raise IndexError."""
     a, b = Atom("A", 3), Atom("B", 2)
-    past = Morphism(a, b, fn=lambda k: k)
     with pytest.raises(ShapeError, match=r"entry 2 at 2 not in \[0,2\)"):
-        compose(past, Morphism(b, b, table=[0, 1]))
+        compose(Morphism(a, b, fn=lambda k: k),
+                Morphism(b, b, table=[0, 1]))
 
 
 @pytest.mark.parametrize("cfg", [CheckConfig(), CheckConfig(cap=0, samples=5)])
 def test_equal_mor_rejects_a_value_outside_the_codomain(cfg):
     """equal_mor used to report lhs: -1 as an ordinary witness."""
     a, b = Atom("A", 3), Atom("B", 2)
-    below = Morphism(a, b, fn=lambda k: k - 1)
     with pytest.raises(ShapeError, match=r"entry -1 at 0 not in \[0,2\)"):
-        equal_mor(below, Morphism(a, b, table=[1, 0, 1]), cfg)
+        equal_mor(Morphism(a, b, fn=lambda k: k - 1),
+                  Morphism(a, b, table=[1, 0, 1]), cfg)
     fine = Morphism(a, b, fn=lambda k: k % 2)
     assert equal_mor(fine, Morphism(a, b, table=[0, 1, 0]), cfg).passed
 
@@ -660,10 +670,10 @@ def test_lift_checks_a_fn_table_above_the_limit():
     above it, S => f of a `fn` map with a value out of range used to read
     the -1 into its digits."""
     s, x, y = Atom("S", 2), Atom("X", 400), Atom("Y", 7)
-    bad = Morphism(x, y, fn=lambda k: -1 if k == 3 else 0)
     with pytest.raises(ShapeError,
                        match=r"^table entry -1 at 3 not in \[0,7\)$"):
-        lift(Exp(s, x), Exp(s, y), bad)
+        lift(Exp(s, x), Exp(s, y),
+             Morphism(x, y, fn=lambda k: -1 if k == 3 else 0))
 
 
 def test_block_range_errors_name_the_domain_rank():
@@ -733,8 +743,8 @@ def test_lift_above_the_limit_reads_f_at_digits():
 def test_lift_at_reads_the_lift_without_building_a_map(monkeypatch, exp):
     """lift_at is lift's block reader: the same values as the lift's
     table, at every rank, with no map built, whether f is a table or read
-    through its evaluator; f's `fn` table is checked first, naming f's
-    rank, and mismatched objects are a ShapeError."""
+    through its evaluator; a `fn` map is checked when it is built, naming
+    f's rank, and mismatched objects are a ShapeError."""
     rng = SeededRng(5)
     x, y = Atom("X", 3), Atom("Y", 4)
     f = Morphism(x, y, table=[rng.below(4) for _ in range(3)])
@@ -750,9 +760,8 @@ def test_lift_at_reads_the_lift_without_building_a_map(monkeypatch, exp):
         assert lift_at(dom, cod, g)(range(dom.card)) == want
     assert built == []
     monkeypatch.undo()
-    bad = Morphism(x, y, fn=lambda k: 4 if k == 1 else 0)
     with pytest.raises(ShapeError, match=r"^table entry 4 at 1 "):
-        lift_at(dom, cod, bad)
+        lift_at(dom, cod, Morphism(x, y, fn=lambda k: 4 if k == 1 else 0))
     with pytest.raises(ShapeError, match=r"^cannot lift "):
         lift_at(cod, dom, f)
 
@@ -768,8 +777,8 @@ def test_lift_rejects_mismatched_objects():
 
 def test_lift_checks_what_it_reads_from_outside():
     """Tables passed in are still copied and checked, and lift reads them
-    only after that; a `fn` table is checked when lift first reads it, and
-    a block evaluator's values are checked as the lifted table is built."""
+    only after that; a `fn` map is checked when it is built, and a block
+    evaluator's values are checked as the lifted table is built."""
     x, y = Atom("X", 3), Atom("Y", 2)
     values = [0, 1, 1]
     f = Morphism(x, y, table=values)
@@ -778,9 +787,8 @@ def test_lift_checks_what_it_reads_from_outside():
     assert lift(dom, cod, f).table[0] == 0
     with pytest.raises(ShapeError):
         Morphism(x, y, table=[0, 2, 1])
-    bad_fn = Morphism(x, y, fn=lambda k: k)
     with pytest.raises(ShapeError, match=r"entry 2 at 2 not in \[0,2\)"):
-        lift(dom, cod, bad_fn)
+        lift(dom, cod, Morphism(x, y, fn=lambda k: k))
     bad_eval = Morphism.lazy(x, y, lambda ks: [k % 3 for k in ks])
     for exp in (False, True):
         with pytest.raises(ShapeError, match=r"not in \[0,"):
@@ -818,7 +826,7 @@ def test_every_lifted_table_is_built_through_init(monkeypatch):
 def test_lazy_maps_are_read_through_their_evaluator_at_any_size():
     """Within EAGER_LIMIT a `Morphism.lazy` map read through `at`, composed
     or compared stays lazy and is evaluated only at the ranks read, while
-    a `fn` map materializes."""
+    a `fn` map is a table from the start."""
     x, y = Atom("X", 1000), Atom("Y", 7)
     read = []
 
@@ -836,9 +844,43 @@ def test_lazy_maps_are_read_through_their_evaluator_at_any_size():
     assert equal_mor(later, Morphism(x, y, fn=lambda k: k % 7)).passed
     assert lazy.is_lazy and sum(read) == 3 + 2 + 1000
     fn_map = Morphism(x, y, fn=lambda k: k % 7)
-    assert fn_map.is_lazy
-    assert fn_map.at([3, 999]) == [3, 5]
     assert not fn_map.is_lazy
+    assert fn_map.at([3, 999]) == [3, 5]
+
+
+def test_a_morphism_is_a_table_or_an_evaluator():
+    """However a map is built, exactly one of its table and its evaluator
+    is set: a table passed in or adopted, a `fn` map within EAGER_LIMIT
+    and every kernel's result within it hold a table; a `fn` map above
+    the limit, a `Morphism.lazy` map and what reads one lazily hold an
+    evaluator, and `table` swaps a lazy map's evaluator for its table."""
+    s, x, y = Atom("S", 2), Atom("X", 4), Atom("Y", 3)
+    big = Atom("big", EAGER_LIMIT + 1)
+    values = [0, 2, 1, 2]
+    f = Morphism(x, y, table=values)
+    lazy = Morphism.lazy(x, y, lambda ks: [values[k] for k in ks])
+    maps = [
+        (f, False),
+        (Morphism(x, y, table=finset._Checked(list(values))), False),
+        (Morphism(x, y, fn=values.__getitem__), False),
+        (Morphism(big, y, fn=lambda k: k % 3), True),
+        (lazy, True),
+        (compose(f, identity(y)), False),
+        (compose(lazy, identity(y)), True),
+        (pair(f, f), False),
+        (pair(f, lazy), True),
+        (lift(Prod(s, x), Prod(s, y), f), False),
+        (lift(Exp(s, x), Exp(s, y), lazy), False),
+        (lift(Prod(s, big), Prod(s, y), Morphism(big, y, fn=lambda k: 0)),
+         True),
+        (from_blocks(x, y, lazy.at), False),
+        (from_blocks(big, y, lambda ks: [k % 3 for k in ks]), True),
+    ]
+    for m, want_lazy in maps:
+        assert (m._table is None) != (m._at is None), m
+        assert m.is_lazy == want_lazy == (m._table is None), m
+    assert lazy.table == values
+    assert lazy._at is None and not lazy.is_lazy
 
 
 def test_the_trust_marker_stays_in_finset():
@@ -920,8 +962,8 @@ def test_projections_and_pairing_are_lazy_above_the_limit():
 
 
 def test_pair_is_lazy_exactly_when_a_factor_is_read_through_its_evaluator():
-    """As for compose: two tables (a `fn` map within EAGER_LIMIT is
-    materialized) pair into a table adopted without a scan, and a
+    """As for compose: two tables (a `fn` map within EAGER_LIMIT is one)
+    pair into a table adopted without a scan, and a
     `Morphism.lazy` factor on either side keeps the pairing lazy."""
     rng, z, x, y = SeededRng(3), Atom("Z", 6), Atom("X", 3), Atom("Y", 2)
     f = Morphism(z, x, table=[rng.below(3) for _ in range(6)])
@@ -940,15 +982,16 @@ def test_pair_is_lazy_exactly_when_a_factor_is_read_through_its_evaluator():
 
 def test_pair_reads_a_fn_factor_range_checked():
     """A value of a `fn` factor outside its codomain is a ShapeError naming
-    its rank: when the pairing is built within EAGER_LIMIT, and when a
-    block is read above it."""
+    its rank: when the factor is built within EAGER_LIMIT, and when a
+    block of the pairing is read above it."""
     z, s, b = Atom("Z", 4), Atom("S", 2), Atom("B", 2)
     nxt = Morphism(z, s, table=[0, 1, 0, 1])
-    bad = Morphism(z, b, fn=lambda k: 3 if k == 0 else 0)
-    for f, g in ((nxt, bad), (bad, nxt)):
-        with pytest.raises(ShapeError,
-                           match=r"^table entry 3 at 0 not in \[0,2\)$"):
-            pair(f, g)
+    with pytest.raises(ShapeError,
+                       match=r"^table entry 3 at 0 not in \[0,2\)$"):
+        pair(nxt, Morphism(z, b, fn=lambda k: 3 if k == 0 else 0))
+    with pytest.raises(ShapeError,
+                       match=r"^table entry 3 at 0 not in \[0,2\)$"):
+        pair(Morphism(z, b, fn=lambda k: 3 if k == 0 else 0), nxt)
     big = Atom("Z", EAGER_LIMIT + 1)
     m = pair(Morphism(big, s, fn=lambda k: 0),
              Morphism(big, b, fn=lambda k: -1 if k == 99999 else 0))

@@ -97,6 +97,22 @@ def test_verify_split_equalizer_passes_and_catches_tampering():
     assert verify_split_equalizer(identity(THREE), ids).passed
 
 
+def test_verify_split_equalizer_names_a_rank_included_twice():
+    """An i that hits one rank twice is not mono: the fixed rank it hits
+    twice, the fixed rank it misses and the rank included twice are each a
+    witness of clause (ii)."""
+    s = split_idempotent(E)
+    twice = type(s)(projector=E, mid=s.mid, q=s.q,
+                    i=Morphism(s.mid, THREE, table=[0, 0]))
+    rep = verify_split_equalizer(E, twice)
+    clause = [r for r in rep.sub
+              if r.check == "fixed-points-factor-uniquely"][0]
+    assert rep.status == clause.status == "fail"
+    assert clause.witnesses == [{"fixed_rank": 0, "preimages": [0, 1]},
+                                {"fixed_rank": 2, "preimages": []},
+                                {"included_rank": 0, "preimages": [0, 1]}]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 2 ** 32))
 def test_random_idempotents_split_cleanly(n, seed):

@@ -10,7 +10,8 @@ from finkar.cli import main
 from finkar.equivalence import (ObjectConditionError, functor_l, functor_r,
                                 make_karm_object)
 from finkar.finset import (Atom, CheckConfig, Morphism, Prod, SeededRng,
-                           ShapeError, compose, identity, random_morphism)
+                           ShapeError, compose, fst, identity, random_morphism,
+                           snd)
 from finkar.idempotents import random_idempotent
 from finkar.policy import (MealyMachine, MooreMachine, Policy,
                            check_compliance, check_consistency, check_moore,
@@ -42,7 +43,7 @@ def _drop_policy(ctx, n=2):
 
 def test_policy_validation(ctx2):
     p = _drop_policy(ctx2)
-    assert check_policy(p).passed
+    assert check_policy(p.machine).passed
     a = Atom("A", 2)
     sa = prod_obj(ctx2, a)
     swap_states = Morphism(sa, sa, table=[2, 3, 0, 1])  # (s,a) -> (1-s,a)
@@ -54,16 +55,17 @@ def test_policy_validation(ctx2):
                                     mapping=swap_states))
     ident = Policy(machine=MealyMachine(ctx=ctx2, in_set=a, out_set=a,
                                         mapping=identity(sa)))
-    assert check_policy(ident).passed
+    assert check_policy(ident.machine).passed
 
 
 def test_mealy_components(ctx2):
     m = _mealy(ctx2, 2, 2, [2, 0, 1, 3])
-    assert m.next_map()(0) == 1 and m.out_map()(0) == 0
-    assert m.next_map().table == [1, 0, 0, 1]
-    assert m.out_map().table == [0, 0, 1, 1]
-    rebuilt = mealy_from_components(ctx2, m.in_set, m.out_set,
-                                    m.next_map(), m.out_map())
+    nxt = compose(m.mapping, fst(m.mapping.cod))
+    out = compose(m.mapping, snd(m.mapping.cod))
+    assert nxt(0) == 1 and out(0) == 0
+    assert nxt.table == [1, 0, 0, 1]
+    assert out.table == [0, 0, 1, 1]
+    rebuilt = mealy_from_components(ctx2, m.in_set, m.out_set, nxt, out)
     assert rebuilt.mapping.table == m.mapping.table
 
 
@@ -75,14 +77,16 @@ def test_mealy_from_components_reads_both_maps_range_checked(ctx2):
     a, b = Atom("A", 2), Atom("B", 2)
     sa = prod_obj(ctx2, a)
     nxt = Morphism(sa, ctx2.state_space, table=[0, 0, 0, 0])
-    out = Morphism(sa, b, fn=lambda k: 3 if k == 0 else 0)
     with pytest.raises(ShapeError,
                        match=r"^table entry 3 at 0 not in \[0,2\)$"):
-        mealy_from_components(ctx2, a, b, nxt, out)
-    far = Morphism(sa, ctx2.state_space, fn=lambda k: 2 if k == 1 else 0)
+        mealy_from_components(
+            ctx2, a, b, nxt, Morphism(sa, b, fn=lambda k: 3 if k == 0 else 0))
     with pytest.raises(ShapeError,
                        match=r"^table entry 2 at 1 not in \[0,2\)$"):
-        mealy_from_components(ctx2, a, b, far, Morphism(sa, b, fn=int))
+        mealy_from_components(
+            ctx2, a, b,
+            Morphism(sa, ctx2.state_space, fn=lambda k: 2 if k == 1 else 0),
+            Morphism(sa, b, fn=int))
 
 
 def test_compliance_fixture_pairs(ctx2):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .finset import Atom, CheckConfig, Morphism, Prod, SeededRng
 from .policy import (MealyMachine, MooreMachine, Policy, check_compliance,
@@ -78,7 +79,72 @@ class SpecFile:
 
 
 def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """The text of `json.dumps(data, sort_keys=True, indent=2) + "\n"`.
+
+    With an indent, json falls back to its pure-Python encoder, so the
+    layout of dicts and lists is written here.  Strings are quoted by
+    json's C `encode_basestring_ascii`; ints, bools and None are written
+    as json writes them, and every other leaf by `json.dumps`, as is a
+    dict with a key that is not a string.
+    """
+    out = []
+    _write_json(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list) -> None:
+    """Append the JSON of `value` to `out`; `newline` is a line break and
+    the indent of the line `value` starts on."""
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        sep = "[" + inner
+        for item in value:
+            if isinstance(item, (list, tuple, dict)):
+                out.append(sep)
+                _write_json(item, inner, out)
+            else:
+                out.append(sep + _json_leaf(item))
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        if not all(isinstance(k, str) for k in value):
+            out.append(json.dumps(value, sort_keys=True, indent=2)
+                       .replace("\n", newline))
+            return
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if isinstance(item, (list, tuple, dict)):
+                out.append(sep + _quote(key) + ": ")
+                _write_json(item, inner, out)
+            else:
+                out.append(sep + _quote(key) + ": " + _json_leaf(item))
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(_json_leaf(value))
+
+
+def _json_leaf(value) -> str:
+    """The JSON of a value that is not a dict, list or tuple, in json's
+    order of tests."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
 def parse_spec(raw: bytes | str) -> SpecFile:
@@ -519,15 +585,21 @@ def _cmd_karoubi_check(task, env):
 
 
 def _cmd_split_equalizer(task, env):
+    # Each diagram is decided on its tables; only one they reject is built
+    # as maps and checked, and that report is the trial's verdict.
     from .idempotents import (check_split_equalizer_diagram,
-                              random_split_equalizer_diagram)
+                              split_equalizer_facts, split_equalizer_morphisms,
+                              split_equalizer_tables)
     trials = task.get("trials", 100)
     max_size = task.get("maxSize", 8)
     rng = SeededRng(env.ctx.config.seed)
     bad = []
     for n in range(trials):
-        i, q, f, j, r = random_split_equalizer_diagram(rng, max_size)
-        rep = check_split_equalizer_diagram(i, q, f, j, r, env.ctx.config)
+        tables = split_equalizer_tables(rng, max_size)
+        if split_equalizer_facts(*tables)[0]:
+            continue
+        rep = check_split_equalizer_diagram(
+            *split_equalizer_morphisms(*tables), env.ctx.config)
         if not rep.passed:
             bad.append({"trial": n, "report": rep.to_dict()})
             if len(bad) >= 3:

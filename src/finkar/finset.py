@@ -555,7 +555,8 @@ class CheckConfig:
     """Determinism knobs for every verifier.
 
     Equality checks are exhaustive when card(dom) <= cap and otherwise
-    sample `samples` domain ranks from a splitmix64 stream.  A check must
+    sample `samples` domain ranks from a splitmix64 stream.  Each knob is
+    an int and not a bool (anything else is a TypeError), and a check must
     evaluate at least one point, so `samples` must be positive and `cap`
     nonnegative.  Configs are values: equal knobs compare and hash equal,
     and a config keys caches, so it is not changed once built.
@@ -565,6 +566,9 @@ class CheckConfig:
 
     def __init__(self, cap: int = 100000, samples: int = 10000,
                  seed: int = 0):
+        _int_check("cap", cap)
+        _int_check("samples", samples)
+        _int_check("seed", seed)
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {samples}")
         if cap < 0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .finset import (BLOCK, Atom, CheckConfig, FinSetObj, Morphism,
                      SeededRng, ShapeError, compose, envelope_hom_report,
-                     equal_mor, fibers, identity, image_factor, inverse)
+                     equal_mor, fibers, identity, image_factor)
 from .report import VerifyReport, combine, failing, passing
 
 
@@ -121,6 +121,13 @@ def check_split_equalizer_diagram(i: Morphism, q: Morphism, f: Morphism,
 
     The converse of the second fails: q can be any retraction of an
     equalizing i, and i.q then differs from r.f.
+
+    The hypotheses and the idempotence are checked under the config.  The
+    lemma's facts are decided on the whole tables
+    (`split_equalizer_facts`), never sampled: a sampled i.q = r.f that
+    misses the ranks where it fails would make a valid diagram fail the
+    lemma.  The side leaves read every rank too, with the cap raised to
+    |A| and |B|.
     """
     a, b, c = i.dom, i.cod, f.cod
     if q.dom != b or q.cod != a or f.dom != b or j.dom != b or j.cod != c \
@@ -136,10 +143,15 @@ def check_split_equalizer_diagram(i: Morphism, q: Morphism, f: Morphism,
 
     rf = compose(f, r)
     idem = equal_mor(compose(rf, rf), rf, config, check="r.f-idempotent")
+    _, is_equalizer, splitting, image = split_equalizer_facts(
+        i.table, q.table, f.table, j.table, r.table)
 
-    # Equalizer side: f.i = j.i plus unique factorization of every
-    # equalizing element of B through i.
-    cone = equal_mor(compose(i, f), compose(i, j), config, check="f.i=j.i")
+    # The sides, attached for reading, read every rank as the lemma's
+    # facts do: f.i = j.i, the unique factorization of every equalizing
+    # element of B through i, and i.q = r.f.
+    whole = CheckConfig(max(config.cap, a.card, b.card), config.samples,
+                        config.seed)
+    cone = equal_mor(compose(i, f), compose(i, j), whole, check="f.i=j.i")
     eq_set = [x for x in range(b.card) if f(x) == j(x)]
     preimages = fibers(i)
     wit = []
@@ -151,25 +163,50 @@ def check_split_equalizer_diagram(i: Morphism, q: Morphism, f: Morphism,
         if v not in eq_set:
             wit.append({"included_rank": v, "not_equalizing": True})
     universal = passing("i-universal") if not wit else failing("i-universal", wit)
-    is_equalizer = cone.passed and universal.passed
+    split_eq = equal_mor(compose(q, i), rf, whole, check="i.q=r.f")
 
-    split_eq = equal_mor(compose(q, i), rf, config, check="i.q=r.f")
-    image = set(i.table) == set(rf.table)
     lemma = [_holds("splitting-implies-equalizer",
-                    is_equalizer or not split_eq.passed,
-                    equalizer=is_equalizer, splitting=split_eq.passed),
+                    is_equalizer or not splitting,
+                    equalizer=is_equalizer, splitting=splitting),
              _holds("equalizer-iff-image", is_equalizer == image,
                     equalizer=is_equalizer, image=image)]
     # Either side may be false on a valid diagram; only the hypotheses, the
-    # idempotence and the lemma gate the verdict.  The side evaluations
-    # stay attached for reading.
+    # idempotence and the lemma gate the verdict.
     gating = combine("split-equalizer-gate", [hyps, idem, *lemma])
     return VerifyReport(check="split-equalizer-diagram", status=gating.status,
                         mode=gating.mode, seed=gating.seed, cap=gating.cap,
                         witnesses=list(gating.witnesses),
                         sub=[hyps, idem, cone, universal, split_eq, *lemma],
                         details={"equalizer": is_equalizer,
-                                 "splitting": split_eq.passed})
+                                 "splitting": splitting})
+
+
+def split_equalizer_facts(i: list[int], q: list[int], f: list[int],
+                          j: list[int], r: list[int]
+                          ) -> tuple[bool, bool, bool, bool]:
+    """(holds, equalizer, splitting, image) of a split-equalizer diagram,
+    decided on its whole tables, shaped as `check_split_equalizer_diagram`
+    takes them.
+
+    `equalizer` is "i is an equalizer of f and j" (i injective onto the
+    equalizing set), `splitting` is i.q = r.f and `image` is
+    im i = im r.f.  `holds` is what that check's verdict is when it reads
+    every rank: the hypotheses hold, r.f is idempotent, and so does the
+    lemma.
+    """
+    rf = [r[y] for y in f]
+    hypotheses = (all(q[x] == k for k, x in enumerate(i))
+                  and all(r[y] == k for k, y in enumerate(j))
+                  and all(f[x] == j[x] for x in rf))
+    idempotent = all(rf[x] == x for x in rf)
+    included = set(i)
+    equalizer = len(included) == len(i) and included == {
+        x for x, (u, v) in enumerate(zip(f, j)) if u == v}
+    splitting = [i[x] for x in q] == rf
+    image = included == set(rf)
+    holds = (hypotheses and idempotent and (equalizer or not splitting)
+             and equalizer == image)
+    return holds, equalizer, splitting, image
 
 
 def _holds(check: str, ok: bool, **facts) -> VerifyReport:
@@ -179,43 +216,32 @@ def _holds(check: str, ok: bool, **facts) -> VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# seeded generators (used by the test suite and the CLI battery)
+# seeded draws, as plain tables (the CLI battery draws from them, and
+# tests/oracles.py wraps them as maps)
 
 
-def random_idempotent(obj: FinSetObj, rng: SeededRng) -> Morphism:
-    """Uniformly shaped projector: pick fixed points, retract onto them."""
-    n = obj.card
+def random_idempotent_table(n: int, rng: SeededRng) -> list[int]:
+    """The table of a uniformly shaped projector on n ranks: pick fixed
+    points, retract onto them."""
     if n == 0:
-        return identity(obj)
+        return []
     nfix = 1 + rng.below(n)
     fixed = sorted(rng.shuffled(range(n))[:nfix])
     keep = set(fixed)
-    table = [k if k in keep else rng.choice(fixed) for k in range(n)]
-    return Morphism(obj, obj, table=table)
+    return [k if k in keep else rng.choice(fixed) for k in range(n)]
 
 
-def random_section_retraction(small: FinSetObj, big: FinSetObj,
-                              rng: SeededRng) -> tuple[Morphism, Morphism]:
-    """A split mono small -> big with a retraction big -> small."""
-    if small.card > big.card:
-        raise ValueError("need card(small) <= card(big)")
-    image = sorted(rng.shuffled(range(big.card))[:small.card])
-    sec = Morphism(small, big, table=image)
-    index = inverse(sec)
-    ret = Morphism(big, small,
-                   table=[index.get(x, rng.below(small.card))
-                          for x in range(big.card)])
-    return sec, ret
+def split_equalizer_tables(rng: SeededRng, max_size: int = 8):
+    """A diagram satisfying the three split-equalizer hypotheses, as the
+    plain tables (i, q, f, j, r), with 2 <= |B| <= |C| <= max_size.
 
-
-def random_split_equalizer_diagram(rng: SeededRng, max_size: int = 8):
-    """A diagram satisfying the three split-equalizer hypotheses.
-
+    A projector e on B is split as e = i.q through its fixed points A
+    (i ascending), and C gets a section j: B -> C with a retraction r.
     Two families, each drawn with probability 1/2:
 
-    - coherent: f = j.e for the projector e = i.q, so r.f = i.q.  The
-      splitting holds, so `splitting-implies-equalizer` checks its
-      conclusion, and `equalizer-iff-image` holds with both sides true;
+    - coherent: f = j.e, so r.f = i.q.  The splitting holds, so
+      `splitting-implies-equalizer` checks its conclusion, and
+      `equalizer-iff-image` holds with both sides true;
     - detuned: f = j.e2 for a projector e2 with another fixed-point set,
       so im r.f differs from im i.  `splitting-implies-equalizer` holds
       with a false premise, and `equalizer-iff-image` with both sides
@@ -227,23 +253,40 @@ def random_split_equalizer_diagram(rng: SeededRng, max_size: int = 8):
     A sampler over all three kinds is open (ROADMAP item 3).
     """
     nb = 2 + rng.below(max_size - 1)
-    b = Atom("B", nb)
-    e = random_idempotent(b, rng)
-    q, i, a = image_factor(e)
+    e = random_idempotent_table(nb, rng)
+    i = sorted(set(e))
+    index = {v: k for k, v in enumerate(i)}
+    q = [index[v] for v in e]
     nc = nb + rng.below(max(1, max_size - nb + 1))
-    c = Atom("C", nc)
-    j, r = random_section_retraction(b, c, rng)
+    # the section's image, and a retraction drawing a value at every rank
+    # of C, hit or not
+    j = sorted(rng.shuffled(range(nc))[:nb])
+    index = {v: k for k, v in enumerate(j)}
+    r = [index.get(y, rng.below(nb)) for y in range(nc)]
     if rng.below(2) == 0:
-        f = compose(e, j)
+        f = [j[v] for v in e]
     else:
-        # A projector with a different fixed-point set makes im r.f differ
-        # from im i: no equalizer, no image match, no splitting.
-        e2 = random_idempotent(b, rng)
+        # An idempotent's fixed points are its image.  Another fixed-point
+        # set makes im r.f differ from im i: no equalizer, no image match,
+        # no splitting.
+        fixed = set(i)
+        e2 = random_idempotent_table(nb, rng)
         for _ in range(64):
-            if set(fixed_ranks(e2)) != set(fixed_ranks(e)):
+            if set(e2) != fixed:
                 break
-            e2 = random_idempotent(b, rng)
-        if set(fixed_ranks(e2)) == set(fixed_ranks(e)):
+            e2 = random_idempotent_table(nb, rng)
+        if set(e2) == fixed:
             e2 = e
-        f = compose(e2, j)
+        f = [j[v] for v in e2]
     return i, q, f, j, r
+
+
+def split_equalizer_morphisms(i: list[int], q: list[int], f: list[int],
+                              j: list[int], r: list[int]):
+    """The maps of a diagram drawn by `split_equalizer_tables`, through
+    A = im(|A|), B and C."""
+    a, b, c = Atom(f"im({len(i)})", len(i)), Atom("B", len(q)), \
+        Atom("C", len(r))
+    return (Morphism(a, b, table=i), Morphism(b, a, table=q),
+            Morphism(b, c, table=f), Morphism(b, c, table=j),
+            Morphism(c, b, table=r))

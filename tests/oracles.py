@@ -14,7 +14,9 @@ from finkar.equivalence import (KarcObject, KarmObject, make_karc_object,
 from finkar.finset import (Atom, CheckConfig, Exp, FinSetObj, Morphism, Prod,
                            ShapeError, check_ranks, codec, compose, equal_mor,
                            identity)
-from finkar.idempotents import karoubi_hom_check, split_idempotent
+from finkar.idempotents import (karoubi_hom_check, random_idempotent_table,
+                                split_equalizer_morphisms,
+                                split_equalizer_tables, split_idempotent)
 from finkar.report import combine, failing, passing
 from finkar.statemonad import (StateContext, eps, eta, exp_mor, exp_obj,
                                g_mor, g_obj, mu, nu, prod_mor, prod_obj,
@@ -529,10 +531,17 @@ def split_equalizer_diagrams(max_size: int):
                     rf = [r[f[x]] for x in range(nb)]
                     if any(f[y] != j[y] for y in rf):
                         continue
-                    equalizing = {x for x in range(nb) if f[x] == j[x]}
                     yield ((na, nb, nc), (i, q, f, j, r),
-                           set(i) == equalizing and len(set(i)) == na,
-                           [i[q[x]] for x in range(nb)] == rf)
+                           *split_equalizer_sides(i, q, f, j, r))
+
+
+def split_equalizer_sides(i, q, f, j, r) -> tuple[bool, bool]:
+    """On the plain tables of a diagram i: A -> B, q: B -> A, f, j: B -> C,
+    r: C -> B: is i an equalizer of f and j, and is i.q = r.f."""
+    na, nb = len(i), len(q)
+    equalizing = {x for x in range(nb) if f[x] == j[x]}
+    return (set(i) == equalizing and len(set(i)) == na,
+            [i[q[x]] for x in range(nb)] == [r[f[x]] for x in range(nb)])
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +549,18 @@ def split_equalizer_diagrams(max_size: int):
 #
 # Not oracles: each is a composite of package maps, kept here because tests
 # exercise those maps through it (mu and t_mor; the envelope hom check; the
-# lazy eps/eta composites at |S| = 3).
+# lazy eps/eta composites at |S| = 3; the seeded table draws, as maps).
+
+
+def random_idempotent(obj: FinSetObj, rng) -> Morphism:
+    """A seeded projector on obj: the package's table draw, as a map."""
+    return Morphism(obj, obj, table=random_idempotent_table(obj.card, rng))
+
+
+def random_split_equalizer_diagram(rng, max_size: int = 8):
+    """A seeded split-equalizer diagram: the package's table draw, as the
+    maps (i, q, f, j, r)."""
+    return split_equalizer_morphisms(*split_equalizer_tables(rng, max_size))
 
 
 def kleisli_compose(ctx: StateContext, f: Morphism, g: Morphism) -> Morphism:

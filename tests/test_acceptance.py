@@ -31,8 +31,6 @@ from finkar.equivalence import (ObjectConditionError,
 from finkar.finset import (Atom, CheckConfig, Morphism, Prod, SeededRng,
                            compose, equal_mor, identity, random_morphism)
 from finkar.idempotents import (check_split_equalizer_diagram,
-                                random_idempotent,
-                                random_split_equalizer_diagram,
                                 split_idempotent, verify_split_equalizer)
 from finkar.policy import (MealyMachine, MooreMachine, Policy,
                            check_compliance, check_consistency, check_moore,
@@ -44,7 +42,8 @@ from finkar.statemonad import (KleisliResolution, ProdExpAdjunction,
                                prod_obj, t_obj)
 
 from oracles import (brute_force_algebras, brute_force_moore_machines,
-                     brute_force_sections, transported_algebras)
+                     brute_force_sections, random_idempotent,
+                     random_split_equalizer_diagram, transported_algebras)
 
 SEED = 42
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

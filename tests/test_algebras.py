@@ -12,13 +12,13 @@ from finkar.algebras import (AlgebraStruct, CoalgebraStruct,
 from finkar.equivalence import make_karm_object
 from finkar.finset import (Atom, Morphism, SeededRng, ShapeError, compose,
                            equal_mor, identity)
-from finkar.idempotents import karoubi_hom_check, random_idempotent
+from finkar.idempotents import karoubi_hom_check
 from finkar.report import LawViolation
 from finkar.statemonad import (eps, eta, exp_mor, exp_obj, g_obj, mu,
                                prod_mor, prod_obj, t_mor, t_obj)
 
 from oracles import (brute_force_algebras, brute_force_sections,
-                     transported_algebras)
+                     random_idempotent, transported_algebras)
 
 
 def test_free_algebra_laws(ctx2, ctx1):

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finkar import statemonad as SM
 from finkar.algebras import coalgebra_components, moore_law_violations
@@ -14,6 +16,7 @@ from finkar.cli import (Env, SpecError, canonical_json, main, parse_spec,
 from finkar.equivalence import functor_l, make_karm_object
 from finkar.finset import Atom, CheckConfig, Morphism
 from finkar.policy import MealyMachine
+from finkar.report import VerifyReport
 from finkar.statemonad import StateContext
 
 from oracles import broken_at_an_undrawn_rank
@@ -468,6 +471,87 @@ def test_golden_reports_hold_under_python_O(tmp_path, fixture, seed):
     assert proc.returncode == 0, proc.stderr
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == GOLDEN_REPORTS[fixture, seed]
+
+
+@pytest.mark.parametrize("fixture,seed", sorted(GOLDEN_REPORTS))
+def test_canonical_json_is_the_stdlib_layout_on_golden_reports(
+        tmp_path, fixture, seed):
+    out = tmp_path / "report.json"
+    assert main(["verify-all", str(FIXTURES / fixture), "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    expected = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    assert canonical_json(data) == expected == out.read_text()
+
+
+JSON_LEAVES = st.one_of(
+    st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t", "\u2028",
+                                "caf\u00e9", "\U0001f600", ", ", '": {[']),
+    st.integers(), st.integers(min_value=-10 ** 300, max_value=10 ** 300),
+    st.booleans(), st.none(), st.just([]), st.just({}))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5) | JSON_LEAVES.filter(
+        lambda x: isinstance(x, str)), inner, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_canonical_json_is_the_stdlib_layout(data):
+    """Byte for byte what the stdlib writes, on nested dicts and lists of
+    non-ASCII, quote and control-character strings, negative and huge
+    ints, bools, None and empty containers."""
+    assert canonical_json(data) == json.dumps(data, sort_keys=True,
+                                              indent=2) + "\n"
+
+
+def test_canonical_json_writes_other_keys_and_leaves_as_json_does():
+    """A tuple is a list, and a dict with keys that are not strings and a
+    float leaf are written by json.dumps itself, at their indent."""
+    data = {"a": [(1, 2.5), {2: [None, {"b": float("nan")}], True: []}],
+            "z": [[], ()]}
+    assert canonical_json(data) == json.dumps(data, sort_keys=True,
+                                              indent=2) + "\n"
+
+
+SMALL_CAPS = [["--seed", "0", "--cap", "7", "--samples", "10"],
+              ["--seed", "0", "--cap", "3", "--samples", "2"],
+              ["--seed", "1", "--cap", "3", "--samples", "2"],
+              ["--seed", "7", "--cap", "3", "--samples", "2"],
+              ["--seed", "0", "--cap", "0", "--samples", "1"]]
+
+
+@pytest.mark.parametrize("knobs", SMALL_CAPS, ids=" ".join)
+def test_small_caps_do_not_fail_the_split_equalizer_battery(tmp_path, knobs):
+    """Every diagram the battery draws meets the hypotheses, so no cap
+    fails it: a lemma fact sampled at a small cap (i.q = r.f drawn twice
+    on 5 ranks) once did."""
+    out = tmp_path / "report.json"
+    assert main(["verify-all", str(FIXTURES / "machines.json"), *knobs,
+                 "--out", str(out)]) == 0
+    battery = json.loads(out.read_text())["sub"][-1]
+    assert battery["check"] == "split-equalizer-battery"
+    assert battery["sub"][0]["details"] == {"trials": 100, "max_size": 8}
+
+
+def test_split_equalizer_task_builds_no_map_or_report_per_diagram(
+        monkeypatch):
+    """A passing battery decides its 100 diagrams on plain tables: the task
+    builds its own two reports (the battery's and the expectation's) and
+    not one map."""
+    spec = parse_spec(json.dumps({**MINIMAL, "tasks": [
+        {"command": "split-equalizer", "trials": 100, "maxSize": 8}]}))
+    env = _env(spec)
+    built = []
+    for cls in (Morphism, VerifyReport):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    rep = run_command(spec.tasks[0], env)
+    assert rep.passed
+    assert built == ["VerifyReport", "VerifyReport"]
 
 
 THREE_STATES = {

@@ -440,6 +440,17 @@ def test_check_config_rejects_vacuous_knobs():
     assert CheckConfig(cap=0, samples=1).samples == 1
 
 
+@pytest.mark.parametrize("knob", ["cap", "samples", "seed"])
+@pytest.mark.parametrize("value", [True, 2.5, "7", None])
+def test_check_config_knobs_are_ints(knob, value):
+    """A knob that is not an int, or is a bool, is refused when the config
+    is built: otherwise `seed=True` shows as `"seed": true` in a report,
+    `cap=2.5` as `"cap": 2.5`, and `seed="7"` or `samples=2.0` fail deep
+    inside the first sampled check."""
+    with pytest.raises(TypeError, match=f"{knob} must be an int"):
+        CheckConfig(**{knob: value})
+
+
 def test_check_configs_are_values():
     """Equal knobs compare and hash equal, so two equal configs key the
     same cache entry (through StateContext); other knobs compare unequal."""

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -11,12 +13,14 @@ from finkar.finset import (Atom, CheckConfig, Morphism, SeededRng, ShapeError,
                            compose, identity, random_morphism)
 from finkar.idempotents import (check_split_equalizer_diagram, fixed_ranks,
                                 is_idempotent, karoubi_hom_check,
-                                random_idempotent,
-                                random_split_equalizer_diagram,
-                                split_idempotent, verify_split_equalizer)
+                                split_equalizer_facts,
+                                split_equalizer_tables, split_idempotent,
+                                verify_split_equalizer)
 
 from oracles import (broken_at_an_undrawn_rank, karoubi_compose,
-                     list_random_idempotent, split_equalizer_diagrams)
+                     list_random_idempotent, random_idempotent,
+                     random_split_equalizer_diagram, split_equalizer_diagrams,
+                     split_equalizer_sides)
 
 THREE = Atom("Y", 3)
 E = Morphism(THREE, THREE, table=[0, 0, 2])
@@ -257,6 +261,10 @@ def test_split_equalizer_passes_an_equalizer_with_another_retraction():
         "splitting-implies-equalizer": True, "equalizer-iff-image": True}
 
 
+# the maps of a diagram, in the order (i, q, f, j, r), by (domain, codomain)
+DIAGRAM_SHAPES = ("AB", "BA", "BC", "BC", "CB")
+
+
 def test_split_equalizer_census_matches_the_plain_list_oracle():
     """Every diagram with |A| <= |B| <= |C| <= 3 that meets the hypotheses
     (1,482 of them) passes, and its two sides are those of the plain-list
@@ -267,8 +275,7 @@ def test_split_equalizer_census_matches_the_plain_list_oracle():
         objs = {"A": Atom("A", sizes[0]), "B": Atom("B", sizes[1]),
                 "C": Atom("C", sizes[2])}
         i, q, f, j, r = (Morphism(objs[d], objs[c], table=list(t))
-                         for (d, c), t in zip(
-                             ("AB", "BA", "BC", "BC", "CB"), tables))
+                         for (d, c), t in zip(DIAGRAM_SHAPES, tables))
         rep = check_split_equalizer_diagram(i, q, f, j, r)
         assert rep.passed, (tables, rep.to_dict())
         assert rep.details == {"equalizer": equalizer, "splitting": splitting}
@@ -277,6 +284,90 @@ def test_split_equalizer_census_matches_the_plain_list_oracle():
             differ.append((sizes, equalizer))
     assert total == 1482
     assert len(differ) == 72 and set(differ) == {((2, 3, 3), True)}
+
+
+def _one_entry_mutants(sizes, tables):
+    """Each diagram whose tables differ from `tables` at one entry of one
+    map, by every other value in that map's codomain."""
+    card = dict(zip("ABC", sizes))
+    for m, (_, cod) in enumerate(DIAGRAM_SHAPES):
+        for rank, value in enumerate(tables[m]):
+            for other in range(card[cod]):
+                if other != value:
+                    mutant = [list(t) for t in tables]
+                    mutant[m][rank] = other
+                    yield mutant
+
+
+def test_table_decision_matches_the_diagram_check_and_the_oracle():
+    """On every diagram of the census and on each of their one-entry
+    mutants (36,694 diagrams, most failing a hypothesis), the table
+    decision is the verdict of check_split_equalizer_diagram at the
+    default config, and its two sides are those of the plain-list
+    oracle."""
+    seen = held = 0
+    for sizes, tables, _, _ in split_equalizer_diagrams(3):
+        objs = {name: Atom(name, n) for name, n in zip("ABC", sizes)}
+        for t in (tables, *_one_entry_mutants(sizes, tables)):
+            rep = check_split_equalizer_diagram(
+                *(Morphism(objs[d], objs[c], table=list(x))
+                  for (d, c), x in zip(DIAGRAM_SHAPES, t)))
+            holds, equalizer, splitting, _ = split_equalizer_facts(*t)
+            assert holds == rep.passed, (t, rep.to_dict())
+            assert (equalizer, splitting) == split_equalizer_sides(*t), t
+            seen += 1
+            held += holds
+    assert seen == 36694
+    assert 1482 < held < seen
+
+
+def test_a_sampled_premise_does_not_fail_a_valid_diagram():
+    """Trial 27 of the battery at seed 0 meets the hypotheses; i is not an
+    equalizer and i.q differs from r.f at ranks 1 and 3 of B.  With cap 3
+    and 2 samples, a sampled i.q = r.f drew rank 0 twice and passed, so
+    `splitting-implies-equalizer` failed a valid diagram.  The lemma's
+    facts come from the whole tables, and the i.q = r.f leaf beside them
+    reads every rank too."""
+    a, b, c = Atom("A", 2), Atom("B", 5), Atom("C", 8)
+    i = Morphism(a, b, table=[2, 4])
+    q = Morphism(b, a, table=[0, 0, 0, 0, 1])
+    f = Morphism(b, c, table=[4, 2, 4, 5, 7])
+    j = Morphism(b, c, table=[0, 2, 4, 5, 7])
+    r = Morphism(c, b, table=[0, 4, 1, 2, 2, 3, 2, 4])
+    rep = check_split_equalizer_diagram(i, q, f, j, r,
+                                        CheckConfig(cap=3, samples=2))
+    assert rep.passed, rep.to_dict()
+    assert rep.details == {"equalizer": False, "splitting": False}
+    leaves = {s.check: (s.status, s.mode) for s in rep.sub}
+    assert leaves["hypotheses"] == ("pass", "sampled")
+    assert leaves["splitting-implies-equalizer"] == ("pass", "exhaustive")
+    assert leaves["i.q=r.f"] == ("fail", "exhaustive")
+    rng = SeededRng(0)
+    for _ in range(27):
+        split_equalizer_tables(rng)
+    assert split_equalizer_tables(rng) == tuple(
+        m.table for m in (i, q, f, j, r))
+
+
+# sha256 of the JSON list of the first 200 diagrams' tables [i, q, f, j, r]
+# drawn at each seed with max_size 8, and the stream's next output after
+# them, as the generator drew them when it built maps
+DRAWN_TABLES = {
+    0: "7ebed08b2490879000d2d95eaf7e98cb606e29cb42479dbb96da2194767f7d34",
+    42: "561af7f257997161b7ac6e17ced11a89c176893d2198c320561014a632304633",
+}
+DRAWN_NEXT64 = {0: 4441424193645216335, 42: 16807507739951799514}
+
+
+@pytest.mark.parametrize("seed", sorted(DRAWN_TABLES))
+def test_split_equalizer_draws_are_pinned(seed):
+    """The table draw gives the diagrams the generator that built maps
+    drew, consuming the stream call for call."""
+    rng = SeededRng(seed)
+    drawn = [list(split_equalizer_tables(rng)) for _ in range(200)]
+    digest = hashlib.sha256(json.dumps(drawn).encode()).hexdigest()
+    assert digest == DRAWN_TABLES[seed]
+    assert rng.next64() == DRAWN_NEXT64[seed]
 
 
 def test_split_equalizer_diagram_shape_mismatch():

@@ -12,7 +12,6 @@ from finkar.equivalence import (ObjectConditionError, functor_l, functor_r,
 from finkar.finset import (Atom, CheckConfig, Morphism, Prod, SeededRng,
                            ShapeError, compose, fst, identity, random_morphism,
                            snd)
-from finkar.idempotents import random_idempotent
 from finkar.policy import (MealyMachine, MooreMachine, Policy,
                            check_compliance, check_consistency, check_moore,
                            check_policy, coalgebra_to_moore,
@@ -22,7 +21,7 @@ from finkar.statemonad import StateContext, prod_obj
 
 from oracles import (brute_force_moore_machines, naive_moore_tables,
                      oracle_check_compliance, oracle_check_consistency,
-                     structural_check_coalgebra)
+                     random_idempotent, structural_check_coalgebra)
 
 
 def _mealy(ctx, na, nb, table, labels=("A", "A")):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from typing import Iterator
 
 from .finset import (CheckConfig, FinSetObj, Morphism, Prod, ShapeError,
                      check_ranks, compose, equal_mor, fibers, fst, identity,
@@ -322,11 +323,12 @@ def _preserves_operations(f: Morphism, update_a: Morphism,
 # projectivity
 
 
-def _verify_witness(w: ProjectiveWitness) -> VerifyReport:
-    """The witness invariants: alpha . sigma = id on A, sigma a hom into
-    the free algebra (`section-is-hom`), the projector pi idempotent, and
-    pi = eps . (S x sigma) on S x A, for the counit eps at S x A that the
-    resolution builds (pi is read off sigma as its transpose).
+def _verify_witness(w: ProjectiveWitness) -> Iterator[VerifyReport]:
+    """The witness invariants, one leaf report at a time: alpha . sigma =
+    id on A, sigma a hom into the free algebra (`section-is-hom`), the
+    projector pi idempotent, and pi = eps . (S x sigma) on S x A, for the
+    counit eps at S x A that the resolution builds (pi is read off sigma
+    as its transpose).
 
     The exponential-image identity sigma . alpha = S => pi on TA follows
     and is not checked on TA.  sigma is a hom, by Lemma 1 or checked
@@ -339,29 +341,28 @@ def _verify_witness(w: ProjectiveWitness) -> VerifyReport:
     """
     ctx, a = w.algebra.ctx, w.algebra
     al, ab, cfg = a.structure, w.coretraction, ctx.config
-    subs = [
-        equal_mor(compose(ab, al), identity(a.carrier), cfg,
-                  check="structure.section=id"),
-        passing("section-is-hom") if algebra_hom_check(
-            ab, a, free_algebra(ctx, a.carrier))
-        else failing("section-is-hom", [{"hom": False}]),
-        equal_mor(compose(w.projector, w.projector), w.projector, cfg,
-                  check="projector-idempotent"),
-        equal_mor(w.projector, compose(prod_mor(ctx, ab),
-                                       eps(ctx, prod_obj(ctx, a.carrier))),
-                  cfg, check="projector=eps.(Sxsection)"),
-    ]
-    return combine("projective-witness", subs)
+    yield equal_mor(compose(ab, al), identity(a.carrier), cfg,
+                    check="structure.section=id")
+    yield (passing("section-is-hom") if algebra_hom_check(
+        ab, a, free_algebra(ctx, a.carrier))
+        else failing("section-is-hom", [{"hom": False}]))
+    yield equal_mor(compose(w.projector, w.projector), w.projector, cfg,
+                    check="projector-idempotent")
+    yield equal_mor(w.projector, compose(prod_mor(ctx, ab),
+                                         eps(ctx, prod_obj(ctx, a.carrier))),
+                    cfg, check="projector=eps.(Sxsection)")
 
 
 def make_witness(a: AlgebraStruct,
                  coretraction: Morphism) -> ProjectiveWitness:
-    """Package a hom-section into a witness, verifying all its invariants."""
+    """Package a hom-section into a witness, verifying all its invariants:
+    the leaves are read as booleans, and the report is built only to raise
+    with."""
     proj = mealy_of_kleisli(a.ctx, coretraction)
     w = ProjectiveWitness(algebra=a, coretraction=coretraction, projector=proj)
-    rep = _verify_witness(w)
-    if not rep.passed:
-        raise LawViolation("witness invariants failed", rep)
+    if not all(r.passed for r in _verify_witness(w)):
+        raise LawViolation("witness invariants failed", combine(
+            "projective-witness", list(_verify_witness(w))))
     return w
 
 
@@ -407,7 +408,8 @@ def search_sections(a: AlgebraStruct,
 
     - v = x: a fixed-point filter on the fiber of x, applied once before
       the search;
-    - v < x: a filter on the candidates for sigma(x), given sigma(v);
+    - v < x: a filter on the candidates for sigma(x), given sigma(v),
+      applied one square at a time;
     - v > x: it forces sigma(v) = update_u(sigma x), given sigma(x).  That
       one value is tried, and only if it lies in the filtered fiber of v
       and every other square forcing sigma(v) agrees.
@@ -434,15 +436,14 @@ def search_sections(a: AlgebraStruct,
     # filters (fixed, below) or forces (forced)
     update = rows(_free_update(a.ctx.state_space, a.carrier).table, a.ctx.ns)
     fixed, below, forced = ([[] for _ in range(n)] for _ in range(3))
-    sa = a._update.dom
-    for u, x, v in zip(fst(sa).table, snd(sa).table, a._update.table):
-        up = update[u]
-        if v == x:
-            fixed[x].append(up)
-        elif v < x:
-            below[x].append((up, v))
-        else:
-            forced[v].append((up, x))
+    for up, row in zip(update, rows(a._update.table, a.ctx.ns)):
+        for x, v in enumerate(row):
+            if v == x:
+                fixed[x].append(up)
+            elif v < x:
+                below[x].append((up, v))
+            else:
+                forced[v].append((up, x))
     choices = [[c for c in preimages.get(j, [])
                 if all(up[c] == c for up in fixed[j])]
                for j in range(n)]
@@ -460,10 +461,11 @@ def search_sections(a: AlgebraStruct,
             c = up[choice[x]]
             cands = [c] if c in allowed[j] and all(
                 up[choice[x]] == c for up, x in forced[j]) else []
+        for up, v in below[j]:
+            cands = [c for c in cands if up[c] == choice[v]]
         for c in cands:
-            if all(up[c] == choice[v] for up, v in below[j]):
-                choice[j] = c
-                extend(j + 1)
+            choice[j] = c
+            extend(j + 1)
 
     extend(0)
     return [Morphism(a.carrier, ta, table=t) for t in out]

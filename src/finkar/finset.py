@@ -94,9 +94,11 @@ class FinSetObj:
 
     @classmethod
     def _build(cls, fields: tuple) -> "FinSetObj":
-        """A new object, validated, with its card set."""
-        if len(fields) != len(cls.__slots__):
-            raise TypeError(f"{cls.__name__} takes {cls.__slots__}")
+        """A new object, validated, with its card set.  A Prod's or an
+        Exp's fields must be objects; Atom checks its own."""
+        if len(fields) != len(cls.__slots__) or cls is not Atom and not all(
+                isinstance(v, FinSetObj) for v in fields):
+            raise TypeError(f"{cls.__name__} takes {cls.__slots__}: {fields}")
         obj = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
             object.__setattr__(obj, name, value)
@@ -312,11 +314,7 @@ class Morphism:
             if n > MATERIALIZE_LIMIT:
                 raise ShapeError(
                     f"refusing to materialize a table of length {n}")
-            table = []
-            for lo in range(0, n, BLOCK):
-                table += self._at(range(lo, min(lo + BLOCK, n)))
-            _range_check(table, self.cod.card)
-            self._table, self._at = table, None
+            self._table, self._at = _read_all(self._at, n, self.cod.card), None
         return self._table
 
     def __repr__(self):
@@ -332,6 +330,17 @@ class _Checked:
 
     def __init__(self, values: list[int]):
         self.values = values
+
+
+def _read_all(at: Callable[[Sequence[int]], list[int]], n: int,
+              ncod: int) -> list[int]:
+    """A block evaluator's values on ranks 0..n-1, read BLOCK at a time
+    and range-checked once."""
+    table = []
+    for lo in range(0, n, BLOCK):
+        table += at(range(lo, min(lo + BLOCK, n)))
+    _range_check(table, ncod)
+    return table
 
 
 def _range_check(table: list[int], n: int, ranks=None):
@@ -370,12 +379,12 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
 def from_blocks(dom: FinSetObj, cod: FinSetObj,
                 at: Callable[[Sequence[int]], list[int]]) -> Morphism:
     """Build a morphism from a block evaluator: `Morphism.lazy(dom, cod,
-    at)` above EAGER_LIMIT, and within it that map's table, materialized
-    and checked once."""
-    m = Morphism.lazy(dom, cod, at)
+    at)` above EAGER_LIMIT, and within it the evaluator's table, read and
+    range-checked once."""
     if dom.card > EAGER_LIMIT:
-        return m
-    return Morphism(dom, cod, table=_Checked(m.table))
+        return Morphism.lazy(dom, cod, at)
+    return Morphism(dom, cod, table=_Checked(_read_all(at, dom.card,
+                                                       cod.card)))
 
 
 def from_fn(dom: FinSetObj, cod: FinSetObj,
@@ -522,15 +531,15 @@ def splitmix64(seed: int) -> Iterator[int]:
 
 
 class SeededRng:
-    """Tiny deterministic RNG over splitmix64, enough for test generators."""
+    """Tiny deterministic RNG over splitmix64, enough for test generators.
+    `next64()` is the stream's own `__next__`, so a draw is one call."""
 
     def __init__(self, seed: int):
-        self._stream = splitmix64(seed)
-
-    def next64(self) -> int:
-        return next(self._stream)
+        self.next64 = splitmix64(seed).__next__
 
     def below(self, n: int) -> int:
+        if type(n) is not int:
+            raise TypeError(f"below() needs an int bound, got {n!r}")
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         return self.next64() % n
@@ -683,15 +692,22 @@ def envelope_hom_report(f: Morphism, phi: Morphism, psi: Morphism,
     The sandwich psi . f . phi = f is checked alongside the pair
     psi . f = f and f . phi = f, which it is equivalent to; a divergence
     between the two routes is reported as its own failure."""
-    if phi.dom != f.dom or psi.dom != f.cod:
-        raise ShapeError("projectors must sit on dom(f) and cod(f)")
-    post, pre, sandwich = _envelope_equations(
-        f, compose(phi, f), compose(f, psi), psi, config)
+    post, pre, sandwich = envelope_equations(f, phi, psi, config)
     pair = post.passed and pre.passed
     agreement = (passing("sandwich-iff-pair") if sandwich.passed == pair else
                  failing("sandwich-iff-pair",
                          [{"sandwich": sandwich.passed, "pair": pair}]))
     return combine("compliance", [sandwich, post, pre, agreement])
+
+
+def envelope_equations(f: Morphism, phi: Morphism, psi: Morphism,
+                       config: CheckConfig) -> Iterator[VerifyReport]:
+    """The envelope-hom equations of f from phi to psi, one at a time:
+    post, pre, then the sandwich.  The shapes are checked at the call."""
+    if phi.dom != f.dom or psi.dom != f.cod:
+        raise ShapeError("projectors must sit on dom(f) and cod(f)")
+    return _envelope_equations(f, compose(phi, f), compose(f, psi), psi,
+                               config)
 
 
 def envelope_holds(f: Morphism, phi_f: Morphism, f_psi: Morphism,

@@ -86,16 +86,15 @@ def combine(check: str, subs: list[VerifyReport], **details) -> VerifyReport:
 
     A failing aggregate names its failing sub-checks as witnesses, so the
     no-witnessless-failure invariant holds at every level."""
-    status = "pass"
-    if any(r.status == "fail" for r in subs):
-        status = "fail"
-    if any(r.status == "error" for r in subs):
-        status = "error"
-    mode = "exhaustive" if all(
-        r.mode == "exhaustive" for r in subs) else "sampled"
+    status, mode, witnesses = "pass", "exhaustive", []
+    for r in subs:
+        if r.status != "pass":
+            status = "error" if "error" in (status, r.status) else "fail"
+            witnesses.append({"failing_sub": r.check})
+        if r.mode != "exhaustive":
+            mode = "sampled"
     seed = subs[0].seed if subs else 0
     cap = max((r.cap for r in subs), default=0)
-    witnesses = [{"failing_sub": r.check} for r in subs if not r.passed][:3]
     return VerifyReport(check=check, status=status, mode=mode, seed=seed,
-                        cap=cap, witnesses=witnesses if status != "pass" else [],
-                        sub=list(subs), details=details)
+                        cap=cap, witnesses=witnesses[:3], sub=list(subs),
+                        details=details)

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from finkar import report
 from finkar.finset import Atom, Morphism, Prod
 from finkar.policy import MealyMachine, MooreMachine, Policy
 from finkar.statemonad import StateContext
@@ -56,3 +59,20 @@ def table_sizes(monkeypatch):
     monkeypatch.setattr(Morphism, "__init__", spy_init)
     monkeypatch.setattr(Morphism, "table", property(spy_table))
     return sizes
+
+
+@pytest.fixture
+def combine_calls(monkeypatch):
+    """The check names of the `report.combine` calls made while the test
+    runs, in every loaded module of the package that imports it."""
+    calls, combine = [], report.combine
+
+    def spy(check, subs, **details):
+        calls.append(check)
+        return combine(check, subs, **details)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "finkar"
+                and getattr(module, "combine", None) is combine):
+            monkeypatch.setattr(module, "combine", spy)
+    return calls

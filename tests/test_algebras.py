@@ -115,20 +115,83 @@ def test_section_multiplicity_frozen_counts(ctx2):
     assert sorted(t.table for t in search_sections(a4)) == sorted(oracle4)
 
 
+def _census(ctx):
+    """The |S| = 2 census: the one structure on one element, then the
+    twelve on four (two elements carry none)."""
+    a1, a4 = Atom("A", 1), Atom("A", 4)
+    return ([AlgebraStruct(ctx=ctx, carrier=a1, structure=alg)
+             for alg in brute_force_algebras(ctx, a1)]
+            + [AlgebraStruct(ctx=ctx, carrier=a4, structure=alg)
+               for alg in transported_algebras(ctx, 2, a4)])
+
+
 def test_search_sections_order_matches_oracle(ctx2):
     """The pruned search returns exactly the oracle's sections, in the
-    oracle's lexicographic fiber order, on the |S| = 2 census (the one
-    structure on one element and the twelve on four; two elements carry
-    none)."""
-    census = [(Atom("A", 1), alg)
-              for alg in brute_force_algebras(ctx2, Atom("A", 1))]
-    census += [(Atom("A", 4), alg)
-               for alg in transported_algebras(ctx2, 2, Atom("A", 4))]
+    oracle's lexicographic fiber order, on the |S| = 2 census and on a
+    seeded one-entry mutant of each structure on four elements (one
+    element has no mutant); a mutant has none."""
+    census, rng = _census(ctx2), SeededRng(25)
     assert len(census) == 13
-    for carrier, alg in census:
-        a = AlgebraStruct(ctx=ctx2, carrier=carrier, structure=alg)
-        assert [s.table for s in search_sections(a)] == \
-            brute_force_sections(ctx2, alg)
+    mutants = []
+    for a in census[1:]:
+        bad = list(a.structure.table)
+        t = rng.below(len(bad))
+        bad[t] = (bad[t] + 1 + rng.below(3)) % 4
+        mutants.append(AlgebraStruct(ctx=ctx2, carrier=a.carrier,
+                                     structure=Morphism(a.structure.dom,
+                                                        a.carrier, table=bad)))
+    for a in census + mutants:
+        got = [s.table for s in search_sections(a)]
+        assert got == brute_force_sections(ctx2, a.structure)
+        assert bool(got) == (a not in mutants)
+
+
+def test_search_sections_builds_no_projection_table(ctx2, monkeypatch):
+    """Once the laws are proven, the search reads its squares off the rows
+    of the recorded update: the only tables it builds are the sections
+    it returns, and none is a projection of a product."""
+    built = []
+    init = Morphism.__init__
+
+    def spy(self, dom, cod, table=None, fn=None):
+        init(self, dom, cod, table=table, fn=fn)
+        built.append((dom, cod))
+
+    for a in _census(ctx2)[:4]:
+        search_sections(a)  # proves the laws, records update
+        monkeypatch.setattr(Morphism, "__init__", spy)
+        sections = search_sections(a)
+        monkeypatch.setattr(Morphism, "__init__", init)
+        assert len(sections) in (2, 16)
+        assert built == [(a.carrier, a.structure.dom)] * len(sections)
+        built.clear()
+
+
+def test_a_passing_make_witness_combines_no_report(ctx2, combine_calls):
+    """make_witness reads its four leaves as booleans; a passing witness
+    builds no combined report (the search's law check combines one)."""
+    found = [(a, search_sections(a)) for a in _census(ctx2)[:3]]
+    combine_calls.clear()
+    for a, sections in found:
+        for sec in sections:
+            make_witness(a, sec)
+    assert combine_calls == []
+
+
+def test_a_failing_make_witness_reports_every_leaf(ctx2):
+    """A witness that fails its first leaf still raises with the whole
+    report: all four leaves, in order."""
+    a = _census(ctx2)[1]
+    sec = search_sections(a)[0]
+    bad = list(sec.table)
+    bad[0] = (bad[0] + 1) % sec.cod.card
+    with pytest.raises(LawViolation) as exc:
+        make_witness(a, Morphism(sec.dom, sec.cod, table=bad))
+    rep = exc.value.report
+    assert [r.check for r in rep.sub] == [
+        "structure.section=id", "section-is-hom", "projector-idempotent",
+        "projector=eps.(Sxsection)"]
+    assert not rep.sub[0].passed and rep.status == "fail"
 
 
 def test_sections_unique_for_singleton_state(ctx1):

@@ -243,6 +243,51 @@ def test_only_finset_reads_a_morphism_representation():
                for node in ast.walk(tree))
 
 
+def _new_calls(tree) -> list[tuple[str, ast.Call]]:
+    """(qualified name of the enclosing function, call) for each call of
+    a `__new__`, such as `cls.__new__(cls)` or `object.__new__(C)`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__new__"):
+                found.append((".".join(scope), child))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_morphism_lazy_skips_the_table_constructor():
+    """finset makes a Morphism without `Morphism.__init__` only in
+    `Morphism.lazy`, which holds an evaluator and no table: every table
+    passes through `__init__`, where the benchmark's tracer
+    (`finset.tables_built`) and the `table_sizes` fixture count it by
+    patching.  The other `__new__` calls build interned objects
+    (FinSetObj and its subclasses); no other module calls `__new__`."""
+    objects = {"FinSetObj", "Atom", "Prod", "Exp"}
+    calls = {m: _new_calls(tree) for m, tree in _modules()}
+    assert [m for m, found in calls.items() if found and m != "finset"] == []
+    bypass = [(scope, node.lineno) for scope, node in calls["finset"]
+              if scope.split(".")[0] not in objects]
+    assert [scope for scope, _ in bypass] == ["Morphism.lazy"]
+    lazy = next(node for node in ast.walk(dict(_modules())["finset"])
+                if isinstance(node, ast.FunctionDef) and node.name == "lazy")
+    stores = {(t.attr, v.value if isinstance(v, ast.Constant) else v.id)
+              for stmt in lazy.body if isinstance(stmt, ast.Assign)
+              and isinstance(stmt.targets[0], ast.Tuple)
+              for t, v in zip(stmt.targets[0].elts, stmt.value.elts)}
+    assert ("_table", None) in stores and ("_at", "at") in stores
+    probe = ast.parse("class M:\n    def f(cls):\n        return "
+                      "cls.__new__(cls)\ndef g():\n    object.__new__(M)\n")
+    assert [s for s, _ in _new_calls(probe)] == ["M.f", "g"]
+
+
 # ---------------------------------------------------------------------------
 # start-up
 

@@ -6,7 +6,7 @@ import pickle
 import threading
 import time
 import weakref
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -21,7 +21,7 @@ from finkar.finset import (BLOCK, EAGER_LIMIT, KEEP_DRAWS, Atom,
                            equal_mor, fibers, from_blocks, from_fn, fst,
                            identity, image_factor, inverse, lift, lift_at,
                            pair, snd, splitmix64)
-from finkar.report import VerifyReport, passing
+from finkar.report import VerifyReport, combine, passing
 from oracles import digits, pack
 
 
@@ -122,6 +122,33 @@ def test_a_bad_first_construction_cannot_poison_the_table():
     gc.collect()
     assert "neg-probe" not in _live_labels()
     assert Atom("neg-probe", 1).card == 1
+
+
+@pytest.mark.parametrize("bad", [3, "A", None, True])
+def test_prod_and_exp_refuse_a_field_that_is_not_an_object(bad):
+    """A Prod's or an Exp's fields must be objects: an int, a str, None or
+    a bool in either place is a TypeError naming the class, not an
+    AttributeError from computing the card, and nothing is interned."""
+    a = Atom("A", 2)
+    for cls in (Prod, Exp):
+        for fields in ((a, bad), (bad, a)):
+            with pytest.raises(TypeError, match=f"{cls.__name__} takes"):
+                cls(*fields)
+    assert not any(k[0] in (Prod, Exp) and bad in k[1:]
+                   for k in list(finset._live.keys()))
+
+
+def test_an_interned_object_is_not_validated_again(monkeypatch):
+    """The field check runs on a miss only: a hit returns the live object
+    without building, so it costs nothing."""
+    a = Atom("A", 2)
+    p, e = Prod(a, a), Exp(a, a)
+
+    def refuse(cls, fields):
+        raise AssertionError("built on a hit")
+
+    monkeypatch.setattr(FinSetObj, "_build", classmethod(refuse))
+    assert Prod(a, a) is p and Exp(a, a) is e
 
 
 def test_objects_are_compared_and_hashed_by_identity():
@@ -534,6 +561,25 @@ def test_splitmix64_reference_stream_is_stable():
                    487617019471545679]
 
 
+@pytest.mark.parametrize("bad", [2.5, True, False, "3", None])
+def test_below_refuses_a_bound_that_is_not_an_int(bad):
+    """A bound must be an int and not a bool: 2.5 would draw a float and
+    True a constant 0.  A refused draw consumes nothing."""
+    rng = SeededRng(1)
+    with pytest.raises(TypeError, match="int bound"):
+        rng.below(bad)
+    assert rng.below(7) == SeededRng(1).below(7)
+
+
+def test_below_reads_the_splitmix64_stream_one_call_a_draw():
+    """A draw is one call of the stream's own `__next__`, and the values
+    are the stream's outputs reduced by the bound."""
+    rng = SeededRng(5)
+    assert type(rng.next64.__self__).__name__ == "generator"
+    draws = [rng.below(1000) for _ in range(50)]
+    assert draws == [r % 1000 for r in islice(splitmix64(5), 50)]
+
+
 @pytest.mark.parametrize("base, target", [
     (Atom("S", 1), Atom("X", 5)), (Atom("S", 2), Atom("X", 3)),
     (Atom("S", 3), Atom("X", 2)), (Atom("S", 4), Atom("X", 1)),
@@ -892,6 +938,46 @@ def test_a_morphism_is_a_table_or_an_evaluator():
         assert m.is_lazy == want_lazy == (m._table is None), m
     assert lazy.table == values
     assert lazy._at is None and not lazy.is_lazy
+
+
+def test_from_blocks_builds_its_table_once(table_sizes):
+    """Within EAGER_LIMIT, from_blocks reads its evaluator into one
+    range-checked table that passes through Morphism.__init__ once: no
+    lazy map is materialized first.  Above it, no table is built."""
+    x, y = Atom("X", BLOCK + 5), Atom("Y", 3)
+    m = from_blocks(x, y, lambda ks: [k % 3 for k in ks])
+    assert table_sizes == [x.card] and m.table == [k % 3 for k in range(x.card)]
+    with pytest.raises(ShapeError, match="at 4 not in"):
+        from_blocks(x, y, lambda ks: [3 if k == 4 else 0 for k in ks])
+    big = Atom("big", EAGER_LIMIT + 1)
+    assert from_blocks(big, y, lambda ks: [0] * len(ks)).is_lazy
+    assert table_sizes == [x.card]
+
+
+def test_combine_takes_the_worst_status_and_the_first_failing_subs():
+    """combine against its spelled-out rule on every list of up to four
+    sub-reports drawn from pass, fail and error, exhaustive and sampled."""
+    def leaf(k, status, mode):
+        return VerifyReport(check=f"c{k}", status=status, mode=mode, cap=k,
+                            witnesses=[] if status == "pass" else [k])
+
+    kinds = list(product(("pass", "fail", "error"),
+                         ("exhaustive", "sampled")))
+    for n in range(5):
+        for combo in product(kinds, repeat=n):
+            subs = [leaf(k, *c) for k, c in enumerate(combo)]
+            got = combine("top", subs, extra=1).to_dict()
+            statuses = {r.status for r in subs}
+            bad = [{"failing_sub": r.check} for r in subs if not r.passed]
+            assert got == {
+                "check": "top",
+                "status": ("error" if "error" in statuses else
+                           "fail" if "fail" in statuses else "pass"),
+                "mode": ("sampled" if any(r.mode == "sampled" for r in subs)
+                         else "exhaustive"),
+                "seed": 0, "cap": max(range(n), default=0),
+                "witnesses": bad[:3], "details": {"extra": 1},
+                "sub": [r.to_dict() for r in subs]}
 
 
 def test_the_trust_marker_stays_in_finset():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finkar import finset
 from finkar.finset import (Atom, CheckConfig, Morphism, SeededRng, ShapeError,
                            compose, identity, random_morphism)
 from finkar.idempotents import (check_split_equalizer_diagram, fixed_ranks,
@@ -17,8 +18,10 @@ from finkar.idempotents import (check_split_equalizer_diagram, fixed_ranks,
                                 split_equalizer_tables, split_idempotent,
                                 verify_split_equalizer)
 
+from finkar.report import failing, passing
 from oracles import (broken_at_an_undrawn_rank, karoubi_compose,
-                     list_random_idempotent, random_idempotent,
+                     list_random_idempotent, oracle_envelope_hom_report,
+                     random_idempotent,
                      random_split_equalizer_diagram, split_equalizer_diagrams,
                      split_equalizer_sides)
 
@@ -188,6 +191,72 @@ def test_karoubi_divergence_raises_under_optimize():
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "raised: envelope hom criteria diverged\n"
+
+
+def _envelope_triples(seed: int, count: int):
+    """Seeded (f, phi, psi) on atoms of 1 to 4 elements, projectors phi and
+    psi, each f drawn freely or sandwiched (psi . g . phi), followed by
+    one one-entry mutant of f."""
+    rng = SeededRng(seed)
+    out = []
+    for k in range(count):
+        a, b = Atom("A", 1 + rng.below(4)), Atom("B", 1 + rng.below(4))
+        phi, psi = random_idempotent(a, rng), random_idempotent(b, rng)
+        f = random_morphism(a, b, rng)
+        if k % 2:
+            f = compose(compose(phi, f), psi)
+        bad = list(f.table)
+        r = rng.below(a.card)
+        bad[r] = (bad[r] + 1) % b.card
+        out += [(f, phi, psi), (Morphism(a, b, table=bad), phi, psi)]
+    return out
+
+
+def test_karoubi_hom_check_matches_the_oracle_report():
+    """The boolean check equals the pass of the report built from plain
+    gathers, on seeded triples and their one-entry mutants, both verdicts
+    occurring."""
+    cfg = CheckConfig(seed=3)
+    verdicts = []
+    for f, phi, psi in _envelope_triples(11, 60):
+        got = karoubi_hom_check(f, phi, psi, cfg)
+        assert got == oracle_envelope_hom_report(f, phi, psi, cfg).passed
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+def test_karoubi_hom_check_raises_when_the_routes_disagree(monkeypatch):
+    """With the sandwich's verdict flipped, the sandwich and the pair
+    disagree on every triple, passing or not, and the check raises."""
+    equal_mor = finset.equal_mor
+
+    def flipped(f, g, config=CheckConfig(), check="equal"):
+        rep = equal_mor(f, g, config, check)
+        if check != "sandwich":
+            return rep
+        return (failing(check, [{"flipped": True}]) if rep.passed
+                else passing(check))
+
+    monkeypatch.setattr(finset, "equal_mor", flipped)
+    for f, phi, psi in _envelope_triples(12, 10):
+        with pytest.raises(AssertionError, match="criteria diverged"):
+            karoubi_hom_check(f, phi, psi)
+
+
+def test_karoubi_hom_check_combines_no_report(combine_calls):
+    """The check reads its three equations as booleans: neither a passing
+    nor a failing triple builds a combined report."""
+    verdicts = [karoubi_hom_check(f, phi, psi)
+                for f, phi, psi in _envelope_triples(13, 20)]
+    assert True in verdicts and False in verdicts
+    assert combine_calls == []
+
+
+def test_karoubi_hom_check_keeps_its_shape_error():
+    two, three = Atom("X", 2), Atom("Y", 3)
+    f = Morphism(two, three, table=[0, 1])
+    with pytest.raises(ShapeError, match="projectors must sit on"):
+        karoubi_hom_check(f, identity(three), identity(three))
 
 
 def test_karoubi_unit_law():

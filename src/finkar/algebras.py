@@ -13,8 +13,8 @@ from functools import lru_cache
 from typing import Iterator
 
 from .finset import (CheckConfig, FinSetObj, Morphism, Prod, ShapeError,
-                     check_ranks, compose, equal_mor, fibers, fst, identity,
-                     inverse, lift_at, pair, rows, snd)
+                     check_types, compose, equal_mor, fibers, fst, identity,
+                     inverse, lift_square, pair, rows, snd)
 from .idempotents import (Splitting, fixed_ranks, karoubi_hom_check,
                           split_idempotent)
 from .report import (LawViolation, VerifyReport, combine, failing,
@@ -271,9 +271,14 @@ def algebra_hom_check(f: Morphism, a: AlgebraStruct,
 
     Otherwise the square is compared on TA, with T f built.
     """
-    cfg = a.ctx.config
-    if f.dom != a.carrier or f.cod != c.carrier:
-        raise ShapeError("hom candidate must map carrier to carrier")
+    try:
+        cfg = a.ctx.config
+        if f.dom != a.carrier or f.cod != c.carrier:
+            raise ShapeError("hom candidate must map carrier to carrier")
+    except AttributeError:
+        check_types(f=(f, Morphism), a=(a, AlgebraStruct),
+                    c=(c, AlgebraStruct))
+        raise
     if a._update is not None and c._update is not None:
         return _preserves_operations(f, a._update, c._update, cfg)
     return equal_mor(compose(a.structure, f),
@@ -303,20 +308,9 @@ def coalgebra_hom_report(g: Morphism, c1: CoalgebraStruct,
 
 def _preserves_operations(f: Morphism, update_a: Morphism,
                           update_c: Morphism, cfg: CheckConfig) -> bool:
-    """f . update = update . (S x f) on S x A, |S| |A| equations: the hom
-    square between proven algebras (Lemma 1, algebra_hom_check).
-
-    Both sides are gathered at the ranks equal_mor would read
-    (finset.check_ranks): all of S x A within the cap, its draws above it.
-    The left side reads f at update's values, the right side update at the
-    values of S x f, read through lift's block reader (finset.lift_at).
-    No map is built.  f's table is checked first, so a value of f outside
-    C is a ShapeError naming f's rank."""
-    sf = lift_at(update_a.dom, update_c.dom, f)
-    for ps in check_ranks(update_a.dom.card, cfg):
-        if f.at(update_a.at(ps)) != update_c.at(sf(ps)):
-            return False
-    return True
+    """The hom square f . update = update . (S x f) on S x A between proven
+    algebras (Lemma 1, algebra_hom_check), by finset.lift_square."""
+    return lift_square(f, update_a, update_c, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,18 @@ def _range_check(table: list[int], n: int, ranks=None):
         raise ShapeError(f"table entry {table[k]} at {at} not in [0,{n})")
 
 
+def check_types(**args: tuple) -> None:
+    """For an AttributeError met reading a function's arguments, given as
+    name=(value, class): a TypeError naming the first that is not an
+    instance of its class.  Called only in an `except` clause, so it costs
+    an accepted call nothing; when every argument is of its class it
+    returns, and the caller re-raises."""
+    for name, (value, cls) in args.items():
+        if not isinstance(value, cls):
+            raise TypeError(f"{name} must be of type {cls.__name__}, "
+                            f"got {value!r}") from None
+
+
 def identity(obj: FinSetObj) -> Morphism:
     return from_blocks(obj, obj, list)
 
@@ -366,8 +378,12 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     checked like a table passed in from g's evaluator.  Otherwise it is
     lazy and reads a block as g at f's values on it.
     """
-    if f.cod != g.dom:
-        raise ShapeError(f"cannot compose: cod {f.cod!r} != dom {g.dom!r}")
+    try:
+        if f.cod != g.dom:
+            raise ShapeError(f"cannot compose: cod {f.cod!r} != dom {g.dom!r}")
+    except AttributeError:
+        check_types(f=(f, Morphism), g=(g, Morphism))
+        raise
     ft = f._table if f.dom.card <= EAGER_LIMIT else None
     if ft is None:
         return Morphism.lazy(f.dom, g.cod, lambda ks: g.at(f.at(ks)))
@@ -461,6 +477,27 @@ def _lift_shape(dom: FinSetObj, cod: FinSetObj,
     return exp, s.card, x.card, y.card
 
 
+def lift_square(f: Morphism, g: Morphism, h: Morphism,
+                config: CheckConfig) -> bool:
+    """Whether f . g = h . (S x f), g: S x X -> X, h: S x Y -> Y, at the ranks
+    equal_mor reads (`check_ranks`): indexed in three tables, else gathered
+    by blocks (`lift_at`), so a lazy g or h is read only at those ranks."""
+    x, y, sx, sy = f.dom, f.cod, g.dom, h.dom
+    if not (type(sx) is type(sy) is Prod and sx.left is sy.left
+            and (g.cod, h.cod, sx.right, sy.right) == (x, y, x, y)):
+        raise ShapeError(f"no square of {f!r} from {g!r} to {h!r}")
+    ft, gt, ht, nx, ny = f._table, g._table, h._table, x.card, y.card
+    if ft is None or gt is None or ht is None:
+        sf = lift_at(sx, sy, f)
+        return all(f.at(g.at(ps)) == h.at(sf(ps))
+                   for ps in check_ranks(sx.card, config))
+    for ps in check_ranks(sx.card, config):
+        for p in ps:
+            if ft[gt[p]] != ht[p // nx * ny + ft[p % nx]]:
+                return False
+    return True
+
+
 def fst(p: Prod, lazy: bool = False) -> Morphism:
     """The projection X x Y -> X, built by `from_blocks`, or a block
     evaluator at any size if `lazy`, for a caller reading a few ranks."""
@@ -480,8 +517,12 @@ def pair(f: Morphism, g: Morphism) -> Morphism:
     """<f, g>: Z -> X x Y, z |-> (f z, g z).  As for `compose`, a table
     within EAGER_LIMIT, adopted without a scan, and lazy above it or when
     either factor is lazy."""
-    if f.dom != g.dom:
-        raise ShapeError(f"cannot pair: dom {f.dom!r} != dom {g.dom!r}")
+    try:
+        if f.dom != g.dom:
+            raise ShapeError(f"cannot pair: dom {f.dom!r} != dom {g.dom!r}")
+    except AttributeError:
+        check_types(f=(f, Morphism), g=(g, Morphism))
+        raise
     dom, cod, ny = f.dom, Prod(f.cod, g.cod), g.cod.card
     if dom.card > EAGER_LIMIT or f.is_lazy or g.is_lazy:
         return Morphism.lazy(dom, cod, lambda ks: [
@@ -608,11 +649,16 @@ def equal_mor(f: Morphism, g: Morphism,
     order when sampled, and no block after the one holding the third is
     evaluated.
     """
-    if f.dom != g.dom or f.cod != g.cod:
-        raise ShapeError("equal_mor needs parallel morphisms")
-    n = f.dom.card
+    try:
+        if f.dom != g.dom or f.cod != g.cod:
+            raise ShapeError("equal_mor needs parallel morphisms")
+        n, cap = f.dom.card, config.cap
+    except AttributeError:
+        check_types(f=(f, Morphism), g=(g, Morphism),
+                    config=(config, CheckConfig))
+        raise
     ft, gt = (f._table, g._table) if n <= EAGER_LIMIT else (None, None)
-    if n > config.cap:
+    if n > cap:
         mode, details = "sampled", {"domain": n, "samples": config.samples}
     else:
         mode, details = "exhaustive", {"domain": n}
@@ -676,7 +722,11 @@ def image_factor(f: Morphism) -> tuple[Morphism, Morphism, FinSetObj]:
     Image elements are ordered by ascending codomain rank; q sends k to the
     index of f(k) in that ordering and i includes the image back.
     """
-    ft = f.table
+    try:
+        ft = f.table
+    except AttributeError:
+        check_types(f=(f, Morphism))
+        raise
     image = sorted(set(ft))
     mid = Atom(f"im({len(image)})", len(image))
     i = Morphism(mid, f.cod, table=image)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from finkar import algebras
+from finkar import algebras, finset
 from finkar import statemonad as SM
 from finkar.algebras import (AlgebraStruct, SearchBoundExceeded,
                              _operation_args, _operation_ranks,
@@ -28,7 +28,7 @@ from finkar.finset import (EAGER_LIMIT, MATERIALIZE_LIMIT, Atom,
                            CheckConfig, Exp, Morphism, SeededRng,
                            ShapeError, check_ranks, codec,
                            compose, equal_mor, fibers, identity, lift,
-                           splitmix64)
+                           random_morphism, splitmix64)
 from finkar.report import LawViolation
 from finkar.statemonad import (StateContext, eps, exp_mor, prod_mor,
                                prod_obj, t_mor, t_obj)
@@ -884,3 +884,114 @@ def test_hom_square_into_a_large_free_algebra_reads_only_reached_ranks(
     bad = Morphism(f.dom, f.cod, table=[f.table[0], 7, *f.table[2:]])
     assert not algebra_hom_check(bad, fa, fc)
     assert table_sizes == [t_obj(ctx, x).card]
+
+
+# ---------------------------------------------------------------------------
+# the hom square's two paths: tables indexed, lazy updates gathered
+
+
+def _as_lazy(m):
+    """m's table read through a `Morphism.lazy` block evaluator."""
+    t = m.table
+    return Morphism.lazy(m.dom, m.cod, lambda ks: [t[k] for k in ks])
+
+
+def _one_entry_mutant(m, rng, k=None):
+    """m with the entry at rank k (seeded if None) moved to another value."""
+    bad, n = list(m.table), m.cod.card
+    k = rng.below(len(bad)) if k is None else k
+    bad[k] = (bad[k] + 1 + rng.below(n - 1)) % n
+    return Morphism(m.dom, m.cod, table=bad)
+
+
+def _square_cases():
+    """(A, C, f) at |S| = 2 between census split algebras (carriers 1, 4
+    and 4) and the free algebras on their projectors' carriers: the
+    retract data q: TX -> A and i: A -> TX (homs), the identity of A, and
+    seeded carrier maps between each pair (mostly not homs)."""
+    ctx, rng = StateContext(Atom("S", 2)), SeededRng(26)
+    cases = []
+    for na, nfix, seed in ((1, 1, 1), (2, 2, 2), (3, 2, 3)):
+        phi = _projector(ctx, na, nfix, SeededRng(seed))
+        x = phi.dom.right
+        k = functor_k(ctx, x, phi)
+        a, fx = k.algebra, free_algebra(ctx, x)
+        cases += [(fx, a, k.splitting.q), (a, fx, k.splitting.i),
+                  (a, a, identity(a.carrier))]
+        cases += [(d, c, random_morphism(d.carrier, c.carrier, rng))
+                  for d, c in ((a, fx), (fx, a), (a, a)) for _ in range(4)]
+    return cases
+
+
+@pytest.mark.parametrize("cfg", [EXHAUSTIVE, SAMPLED],
+                         ids=["exhaustive", "sampled"])
+def test_hom_square_paths_agree_with_the_pure_routes(cfg):
+    """The square indexed in tables and the square gathered through
+    `Morphism.lazy` readers of the same tables give one verdict, on
+    seeded carrier maps between census split algebras and free algebras,
+    on a one-entry mutant of each f and on one of update_C at a rank the
+    square reaches, exhaustively and under SAMPLED.  So does the pure
+    route: equal_mor on the two composites built whole, at the same ranks.
+    For f and its mutants algebra_hom_check (under a context carrying
+    cfg) agrees too, and so does the T f oracle (tests/oracles.py): its
+    verdict exactly when exhaustive, and sampled, every hom it finds
+    passes (the sampled square reads a subset of S x A)."""
+    rng = SeededRng(7)
+    under = {}
+    verdicts = {True: 0, False: 0}
+    for a, c, f in _square_cases():
+        for m in (a, c):
+            if id(m) not in under:
+                under[id(m)] = _under(m, cfg)
+        ua, uc = a._update, c._update
+        assert not (ua.is_lazy or uc.is_lazy or f.is_lazy)
+        runs = [(f, uc, True)]  # (f, update_C, whether it is C's own)
+        if c.carrier.card > 1:  # one-element C: no mutant
+            sf = lift(ua.dom, uc.dom, f)
+            runs += [(_one_entry_mutant(f, rng), uc, True),
+                     (f, _one_entry_mutant(uc, rng, sf(rng.below(
+                         ua.dom.card))), False)]
+        for g, h, own in runs:
+            new = _preserves_operations(g, ua, h, cfg)
+            assert new == _preserves_operations(
+                _as_lazy(g), _as_lazy(ua), _as_lazy(h), cfg)
+            assert new == equal_mor(compose(ua, g), compose(
+                lift(ua.dom, h.dom, g), h), cfg).passed
+            if own:
+                assert new == algebra_hom_check(g, under[id(a)],
+                                                under[id(c)])
+                want = tf_algebra_hom_check(g, a, c, EXHAUSTIVE)
+                assert new == want if cfg is EXHAUSTIVE else new >= want
+            verdicts[new] += 1
+    assert verdicts[True] >= 9 and verdicts[False] >= 9
+
+
+def test_hom_square_between_table_algebras_reads_no_block(monkeypatch):
+    """Between two algebras whose updates are tables, algebra_hom_check
+    indexes the tables: it calls neither finset.lift_at nor Morphism.at,
+    whose closure and block gathers cost about 4 us per call.  The same
+    square with a lazy update goes through both."""
+    cases, calls = _square_cases(), []
+    at, lift_at = Morphism.at, finset.lift_at
+    monkeypatch.setattr(Morphism, "at", lambda self, ks: calls.append(
+        "at") or at(self, ks))
+    monkeypatch.setattr(finset, "lift_at", lambda *args: calls.append(
+        "lift_at") or lift_at(*args))
+    assert not hasattr(algebras, "lift_at")
+    verdicts = [algebra_hom_check(f, a, c) for a, c, f in cases]
+    assert calls == [] and any(verdicts) and not all(verdicts)
+    a, c, f = cases[1]
+    assert _preserves_operations(f, a._update, _as_lazy(c._update),
+                                 a.ctx.config)
+    assert {"at", "lift_at"} <= set(calls)
+
+
+def test_hom_check_refuses_a_carrier_map_that_is_not_a_morphism():
+    """A list, or an algebra that is not an AlgebraStruct, is a TypeError
+    naming the argument, not an AttributeError from inside the check."""
+    four = _split_algebra(2, 2, 2, seed=2)
+    with pytest.raises(TypeError,
+                       match=r"^f must be of type Morphism, got \["):
+        algebra_hom_check([0, 1, 2, 3], four, four)
+    with pytest.raises(TypeError, match=r"^c must be of type AlgebraStruct"):
+        algebra_hom_check(identity(four.carrier), four, four.structure)

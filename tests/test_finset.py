@@ -1096,3 +1096,39 @@ def test_pair_reads_a_fn_factor_range_checked():
     with pytest.raises(ShapeError,
                        match=r"^table entry -1 at 99999 not in \[0,2\)$"):
         m.at([5, 99999])
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda m: compose(m, 3), "g", "3"),
+    (lambda m: compose([0, 1], m), "f", r"\[0, 1\]"),
+    (lambda m: equal_mor(m, m, "cfg"), "config", "'cfg'"),
+    (lambda m: pair(m, "x"), "g", "'x'"),
+    (lambda m: image_factor([0]), "f", r"\[0\]"),
+], ids=["compose-g", "compose-f", "equal_mor-config", "pair-g",
+        "image_factor-f"])
+def test_kernel_entry_points_refuse_a_wrong_argument_by_name(call, name,
+                                                             value):
+    """compose, equal_mor, pair and image_factor refuse an argument that
+    is not a Morphism (or a CheckConfig) with a TypeError naming it, not
+    an AttributeError from inside."""
+    m = identity(Atom("A", 2))
+    with pytest.raises(TypeError, match=rf"^{name} must be of type \w+, "
+                                        rf"got {value}$"):
+        call(m)
+
+
+def test_an_attribute_error_among_maps_is_not_renamed():
+    """Only a wrong argument is renamed: an AttributeError raised while
+    reading maps of the right type (a Morphism with no fields, a lazy
+    evaluator that fails) reaches the caller as it is."""
+    a = Atom("A", 2)
+    m, bare = identity(a), Morphism.__new__(Morphism)
+    broken = Morphism.lazy(a, a, lambda ks: ks.missing)
+    with pytest.raises(AttributeError, match="dom|cod"):
+        compose(m, bare)
+    with pytest.raises(AttributeError, match="dom|cod"):
+        pair(bare, m)
+    with pytest.raises(AttributeError, match="missing"):
+        equal_mor(m, broken)
+    with pytest.raises(AttributeError, match="missing"):
+        image_factor(broken)

@@ -66,17 +66,6 @@ class SpecFile:
         self.machine_index = {} if machine_index is None else machine_index
         self.tables = {} if tables is None else tables
 
-    def to_json(self) -> str:
-        data = {
-            "machines": [self.machines[k] for k in sorted(self.machines)],
-            "policies": [{"machine": v, "name": k}
-                         for k, v in sorted(self.policies.items())],
-            "sets": {k: self.sets[k] for k in sorted(self.sets)},
-            "stateSet": self.state_set,
-            "tasks": self.tasks,
-        }
-        return canonical_json(data)
-
 
 def canonical_json(data) -> str:
     """The text of `json.dumps(data, sort_keys=True, indent=2) + "\n"`.
@@ -352,12 +341,14 @@ def _validate_moore(ptr, m, ranks) -> tuple[list[int], list[int]]:
 
 
 class Env:
-    """Spec objects realized over a shared state context."""
+    """Spec objects realized over a shared state context.  Each named
+    machine and policy, and each policy's idempotence report, is made once
+    and shared by every task of the run (`_made`, by kind and name)."""
 
-    __slots__ = ("spec", "ctx")
+    __slots__ = ("spec", "ctx", "_made")
 
     def __init__(self, spec: SpecFile, ctx: StateContext):
-        self.spec, self.ctx = spec, ctx
+        self.spec, self.ctx, self._made = spec, ctx, {}
 
     def atom(self, name: str) -> Atom:
         return Atom(name, len(self.spec.sets[name]))
@@ -377,33 +368,57 @@ class Env:
         return m
 
     def mealy(self, name: str) -> MealyMachine:
-        m = self._machine(name, "mealy", "stateSet")
-        inset, outset = self.atom(m["inSet"]), self.atom(m["outSet"])
-        nxt, out = self.spec.tables[name]
-        dom = prod_obj(self.ctx, inset)
-        return mealy_from_components(
-            self.ctx, inset, outset,
-            Morphism(dom, self.ctx.state_space, table=nxt),
-            Morphism(dom, outset, table=out))
+        made = self._made.get(("mealy", name))
+        if made is None:
+            m = self._machine(name, "mealy", "stateSet")
+            inset, outset = self.atom(m["inSet"]), self.atom(m["outSet"])
+            nxt, out = self.spec.tables[name]
+            dom = prod_obj(self.ctx, inset)
+            made = self._made["mealy", name] = mealy_from_components(
+                self.ctx, inset, outset,
+                Morphism(dom, self.ctx.state_space, table=nxt),
+                Morphism(dom, outset, table=out))
+        return made
 
     def moore(self, name: str) -> MooreMachine:
-        m = self._machine(name, "moore", "alphabet")
-        states = self.atom(m["stateSet"])
-        readout, step = self.spec.tables[name]
-        return MooreMachine(
-            ctx=self.ctx, state_set=states,
-            readout=Morphism(states, self.ctx.state_space, table=readout),
-            step=Morphism(Prod(states, self.ctx.state_space), states,
-                          table=step))
+        made = self._made.get(("moore", name))
+        if made is None:
+            m = self._machine(name, "moore", "alphabet")
+            states = self.atom(m["stateSet"])
+            readout, step = self.spec.tables[name]
+            made = self._made["moore", name] = MooreMachine(
+                ctx=self.ctx, state_set=states,
+                readout=Morphism(states, self.ctx.state_space, table=readout),
+                step=Morphism(Prod(states, self.ctx.state_space), states,
+                              table=step))
+        return made
 
     def policy(self, name: str) -> Policy:
-        if name not in self.spec.policies:
-            raise SpecError(_pointer("policies"), f"unknown policy {name!r}")
-        try:
-            return Policy(machine=self.mealy(self.spec.policies[name]))
-        except LawViolation as exc:
-            where = _pointer("policies", list(self.spec.policies).index(name))
-            raise LawViolation(f"{where}: {exc}", exc.report) from None
+        """The named policy; one that is not idempotent raises the same
+        LawViolation at every call."""
+        made = self._made.get(("policy", name))
+        if made is None:
+            if name not in self.spec.policies:
+                raise SpecError(_pointer("policies"),
+                                f"unknown policy {name!r}")
+            try:
+                made = Policy(machine=self.mealy(self.spec.policies[name]))
+            except LawViolation as exc:
+                where = _pointer("policies",
+                                 list(self.spec.policies).index(name))
+                made = LawViolation(f"{where}: {exc}", exc.report)
+            self._made["policy", name] = made
+        if isinstance(made, LawViolation):
+            raise made
+        return made
+
+    def idempotence(self, name: str) -> VerifyReport:
+        """`check_policy` of the named policy."""
+        made = self._made.get(("idempotence", name))
+        if made is None:
+            made = self._made["idempotence", name] = check_policy(
+                self.policy(name).machine)
+        return made
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +524,8 @@ def _cmd_policy_check(task, env):
     phi = env.policy(task["inPolicy"])
     psi = env.policy(task["outPolicy"])
     mode = task.get("mode", "both")
-    subs = [check_policy(phi.machine), check_policy(psi.machine)]
+    subs = [env.idempotence(task["inPolicy"]),
+            env.idempotence(task["outPolicy"])]
     if mode in ("compliance", "both"):
         subs.append(check_compliance(machine, phi, psi))
     if mode in ("consistency", "both"):

@@ -4,11 +4,13 @@ Objects (`Atom`, `Prod`, `Exp`) are interned: equal fields give the same
 instance, so equality and hashing are by identity, and every shape check
 and every cache key on objects costs a pointer comparison.
 
-Every object carries a canonical bijection between its elements and the
-integer range [0, card).  All structure maps elsewhere in the package are
-computed through that bijection, so a morphism is nothing but a total
-function on ranks: either a materialized table or a lazy evaluator for
-domains too large to enumerate.
+Every object's elements are the ranks [0, card), in one canonical order:
+an Atom's in enumeration order, a Prod's right-minor ((x, y) has rank
+x * |Y| + y), and an Exp's little-endian in the base rank (the value at
+base rank k is the digit of weight |target|**k).  All structure maps
+elsewhere in the package are computed on ranks, so a morphism is nothing
+but a total function on ranks: either a materialized table or a lazy
+evaluator for domains too large to enumerate.
 
 One rule decides which: a map built by `Morphism(..., fn=...)`,
 `from_blocks`, `compose`, `pair`, `lift` or a structure map is a table
@@ -159,79 +161,6 @@ class Exp(FinSetObj):
 
     def __repr__(self):
         return f"({self.base!r}=>{self.target!r})"
-
-
-# ---------------------------------------------------------------------------
-# element codecs
-#
-# Elements are represented as: int for Atom, (x, y) pair for Prod, and a
-# tuple of target elements indexed by base rank for Exp.  Exponential ranks
-# are little-endian in the domain rank: the digit at base-rank k carries
-# weight card(target)**k.  An Atom element and a rank are an int, never a
-# bool: anything else is a TypeError, not a truncated rank.
-
-
-class ElemCodec:
-    """Canonical rank/unrank bijection for one object."""
-
-    def __init__(self, obj: FinSetObj):
-        self.obj = obj
-
-    def rank(self, elem) -> int:
-        return _rank(self.obj, elem)
-
-    def unrank(self, k: int):
-        _int_check("rank", k)
-        if not 0 <= k < self.obj.card:
-            raise ValueError(f"rank {k} out of range for card {self.obj.card}")
-        return _unrank(self.obj, k)
-
-
-def _int_check(what: str, value) -> None:
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an int, got {value!r}")
-
-
-def _rank(obj: FinSetObj, elem) -> int:
-    if isinstance(obj, Atom):
-        _int_check("atom element", elem)
-        if not 0 <= elem < obj.size:
-            raise ValueError(f"atom element {elem} out of range")
-        return elem
-    if isinstance(obj, Prod):
-        x, y = elem
-        return _rank(obj.left, x) * obj.right.card + _rank(obj.right, y)
-    if isinstance(obj, Exp):
-        values = tuple(elem)
-        if len(values) != obj.base.card:
-            raise ValueError("function element has wrong arity")
-        t = obj.target.card
-        total = 0
-        for k in reversed(range(obj.base.card)):
-            total = total * t + _rank(obj.target, values[k])
-        return total
-    raise TypeError(f"not a finite set object: {obj!r}")
-
-
-def _unrank(obj: FinSetObj, k: int):
-    if isinstance(obj, Atom):
-        return k
-    if isinstance(obj, Prod):
-        q, r = divmod(k, obj.right.card)
-        return (_unrank(obj.left, q), _unrank(obj.right, r))
-    if isinstance(obj, Exp):
-        t = obj.target.card
-        values = []
-        for _ in range(obj.base.card):
-            k, d = divmod(k, t)
-            values.append(_unrank(obj.target, d))
-        return tuple(values)
-    raise TypeError(f"not a finite set object: {obj!r}")
-
-
-def codec(obj: FinSetObj) -> ElemCodec:
-    """The canonical rank/unrank pair for an object."""
-    return ElemCodec(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +332,6 @@ def from_blocks(dom: FinSetObj, cod: FinSetObj,
                                                        cod.card)))
 
 
-def from_fn(dom: FinSetObj, cod: FinSetObj,
-            fn: Callable[[int], int]) -> Morphism:
-    """The `fn` map `Morphism(dom, cod, fn=fn)`."""
-    return Morphism(dom, cod, fn=fn)
-
-
 def lift(dom: FinSetObj, cod: FinSetObj, f: Morphism) -> Morphism:
     """f in every position: S x f from dom = S x X to cod = S x Y, or
     S => f (postcomposition) from dom = S => X to cod = S => Y.
@@ -472,8 +395,12 @@ def _lift_shape(dom: FinSetObj, cod: FinSetObj,
         s, x, s2, y = dom.left, dom.right, cod.left, cod.right
     else:
         s = None
-    if s is None or (s, x, y) != (s2, f.dom, f.cod):
-        raise ShapeError(f"cannot lift {f!r} to {dom!r} -> {cod!r}")
+    try:
+        if s is None or (s, x, y) != (s2, f.dom, f.cod):
+            raise ShapeError(f"cannot lift {f!r} to {dom!r} -> {cod!r}")
+    except AttributeError:
+        check_types(f=(f, Morphism))
+        raise
     return exp, s.card, x.card, y.card
 
 
@@ -482,16 +409,21 @@ def lift_square(f: Morphism, g: Morphism, h: Morphism,
     """Whether f . g = h . (S x f), g: S x X -> X, h: S x Y -> Y, at the ranks
     equal_mor reads (`check_ranks`): indexed in three tables, else gathered
     by blocks (`lift_at`), so a lazy g or h is read only at those ranks."""
-    x, y, sx, sy = f.dom, f.cod, g.dom, h.dom
-    if not (type(sx) is type(sy) is Prod and sx.left is sy.left
-            and (g.cod, h.cod, sx.right, sy.right) == (x, y, x, y)):
-        raise ShapeError(f"no square of {f!r} from {g!r} to {h!r}")
+    try:
+        x, y, sx, sy = f.dom, f.cod, g.dom, h.dom
+        if not (type(sx) is type(sy) is Prod and sx.left is sy.left
+                and (g.cod, h.cod, sx.right, sy.right) == (x, y, x, y)):
+            raise ShapeError(f"no square of {f!r} from {g!r} to {h!r}")
+        blocks = check_ranks(sx.card, config)
+    except AttributeError:
+        check_types(f=(f, Morphism), g=(g, Morphism), h=(h, Morphism),
+                    config=(config, CheckConfig))
+        raise
     ft, gt, ht, nx, ny = f._table, g._table, h._table, x.card, y.card
     if ft is None or gt is None or ht is None:
         sf = lift_at(sx, sy, f)
-        return all(f.at(g.at(ps)) == h.at(sf(ps))
-                   for ps in check_ranks(sx.card, config))
-    for ps in check_ranks(sx.card, config):
+        return all(f.at(g.at(ps)) == h.at(sf(ps)) for ps in blocks)
+    for ps in blocks:
         for p in ps:
             if ft[gt[p]] != ht[p // nx * ny + ft[p % nx]]:
                 return False
@@ -501,14 +433,22 @@ def lift_square(f: Morphism, g: Morphism, h: Morphism,
 def fst(p: Prod, lazy: bool = False) -> Morphism:
     """The projection X x Y -> X, built by `from_blocks`, or a block
     evaluator at any size if `lazy`, for a caller reading a few ranks."""
-    ny = p.right.card
+    try:
+        ny = p.right.card
+    except AttributeError:
+        check_types(p=(p, Prod))
+        raise
     return (Morphism.lazy if lazy else from_blocks)(
         p, p.left, lambda ks: [k // ny for k in ks])
 
 
 def snd(p: Prod, lazy: bool = False) -> Morphism:
     """The projection X x Y -> Y; `lazy` as for `fst`."""
-    ny = p.right.card
+    try:
+        ny = p.right.card
+    except AttributeError:
+        check_types(p=(p, Prod))
+        raise
     return (Morphism.lazy if lazy else from_blocks)(
         p, p.right, lambda ks: [k % ny for k in ks])
 
@@ -543,15 +483,24 @@ def rows(table: Sequence[int], n: int) -> list[Sequence[int]]:
 def inverse(m: Morphism) -> Optional[dict[int, int]]:
     """The value -> rank dict of an injective map, or None when two ranks
     share a value."""
-    inv = {v: k for k, v in enumerate(m.table)}
+    try:
+        inv = {v: k for k, v in enumerate(m.table)}
+    except AttributeError:
+        check_types(m=(m, Morphism))
+        raise
     return inv if len(inv) == m.dom.card else None
 
 
 def fibers(m: Morphism) -> dict[int, list[int]]:
     """The preimage of each value hit, as ascending ranks, with the values
     in the order they are first hit."""
+    try:
+        table = m.table
+    except AttributeError:
+        check_types(m=(m, Morphism))
+        raise
     out: dict[int, list[int]] = {}
-    for k, v in enumerate(m.table):
+    for k, v in enumerate(table):
         out.setdefault(v, []).append(k)
     return out
 
@@ -599,6 +548,11 @@ class SeededRng:
 def random_morphism(dom: FinSetObj, cod: FinSetObj, rng: SeededRng) -> Morphism:
     return Morphism(dom, cod,
                     table=[rng.below(cod.card) for _ in range(dom.card)])
+
+
+def _int_check(what: str, value) -> None:
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, got {value!r}")
 
 
 class CheckConfig:

@@ -252,7 +252,8 @@ def split_equalizer_tables(rng: SeededRng, max_size: int = 8):
     The third kind of diagram, an equalizing i whose q is another
     retraction (i.q differs from r.f), is not drawn: a detuned e2 with
     e's fixed points is redrawn, and after 64 redraws e2 falls back to e.
-    A sampler over all three kinds is open (ROADMAP item 3).
+    A sampler over all three kinds is open (ROADMAP, "One instance space
+    per battery").
     """
     nb = 2 + rng.below(max_size - 1)
     e = random_idempotent_table(nb, rng)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .finset import (FinSetObj, Morphism, Prod, ShapeError, codec, compose,
+from .finset import (FinSetObj, Morphism, Prod, ShapeError, compose,
                      envelope_hom_report, envelope_holds, equal_mor, fst, pair,
                      snd)
 from .report import (LawViolation, ObjectConditionError, VerifyReport,
@@ -94,9 +94,6 @@ class MooreMachine:
             raise ShapeError("step must have shape B x S -> B")
         self.ctx, self.state_set, self.readout = ctx, state_set, readout
         self.step, self.pair_labels = step, pair_labels
-
-    def step_at(self, b: int, s: int) -> int:
-        return self.step(codec(self.step.dom).rank((b, s)))
 
 
 def check_moore(m: MooreMachine) -> VerifyReport:

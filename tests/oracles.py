@@ -1,18 +1,20 @@
 """Brute-force oracles, independent of the package's rank-arithmetic paths.
 
 Everything here goes through structural elements (nested tuples via the
-codec) or raw table enumeration, so a bug in the digit arithmetic of the
-main implementation cannot hide behind itself.  The one exception is the
-last section: composites of the package's own maps that only tests call.
+element codec below) or raw table enumeration, so a bug in the digit
+arithmetic of the main implementation cannot hide behind itself.  The
+exceptions are the last two sections: a parsed problem file written back
+as JSON, and composites of the package's own maps that only tests call.
 """
 
 from functools import lru_cache
 from itertools import product as iproduct
 
+from finkar.cli import SpecFile, canonical_json
 from finkar.equivalence import (KarcObject, KarmObject, make_karc_object,
                                 make_karm_object)
 from finkar.finset import (Atom, CheckConfig, Exp, FinSetObj, Morphism, Prod,
-                           ShapeError, check_ranks, codec, compose, equal_mor,
+                           ShapeError, check_ranks, compose, equal_mor,
                            identity)
 from finkar.idempotents import (karoubi_hom_check, random_idempotent_table,
                                 split_equalizer_morphisms,
@@ -21,6 +23,84 @@ from finkar.report import combine, failing, passing
 from finkar.statemonad import (StateContext, eps, eta, exp_mor, exp_obj,
                                g_mor, g_obj, mu, nu, prod_mor, prod_obj,
                                t_mor, t_obj)
+
+
+# ---------------------------------------------------------------------------
+# the element codec
+#
+# Elements are represented as: int for Atom, (x, y) pair for Prod, and a
+# tuple of target elements indexed by base rank for Exp, ranked in finset's
+# order: products right-minor, exponentials little-endian in the base rank
+# (the digit at base-rank k carries weight card(target)**k).  An Atom
+# element and a rank are an int, never a bool: anything else is a
+# TypeError, not a truncated rank.
+
+
+class ElemCodec:
+    """Canonical rank/unrank bijection for one object."""
+
+    def __init__(self, obj: FinSetObj):
+        self.obj = obj
+
+    def rank(self, elem) -> int:
+        return _rank(self.obj, elem)
+
+    def unrank(self, k: int):
+        _int_check("rank", k)
+        if not 0 <= k < self.obj.card:
+            raise ValueError(f"rank {k} out of range for card {self.obj.card}")
+        return _unrank(self.obj, k)
+
+
+def _int_check(what: str, value) -> None:
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, got {value!r}")
+
+
+def _rank(obj: FinSetObj, elem) -> int:
+    if isinstance(obj, Atom):
+        _int_check("atom element", elem)
+        if not 0 <= elem < obj.size:
+            raise ValueError(f"atom element {elem} out of range")
+        return elem
+    if isinstance(obj, Prod):
+        x, y = elem
+        return _rank(obj.left, x) * obj.right.card + _rank(obj.right, y)
+    if isinstance(obj, Exp):
+        values = tuple(elem)
+        if len(values) != obj.base.card:
+            raise ValueError("function element has wrong arity")
+        t = obj.target.card
+        total = 0
+        for k in reversed(range(obj.base.card)):
+            total = total * t + _rank(obj.target, values[k])
+        return total
+    raise TypeError(f"not a finite set object: {obj!r}")
+
+
+def _unrank(obj: FinSetObj, k: int):
+    if isinstance(obj, Atom):
+        return k
+    if isinstance(obj, Prod):
+        q, r = divmod(k, obj.right.card)
+        return (_unrank(obj.left, q), _unrank(obj.right, r))
+    if isinstance(obj, Exp):
+        t = obj.target.card
+        values = []
+        for _ in range(obj.base.card):
+            k, d = divmod(k, t)
+            values.append(_unrank(obj.target, d))
+        return tuple(values)
+    raise TypeError(f"not a finite set object: {obj!r}")
+
+
+def codec(obj: FinSetObj) -> ElemCodec:
+    """The canonical rank/unrank pair for an object."""
+    return ElemCodec(obj)
+
+
+# ---------------------------------------------------------------------------
+# digits
 
 
 def pack(digits, base: int) -> int:
@@ -542,6 +622,23 @@ def split_equalizer_sides(i, q, f, j, r) -> tuple[bool, bool]:
     equalizing = {x for x in range(nb) if f[x] == j[x]}
     return (set(i) == equalizing and len(set(i)) == na,
             [i[q[x]] for x in range(nb)] == [r[f[x]] for x in range(nb)])
+
+
+# ---------------------------------------------------------------------------
+# a parsed problem file written back
+
+
+def spec_json(spec: SpecFile) -> str:
+    """The canonical JSON of a parsed problem file: its sets, machines,
+    policies and tasks, which `parse_spec` reads back to the same spec."""
+    return canonical_json({
+        "machines": [spec.machines[k] for k in sorted(spec.machines)],
+        "policies": [{"machine": v, "name": k}
+                     for k, v in sorted(spec.policies.items())],
+        "sets": {k: spec.sets[k] for k in sorted(spec.sets)},
+        "stateSet": spec.state_set,
+        "tasks": spec.tasks,
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,14 @@ from finkar.algebras import (AlgebraStruct, SearchBoundExceeded,
 from finkar.equivalence import KarcObject, dual_l
 from finkar.finset import (EAGER_LIMIT, MATERIALIZE_LIMIT, Atom,
                            CheckConfig, Exp, Morphism, SeededRng,
-                           ShapeError, check_ranks, codec,
+                           ShapeError, check_ranks,
                            compose, equal_mor, fibers, identity, lift,
                            random_morphism, splitmix64)
 from finkar.report import LawViolation
 from finkar.statemonad import (StateContext, eps, exp_mor, prod_mor,
                                prod_obj, t_mor, t_obj)
 
-from oracles import (brute_force_algebras, brute_force_sections,
+from oracles import (brute_force_algebras, brute_force_sections, codec,
                      exp_projector_leaf, oracle_eta_table,
                      oracle_lookup_rank_at, oracle_mu_at,
                      tf_algebra_hom_check, tmu_split_structure,

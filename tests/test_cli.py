@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finkar import cli
 from finkar import statemonad as SM
 from finkar.algebras import coalgebra_components, moore_law_violations
 from finkar.cli import (Env, SpecError, canonical_json, main, parse_spec,
@@ -19,7 +20,7 @@ from finkar.policy import MealyMachine
 from finkar.report import VerifyReport
 from finkar.statemonad import StateContext
 
-from oracles import broken_at_an_undrawn_rank
+from oracles import broken_at_an_undrawn_rank, spec_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -92,8 +93,8 @@ def test_fixture_files_parse_and_roundtrip():
     for name in ("machines.json", "policies.json"):
         raw = (FIXTURES / name).read_text()
         spec = parse_spec(raw)
-        again = parse_spec(spec.to_json())
-        assert again.to_json() == spec.to_json()
+        again = parse_spec(spec_json(spec))
+        assert spec_json(again) == spec_json(spec)
         # shipped fixtures are in canonical form already
         assert canonical_json(json.loads(raw)) == raw
 
@@ -372,16 +373,19 @@ def test_broken_law_on_valid_input_is_a_fail():
                                for v in core]
 
 
+# A machine that cycles (s0,a0) -> (s0,a1) -> (s1,a0) -> (s1,a1) -> (s0,a0):
+# well-formed, and not idempotent.
+CYCLE = {"name": "cycle", "kind": "mealy", "stateSet": "S", "inSet": "A",
+         "outSet": "A",
+         "map": [[["s0", "a0"], ["s0", "a1"]], [["s0", "a1"], ["s1", "a0"]],
+                 [["s1", "a0"], ["s1", "a1"]], [["s1", "a1"], ["s0", "a0"]]]}
+
+
 def test_non_idempotent_policy_is_a_fail(tmp_path, capsys):
-    """A declared policy whose machine cycles (s0,a0) -> (s0,a1) ->
-    (s1,a0) -> (s1,a1) -> (s0,a0) is well-formed input that breaks
-    idempotence: a failing verdict pointing at the policy, whose witnesses
-    are the idempotence violations."""
-    cycle = {"name": "cycle", "kind": "mealy", "stateSet": "S", "inSet": "A",
-             "outSet": "A",
-             "map": [[["s0", "a0"], ["s0", "a1"]], [["s0", "a1"], ["s1", "a0"]],
-                     [["s1", "a0"], ["s1", "a1"]], [["s1", "a1"], ["s0", "a0"]]]}
-    doc = dict(MINIMAL, machines=MINIMAL["machines"] + [cycle],
+    """A declared policy whose machine is CYCLE is well-formed input that
+    breaks idempotence: a failing verdict pointing at the policy, whose
+    witnesses are the idempotence violations."""
+    doc = dict(MINIMAL, machines=MINIMAL["machines"] + [CYCLE],
                policies=MINIMAL["policies"] + [{"name": "cycle",
                                                 "machine": "cycle"}],
                tasks=[{"command": "policy-check", "machine": "id",
@@ -400,6 +404,65 @@ def test_non_idempotent_policy_is_a_fail(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["policy-check", str(path)]) == 1
     assert "=> FAIL" in capsys.readouterr().err
+
+
+def _count_realizations(monkeypatch) -> dict:
+    """Count, from here on, `check_policy` calls (in Policy and in the
+    CLI) and the mealy and moore machines the CLI builds."""
+    import finkar.policy
+    counts = {"check_policy": 0, "mealy": 0, "moore": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    check = counting("check_policy", finkar.policy.check_policy)
+    monkeypatch.setattr(finkar.policy, "check_policy", check)
+    monkeypatch.setattr(cli, "check_policy", check)
+    monkeypatch.setattr(cli, "mealy_from_components",
+                        counting("mealy", cli.mealy_from_components))
+    monkeypatch.setattr(cli, "MooreMachine",
+                        counting("moore", cli.MooreMachine))
+    return counts
+
+
+@pytest.mark.parametrize("name, counts", [
+    ("policies.json", {"check_policy": 2, "mealy": 2, "moore": 0}),
+    ("machines.json", {"check_policy": 1, "mealy": 1, "moore": 1}),
+])
+def test_a_run_realizes_each_machine_and_policy_once(name, counts,
+                                                     monkeypatch, tmp_path):
+    """verify-all builds each named machine once, however many tasks name
+    it, and checks each policy's idempotence at most twice: once as the
+    Policy is built, once more for the report a policy-check task shows.
+    policies.json names the one policy `mask` (on `drop`) and the machine
+    `ident` in three policy-check tasks; machines.json names the policy
+    `e2` in three tasks, its machine in two and the moore machine `e1` in
+    two."""
+    seen = _count_realizations(monkeypatch)
+    out = tmp_path / "out.json"
+    assert main(["verify-all", str(FIXTURES / name), "--out", str(out)]) == 0
+    assert seen == counts
+
+
+def test_a_failing_policy_is_checked_once_per_run(monkeypatch, tmp_path):
+    """A policy that is not idempotent fails every task that names it,
+    with the same report, and its idempotence is checked once."""
+    doc = dict(MINIMAL, machines=MINIMAL["machines"] + [CYCLE],
+               policies=[{"name": "cycle", "machine": "cycle"}],
+               tasks=[{"command": "policy-check", "machine": "id",
+                       "inPolicy": "cycle", "outPolicy": "cycle",
+                       "name": f"t{n}"} for n in range(3)])
+    path, out = tmp_path / "spec.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    seen = _count_realizations(monkeypatch)
+    assert main(["verify-all", str(path), "--out", str(out)]) == 1
+    assert seen == {"check_policy": 1, "mealy": 2, "moore": 0}
+    tasks = json.loads(out.read_text())["sub"]
+    assert [t["status"] for t in tasks] == ["fail"] * 3
+    assert tasks[0]["sub"] == tasks[1]["sub"] == tasks[2]["sub"]
 
 
 def test_machines_must_run_over_the_state_set(tmp_path):

@@ -10,6 +10,8 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
+import finkar
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src/finkar"
 
@@ -49,11 +51,12 @@ def test_only_the_transposes_do_rank_arithmetic():
     """Rank arithmetic lives in finset: in every other module of the
     package, no function but the transposes and the cardinal count of
     RANK_ARITHMETIC (and no module-level statement) uses //, %, ** or
-    divmod, pack, digits or from_fn, or packs ranks by hand (a sum with a
-    product operand, or a subscript indexed by a sum).  Every other map is
-    a composite of finset's kernels (projections, pairing, lift, rows) and
-    the transposes."""
-    banned = {"divmod", "pack", "digits", "from_fn"}
+    divmod, pack or digits, builds a map from a rank function (an `fn=`
+    argument), or packs ranks by hand (a sum with a product operand, or a
+    subscript indexed by a sum).  Every other map is a composite of
+    finset's kernels (projections, pairing, lift, rows) and the
+    transposes."""
+    banned = {"divmod", "pack", "digits"}
     modules = [(m, tree) for m, tree in _modules() if m != "finset"]
     found, defined = [], set()
     for module, tree in modules:
@@ -70,6 +73,8 @@ def test_only_the_transposes_do_rank_arithmetic():
                             and node.attr in banned)
                         or (isinstance(node, ast.alias)
                             and node.name in banned)
+                        or (isinstance(node, ast.keyword)
+                            and node.arg == "fn")
                         or _packs(node)):
                     found.append(f"{name[0]}.{name[1]}:{node.lineno}")
     assert found == []
@@ -147,9 +152,8 @@ def test_every_parameter_is_read():
 # reachability
 
 # The only top-level definitions that cli.main does not reach, each with a
-# file outside the package that names it: the benchmark's entry points
-# (tracer.py probes from_fn by name), and the arrow parts of the
-# equivalence, which only tests call.
+# file outside the package that names it: the benchmark's entry points,
+# and the arrow parts of the equivalence, which only tests call.
 REACHED_ELSEWHERE = {
     "iso_witness_i_prime": "perfbench/workloads.py",
     "functor_k": "perfbench/workloads.py",
@@ -161,57 +165,105 @@ REACHED_ELSEWHERE = {
     "algebra_hom_check": "perfbench/workloads.py",
     "functor_h_mor": "perfbench/workloads.py",
     "functor_k_mor": "perfbench/workloads.py",
-    "from_fn": "perfbench/tracer.py",
-    # ROADMAP item 2: the arrow parts become a verdict
+    # ROADMAP "The equivalence on arrows": the arrow parts become a verdict
     "functor_r_mor": "tests/test_equivalence.py",
     "functor_l_mor": "tests/test_equivalence.py",
     "dual_r_mor": "tests/test_equivalence.py",
     "dual_l_mor": "tests/test_equivalence.py",
 }
 
-_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFINITIONS = (*_FUNCTIONS, ast.ClassDef)
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _key(module: str, name: str) -> tuple:
+    """What a read of `name` in `module` resolves to: a private name (a
+    leading underscore, not a dunder) only within its own module, any
+    other name in every module."""
+    private = name.startswith("_") and not _is_dunder(name)
+    return (module if private else None, name)
 
 
 def _unreached(modules, roots) -> list[tuple[str, str, int]]:
-    """(module, name, line) of each top-level definition that no walk
-    reaches.  The walks start at the definitions named in `roots` and at
-    each module-level statement that is neither a definition nor an
-    import.  A walk goes from a node to every top-level definition, in any
-    module, whose name the node reads as a name or an attribute."""
+    """(module, name, line) of each top-level definition, and each method
+    of a reached class (named `Class.method`), that no walk reaches.
+
+    The walks start at the public definitions named in `roots` and at each
+    module-level statement that is neither a definition nor an import.  A
+    walk goes from a node to every top-level definition whose name the
+    node reads as a name or an attribute.  A reached class walks its
+    bases, decorators, class-level statements and dunder methods; each
+    other method is walked once a walk reads its name as an attribute.
+    Names resolve by `_key`."""
     defs, todo = {}, []
     for module, tree in modules:
         for stmt in tree.body:
             if isinstance(stmt, _DEFINITIONS):
-                defs.setdefault(stmt.name, []).append((module, stmt))
+                defs.setdefault(_key(module, stmt.name), []).append(
+                    (module, stmt))
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                todo.append(stmt)
-    reached = set()
+                todo.append((module, stmt))
+    reached, read, waiting = set(), set(), {}
 
-    def reach(name):
-        if name in defs and name not in reached:
-            reached.add(name)
-            todo.extend(stmt for _, stmt in defs[name])
+    def reach(key):
+        if key in defs and key not in reached:
+            reached.add(key)
+            for module, stmt in defs[key]:
+                if isinstance(stmt, ast.ClassDef):
+                    enter(module, stmt)
+                else:
+                    todo.append((module, stmt))
+
+    def enter(module, cls):
+        todo.extend((module, node) for node in
+                    cls.bases + cls.keywords + cls.decorator_list)
+        for stmt in cls.body:
+            if isinstance(stmt, _FUNCTIONS) and not _is_dunder(stmt.name):
+                key = _key(module, stmt.name)
+                if key in read:
+                    todo.append((module, stmt))
+                else:
+                    waiting.setdefault(key, []).append((module, cls, stmt))
+            else:
+                todo.append((module, stmt))
+
+    def read_attribute(key):
+        read.add(key)
+        todo.extend((module, stmt)
+                    for module, _, stmt in waiting.pop(key, ()))
 
     for name in roots:
-        reach(name)
+        reach(_key("", name))
     while todo:
-        for node in ast.walk(todo.pop()):
-            if isinstance(node, ast.Name):
-                reach(node.id)
-            elif isinstance(node, ast.Attribute):
-                reach(node.attr)
-    return sorted((module, stmt.name, stmt.lineno)
-                  for name, found in defs.items() if name not in reached
-                  for module, stmt in found)
+        module, node = todo.pop()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                reach(_key(module, n.id))
+            elif isinstance(n, ast.Attribute):
+                reach(_key(module, n.attr))
+                read_attribute(_key(module, n.attr))
+    return sorted([(module, stmt.name, stmt.lineno)
+                   for key, found in defs.items() if key not in reached
+                   for module, stmt in found]
+                  + [(module, f"{cls.name}.{stmt.name}", stmt.lineno)
+                     for found in waiting.values()
+                     for module, cls, stmt in found])
 
 
 def test_every_definition_has_a_caller():
-    """Every top-level definition of the package is reached by name from
-    cli.main or a module body, or is on REACHED_ELSEWHERE.  An entry there
-    is stale, and fails, when cli.main reaches it, when the package no
-    longer defines it, or when its caller no longer names it; code that
-    only re-spells reached code leaves the package.  The check itself
-    catches a definition that nothing calls."""
+    """Every top-level definition of the package, and every method of one,
+    is reached by name from cli.main or a module body, or is on
+    REACHED_ELSEWHERE.  An entry there is stale, and fails, when cli.main
+    reaches it, when the package no longer defines it, or when its caller
+    no longer names it; code that only re-spells reached code leaves the
+    package.  The check itself catches a definition that nothing calls, a
+    method that nothing reads, and the uncalled one of two private
+    definitions with the same name in two modules, and it reaches the
+    dunder methods of a reached class with the class."""
     unreached = _unreached(_modules(), {"main", *REACHED_ELSEWHERE})
     assert [f"{m}.{name}:{line}" for m, name, line in unreached] == []
     from_main = {name for _, name, _ in _unreached(_modules(), {"main"})}
@@ -223,6 +275,25 @@ def test_every_definition_has_a_caller():
     probe = ast.parse("X = f\ndef main():\n    return g.h()\n"
                       "def f(): pass\ndef h(): pass\ndef k(): pass\n")
     assert _unreached([("m", probe)], {"main"}) == [("m", "k", 6)]
+    a = ast.parse("def main():\n    return C().used() + _helper() + "
+                  "b.public()\nclass C:\n    def __repr__(self): pass\n"
+                  "    def used(self): pass\n    def unused(self): pass\n"
+                  "def _helper(): pass\n")
+    b = ast.parse("def public(): pass\ndef _helper(): pass\n")
+    assert _unreached([("a", a), ("b", b)], {"main"}) == [
+        ("a", "C.unused", 6), ("b", "_helper", 2)]
+
+
+def test_every_export_is_reached_from_main():
+    """Every name in `finkar.__all__` is a definition of the package that
+    cli.main reaches, so an export that only tests call cannot come
+    back."""
+    exported = set(finkar.__all__)
+    defined = {stmt.name for _, tree in _modules() for stmt in tree.body
+               if isinstance(stmt, _DEFINITIONS)}
+    unreached = {name for _, name, _ in _unreached(_modules(), {"main"})}
+    assert sorted(exported - defined) == []
+    assert sorted(exported & unreached) == []
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,12 @@ import finkar
 from finkar import finset
 from finkar.finset import (BLOCK, EAGER_LIMIT, KEEP_DRAWS, Atom,
                            CheckConfig, Exp, FinSetObj, Morphism, Prod, ShapeError,
-                           SeededRng, codec, compose, envelope_hom_report,
-                           equal_mor, fibers, from_blocks, from_fn, fst,
-                           identity, image_factor, inverse, lift, lift_at,
+                           SeededRng, compose, envelope_hom_report,
+                           equal_mor, fibers, from_blocks, fst, identity,
+                           image_factor, inverse, lift, lift_at, lift_square,
                            pair, snd, splitmix64)
 from finkar.report import VerifyReport, combine, passing
-from oracles import digits, pack
+from oracles import codec, digits, pack
 
 
 def small_objects():
@@ -197,7 +197,7 @@ def test_codec_rejects_out_of_range():
 
 
 @pytest.mark.parametrize("bad", [1.9, 1.0, True, "1", None], ids=repr)
-def test_codec_rejects_a_non_int_element_or_rank(bad, e1_moore):
+def test_codec_rejects_a_non_int_element_or_rank(bad):
     """An Atom element and a rank are an int and not a bool.  A float, a
     bool, a numeric string or None is a TypeError or a ValueError wherever
     it sits in an element, never a truncated rank."""
@@ -210,9 +210,6 @@ def test_codec_rejects_a_non_int_element_or_rank(bad, e1_moore):
             codec(obj).rank(elem)
         with pytest.raises((TypeError, ValueError)):
             codec(obj).unrank(bad)
-    for letter, state in ((bad, 0), (0, bad)):
-        with pytest.raises((TypeError, ValueError)):
-            e1_moore.step_at(letter, state)
 
 
 def test_identity_tables():
@@ -275,9 +272,9 @@ def test_table_validation_names_first_offending_index():
     for bad in ([0, 1, 3, 0, -1, 2], [0, 1, -1, 0, 7, 2]):
         with pytest.raises(ShapeError, match=r" at 2 not in \[0,3\)"):
             Morphism(a, b, table=bad)
-    # the same check guards tables built by from_fn and by compose
+    # the same check guards tables built from fn and by compose
     with pytest.raises(ShapeError, match=r"entry 3 at 3 "):
-        from_fn(a, b, lambda k: k)
+        Morphism(a, b, fn=lambda k: k)
     lazy_b = Morphism.lazy(a, b, list)
     with pytest.raises(ShapeError, match=r"entry 5 at 1 "):
         compose(Morphism(b, a, table=[0, 5, 1]), lazy_b)
@@ -297,8 +294,6 @@ def test_table_rejects_a_non_int_entry(bad):
         Morphism.lazy(a, a, lambda ks: [bad if k else 0 for k in ks]).table
     with pytest.raises(TypeError, match=" at 1 is not an int"):
         equal_mor(Morphism(a, a, fn=lambda k: bad if k else 0), identity(a))
-    with pytest.raises(TypeError, match=" at 1 is not an int"):
-        from_fn(a, a, lambda k: bad if k else 0)
     big = Morphism(Atom("big", EAGER_LIMIT + 1), a,
                    fn=lambda k: bad if k == 5 else 0)
     with pytest.raises(TypeError, match=" at 5 is not an int"):
@@ -350,7 +345,7 @@ def test_every_gather_is_built_through_init(monkeypatch):
     maps = [Morphism(x, x, table=[rng.below(5) for _ in range(5)])
             for _ in range(6)]
     big = Atom("Y", EAGER_LIMIT + 1)
-    flip = from_fn(big, big, lambda k: EAGER_LIMIT - k)
+    flip = Morphism(big, big, fn=lambda k: EAGER_LIMIT - k)
     reverse = Morphism(x, x, fn=lambda k: 4 - k)
     monkeypatch.setattr(Morphism, "__init__", counting)
     built = [compose(f, g) for f in maps for g in maps]
@@ -389,7 +384,7 @@ def test_eager_limit_decides_table_or_lazy():
     for n in (EAGER_LIMIT, EAGER_LIMIT + 1):
         x = Atom("X", n)
         lazy = n > EAGER_LIMIT
-        f = from_fn(x, x, lambda k: n - 1 - k)
+        f = Morphism(x, x, fn=lambda k: n - 1 - k)
         assert f.is_lazy == lazy and identity(x).is_lazy == lazy
         g = compose(f, f)
         assert g.is_lazy == lazy
@@ -1098,19 +1093,34 @@ def test_pair_reads_a_fn_factor_range_checked():
         m.at([5, 99999])
 
 
+# an S x A object, and a map S x A -> A, for the lift cases below
+SA = Prod(Atom("S", 2), Atom("A", 2))
+SQ = Morphism(SA, Atom("A", 2), table=[0, 1, 0, 1])
+
+
 @pytest.mark.parametrize("call, name, value", [
     (lambda m: compose(m, 3), "g", "3"),
     (lambda m: compose([0, 1], m), "f", r"\[0, 1\]"),
     (lambda m: equal_mor(m, m, "cfg"), "config", "'cfg'"),
     (lambda m: pair(m, "x"), "g", "'x'"),
     (lambda m: image_factor([0]), "f", r"\[0\]"),
+    (lambda m: lift(SA, SA, 3), "f", "3"),
+    (lambda m: lift_at(SA, SA, "x"), "f", "'x'"),
+    (lambda m: lift_square(m, 3, m, CheckConfig()), "g", "3"),
+    (lambda m: lift_square(m, SQ, SQ, "cfg"), "config", "'cfg'"),
+    (lambda m: fst(m.dom), "p", r"Atom\('A',2\)"),
+    (lambda m: snd(None), "p", "None"),
+    (lambda m: inverse([0, 1]), "m", r"\[0, 1\]"),
+    (lambda m: fibers((0,)), "m", r"\(0,\)"),
 ], ids=["compose-g", "compose-f", "equal_mor-config", "pair-g",
-        "image_factor-f"])
+        "image_factor-f", "lift-f", "lift_at-f", "lift_square-g",
+        "lift_square-config", "fst-p", "snd-p", "inverse-m", "fibers-m"])
 def test_kernel_entry_points_refuse_a_wrong_argument_by_name(call, name,
                                                              value):
-    """compose, equal_mor, pair and image_factor refuse an argument that
-    is not a Morphism (or a CheckConfig) with a TypeError naming it, not
-    an AttributeError from inside."""
+    """compose, equal_mor, pair, image_factor, lift, lift_at,
+    lift_square, fst, snd, inverse and fibers refuse an argument that is
+    not a Morphism (or a CheckConfig, or a Prod) with a TypeError naming
+    it, not an AttributeError from inside."""
     m = identity(Atom("A", 2))
     with pytest.raises(TypeError, match=rf"^{name} must be of type \w+, "
                                         rf"got {value}$"):

@@ -243,7 +243,8 @@ def test_moore_roundtrip_through_projector(ctx2):
         for j in range(2):
             assert m2.readout(j) == readout[sigma[j]]
             for t in range(2):
-                assert sigma[m2.step_at(j, t)] == step[sigma[j] * 2 + t]
+                assert sigma[m2.step.table[j * 2 + t]] == \
+                    step[sigma[j] * 2 + t]
 
 
 def test_moore_coalgebra_conversions(ctx2, e1_moore):
@@ -251,17 +252,6 @@ def test_moore_coalgebra_conversions(ctx2, e1_moore):
     back = coalgebra_to_moore(c)
     assert back.readout.table == e1_moore.readout.table
     assert back.step.table == e1_moore.step.table
-
-
-def test_step_at_rejects_an_element_out_of_range(e1_moore):
-    """step_at reads step(b, s) through the codec of B x S: a letter or a
-    state out of range is a ValueError naming it, not the entry of the
-    next state (step_at(0, 2) read step_at(1, 0)) or an IndexError."""
-    assert [e1_moore.step_at(b, s) for b in (0, 1) for s in (0, 1)] == \
-        e1_moore.step.table
-    for b, s, bad in ((0, 2, 2), (1, 2, 2), (2, 0, 2), (0, -1, -1)):
-        with pytest.raises(ValueError, match=rf"element {bad} out of range"):
-            e1_moore.step_at(b, s)
 
 
 def test_fixed_point_count_for_projector_images(ctx2):

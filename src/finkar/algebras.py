@@ -13,8 +13,9 @@ from functools import lru_cache
 from typing import Iterator
 
 from .finset import (CheckConfig, FinSetObj, Morphism, Prod, ShapeError,
-                     check_types, compose, equal_mor, fibers, fst, identity,
-                     inverse, lift_square, pair, rows, snd)
+                     check_ranks, check_types, compose, equal_mor, fibers,
+                     fst, identity, inverse, lift_at, lift_square, pair, rows,
+                     snd, values_report)
 from .idempotents import (Splitting, fixed_ranks, karoubi_hom_check,
                           split_idempotent)
 from .report import (LawViolation, VerifyReport, combine, failing,
@@ -278,7 +279,6 @@ def algebra_hom_check(f: Morphism, a: AlgebraStruct,
     except AttributeError:
         check_types(f=(f, Morphism), a=(a, AlgebraStruct),
                     c=(c, AlgebraStruct))
-        raise
     if a._update is not None and c._update is not None:
         return _preserves_operations(f, a._update, c._update, cfg)
     return equal_mor(compose(a.structure, f),
@@ -322,36 +322,39 @@ def _verify_witness(w: ProjectiveWitness) -> Iterator[VerifyReport]:
     id on A, sigma a hom into the free algebra (`section-is-hom`), the
     projector pi idempotent, and pi = eps . (S x sigma) on S x A, for the
     counit eps at S x A that the resolution builds (pi is read off sigma
-    as its transpose).
+    as its transpose).  A leaf gathers its sides' values at the ranks
+    `check_ranks` yields, for `values_report`: no composite is built.
 
     The exponential-image identity sigma . alpha = S => pi on TA follows
     and is not checked on TA.  sigma is a hom, by Lemma 1 or checked
     directly (algebra_hom_check), so sigma . alpha = mu . T sigma.  `mu`
     builds mu_A as S => eps at S x A and `t_mor` builds T sigma as
     S => (S x sigma); S => - preserves composition, so
-    mu . T sigma = S => (eps . (S x sigma)) = S => pi by the last leaf.
-    That leaf reads |S x A| ranks; the identity on TA built two tables of
-    |TA| entries (the test oracle `exp_projector_leaf` keeps it).
+    mu . T sigma = S => (eps . (S x sigma)) = S => pi by the last leaf,
+    on |S x A| ranks, not |TA| (the test oracle `exp_projector_leaf`).
     """
     ctx, a = w.algebra.ctx, w.algebra
-    al, ab, cfg = a.structure, w.coretraction, ctx.config
-    yield equal_mor(compose(ab, al), identity(a.carrier), cfg,
-                    check="structure.section=id")
+    al, ab, pi, cfg = a.structure, w.coretraction, w.projector, ctx.config
+    n, m = a.carrier.card, pi.dom.card
+    yield values_report("structure.section=id", n, cfg, (
+        (ks, al.at(ab.at(ks)), list(ks)) for ks in check_ranks(n, cfg)))
     yield (passing("section-is-hom") if algebra_hom_check(
         ab, a, free_algebra(ctx, a.carrier))
         else failing("section-is-hom", [{"hom": False}]))
-    yield equal_mor(compose(w.projector, w.projector), w.projector, cfg,
-                    check="projector-idempotent")
-    yield equal_mor(w.projector, compose(prod_mor(ctx, ab),
-                                         eps(ctx, prod_obj(ctx, a.carrier))),
-                    cfg, check="projector=eps.(Sxsection)")
+    yield values_report("projector-idempotent", m, cfg, (
+        (ks, pi.at(v), v) for ks in check_ranks(m, cfg) for v in [pi.at(ks)]))
+    e = eps(ctx, pi.dom)
+    sab = lift_at(pi.dom, e.dom, ab)
+    yield values_report("projector=eps.(Sxsection)", m, cfg, (
+        (ks, pi.at(ks), e.at(sab(ks))) for ks in check_ranks(m, cfg)))
 
 
 def make_witness(a: AlgebraStruct,
                  coretraction: Morphism) -> ProjectiveWitness:
-    """Package a hom-section into a witness, verifying all its invariants:
-    the leaves are read as booleans, and the report is built only to raise
-    with."""
+    """Package a hom-section into a witness, verifying all its invariants
+    as booleans; the report is built only to raise with."""
+    if (coretraction.dom, coretraction.cod) != (a.carrier, a.structure.dom):
+        raise ShapeError("a section must map A to TA")
     proj = mealy_of_kleisli(a.ctx, coretraction)
     w = ProjectiveWitness(algebra=a, coretraction=coretraction, projector=proj)
     if not all(r.passed for r in _verify_witness(w)):

@@ -12,7 +12,7 @@ elsewhere in the package are computed on ranks, so a morphism is nothing
 but a total function on ranks: either a materialized table or a lazy
 evaluator for domains too large to enumerate.
 
-One rule decides which: a map built by `Morphism(..., fn=...)`,
+One rule decides which: a map built by `Morphism(..., fn=...)`, `identity`,
 `from_blocks`, `compose`, `pair`, `lift` or a structure map is a table
 exactly when its domain has at most `EAGER_LIMIT` ranks, and a lazy
 evaluator above that (statemonad's transposes apply it to S x A, the
@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import compress, count, islice
 from operator import countOf, ne
 from threading import Lock
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .report import VerifyReport, combine, failing, passing
 
@@ -188,24 +188,25 @@ class Morphism:
         if (table is None) == (fn is None):
             raise ValueError("pass exactly one of table, fn")
         self.dom, self.cod, self._at = dom, cod, None
+        if type(table) is _Checked:
+            self._table = table.values
+            return
+        try:
+            n, ncod = dom.card, cod.card
+        except AttributeError:
+            check_types(dom=(dom, FinSetObj), cod=(cod, FinSetObj))
         if fn is not None:
             def at(ranks):
                 values = list(map(fn, ranks))
-                _range_check(values, cod.card, ranks)
+                _range_check(values, ncod, ranks)
                 return values
-            if dom.card > EAGER_LIMIT:
-                self._table, self._at = None, at
-            else:
-                self._table = at(range(dom.card))
+            self._table, self._at = ((None, at) if n > EAGER_LIMIT
+                                     else (at(range(n)), None))
             return
-        if type(table) is _Checked:
-            table = table.values
-        else:
-            table = list(table)
-            if len(table) != dom.card:
-                raise ShapeError(
-                    f"table length {len(table)} != card(dom) {dom.card}")
-            _range_check(table, cod.card)
+        table = list(table)
+        if len(table) != n:
+            raise ShapeError(f"table length {len(table)} != card(dom) {n}")
+        _range_check(table, ncod)
         self._table = table
 
     @classmethod
@@ -214,6 +215,10 @@ class Morphism:
         """A lazy map from a block evaluator: `at(ranks)` returns the list
         of values at a sequence of domain ranks.  It is read through the
         evaluator at any size; only `table` materializes it."""
+        try:
+            dom.card, cod.card  # read here, so that a wrong one is named
+        except AttributeError:
+            check_types(dom=(dom, FinSetObj), cod=(cod, FinSetObj))
         m = cls.__new__(cls)
         m.dom, m.cod, m._table, m._at = dom, cod, None, at
         return m
@@ -283,20 +288,23 @@ def _range_check(table: list[int], n: int, ranks=None):
         raise ShapeError(f"table entry {table[k]} at {at} not in [0,{n})")
 
 
-def check_types(**args: tuple) -> None:
-    """For an AttributeError met reading a function's arguments, given as
-    name=(value, class): a TypeError naming the first that is not an
-    instance of its class.  Called only in an `except` clause, so it costs
-    an accepted call nothing; when every argument is of its class it
-    returns, and the caller re-raises."""
+def check_types(**args: tuple) -> NoReturn:
+    """In an `except AttributeError` clause, the arguments as name=(value,
+    class): a TypeError naming the first not of its class, else the error."""
     for name, (value, cls) in args.items():
         if not isinstance(value, cls):
             raise TypeError(f"{name} must be of type {cls.__name__}, "
                             f"got {value!r}") from None
+    raise
 
 
 def identity(obj: FinSetObj) -> Morphism:
-    return from_blocks(obj, obj, list)
+    try:
+        if obj.card > EAGER_LIMIT:
+            return Morphism.lazy(obj, obj, list)
+    except AttributeError:
+        check_types(obj=(obj, FinSetObj))
+    return Morphism(obj, obj, table=_Checked(list(range(obj.card))))
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
@@ -312,7 +320,6 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
             raise ShapeError(f"cannot compose: cod {f.cod!r} != dom {g.dom!r}")
     except AttributeError:
         check_types(f=(f, Morphism), g=(g, Morphism))
-        raise
     ft = f._table if f.dom.card <= EAGER_LIMIT else None
     if ft is None:
         return Morphism.lazy(f.dom, g.cod, lambda ks: g.at(f.at(ks)))
@@ -326,10 +333,13 @@ def from_blocks(dom: FinSetObj, cod: FinSetObj,
     """Build a morphism from a block evaluator: `Morphism.lazy(dom, cod,
     at)` above EAGER_LIMIT, and within it the evaluator's table, read and
     range-checked once."""
-    if dom.card > EAGER_LIMIT:
+    try:
+        n, ncod = dom.card, cod.card
+    except AttributeError:
+        check_types(dom=(dom, FinSetObj), cod=(cod, FinSetObj))
+    if n > EAGER_LIMIT:
         return Morphism.lazy(dom, cod, at)
-    return Morphism(dom, cod, table=_Checked(_read_all(at, dom.card,
-                                                       cod.card)))
+    return Morphism(dom, cod, table=_Checked(_read_all(at, n, ncod)))
 
 
 def lift(dom: FinSetObj, cod: FinSetObj, f: Morphism) -> Morphism:
@@ -400,7 +410,6 @@ def _lift_shape(dom: FinSetObj, cod: FinSetObj,
             raise ShapeError(f"cannot lift {f!r} to {dom!r} -> {cod!r}")
     except AttributeError:
         check_types(f=(f, Morphism))
-        raise
     return exp, s.card, x.card, y.card
 
 
@@ -418,7 +427,6 @@ def lift_square(f: Morphism, g: Morphism, h: Morphism,
     except AttributeError:
         check_types(f=(f, Morphism), g=(g, Morphism), h=(h, Morphism),
                     config=(config, CheckConfig))
-        raise
     ft, gt, ht, nx, ny = f._table, g._table, h._table, x.card, y.card
     if ft is None or gt is None or ht is None:
         sf = lift_at(sx, sy, f)
@@ -437,7 +445,6 @@ def fst(p: Prod, lazy: bool = False) -> Morphism:
         ny = p.right.card
     except AttributeError:
         check_types(p=(p, Prod))
-        raise
     return (Morphism.lazy if lazy else from_blocks)(
         p, p.left, lambda ks: [k // ny for k in ks])
 
@@ -448,7 +455,6 @@ def snd(p: Prod, lazy: bool = False) -> Morphism:
         ny = p.right.card
     except AttributeError:
         check_types(p=(p, Prod))
-        raise
     return (Morphism.lazy if lazy else from_blocks)(
         p, p.right, lambda ks: [k % ny for k in ks])
 
@@ -462,7 +468,6 @@ def pair(f: Morphism, g: Morphism) -> Morphism:
             raise ShapeError(f"cannot pair: dom {f.dom!r} != dom {g.dom!r}")
     except AttributeError:
         check_types(f=(f, Morphism), g=(g, Morphism))
-        raise
     dom, cod, ny = f.dom, Prod(f.cod, g.cod), g.cod.card
     if dom.card > EAGER_LIMIT or f.is_lazy or g.is_lazy:
         return Morphism.lazy(dom, cod, lambda ks: [
@@ -487,7 +492,6 @@ def inverse(m: Morphism) -> Optional[dict[int, int]]:
         inv = {v: k for k, v in enumerate(m.table)}
     except AttributeError:
         check_types(m=(m, Morphism))
-        raise
     return inv if len(inv) == m.dom.card else None
 
 
@@ -498,7 +502,6 @@ def fibers(m: Morphism) -> dict[int, list[int]]:
         table = m.table
     except AttributeError:
         check_types(m=(m, Morphism))
-        raise
     out: dict[int, list[int]] = {}
     for k, v in enumerate(table):
         out.setdefault(v, []).append(k)
@@ -546,8 +549,12 @@ class SeededRng:
 
 
 def random_morphism(dom: FinSetObj, cod: FinSetObj, rng: SeededRng) -> Morphism:
-    return Morphism(dom, cod,
-                    table=[rng.below(cod.card) for _ in range(dom.card)])
+    try:
+        below, n, ncod = rng.below, dom.card, cod.card
+    except AttributeError:
+        check_types(dom=(dom, FinSetObj), cod=(cod, FinSetObj),
+                    rng=(rng, SeededRng))
+    return Morphism(dom, cod, table=[below(ncod) for _ in range(n)])
 
 
 def _int_check(what: str, value) -> None:
@@ -595,44 +602,43 @@ class CheckConfig:
 def equal_mor(f: Morphism, g: Morphism,
               config: CheckConfig = CheckConfig(),
               check: str = "equal") -> VerifyReport:
-    """Compare two parallel morphisms, exhaustively or by seeded sampling.
-
-    Both sides are read a block of ranks at a time (two whole tables when
-    an exhaustive domain is within EAGER_LIMIT and both maps are tables).
-    The report holds the first three mismatches in rank order, or in draw
-    order when sampled, and no block after the one holding the third is
-    evaluated.
-    """
+    """Compare two parallel morphisms, exhaustively or by seeded sampling:
+    `values_report` on two whole tables when an exhaustive domain is within
+    EAGER_LIMIT and both maps are tables, else on blocks read by `at`."""
     try:
         if f.dom != g.dom or f.cod != g.cod:
             raise ShapeError("equal_mor needs parallel morphisms")
-        n, cap = f.dom.card, config.cap
+        n = f.dom.card
+        whole = n <= config.cap and n <= EAGER_LIMIT
     except AttributeError:
         check_types(f=(f, Morphism), g=(g, Morphism),
                     config=(config, CheckConfig))
-        raise
-    ft, gt = (f._table, g._table) if n <= EAGER_LIMIT else (None, None)
-    if n > cap:
+    ft, gt = f._table, g._table
+    return values_report(check, n, config, ((range(n), ft, gt),) if (
+        whole and ft is not None and gt is not None) else (
+        (ks, f.at(ks), g.at(ks)) for ks in check_ranks(n, config)))
+
+
+def values_report(check: str, n: int, config: CheckConfig,
+                  blocks: Iterable[tuple]) -> VerifyReport:
+    """The report of a check on n ranks from `blocks` of (ranks, lhs, rhs),
+    its sides' values at the ranks `check_ranks` yields (or all n at once):
+    the first three mismatches as read, and no block read after the third."""
+    if n > config.cap:
         mode, details = "sampled", {"domain": n, "samples": config.samples}
     else:
         mode, details = "exhaustive", {"domain": n}
-    if mode == "sampled" or ft is None or gt is None:
-        blocks: Iterable = _read(f, g, check_ranks(n, config))
-    else:
-        blocks = ((range(n), ft, gt),) if ft != gt else ()
     witnesses = []
     for ks, a, b in blocks:
-        for j in compress(count(), map(ne, a, b)):
-            witnesses.append({"rank": ks[j], "lhs": a[j], "rhs": b[j]})
+        if a != b:
+            for j in compress(count(), map(ne, a, b)):
+                witnesses.append({"rank": ks[j], "lhs": a[j], "rhs": b[j]})
+                if len(witnesses) == 3:
+                    break
             if len(witnesses) == 3:
                 break
-        else:
-            continue
-        break
-    status = "pass" if not witnesses else "fail"
-    return VerifyReport(check=check, status=status, mode=mode,
-                        seed=config.seed, cap=config.cap,
-                        witnesses=witnesses, details=details)
+    return VerifyReport(check, "fail" if witnesses else "pass", mode,
+                        config.seed, config.cap, witnesses, None, details)
 
 
 def check_ranks(n: int, config: CheckConfig) -> Iterator[Sequence[int]]:
@@ -640,17 +646,15 @@ def check_ranks(n: int, config: CheckConfig) -> Iterator[Sequence[int]]:
     every rank in order when n is at most the cap, else the config's
     splitmix64 draws mod n, in draw order.  equal_mor reads these, and so
     does a check that compares values it gathers itself."""
-    if n > config.cap:
-        return ([r % n for r in raw]
-                for raw in _draw_blocks(config.seed, config.samples))
+    try:
+        if n > config.cap:
+            return ([r % n for r in raw]
+                    for raw in _draw_blocks(config.seed, config.samples))
+    except AttributeError:
+        check_types(config=(config, CheckConfig))
     if n <= BLOCK:
         return (range(n),)
     return (range(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK))
-
-
-def _read(f: Morphism, g: Morphism, rank_blocks: Iterable[Sequence[int]]):
-    """Each block of ranks with both maps' values on it, one at a time."""
-    return ((ks, f.at(ks), g.at(ks)) for ks in rank_blocks)
 
 
 @lru_cache(maxsize=4)
@@ -680,7 +684,6 @@ def image_factor(f: Morphism) -> tuple[Morphism, Morphism, FinSetObj]:
         ft = f.table
     except AttributeError:
         check_types(f=(f, Morphism))
-        raise
     image = sorted(set(ft))
     mid = Atom(f"im({len(image)})", len(image))
     i = Morphism(mid, f.cod, table=image)
@@ -708,8 +711,11 @@ def envelope_equations(f: Morphism, phi: Morphism, psi: Morphism,
                        config: CheckConfig) -> Iterator[VerifyReport]:
     """The envelope-hom equations of f from phi to psi, one at a time:
     post, pre, then the sandwich.  The shapes are checked at the call."""
-    if phi.dom != f.dom or psi.dom != f.cod:
-        raise ShapeError("projectors must sit on dom(f) and cod(f)")
+    try:
+        if phi.dom != f.dom or psi.dom != f.cod:
+            raise ShapeError("projectors must sit on dom(f) and cod(f)")
+    except AttributeError:
+        check_types(f=(f, Morphism), phi=(phi, Morphism), psi=(psi, Morphism))
     return _envelope_equations(f, compose(phi, f), compose(f, psi), psi,
                                config)
 
@@ -720,6 +726,10 @@ def envelope_holds(f: Morphism, phi_f: Morphism, f_psi: Morphism,
     phi . f and f . psi a caller already holds; no equation after the first
     failing one is evaluated.  The report's fourth check, that the sandwich
     and the pair agree, holds when all three equations do."""
+    try:
+        psi.cod  # read here, so that a wrong psi is named as psi
+    except AttributeError:
+        check_types(psi=(psi, Morphism))
     return all(r.passed for r in
                _envelope_equations(f, phi_f, f_psi, psi, config))
 

@@ -65,7 +65,7 @@ class ObjectConditionError(ValueError):
 
 
 def passing(check: str, mode: str = "exhaustive", **details) -> VerifyReport:
-    return VerifyReport(check=check, status="pass", mode=mode, details=details)
+    return VerifyReport(check, "pass", mode, 0, 0, None, None, details)
 
 
 def failing(check: str, witnesses: list, mode: str = "exhaustive",

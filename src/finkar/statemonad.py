@@ -5,11 +5,12 @@ Both come from S x - left adjoint to S => -.  Its hom-set bijection,
 transpose_up and transpose_down, holds the only digit kernels here; eta,
 eps, mu and nu are composites of them: eta and eps transpose identities,
 mu = S => eps at S x X and nu = S x eta at S => X.  Both transposes of
-f are tables, built a block at a time, exactly when S x A has at most
-EAGER_LIMIT ranks, and lazy block evaluators above that: the finset rule
-applied to the larger side of the bijection, so that no table is built
-on A for a transpose whose other side is read a block at a time.  A
-caller that only samples a transpose asks for it `lazy` at any size.
+f are tables exactly when S x A has at most EAGER_LIMIT ranks, built in
+one pass over f's table (a block at a time from a lazy f), and lazy
+block evaluators above that: the finset rule applied to the larger side
+of the bijection, so no table is built on A for a transpose whose other
+side is read a block at a time.  A caller that only samples a transpose
+asks for it `lazy` at any size.
 S x f and S => f are the finset kernel `lift`.  Lazy maps are those whose
 domains blow up combinatorially (mu at TTX once |S x X|^|S| is large, T f
 on TTX, ...); equalities on them are verified by seeded sampling.  The
@@ -32,7 +33,7 @@ from threading import Lock
 
 from .finset import (EAGER_LIMIT, CheckConfig, Exp, FinSetObj, Morphism,
                      Prod, ShapeError, SeededRng, compose, equal_mor,
-                     from_blocks, identity, lift, random_morphism)
+                     from_blocks, identity, lift, random_morphism, rows)
 from .report import VerifyReport, combine
 
 
@@ -208,43 +209,42 @@ def nu(ctx: StateContext, x: FinSetObj) -> Morphism:
 
 def transpose_up(ctx: StateContext, f: Morphism,
                  lazy: bool = False) -> Morphism:
-    """hom(S x A, B) -> hom(A, S => B), a |-> (s |-> f(s, a)): f at each
-    state's row of a block, packed one base-|B| digit per state.  `lazy`
-    keeps it a block evaluator within EAGER_LIMIT too, for a caller that
-    reads it only at sampled ranks."""
+    """hom(S x A, B) -> hom(A, S => B), a |-> (s |-> f(s, a)): f's rows
+    packed one base-|B| digit per state, from f's table in one pass, else a
+    block at a time.  `lazy` keeps it a block evaluator within EAGER_LIMIT
+    too, for a caller that reads it only at sampled ranks."""
     if not (isinstance(f.dom, Prod) and f.dom.left == ctx.state_space):
         raise ShapeError("transpose_up wants a morphism out of S x A")
-    a, nb, read = f.dom.right, f.cod.card, f.at
+    na, nb, read, ea = f.dom.right.card, f.cod.card, f.at, exp_obj(ctx, f.cod)
 
-    def at(ks):
-        out = read(ks)
+    def pack(rs):
+        out = rs[0]
         for s in range(1, ctx.ns):
-            w, row = nb ** s, s * a.card
-            out = [o + w * v
-                   for o, v in zip(out, read([row + k for k in ks]))]
+            w = nb ** s
+            out = [o + w * v for o, v in zip(out, rs[s])]
         return out
 
-    build = (Morphism.lazy if lazy or f.dom.card > EAGER_LIMIT
-             else from_blocks)
-    return build(a, exp_obj(ctx, f.cod), at)
+    if not (lazy or f.is_lazy or f.dom.card > EAGER_LIMIT):
+        return Morphism(f.dom.right, ea, table=pack(rows(f.table, ctx.ns)))
+    return (Morphism.lazy if lazy or f.dom.card > EAGER_LIMIT
+            else from_blocks)(f.dom.right, ea, lambda ks: pack(
+                [read([s * na + k for k in ks]) for s in range(ctx.ns)]))
 
 
 def transpose_down(ctx: StateContext, f: Morphism, cod: FinSetObj,
                    lazy: bool = False) -> Morphism:
-    """hom(A, S => B) -> hom(S x A, B), (s, a) |-> digit s of f(a); `cod`
-    names B, and `lazy` is as for transpose_up."""
+    """hom(A, S => B) -> hom(S x A, B), (s, a) |-> digit s of f(a), as for
+    transpose_up from a table or by blocks; `cod` names B."""
     e = f.cod
     if not (type(e) is Exp and e.base == ctx.state_space and e.target == cod):
         raise ShapeError("transpose_down wants a morphism into S => B")
     na, nb, read = f.dom.card, cod.card, f.at
-
-    def at(ps):
-        w = [nb ** s for s in range(ctx.ns)]
-        return [v // w[p // na] % nb
-                for p, v in zip(ps, read([p % na for p in ps]))]
-
-    build = Morphism.lazy if lazy else from_blocks
-    return build(prod_obj(ctx, f.dom), cod, at)
+    sa, ws = prod_obj(ctx, f.dom), [nb ** s for s in range(ctx.ns)]
+    if not (lazy or f.is_lazy or sa.card > EAGER_LIMIT):
+        return Morphism(sa, cod, table=[
+            v // w % nb for w in ws for v in f.table])
+    return (Morphism.lazy if lazy else from_blocks)(sa, cod, lambda ps: [
+        v // ws[p // na] % nb for p, v in zip(ps, read([p % na for p in ps]))])
 
 
 # ---------------------------------------------------------------------------

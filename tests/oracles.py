@@ -10,6 +10,7 @@ as JSON, and composites of the package's own maps that only tests call.
 from functools import lru_cache
 from itertools import product as iproduct
 
+from finkar.algebras import algebra_hom_check, free_algebra
 from finkar.cli import SpecFile, canonical_json
 from finkar.equivalence import (KarcObject, KarmObject, make_karc_object,
                                 make_karm_object)
@@ -509,6 +510,24 @@ def tteta_coretraction(ctx, x, q, i):
     """construct_coretraction's section as first built, Tq . Teta . i:
     T eta built on TX and T q on TTX."""
     return compose(compose(i, t_mor(ctx, eta(ctx, x))), t_mor(ctx, q))
+
+
+def composite_witness_leaves(w):
+    """make_witness's four leaf reports as first computed: each side of a
+    leaf a map built whole (alpha . sigma, the identity on A, pi . pi, and
+    eps after S x sigma, a lift), compared by equal_mor."""
+    ctx, a = w.algebra.ctx, w.algebra
+    al, ab, cfg = a.structure, w.coretraction, ctx.config
+    yield equal_mor(compose(ab, al), identity(a.carrier), cfg,
+                    check="structure.section=id")
+    yield (passing("section-is-hom") if algebra_hom_check(
+        ab, a, free_algebra(ctx, a.carrier))
+        else failing("section-is-hom", [{"hom": False}]))
+    yield equal_mor(compose(w.projector, w.projector), w.projector, cfg,
+                    check="projector-idempotent")
+    yield equal_mor(w.projector, compose(prod_mor(ctx, ab),
+                                         eps(ctx, prod_obj(ctx, a.carrier))),
+                    cfg, check="projector=eps.(Sxsection)")
 
 
 def exp_projector_leaf(w, config):

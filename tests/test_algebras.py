@@ -1,7 +1,13 @@
+import json
+import sys
+from collections import Counter
+
 import pytest
 
+from finkar import algebras, finset
 from finkar.algebras import (AlgebraStruct, CoalgebraStruct,
-                             SearchBoundExceeded, algebra_hom_check,
+                             ProjectiveWitness, SearchBoundExceeded,
+                             _verify_witness, algebra_hom_check,
                              check_algebra, check_coalgebra,
                              coalgebra_components, coalgebra_of_components,
                              consistent_hom_check,
@@ -10,15 +16,17 @@ from finkar.algebras import (AlgebraStruct, CoalgebraStruct,
                              iso_witness_i_prime, karm_retraction,
                              make_witness, search_sections)
 from finkar.equivalence import make_karm_object
-from finkar.finset import (Atom, Morphism, SeededRng, ShapeError, compose,
-                           equal_mor, identity)
+from finkar.finset import (Atom, CheckConfig, Morphism, SeededRng,
+                           ShapeError, compose, equal_mor, identity)
 from finkar.idempotents import karoubi_hom_check
 from finkar.report import LawViolation
-from finkar.statemonad import (eps, eta, exp_mor, exp_obj, g_obj, mu,
-                               prod_mor, prod_obj, t_mor, t_obj)
+from finkar.statemonad import (StateContext, eps, eta, exp_mor, exp_obj,
+                               g_obj, mealy_of_kleisli, mu, prod_mor,
+                               prod_obj, t_mor, t_obj)
 
 from oracles import (brute_force_algebras, brute_force_sections,
-                     random_idempotent, transported_algebras)
+                     composite_witness_leaves, random_idempotent,
+                     transported_algebras)
 
 
 def test_free_algebra_laws(ctx2, ctx1):
@@ -192,6 +200,98 @@ def test_a_failing_make_witness_reports_every_leaf(ctx2):
         "structure.section=id", "section-is-hom", "projector-idempotent",
         "projector=eps.(Sxsection)"]
     assert not rep.sub[0].passed and rep.status == "fail"
+
+
+@pytest.mark.parametrize("config", [
+    CheckConfig(), CheckConfig(cap=3, samples=7, seed=5)],
+    ids=["default-cap", "sampled-cap"])
+def test_witness_leaves_match_the_composite_leaves(config):
+    """The value-list leaves of make_witness report what the composite
+    leaves reported (`oracles.composite_witness_leaves`), to the byte and
+    the key order: on the census's sections, a one-entry mutant of each,
+    and each projector reversed, at the default cap and at a cap below
+    |A| and |S x A| = 8, where the leaves sample."""
+    ctx = StateContext(Atom("S", 2), config)
+    rng, seen = SeededRng(28), Counter()
+    for a in _census(ctx):
+        for sec in search_sections(a)[:4]:
+            pi, bad = mealy_of_kleisli(ctx, sec), list(sec.table)
+            n, k = sec.cod.card, rng.below(len(bad))
+            bad[k] = (bad[k] + 1 + rng.below(n - 1)) % n
+            mutant = Morphism(sec.dom, sec.cod, table=bad)
+            for w in (ProjectiveWitness(a, sec, pi),
+                      ProjectiveWitness(a, mutant,
+                                        mealy_of_kleisli(ctx, mutant)),
+                      ProjectiveWitness(a, sec, Morphism(
+                          pi.dom, pi.cod, table=pi.table[::-1]))):
+                new = [json.dumps(r.to_dict()) for r in _verify_witness(w)]
+                assert new == [json.dumps(r.to_dict())
+                               for r in composite_witness_leaves(w)]
+                seen.update((r.check, r.status, r.mode)
+                            for r in _verify_witness(w))
+    modes = {"exhaustive"} if config.cap > 8 else {"exhaustive", "sampled"}
+    for check in ("structure.section=id", "section-is-hom",
+                  "projector-idempotent", "projector=eps.(Sxsection)"):
+        assert {s for c, s, _ in seen if c == check} == {"pass", "fail"}
+    assert {m for c, _, m in seen if c != "section-is-hom"} == modes
+
+
+def test_a_passing_make_witness_builds_only_its_projector(ctx2, table_sizes,
+                                                          monkeypatch):
+    """Once the structure maps and the free algebra are cached, a passing
+    make_witness builds one table, its projector's on S x A, and calls no
+    `lift`: the leaves gather value lists at check_ranks' ranks instead of
+    building alpha . sigma, the identity, pi . pi or S x sigma."""
+    found = [(a, search_sections(a)) for a in _census(ctx2)[:4]]
+    for a, sections in found:
+        make_witness(a, sections[0])
+    lifts, lift = [], finset.lift
+    for name, module in list(sys.modules.items()):
+        if name.startswith("finkar") and getattr(module, "lift", 0) is lift:
+            monkeypatch.setattr(module, "lift", lambda *args: lifts.append(
+                args) or lift(*args))
+    for a, sections in found:
+        for sec in sections:
+            table_sizes.clear()
+            make_witness(a, sec)
+            assert table_sizes == [prod_obj(ctx2, a.carrier).card]
+    assert lifts == [] and sum(len(s) for _, s in found) > 16
+
+
+@pytest.mark.parametrize("config", [
+    CheckConfig(), CheckConfig(cap=3, samples=7, seed=5)],
+    ids=["default-cap", "sampled-cap"])
+def test_a_witness_reads_a_lazy_structure_and_eps_at_its_ranks(
+        table_sizes, monkeypatch, config):
+    """A witness of a proven algebra whose structure map is a lazy
+    evaluator, with eps at S x A served lazily, builds no table but its
+    projector's (none on TA or S x TA) and reads alpha and eps once each,
+    at the ranks check_ranks yields: |A| and |S x A| of them, or the
+    samples above the cap."""
+    ctx = StateContext(Atom("S", 2), config)
+    a = _census(ctx)[1]
+    sections, al = search_sections(a), a.structure
+    make_witness(a, sections[0])
+    reads = []
+
+    def counted(m, name):
+        return Morphism.lazy(m.dom, m.cod, lambda ks: reads.append(
+            (name, len(ks))) or m.at(ks))
+
+    lazy = AlgebraStruct(ctx=ctx, carrier=a.carrier,
+                         structure=counted(al, "alpha"))
+    lazy._update = a._update  # proven, as `a` is
+    monkeypatch.setattr(algebras, "eps",
+                        lambda c, x: counted(eps(c, x), "eps"))
+    table_sizes.clear()
+    for sec in sections:
+        make_witness(lazy, sec)
+    sa = prod_obj(ctx, a.carrier).card
+    assert table_sizes == [sa] * len(sections)
+    n = a.carrier.card
+    assert reads == [("alpha", n if n <= config.cap else config.samples),
+                     ("eps", sa if sa <= config.cap else config.samples)
+                     ] * len(sections)
 
 
 def test_sections_unique_for_singleton_state(ctx1):

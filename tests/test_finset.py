@@ -17,10 +17,11 @@ import finkar
 from finkar import finset
 from finkar.finset import (BLOCK, EAGER_LIMIT, KEEP_DRAWS, Atom,
                            CheckConfig, Exp, FinSetObj, Morphism, Prod, ShapeError,
-                           SeededRng, compose, envelope_hom_report,
-                           equal_mor, fibers, from_blocks, fst, identity,
-                           image_factor, inverse, lift, lift_at, lift_square,
-                           pair, snd, splitmix64)
+                           SeededRng, check_ranks, compose, envelope_holds,
+                           envelope_hom_report, equal_mor, fibers,
+                           from_blocks, fst, identity, image_factor, inverse,
+                           lift, lift_at, lift_square, pair, random_morphism,
+                           snd, splitmix64)
 from finkar.report import VerifyReport, combine, passing
 from oracles import codec, digits, pack
 
@@ -1112,15 +1113,33 @@ SQ = Morphism(SA, Atom("A", 2), table=[0, 1, 0, 1])
     (lambda m: snd(None), "p", "None"),
     (lambda m: inverse([0, 1]), "m", r"\[0, 1\]"),
     (lambda m: fibers((0,)), "m", r"\(0,\)"),
+    (lambda m: identity(5), "obj", "5"),
+    (lambda m: from_blocks(5, m.dom, list), "dom", "5"),
+    (lambda m: from_blocks(m.dom, "B", list), "cod", "'B'"),
+    (lambda m: Morphism(5, m.dom, table=[0]), "dom", "5"),
+    (lambda m: Morphism(m.dom, None, fn=abs), "cod", "None"),
+    (lambda m: Morphism.lazy(5, m.dom, list), "dom", "5"),
+    (lambda m: random_morphism(5, m.dom, SeededRng(0)), "dom", "5"),
+    (lambda m: random_morphism(m.dom, m.dom, 7), "rng", "7"),
+    (lambda m: check_ranks(3, None), "config", "None"),
+    (lambda m: envelope_hom_report(m, 5, m), "phi", "5"),
+    (lambda m: envelope_holds(m, m, m, 5), "psi", "5"),
 ], ids=["compose-g", "compose-f", "equal_mor-config", "pair-g",
         "image_factor-f", "lift-f", "lift_at-f", "lift_square-g",
-        "lift_square-config", "fst-p", "snd-p", "inverse-m", "fibers-m"])
+        "lift_square-config", "fst-p", "snd-p", "inverse-m", "fibers-m",
+        "identity-obj", "from_blocks-dom", "from_blocks-cod",
+        "Morphism-dom", "Morphism-cod", "Morphism.lazy-dom",
+        "random_morphism-dom", "random_morphism-rng", "check_ranks-config",
+        "envelope_hom_report-phi", "envelope_holds-psi"])
 def test_kernel_entry_points_refuse_a_wrong_argument_by_name(call, name,
                                                              value):
     """compose, equal_mor, pair, image_factor, lift, lift_at,
-    lift_square, fst, snd, inverse and fibers refuse an argument that is
-    not a Morphism (or a CheckConfig, or a Prod) with a TypeError naming
-    it, not an AttributeError from inside."""
+    lift_square, fst, snd, inverse, fibers, identity, from_blocks, the
+    Morphism constructors, random_morphism, check_ranks and the envelope
+    entry points refuse an argument that is not a Morphism (or a
+    CheckConfig, a Prod, a FinSetObj or a SeededRng) with a TypeError
+    naming it, not an AttributeError from inside or a name of a callee's
+    parameter."""
     m = identity(Atom("A", 2))
     with pytest.raises(TypeError, match=rf"^{name} must be of type \w+, "
                                         rf"got {value}$"):

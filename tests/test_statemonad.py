@@ -2,17 +2,18 @@ import inspect
 import os
 import subprocess
 import sys
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
 
 from finkar.algebras import _operation_ranks
 from finkar.equivalence import KarcObject
+from finkar import finset
 from finkar import statemonad as SM
 from finkar.finset import (EAGER_LIMIT, Atom, CheckConfig, Exp, Morphism,
                            SeededRng, ShapeError, check_ranks, compose,
-                           identity, splitmix64)
+                           identity, random_morphism, splitmix64)
 from finkar.statemonad import (KleisliResolution, ProdExpAdjunction,
                                StateContext, check_adjunction_laws,
                                check_comonad_laws, check_monad_laws, eps, eta,
@@ -444,6 +445,58 @@ def test_transposes_read_f_range_checked(ctx2):
         kleisli_of_mealy(ctx2, Morphism(sa, sb, fn=lambda k: 4 * k))
     with pytest.raises(ShapeError, match=r"^table entry 16 at 0 "):
         mealy_of_kleisli(ctx2, Morphism(a, t_obj(ctx2, b), fn=lambda k: 16))
+
+
+def _transposes(ctx, f, g, b, lazy=False):
+    """transpose_up of f: S x A -> B and transpose_down of g: A -> S => B."""
+    return (transpose_up(ctx, f, lazy), transpose_down(ctx, g, b, lazy))
+
+
+def test_table_transposes_match_the_block_evaluator():
+    """Within EAGER_LIMIT the transposes of a table are built in one pass
+    over its table.  On seeded maps at |S| in {1, 2, 3} and |A|, |B| <= 3
+    they equal the block evaluator's tables (`lazy=True`, then `.table`),
+    the tables built a block at a time from a lazy f, and the element
+    oracle, and each undoes the other."""
+    rng = SeededRng(28)
+    for ns, na, nb in product((1, 2, 3), repeat=3):
+        ctx = StateContext(Atom("S", ns))
+        a, b = Atom("A", na), Atom("B", nb)
+        f = random_morphism(prod_obj(ctx, a), b, rng)
+        g = random_morphism(a, exp_obj(ctx, b), rng)
+        one = _transposes(ctx, f, g, b)
+        block = _transposes(ctx, f, g, b, lazy=True)
+        read = _transposes(ctx, Morphism.lazy(f.dom, f.cod, f.at),
+                           Morphism.lazy(g.dom, g.cod, g.at), b)
+        assert [m.is_lazy for m in one + block + read] == [
+            False, False, True, True, False, False]
+        assert [m.table for m in one] == [m.table for m in block] == [
+            m.table for m in read]
+        assert one[0].table == [oracle_transpose_up_at(ctx, a, b, f, k)
+                                for k in range(na)]
+        assert one[1].table == [oracle_transpose_down_at(ctx, a, b, g, k)
+                                for k in range(ns * na)]
+        assert transpose_down(ctx, one[0], b).table == f.table
+        assert transpose_up(ctx, one[1]).table == g.table
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_table_transposes_keep_the_eager_limit(monkeypatch, offset):
+    """With EAGER_LIMIT moved to |S x A| - 1, |S x A| and |S x A| + 1, both
+    transposes of a table are tables exactly when S x A is within it, and
+    the one-pass tables equal the block evaluator's."""
+    ctx, rng = StateContext(Atom("S", 3)), SeededRng(offset + 5)
+    a, b = Atom("A", 3), Atom("B", 2)
+    limit = prod_obj(ctx, a).card + offset
+    monkeypatch.setattr(SM, "EAGER_LIMIT", limit)
+    monkeypatch.setattr(finset, "EAGER_LIMIT", limit)
+    f = random_morphism(prod_obj(ctx, a), b, rng)
+    g = random_morphism(a, exp_obj(ctx, b), rng)
+    assert not (f.is_lazy or g.is_lazy)
+    built = _transposes(ctx, f, g, b)
+    assert [m.is_lazy for m in built] == [offset < 0] * 2
+    assert [m.table for m in built] == [
+        m.table for m in _transposes(ctx, f, g, b, lazy=True)]
 
 
 def test_checks_read_their_knobs_from_their_context():

@@ -27,7 +27,7 @@ from .statemonad import (StateContext, eps, eta, exp_mor, exp_obj, g_mor,
 
 
 class SearchBoundExceeded(RuntimeError):
-    """Raised when a brute-force search space exceeds the configured bound."""
+    """Raised when the section search space exceeds its bound of 2**20."""
 
 
 class AlgebraStruct:
@@ -386,8 +386,7 @@ def construct_coretraction(a: AlgebraStruct,
     return make_witness(a, ab)
 
 
-def search_sections(a: AlgebraStruct,
-                    search_bound: int = 1 << 20) -> list[Morphism]:
+def search_sections(a: AlgebraStruct) -> list[Morphism]:
     """All hom-sections of a structure map, by depth-first fiber-pruned
     search, or [] when it is not an algebra, by
 
@@ -414,7 +413,8 @@ def search_sections(a: AlgebraStruct,
     Every filter keeps the fibers ascending and a forced value is the one
     candidate that could pass, so the sections and their order are those
     of trying every candidate: lexicographic in the fibers, each
-    ascending.  The search bound applies to the unfiltered fibers.
+    ascending.  The search bound, 2**20 candidates, applies to the
+    unfiltered fibers.
     """
     cfg = a.ctx.config
     al, ta, n = a.structure, a.structure.dom, a.carrier.card
@@ -425,9 +425,9 @@ def search_sections(a: AlgebraStruct,
     counts, space = Counter(al.table), 1
     for j in range(n):
         space *= counts[j]
-        if space > search_bound:
+        if space > 1 << 20:
             raise SearchBoundExceeded(
-                f"section search space exceeds {search_bound}")
+                f"section search space exceeds {1 << 20}")
     preimages = fibers(al)
     # the free update's rows update_u on TA, by the element each square
     # filters (fixed, below) or forces (forced)

@@ -127,14 +127,13 @@ class LResult:
         self.coalgebra, self.splitting = coalgebra, splitting
 
 
-def functor_l(k: KarmObject, *, force: bool = False) -> LResult:
+def functor_l(k: KarmObject) -> LResult:
     """Split a machine-form projector into its public-pair coalgebra.
 
     Refuses projectors failing the object condition, without which the
     round trip breaks, and reports which public-state equations the
     readout and step of the would-be structure map break (the condition
-    alone does not make the coalgebra lawful); `force` overrides for
-    diagnostic experiments.
+    alone does not make the coalgebra lawful).
     """
     ctx = k.ctx
     s = split_idempotent(k.projector)
@@ -142,7 +141,7 @@ def functor_l(k: KarmObject, *, force: bool = False) -> LResult:
     # structure is i followed by S x (the transpose of q)
     co = CoalgebraStruct(ctx=ctx, carrier=s.mid, structure=compose(
         s.i, prod_mor(ctx, transpose_up(ctx, s.q))))
-    if not k.condition.passed and not force:
+    if not k.condition.passed:
         details = dict(k.condition.details)
         details["moore_violations"] = moore_law_violations(
             ctx.ns, *coalgebra_components(co))[:3]

@@ -289,8 +289,8 @@ def _range_check(table: list[int], n: int, ranks=None):
 
 
 def check_types(**args: tuple) -> NoReturn:
-    """In an `except AttributeError` clause, the arguments as name=(value,
-    class): a TypeError naming the first not of its class, else the error."""
+    """In an `except` clause, the arguments as name=(value, class): a
+    TypeError naming the first not of its class, else the error."""
     for name, (value, cls) in args.items():
         if not isinstance(value, cls):
             raise TypeError(f"{name} must be of type {cls.__name__}, "
@@ -479,7 +479,10 @@ def pair(f: Morphism, g: Morphism) -> Morphism:
 def rows(table: Sequence[int], n: int) -> list[Sequence[int]]:
     """The table of a map on X x Y, |X| = n, split into its n rows: row x
     holds the values at (x, y), in Y's rank order."""
-    ny = len(table) // n if n else 0
+    try:
+        ny = len(table) // n if n else 0
+    except TypeError:
+        check_types(table=(table, Sequence), n=(n, int))
     if ny * n != len(table):
         raise ShapeError(f"a table of length {len(table)} has no {n} rows")
     return [table[x * ny:(x + 1) * ny] for x in range(n)]

@@ -113,18 +113,6 @@ def moore_to_coalgebra(m: MooreMachine) -> CoalgebraStruct:
                                    m.step.table)
 
 
-def coalgebra_to_moore(c: CoalgebraStruct) -> MooreMachine:
-    """Unbundle a structure map B -> GB into readout and step tables."""
-    from .algebras import coalgebra_components
-    ctx = c.ctx
-    readout, step = coalgebra_components(c)
-    return MooreMachine(
-        ctx=ctx, state_set=c.carrier,
-        readout=Morphism(c.carrier, ctx.state_space, table=readout),
-        step=Morphism(Prod(c.carrier, ctx.state_space), c.carrier,
-                      table=step))
-
-
 # ---------------------------------------------------------------------------
 # checks
 
@@ -180,13 +168,16 @@ def mealy_to_moore(phi: Policy) -> MooreMachine:
     equations, which that condition does not imply; the rejection
     diagnostic carries the cardinalities and any public-state equation the
     would-be machine breaks."""
+    from .algebras import coalgebra_components
     from .equivalence import functor_l, make_karm_object
     k = make_karm_object(phi.machine.ctx, phi.alphabet, phi.mapping)
     lres = functor_l(k)  # raises ObjectConditionError with diagnostics
-    i = lres.splitting.i
-    m = coalgebra_to_moore(lres.coalgebra)
-    m = MooreMachine(m.ctx, m.state_set, m.readout, m.step, tuple(zip(
-        compose(i, fst(i.cod)).table, compose(i, snd(i.cod)).table)))
+    b, i, s = lres.splitting.mid, lres.splitting.i, k.ctx.state_space
+    readout, step = coalgebra_components(lres.coalgebra)
+    m = MooreMachine(k.ctx, b, Morphism(b, s, table=readout),
+                     Morphism(Prod(b, s), b, table=step), tuple(zip(
+                         compose(i, fst(i.cod)).table,
+                         compose(i, snd(i.cod)).table)))
     rep = check_moore(m)
     if not rep.passed:
         raise ObjectConditionError(

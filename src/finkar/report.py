@@ -64,14 +64,12 @@ class ObjectConditionError(ValueError):
         self.details = details
 
 
-def passing(check: str, mode: str = "exhaustive", **details) -> VerifyReport:
-    return VerifyReport(check, "pass", mode, 0, 0, None, None, details)
+def passing(check: str, **details) -> VerifyReport:
+    return VerifyReport(check, "pass", details=details)
 
 
-def failing(check: str, witnesses: list, mode: str = "exhaustive",
-            **details) -> VerifyReport:
-    return VerifyReport(check=check, status="fail", mode=mode,
-                        witnesses=witnesses, details=details)
+def failing(check: str, witnesses: list, **details) -> VerifyReport:
+    return VerifyReport(check, "fail", witnesses=witnesses, details=details)
 
 
 def erroring(check: str, reason: str, **details) -> VerifyReport:

@@ -5,12 +5,12 @@ Both come from S x - left adjoint to S => -.  Its hom-set bijection,
 transpose_up and transpose_down, holds the only digit kernels here; eta,
 eps, mu and nu are composites of them: eta and eps transpose identities,
 mu = S => eps at S x X and nu = S x eta at S => X.  Both transposes of
-f are tables exactly when S x A has at most EAGER_LIMIT ranks, built in
-one pass over f's table (a block at a time from a lazy f), and lazy
-block evaluators above that: the finset rule applied to the larger side
-of the bijection, so no table is built on A for a transpose whose other
-side is read a block at a time.  A caller that only samples a transpose
-asks for it `lazy` at any size.
+a table f are tables exactly when S x A has at most EAGER_LIMIT ranks,
+built in one pass over f's table, and lazy block evaluators above that:
+the finset rule applied to the larger side of the bijection.  A
+transpose of a lazy f is lazy and reads f a block at a time, so no table
+is built for a transpose whose other side is read by blocks.  A caller
+that only samples a transpose asks for it `lazy` at any size.
 S x f and S => f are the finset kernel `lift`.  Lazy maps are those whose
 domains blow up combinatorially (mu at TTX once |S x X|^|S| is large, T f
 on TTX, ...); equalities on them are verified by seeded sampling.  The
@@ -32,8 +32,8 @@ from functools import wraps
 from threading import Lock
 
 from .finset import (EAGER_LIMIT, CheckConfig, Exp, FinSetObj, Morphism,
-                     Prod, ShapeError, SeededRng, compose, equal_mor,
-                     from_blocks, identity, lift, random_morphism, rows)
+                     Prod, ShapeError, SeededRng, check_types, compose,
+                     equal_mor, identity, lift, random_morphism, rows)
 from .report import VerifyReport, combine
 
 
@@ -170,16 +170,11 @@ def _cached(build):
     return structure_map
 
 
-def _identity_at(obj: FinSetObj) -> Morphism:
-    # id as a block evaluator, so that a transpose of it keeps no table
-    return Morphism.lazy(obj, obj, list)
-
-
 @_cached
 def eta(ctx: StateContext, x: FinSetObj) -> Morphism:
     """Unit X -> TX, sending x to the computation s |-> (s, x): the
     transpose of id on S x X."""
-    return transpose_up(ctx, _identity_at(prod_obj(ctx, x)))
+    return transpose_up(ctx, identity(prod_obj(ctx, x)))
 
 
 @_cached
@@ -196,7 +191,7 @@ def mu(ctx: StateContext, x: FinSetObj) -> Morphism:
 def eps(ctx: StateContext, x: FinSetObj) -> Morphism:
     """Counit GX -> X, evaluating the function at the carried state: the
     transpose of id on S => X."""
-    return transpose_down(ctx, _identity_at(exp_obj(ctx, x)), x)
+    return transpose_down(ctx, identity(exp_obj(ctx, x)), x)
 
 
 @_cached
@@ -213,8 +208,11 @@ def transpose_up(ctx: StateContext, f: Morphism,
     packed one base-|B| digit per state, from f's table in one pass, else a
     block at a time.  `lazy` keeps it a block evaluator within EAGER_LIMIT
     too, for a caller that reads it only at sampled ranks."""
-    if not (isinstance(f.dom, Prod) and f.dom.left == ctx.state_space):
-        raise ShapeError("transpose_up wants a morphism out of S x A")
+    try:
+        if not (isinstance(f.dom, Prod) and f.dom.left == ctx.state_space):
+            raise ShapeError("transpose_up wants a morphism out of S x A")
+    except AttributeError:
+        check_types(ctx=(ctx, StateContext), f=(f, Morphism))
     na, nb, read, ea = f.dom.right.card, f.cod.card, f.at, exp_obj(ctx, f.cod)
 
     def pack(rs):
@@ -224,27 +222,30 @@ def transpose_up(ctx: StateContext, f: Morphism,
             out = [o + w * v for o, v in zip(out, rs[s])]
         return out
 
-    if not (lazy or f.is_lazy or f.dom.card > EAGER_LIMIT):
-        return Morphism(f.dom.right, ea, table=pack(rows(f.table, ctx.ns)))
-    return (Morphism.lazy if lazy or f.dom.card > EAGER_LIMIT
-            else from_blocks)(f.dom.right, ea, lambda ks: pack(
-                [read([s * na + k for k in ks]) for s in range(ctx.ns)]))
+    if lazy or f.is_lazy or f.dom.card > EAGER_LIMIT:
+        return Morphism.lazy(f.dom.right, ea, lambda ks: pack(
+            [read([s * na + k for k in ks]) for s in range(ctx.ns)]))
+    return Morphism(f.dom.right, ea, table=pack(rows(f.table, ctx.ns)))
 
 
 def transpose_down(ctx: StateContext, f: Morphism, cod: FinSetObj,
                    lazy: bool = False) -> Morphism:
     """hom(A, S => B) -> hom(S x A, B), (s, a) |-> digit s of f(a), as for
     transpose_up from a table or by blocks; `cod` names B."""
-    e = f.cod
-    if not (type(e) is Exp and e.base == ctx.state_space and e.target == cod):
-        raise ShapeError("transpose_down wants a morphism into S => B")
+    try:
+        e = f.cod
+        if not (type(e) is Exp and e.base == ctx.state_space
+                and e.target == cod):
+            raise ShapeError("transpose_down wants a morphism into S => B")
+    except AttributeError:
+        check_types(ctx=(ctx, StateContext), f=(f, Morphism))
     na, nb, read = f.dom.card, cod.card, f.at
     sa, ws = prod_obj(ctx, f.dom), [nb ** s for s in range(ctx.ns)]
-    if not (lazy or f.is_lazy or sa.card > EAGER_LIMIT):
-        return Morphism(sa, cod, table=[
-            v // w % nb for w in ws for v in f.table])
-    return (Morphism.lazy if lazy else from_blocks)(sa, cod, lambda ps: [
-        v // ws[p // na] % nb for p, v in zip(ps, read([p % na for p in ps]))])
+    if lazy or f.is_lazy or sa.card > EAGER_LIMIT:
+        return Morphism.lazy(sa, cod, lambda ps: [
+            v // ws[p // na] % nb
+            for p, v in zip(ps, read([p % na for p in ps]))])
+    return Morphism(sa, cod, table=[v // w % nb for w in ws for v in f.table])
 
 
 # ---------------------------------------------------------------------------
@@ -360,18 +361,25 @@ class KleisliResolution(Adjunction):
 
 def mealy_of_kleisli(ctx: StateContext, f: Morphism) -> Morphism:
     """Turn f: A -> TB into its machine form S x A -> S x B."""
-    c = f.cod
-    if not (isinstance(c, Exp) and c.base == ctx.state_space
-            and isinstance(c.target, Prod)):
-        raise ShapeError("expected a morphism into TB")
+    try:
+        c = f.cod
+        if not (isinstance(c, Exp) and c.base == ctx.state_space
+                and isinstance(c.target, Prod)):
+            raise ShapeError("expected a morphism into TB")
+    except AttributeError:
+        check_types(ctx=(ctx, StateContext), f=(f, Morphism))
     return transpose_down(ctx, f, c.target)
 
 
 def kleisli_of_mealy(ctx: StateContext, f: Morphism) -> Morphism:
     """Turn a machine-form map S x A -> S x B into A -> TB."""
-    if not (isinstance(f.dom, Prod) and f.dom.left == ctx.state_space
-            and isinstance(f.cod, Prod) and f.cod.left == ctx.state_space):
-        raise ShapeError("expected a machine-form morphism")
+    try:
+        if not (isinstance(f.dom, Prod) and f.dom.left == ctx.state_space
+                and isinstance(f.cod, Prod)
+                and f.cod.left == ctx.state_space):
+            raise ShapeError("expected a machine-form morphism")
+    except AttributeError:
+        check_types(ctx=(ctx, StateContext), f=(f, Morphism))
     return transpose_up(ctx, f)
 
 

@@ -10,7 +10,8 @@ as JSON, and composites of the package's own maps that only tests call.
 from functools import lru_cache
 from itertools import product as iproduct
 
-from finkar.algebras import algebra_hom_check, free_algebra
+from finkar.algebras import (algebra_hom_check, coalgebra_components,
+                             free_algebra)
 from finkar.cli import SpecFile, canonical_json
 from finkar.equivalence import (KarcObject, KarmObject, make_karc_object,
                                 make_karm_object)
@@ -20,6 +21,7 @@ from finkar.finset import (Atom, CheckConfig, Exp, FinSetObj, Morphism, Prod,
 from finkar.idempotents import (karoubi_hom_check, random_idempotent_table,
                                 split_equalizer_morphisms,
                                 split_equalizer_tables, split_idempotent)
+from finkar.policy import MooreMachine
 from finkar.report import combine, failing, passing
 from finkar.statemonad import (StateContext, eps, eta, exp_mor, exp_obj,
                                g_mor, g_obj, mu, nu, prod_mor, prod_obj,
@@ -665,7 +667,8 @@ def spec_json(spec: SpecFile) -> str:
 #
 # Not oracles: each is a composite of package maps, kept here because tests
 # exercise those maps through it (mu and t_mor; the envelope hom check; the
-# lazy eps/eta composites at |S| = 3; the seeded table draws, as maps).
+# lazy eps/eta composites at |S| = 3; the seeded table draws, as maps; a
+# coalgebra's components, as a Moore machine).
 
 
 def random_idempotent(obj: FinSetObj, rng) -> Morphism:
@@ -677,6 +680,17 @@ def random_split_equalizer_diagram(rng, max_size: int = 8):
     """A seeded split-equalizer diagram: the package's table draw, as the
     maps (i, q, f, j, r)."""
     return split_equalizer_morphisms(*split_equalizer_tables(rng, max_size))
+
+
+def coalgebra_to_moore(c) -> MooreMachine:
+    """Unbundle a structure map B -> GB into readout and step tables."""
+    ctx = c.ctx
+    readout, step = coalgebra_components(c)
+    return MooreMachine(
+        ctx=ctx, state_set=c.carrier,
+        readout=Morphism(c.carrier, ctx.state_space, table=readout),
+        step=Morphism(Prod(c.carrier, ctx.state_space), c.carrier,
+                      table=step))
 
 
 def kleisli_compose(ctx: StateContext, f: Morphism, g: Morphism) -> Morphism:

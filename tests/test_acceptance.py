@@ -34,16 +34,16 @@ from finkar.idempotents import (check_split_equalizer_diagram,
                                 split_idempotent, verify_split_equalizer)
 from finkar.policy import (MealyMachine, MooreMachine, Policy,
                            check_compliance, check_consistency, check_moore,
-                           coalgebra_to_moore, mealy_to_moore,
-                           moore_to_coalgebra)
+                           mealy_to_moore, moore_to_coalgebra)
 from finkar.statemonad import (KleisliResolution, ProdExpAdjunction,
                                StateContext, check_adjunction_laws,
                                check_comonad_laws, check_monad_laws, exp_mor,
                                prod_obj, t_obj)
 
 from oracles import (brute_force_algebras, brute_force_moore_machines,
-                     brute_force_sections, random_idempotent,
-                     random_split_equalizer_diagram, transported_algebras)
+                     brute_force_sections, coalgebra_to_moore,
+                     random_idempotent, random_split_equalizer_diagram,
+                     transported_algebras)
 
 SEED = 42
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

@@ -812,8 +812,8 @@ def test_search_bound_is_decided_before_any_fiber(table_sizes, monkeypatch):
 
     monkeypatch.setattr(algebras, "fibers", no_fibers)
     with pytest.raises(SearchBoundExceeded) as exc:
-        search_sections(fa, search_bound=10)
-    assert str(exc.value) == "section search space exceeds 10"
+        search_sections(fa)
+    assert str(exc.value) == "section search space exceeds 1048576"
     assert table_sizes == []
 
 

@@ -304,8 +304,9 @@ def test_sections_unique_for_singleton_state(ctx1):
 
 def test_search_bound(ctx2):
     fa = free_algebra(ctx2, Atom("X", 2))
-    with pytest.raises(SearchBoundExceeded):
-        search_sections(fa, search_bound=10)
+    with pytest.raises(SearchBoundExceeded,
+                       match="section search space exceeds 1048576"):
+        search_sections(fa)
 
 
 def test_witness_invariants_and_eq10(ctx2):

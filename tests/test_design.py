@@ -1,6 +1,7 @@
 """Package-wide design guards, each keeping one rule of the design: all but
-the last read the `ast` of every module of the package, parsed once, and
-the last runs the CLI in a fresh interpreter."""
+the last read the `ast` of every module of the package, parsed once (the
+options guard the benchmark's modules too), and the last runs the CLI in a
+fresh interpreter."""
 
 import ast
 import os
@@ -294,6 +295,105 @@ def test_every_export_is_reached_from_main():
     unreached = {name for _, name, _ in _unreached(_modules(), {"main"})}
     assert sorted(exported - defined) == []
     assert sorted(exported & unreached) == []
+
+
+# ---------------------------------------------------------------------------
+# options
+
+# The only options that no call in the package or the benchmark sets, each
+# with the file that sets it another way: the benchmark's tracer wraps
+# Morphism.__init__ and forwards its `fn` to the original.
+OPTIONS_SET_ELSEWHERE = {("finset", "Morphism.__init__", "fn"):
+                         "perfbench/tracer.py"}
+
+
+def _options(module, tree) -> list[tuple[str, str, str, str, int | None]]:
+    """(module, qualified name, parameter, called name, place) for each
+    parameter with a default of a top-level function, or of a method of a
+    top-level class but a dunder other than `__init__`.  A constructor is
+    called by its class's name, a method by its own, and the place of a
+    parameter is its index among the arguments a call passes by position
+    (a method's receiver passes none; None for a keyword-only one)."""
+    found = []
+
+    def add(qual, called, fn, receiver):
+        a = fn.args
+        places = a.posonlyargs + a.args
+        first = len(places) - len(a.defaults)
+        found.extend((module, qual, p.arg, called, k - receiver)
+                     for k, p in enumerate(places) if k >= first)
+        found.extend((module, qual, p.arg, called, None)
+                     for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                     if d is not None)
+
+    for stmt in tree.body:
+        if isinstance(stmt, _FUNCTIONS):
+            add(stmt.name, stmt.name, stmt, 0)
+        elif isinstance(stmt, ast.ClassDef):
+            for fn in stmt.body:
+                if isinstance(fn, _FUNCTIONS) and (
+                        fn.name == "__init__" or not _is_dunder(fn.name)):
+                    add(f"{stmt.name}.{fn.name}", stmt.name
+                        if fn.name == "__init__" else fn.name, fn, 1)
+    return found
+
+
+def _unset_options(modules, callers, allowed) -> list[str]:
+    """`module.name(parameter)` for each option of `modules` (by
+    `_options`) that no call in the trees `callers` sets, but those in
+    `allowed`, then `stale module.name(parameter)` for each entry of
+    `allowed` that is not such an option.  A call sets a parameter it
+    names, or whose place it fills by position (one with a `*iterable`
+    may fill any place); a `**mapping` sets nothing.  A call resolves by
+    the name it calls, a function's or an attribute's."""
+    named, filled = set(), {}
+    for tree in callers:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            called = getattr(f, "id", None) or getattr(f, "attr", None)
+            named.update((called, k.arg) for k in node.keywords if k.arg)
+            places = (float("inf") if any(isinstance(a, ast.Starred)
+                                          for a in node.args)
+                      else len(node.args))
+            filled[called] = max(filled.get(called, 0), places)
+    unset = {(module, qual, param)
+             for module, tree in modules
+             for module, qual, param, called, place in _options(module, tree)
+             if (called, param) not in named
+             and (place is None or filled.get(called, 0) <= place)}
+    return ([f"{m}.{q}({p})" for m, q, p in sorted(unset - allowed)]
+            + [f"stale {m}.{q}({p})" for m, q, p in sorted(allowed - unset)])
+
+
+def test_every_option_has_a_caller():
+    """Every parameter with a default, of a function or a constructor of
+    the package, is set by some call in the package or the benchmark, or
+    is on OPTIONS_SET_ELSEWHERE: an option that only tests set is a
+    constant.  An entry there is stale, and fails, when a call sets it,
+    when the package no longer has it, or when its file no longer passes
+    it on.  The check itself catches an option only a test module sets,
+    and a stale entry."""
+    callers = [tree for _, tree in _modules()] + [
+        ast.parse(path.read_text(), str(path))
+        for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert _unset_options(_modules(), callers,
+                          set(OPTIONS_SET_ELSEWHERE)) == []
+    stale = [f"{param}: {caller}" for (_, _, param), caller
+             in OPTIONS_SET_ELSEWHERE.items()
+             if not re.search(rf"\b{param}={param}\b",
+                              (ROOT / caller).read_text())]
+    assert stale == []
+    package = ast.parse("def f(a, b=1, *, c=2):\n    return a\n"
+                        "class C:\n    def __init__(self, x=0):\n"
+                        "        pass\n    def m(self, y=0):\n"
+                        "        pass\n")
+    src = ast.parse("f(1, c=3)\nC(*xs)\nC().m(**kw)\n")
+    test = ast.parse("f(1, 2)\nC().m(y=1)\n")
+    assert _unset_options([("p", package)], [src], {("p", "f", "c")}) == [
+        "p.C.m(y)", "p.f(b)", "stale p.f(c)"]
+    assert _unset_options([("p", package)], [src, test], set()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
+from collections import Counter
+from itertools import combinations, product
+
 import pytest
 
 from finkar.algebras import (AlgebraStruct, check_coalgebra,
-                             consistent_hom_check)
+                             consistent_hom_check, karm_retraction)
 from finkar.equivalence import (ObjectConditionError, dual_l, dual_l_mor,
                                 dual_lr_identity_report, dual_r, dual_r_mor,
                                 dual_roundtrip, functor_l, functor_l_mor,
@@ -12,6 +15,7 @@ from finkar.equivalence import (ObjectConditionError, dual_l, dual_l_mor,
 from finkar.finset import (Atom, Morphism, Prod, compose, equal_mor,
                            identity)
 from finkar.policy import MooreMachine, moore_to_coalgebra
+from finkar.report import LawViolation
 from finkar.statemonad import g_mor, g_obj, mu, prod_obj, t_obj
 
 from oracles import (brute_force_moore_machines, nucleus_objects,
@@ -202,6 +206,44 @@ def test_functor_l_forced_on_degenerate_object(ctx2):
     assert check_coalgebra(lres.coalgebra).passed
     w = roundtrip_rl(k)
     assert not w.report.passed
+
+
+def test_object_condition_gap_census(ctx2):
+    """The object condition |Fix phi|^|S| = |X| passes on all 1,792
+    idempotents on S x X at |S| = 2, |X| = 4 with two fixed points, yet
+    only 24 round-trip: roundtrip_rl passes exactly when karm_retraction
+    splits S => phi through the carrier and functor_r accepts the
+    L-split (its public-pair coalgebra is lawful).  The counts, keyed by
+    (retraction, lawful), pin the gap that item 1 of the roadmap names."""
+    x = Atom("X", 4)
+    sx = prod_obj(ctx2, x)
+    counts = Counter()
+    for fixes in combinations(range(sx.card), 2):
+        rest = [p for p in range(sx.card) if p not in fixes]
+        for image in product(fixes, repeat=len(rest)):
+            table = list(range(sx.card))
+            for p, v in zip(rest, image):
+                table[p] = v
+            k = make_karm_object(ctx2, x, Morphism(sx, sx, table=table))
+            assert k.condition.passed
+            try:
+                karm_retraction(ctx2, x, k.projector)
+                retraction = True
+            except ValueError:
+                retraction = False
+            try:
+                functor_r(functor_l(k).coalgebra)
+                lawful = True
+            except LawViolation:
+                lawful = False
+            try:
+                roundtrips = roundtrip_rl(k).report.passed
+            except LawViolation:
+                roundtrips = False
+            assert roundtrips == (retraction and lawful), table
+            counts[retraction, lawful] += 1
+    assert counts == {(True, True): 24, (False, True): 424,
+                      (True, False): 168, (False, False): 1176}
 
 
 def test_functor_l_mor_identity_and_r_images(ctx2):

@@ -21,8 +21,10 @@ from finkar.finset import (BLOCK, EAGER_LIMIT, KEEP_DRAWS, Atom,
                            envelope_hom_report, equal_mor, fibers,
                            from_blocks, fst, identity, image_factor, inverse,
                            lift, lift_at, lift_square, pair, random_morphism,
-                           snd, splitmix64)
+                           rows, snd, splitmix64)
 from finkar.report import VerifyReport, combine, passing
+from finkar.statemonad import (StateContext, kleisli_of_mealy,
+                               mealy_of_kleisli, transpose_down, transpose_up)
 from oracles import codec, digits, pack
 
 
@@ -1097,6 +1099,7 @@ def test_pair_reads_a_fn_factor_range_checked():
 # an S x A object, and a map S x A -> A, for the lift cases below
 SA = Prod(Atom("S", 2), Atom("A", 2))
 SQ = Morphism(SA, Atom("A", 2), table=[0, 1, 0, 1])
+CTX = StateContext(Atom("S", 2))
 
 
 @pytest.mark.parametrize("call, name, value", [
@@ -1124,22 +1127,32 @@ SQ = Morphism(SA, Atom("A", 2), table=[0, 1, 0, 1])
     (lambda m: check_ranks(3, None), "config", "None"),
     (lambda m: envelope_hom_report(m, 5, m), "phi", "5"),
     (lambda m: envelope_holds(m, m, m, 5), "psi", "5"),
+    (lambda m: rows(5, 2), "table", "5"),
+    (lambda m: rows([0, 1], "2"), "n", "'2'"),
+    (lambda m: transpose_up(CTX, 5), "f", "5"),
+    (lambda m: transpose_up(3, SQ), "ctx", "3"),
+    (lambda m: transpose_down(CTX, "f", m.dom), "f", "'f'"),
+    (lambda m: mealy_of_kleisli(CTX, None), "f", "None"),
+    (lambda m: kleisli_of_mealy(CTX, [0]), "f", r"\[0\]"),
 ], ids=["compose-g", "compose-f", "equal_mor-config", "pair-g",
         "image_factor-f", "lift-f", "lift_at-f", "lift_square-g",
         "lift_square-config", "fst-p", "snd-p", "inverse-m", "fibers-m",
         "identity-obj", "from_blocks-dom", "from_blocks-cod",
         "Morphism-dom", "Morphism-cod", "Morphism.lazy-dom",
         "random_morphism-dom", "random_morphism-rng", "check_ranks-config",
-        "envelope_hom_report-phi", "envelope_holds-psi"])
+        "envelope_hom_report-phi", "envelope_holds-psi", "rows-table",
+        "rows-n", "transpose_up-f", "transpose_up-ctx", "transpose_down-f",
+        "mealy_of_kleisli-f", "kleisli_of_mealy-f"])
 def test_kernel_entry_points_refuse_a_wrong_argument_by_name(call, name,
                                                              value):
     """compose, equal_mor, pair, image_factor, lift, lift_at,
     lift_square, fst, snd, inverse, fibers, identity, from_blocks, the
-    Morphism constructors, random_morphism, check_ranks and the envelope
-    entry points refuse an argument that is not a Morphism (or a
-    CheckConfig, a Prod, a FinSetObj or a SeededRng) with a TypeError
-    naming it, not an AttributeError from inside or a name of a callee's
-    parameter."""
+    Morphism constructors, random_morphism, check_ranks, the envelope
+    entry points, rows, and statemonad's transposes and machine-form
+    conversions refuse an argument that is not a Morphism (or a
+    CheckConfig, a Prod, a FinSetObj, a SeededRng, a Sequence, an int or
+    a StateContext) with a TypeError naming it, not an AttributeError or
+    a TypeError from inside or a name of a callee's parameter."""
     m = identity(Atom("A", 2))
     with pytest.raises(TypeError, match=rf"^{name} must be of type \w+, "
                                         rf"got {value}$"):

@@ -456,7 +456,7 @@ def test_table_transposes_match_the_block_evaluator():
     """Within EAGER_LIMIT the transposes of a table are built in one pass
     over its table.  On seeded maps at |S| in {1, 2, 3} and |A|, |B| <= 3
     they equal the block evaluator's tables (`lazy=True`, then `.table`),
-    the tables built a block at a time from a lazy f, and the element
+    the block evaluators that a lazy f transposes to, and the element
     oracle, and each undoes the other."""
     rng = SeededRng(28)
     for ns, na, nb in product((1, 2, 3), repeat=3):
@@ -469,7 +469,7 @@ def test_table_transposes_match_the_block_evaluator():
         read = _transposes(ctx, Morphism.lazy(f.dom, f.cod, f.at),
                            Morphism.lazy(g.dom, g.cod, g.at), b)
         assert [m.is_lazy for m in one + block + read] == [
-            False, False, True, True, False, False]
+            False, False, True, True, True, True]
         assert [m.table for m in one] == [m.table for m in block] == [
             m.table for m in read]
         assert one[0].table == [oracle_transpose_up_at(ctx, a, b, f, k)

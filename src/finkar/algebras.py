@@ -16,8 +16,7 @@ from .finset import (CheckConfig, FinSetObj, Morphism, Prod, ShapeError,
                      check_ranks, check_types, compose, equal_mor, fibers,
                      fst, identity, inverse, lift_at, lift_square, pair, rows,
                      snd, values_report)
-from .idempotents import (Splitting, fixed_ranks, karoubi_hom_check,
-                          split_idempotent)
+from .idempotents import Splitting, karoubi_hom_check, split_idempotent
 from .report import (LawViolation, VerifyReport, combine, failing,
                      passing)
 from .statemonad import (StateContext, eps, eta, exp_mor, exp_obj, g_mor,
@@ -484,24 +483,25 @@ def consistent_hom_check(ctx: StateContext, f: Morphism, phi: Morphism,
                      check=check)
 
 
-def splitting_condition(check: str, carrier: FinSetObj, phi: Morphism,
-                        power: int) -> VerifyReport:
-    """Does a splitting of an idempotent phi, transported to the power-th
-    exponential, pass through the carrier?
+def splitting_condition(check: str, carrier: FinSetObj, nfix: int,
+                        power: int, broken: list[dict]) -> VerifyReport:
+    """Does a splitting of an idempotent phi with nfix fixed points,
+    transported to the power-th exponential, pass through the carrier?
 
     The image of that transport is the set of maps from a power-element
     set into Fix(phi), so in finite sets the splitting exists iff
     |Fix(phi)| ** power = |carrier|.  A machine-form projector on S x X
     takes power |S| (S => phi on TX), a behavior-level one on TB power 1.
-    Both cardinalities and the fixed-point count are reported.
+    Both cardinalities and the fixed-point count are reported; it fails
+    on the count (its first witness) or on the caller's `broken` clauses.
     """
-    nfix = len(fixed_ranks(phi))
     image_card = nfix ** power
     details = {"image_card": image_card, "carrier_card": carrier.card,
                "fixed_points": nfix}
-    if image_card == carrier.card:
-        return passing(check, **details)
-    return failing(check, [details], **details)
+    if image_card != carrier.card:
+        broken = [details, *broken]
+    return (failing(check, broken, **details) if broken
+            else passing(check, **details))
 
 
 def karm_retraction(ctx: StateContext, carrier: FinSetObj, phi: Morphism

@@ -4,20 +4,21 @@ dual between behavior-level projectors and algebras.
 Splittings are canonical everywhere (fixed points ascending), so the
 coalgebra->projector->coalgebra round trip is the identity under a forced
 carrier bijection, while the other round trip is witnessed by explicit
-mutually inverse consistent isos.
+mutually inverse consistent isos.  On the machine side the objects meet
+the condition `make_karm_object` decides, exactly when the round trip holds.
 """
 
 from __future__ import annotations
 
 from .algebras import (AlgebraStruct, CoalgebraStruct, SplitAlgebra,
                        algebra_hom_check, carve_algebra, check_algebra,
-                       check_coalgebra, coalgebra_components,
-                       coalgebra_hom_report, consistent_hom_check,
-                       functor_k_mor, karm_retraction, moore_law_violations,
+                       check_coalgebra, coalgebra_hom_report,
+                       consistent_hom_check, functor_k_mor, karm_retraction,
                        splitting_condition)
-from .finset import (FinSetObj, Morphism, ShapeError, compose, equal_mor,
-                     identity, inverse)
-from .idempotents import Splitting, is_idempotent, split_idempotent
+from .finset import (FinSetObj, Morphism, ShapeError, check_types, compose,
+                     equal_mor, fibers, identity, inverse, snd)
+from .idempotents import (Splitting, fixed_ranks, is_idempotent,
+                          split_idempotent)
 from .report import (LawViolation, ObjectConditionError, VerifyReport,
                      combine, failing, passing)
 from .statemonad import (StateContext, eps, eta, exp_mor, exp_obj,
@@ -65,25 +66,49 @@ class EquivWitness:
 
 def make_karm_object(ctx: StateContext, carrier: FinSetObj,
                      phi: Morphism) -> KarmObject:
-    if not is_idempotent(phi, ctx.config):
-        raise ValueError("machine-form map is not idempotent")
-    cond = splitting_condition("karm-object-condition", carrier, phi, ctx.ns)
-    return KarmObject(ctx=ctx, carrier=carrier, projector=phi, condition=cond)
+    """An idempotent phi on S x X, with the object condition decided on
+    phi alone: (1) |Fix phi| ** |S| = |X|; (2) the transpose of phi is
+    injective; (3) |Fix phi| = |S| |X0|, X0 the inputs of the fixed pairs;
+    one witness per broken clause.  The transpose maps X into Fix ** S,
+    onto which S => phi maps TX, so karm_retraction exists iff (1) and
+    (2).  At a fixed pair (t, x) readout-after-step says fst phi(s, x) = s
+    and step-absorbs-step, with (2), snd phi(s, x) = x, so the coalgebra
+    of functor_l is then lawful iff Fix = S x X0, which is (3)."""
+    try:
+        if not is_idempotent(phi, ctx.config):
+            raise ValueError("machine-form map is not idempotent")
+        fixed = fixed_ranks(phi)
+        nx0 = len(set(snd(phi.dom, True).at(fixed)))
+        broken = [{"clause": "transpose-injective", "inputs": xs}
+                  for xs in fibers(transpose_up(ctx, phi)).values()
+                  if len(xs) > 1][:1]
+        if len(fixed) != ctx.ns * nx0:
+            broken.append({"clause": "fixed=S x inputs", "inputs": nx0})
+        return KarmObject(ctx, carrier, phi, splitting_condition(
+            "karm-object-condition", carrier, len(fixed), ctx.ns, broken))
+    except AttributeError:
+        check_types(ctx=(ctx, StateContext), carrier=(carrier, FinSetObj),
+                    phi=(phi, Morphism))
 
 
 def make_karc_object(ctx: StateContext, carrier: FinSetObj,
                      phi: Morphism) -> KarcObject:
-    if not is_idempotent(phi, ctx.config):
-        raise ValueError("behavior-level map is not idempotent")
-    return KarcObject(ctx=ctx, carrier=carrier, projector=phi)
+    try:
+        if not is_idempotent(phi, ctx.config):
+            raise ValueError("behavior-level map is not idempotent")
+        return KarcObject(ctx=ctx, carrier=carrier, projector=phi)
+    except (AttributeError, TypeError):
+        check_types(ctx=(ctx, StateContext), carrier=(carrier, FinSetObj),
+                    phi=(phi, Morphism))
 
 
 def karc_object_condition(k: KarcObject) -> VerifyReport:
     """Mirror-image splitting condition for the behavior-level side: the
     splitting count at power 1.  The object definition does not require
-    it, so it is exposed as a separate check."""
+    it, so it is exposed as a separate check; with a lawful carve it still
+    does not decide the dual round trip."""
     return splitting_condition("karc-object-condition", k.carrier,
-                               k.projector, 1)
+                               len(fixed_ranks(k.projector)), 1, [])
 
 
 # ---------------------------------------------------------------------------
@@ -130,23 +155,19 @@ class LResult:
 def functor_l(k: KarmObject) -> LResult:
     """Split a machine-form projector into its public-pair coalgebra.
 
-    Refuses projectors failing the object condition, without which the
-    round trip breaks, and reports which public-state equations the
-    readout and step of the would-be structure map break (the condition
-    alone does not make the coalgebra lawful).
+    Refuses a projector failing the object condition, with the
+    condition's details and witnesses; with it the coalgebra is lawful.
     """
+    if not k.condition.passed:
+        raise ObjectConditionError(
+            "projector does not split back through its carrier",
+            {**k.condition.details, "witnesses": k.condition.witnesses})
     ctx = k.ctx
     s = split_idempotent(k.projector)
     # the public pair (st, x) reads out st and steps at t to q(t, x): the
     # structure is i followed by S x (the transpose of q)
     co = CoalgebraStruct(ctx=ctx, carrier=s.mid, structure=compose(
         s.i, prod_mor(ctx, transpose_up(ctx, s.q))))
-    if not k.condition.passed:
-        details = dict(k.condition.details)
-        details["moore_violations"] = moore_law_violations(
-            ctx.ns, *coalgebra_components(co))[:3]
-        raise ObjectConditionError(
-            "projector does not split back through its carrier", details)
     return LResult(coalgebra=co, splitting=s)
 
 
@@ -174,12 +195,7 @@ def roundtrip_rl(k: KarmObject) -> EquivWitness:
     lres = functor_l(k)
     rl = functor_r(lres.coalgebra)
     q_prime = transpose_up(ctx, lres.splitting.q)
-    try:
-        abar, alpha = karm_retraction(ctx, k.carrier, k.projector)
-    except ValueError as exc:
-        return EquivWitness(
-            obj=rl, forward=q_prime, backward=q_prime,
-            report=failing("roundtrip-rl", [{"reason": str(exc)}]))
+    alpha = karm_retraction(ctx, k.carrier, k.projector)[1]
     q_dbl = compose(exp_mor(ctx, lres.splitting.i), alpha)
     subs = [
         consistent_hom_check(ctx, q_prime, k.projector, rl.projector,

@@ -3,8 +3,8 @@ compliance and consistency checking, and public-data extraction into Moore
 machines.
 
 A policy is an idempotent machine-form map; its fixed points are the
-public pairs, and when the splitting-through-carrier condition holds they
-carry a Moore machine satisfying the three public-state equations."""
+public pairs, and when the object condition of `make_karm_object` holds
+they carry a Moore machine satisfying the three public-state equations."""
 
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ from typing import TYPE_CHECKING
 from .finset import (FinSetObj, Morphism, Prod, ShapeError, compose,
                      envelope_hom_report, envelope_holds, equal_mor, fst, pair,
                      snd)
-from .report import (LawViolation, ObjectConditionError, VerifyReport,
-                     combine, failing, passing)
+from .report import LawViolation, VerifyReport, combine, failing, passing
 from .statemonad import StateContext, prod_obj
 
 if TYPE_CHECKING:
@@ -163,24 +162,15 @@ def mealy_to_moore(phi: Policy) -> MooreMachine:
 
     States are the fixed pairs of the policy map; the readout returns the
     frozen state component and the step re-filters the held input at the
-    new state: the Moore form of the coalgebra the policy splits into.
-    Requires the splitting-through-carrier condition and the public-state
-    equations, which that condition does not imply; the rejection
-    diagnostic carries the cardinalities and any public-state equation the
-    would-be machine breaks."""
+    new state: the Moore form of the coalgebra the policy splits into,
+    lawful under the object condition, without which functor_l refuses."""
     from .algebras import coalgebra_components
     from .equivalence import functor_l, make_karm_object
     k = make_karm_object(phi.machine.ctx, phi.alphabet, phi.mapping)
-    lres = functor_l(k)  # raises ObjectConditionError with diagnostics
+    lres = functor_l(k)
     b, i, s = lres.splitting.mid, lres.splitting.i, k.ctx.state_space
     readout, step = coalgebra_components(lres.coalgebra)
-    m = MooreMachine(k.ctx, b, Morphism(b, s, table=readout),
-                     Morphism(Prod(b, s), b, table=step), tuple(zip(
-                         compose(i, fst(i.cod)).table,
-                         compose(i, snd(i.cod)).table)))
-    rep = check_moore(m)
-    if not rep.passed:
-        raise ObjectConditionError(
-            "public pairs break the public-state equations",
-            {**k.condition.details, "moore_violations": rep.witnesses[:3]})
-    return m
+    return MooreMachine(k.ctx, b, Morphism(b, s, table=readout),
+                        Morphism(Prod(b, s), b, table=step), tuple(zip(
+                            compose(i, fst(i.cod)).table,
+                            compose(i, snd(i.cod)).table)))

@@ -190,8 +190,12 @@ def mu(ctx: StateContext, x: FinSetObj) -> Morphism:
 @_cached
 def eps(ctx: StateContext, x: FinSetObj) -> Morphism:
     """Counit GX -> X, evaluating the function at the carried state: the
-    transpose of id on S => X."""
-    return transpose_down(ctx, identity(exp_obj(ctx, x)), x)
+    transpose of id on S => X.  Where GX is above EAGER_LIMIT that id is
+    read as an evaluator, so the lazy eps holds no table on S => X."""
+    e = exp_obj(ctx, x)
+    ident = (identity(e) if prod_obj(ctx, e).card <= EAGER_LIMIT
+             else Morphism.lazy(e, e, list))
+    return transpose_down(ctx, ident, x)
 
 
 @_cached

@@ -439,11 +439,15 @@ def test_karm_retraction_roundtrip(ctx2, e2_policy):
 
 def test_karm_retraction_rejects_degenerate(ctx2):
     """Cardinalities can match while the transpose collapses; that must be
-    detected rather than silently split."""
+    detected rather than silently split, by the object condition's
+    injectivity clause and by karm_retraction itself."""
     x = Atom("X", 4)
     sx = prod_obj(ctx2, x)
     phi = Morphism(sx, sx, table=[0, 0, 0, 0, 4, 4, 4, 4])  # (s,x)->(s,0)
-    assert make_karm_object(ctx2, x, phi).condition.passed  # 2^2 = 4 = |X|
+    cond = make_karm_object(ctx2, x, phi).condition
+    assert cond.details["image_card"] == 4  # 2^2 = 4 = |X|
+    assert not cond.passed
+    assert cond.witnesses[0]["clause"] == "transpose-injective"
     with pytest.raises(ValueError):
         karm_retraction(ctx2, x, phi)
 

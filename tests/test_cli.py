@@ -347,9 +347,10 @@ def test_task_errors_name_escaped_machine_and_policy_names():
 
 def test_broken_law_on_valid_input_is_a_fail():
     """The one-letter policy sending both states to (s0, a0) meets the
-    object condition, but its public-pair coalgebra breaks the comonad
-    laws: a failing verdict whose witnesses are the violations, not an
-    input error."""
+    splitting count, but its public-pair coalgebra breaks the comonad
+    laws, so it fails the object condition (one fixed pair, not one per
+    state): a failing verdict whose witness carries the condition's
+    counts and broken clause, not an input error."""
     doc = dict(MINIMAL, sets={"S": ["s0", "s1"], "A": ["a0"]}, machines=[
         {"name": "drop", "kind": "mealy", "stateSet": "S", "inSet": "A",
          "outSet": "A", "map": [[["s0", "a0"], ["s0", "a0"]],
@@ -360,16 +361,18 @@ def test_broken_law_on_valid_input_is_a_fail():
     env = _env(spec)
     inner = run_command(spec.tasks[0], env).sub[0]
     assert inner.status == "fail"
-    assert inner.details == {"reason": "invalid coalgebra"}
-    assert inner.sub[0].check == "coalgebra-laws"
-    # the witnesses name the broken public-state equations, exactly those
-    # of the fixed-point machine read off the projector's table
+    counts = {"image_card": 1, "carrier_card": 1, "fixed_points": 1}
+    details = {**counts, "witnesses": [{"clause": "fixed=S x inputs",
+                                        "inputs": 1}]}
+    assert inner.details == details
+    assert inner.witnesses == [
+        {"error": "projector does not split back through its carrier",
+         **details}]
+    # the fixed-point machine read off the projector's table does break
+    # the public-state equations
     ns, _, readout, step = naive_moore_tables(make_karm_object(
         env.ctx, Atom("A", 1), env.policy("drop").mapping))
-    core = moore_law_violations(ns, readout, [v for row in step for v in row])
-    assert core
-    assert inner.witnesses == [{"check": "coalgebra-laws", **v}
-                               for v in core]
+    assert moore_law_violations(ns, readout, [v for row in step for v in row])
 
 
 # A machine that cycles (s0,a0) -> (s0,a1) -> (s1,a0) -> (s1,a1) -> (s0,a0):

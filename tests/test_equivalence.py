@@ -4,7 +4,8 @@ from itertools import combinations, product
 import pytest
 
 from finkar.algebras import (AlgebraStruct, check_coalgebra,
-                             consistent_hom_check, karm_retraction)
+                             consistent_hom_check, karm_retraction,
+                             moore_law_violations)
 from finkar.equivalence import (ObjectConditionError, dual_l, dual_l_mor,
                                 dual_lr_identity_report, dual_r, dual_r_mor,
                                 dual_roundtrip, functor_l, functor_l_mor,
@@ -16,11 +17,12 @@ from finkar.finset import (Atom, Morphism, Prod, compose, equal_mor,
                            identity)
 from finkar.policy import MooreMachine, moore_to_coalgebra
 from finkar.report import LawViolation
-from finkar.statemonad import g_mor, g_obj, mu, prod_obj, t_obj
+from finkar.statemonad import (StateContext, g_mor, g_obj, mu, prod_obj,
+                               t_obj)
 
-from oracles import (brute_force_moore_machines, nucleus_objects,
-                     nucleus_objects_back, oracle_step_then_unit_at,
-                     transported_algebras)
+from oracles import (brute_force_moore_machines, naive_moore_tables,
+                     nucleus_objects, nucleus_objects_back,
+                     oracle_step_then_unit_at, transported_algebras)
 
 E2_TABLE = [2, 6, 2, 6, 2, 2, 6, 6]
 
@@ -142,6 +144,8 @@ def test_functor_l_recovers_fixture(ctx2, e1_moore):
 
 
 def test_functor_l_refuses_without_condition(ctx2):
+    """functor_l refuses a projector failing the object condition with
+    the condition's counts and one witness per broken clause."""
     a = Atom("A", 2)
     sa = prod_obj(ctx2, a)
     keep_state = Morphism(sa, sa, table=[0, 1, 0, 1])  # (s,x) |-> (s0,x)
@@ -149,18 +153,18 @@ def test_functor_l_refuses_without_condition(ctx2):
     assert not k.condition.passed
     with pytest.raises(ObjectConditionError) as exc:
         functor_l(k)
-    det = exc.value.details
-    assert det["image_card"] == 4 and det["carrier_card"] == 2
-    assert det["moore_violations"][0]["law"] == "readout-after-step"
+    counts = {"image_card": 4, "carrier_card": 2, "fixed_points": 2}
+    # the fixed pairs (s0, a0), (s0, a1) hold both inputs but one state
+    assert exc.value.details == {**counts, "witnesses": [
+        counts, {"clause": "fixed=S x inputs", "inputs": 2}]}
 
     k_id = make_karm_object(ctx2, a, identity(sa))
     with pytest.raises(ObjectConditionError) as exc:
         functor_l(k_id)
-    det = exc.value.details
-    assert det["image_card"] == 16 and det["carrier_card"] == 2
-    # the naive machine happens to satisfy the laws here; the carrier
-    # cardinality is what breaks the equivalence
-    assert det["moore_violations"] == []
+    # the naive machine satisfies the laws here; the carrier cardinality
+    # is the one clause that breaks
+    counts = {"image_card": 16, "carrier_card": 2, "fixed_points": 4}
+    assert exc.value.details == {**counts, "witnesses": [counts]}
 
 
 def test_make_karm_object_checks_idempotence_once(ctx2, monkeypatch):
@@ -194,27 +198,53 @@ def test_make_karm_object_checks_idempotence_once(ctx2, monkeypatch):
 
 def test_functor_l_forced_on_degenerate_object(ctx2):
     """Cardinality can hold while the transpose collapses: the public-pair
-    machine is still lawful, but the round trip cannot be an iso.  This is
-    the recorded gap between the cardinality reading of the object
-    condition and the structured splitting the equivalence needs."""
+    machine read off the projector is still lawful, but the round trip
+    cannot be an iso.  The object condition's injectivity clause refuses
+    it, so functor_l and roundtrip_rl do too."""
     x = Atom("X", 4)
     sx = prod_obj(ctx2, x)
     phi = Morphism(sx, sx, table=[0, 0, 0, 0, 4, 4, 4, 4])
     k = make_karm_object(ctx2, x, phi)
-    assert k.condition.passed
-    lres = functor_l(k)
-    assert check_coalgebra(lres.coalgebra).passed
-    w = roundtrip_rl(k)
-    assert not w.report.passed
+    assert k.condition.details["image_card"] == 4
+    assert k.condition.witnesses == [
+        {"clause": "transpose-injective", "inputs": [0, 1, 2, 3]}]
+    ns, _, readout, step = naive_moore_tables(k)
+    assert not moore_law_violations(ns, readout,
+                                    [v for row in step for v in row])
+    for refused in (functor_l, roundtrip_rl):
+        with pytest.raises(ObjectConditionError):
+            refused(k)
+
+
+def _karm_verdicts(ctx, x, table):
+    """The object condition of one idempotent on S x X, and independently
+    whether karm_retraction splits S => phi through the carrier, whether
+    the public-pair machine read off the table is lawful, and whether
+    roundtrip_rl passes (it refuses a projector without the condition)."""
+    sx = prod_obj(ctx, x)
+    k = make_karm_object(ctx, x, Morphism(sx, sx, table=table))
+    try:
+        karm_retraction(ctx, x, k.projector)
+        retraction = True
+    except ValueError:
+        retraction = False
+    ns, _, readout, step = naive_moore_tables(k)
+    lawful = not moore_law_violations(ns, readout,
+                                      [v for row in step for v in row])
+    try:
+        roundtrips = roundtrip_rl(k).report.passed
+    except ObjectConditionError:
+        roundtrips = False
+    return k.condition, retraction, lawful, roundtrips
 
 
 def test_object_condition_gap_census(ctx2):
-    """The object condition |Fix phi|^|S| = |X| passes on all 1,792
+    """The splitting count |Fix phi|^|S| = |X| passes on all 1,792
     idempotents on S x X at |S| = 2, |X| = 4 with two fixed points, yet
-    only 24 round-trip: roundtrip_rl passes exactly when karm_retraction
-    splits S => phi through the carrier and functor_r accepts the
-    L-split (its public-pair coalgebra is lawful).  The counts, keyed by
-    (retraction, lawful), pin the gap that item 1 of the roadmap names."""
+    only 24 round-trip, those where karm_retraction splits S => phi
+    through the carrier and the public-pair split is lawful.  The object
+    condition passes on exactly those 24.  The counts keyed by
+    (retraction, lawful) pin the gap that the count alone leaves."""
     x = Atom("X", 4)
     sx = prod_obj(ctx2, x)
     counts = Counter()
@@ -224,26 +254,64 @@ def test_object_condition_gap_census(ctx2):
             table = list(range(sx.card))
             for p, v in zip(rest, image):
                 table[p] = v
-            k = make_karm_object(ctx2, x, Morphism(sx, sx, table=table))
-            assert k.condition.passed
-            try:
-                karm_retraction(ctx2, x, k.projector)
-                retraction = True
-            except ValueError:
-                retraction = False
-            try:
-                functor_r(functor_l(k).coalgebra)
-                lawful = True
-            except LawViolation:
-                lawful = False
-            try:
-                roundtrips = roundtrip_rl(k).report.passed
-            except LawViolation:
-                roundtrips = False
-            assert roundtrips == (retraction and lawful), table
+            cond, retraction, lawful, roundtrips = _karm_verdicts(
+                ctx2, x, table)
+            assert cond.details["image_card"] == 4
+            assert cond.passed == roundtrips == (retraction and lawful), \
+                table
             counts[retraction, lawful] += 1
     assert counts == {(True, True): 24, (False, True): 424,
                       (True, False): 168, (False, False): 1176}
+
+
+def test_object_condition_decides_the_round_trip():
+    """On every idempotent on S x X at |S| = 1 with |X| <= 4, |S| = 2 with
+    |X| <= 3 and |S| = 3 with |X| <= 2 (2,223 in all), the object
+    condition passes exactly when roundtrip_rl does, and exactly when
+    the retraction exists and the public-pair split is lawful."""
+    seen = Counter()
+    for ns, nxs in ((1, (1, 2, 3, 4)), (2, (1, 2, 3)), (3, (1, 2))):
+        ctx = StateContext(Atom("S", ns))
+        for nx in nxs:
+            n = ns * nx
+            for table in product(range(n), repeat=n):
+                if any(table[v] != v for v in table):
+                    continue
+                cond, retraction, lawful, roundtrips = _karm_verdicts(
+                    ctx, Atom("X", nx), list(table))
+                assert cond.passed == roundtrips == (
+                    retraction and lawful), (ns, nx, table)
+                seen[cond.passed] += 1
+    # a pass has |X| = |Fix|^|S| with |Fix| = |S| |X0| >= |S|, so at these
+    # sizes only |S| = 1 has one: the identity
+    assert seen == {True: 4, False: 2219}
+
+
+def test_dual_object_condition_gap_census(ctx1, ctx2):
+    """The dual side keeps its gap: keyed by (karc_object_condition,
+    lawful carve, dual_roundtrip passes), the idempotents on TB split
+    (T,T,T) 2, (T,T,F) 2, (F,T,F) 1, (F,F,F) 36 at |S| = 2, |B| = 1, and
+    (T,T,T) 1 against (F,T,F) 1 and 9 at |S| = 1, |B| = 2 and 3.  So the
+    splitting count and a lawful carve together do not decide the dual
+    round trip."""
+    def census(ctx, nb):
+        b = Atom("B", nb)
+        tb = t_obj(ctx, b)
+        counts = Counter()
+        for table in product(range(tb.card), repeat=tb.card):
+            if any(table[v] != v for v in table):
+                continue
+            k = make_karc_object(ctx, b, Morphism(tb, tb, table=list(table)))
+            counts[karc_object_condition(k).passed,
+                   dual_l(k, require_lawful=False).laws.passed,
+                   dual_roundtrip(k).report.passed] += 1
+        return counts
+
+    t, f = True, False
+    assert census(ctx2, 1) == {(t, t, t): 2, (t, t, f): 2, (f, t, f): 1,
+                               (f, f, f): 36}
+    assert census(ctx1, 2) == {(t, t, t): 1, (f, t, f): 2}
+    assert census(ctx1, 3) == {(t, t, t): 1, (f, t, f): 9}
 
 
 def test_functor_l_mor_identity_and_r_images(ctx2):

@@ -210,8 +210,10 @@ def test_mealy_to_moore_rejects_with_diagnostics(ctx2):
         mealy_to_moore(keep_state)
     assert exc.value.details["image_card"] == 4
     assert exc.value.details["carrier_card"] == 2
-    assert exc.value.details["moore_violations"][0]["law"] == \
-        "readout-after-step"
+    # its public pairs break readout-after-step, and the condition names
+    # the clause: two fixed pairs, one state, both inputs
+    assert exc.value.details["witnesses"][1] == {
+        "clause": "fixed=S x inputs", "inputs": 2}
     ident = Policy(machine=MealyMachine(ctx=ctx2, in_set=a, out_set=a,
                                         mapping=identity(sa)))
     with pytest.raises(ObjectConditionError) as exc:
@@ -333,41 +335,41 @@ def _idempotents(ctx, n, draws, seed):
 
 
 @pytest.mark.parametrize("n, draws, seen", [
-    (1, None, {(False, True), (True, False)}),
+    (1, None, {(False, False), (False, True)}),
     (2, None, {(False, False), (False, True)}),
-    (4, 300, {(False, False), (False, True), (True, False), (True, True)})])
+    (4, 300, {(False, False), (False, True), (True, True)})])
 def test_public_pair_machine_matches_naive_construction(ctx2, n, draws,
                                                         seen):
-    """mealy_to_moore, its rejection diagnostic and that of functor_l agree
-    with the fixed-point readout/step tables read off the projector."""
+    """Where the object condition holds, mealy_to_moore and functor_l
+    agree with the fixed-point readout/step tables read off the
+    projector, and those tables are lawful; elsewhere both refuse with
+    the condition's details and witnesses."""
     a = Atom("A", n)
     outcomes = set()
     for e in _idempotents(ctx2, n, draws, seed=n):
         k = make_karm_object(ctx2, a, e)
         ns, nb, readout, step = naive_moore_tables(k)
         flat_step = [v for row in step for v in row]
-        expected = moore_law_violations(ns, readout, flat_step)[:3]
-        if k.condition.passed:
-            assert coalgebra_components(functor_l(k).coalgebra) == (
-                readout, flat_step)
-        else:
-            with pytest.raises(ObjectConditionError) as exc:
-                functor_l(k)
-            assert exc.value.details["moore_violations"] == expected
+        lawful = not moore_law_violations(ns, readout, flat_step)
         policy = Policy(machine=MealyMachine(ctx=ctx2, in_set=a, out_set=a,
                                              mapping=e))
-        if k.condition.passed and not expected:
+        if k.condition.passed:
+            assert lawful
+            assert coalgebra_components(functor_l(k).coalgebra) == (
+                readout, flat_step)
             m = mealy_to_moore(policy)
             assert m.readout.table == readout
             assert m.step.table == flat_step
             fixes = [p for p in range(e.dom.card) if e(p) == p]
             assert m.pair_labels == tuple((p // n, p % n) for p in fixes)
         else:
-            # the object condition does not imply the public-state laws
-            with pytest.raises(ObjectConditionError) as exc:
-                mealy_to_moore(policy)
-            assert exc.value.details["moore_violations"] == expected
-        outcomes.add((k.condition.passed, not expected))
+            details = {**k.condition.details,
+                       "witnesses": k.condition.witnesses}
+            for refuse, arg in ((functor_l, k), (mealy_to_moore, policy)):
+                with pytest.raises(ObjectConditionError) as exc:
+                    refuse(arg)
+                assert exc.value.details == details
+        outcomes.add((k.condition.passed, lawful))
     # (object condition, public-state laws) over the projectors tried
     assert outcomes == seen
 
@@ -388,5 +390,6 @@ def test_mealy_to_moore_cli_reports_unlawful_public_pairs(tmp_path):
     assert main(["verify-all", str(path), "--out", str(out)]) == 1
     task = json.loads(out.read_text())["sub"][0]["sub"][0]
     assert task["status"] == "fail"
-    assert task["details"]["moore_violations"][0]["law"] == \
-        "readout-after-step"
+    # the one fixed pair (s0, a0) holds one input but only one state
+    assert task["details"]["witnesses"] == [
+        {"clause": "fixed=S x inputs", "inputs": 1}]

@@ -225,6 +225,23 @@ def test_structure_maps_match_rank_oracles_on_both_paths():
                                      {False}, {False}, {True}]
 
 
+def test_a_lazy_eps_builds_no_table(table_sizes):
+    """Where GX is above EAGER_LIMIT and S => X within it (|S| = 2 with
+    |X| = 300, |S| = 3 with |X| = 40), eps is lazy and builds no table:
+    the identity on S => X it transposes is read as an evaluator.  The
+    lazy eps is not cached, so a tabulated identity (90,000 entries at
+    |S| = 2, |X| = 300, over 3 MB) was built again on every call, and mu
+    reads eps at S x X (|S| = 2, |X| = 150)."""
+    for ns, nx in ((2, 300), (3, 40)):
+        ctx, x = StateContext(Atom("S", ns)), Atom("X", nx)
+        m = eps(ctx, x)
+        assert m.is_lazy and exp_obj(ctx, x).card <= EAGER_LIMIT
+        ranks = [r % m.dom.card for r in islice(splitmix64(nx), 500)]
+        assert m.at(ranks) == [oracle_eps_at(ctx, x, k) for k in ranks]
+    assert mu(StateContext(Atom("S", 2)), Atom("X", 150)).is_lazy
+    assert table_sizes == []
+
+
 def test_block_evaluation_matches_rank_oracles_above_limit(ctx2):
     """`at` reads a whole block of a lazy map at once: the lazy compose,
     S x f, S => f, T f and mu (and their composites) agree with the

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 from typing import Iterator
 
 from .finset import (CheckConfig, FinSetObj, Morphism, Prod, ShapeError,
@@ -26,7 +27,8 @@ from .statemonad import (StateContext, eps, eta, exp_mor, exp_obj, g_mor,
 
 
 class SearchBoundExceeded(RuntimeError):
-    """Raised when the section search space exceeds its bound of 2**20."""
+    """Raised when the product of alpha's fiber sizes, which bounds the
+    hom-sections search_sections builds, exceeds 2**20."""
 
 
 class AlgebraStruct:
@@ -41,8 +43,13 @@ class AlgebraStruct:
 
     def __init__(self, ctx: StateContext, carrier: FinSetObj,
                  structure: Morphism):
-        if structure.dom != t_obj(ctx, carrier) or structure.cod != carrier:
-            raise ShapeError("structure map must have shape TA -> A")
+        try:
+            if (structure.dom, structure.cod) != (t_obj(ctx, carrier),
+                                                  carrier):
+                raise ShapeError("structure map must have shape TA -> A")
+        except (AttributeError, TypeError):
+            check_types(ctx=(ctx, StateContext), carrier=(carrier, FinSetObj),
+                        structure=(structure, Morphism))
         self.ctx, self.carrier, self.structure = ctx, carrier, structure
         self._update = None
 
@@ -54,8 +61,13 @@ class CoalgebraStruct:
 
     def __init__(self, ctx: StateContext, carrier: FinSetObj,
                  structure: Morphism):
-        if structure.dom != carrier or structure.cod != g_obj(ctx, carrier):
-            raise ShapeError("structure map must have shape B -> GB")
+        try:
+            if (structure.dom, structure.cod) != (carrier,
+                                                  g_obj(ctx, carrier)):
+                raise ShapeError("structure map must have shape B -> GB")
+        except (AttributeError, TypeError):
+            check_types(ctx=(ctx, StateContext), carrier=(carrier, FinSetObj),
+                        structure=(structure, Morphism))
         self.ctx, self.carrier, self.structure = ctx, carrier, structure
 
 
@@ -386,8 +398,8 @@ def construct_coretraction(a: AlgebraStruct,
 
 
 def search_sections(a: AlgebraStruct) -> list[Morphism]:
-    """All hom-sections of a structure map, by depth-first fiber-pruned
-    search, or [] when it is not an algebra, by
+    """All hom-sections of a structure map, built from its update, or []
+    when it is not an algebra, by
 
     Lemma 2.  If alpha has a hom-section sigma (sigma . alpha = mu .
     T sigma, alpha . sigma = id), alpha is an algebra.  sigma is injective,
@@ -396,29 +408,39 @@ def search_sections(a: AlgebraStruct) -> list[Morphism]:
     = mu . mu . TT sigma = mu . T sigma . mu = sigma . alpha . mu.
 
     A recorded update proves the laws; otherwise check_algebra decides them
-    with its cap at least |TA|.  A candidate picks one alpha-preimage per
-    carrier element, in carrier order, and by Lemma 1 it is a hom into the
-    free algebra exactly when sigma(update_u x) = update_u(sigma x) on
-    S x A.  Each square v = update_u(x) is used where it first applies:
+    with its cap at least |TA|.  Let Y be the image of update; by (iii)
+    update_u y = y on Y, so Y is also the image of each update_u.  For
+    each g: Y -> S x A with update_t f = y whenever g(y) = (t, f), let
+    sigma(x)(s) = g(update_s x): the transpose of the projector
+    (s, x) |-> g(update_s x) on S x A.  These are the hom-sections, one
+    per g (the equations are check_algebra's):
 
-    - v = x: a fixed-point filter on the fiber of x, applied once before
-      the search;
-    - v < x: a filter on the candidates for sigma(x), given sigma(v),
-      applied one square at a time;
-    - v > x: it forces sigma(v) = update_u(sigma x), given sigma(x).  That
-      one value is tried, and only if it lies in the filtered fiber of v
-      and every other square forcing sigma(v) agrees.
+    - sigma is a section: by (i) alpha(sigma x) is lookup of s |->
+      update_t f where (t, f) = g(update_s x), that is lookup(s |->
+      update_s x), which is x by (ii);
+    - sigma is a hom: by (iii) sigma(update_u x) is the constant
+      sigma(x)(u) = g(update_u x), which is the free update_u(sigma x),
+      and Lemma 1 applies;
+    - g(y) = sigma(y)(s) for y in Y, so distinct g give distinct sections;
+    - every hom-section tau is one: for y in Y, tau(y) = tau(update_s y)
+      = update_s(tau y) is constant, so g(y) = tau(y)(s) lies over y
+      (alpha(tau y) = y), and tau(x)(s) = tau(update_s x)(s) =
+      g(update_s x).
 
-    Every filter keeps the fibers ascending and a forced value is the one
-    candidate that could pass, so the sections and their order are those
-    of trying every candidate: lexicographic in the fibers, each
-    ascending.  The search bound, 2**20 candidates, applies to the
-    unfiltered fibers.
+    So the sections count the choices of g, the product of update's
+    fiber sizes.  They are returned sorted by table, lexicographic over
+    the carrier.  The bound of 2**20 is on the product of alpha's fiber
+    sizes, counted before any fiber is built.  Each fiber of update lies
+    in alpha's fiber over the same y, as its constants, so it bounds the
+    sections built too.  It is not the exact count, which would admit
+    carriers that perfbench's transfer-census now skips past the bound.
     """
-    cfg = a.ctx.config
-    al, ta, n = a.structure, a.structure.dom, a.carrier.card
+    try:
+        cfg, al, n = a.ctx.config, a.structure, a.carrier.card
+    except AttributeError:
+        check_types(a=(a, AlgebraStruct))
     if a._update is None and not check_algebra(
-            a, CheckConfig(max(cfg.cap, ta.card), cfg.samples,
+            a, CheckConfig(max(cfg.cap, al.dom.card), cfg.samples,
                            cfg.seed)).passed:
         return []
     counts, space = Counter(al.table), 1
@@ -427,44 +449,13 @@ def search_sections(a: AlgebraStruct) -> list[Morphism]:
         if space > 1 << 20:
             raise SearchBoundExceeded(
                 f"section search space exceeds {1 << 20}")
-    preimages = fibers(al)
-    # the free update's rows update_u on TA, by the element each square
-    # filters (fixed, below) or forces (forced)
-    update = rows(_free_update(a.ctx.state_space, a.carrier).table, a.ctx.ns)
-    fixed, below, forced = ([[] for _ in range(n)] for _ in range(3))
-    for up, row in zip(update, rows(a._update.table, a.ctx.ns)):
-        for x, v in enumerate(row):
-            if v == x:
-                fixed[x].append(up)
-            elif v < x:
-                below[x].append((up, v))
-            else:
-                forced[v].append((up, x))
-    choices = [[c for c in preimages.get(j, [])
-                if all(up[c] == c for up in fixed[j])]
-               for j in range(n)]
-    allowed = [set(cs) for cs in choices]
-    out = []
-    choice = [0] * n
-
-    def extend(j):
-        if j == n:
-            out.append(list(choice))
-            return
-        cands = choices[j]
-        if forced[j]:
-            up, x = forced[j][0]
-            c = up[choice[x]]
-            cands = [c] if c in allowed[j] and all(
-                up[choice[x]] == c for up, x in forced[j]) else []
-        for up, v in below[j]:
-            cands = [c for c in cands if up[c] == choice[v]]
-        for c in cands:
-            choice[j] = c
-            extend(j + 1)
-
-    extend(0)
-    return [Morphism(a.carrier, ta, table=t) for t in out]
+    update, sections = a._update, []
+    options = fibers(update)  # y |-> the (t, f) with update_t f = y
+    for pick in product(*options.values()):
+        g = dict(zip(options, pick))
+        sections.append(transpose_up(a.ctx, Morphism(
+            update.dom, update.dom, table=[g[v] for v in update.table])))
+    return sorted(sections, key=lambda m: m.table)
 
 
 # ---------------------------------------------------------------------------

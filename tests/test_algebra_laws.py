@@ -340,7 +340,7 @@ def test_check_algebra_reports_the_four_equations():
 
 def _square_kinds(a):
     """How many update squares v = update_u(x) of a have v = x, v < x and
-    v > x: search_sections filters, filters and forces on them."""
+    v > x, so that the inputs below cover all three kinds."""
     n, kinds = a.carrier.card, [0, 0, 0]
     for p, v in enumerate(a._update.table):
         x = p % n
@@ -350,14 +350,15 @@ def _square_kinds(a):
 
 def test_search_sections_on_mutants_matches_oracle():
     """Lemma 2 of search_sections: a structure map with a hom-section is an
-    algebra, so the search proves the laws first and gives [] on a lawless
-    one.  It equals the oracle, in order, at |S| = 1, 2 and 3: on the one
-    structure on two and on three elements at |S| = 1 and their one-entry
-    mutants, on one-entry mutants of the twelve lawful structures on four
-    elements at |S| = 2, and on the one structure on one element at |S| =
-    2 and 3 (no mutant there); every mutant is lawless and gives [] on
-    both sides.  The lawful carriers have fixed squares (update_u x = x),
-    and squares with update_u x below and above x."""
+    algebra, so search_sections proves the laws first and gives [] on a
+    lawless one.  It equals the oracle, in order, at |S| = 1, 2 and 3: on
+    the one structure on two and on three elements at |S| = 1 and their
+    one-entry mutants, on one-entry mutants of the twelve lawful
+    structures on four elements at |S| = 2, and on the one structure on
+    one element at |S| = 2 and 3 (no mutant there); every mutant is
+    lawless and gives [] on both sides.  Among the lawful carriers'
+    update squares some fix x (update_u x = x), and some send x below
+    and some above itself."""
     ctx1 = StateContext(Atom("S", 1))
     ctx2, ctx3 = StateContext(Atom("S", 2)), StateContext(Atom("S", 3))
     a1, a4 = Atom("A", 1), Atom("A", 4)
@@ -384,7 +385,7 @@ def test_search_sections_on_mutants_matches_oracle():
 
 def test_search_sections_proves_the_laws_under_a_small_cap():
     """With CheckConfig(cap=10) the context's own law check samples TA, so
-    it proves nothing and records nothing; the search still proves the
+    it proves nothing and records nothing; search_sections still proves the
     laws exhaustively (and so records update) before it uses update, and
     equals the oracle in order on lawful structures and their mutants."""
     ctx = StateContext(Atom("S", 2), config=CheckConfig(cap=10))
@@ -401,24 +402,25 @@ def test_search_sections_proves_the_laws_under_a_small_cap():
         assert (a._update is not None) == sampled.passed == bool(got)
 
 
-def test_extend_and_the_hom_square_build_no_map():
-    """The hom square between proven algebras and the section search's
-    inner `extend` read tables only: neither body names compose, lift,
-    equal_mor or Morphism (their type annotations aside)."""
-    banned = {"compose", "lift", "equal_mor", "Morphism"}
+def test_sections_and_the_hom_square_build_no_map():
+    """The hom square between proven algebras reads tables only: its body
+    names no compose, lift, equal_mor or Morphism (type annotations
+    aside).  search_sections builds each section as a table and its
+    transpose, and composes, lifts and compares nothing."""
     tree = ast.parse(ALGEBRAS.read_text(), str(ALGEBRAS))
     funcs = {node.name: node for node in ast.walk(tree)
              if isinstance(node, ast.FunctionDef)}
     found = []
-    for name in ("_preserves_operations", "extend"):
+    for name, banned in (
+            ("_preserves_operations",
+             {"compose", "lift", "equal_mor", "Morphism"}),
+            ("search_sections", {"compose", "lift", "equal_mor"})):
         body = ast.Module(body=funcs[name].body, type_ignores=[])
         for node in ast.walk(body):
             if (isinstance(node, ast.Name) and node.id in banned) or (
                     isinstance(node, ast.Attribute) and node.attr in banned):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
-    search = funcs["search_sections"]
-    assert funcs["extend"] in ast.walk(search)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +564,7 @@ def _census_algebras():
 def _witnessed_splits():
     """Split algebras on carriers 1, 4 and 9 at |S| = 2, each with up to
     four hom-sections: the canonical one from its retract data, then
-    those of the search where it stays within its bound."""
+    those of search_sections where it stays within its bound."""
     out = []
     for na, seed in ((1, 1), (2, 2), (3, 3)):
         ctx = StateContext(Atom("S", 2))

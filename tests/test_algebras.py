@@ -134,7 +134,7 @@ def _census(ctx):
 
 
 def test_search_sections_order_matches_oracle(ctx2):
-    """The pruned search returns exactly the oracle's sections, in the
+    """search_sections returns exactly the oracle's sections, in the
     oracle's lexicographic fiber order, on the |S| = 2 census and on a
     seeded one-entry mutant of each structure on four elements (one
     element has no mutant); a mutant has none."""
@@ -155,9 +155,10 @@ def test_search_sections_order_matches_oracle(ctx2):
 
 
 def test_search_sections_builds_no_projection_table(ctx2, monkeypatch):
-    """Once the laws are proven, the search reads its squares off the rows
-    of the recorded update: the only tables it builds are the sections
-    it returns, and none is a projection of a product."""
+    """Once the laws are proven, the sections are read off the recorded
+    update: per section the only tables built are its projector on S x A
+    and the section A -> TA, its transpose.  None is a projection of a
+    product, and nothing is built on TA or TTA."""
     built = []
     init = Morphism.__init__
 
@@ -171,13 +172,15 @@ def test_search_sections_builds_no_projection_table(ctx2, monkeypatch):
         sections = search_sections(a)
         monkeypatch.setattr(Morphism, "__init__", init)
         assert len(sections) in (2, 16)
-        assert built == [(a.carrier, a.structure.dom)] * len(sections)
+        sa = a._update.dom
+        assert built == [(sa, sa), (a.carrier, a.structure.dom)] * len(
+            sections)
         built.clear()
 
 
 def test_a_passing_make_witness_combines_no_report(ctx2, combine_calls):
     """make_witness reads its four leaves as booleans; a passing witness
-    builds no combined report (the search's law check combines one)."""
+    builds no combined report (search_sections' law check combines one)."""
     found = [(a, search_sections(a)) for a in _census(ctx2)[:3]]
     combine_calls.clear()
     for a, sections in found:

@@ -4,8 +4,9 @@ from itertools import combinations, product
 import pytest
 
 from finkar.algebras import (AlgebraStruct, check_coalgebra,
-                             consistent_hom_check, karm_retraction,
-                             moore_law_violations)
+                             consistent_hom_check, free_algebra, functor_h,
+                             karm_retraction, make_witness,
+                             moore_law_violations, search_sections)
 from finkar.equivalence import (ObjectConditionError, dual_l, dual_l_mor,
                                 dual_lr_identity_report, dual_r, dual_r_mor,
                                 dual_roundtrip, functor_l, functor_l_mor,
@@ -285,6 +286,28 @@ def test_object_condition_decides_the_round_trip():
     # a pass has |X| = |Fix|^|S| with |Fix| = |S| |X0| >= |S|, so at these
     # sizes only |S| = 1 has one: the identity
     assert seen == {True: 4, False: 2219}
+
+
+def test_object_condition_counts_on_the_constructed_sections(ctx2):
+    """At |S| = 2, |A| = 4, on the free algebra on one element and the
+    twelve algebras transported from S => B with |B| = 2, each of the 16
+    hom-sections sigma gives a projector H(sigma), and exactly 2 =
+    |B|!/(|B|/|S|)! of them meet the object condition; each of those
+    round-trips."""
+    a4 = Atom("A", 4)
+    algs = [free_algebra(ctx2, Atom("X", 1))] + [
+        AlgebraStruct(ctx=ctx2, carrier=a4, structure=alg)
+        for alg in transported_algebras(ctx2, 2, a4)]
+    assert len(algs) == 13
+    for a in algs:
+        sections = search_sections(a)
+        assert len(sections) == 16
+        objects = [make_karm_object(ctx2, a.carrier,
+                                    functor_h(make_witness(a, sec)))
+                   for sec in sections]
+        meet = [k for k in objects if k.condition.passed]
+        assert len(meet) == 2
+        assert all(roundtrip_rl(k).report.passed for k in meet)
 
 
 def test_dual_object_condition_gap_census(ctx1, ctx2):

@@ -22,6 +22,7 @@ from finkar.finset import (BLOCK, EAGER_LIMIT, KEEP_DRAWS, Atom,
                            from_blocks, fst, identity, image_factor, inverse,
                            lift, lift_at, lift_square, pair, random_morphism,
                            rows, snd, splitmix64)
+from finkar.algebras import AlgebraStruct, CoalgebraStruct, search_sections
 from finkar.equivalence import make_karc_object, make_karm_object
 from finkar.report import VerifyReport, combine, passing
 from finkar.statemonad import (StateContext, kleisli_of_mealy,
@@ -1139,6 +1140,13 @@ CTX = StateContext(Atom("S", 2))
     (lambda m: make_karm_object(CTX, 5, identity(SA)), "carrier", "5"),
     (lambda m: make_karc_object(5, m.dom, identity(SA)), "ctx", "5"),
     (lambda m: make_karc_object(CTX, 5, identity(SA)), "carrier", "5"),
+    (lambda m: AlgebraStruct("ctx", m.dom, m), "ctx", "'ctx'"),
+    (lambda m: AlgebraStruct(CTX, 5, m), "carrier", "5"),
+    (lambda m: AlgebraStruct(CTX, m.dom, [0]), "structure", r"\[0\]"),
+    (lambda m: CoalgebraStruct(None, m.dom, m), "ctx", "None"),
+    (lambda m: CoalgebraStruct(CTX, "B", m), "carrier", "'B'"),
+    (lambda m: CoalgebraStruct(CTX, m.dom, "beta"), "structure", "'beta'"),
+    (lambda m: search_sections(5), "a", "5"),
 ], ids=["compose-g", "compose-f", "equal_mor-config", "pair-g",
         "image_factor-f", "lift-f", "lift_at-f", "lift_square-g",
         "lift_square-config", "fst-p", "snd-p", "inverse-m", "fibers-m",
@@ -1149,14 +1157,18 @@ CTX = StateContext(Atom("S", 2))
         "rows-n", "transpose_up-f", "transpose_up-ctx", "transpose_down-f",
         "mealy_of_kleisli-f", "kleisli_of_mealy-f", "make_karm_object-phi",
         "make_karm_object-carrier", "make_karc_object-ctx",
-        "make_karc_object-carrier"])
+        "make_karc_object-carrier", "AlgebraStruct-ctx",
+        "AlgebraStruct-carrier", "AlgebraStruct-structure",
+        "CoalgebraStruct-ctx", "CoalgebraStruct-carrier",
+        "CoalgebraStruct-structure", "search_sections-a"])
 def test_kernel_entry_points_refuse_a_wrong_argument_by_name(call, name,
                                                              value):
     """compose, equal_mor, pair, image_factor, lift, lift_at,
     lift_square, fst, snd, inverse, fibers, identity, from_blocks, the
     Morphism constructors, random_morphism, check_ranks, the envelope
     entry points, rows, statemonad's transposes and machine-form
-    conversions, and the equivalence's object constructors refuse an
+    conversions, the algebra and coalgebra constructors,
+    search_sections and the equivalence's object constructors refuse an
     argument that is not a Morphism (or a CheckConfig, a Prod, a
     FinSetObj, a SeededRng, a Sequence, an int or a StateContext) with a TypeError naming it, not an AttributeError or
     a TypeError from inside or a name of a callee's parameter."""

@@ -2,7 +2,8 @@
 
 Objects (`Atom`, `Prod`, `Exp`) are interned: equal fields give the same
 instance, so equality and hashing are by identity, and every shape check
-and every cache key on objects costs a pointer comparison.
+and every cache key on objects costs a pointer comparison.  A construction
+looks (class, *fields) up in a plain dict of weak references, all in C.
 
 Every object's elements are the ranks [0, card), in one canonical order:
 an Atom's in enumeration order, a Prod's right-minor ((x, y) has rank
@@ -19,7 +20,8 @@ evaluator above that (statemonad's transposes apply it to S x A, the
 larger side of the bijection).  The one exception is a map built by
 `Morphism.lazy`: it is read through its evaluator at any size, and a
 composite or pairing that reads it stays lazy too.  Composition and
-exhaustive equality on small domains then run over whole tables.  Every
+exhaustive equality on small domains then run over whole tables, and two
+equal tables pass on one list comparison, with no `values_report`.  Every
 map is read through `at`, a block of ranks at a time: a table gathers, a
 lazy map evaluates the whole block at once.
 
@@ -34,12 +36,12 @@ range a ShapeError; either names the domain rank of the first bad entry.
 
 from __future__ import annotations
 
-import weakref
 from functools import lru_cache
 from itertools import compress, count, islice
 from operator import countOf, ne
 from threading import Lock
 from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
+from weakref import KeyedRef, _remove_dead_weakref
 
 from .report import VerifyReport, combine, failing, passing
 
@@ -86,12 +88,13 @@ class FinSetObj:
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        obj = _live.get(key)
+        obj = (ref := _live.get(key)) and ref()
         if obj is None:
             with _miss:
-                obj = _live.get(key)
+                obj = (ref := _live.get(key)) and ref()
                 if obj is None:
-                    obj = _live[key] = cls._build(fields)
+                    obj = cls._build(fields)
+                    _live[key] = KeyedRef(obj, _forget, key)
         return obj
 
     @classmethod
@@ -119,10 +122,14 @@ class FinSetObj:
         raise NotImplementedError
 
 
-# The live objects by (class, *fields); the lock makes a miss atomic.
-_live: "weakref.WeakValueDictionary[tuple, FinSetObj]" = (
-    weakref.WeakValueDictionary())
+# A weak reference per live object by (class, *fields).  A miss holds the
+# lock; a death drops its key atomically, only while it maps to a dead ref.
+_live: dict[tuple, KeyedRef] = {}
 _miss = Lock()
+
+
+def _forget(ref: KeyedRef) -> None:
+    _remove_dead_weakref(_live, ref.key)
 
 
 class Atom(FinSetObj):
@@ -323,9 +330,9 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     ft = f._table if f.dom.card <= EAGER_LIMIT else None
     if ft is None:
         return Morphism.lazy(f.dom, g.cod, lambda ks: g.at(f.at(ks)))
-    values = g.at(ft)
-    return Morphism(f.dom, g.cod,
-                    table=values if g._at is not None else _Checked(values))
+    gt = g._table
+    return Morphism(f.dom, g.cod, table=g._at(ft) if gt is None else
+                    _Checked(list(map(gt.__getitem__, ft))))
 
 
 def from_blocks(dom: FinSetObj, cod: FinSetObj,
@@ -605,9 +612,10 @@ class CheckConfig:
 def equal_mor(f: Morphism, g: Morphism,
               config: CheckConfig = CheckConfig(),
               check: str = "equal") -> VerifyReport:
-    """Compare two parallel morphisms, exhaustively or by seeded sampling:
-    `values_report` on two whole tables when an exhaustive domain is within
-    EAGER_LIMIT and both maps are tables, else on blocks read by `at`."""
+    """Compare two parallel morphisms, exhaustively or by seeded sampling.
+    Exhaustively within EAGER_LIMIT on two tables, equal tables pass on one
+    list comparison (the report `values_report` gives), unequal ones go to
+    it whole; else it reads blocks by `at`."""
     try:
         if f.dom != g.dom or f.cod != g.cod:
             raise ShapeError("equal_mor needs parallel morphisms")
@@ -617,6 +625,9 @@ def equal_mor(f: Morphism, g: Morphism,
         check_types(f=(f, Morphism), g=(g, Morphism),
                     config=(config, CheckConfig))
     ft, gt = f._table, g._table
+    if whole and ft is not None and ft == gt:
+        return VerifyReport(check, "pass", "exhaustive", config.seed,
+                            config.cap, [], None, {"domain": n})
     return values_report(check, n, config, ((range(n), ft, gt),) if (
         whole and ft is not None and gt is not None) else (
         (ks, f.at(ks), g.at(ks)) for ks in check_ranks(n, config)))
@@ -733,8 +744,10 @@ def envelope_holds(f: Morphism, phi_f: Morphism, f_psi: Morphism,
         psi.cod  # read here, so that a wrong psi is named as psi
     except AttributeError:
         check_types(psi=(psi, Morphism))
-    return all(r.passed for r in
-               _envelope_equations(f, phi_f, f_psi, psi, config))
+    for r in _envelope_equations(f, phi_f, f_psi, psi, config):
+        if r.status != "pass":
+            return False
+    return True
 
 
 def _envelope_equations(f: Morphism, phi_f: Morphism, f_psi: Morphism,

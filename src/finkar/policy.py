@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .finset import (FinSetObj, Morphism, Prod, ShapeError, compose,
-                     envelope_hom_report, envelope_holds, equal_mor, fst, pair,
-                     snd)
+from .finset import (FinSetObj, Morphism, Prod, ShapeError, check_types,
+                     compose, envelope_hom_report, envelope_holds, equal_mor,
+                     fst, pair, snd)
 from .report import LawViolation, VerifyReport, combine, failing, passing
 from .statemonad import StateContext, prod_obj
 
@@ -30,9 +30,14 @@ class MealyMachine:
 
     def __init__(self, ctx: StateContext, in_set: FinSetObj,
                  out_set: FinSetObj, mapping: Morphism):
-        if mapping.dom != prod_obj(ctx, in_set) \
-                or mapping.cod != prod_obj(ctx, out_set):
-            raise ShapeError("mapping must have shape S x A -> S x B")
+        try:
+            if mapping.dom != prod_obj(ctx, in_set) \
+                    or mapping.cod != prod_obj(ctx, out_set):
+                raise ShapeError("mapping must have shape S x A -> S x B")
+        except (AttributeError, TypeError):
+            check_types(ctx=(ctx, StateContext), in_set=(in_set, FinSetObj),
+                        out_set=(out_set, FinSetObj),
+                        mapping=(mapping, Morphism))
         self.ctx, self.in_set, self.out_set = ctx, in_set, out_set
         self.mapping = mapping
 
@@ -57,8 +62,12 @@ class Policy:
     __slots__ = ("machine",)
 
     def __init__(self, machine: MealyMachine):
-        if machine.in_set != machine.out_set:
-            raise ShapeError("a policy needs matching input and output sets")
+        try:
+            if machine.in_set != machine.out_set:
+                raise ShapeError(
+                    "a policy needs matching input and output sets")
+        except AttributeError:
+            check_types(machine=(machine, MealyMachine))
         rep = check_policy(machine)
         if not rep.passed:
             raise LawViolation("policy map is not idempotent", rep)
@@ -86,11 +95,16 @@ class MooreMachine:
 
     def __init__(self, ctx: StateContext, state_set: FinSetObj,
                  readout: Morphism, step: Morphism, pair_labels: tuple = ()):
-        if readout.dom != state_set or readout.cod != ctx.state_space:
-            raise ShapeError("readout must have shape B -> S")
-        if step.dom != Prod(state_set, ctx.state_space) \
-                or step.cod != state_set:
-            raise ShapeError("step must have shape B x S -> B")
+        try:
+            if readout.dom != state_set or readout.cod != ctx.state_space:
+                raise ShapeError("readout must have shape B -> S")
+            if step.dom != Prod(state_set, ctx.state_space) \
+                    or step.cod != state_set:
+                raise ShapeError("step must have shape B x S -> B")
+        except (AttributeError, TypeError):
+            check_types(ctx=(ctx, StateContext),
+                        state_set=(state_set, FinSetObj),
+                        readout=(readout, Morphism), step=(step, Morphism))
         self.ctx, self.state_set, self.readout = ctx, state_set, readout
         self.step, self.pair_labels = step, pair_labels
 
@@ -129,10 +143,10 @@ def check_compliance(f: MealyMachine, phi: Policy,
                      psi: Policy) -> VerifyReport:
     """Sandwich equation and its split form, which must agree: the
     envelope hom report of the machine map between the policy maps."""
-    if phi.alphabet != f.in_set or psi.alphabet != f.out_set:
+    p, q = phi.machine, psi.machine
+    if p.in_set != f.in_set or q.in_set != f.out_set:
         raise ShapeError("policies must sit on the machine's alphabets")
-    return envelope_hom_report(f.mapping, phi.mapping, psi.mapping,
-                               f.ctx.config)
+    return envelope_hom_report(f.mapping, p.mapping, q.mapping, f.ctx.config)
 
 
 def check_consistency(f: MealyMachine, phi: Policy,
@@ -142,12 +156,13 @@ def check_consistency(f: MealyMachine, phi: Policy,
     Also evaluates compliance, from the same two composites, and records
     that compliance forces this equation on the instance."""
     cfg = f.ctx.config
-    if phi.alphabet != f.in_set or psi.alphabet != f.out_set:
+    p, q = phi.machine, psi.machine
+    if p.in_set != f.in_set or q.in_set != f.out_set:
         raise ShapeError("policies must sit on the machine's alphabets")
-    f_psi = compose(f.mapping, psi.mapping)
-    phi_f = compose(phi.mapping, f.mapping)
+    fm, qm = f.mapping, q.mapping
+    f_psi, phi_f = compose(fm, qm), compose(p.mapping, fm)
     inter = equal_mor(f_psi, phi_f, cfg, check="interchange")
-    compliant = envelope_holds(f.mapping, phi_f, f_psi, psi.mapping, cfg)
+    compliant = envelope_holds(fm, phi_f, f_psi, qm, cfg)
     implied = (not compliant) or inter.passed
     implication = (passing("compliance-implies-consistency",
                            compliant=compliant)

@@ -84,15 +84,16 @@ def combine(check: str, subs: list[VerifyReport], **details) -> VerifyReport:
 
     A failing aggregate names its failing sub-checks as witnesses, so the
     no-witnessless-failure invariant holds at every level."""
-    status, mode, witnesses = "pass", "exhaustive", []
+    status, mode, cap, witnesses = "pass", "exhaustive", 0, []
     for r in subs:
         if r.status != "pass":
             status = "error" if "error" in (status, r.status) else "fail"
             witnesses.append({"failing_sub": r.check})
         if r.mode != "exhaustive":
             mode = "sampled"
+        if r.cap > cap:
+            cap = r.cap
     seed = subs[0].seed if subs else 0
-    cap = max((r.cap for r in subs), default=0)
     return VerifyReport(check=check, status=status, mode=mode, seed=seed,
                         cap=cap, witnesses=witnesses[:3], sub=list(subs),
                         details=details)

@@ -52,8 +52,14 @@ class StateContext:
 
     def __init__(self, state_space: FinSetObj,
                  config: CheckConfig = CheckConfig()):
-        if state_space.card < 1:
-            raise ValueError("state space must be inhabited")
+        try:
+            if state_space.card < 1:
+                raise ValueError("state space must be inhabited")
+        except AttributeError:
+            check_types(state_space=(state_space, FinSetObj))
+        if not isinstance(config, CheckConfig):
+            raise TypeError(f"config must be of type CheckConfig, got "
+                            f"{config!r}")
         self.state_space, self.config = state_space, config
 
     def __eq__(self, other):

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from finkar import report
+from finkar import finset, report
 from finkar.finset import Atom, Morphism, Prod
 from finkar.policy import MealyMachine, MooreMachine, Policy
 from finkar.statemonad import StateContext
@@ -61,18 +61,38 @@ def table_sizes(monkeypatch):
     return sizes
 
 
-@pytest.fixture
-def combine_calls(monkeypatch):
-    """The check names of the `report.combine` calls made while the test
+def _spy(monkeypatch, fn, record):
+    """`record(*args, **kwargs)` of each call of `fn` made while the test
     runs, in every loaded module of the package that imports it."""
-    calls, combine = [], report.combine
+    calls = []
 
-    def spy(check, subs, **details):
-        calls.append(check)
-        return combine(check, subs, **details)
+    def spy(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "finkar"
-                and getattr(module, "combine", None) is combine):
-            monkeypatch.setattr(module, "combine", spy)
+                and getattr(module, fn.__name__, None) is fn):
+            monkeypatch.setattr(module, fn.__name__, spy)
     return calls
+
+
+@pytest.fixture
+def combine_calls(monkeypatch):
+    """The check names of the `report.combine` calls made while the test
+    runs."""
+    return _spy(monkeypatch, report.combine, lambda check, subs, **_: check)
+
+
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """The (f, g) of the `finset.compose` calls made while the test runs."""
+    return _spy(monkeypatch, finset.compose, lambda f, g: (f, g))
+
+
+@pytest.fixture
+def equal_mor_checks(monkeypatch):
+    """The check names of the `finset.equal_mor` calls made while the test
+    runs."""
+    return _spy(monkeypatch, finset.equal_mor,
+                lambda f, g, config=None, check="equal": check)

@@ -24,6 +24,7 @@ from finkar.finset import (BLOCK, EAGER_LIMIT, KEEP_DRAWS, Atom,
                            rows, snd, splitmix64)
 from finkar.algebras import AlgebraStruct, CoalgebraStruct, search_sections
 from finkar.equivalence import make_karc_object, make_karm_object
+from finkar.policy import MealyMachine, MooreMachine, Policy
 from finkar.report import VerifyReport, combine, passing
 from finkar.statemonad import (StateContext, kleisli_of_mealy,
                                mealy_of_kleisli, transpose_down, transpose_up)
@@ -91,6 +92,16 @@ def test_unreferenced_objects_leave_the_table():
     gc.collect()
     assert ref() is None
     assert not {"gc-probe", "gc-probe-x"} & _live_labels()
+
+
+def test_a_late_removal_keeps_a_live_entry():
+    """A removal arriving while its key maps to a live object (one rebuilt
+    after the death that sent it) leaves the entry in place."""
+    obj = Atom("late-probe", 2)
+    ref = finset._live[(Atom, "late-probe", 2)]
+    finset._forget(ref)
+    assert finset._live[(Atom, "late-probe", 2)] is ref
+    assert Atom("late-probe", 2) is obj
 
 
 def test_a_raced_miss_yields_one_instance(monkeypatch):
@@ -361,28 +372,38 @@ def test_every_gather_is_built_through_init(monkeypatch):
         [g.table[v] for v in maps[0].table] for g in maps]
 
 
-@pytest.mark.parametrize("n", [1, 7, 300])
+@pytest.mark.parametrize("n", [0, 1, 7, 300, BLOCK + 3])
 def test_equal_mor_reports_same_with_and_without_matching_tables(n):
     """Identical tables skip the mismatch scan.  With or without matching
     tables the report is the one a plain scan gives: the first three
-    mismatches in rank order, with both values."""
+    mismatches in rank order, with both values.  Under a cap below n the
+    scan reads the config's draws, and equal tables still report
+    "sampled" with their sample count."""
     rng = SeededRng(n)
     x, y = Atom("X", n), Atom("Y", 4)
     ft = [rng.below(4) for _ in range(n)]
     f = Morphism(x, y, table=ft)
-    for flips in ([], [0], [n - 1], list(range(0, n, 2))):
+    scans = [(CheckConfig(), "exhaustive", range(n), {"domain": n})]
+    if n:
+        sampled = CheckConfig(cap=n - 1, samples=5, seed=n)
+        scans.append((sampled, "sampled",
+                      [r % n for r in islice(splitmix64(n), 5)],
+                      {"domain": n, "samples": 5}))
+    for flips in ([], [0], [n - 1], list(range(0, n, 2))) if n else ([],):
         gt = list(ft)
         for k in flips:
             gt[k] = (gt[k] + 1) % 4
-        witnesses = [{"rank": k, "lhs": a, "rhs": b}
-                     for k, (a, b) in enumerate(zip(ft, gt)) if a != b][:3]
-        scanned = VerifyReport(
-            check="c", status="fail" if witnesses else "pass",
-            cap=CheckConfig().cap, witnesses=witnesses,
-            details={"domain": n})
-        rep = equal_mor(f, Morphism(x, y, table=gt), check="c")
-        assert rep.to_dict() == scanned.to_dict()
-        assert len(rep.witnesses) == min(len(flips), 3)
+        for config, mode, ranks, details in scans:
+            witnesses = [{"rank": k, "lhs": ft[k], "rhs": gt[k]}
+                         for k in ranks if ft[k] != gt[k]][:3]
+            scanned = VerifyReport(
+                check="c", status="fail" if witnesses else "pass",
+                mode=mode, seed=config.seed, cap=config.cap,
+                witnesses=witnesses, details=details)
+            rep = equal_mor(f, Morphism(x, y, table=gt), config, check="c")
+            assert rep.to_dict() == scanned.to_dict()
+            if mode == "exhaustive":
+                assert len(rep.witnesses) == min(len(flips), 3)
 
 
 def test_eager_limit_decides_table_or_lazy():
@@ -1147,6 +1168,13 @@ CTX = StateContext(Atom("S", 2))
     (lambda m: CoalgebraStruct(CTX, "B", m), "carrier", "'B'"),
     (lambda m: CoalgebraStruct(CTX, m.dom, "beta"), "structure", "'beta'"),
     (lambda m: search_sections(5), "a", "5"),
+    (lambda m: StateContext(Atom("S", 2), 5), "config", "5"),
+    (lambda m: StateContext(5), "state_space", "5"),
+    (lambda m: MealyMachine(5, m.dom, m.dom, SQ), "ctx", "5"),
+    (lambda m: MealyMachine(CTX, m.dom, m.dom, 5), "mapping", "5"),
+    (lambda m: MealyMachine(CTX, 5, m.dom, SQ), "in_set", "5"),
+    (lambda m: Policy(5), "machine", "5"),
+    (lambda m: MooreMachine(CTX, m.dom, 5, m), "readout", "5"),
 ], ids=["compose-g", "compose-f", "equal_mor-config", "pair-g",
         "image_factor-f", "lift-f", "lift_at-f", "lift_square-g",
         "lift_square-config", "fst-p", "snd-p", "inverse-m", "fibers-m",
@@ -1160,7 +1188,10 @@ CTX = StateContext(Atom("S", 2))
         "make_karc_object-carrier", "AlgebraStruct-ctx",
         "AlgebraStruct-carrier", "AlgebraStruct-structure",
         "CoalgebraStruct-ctx", "CoalgebraStruct-carrier",
-        "CoalgebraStruct-structure", "search_sections-a"])
+        "CoalgebraStruct-structure", "search_sections-a",
+        "StateContext-config", "StateContext-state_space", "MealyMachine-ctx",
+        "MealyMachine-mapping", "MealyMachine-in_set", "Policy-machine",
+        "MooreMachine-readout"])
 def test_kernel_entry_points_refuse_a_wrong_argument_by_name(call, name,
                                                              value):
     """compose, equal_mor, pair, image_factor, lift, lift_at,
@@ -1168,10 +1199,12 @@ def test_kernel_entry_points_refuse_a_wrong_argument_by_name(call, name,
     Morphism constructors, random_morphism, check_ranks, the envelope
     entry points, rows, statemonad's transposes and machine-form
     conversions, the algebra and coalgebra constructors,
-    search_sections and the equivalence's object constructors refuse an
-    argument that is not a Morphism (or a CheckConfig, a Prod, a
-    FinSetObj, a SeededRng, a Sequence, an int or a StateContext) with a TypeError naming it, not an AttributeError or
-    a TypeError from inside or a name of a callee's parameter."""
+    search_sections, the equivalence's object constructors, StateContext
+    and the machine and policy constructors refuse an argument that is not
+    a Morphism (or a CheckConfig, a Prod, a FinSetObj, a SeededRng, a
+    Sequence, an int, a StateContext or a MealyMachine) with a TypeError
+    naming it, not an AttributeError or a TypeError from inside or a name
+    of a callee's parameter."""
     m = identity(Atom("A", 2))
     with pytest.raises(TypeError, match=rf"^{name} must be of type \w+, "
                                         rf"got {value}$"):

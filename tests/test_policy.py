@@ -192,6 +192,38 @@ def test_compliance_and_consistency_match_the_recomputing_oracles(config):
         ("post-policy-absorbed", "pre-policy-absorbed")}
 
 
+def test_policy_verdicts_build_each_composite_once(compose_calls,
+                                                  equal_mor_checks):
+    """check_compliance builds phi . f, f . psi and the sandwich once each
+    and decides all three equations.  check_consistency builds the same two
+    and decides the interchange, then the envelope equations up to the
+    first failing one, and builds the sandwich only when both of the pair
+    pass."""
+    pairs = set()
+    for f, phi, psi in _policy_triples(31, 120, CheckConfig()):
+        fm, pm, qm = f.mapping, phi.mapping, psi.mapping
+        del compose_calls[:], equal_mor_checks[:]
+        comp = check_compliance(f, phi, psi)
+        assert len(compose_calls) == 3 and compose_calls[2][1] is qm
+        assert set(compose_calls[:2]) == {(pm, fm), (fm, qm)}
+        assert equal_mor_checks == [
+            "post-policy-absorbed", "pre-policy-absorbed", "sandwich"]
+        post, pre = (r.passed for r in comp.sub[1:3])
+        pairs.add((post, pre))
+        del compose_calls[:], equal_mor_checks[:]
+        check_consistency(f, phi, psi)
+        assert len(compose_calls) == (3 if post and pre else 2)
+        assert set(compose_calls[:2]) == {(pm, fm), (fm, qm)}
+        decided = ["interchange", "post-policy-absorbed"]
+        if post:
+            decided.append("pre-policy-absorbed")
+        if post and pre:
+            decided.append("sandwich")
+        assert equal_mor_checks == decided
+    assert pairs == {(True, True), (True, False), (False, True),
+                     (False, False)}
+
+
 def test_mealy_to_moore_fixture(ctx2, e2_policy, e1_moore):
     m = mealy_to_moore(e2_policy)
     assert m.readout.table == e1_moore.readout.table

@@ -4,8 +4,8 @@ dual between behavior-level projectors and algebras.
 Splittings are canonical everywhere (fixed points ascending), so the
 coalgebra->projector->coalgebra round trip is the identity under a forced
 carrier bijection, while the other round trip is witnessed by explicit
-mutually inverse consistent isos.  On the machine side the objects meet
-the condition `make_karm_object` decides, exactly when the round trip holds.
+mutually inverse consistent isos.  Both sides decide their object
+condition in the constructor (`make_karm_object`, `make_karc_object`).
 """
 
 from __future__ import annotations
@@ -27,30 +27,25 @@ from .statemonad import (StateContext, eps, eta, exp_mor, exp_obj,
 
 
 class KarmObject:
-    """A carrier X with an idempotent machine-form map on S x X."""
+    """A carrier X, an idempotent machine-form map on S x X, its condition."""
 
     __slots__ = ("ctx", "carrier", "projector", "condition")
 
     def __init__(self, ctx: StateContext, carrier: FinSetObj,
                  projector: Morphism, condition: VerifyReport):
-        if projector.dom != prod_obj(ctx, carrier) \
-                or projector.cod != projector.dom:
-            raise ShapeError("projector must be an endo on S x carrier")
         self.ctx, self.carrier, self.projector = ctx, carrier, projector
         self.condition = condition
 
 
 class KarcObject:
-    """A carrier B with an idempotent behavior-level map on TB."""
+    """A carrier B, an idempotent behavior-level map on TB, its condition."""
 
-    __slots__ = ("ctx", "carrier", "projector")
+    __slots__ = ("ctx", "carrier", "projector", "condition")
 
     def __init__(self, ctx: StateContext, carrier: FinSetObj,
-                 projector: Morphism):
-        if projector.dom != t_obj(ctx, carrier) \
-                or projector.cod != projector.dom:
-            raise ShapeError("projector must be an endo on T(carrier)")
+                 projector: Morphism, condition: VerifyReport):
         self.ctx, self.carrier, self.projector = ctx, carrier, projector
+        self.condition = condition
 
 
 class EquivWitness:
@@ -75,6 +70,8 @@ def make_karm_object(ctx: StateContext, carrier: FinSetObj,
     and step-absorbs-step, with (2), snd phi(s, x) = x, so the coalgebra
     of functor_l is then lawful iff Fix = S x X0, which is (3)."""
     try:
+        if phi.dom != prod_obj(ctx, carrier) or phi.cod != phi.dom:
+            raise ShapeError("projector must be an endo on S x carrier")
         if not is_idempotent(phi, ctx.config):
             raise ValueError("machine-form map is not idempotent")
         fixed = fixed_ranks(phi)
@@ -86,29 +83,31 @@ def make_karm_object(ctx: StateContext, carrier: FinSetObj,
             broken.append({"clause": "fixed=S x inputs", "inputs": nx0})
         return KarmObject(ctx, carrier, phi, splitting_condition(
             "karm-object-condition", carrier, len(fixed), ctx.ns, broken))
-    except AttributeError:
+    except (AttributeError, TypeError):
         check_types(ctx=(ctx, StateContext), carrier=(carrier, FinSetObj),
                     phi=(phi, Morphism))
 
 
 def make_karc_object(ctx: StateContext, carrier: FinSetObj,
                      phi: Morphism) -> KarcObject:
+    """An idempotent phi = i . q on TB, split on its whole table, and its
+    condition: (a) the machine form h: S x Fix -> S x B of i, (s, k) |->
+    t_k(s), is a bijection (so |Fix| = |B|); a collision gives one witness,
+    two ranks of S x Fix.  (a) and a lawful carve hold iff dual_roundtrip
+    passes: (S => h) . eta = i and the carve is r = q . (S => h), so the
+    forward square phi . (S => h) = (S => h) . eta . r always holds; under
+    (a) it conjugates to the backward one, and forward-bijective is (a)."""
     try:
-        if not is_idempotent(phi, ctx.config):
-            raise ValueError("behavior-level map is not idempotent")
-        return KarcObject(ctx=ctx, carrier=carrier, projector=phi)
+        if phi.dom != t_obj(ctx, carrier) or phi.cod != phi.dom:
+            raise ShapeError("projector must be an endo on T(carrier)")
+        h = mealy_of_kleisli(ctx, split_idempotent(phi).i)
+        broken = [{"clause": "fixed-points-bijective", "pairs": ps[:2]}
+                  for ps in fibers(h).values() if len(ps) > 1][:1]
+        return KarcObject(ctx, carrier, phi, splitting_condition(
+            "karc-object-condition", carrier, h.dom.right.card, 1, broken))
     except (AttributeError, TypeError):
         check_types(ctx=(ctx, StateContext), carrier=(carrier, FinSetObj),
                     phi=(phi, Morphism))
-
-
-def karc_object_condition(k: KarcObject) -> VerifyReport:
-    """Mirror-image splitting condition for the behavior-level side: the
-    splitting count at power 1.  The object definition does not require
-    it, so it is exposed as a separate check; with a lawful carve it still
-    does not decide the dual round trip."""
-    return splitting_condition("karc-object-condition", k.carrier,
-                               len(fixed_ranks(k.projector)), 1, [])
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +116,10 @@ def karc_object_condition(k: KarcObject) -> VerifyReport:
 
 def functor_r(c: CoalgebraStruct) -> KarmObject:
     """A coalgebra becomes the projector structure-after-counit on S x (S=>B)."""
-    rep = check_coalgebra(c)
+    try:
+        rep = check_coalgebra(c)
+    except AttributeError:
+        check_types(c=(c, CoalgebraStruct))
     if not rep.passed:
         raise LawViolation("invalid coalgebra", rep)
     carrier = exp_obj(c.ctx, c.carrier)
@@ -158,10 +160,13 @@ def functor_l(k: KarmObject) -> LResult:
     Refuses a projector failing the object condition, with the
     condition's details and witnesses; with it the coalgebra is lawful.
     """
-    if not k.condition.passed:
-        raise ObjectConditionError(
-            "projector does not split back through its carrier",
-            {**k.condition.details, "witnesses": k.condition.witnesses})
+    try:
+        if not k.condition.passed:
+            raise ObjectConditionError(
+                "projector does not split back through its carrier",
+                {**k.condition.details, "witnesses": k.condition.witnesses})
+    except AttributeError:
+        check_types(k=(k, KarmObject))
     ctx = k.ctx
     s = split_idempotent(k.projector)
     # the public pair (st, x) reads out st and steps at t to q(t, x): the
@@ -191,8 +196,8 @@ def roundtrip_rl(k: KarmObject) -> EquivWitness:
     splitting mono.  Both intertwining squares and both inverse laws are
     verified and reported.
     """
+    lres = functor_l(k)  # first, so that it names a wrong k
     ctx, cfg = k.ctx, k.ctx.config
-    lres = functor_l(k)
     rl = functor_r(lres.coalgebra)
     q_prime = transpose_up(ctx, lres.splitting.q)
     alpha = karm_retraction(ctx, k.carrier, k.projector)[1]
@@ -217,8 +222,8 @@ def lr_identity_report(c: CoalgebraStruct) -> VerifyReport:
     The public pairs of the image projector are exactly the structure
     values, and the bijection sends each back through the counit.
     """
+    lres = functor_l(functor_r(c))  # first, so that it names a wrong c
     ctx = c.ctx
-    lres = functor_l(functor_r(c))
     expected = sorted(c.structure.table)
     got = list(lres.splitting.i.table)
     subs = []
@@ -240,7 +245,10 @@ def lr_identity_report(c: CoalgebraStruct) -> VerifyReport:
 
 def dual_r(a: AlgebraStruct) -> KarcObject:
     """An algebra becomes the projector unit-after-structure on TA."""
-    rep = check_algebra(a)
+    try:
+        rep = check_algebra(a)
+    except AttributeError:
+        check_types(a=(a, AlgebraStruct))
     if not rep.passed:
         raise LawViolation("invalid algebra", rep)
     phi = compose(a.structure, eta(a.ctx, a.carrier))
@@ -261,18 +269,23 @@ def dual_r_mor(f: Morphism, a1: AlgebraStruct, a2: AlgebraStruct) -> Morphism:
     return g
 
 
-def dual_l(k: KarcObject, *, require_lawful: bool = True) -> SplitAlgebra:
-    """Split a behavior-level projector into an algebra on its fixed points.
-
-    This is carve_algebra on the projector, and functor_k is this at
-    S => phi.  The algebra laws are verified; with require_lawful they must
-    pass (they can fail for projectors that are not images of algebras)."""
+def dual_l(k: KarcObject) -> SplitAlgebra:
+    """Split a behavior-level projector into an algebra on its fixed points
+    by carve_algebra, which functor_k runs at S => phi; refuses an object
+    without its condition, with the condition's details and witnesses, and
+    a carve that breaks the algebra laws."""
+    try:
+        if not k.condition.passed:
+            raise ObjectConditionError(
+                "projector does not split back through its carrier",
+                {**k.condition.details, "witnesses": k.condition.witnesses})
+    except AttributeError:
+        check_types(k=(k, KarcObject))
     res = carve_algebra(k.ctx, k.projector)
-    if require_lawful and not res.laws.passed:
+    if not res.laws.passed:
         raise ObjectConditionError(
             "behavior-level projector does not carve out a lawful algebra",
-            {"laws": res.laws.to_dict(),
-             "condition": karc_object_condition(k).to_dict()})
+            {"laws": res.laws.to_dict(), "condition": k.condition.to_dict()})
     return res
 
 
@@ -287,8 +300,8 @@ def dual_l_mor(g: Morphism, k1: KarcObject, k2: KarcObject) -> Morphism:
 
 def dual_lr_identity_report(a: AlgebraStruct) -> VerifyReport:
     """The algebra round trip is the identity under the forced bijection."""
+    lres = dual_l(dual_r(a))  # first, so that it names a wrong a
     ctx = a.ctx
-    lres = dual_l(dual_r(a))
     sigma = compose(lres.splitting.i, a.structure)
     subs = [_bijection_leaf("bijection", sigma)[0]]
     subs.append(equal_mor(compose(t_mor(ctx, sigma), a.structure),
@@ -298,13 +311,15 @@ def dual_lr_identity_report(a: AlgebraStruct) -> VerifyReport:
 
 
 def dual_roundtrip(k: KarcObject) -> EquivWitness:
-    """Verify a behavior-level projector against its round-trip image.
-
-    The iso candidate is the machine form of the splitting mono; it must
-    be a bijection whose inverse satisfies the mirrored square.  For
-    projectors that are not images of algebras this reports failure."""
-    ctx = k.ctx
-    lres = dual_l(k, require_lawful=False)
+    """Verify a behavior-level projector against its round-trip image: the
+    machine form of the splitting mono must be a bijection whose inverse
+    meets the mirrored square.  It passes iff the carve is lawful and the
+    object meets its condition (make_karc_object)."""
+    try:
+        ctx = k.ctx
+        lres = carve_algebra(ctx, k.projector)
+    except AttributeError:
+        check_types(k=(k, KarcObject))
     i_prime = mealy_of_kleisli(ctx, lres.splitting.i)
     subs = [lres.laws]
     if not lres.laws.passed:

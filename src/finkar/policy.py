@@ -47,11 +47,15 @@ def mealy_from_components(ctx: StateContext, in_set: FinSetObj,
                           out: Morphism) -> MealyMachine:
     """Pair a next-state map and an output map into one machine; a value
     of either outside its codomain is a ShapeError."""
-    dom = prod_obj(ctx, in_set)
-    if nxt.dom != dom or nxt.cod != ctx.state_space:
-        raise ShapeError("next map must have shape S x A -> S")
-    if out.dom != dom or out.cod != out_set:
-        raise ShapeError("output map must have shape S x A -> B")
+    try:
+        dom = prod_obj(ctx, in_set)
+        if nxt.dom != dom or nxt.cod != ctx.state_space:
+            raise ShapeError("next map must have shape S x A -> S")
+        if out.dom != dom or out.cod != out_set:
+            raise ShapeError("output map must have shape S x A -> B")
+    except (AttributeError, TypeError):
+        check_types(ctx=(ctx, StateContext), in_set=(in_set, FinSetObj),
+                    nxt=(nxt, Morphism), out=(out, Morphism))
     return MealyMachine(ctx=ctx, in_set=in_set, out_set=out_set,
                         mapping=pair(nxt, out))
 
@@ -113,8 +117,11 @@ def check_moore(m: MooreMachine) -> VerifyReport:
     """The three public-state equations, exhaustively: the coalgebra laws
     of `moore_to_coalgebra(m)`, on its components."""
     from .algebras import moore_law_violations
-    violations = moore_law_violations(m.ctx.ns, m.readout.table,
-                                      m.step.table)
+    try:
+        violations = moore_law_violations(m.ctx.ns, m.readout.table,
+                                          m.step.table)
+    except AttributeError:
+        check_types(m=(m, MooreMachine))
     return (failing("moore-laws", violations) if violations
             else passing("moore-laws"))
 
@@ -122,8 +129,11 @@ def check_moore(m: MooreMachine) -> VerifyReport:
 def moore_to_coalgebra(m: MooreMachine) -> CoalgebraStruct:
     """Bundle readout and step into a structure map B -> GB."""
     from .algebras import coalgebra_of_components
-    return coalgebra_of_components(m.ctx, m.state_set, m.readout.table,
-                                   m.step.table)
+    try:
+        return coalgebra_of_components(m.ctx, m.state_set, m.readout.table,
+                                       m.step.table)
+    except AttributeError:
+        check_types(m=(m, MooreMachine))
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +142,12 @@ def moore_to_coalgebra(m: MooreMachine) -> CoalgebraStruct:
 
 def check_policy(machine: MealyMachine) -> VerifyReport:
     """Idempotence of a square machine."""
-    if machine.in_set != machine.out_set:
-        raise ShapeError("idempotence needs matching input and output sets")
+    try:
+        if machine.in_set != machine.out_set:
+            raise ShapeError(
+                "idempotence needs matching input and output sets")
+    except AttributeError:
+        check_types(machine=(machine, MealyMachine))
     m = machine.mapping
     return equal_mor(compose(m, m), m, machine.ctx.config,
                      check="policy-idempotent")
@@ -143,9 +157,12 @@ def check_compliance(f: MealyMachine, phi: Policy,
                      psi: Policy) -> VerifyReport:
     """Sandwich equation and its split form, which must agree: the
     envelope hom report of the machine map between the policy maps."""
-    p, q = phi.machine, psi.machine
-    if p.in_set != f.in_set or q.in_set != f.out_set:
-        raise ShapeError("policies must sit on the machine's alphabets")
+    try:
+        p, q = phi.machine, psi.machine
+        if p.in_set != f.in_set or q.in_set != f.out_set:
+            raise ShapeError("policies must sit on the machine's alphabets")
+    except AttributeError:
+        check_types(f=(f, MealyMachine), phi=(phi, Policy), psi=(psi, Policy))
     return envelope_hom_report(f.mapping, p.mapping, q.mapping, f.ctx.config)
 
 
@@ -155,10 +172,13 @@ def check_consistency(f: MealyMachine, phi: Policy,
 
     Also evaluates compliance, from the same two composites, and records
     that compliance forces this equation on the instance."""
-    cfg = f.ctx.config
-    p, q = phi.machine, psi.machine
-    if p.in_set != f.in_set or q.in_set != f.out_set:
-        raise ShapeError("policies must sit on the machine's alphabets")
+    try:
+        cfg = f.ctx.config
+        p, q = phi.machine, psi.machine
+        if p.in_set != f.in_set or q.in_set != f.out_set:
+            raise ShapeError("policies must sit on the machine's alphabets")
+    except AttributeError:
+        check_types(f=(f, MealyMachine), phi=(phi, Policy), psi=(psi, Policy))
     fm, qm = f.mapping, q.mapping
     f_psi, phi_f = compose(fm, qm), compose(p.mapping, fm)
     inter = equal_mor(f_psi, phi_f, cfg, check="interchange")
@@ -181,7 +201,11 @@ def mealy_to_moore(phi: Policy) -> MooreMachine:
     lawful under the object condition, without which functor_l refuses."""
     from .algebras import coalgebra_components
     from .equivalence import functor_l, make_karm_object
-    k = make_karm_object(phi.machine.ctx, phi.alphabet, phi.mapping)
+    try:
+        p = phi.machine
+    except AttributeError:
+        check_types(phi=(phi, Policy))
+    k = make_karm_object(p.ctx, p.in_set, p.mapping)
     lres = functor_l(k)
     b, i, s = lres.splitting.mid, lres.splitting.i, k.ctx.state_space
     readout, step = coalgebra_components(lres.coalgebra)

@@ -57,7 +57,7 @@ class LawViolation(ValueError):
 
 
 class ObjectConditionError(ValueError):
-    """A machine-form projector fails the splitting-through-carrier condition."""
+    """A projector fails its object condition, or carves no lawful algebra."""
 
     def __init__(self, message: str, details: dict):
         super().__init__(message)

@@ -20,10 +20,10 @@ from finkar.algebras import (AlgebraStruct, SearchBoundExceeded,
                              _operation_args, _operation_ranks,
                              _preserves_operations, _preserves_sections,
                              _read_operations, algebra_hom_check,
-                             check_algebra, coretraction_of_split,
+                             carve_algebra, check_algebra,
+                             coretraction_of_split,
                              free_algebra, functor_h_mor, functor_k,
                              make_witness, search_sections)
-from finkar.equivalence import KarcObject, dual_l
 from finkar.finset import (EAGER_LIMIT, MATERIALIZE_LIMIT, Atom,
                            CheckConfig, Exp, Morphism, SeededRng,
                            ShapeError, check_ranks,
@@ -698,18 +698,20 @@ def test_functor_h_mor_squares_each_hom_once(monkeypatch):
 def test_transfer_routes_agree_with_the_routes_through_t_and_mu(ns, nx):
     """On a seeded projector on S x X with each fixed-point count,
     functor_k's structure q . S => (machine form of i) is the table of
-    q . mu . T i, and so is that of dual_l on the behavior projector
-    S => phi, whose carve K is, the coretraction T(q . eta) . i is that of
-    Tq . Teta . i, and the witness also satisfies sigma . alpha = S => pi
-    on TA (tests/oracles.py).  Where T(mid) is above EAGER_LIMIT (|S| = 3,
-    three fixed points and more) the structures are compared on the
-    default draws, and so is the TA identity above the cap."""
+    q . mu . T i, and so is that of carve_algebra on the behavior
+    projector S => phi, the carve K and the dual L share (dual_l refuses
+    an S => phi without the dual object condition), the coretraction
+    T(q . eta) . i is that of Tq . Teta . i, and the witness also
+    satisfies sigma . alpha = S => pi on TA (tests/oracles.py).  Where
+    T(mid) is above EAGER_LIMIT (|S| = 3, three fixed points and more) the
+    structures are compared on the default draws, and so is the TA
+    identity above the cap."""
     ctx = StateContext(Atom("S", ns))
     for nfix in range(1, ns * nx + 1):
         phi = _projector(ctx, nx, nfix, SeededRng(100 * ns + 10 * nx + nfix))
         x = phi.dom.right
         k = functor_k(ctx, x, phi)
-        d = dual_l(KarcObject(ctx, x, exp_mor(ctx, phi)))
+        d = carve_algebra(ctx, exp_mor(ctx, phi))
         for carve in (k, d):
             new = carve.algebra.structure
             old = tmu_split_structure(ctx, x, carve.splitting)

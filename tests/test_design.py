@@ -298,6 +298,66 @@ def test_every_export_is_reached_from_main():
 
 
 # ---------------------------------------------------------------------------
+# the element boundary
+
+# The modules whose entry points tests/test_finset.py's boundary test must
+# cover: each names a wrongly typed argument in a TypeError.
+BOUNDARY_MODULES = ("policy", "equivalence")
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether a class's constructor only stores its arguments on self
+    (`self.a, self.b = a, b`), so that no argument can fail there."""
+    def stores(stmt):
+        return isinstance(stmt, ast.Assign) and all(
+            isinstance(t, ast.Attribute)
+            and getattr(t.value, "id", None) == "self"
+            for target in stmt.targets
+            for t in getattr(target, "elts", [target])) and all(
+            isinstance(v, ast.Name)
+            for v in getattr(stmt.value, "elts", [stmt.value]))
+
+    return all(stores(stmt) for f in cls.body
+               if isinstance(f, _FUNCTIONS) and f.name == "__init__"
+               for stmt in f.body)
+
+
+def _entry_points(modules, roots, within) -> set[str]:
+    """The public functions, and the classes but records, of the modules
+    named in `within` that a walk from `roots` reaches (`_unreached`)."""
+    unreached = {(m, name) for m, name, _ in _unreached(modules, roots)}
+    return {stmt.name for m, tree in modules if m in within
+            for stmt in tree.body
+            if isinstance(stmt, _DEFINITIONS)
+            and not stmt.name.startswith("_")
+            and (m, stmt.name) not in unreached
+            and not (isinstance(stmt, ast.ClassDef) and _is_record(stmt))}
+
+
+def test_every_entry_point_main_reaches_has_a_boundary_case():
+    """Every public function and every constructor but a record's, of the
+    modules in BOUNDARY_MODULES, that cli.main reaches has a case in
+    `test_kernel_entry_points_refuse_a_wrong_argument_by_name`, so a new
+    entry point cannot answer a wrongly typed argument with a bare
+    AttributeError unseen.  The check itself skips a record and an
+    unreached or private definition, and keeps a class that validates."""
+    from test_finset import BOUNDARY_IDS
+    covered = {case.rsplit("-", 1)[0] for case in BOUNDARY_IDS}
+    points = _entry_points(_modules(), {"main"}, BOUNDARY_MODULES)
+    assert sorted(points - covered) == []
+    assert {"check_compliance", "dual_roundtrip", "Policy"} <= points
+    probe = ast.parse(
+        "def main():\n    return R(), V(), f(), _g()\n"
+        "class R:\n    def __init__(self, a, b):\n"
+        "        self.a, self.b = a, b\n"
+        "class V:\n    def __init__(self, a):\n"
+        "        self.a = a.b\n"
+        "def f(): pass\ndef _g(): pass\ndef unused(): pass\n")
+    assert _entry_points([("m", probe)], {"main"}, ("m",)) == {
+        "main", "V", "f"}
+
+
+# ---------------------------------------------------------------------------
 # options
 
 # The only options that no call in the package or the benchmark sets, each

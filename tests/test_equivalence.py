@@ -3,23 +3,22 @@ from itertools import combinations, product
 
 import pytest
 
-from finkar.algebras import (AlgebraStruct, check_coalgebra,
+from finkar.algebras import (AlgebraStruct, carve_algebra, check_coalgebra,
                              consistent_hom_check, free_algebra, functor_h,
                              karm_retraction, make_witness,
                              moore_law_violations, search_sections)
 from finkar.equivalence import (ObjectConditionError, dual_l, dual_l_mor,
                                 dual_lr_identity_report, dual_r, dual_r_mor,
                                 dual_roundtrip, functor_l, functor_l_mor,
-                                functor_r, functor_r_mor,
-                                karc_object_condition, lr_identity_report,
+                                functor_r, functor_r_mor, lr_identity_report,
                                 make_karc_object, make_karm_object,
                                 roundtrip_rl)
-from finkar.finset import (Atom, Morphism, Prod, compose, equal_mor,
-                           identity)
+from finkar.finset import (Atom, Morphism, Prod, SeededRng, compose,
+                           equal_mor, identity)
 from finkar.policy import MooreMachine, moore_to_coalgebra
 from finkar.report import LawViolation
-from finkar.statemonad import (StateContext, g_mor, g_obj, mu, prod_obj,
-                               t_obj)
+from finkar.statemonad import (StateContext, eta, exp_mor, g_mor, g_obj,
+                               mealy_of_kleisli, mu, prod_obj, t_obj)
 
 from oracles import (brute_force_moore_machines, naive_moore_tables,
                      nucleus_objects, nucleus_objects_back,
@@ -310,31 +309,104 @@ def test_object_condition_counts_on_the_constructed_sections(ctx2):
         assert all(roundtrip_rl(k).report.passed for k in meet)
 
 
-def test_dual_object_condition_gap_census(ctx1, ctx2):
-    """The dual side keeps its gap: keyed by (karc_object_condition,
-    lawful carve, dual_roundtrip passes), the idempotents on TB split
-    (T,T,T) 2, (T,T,F) 2, (F,T,F) 1, (F,F,F) 36 at |S| = 2, |B| = 1, and
-    (T,T,T) 1 against (F,T,F) 1 and 9 at |S| = 1, |B| = 2 and 3.  So the
-    splitting count and a lawful carve together do not decide the dual
-    round trip."""
-    def census(ctx, nb):
-        b = Atom("B", nb)
-        tb = t_obj(ctx, b)
-        counts = Counter()
-        for table in product(range(tb.card), repeat=tb.card):
-            if any(table[v] != v for v in table):
-                continue
-            k = make_karc_object(ctx, b, Morphism(tb, tb, table=list(table)))
-            counts[karc_object_condition(k).passed,
-                   dual_l(k, require_lawful=False).laws.passed,
-                   dual_roundtrip(k).report.passed] += 1
-        return counts
+def _idempotents_on_tb(ctx, b):
+    """Every idempotent on TB, by brute force over its tables."""
+    tb = t_obj(ctx, b)
+    for table in product(range(tb.card), repeat=tb.card):
+        if all(table[v] == v for v in table):
+            yield Morphism(tb, tb, table=list(table))
+
+
+def _algebra_conjugates(ctx, b, draws):
+    """(S => h) . eta . r . (S => h)^-1 on TB for seeded draws, with
+    whether r is an algebra: h a bijection of S x B, r one of the
+    algebras on B on even draws, and on odd ones such an r with one entry
+    off the image of eta changed, so that eta . r stays idempotent."""
+    tb, sb, unit = t_obj(ctx, b), prod_obj(ctx, b), eta(ctx, b)
+    algs = transported_algebras(ctx, 2, b)
+    off = [t for t in range(tb.card) if t not in unit.table]
+    for seed in range(draws):
+        rng = SeededRng(seed)
+        r = list(rng.choice(algs).table)
+        if seed % 2:
+            t = rng.choice(off)
+            r[t] = rng.choice([v for v in range(b.card) if v != r[t]])
+        h = rng.shuffled(list(range(sb.card)))
+        sh = exp_mor(ctx, Morphism(sb, sb, table=h))
+        sh_inv = exp_mor(ctx, Morphism(sb, sb, table=sorted(
+            range(sb.card), key=h.__getitem__)))
+        yield compose(compose(compose(sh_inv, Morphism(tb, b, table=r)),
+                              unit), sh), seed % 2 == 0
+
+
+def test_dual_object_condition_decides_the_round_trip(ctx1, ctx2):
+    """Keyed by (k.condition, lawful carve, dual_roundtrip passes), the
+    idempotents on TB split (T,T,T) 2, (F,T,F) 3, (F,F,F) 36 at |S| = 2,
+    |B| = 1, and (T,T,T) 1 against (F,T,F) 2 and 9 at |S| = 1, |B| = 2
+    and 3.  Of the 27 constant projectors at |S| = 3, |B| = 1, the 6 whose
+    value is a bijection of states meet the condition, and all carve the
+    one algebra on 1.  The seeded conjugates of eta . r at |S| = 2,
+    |B| = 4 all meet it, and their carve is lawful exactly when r is an
+    algebra.  No case is (T,T,F): with a lawful carve the condition decides
+    the dual round trip (the proof is make_karc_object's docstring)."""
+    def key(ctx, b, psi):
+        k = make_karc_object(ctx, b, psi)
+        return (k.condition.passed, carve_algebra(ctx, psi).laws.passed,
+                dual_roundtrip(k).report.passed)
+
+    def census(ctx, b, projectors):
+        return Counter(key(ctx, b, psi) for psi in projectors)
 
     t, f = True, False
-    assert census(ctx2, 1) == {(t, t, t): 2, (t, t, f): 2, (f, t, f): 1,
-                               (f, f, f): 36}
-    assert census(ctx1, 2) == {(t, t, t): 1, (f, t, f): 2}
-    assert census(ctx1, 3) == {(t, t, t): 1, (f, t, f): 9}
+    ctx3, b1 = StateContext(Atom("S", 3)), Atom("B", 1)
+    tb3 = t_obj(ctx3, b1)
+    b4 = Atom("B", 4)
+    conjugates = list(_algebra_conjugates(ctx2, b4, 40))
+    conjugate_keys = [key(ctx2, b4, psi) for psi, _ in conjugates]
+    assert [lawful for _, lawful, _ in conjugate_keys] == [
+        algebra for _, algebra in conjugates]
+    counts = [
+        (census(ctx2, b1, _idempotents_on_tb(ctx2, b1)),
+         {(t, t, t): 2, (f, t, f): 3, (f, f, f): 36}),
+        (census(ctx1, Atom("B", 2), _idempotents_on_tb(ctx1, Atom("B", 2))),
+         {(t, t, t): 1, (f, t, f): 2}),
+        (census(ctx1, Atom("B", 3), _idempotents_on_tb(ctx1, Atom("B", 3))),
+         {(t, t, t): 1, (f, t, f): 9}),
+        (census(ctx3, b1, [Morphism(tb3, tb3, table=[v] * tb3.card)
+                           for v in range(tb3.card)]),
+         {(t, t, t): 6, (f, t, f): 21}),
+        (Counter(conjugate_keys), {(t, t, t): 20, (t, f, f): 20}),
+    ]
+    for got, want in counts:
+        assert got == want
+        assert (t, t, f) not in got
+        assert all((c and lawful) == rt for c, lawful, rt in got)
+
+
+def test_dual_object_condition_witnesses_one_collision(ctx2):
+    """A failing dual condition carries the count and, on a collision of
+    the machine form of the fixed points, one witness with two colliding
+    ranks of S x Fix; dual_l refuses it with both."""
+    b = Atom("B", 2)
+    tb = t_obj(ctx2, b)
+    k = make_karc_object(ctx2, b, identity(tb))
+    counts = {"image_card": 16, "carrier_card": 2, "fixed_points": 16}
+    count, collision = k.condition.witnesses
+    assert count == counts and k.condition.details == counts
+    assert collision["clause"] == "fixed-points-bijective"
+    p, q = collision["pairs"]
+    fix = Atom("im(16)", 16)
+    h = mealy_of_kleisli(ctx2, Morphism(fix, tb, table=list(range(16))))
+    assert p < q and h(p) == h(q)
+    with pytest.raises(ObjectConditionError) as exc:
+        dual_l(k)
+    assert exc.value.details == {**counts,
+                                 "witnesses": [counts, collision]}
+    # the one fixed point eta(b0): h is injective, and the count breaks
+    unit = eta(ctx2, b)(0)
+    one = make_karc_object(ctx2, b, Morphism(tb, tb, table=[unit] * tb.card))
+    assert one.condition.witnesses == [
+        {"image_card": 1, "carrier_card": 2, "fixed_points": 1}]
 
 
 def test_functor_l_mor_identity_and_r_images(ctx2):
@@ -414,7 +486,7 @@ def test_dual_r_on_free_algebra(ctx2):
     fa = free_algebra(ctx2, Atom("X", 1))
     k = dual_r(fa)
     assert equal_mor(compose(k.projector, k.projector), k.projector).passed
-    assert karc_object_condition(k).passed
+    assert k.condition.passed
 
 
 def test_dual_r_singleton_state(ctx1):
@@ -469,8 +541,8 @@ def test_dual_l_identity_projector_gives_free_algebra(ctx2):
     b = Atom("B", 2)
     tb = t_obj(ctx2, b)
     k = make_karc_object(ctx2, b, identity(tb))
-    assert not karc_object_condition(k).passed
-    res = dual_l(k, require_lawful=False)
+    assert not k.condition.passed
+    res = carve_algebra(ctx2, k.projector)
     assert res.laws.passed
     assert res.algebra.carrier.card == 16
     # the splitting mono is the identity relabeling, so the carved
@@ -490,8 +562,8 @@ def test_dual_l_condition_passing_but_lawless(ctx2):
     b = Atom("B", 2)
     tb = t_obj(ctx2, b)
     k = make_karc_object(ctx2, b, Morphism(tb, tb, table=LAWLESS_FILTER))
-    assert karc_object_condition(k).passed
-    res = dual_l(k, require_lawful=False)
+    assert k.condition.passed
+    res = carve_algebra(ctx2, k.projector)
     assert not res.laws.passed
     with pytest.raises(ObjectConditionError):
         dual_l(k)
@@ -508,7 +580,7 @@ def test_nucleus_objects_on_fixture(ctx2, e1_moore):
     assert nk.carrier.card == 4
     assert nk.projector.dom.card == 64
     assert compose(nk.projector, nk.projector).table == nk.projector.table
-    assert karc_object_condition(nk).passed
+    assert nk.condition.passed
     back = nucleus_objects_back(nk)
     assert back.condition.passed
     proj = back.projector

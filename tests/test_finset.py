@@ -23,8 +23,14 @@ from finkar.finset import (BLOCK, EAGER_LIMIT, KEEP_DRAWS, Atom,
                            lift, lift_at, lift_square, pair, random_morphism,
                            rows, snd, splitmix64)
 from finkar.algebras import AlgebraStruct, CoalgebraStruct, search_sections
-from finkar.equivalence import make_karc_object, make_karm_object
-from finkar.policy import MealyMachine, MooreMachine, Policy
+from finkar.equivalence import (dual_l, dual_lr_identity_report, dual_r,
+                                dual_roundtrip, functor_l, functor_r,
+                                lr_identity_report, make_karc_object,
+                                make_karm_object, roundtrip_rl)
+from finkar.policy import (MealyMachine, MooreMachine, Policy,
+                           check_compliance, check_consistency, check_moore,
+                           check_policy, mealy_from_components,
+                           mealy_to_moore, moore_to_coalgebra)
 from finkar.report import VerifyReport, combine, passing
 from finkar.statemonad import (StateContext, kleisli_of_mealy,
                                mealy_of_kleisli, transpose_down, transpose_up)
@@ -1123,6 +1129,33 @@ def test_pair_reads_a_fn_factor_range_checked():
 SA = Prod(Atom("S", 2), Atom("A", 2))
 SQ = Morphism(SA, Atom("A", 2), table=[0, 1, 0, 1])
 CTX = StateContext(Atom("S", 2))
+# a square machine on A that is a policy, for the policy cases below
+SM = MealyMachine(CTX, Atom("A", 2), Atom("A", 2), identity(SA))
+SP = Policy(SM)
+
+# one case per entry point and argument below; the entry points of policy
+# and equivalence that cli.main reaches must each have one
+# (tests/test_design.py)
+BOUNDARY_IDS = [
+    "compose-g", "compose-f", "equal_mor-config", "pair-g",
+    "image_factor-f", "lift-f", "lift_at-f", "lift_square-g",
+    "lift_square-config", "fst-p", "snd-p", "inverse-m", "fibers-m",
+    "identity-obj", "from_blocks-dom", "from_blocks-cod", "Morphism-dom",
+    "Morphism-cod", "Morphism.lazy-dom", "random_morphism-dom",
+    "random_morphism-rng", "check_ranks-config", "envelope_hom_report-phi",
+    "envelope_holds-psi", "rows-table", "rows-n", "transpose_up-f",
+    "transpose_up-ctx", "transpose_down-f", "mealy_of_kleisli-f",
+    "kleisli_of_mealy-f", "make_karm_object-phi", "make_karm_object-carrier",
+    "make_karc_object-ctx", "make_karc_object-carrier", "AlgebraStruct-ctx",
+    "AlgebraStruct-carrier", "AlgebraStruct-structure", "CoalgebraStruct-ctx",
+    "CoalgebraStruct-carrier", "CoalgebraStruct-structure",
+    "search_sections-a", "StateContext-config", "StateContext-state_space",
+    "MealyMachine-ctx", "MealyMachine-mapping", "MealyMachine-in_set",
+    "Policy-machine", "MooreMachine-readout", "check_compliance-psi",
+    "check_consistency-phi", "check_policy-machine", "mealy_to_moore-phi",
+    "mealy_from_components-nxt", "check_moore-m", "moore_to_coalgebra-m",
+    "functor_r-c", "functor_l-k", "roundtrip_rl-k", "lr_identity_report-c",
+    "dual_r-a", "dual_l-k", "dual_roundtrip-k", "dual_lr_identity_report-a"]
 
 
 @pytest.mark.parametrize("call, name, value", [
@@ -1175,23 +1208,22 @@ CTX = StateContext(Atom("S", 2))
     (lambda m: MealyMachine(CTX, 5, m.dom, SQ), "in_set", "5"),
     (lambda m: Policy(5), "machine", "5"),
     (lambda m: MooreMachine(CTX, m.dom, 5, m), "readout", "5"),
-], ids=["compose-g", "compose-f", "equal_mor-config", "pair-g",
-        "image_factor-f", "lift-f", "lift_at-f", "lift_square-g",
-        "lift_square-config", "fst-p", "snd-p", "inverse-m", "fibers-m",
-        "identity-obj", "from_blocks-dom", "from_blocks-cod",
-        "Morphism-dom", "Morphism-cod", "Morphism.lazy-dom",
-        "random_morphism-dom", "random_morphism-rng", "check_ranks-config",
-        "envelope_hom_report-phi", "envelope_holds-psi", "rows-table",
-        "rows-n", "transpose_up-f", "transpose_up-ctx", "transpose_down-f",
-        "mealy_of_kleisli-f", "kleisli_of_mealy-f", "make_karm_object-phi",
-        "make_karm_object-carrier", "make_karc_object-ctx",
-        "make_karc_object-carrier", "AlgebraStruct-ctx",
-        "AlgebraStruct-carrier", "AlgebraStruct-structure",
-        "CoalgebraStruct-ctx", "CoalgebraStruct-carrier",
-        "CoalgebraStruct-structure", "search_sections-a",
-        "StateContext-config", "StateContext-state_space", "MealyMachine-ctx",
-        "MealyMachine-mapping", "MealyMachine-in_set", "Policy-machine",
-        "MooreMachine-readout"])
+    (lambda m: check_compliance(SM, SP, 5), "psi", "5"),
+    (lambda m: check_consistency(SM, "phi", SP), "phi", "'phi'"),
+    (lambda m: check_policy(None), "machine", "None"),
+    (lambda m: mealy_to_moore(SM.mapping.table), "phi", r"\[0, 1, 2, 3\]"),
+    (lambda m: mealy_from_components(CTX, m.dom, m.dom, 5, SQ), "nxt", "5"),
+    (lambda m: check_moore(5), "m", "5"),
+    (lambda m: moore_to_coalgebra("moore"), "m", "'moore'"),
+    (lambda m: functor_r(5), "c", "5"),
+    (lambda m: functor_l(None), "k", "None"),
+    (lambda m: roundtrip_rl(5), "k", "5"),
+    (lambda m: lr_identity_report([0]), "c", r"\[0\]"),
+    (lambda m: dual_r(5), "a", "5"),
+    (lambda m: dual_l("k"), "k", "'k'"),
+    (lambda m: dual_roundtrip(5), "k", "5"),
+    (lambda m: dual_lr_identity_report(None), "a", "None"),
+], ids=BOUNDARY_IDS)
 def test_kernel_entry_points_refuse_a_wrong_argument_by_name(call, name,
                                                              value):
     """compose, equal_mor, pair, image_factor, lift, lift_at,
@@ -1199,12 +1231,14 @@ def test_kernel_entry_points_refuse_a_wrong_argument_by_name(call, name,
     Morphism constructors, random_morphism, check_ranks, the envelope
     entry points, rows, statemonad's transposes and machine-form
     conversions, the algebra and coalgebra constructors,
-    search_sections, the equivalence's object constructors, StateContext
-    and the machine and policy constructors refuse an argument that is not
-    a Morphism (or a CheckConfig, a Prod, a FinSetObj, a SeededRng, a
-    Sequence, an int, a StateContext or a MealyMachine) with a TypeError
-    naming it, not an AttributeError or a TypeError from inside or a name
-    of a callee's parameter."""
+    search_sections, the equivalence's object constructors, functors and
+    round trips, StateContext, the machine and policy constructors, and
+    the policy checks and conversions refuse an argument that is not a
+    Morphism (or a CheckConfig, a Prod, a FinSetObj, a SeededRng, a
+    Sequence, an int, a StateContext, a MealyMachine, a Policy, a
+    MooreMachine, an algebra or coalgebra structure or an object) with a
+    TypeError naming it, not an AttributeError or a TypeError from inside
+    or a name of a callee's parameter."""
     m = identity(Atom("A", 2))
     with pytest.raises(TypeError, match=rf"^{name} must be of type \w+, "
                                         rf"got {value}$"):

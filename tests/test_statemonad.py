@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from finkar.algebras import _operation_ranks
-from finkar.equivalence import KarcObject
+from finkar.equivalence import make_karc_object
 from finkar import finset
 from finkar import statemonad as SM
 from finkar.finset import (EAGER_LIMIT, Atom, CheckConfig, Exp, Morphism,
@@ -151,7 +151,7 @@ def _nucleus_case(ns, nb, nfix):
     elements."""
     ctx = StateContext(Atom("S", ns))
     tb = t_obj(ctx, Atom("B", nb))
-    k = KarcObject(ctx, Atom("B", nb), Morphism(
+    k = make_karc_object(ctx, Atom("B", nb), Morphism(
         tb, tb, table=[r if r < nfix else 0 for r in range(tb.card)]))
     mid = Atom(f"im({nfix})", nfix)
     return (f"nucleus_back S={ns} C={nfix}",

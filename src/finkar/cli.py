@@ -50,21 +50,18 @@ def _pointer(*tokens) -> str:
 class SpecFile:
     """A validated problem file: labeled sets, machines, policies, tasks.
 
-    By name: `sets` holds each set's element labels, `machines` each
-    machine's description dict, `policies` each policy's machine name,
-    `machine_index` each machine's position and `tables` its rank tables.
+    By name, in the order of the file: `sets` holds each set's element
+    labels, `machines` each machine's description dict, `policies` each
+    policy's machine name and `tables` each machine's rank tables.
     """
 
     __slots__ = ("sets", "machines", "policies", "tasks", "state_set",
-                 "machine_index", "tables")
+                 "tables")
 
     def __init__(self, sets: dict, machines: dict, policies: dict,
-                 tasks: list, state_set: str,
-                 machine_index: dict | None = None, tables: dict | None = None):
+                 tasks: list, state_set: str, tables: dict):
         self.sets, self.machines, self.policies = sets, machines, policies
-        self.tasks, self.state_set = tasks, state_set
-        self.machine_index = {} if machine_index is None else machine_index
-        self.tables = {} if tables is None else tables
+        self.tasks, self.state_set, self.tables = tasks, state_set, tables
 
 
 def canonical_json(data) -> str:
@@ -165,7 +162,7 @@ def parse_spec(raw: bytes | str) -> SpecFile:
         raise SpecError(_pointer("sets", state_set),
                         "the state set must be nonempty")
 
-    machines, machine_index, tables = {}, {}, {}
+    machines, tables = {}, {}
     for idx, m in enumerate(_objects(data, "machines")):
         ptr = ("machines", idx)
         name = m.get("name")
@@ -179,7 +176,7 @@ def parse_spec(raw: bytes | str) -> SpecFile:
             tables[name] = _validate_moore(ptr, m, ranks)
         else:
             raise SpecError(_pointer(*ptr, "kind"), f"unknown kind {kind!r}")
-        machines[name], machine_index[name] = m, idx
+        machines[name] = m
 
     policies = {}
     for idx, p in enumerate(_objects(data, "policies")):
@@ -198,8 +195,7 @@ def parse_spec(raw: bytes | str) -> SpecFile:
     for idx, t in enumerate(tasks):
         _validate_task(idx, t)
     return SpecFile(sets=sets, machines=machines, policies=policies,
-                    tasks=tasks, state_set=state_set,
-                    machine_index=machine_index, tables=tables)
+                    tasks=tasks, state_set=state_set, tables=tables)
 
 
 def _objects(data: dict, key: str) -> list:
@@ -351,14 +347,18 @@ class Env:
         self.spec, self.ctx, self._made = spec, ctx, {}
 
     def atom(self, name: str) -> Atom:
-        return Atom(name, len(self.spec.sets[name]))
+        try:
+            return Atom(name, len(self.spec.sets[name]))
+        except KeyError:
+            raise SpecError(_pointer("sets"), f"unknown set {name!r}") from None
 
     def _machine(self, name: str, kind: str, over: str) -> dict:
         """Machine `name`, which must be of `kind` and have the spec's
         state set under `over`."""
         if name not in self.spec.machines:
             raise SpecError(_pointer("machines"), f"unknown machine {name!r}")
-        m, idx = self.spec.machines[name], self.spec.machine_index[name]
+        m = self.spec.machines[name]
+        idx = list(self.spec.machines).index(name)
         if m.get("kind", "mealy") != kind:
             raise SpecError(_pointer("machines", idx),
                             f"expected a {kind} machine")
@@ -442,8 +442,11 @@ def run_command(task: dict, env: Env) -> VerifyReport:
         inner = VerifyReport(check=cmd, status="fail",
                              witnesses=_violations(exc.report),
                              sub=[exc.report], details={"reason": str(exc)})
-    except (SpecError, ValueError, KeyError) as exc:
+    except ValueError as exc:
         inner = erroring(cmd, str(exc))
+    except KeyError as exc:
+        # parse_spec and Env name every other lookup: this is a task field
+        inner = erroring(cmd, f"{cmd} needs the task field {exc.args[0]!r}")
     return _apply_expectation(task, inner)
 
 

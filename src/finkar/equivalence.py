@@ -4,8 +4,10 @@ dual between behavior-level projectors and algebras.
 Splittings are canonical everywhere (fixed points ascending), so the
 coalgebra->projector->coalgebra round trip is the identity under a forced
 carrier bijection, while the other round trip is witnessed by explicit
-mutually inverse consistent isos.  Both sides decide their object
-condition in the constructor (`make_karm_object`, `make_karc_object`).
+mutually inverse consistent isos.  An object of either side is a
+KaroubiObject, a carrier and an idempotent over it; `make_karm_object`
+(on S x X) and `make_karc_object` (on TB) build it, each deciding its
+side's object condition.
 """
 
 from __future__ import annotations
@@ -26,19 +28,10 @@ from .statemonad import (StateContext, eps, eta, exp_mor, exp_obj,
                          transpose_up)
 
 
-class KarmObject:
-    """A carrier X, an idempotent machine-form map on S x X, its condition."""
-
-    __slots__ = ("ctx", "carrier", "projector", "condition")
-
-    def __init__(self, ctx: StateContext, carrier: FinSetObj,
-                 projector: Morphism, condition: VerifyReport):
-        self.ctx, self.carrier, self.projector = ctx, carrier, projector
-        self.condition = condition
-
-
-class KarcObject:
-    """A carrier B, an idempotent behavior-level map on TB, its condition."""
+class KaroubiObject:
+    """A carrier, an idempotent projector over it, and its object condition:
+    machine-form on S x X (make_karm_object) or behavior-level on TB
+    (make_karc_object), each of which decides its own clauses."""
 
     __slots__ = ("ctx", "carrier", "projector", "condition")
 
@@ -49,18 +42,16 @@ class KarcObject:
 
 
 class EquivWitness:
-    """Outcome of a round trip: the image object, the iso pair, reports."""
+    """Outcome of a round trip: the forward iso and the report."""
 
-    __slots__ = ("obj", "forward", "backward", "report")
+    __slots__ = ("forward", "report")
 
-    def __init__(self, obj: object, forward: Morphism, backward: Morphism,
-                 report: VerifyReport):
-        self.obj, self.forward, self.backward = obj, forward, backward
-        self.report = report
+    def __init__(self, forward: Morphism, report: VerifyReport):
+        self.forward, self.report = forward, report
 
 
 def make_karm_object(ctx: StateContext, carrier: FinSetObj,
-                     phi: Morphism) -> KarmObject:
+                     phi: Morphism) -> KaroubiObject:
     """An idempotent phi on S x X, with the object condition decided on
     phi alone: (1) |Fix phi| ** |S| = |X|; (2) the transpose of phi is
     injective; (3) |Fix phi| = |S| |X0|, X0 the inputs of the fixed pairs;
@@ -81,7 +72,7 @@ def make_karm_object(ctx: StateContext, carrier: FinSetObj,
                   if len(xs) > 1][:1]
         if len(fixed) != ctx.ns * nx0:
             broken.append({"clause": "fixed=S x inputs", "inputs": nx0})
-        return KarmObject(ctx, carrier, phi, splitting_condition(
+        return KaroubiObject(ctx, carrier, phi, splitting_condition(
             "karm-object-condition", carrier, len(fixed), ctx.ns, broken))
     except (AttributeError, TypeError):
         check_types(ctx=(ctx, StateContext), carrier=(carrier, FinSetObj),
@@ -89,21 +80,22 @@ def make_karm_object(ctx: StateContext, carrier: FinSetObj,
 
 
 def make_karc_object(ctx: StateContext, carrier: FinSetObj,
-                     phi: Morphism) -> KarcObject:
+                     phi: Morphism) -> KaroubiObject:
     """An idempotent phi = i . q on TB, split on its whole table, and its
     condition: (a) the machine form h: S x Fix -> S x B of i, (s, k) |->
     t_k(s), is a bijection (so |Fix| = |B|); a collision gives one witness,
     two ranks of S x Fix.  (a) and a lawful carve hold iff dual_roundtrip
-    passes: (S => h) . eta = i and the carve is r = q . (S => h), so the
-    forward square phi . (S => h) = (S => h) . eta . r always holds; under
-    (a) it conjugates to the backward one, and forward-bijective is (a)."""
+    passes, whose forward-bijective leaf is (a), so its two squares need
+    no check: (S => h) . eta = i and the carve is r = q . (S => h), so the
+    forward square phi . (S => h) = (S => h) . eta . r always holds, and
+    under (a) it conjugates to the backward one."""
     try:
         if phi.dom != t_obj(ctx, carrier) or phi.cod != phi.dom:
             raise ShapeError("projector must be an endo on T(carrier)")
         h = mealy_of_kleisli(ctx, split_idempotent(phi).i)
         broken = [{"clause": "fixed-points-bijective", "pairs": ps[:2]}
                   for ps in fibers(h).values() if len(ps) > 1][:1]
-        return KarcObject(ctx, carrier, phi, splitting_condition(
+        return KaroubiObject(ctx, carrier, phi, splitting_condition(
             "karc-object-condition", carrier, h.dom.right.card, 1, broken))
     except (AttributeError, TypeError):
         check_types(ctx=(ctx, StateContext), carrier=(carrier, FinSetObj),
@@ -114,7 +106,7 @@ def make_karc_object(ctx: StateContext, carrier: FinSetObj,
 # coalgebras <-> machine-form projectors
 
 
-def functor_r(c: CoalgebraStruct) -> KarmObject:
+def functor_r(c: CoalgebraStruct) -> KaroubiObject:
     """A coalgebra becomes the projector structure-after-counit on S x (S=>B)."""
     try:
         rep = check_coalgebra(c)
@@ -154,19 +146,13 @@ class LResult:
         self.coalgebra, self.splitting = coalgebra, splitting
 
 
-def functor_l(k: KarmObject) -> LResult:
+def functor_l(k: KaroubiObject) -> LResult:
     """Split a machine-form projector into its public-pair coalgebra.
 
     Refuses a projector failing the object condition, with the
     condition's details and witnesses; with it the coalgebra is lawful.
     """
-    try:
-        if not k.condition.passed:
-            raise ObjectConditionError(
-                "projector does not split back through its carrier",
-                {**k.condition.details, "witnesses": k.condition.witnesses})
-    except AttributeError:
-        check_types(k=(k, KarmObject))
+    _require_condition(k)
     ctx = k.ctx
     s = split_idempotent(k.projector)
     # the public pair (st, x) reads out st and steps at t to q(t, x): the
@@ -176,7 +162,8 @@ def functor_l(k: KarmObject) -> LResult:
     return LResult(coalgebra=co, splitting=s)
 
 
-def functor_l_mor(f: Morphism, k1: KarmObject, k2: KarmObject) -> Morphism:
+def functor_l_mor(f: Morphism, k1: KaroubiObject,
+                  k2: KaroubiObject) -> Morphism:
     """A consistent carrier map induces a map of public-pair coalgebras."""
     ctx = k1.ctx
     if not consistent_hom_check(ctx, f, k1.projector, k2.projector).passed:
@@ -188,7 +175,7 @@ def functor_l_mor(f: Morphism, k1: KarmObject, k2: KarmObject) -> Morphism:
     return lf
 
 
-def roundtrip_rl(k: KarmObject) -> EquivWitness:
+def roundtrip_rl(k: KaroubiObject) -> EquivWitness:
     """Verify that a valid projector is isomorphic to its round-trip image.
 
     The forward iso is the transpose of the splitting epi; its inverse is
@@ -212,8 +199,7 @@ def roundtrip_rl(k: KarmObject) -> EquivWitness:
         equal_mor(compose(q_dbl, q_prime), identity(rl.carrier), cfg,
                   check="forward.backward=id"),
     ]
-    return EquivWitness(obj=rl, forward=q_prime, backward=q_dbl,
-                        report=combine("roundtrip-rl", subs))
+    return EquivWitness(forward=q_prime, report=combine("roundtrip-rl", subs))
 
 
 def lr_identity_report(c: CoalgebraStruct) -> VerifyReport:
@@ -233,7 +219,7 @@ def lr_identity_report(c: CoalgebraStruct) -> VerifyReport:
     else:
         subs.append(passing("public-pairs-are-structure-values"))
     sigma = compose(lres.splitting.i, eps(ctx, c.carrier))
-    subs.append(_bijection_leaf("bijection", sigma)[0])
+    subs.append(_bijection_leaf("bijection", sigma))
     subs.append(coalgebra_hom_report(sigma, lres.coalgebra, c,
                                      check="structure-transport"))
     return combine("lr-identity", subs)
@@ -243,7 +229,7 @@ def lr_identity_report(c: CoalgebraStruct) -> VerifyReport:
 # dual: algebras <-> behavior-level projectors
 
 
-def dual_r(a: AlgebraStruct) -> KarcObject:
+def dual_r(a: AlgebraStruct) -> KaroubiObject:
     """An algebra becomes the projector unit-after-structure on TA."""
     try:
         rep = check_algebra(a)
@@ -269,18 +255,12 @@ def dual_r_mor(f: Morphism, a1: AlgebraStruct, a2: AlgebraStruct) -> Morphism:
     return g
 
 
-def dual_l(k: KarcObject) -> SplitAlgebra:
+def dual_l(k: KaroubiObject) -> SplitAlgebra:
     """Split a behavior-level projector into an algebra on its fixed points
     by carve_algebra, which functor_k runs at S => phi; refuses an object
     without its condition, with the condition's details and witnesses, and
     a carve that breaks the algebra laws."""
-    try:
-        if not k.condition.passed:
-            raise ObjectConditionError(
-                "projector does not split back through its carrier",
-                {**k.condition.details, "witnesses": k.condition.witnesses})
-    except AttributeError:
-        check_types(k=(k, KarcObject))
+    _require_condition(k)
     res = carve_algebra(k.ctx, k.projector)
     if not res.laws.passed:
         raise ObjectConditionError(
@@ -289,7 +269,8 @@ def dual_l(k: KarcObject) -> SplitAlgebra:
     return res
 
 
-def dual_l_mor(g: Morphism, k1: KarcObject, k2: KarcObject) -> Morphism:
+def dual_l_mor(g: Morphism, k1: KaroubiObject,
+               k2: KaroubiObject) -> Morphism:
     """A consistent machine-form map induces a hom of the carved algebras:
     functor_k's arrow part between the two carves."""
     ctx = k1.ctx
@@ -303,57 +284,57 @@ def dual_lr_identity_report(a: AlgebraStruct) -> VerifyReport:
     lres = dual_l(dual_r(a))  # first, so that it names a wrong a
     ctx = a.ctx
     sigma = compose(lres.splitting.i, a.structure)
-    subs = [_bijection_leaf("bijection", sigma)[0]]
+    subs = [_bijection_leaf("bijection", sigma)]
     subs.append(equal_mor(compose(t_mor(ctx, sigma), a.structure),
                           compose(lres.algebra.structure, sigma),
                           ctx.config, check="structure-transport"))
     return combine("dual-lr-identity", subs)
 
 
-def dual_roundtrip(k: KarcObject) -> EquivWitness:
+def dual_roundtrip(k: KaroubiObject) -> EquivWitness:
     """Verify a behavior-level projector against its round-trip image: the
-    machine form of the splitting mono must be a bijection whose inverse
-    meets the mirrored square.  It passes iff the carve is lawful and the
-    object meets its condition (make_karc_object)."""
+    carve's laws, then forward-bijective, that the machine form i' of the
+    splitting mono is a bijection.  It passes iff the carve is lawful and
+    the object meets its condition.  Neither intertwining square is
+    computed: by the proof in make_karc_object, S => i' carries the
+    image's projector to phi on every lawful carve, and its inverse
+    carries phi back whenever i' is a bijection."""
     try:
         ctx = k.ctx
         lres = carve_algebra(ctx, k.projector)
     except AttributeError:
-        check_types(k=(k, KarcObject))
+        check_types(k=(k, KaroubiObject))
     i_prime = mealy_of_kleisli(ctx, lres.splitting.i)
     subs = [lres.laws]
-    if not lres.laws.passed:
-        return EquivWitness(obj=None, forward=i_prime, backward=i_prime,
-                            report=combine("dual-roundtrip", subs))
-    rl = dual_r(lres.algebra)
-    subs.append(_exp_square(ctx, i_prime, rl.projector, k.projector,
-                            check="forward-intertwines"))
-    leaf, i_dbl = _bijection_leaf("forward-bijective", i_prime)
-    subs.append(leaf)
-    if i_dbl is None:
-        return EquivWitness(obj=rl, forward=i_prime, backward=i_prime,
-                            report=combine("dual-roundtrip", subs))
-    subs.append(_exp_square(ctx, i_dbl, k.projector, rl.projector,
-                            check="backward-intertwines"))
-    return EquivWitness(obj=rl, forward=i_prime, backward=i_dbl,
+    if lres.laws.passed:
+        subs.append(_bijection_leaf("forward-bijective", i_prime))
+    return EquivWitness(forward=i_prime,
                         report=combine("dual-roundtrip", subs))
 
 
+def _require_condition(k: KaroubiObject) -> None:
+    """Refuse an object without its condition, with the condition's
+    details and witnesses."""
+    try:
+        if not k.condition.passed:
+            raise ObjectConditionError(
+                "projector does not split back through its carrier",
+                {**k.condition.details, "witnesses": k.condition.witnesses})
+    except AttributeError:
+        check_types(k=(k, KaroubiObject))
+
+
 def _exp_square(ctx: StateContext, g: Morphism, phi: Morphism,
-                psi: Morphism, *, check: str = "equal") -> VerifyReport:
+                psi: Morphism) -> VerifyReport:
     """Does S => g carry phi to psi?  phi . (S => g) against
     (S => g) . psi."""
     lifted = exp_mor(ctx, g)
-    return equal_mor(compose(phi, lifted), compose(lifted, psi), ctx.config,
-                     check=check)
+    return equal_mor(compose(phi, lifted), compose(lifted, psi), ctx.config)
 
 
-def _bijection_leaf(check: str, m: Morphism
-                    ) -> tuple[VerifyReport, Morphism | None]:
-    """The leaf `check` passes iff m is a bijection; then its inverse
-    comes with it."""
+def _bijection_leaf(check: str, m: Morphism) -> VerifyReport:
+    """The leaf `check`, which passes iff m is a bijection."""
     inv = inverse(m)
     if inv is None or len(inv) != m.cod.card:
-        return failing(check, [{"table": m.table}]), None
-    return passing(check), Morphism(m.cod, m.dom,
-                                    table=[inv[v] for v in range(len(inv))])
+        return failing(check, [{"table": m.table}])
+    return passing(check)

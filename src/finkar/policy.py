@@ -46,16 +46,18 @@ def mealy_from_components(ctx: StateContext, in_set: FinSetObj,
                           out_set: FinSetObj, nxt: Morphism,
                           out: Morphism) -> MealyMachine:
     """Pair a next-state map and an output map into one machine; a value
-    of either outside its codomain is a ShapeError."""
+    of either outside its codomain is a ShapeError, and an argument of the
+    wrong type a TypeError naming it, before any ShapeError."""
     try:
         dom = prod_obj(ctx, in_set)
         if nxt.dom != dom or nxt.cod != ctx.state_space:
             raise ShapeError("next map must have shape S x A -> S")
         if out.dom != dom or out.cod != out_set:
             raise ShapeError("output map must have shape S x A -> B")
-    except (AttributeError, TypeError):
+    except (AttributeError, TypeError, ShapeError):
         check_types(ctx=(ctx, StateContext), in_set=(in_set, FinSetObj),
-                    nxt=(nxt, Morphism), out=(out, Morphism))
+                    out_set=(out_set, FinSetObj), nxt=(nxt, Morphism),
+                    out=(out, Morphism))
     return MealyMachine(ctx=ctx, in_set=in_set, out_set=out_set,
                         mapping=pair(nxt, out))
 

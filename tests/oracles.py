@@ -10,10 +10,10 @@ as JSON, and composites of the package's own maps that only tests call.
 from functools import lru_cache
 from itertools import product as iproduct
 
-from finkar.algebras import (algebra_hom_check, coalgebra_components,
-                             free_algebra)
+from finkar.algebras import (algebra_hom_check, carve_algebra,
+                             coalgebra_components, free_algebra)
 from finkar.cli import SpecFile, canonical_json
-from finkar.equivalence import (KarcObject, KarmObject, make_karc_object,
+from finkar.equivalence import (KaroubiObject, make_karc_object,
                                 make_karm_object)
 from finkar.finset import (Atom, CheckConfig, Exp, FinSetObj, Morphism, Prod,
                            ShapeError, check_ranks, compose, equal_mor,
@@ -24,8 +24,8 @@ from finkar.idempotents import (karoubi_hom_check, random_idempotent_table,
 from finkar.policy import MooreMachine
 from finkar.report import combine, failing, passing
 from finkar.statemonad import (StateContext, eps, eta, exp_mor, exp_obj,
-                               g_mor, g_obj, mu, nu, prod_mor, prod_obj,
-                               t_mor, t_obj)
+                               g_mor, g_obj, mealy_of_kleisli, mu, nu,
+                               prod_mor, prod_obj, t_mor, t_obj)
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +717,7 @@ def karoubi_compose(f: Morphism, g: Morphism, phi: Morphism, psi: Morphism,
     return gf
 
 
-def nucleus_objects(k: KarmObject) -> KarcObject:
+def nucleus_objects(k: KaroubiObject) -> KaroubiObject:
     """Machine-form projector -> behavior-level projector on S => mid.
 
     Split the projector, then take the unit after the exponential counit
@@ -729,7 +729,7 @@ def nucleus_objects(k: KarmObject) -> KarcObject:
     return make_karc_object(ctx, carrier, proj)
 
 
-def nucleus_objects_back(k: KarcObject) -> KarmObject:
+def nucleus_objects_back(k: KaroubiObject) -> KaroubiObject:
     """Behavior-level projector -> machine-form projector on T(mid).
 
     Split the projector; on the machine S x T(mid), run one step (the
@@ -739,3 +739,26 @@ def nucleus_objects_back(k: KarcObject) -> KarmObject:
     c = split_idempotent(k.projector).mid
     proj = compose(eps(ctx, prod_obj(ctx, c)), prod_mor(ctx, eta(ctx, c)))
     return make_karm_object(ctx, t_obj(ctx, c), proj)
+
+
+def dual_squares(k: KaroubiObject) -> tuple[bool, bool] | None:
+    """The two intertwining squares of the dual round trip, which
+    `dual_roundtrip` proves and does not compute; None on a lawless carve.
+    With i' the machine form of the carve's splitting mono and r the
+    carved structure on Fix: does S => i' carry eta . r to the projector
+    (forward), and does S => i'^-1 carry it back (backward, False when i'
+    is not a bijection)?"""
+    ctx, phi = k.ctx, k.projector
+    res = carve_algebra(ctx, phi)
+    if not res.laws.passed:
+        return None
+    image = compose(res.algebra.structure, eta(ctx, res.algebra.carrier))
+    i_prime = mealy_of_kleisli(ctx, res.splitting.i)
+    lifted = exp_mor(ctx, i_prime)
+    forward = compose(image, lifted).table == compose(lifted, phi).table
+    values = i_prime.table
+    if sorted(values) != list(range(i_prime.cod.card)):
+        return forward, False
+    back = exp_mor(ctx, Morphism(i_prime.cod, i_prime.dom, table=sorted(
+        range(len(values)), key=values.__getitem__)))
+    return forward, compose(phi, back).table == compose(back, image).table

@@ -358,6 +358,51 @@ def test_every_entry_point_main_reaches_has_a_boundary_case():
 
 
 # ---------------------------------------------------------------------------
+# records
+
+
+def _twin_classes(modules) -> list[list[str]]:
+    """`module.Class` for each group of two or more top-level classes
+    with the same `__slots__` and the same `__init__` body."""
+    groups = {}
+    for m, tree in modules:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            slots = [ast.dump(stmt.value) for stmt in cls.body
+                     if isinstance(stmt, ast.Assign)
+                     and any(getattr(t, "id", None) == "__slots__"
+                             for t in stmt.targets)]
+            inits = [[ast.dump(stmt) for stmt in f.body] for f in cls.body
+                     if isinstance(f, _FUNCTIONS) and f.name == "__init__"]
+            if slots and inits:
+                key = (tuple(slots), tuple(inits[0]))
+                groups.setdefault(key, []).append(f"{m}.{cls.name}")
+    return sorted(names for names in groups.values() if len(names) > 1)
+
+
+def test_no_two_classes_are_twins():
+    """No two classes of the package have the same `__slots__` and the
+    same `__init__` body: one record serves every use of its shape, as
+    `equivalence.KaroubiObject` serves both sides of the equivalence.
+    The check itself catches a twin pair and keeps a class whose slots or
+    constructor differ."""
+    assert _twin_classes(_modules()) == []
+    def record(name, slots, value):
+        return (f"class {name}:\n    __slots__ = {slots}\n"
+                "    def __init__(self, ctx, carrier):\n"
+                f"        self.ctx, self.carrier = ctx, {value}\n")
+
+    probe = ast.parse(
+        record("KarmObject", '("ctx", "carrier")', "carrier")
+        + record("KarcObject", '("ctx", "carrier")', "carrier")
+        + record("Wider", '("ctx", "carrier", "n")', "carrier")
+        + record("Checked", '("ctx", "carrier")', "carrier.card"))
+    assert _twin_classes([("m", probe)]) == [["m.KarmObject",
+                                              "m.KarcObject"]]
+
+
+# ---------------------------------------------------------------------------
 # options
 
 # The only options that no call in the package or the benchmark sets, each

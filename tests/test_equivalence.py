@@ -20,8 +20,8 @@ from finkar.report import LawViolation
 from finkar.statemonad import (StateContext, eta, exp_mor, g_mor, g_obj,
                                mealy_of_kleisli, mu, prod_obj, t_obj)
 
-from oracles import (brute_force_moore_machines, naive_moore_tables,
-                     nucleus_objects, nucleus_objects_back,
+from oracles import (brute_force_moore_machines, dual_squares,
+                     naive_moore_tables, nucleus_objects, nucleus_objects_back,
                      oracle_step_then_unit_at, transported_algebras)
 
 E2_TABLE = [2, 6, 2, 6, 2, 2, 6, 6]
@@ -348,11 +348,19 @@ def test_dual_object_condition_decides_the_round_trip(ctx1, ctx2):
     one algebra on 1.  The seeded conjugates of eta . r at |S| = 2,
     |B| = 4 all meet it, and their carve is lawful exactly when r is an
     algebra.  No case is (T,T,F): with a lawful carve the condition decides
-    the dual round trip (the proof is make_karc_object's docstring)."""
+    the dual round trip (the proof is make_karc_object's docstring).
+    dual_roundtrip reports the laws, and forward-bijective on a lawful
+    carve; the oracle's two squares, which it leaves out, hold on every
+    lawful carve, the backward one exactly where the condition does."""
     def key(ctx, b, psi):
         k = make_karc_object(ctx, b, psi)
-        return (k.condition.passed, carve_algebra(ctx, psi).laws.passed,
-                dual_roundtrip(k).report.passed)
+        lawful = carve_algebra(ctx, psi).laws.passed
+        rep = dual_roundtrip(k).report
+        assert [r.check for r in rep.sub] == [
+            rep.sub[0].check, "forward-bijective"][:1 + lawful]
+        assert dual_squares(k) == ((True, k.condition.passed) if lawful
+                                   else None)
+        return k.condition.passed, lawful, rep.passed
 
     def census(ctx, b, projectors):
         return Counter(key(ctx, b, psi) for psi in projectors)

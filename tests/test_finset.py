@@ -1153,9 +1153,10 @@ BOUNDARY_IDS = [
     "MealyMachine-ctx", "MealyMachine-mapping", "MealyMachine-in_set",
     "Policy-machine", "MooreMachine-readout", "check_compliance-psi",
     "check_consistency-phi", "check_policy-machine", "mealy_to_moore-phi",
-    "mealy_from_components-nxt", "check_moore-m", "moore_to_coalgebra-m",
-    "functor_r-c", "functor_l-k", "roundtrip_rl-k", "lr_identity_report-c",
-    "dual_r-a", "dual_l-k", "dual_roundtrip-k", "dual_lr_identity_report-a"]
+    "mealy_from_components-nxt", "mealy_from_components-out_set",
+    "check_moore-m", "moore_to_coalgebra-m", "functor_r-c", "functor_l-k",
+    "roundtrip_rl-k", "lr_identity_report-c", "dual_r-a", "dual_l-k",
+    "dual_roundtrip-k", "dual_lr_identity_report-a"]
 
 
 @pytest.mark.parametrize("call, name, value", [
@@ -1213,6 +1214,8 @@ BOUNDARY_IDS = [
     (lambda m: check_policy(None), "machine", "None"),
     (lambda m: mealy_to_moore(SM.mapping.table), "phi", r"\[0, 1, 2, 3\]"),
     (lambda m: mealy_from_components(CTX, m.dom, m.dom, 5, SQ), "nxt", "5"),
+    (lambda m: mealy_from_components(CTX, m.dom, 5, fst(SA), SQ), "out_set",
+     "5"),
     (lambda m: check_moore(5), "m", "5"),
     (lambda m: moore_to_coalgebra("moore"), "m", "'moore'"),
     (lambda m: functor_r(5), "c", "5"),
